@@ -26,15 +26,6 @@ class BranchRoots:
     t4: complex
 
 
-@dataclass(frozen=True)
-class CharMatrix:
-    """Boundary collocation matrix together with its evaluation point."""
-
-    matrix: np.ndarray
-    lam: complex
-    params: BeamParams
-
-
 def _check_nonzero(lam: np.ndarray) -> None:
     if np.any(lam == 0):
         raise ZeroLambda("branch roots are defined for lambda != 0")
@@ -46,6 +37,19 @@ def _roots(lam: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     t1 = np.sqrt(lam) * np.sqrt(1j * sb + lam)
     t3 = np.sqrt(lam) * np.sqrt(-1j * sb + lam)
     return t1, t3
+
+
+def _shifted_roots(lam: np.ndarray, b: float):
+    """t1, t3 and the shifts t1 - lambda, t3 - lambda = +- i lambda sqrt(b)/(t + lambda).
+
+    Computing e^{t_i} directly loses |Im t_i| * eps of phase to the rounding
+    of t_i, which at |lambda| ~ 10^3 already drowns the O(1/lambda^4) tail of
+    f; e^{t_i} = e^{lambda} e^{t_i - lambda} stays accurate to a few ulp
+    because the evaluation point lambda itself is exact.
+    """
+    sb = np.sqrt(b)
+    t1, t3 = _roots(lam, b)
+    return t1, t3, 1j * lam * sb / (t1 + lam), -1j * lam * sb / (t3 + lam)
 
 
 def branch_roots(lam: complex, b: float) -> BranchRoots:
@@ -92,58 +96,49 @@ def g_functions(t: complex, lam: complex, p: BeamParams):
     return g1, g2, g3
 
 
-def _matrix(lam: np.ndarray, p: BeamParams) -> np.ndarray:
+def _matrix(lam: np.ndarray, p: BeamParams):
     """Collocation matrices of shape lam.shape + (4, 4), stabilized entries.
 
-    The exponentials are evaluated as e^{t_i} = e^{+-lambda} e^{+-delta}
-    with delta = t - lambda = +- i lambda sqrt(b)/(t + lambda).  Computing
-    e^{t_i} directly loses |Im t_i| * eps of phase to the rounding of t_i,
-    which at |lambda| ~ 10^3 already drowns the O(1/lambda^4) tail of f;
-    the factored form keeps every entry accurate to a few ulp because the
-    evaluation point lambda itself is exact.
+    Also returns the per-column pieces (shape lam.shape + (4,)) the rows are
+    built from: the exponents t_i, the stabilized e^{t_i}, the constants
+    q_i = (lambda^2 - t_i^2)/lambda = -+ i sqrt(b), and the row symbols
+    d_i = q_i lambda / t_i, g2_i and g3_i.
     """
-    sb = np.sqrt(p.b)
-    t1, t3 = _roots(lam, p.b)
-    dl1 = 1j * lam * sb / (t1 + lam)    # t1 - lambda, cancellation-free
-    dl3 = -1j * lam * sb / (t3 + lam)   # t3 - lambda
+    t1, t3, dl1, dl3 = _shifted_roots(lam, p.b)
     ez = np.exp(lam)
     e1 = ez * np.exp(dl1)
     e3 = ez * np.exp(dl3)
     exps = np.stack([e1, 1.0 / e1, e3, 1.0 / e3], axis=-1)
-
     ts = np.stack([t1, -t1, t3, -t3], axis=-1)
+    q = np.array([-1j, -1j, 1j, 1j]) * np.sqrt(p.b)
     lamx = lam[..., None]
-    l2mt2 = np.stack([-1j * lam * sb, -1j * lam * sb, 1j * lam * sb, 1j * lam * sb], axis=-1)
-    d = l2mt2 / ts
+    d = q * lamx / ts
     g2 = (p.k2 * ts + (p.k1 + ts) * lamx) / (lamx * ts)
     g3 = d * (p.k3 * ts + lamx * (p.k4 + lamx)) / lamx**2
-    ones = np.ones_like(ts)
-    return np.stack([ones, d, exps * g2, exps * g3], axis=-2)
+    m = np.stack([np.ones_like(ts), d, exps * g2, exps * g3], axis=-2)
+    return m, (ts, exps, q, d, g2, g3)
 
 
 def paired_exponentials(lam, b: float):
     """(e^{t1+t3}, e^{-t1-t3}, e^{t1-t3}, e^{t3-t1}) with stable phases.
 
     Built from e^{2 lambda} and the small shifts t_i - lambda so the phase
-    error stays at a few ulp even when |Im lambda| is large; see _matrix.
+    error stays at a few ulp even when |Im lambda| is large; see _shifted_roots.
     """
     arr = np.asarray(lam, dtype=complex)
     _check_nonzero(arr)
-    sb = np.sqrt(b)
-    t1, t3 = _roots(arr, b)
-    dl1 = 1j * arr * sb / (t1 + arr)
-    dl3 = -1j * arr * sb / (t3 + arr)
+    _, _, dl1, dl3 = _shifted_roots(arr, b)
     ep = np.exp(2.0 * arr) * np.exp(dl1 + dl3)
     dp = np.exp(dl1 - dl3)
     return ep, 1.0 / ep, dp, 1.0 / dp
 
 
-def boundary_matrix(lam: complex, p: BeamParams) -> CharMatrix:
+def boundary_matrix(lam: complex, p: BeamParams) -> np.ndarray:
     """Assemble the 4x4 system (clamped end; shear row; two tip feedback rows)."""
     require_unit_speed(p)
     arr = np.asarray(lam, dtype=complex)
     _check_nonzero(arr)
-    return CharMatrix(_matrix(arr, p), complex(lam), p)
+    return _matrix(arr, p)[0]
 
 
 def char_fn(lam, p: BeamParams):
@@ -156,43 +151,55 @@ def char_fn(lam, p: BeamParams):
     require_unit_speed(p)
     arr = np.asarray(lam, dtype=complex)
     _check_nonzero(arr)
-    det = np.linalg.det(_matrix(arr, p))
+    det = np.linalg.det(_matrix(arr, p)[0])
     val = -det / (16.0 * p.b)
     return complex(val) if arr.ndim == 0 else val
 
 
-def entire_char_fn(lam, p: BeamParams):
-    """Single-valued surrogate F = f * t1 * t3 for contour work.
+def _guard_branch_points(lam: np.ndarray, b: float) -> None:
+    gap = np.abs(lam[..., None] - np.array([0.0, 1j, -1j]) * np.sqrt(b)).min(axis=-1)
+    if np.any(gap < 1e-6):
+        near = complex(lam.flat[np.argmin(gap)])
+        raise NearBranchPoint(f"lambda={near} within 1e-6 of a branch point")
 
-    f itself jumps sign across the horizontal rays Im(lambda) = +-sqrt(b),
-    Re(lambda) <= 0 where the composed square roots switch sheets; the
-    product with t1 t3 removes the jump, is analytic off the origin, and
-    has the same zeros as f away from the branch points.
+
+def entire_char_fn_and_derivative(lam, p: BeamParams):
+    """(F, F', f): the surrogate F = f t1 t3, its derivative, and f itself.
+
+    f jumps sign across the rays Im(lambda) = +-sqrt(b), Re(lambda) <= 0,
+    where the composed square roots switch sheets; F has no jump, is
+    analytic off the origin, and has the same zeros as f away from the
+    branch points, so all contour and Newton work uses F.
+
+    Row 0 of M is constant, so by Jacobi's rule det' is the sum of the three
+    determinants of M with row r (r = 1..3) replaced by its derivative.  The
+    row derivatives follow from t_i' = (2 lambda - q_i)/(2 t_i).  Unlike
+    det * tr(M^-1 M'), the sum stays finite at the roots.  Vectorized like
+    char_fn; every point must stay 1e-6 away from the branch points 0 and
+    +- i sqrt(b), where t_i' blows up.
     """
+    require_unit_speed(p)
     arr = np.asarray(lam, dtype=complex)
-    t1, t3 = _roots(arr, p.b)
-    val = char_fn(arr, p) * t1 * t3
-    return complex(val) if arr.ndim == 0 else val
-
-
-def _central_diff(fn, lam: complex) -> complex:
-    step = 1e-7 * max(1.0, abs(lam))
-    return (fn(lam + step) - fn(lam - step)) / (2.0 * step)
-
-
-def _guard_branch_points(lam: complex, b: float) -> None:
-    sb = float(np.sqrt(b))
-    if min(abs(lam), abs(lam - 1j * sb), abs(lam + 1j * sb)) < 1e-6:
-        raise NearBranchPoint(f"lambda={lam} within 1e-6 of a branch point")
-
-
-def char_fn_derivative(lam: complex, p: BeamParams) -> complex:
-    """Central-difference f'(lambda), step 1e-7 * max(1, |lambda|)."""
-    _guard_branch_points(lam, p.b)
-    return complex(_central_diff(lambda z: char_fn(z, p), complex(lam)))
-
-
-def entire_char_fn_derivative(lam: complex, p: BeamParams) -> complex:
-    """Central-difference derivative of the single-valued surrogate F."""
-    _guard_branch_points(lam, p.b)
-    return complex(_central_diff(lambda z: entire_char_fn(z, p), complex(lam)))
+    _guard_branch_points(arr, p.b)
+    m, (ts, exps, q, d, g2, g3) = _matrix(arr, p)
+    lamx = arr[..., None]
+    tp = (2.0 * lamx - q) / (2.0 * ts)
+    dp = (q - d * tp) / ts
+    h = (p.k3 * ts + lamx * (p.k4 + lamx)) / lamx**2      # g3 = d h
+    hp = (p.k3 * tp + p.k4 + 2.0 * lamx) / lamx**2 - 2.0 * h / lamx
+    rows = (dp,
+            exps * (tp * g2 - p.k2 / lamx**2 - p.k1 * tp / ts**2),
+            exps * (tp * g3 + dp * h + d * hp))
+    det = np.linalg.det(m)
+    ddet = np.zeros_like(det)
+    work = m.copy()    # one reused buffer; stacking all three would triple the peak
+    for r, row in enumerate(rows, start=1):
+        work[..., r, :] = row
+        ddet += np.linalg.det(work)
+        work[..., r, :] = m[..., r, :]
+    t1, t3 = ts[..., 0], ts[..., 2]
+    f = -det / (16.0 * p.b)
+    big_f = f * t1 * t3
+    dbig_f = -(ddet * t1 * t3 + det * (tp[..., 0] * t3 + t1 * tp[..., 2])) / (16.0 * p.b)
+    out = (big_f, dbig_f, f)
+    return tuple(complex(v) for v in out) if arr.ndim == 0 else out

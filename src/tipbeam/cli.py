@@ -22,9 +22,9 @@ from .asymptotics import predict_eigenvalue
 from .charfn import boundary_matrix
 from .errors import ConfigError, IncompleteBox, TipbeamError
 from .model import BeamParams, GridState, regime_info, solve_static, validate_params
-from .modes import eigenmode, mode_residuals, nullspace_coeffs, riesz_closeness
+from .modes import build_mode, mode_residuals, normalize, nullspace_coeffs, riesz_closeness
 from .simulate import assemble_generator, fit_decay, integrate
-from .spectrum import K_MIN, pair_at_frequency, refine_root, spectrum_in_strip
+from .spectrum import K_MIN, family_roots, pair_at_frequency, spectrum_in_strip
 
 COMMANDS = ("spectrum", "predict", "modes", "riesz", "decay", "table", "plot")
 TABLE_KS = (200, 400, 600, 800, 1000)
@@ -182,6 +182,12 @@ def build_config(args) -> RunConfig:
     if not conservative and "conservative" in file_data:
         conservative = _as_bool(file_data["conservative"], "conservative")
 
+    # flags a command would ignore; file keys stay accepted (one file, all commands)
+    if args.tolerance is not None and args.command != "modes":
+        raise ConfigError(f"--tolerance only applies to 'modes', not {args.command!r}")
+    if args.conservative and args.command == "riesz":
+        raise ConfigError("--conservative does not apply to 'riesz' (it compares both variants)")
+
     floor = 10 if args.command in ("spectrum", "plot") else K_MIN
     if k_max < floor:
         raise ConfigError(f"kmax = {k_max} is below the floor {floor} "
@@ -279,20 +285,17 @@ def _cmd_modes(cfg: RunConfig) -> list:
     entries = []
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
     for k in range(K_MIN, cfg.k_max + 1):
-        for j in (1, 2):
-            seed = predict_eigenvalue(k, j, p, variant=cfg.variant)
-            rec = refine_root(seed, p, tol=cfg.tolerance)
+        for rec in family_roots(p, k, cfg.variant, tol=cfg.tolerance):
             coeffs = nullspace_coeffs(rec.lam, p)
-            matrix_residual = float(np.linalg.norm(
-                boundary_matrix(rec.lam, p).matrix @ coeffs))
-            mode = eigenmode(rec.lam, p, variant=cfg.variant)
+            matrix_residual = float(np.linalg.norm(boundary_matrix(rec.lam, p) @ coeffs))
+            mode = normalize(build_mode(rec.lam, coeffs, p, variant=cfg.variant), p)
             res = mode_residuals(mode, p)
             identity = abs(rec.lam.real
                            + (p.k2 / p.k1) * abs(mode.tip_eta) ** 2
                            + (p.k4 / p.k3) * abs(mode.tip_gamma) ** 2)
             entries.append({
                 "k": k,
-                "j": j,
+                "j": rec.family,
                 "lambda": _pair(rec.lam),
                 "coefficients": [_pair(c) for c in mode.coeffs],
                 "branch_roots": [_pair(t) for t in mode._ts()],
@@ -480,9 +483,9 @@ def main(argv=None) -> int:
                         help="time step (default 0.4 h)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--conservative", action="store_true",
-                        help="drop the damping gains k2, k4")
+                        help="drop the damping gains k2, k4 (not for riesz)")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="Newton residual tolerance")
+                        help="Newton residual tolerance (modes only)")
     args = parser.parse_args(argv)
 
     try:

@@ -52,7 +52,7 @@ class ZeroDenominator(TipbeamError, ValueError):
 
 
 class NearBranchPoint(TipbeamError, ValueError):
-    """Derivative stencil would straddle 0 or +/- i*sqrt(b)."""
+    """Derivative evaluated within 1e-6 of 0 or +/- i*sqrt(b), where t' blows up."""
 
 
 # --- asymptotics ---
@@ -125,6 +125,10 @@ class SingularSolve(TipbeamError, RuntimeError):
 
 class WindowTooShort(TipbeamError, ValueError):
     """Decay-fit window contains too few samples."""
+
+
+class NonPositiveEnergy(TipbeamError, ValueError):
+    """Decay-fit window holds an energy sample <= 0; log E is undefined."""
 
 
 class IllConditionedGram(TipbeamError, RuntimeError):

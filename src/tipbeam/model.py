@@ -89,18 +89,6 @@ def _nearest_degenerate_p(b: float) -> tuple[int, float]:
     return pint, abs(r - pint) / r
 
 
-def condition_c1(p: BeamParams) -> bool:
-    """True iff k1 != k3 or sqrt(b) is not an integer multiple of 2 pi.
-
-    Under this condition the two high-frequency eigenvalue families stay
-    separated at order 1/k and the generic expansions apply.
-    """
-    if p.k1 != p.k3:
-        return True
-    _, rel = _nearest_degenerate_p(p.b)
-    return rel > _DEGENERATE_RTOL
-
-
 def regime_info(p: BeamParams) -> RegimeInfo:
     """Classify the parameter set for asymptotic dispatch.
 

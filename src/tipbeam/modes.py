@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import predict_eigenvalue
 from .charfn import BranchRoots, boundary_matrix, branch_roots, mode_couplings
 from .errors import (
     NotAnEigenvalue,
@@ -21,7 +20,7 @@ from .errors import (
     ZeroMode,
 )
 from .model import BeamParams, GridState, require_unit_speed
-from .spectrum import K_MIN, refine_root
+from .spectrum import K_MIN, family_roots
 
 _RANK_RTOL = 1e-6
 _ROOT_FLOOR = 1e-9    # sigma relative to sigma1 at which a direction counts as null
@@ -84,7 +83,7 @@ def nullspace_coeffs(lam, p: BeamParams) -> np.ndarray:
     multiplicity two, which this closed form does not span.
     """
     lam = complex(getattr(lam, "lam", lam))
-    m = boundary_matrix(lam, p).matrix
+    m = boundary_matrix(lam, p)
     _, s, vh = np.linalg.svd(m)
     # sigma4/sigma3 <= 1e-6 is the usual quality gate, but sigma3 is itself
     # depressed when a second simple root sits Theta(1/k^2) away (unequal
@@ -226,14 +225,6 @@ class RieszDiagnostics:
     partial_sums: np.ndarray
 
 
-def _family_pair(p: BeamParams, k: int, variant: str):
-    recs = []
-    for j in (1, 2):
-        seed = predict_eigenvalue(k, j, p, variant=variant, k_min=1)
-        recs.append(refine_root(seed, p))
-    return recs
-
-
 def riesz_closeness(K: int, p: BeamParams, k_min: int = K_MIN) -> RieszDiagnostics:
     """Pair damped and undamped modes per (k, j) and measure their distance.
 
@@ -253,8 +244,8 @@ def riesz_closeness(K: int, p: BeamParams, k_min: int = K_MIN) -> RieszDiagnosti
     tip_gamma = np.empty(shape)
     gap = np.empty(shape)
     for row, k in enumerate(ks):
-        damped = _family_pair(p, int(k), "dissipative")
-        cons = _family_pair(p0, int(k), "conservative")
+        damped = family_roots(p, int(k), "dissipative")
+        cons = family_roots(p0, int(k), "conservative")
         for j in (0, 1):
             own = abs(damped[j].lam - cons[j].lam)
             cross = abs(damped[j].lam - cons[1 - j].lam)
@@ -289,7 +280,7 @@ def gram_condition(p: BeamParams, K: int, k_min: int = K_MIN) -> float:
         raise ValueError("K must be positive")
     modes = []
     for k in range(k_min, k_min + K):
-        for rec in _family_pair(p, k, "dissipative" if not p.is_conservative
+        for rec in family_roots(p, k, "dissipative" if not p.is_conservative
                                 else "conservative"):
             modes.append(eigenmode(rec.lam, p))
     n = len(modes)

@@ -20,6 +20,7 @@ from scipy.sparse.linalg import splu
 from .errors import (
     EigensolveFailure,
     IllConditionedGram,
+    NonPositiveEnergy,
     ResolutionTooLow,
     SingularSolve,
     WindowTooShort,
@@ -266,7 +267,8 @@ def fit_decay(trace: EnergyTrace, window: tuple = (0.25, 1.0)) -> DecayFit:
     """Least-squares slope of log E against log t over a window of [0, T].
 
     Also reports sup t*E(t) there, the quantity that stays bounded for
-    smooth initial data when the energy decays like 1/t.
+    smooth initial data when the energy decays like 1/t.  An energy <= 0 in
+    the window has no logarithm and raises NonPositiveEnergy at its time.
     """
     t_end = trace.times[-1]
     lo, hi = window
@@ -276,9 +278,10 @@ def fit_decay(trace: EnergyTrace, window: tuple = (0.25, 1.0)) -> DecayFit:
     if len(t) < 8 or t[0] <= 0.0 or t[-1] < 2.0 * t[0]:
         raise WindowTooShort(
             f"window {window} of [0, {t_end}] leaves {len(t)} usable samples")
-    if np.any(e <= 0.0):
-        floor = np.finfo(float).tiny
-        e = np.maximum(e, floor)
+    bad = np.flatnonzero(e <= 0.0)
+    if bad.size:
+        raise NonPositiveEnergy(
+            f"energy {e[bad[0]]:.3e} <= 0 at t = {t[bad[0]]:.17g} in the fit window")
     slope, intercept = np.polyfit(np.log(t), np.log(e), 1)
     fit = DecayFit(exponent=float(slope), constant=float(math.exp(intercept)),
                    sup_te=float(np.max(t * e)), window=(float(lo), float(hi)))

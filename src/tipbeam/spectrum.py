@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import predict_eigenvalue
-from .charfn import char_fn, entire_char_fn
+from .charfn import char_fn, entire_char_fn_and_derivative
 from .errors import (
     BasinEscape,
     BoundaryTooCloseToRoot,
+    NearBranchPoint,
     NoConvergence,
     NonConvergentContour,
     RegimeMismatch,
@@ -73,9 +74,7 @@ def _winding_once(rect, p: BeamParams, n: int):
     total = 0.0 + 0.0j
     fmin, fmed = np.inf, []
     for pts in _boundary_segments(rect, n):
-        fvals = entire_char_fn(pts, p)
-        step = 1e-7 * np.maximum(1.0, np.abs(pts))
-        dvals = (entire_char_fn(pts + step, p) - entire_char_fn(pts - step, p)) / (2 * step)
+        fvals, dvals, _ = entire_char_fn_and_derivative(pts, p)
         total += np.trapezoid(dvals / fvals, pts)
         mags = np.abs(fvals)
         fmin = min(fmin, mags.min())
@@ -99,9 +98,13 @@ def _count_rect(rect, p: BeamParams, report: RootSearchReport | None = None):
     for cur in candidates:
         n = 64
         while n <= 8192:
-            wind, fmin, fmed = _winding_once(cur, p, n)
-            if fmin < _DIP_FACTOR * fmed:
-                dipped = True   # boundary grazes a root; try the next shift
+            try:
+                wind, fmin, fmed = _winding_once(cur, p, n)
+                grazes = fmin < _DIP_FACTOR * fmed
+            except NearBranchPoint:
+                grazes = True
+            if grazes:
+                dipped = True   # boundary grazes a root or a branch point; next shift
                 break
             k = round(wind.real)
             if abs(wind - k) <= _WINDING_TOL and k >= 0:
@@ -120,77 +123,81 @@ def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = N
     rect = (re_lo, re_hi, im_lo, im_hi).  Adaptive trapezoid integration of
     F'/F along the boundary, starting at 64 points per edge and doubling
     until the pre-rounding winding value sits within 0.05 of an integer.
-    If |F| on the boundary dips below 1e-6 of its boundary median, or the
-    integral refuses to stabilize (a root exactly on an edge can evade the
-    dip samples), the box is shifted by 1% of its size, up to five
-    deterministic attempts.
+    If |F| on the boundary dips below 1e-6 of its boundary median, a sample
+    comes within 1e-6 of a branch point, or the integral refuses to
+    stabilize (a root exactly on an edge can evade the dip samples), the
+    box is shifted by 1% of its size, up to five deterministic attempts.
     """
     require_unit_speed(p)
     return _count_rect(rect, p, report)[0]
 
 
-def _polish_to_floor(lam: complex, seed: complex, p: BeamParams) -> complex:
-    """Extra Newton steps after nominal convergence, while |f| still drops.
-
-    The main loop stops on a step-size test scaled by |lam|, which for a
-    root whose derivative is depressed by a near neighbor (families a
-    distance Theta(1/k^2) apart) can leave one productive step of size
-    ~1e-12 on the table.  Each candidate here is accepted only if it stays
-    in the seed's basin and strictly reduces |f|, so the iterate lands on
-    the evaluation floor of the determinant and never degrades.
-    """
-    best = abs(char_fn(lam, p))
-    for _ in range(3):
-        step_size = 1e-7 * max(1.0, abs(lam))
-        deriv = (entire_char_fn(lam + step_size, p)
-                 - entire_char_fn(lam - step_size, p)) / (2 * step_size)
-        if deriv == 0:
-            break
-        cand = lam - entire_char_fn(lam, p) / deriv
-        if abs(cand - seed) > 0.5:
-            break
-        val = abs(char_fn(cand, p))
-        if val >= best:
-            break
-        lam, best = cand, val
-    return lam
-
-
 def refine_root(seed: complex, p: BeamParams, tol: float = 1e-13) -> EigenvalueRecord:
     """Polish a root by Newton iteration on the surrogate F.
 
-    Stops when |f(lam)| <= tol * max(1, |lam|) and the last step fell below
-    1e-12 * max(1, |lam|) (the step condition keeps already-small seeds from
-    being returned unrefined); at most 50 iterations; the iterate must stay
-    within 0.5 of the seed.  A short floor-polish follows nominal
-    convergence so the returned iterate is as close to the root as the
-    characteristic function can resolve.
+    One evaluation of (F, F', f) per iteration.  Converged when |f(lam)| <=
+    tol * max(1, |lam|) and the last step fell below 1e-12 * max(1, |lam|)
+    (so already-small seeds are still refined); at most 50 iterations, each
+    iterate within 0.5 of the seed.  The step test scales with |lam|, so a
+    root whose derivative is depressed by a neighbor Theta(1/k^2) away can
+    keep one productive step: up to 3 more follow while they stay in the
+    basin and strictly lower |f|, landing on the evaluation floor of the
+    determinant.  ``iterations`` counts the steps up to convergence.  An
+    iterate within 1e-6 of a branch point raises NearBranchPoint.
     """
     if tol < 1e-13:
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
     require_unit_speed(p)
-    lam = complex(seed)
-    iterations = 0
-    for iterations in range(1, 51):
-        fval = entire_char_fn(lam, p)
-        step_size = 1e-7 * max(1.0, abs(lam))
-        deriv = (entire_char_fn(lam + step_size, p) - entire_char_fn(lam - step_size, p)) / (
-            2 * step_size
-        )
-        if deriv == 0:
-            raise NoConvergence(f"flat surrogate at {lam}")
-        delta = fval / deriv
-        lam -= delta
-        if abs(lam - seed) > 0.5:
-            raise BasinEscape(f"iterate {lam} left the basin of seed {seed}")
-        scale = max(1.0, abs(lam))
-        if abs(delta) <= 1e-12 * scale and abs(char_fn(lam, p)) <= tol * scale:
-            lam = _polish_to_floor(lam, seed, p)
-            variant = "conservative" if p.is_conservative else "dissipative"
-            rec = EigenvalueRecord(lam, None, None, abs(char_fn(lam, p)), 1, variant)
+    variant = "conservative" if p.is_conservative else "dissipative"
+    lam = seed = complex(seed)
+    step, iterations, rec = math.inf, 0, None
+    while True:
+        surrogate, slope, fval = entire_char_fn_and_derivative(lam, p)
+        residual, scale = abs(fval), max(1.0, abs(lam))
+        if rec is not None:                 # floor polish: keep strict drops only
+            if residual >= rec.residual:
+                return rec
+            rec.lam, rec.residual = lam, residual
+            if iterations == rec.iterations + 3:
+                return rec
+        elif step <= 1e-12 * scale and residual <= tol * scale:
+            rec = EigenvalueRecord(lam, None, None, residual, 1, variant)
             rec.iterations = iterations
-            return rec
-    raise NoConvergence(f"Newton did not converge from seed {seed}")
+        elif iterations == 50:
+            raise NoConvergence(f"Newton did not converge from seed {seed}")
+        if slope == 0:
+            if rec is not None:
+                return rec
+            raise NoConvergence(f"flat surrogate at {lam}")
+        delta = surrogate / slope
+        if abs(lam - delta - seed) > 0.5:
+            if rec is not None:
+                return rec
+            raise BasinEscape(f"iterate {lam - delta} left the basin of seed {seed}")
+        lam, step, iterations = lam - delta, abs(delta), iterations + 1
+
+
+def family_roots(p: BeamParams, k: int, variant: str = "dissipative", tol: float = 1e-13):
+    """Both family roots near i k pi, Newton-polished from their predictions.
+
+    Records come in family order with k_index and family set.  A failed
+    family is raised again naming k and j, after the other was tried; the
+    records that converged ride along on the error as ``records``.
+    """
+    recs, failure = [], None
+    for j in (1, 2):
+        seed = predict_eigenvalue(k, j, p, variant=variant, k_min=1)
+        try:
+            rec = refine_root(seed, p, tol=tol)
+        except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
+            failure = failure or type(exc)(f"family {j} at k = {k}: {exc}")
+            continue
+        rec.k_index, rec.family = k, j
+        recs.append(rec)
+    if failure is not None:
+        failure.records = recs
+        raise failure
+    return recs
 
 
 def _validation_rect(p: BeamParams, k: int, variant: str):
@@ -217,18 +224,12 @@ def pair_at_frequency(p: BeamParams, k: int, variant: str = "dissipative",
     separated by Theta(1/k^2), as with unequal damping gains and degenerate
     sqrt(b), stay distinct records however close they come.
     """
-    recs = []
-    for j in (1, 2):
-        seed = predict_eigenvalue(k, j, p, variant=variant, k_min=1)
-        try:
-            rec = refine_root(seed, p)
-        except (NoConvergence, BasinEscape):
-            continue
-        rec.k_index = k
-        rec.family = j
-        recs.append(rec)
-        if report is not None:
-            report.newton_iterations.append((rec.lam, rec.iterations))
+    try:
+        recs = family_roots(p, k, variant)
+    except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
+        recs = exc.records
+    if report is not None:
+        report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
 
     rect = _validation_rect(p, k, variant)
     count, rect = _count_rect(rect, p, report)
@@ -282,7 +283,7 @@ def _low_frequency_sweep(p: BeamParams, variant: str, report: RootSearchReport):
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
             try:
                 rec = refine_root(center, p)
-            except (NoConvergence, BasinEscape):
+            except (NoConvergence, BasinEscape, NearBranchPoint):
                 rec = None
             if rec is not None and _inside(rec.lam, (re_lo - 1e-6, re_hi + 1e-6,
                                                      im_lo - 1e-6, im_hi + 1e-6)):

@@ -192,7 +192,7 @@ def test_c06_eigenpair_residuals(params_generic, strip_generic, table_pairs,
     worst_mc = worst_res = worst_id = 0.0
     for lam, p in jobs:
         c = nullspace_coeffs(lam, p)
-        mc = float(np.linalg.norm(boundary_matrix(lam, p).matrix @ c))
+        mc = float(np.linalg.norm(boundary_matrix(lam, p) @ c))
         mode = eigenmode(lam, p)
         res = float(mode_residuals(mode, p).max())
         ident = abs(lam.real + (p.k2 / p.k1) * abs(mode.tip_eta) ** 2

@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import (
     boundary_matrix,
     branch_roots,
     char_fn,
-    char_fn_derivative,
-    entire_char_fn,
-    entire_char_fn_derivative,
+    entire_char_fn_and_derivative,
     g_functions,
     mode_couplings,
 )
 from tipbeam.errors import NearBranchPoint, ZeroDenominator, ZeroLambda
+from tipbeam.model import regime_info, validate_params
+from tipbeam.spectrum import refine_root
 
 
 def _strip_points(rng, n, im_lo=0.5, im_hi=60.0):
@@ -109,25 +114,25 @@ def test_g_functions_conservative(params_conservative):
 def test_boundary_matrix_structure(params_generic):
     p = params_generic
     lam = -0.5 + 7.7j
-    cm = boundary_matrix(lam, p)
-    assert cm.matrix.shape == (4, 4)
-    assert np.all(cm.matrix[0] == 1.0)
+    m = boundary_matrix(lam, p)
+    assert m.shape == (4, 4)
+    assert np.all(m[0] == 1.0)
     r = branch_roots(lam, p.b)
     ts = [r.t1, r.t2, r.t3, r.t4]
     ds = mode_couplings(lam, r)
     for i in range(4):
         g1, g2, g3 = g_functions(ts[i], lam, p)
-        assert cm.matrix[1, i] == pytest.approx(ds[i], rel=1e-12)
-        assert cm.matrix[1, i] == pytest.approx(g1, rel=1e-11)
-        assert cm.matrix[2, i] == pytest.approx(np.exp(ts[i]) * g2, rel=1e-11)
-        assert cm.matrix[3, i] == pytest.approx(np.exp(ts[i]) * g3, rel=1e-11)
+        assert m[1, i] == pytest.approx(ds[i], rel=1e-12)
+        assert m[1, i] == pytest.approx(g1, rel=1e-11)
+        assert m[2, i] == pytest.approx(np.exp(ts[i]) * g2, rel=1e-11)
+        assert m[3, i] == pytest.approx(np.exp(ts[i]) * g3, rel=1e-11)
 
 
 def test_boundary_matrix_conjugate_column_swap(params_generic):
     p = params_generic
     lam = -0.8 + 13.7j
-    m = boundary_matrix(lam, p).matrix
-    mc = boundary_matrix(np.conj(lam), p).matrix
+    m = boundary_matrix(lam, p)
+    mc = boundary_matrix(np.conj(lam), p)
     swapped = mc[:, [2, 3, 0, 1]]
     assert np.max(np.abs(swapped - np.conj(m))) <= 1e-11 * np.max(np.abs(m))
 
@@ -135,7 +140,7 @@ def test_boundary_matrix_conjugate_column_swap(params_generic):
 def test_char_fn_definitional_consistency(params_generic):
     p = params_generic
     lam = -0.6 + 9.1j
-    det = np.linalg.det(boundary_matrix(lam, p).matrix)
+    det = np.linalg.det(boundary_matrix(lam, p))
     assert char_fn(lam, p) == pytest.approx(-det / (16 * p.b), rel=1e-13)
 
 
@@ -157,6 +162,10 @@ def test_char_fn_vectorized_matches_scalar(params_generic):
         assert vec[i] == pytest.approx(char_fn(complex(lam), p), rel=1e-14)
 
 
+def entire_char_fn(lam, p):
+    return entire_char_fn_and_derivative(lam, p)[0]
+
+
 def test_entire_char_fn_continuous_across_ray(params_generic):
     # f flips sign across Im(lambda) = sqrt(b) on the left; F = f t1 t3 does not
     p = params_generic
@@ -172,39 +181,103 @@ def test_entire_char_fn_continuous_across_ray(params_generic):
         assert fe_jump < 1e-5
 
 
+def _central_diff(lam, p, rel_step):
+    step = rel_step * max(1.0, abs(lam))
+    return (entire_char_fn(lam + step, p) - entire_char_fn(lam - step, p)) / (2 * step)
+
+
 def test_derivative_conjugate_and_richardson(params_generic):
     p = params_generic
     lam = -0.9 + 11.3j
-    d = char_fn_derivative(lam, p)
-    dc = char_fn_derivative(np.conj(lam), p)
-    assert dc == pytest.approx(np.conj(d), rel=1e-9)
-    # refine the step by 10: agreement to 6 significant digits
-    step = 1e-8 * max(1.0, abs(lam))
-    fine = (char_fn(lam + step, p) - char_fn(lam - step, p)) / (2 * step)
-    assert d == pytest.approx(fine, rel=1e-6)
+    _, d, _ = entire_char_fn_and_derivative(lam, p)
+    _, dc, _ = entire_char_fn_and_derivative(np.conj(lam), p)
+    assert dc == pytest.approx(np.conj(d), rel=1e-12)
+    # two central differences a decade apart in step both agree
+    assert d == pytest.approx(_central_diff(lam, p, 1e-6), rel=1e-7)
+    assert d == pytest.approx(_central_diff(lam, p, 1e-7), rel=1e-6)
     with pytest.raises(NearBranchPoint):
-        char_fn_derivative(1j * np.sqrt(p.b) + 1e-9, p)
+        entire_char_fn_and_derivative(1j * np.sqrt(p.b) + 1e-9, p)
+    with pytest.raises(NearBranchPoint):
+        entire_char_fn_and_derivative(np.array([2.0j, 1e-9 + 0j]), p)
+
+
+def test_derivative_finite_at_roots(params_generic, params_degenerate):
+    # the Jacobi sum stays finite where det M vanishes; at k = 200 the
+    # degenerate families sit Theta(1/k^2) apart
+    for p, k in ((params_generic, 12), (params_degenerate, 200)):
+        for j in (1, 2):
+            lam = refine_root(predict_eigenvalue(k, j, p, k_min=1), p).lam
+            fval, d, _ = entire_char_fn_and_derivative(lam, p)
+            assert np.isfinite(d) and abs(d) > 0.0
+            assert abs(fval) <= 1e-9 * abs(d)
+            assert d == pytest.approx(_central_diff(lam, p, 1e-7), rel=1e-5)
 
 
 def test_zero_free_box_has_zero_winding(params_generic):
-    # right half plane: no eigenvalues, f analytic, winding must vanish
+    # right half plane: no eigenvalues, F analytic, winding must vanish
     p = params_generic
     corners = [0.5 + 0.5j, 1.5 + 0.5j, 1.5 + 10.5j, 0.5 + 10.5j]
     total = 0.0 + 0.0j
     for a, bb in zip(corners, corners[1:] + corners[:1]):
         zs = a + (bb - a) * np.linspace(0, 1, 201)
-        vals = np.array([char_fn_derivative(z, p) / char_fn(z, p) for z in zs])
-        total += np.trapezoid(vals, zs)
+        fvals, dvals, _ = entire_char_fn_and_derivative(zs, p)
+        assert np.allclose(dvals, [_central_diff(z, p, 1e-6) for z in zs],
+                           rtol=1e-6, atol=0.0)
+        total += np.trapezoid(dvals / fvals, zs)
     winding = total / (2j * np.pi)
     assert abs(winding) < 1e-3
 
 
 def test_entire_derivative_matches_char_fn_derivative(params_generic):
+    # product rule on F = f t1 t3: f' by central difference of char_fn, and
+    # (t1 t3)' from (t1 t3)^2 = lambda^2 (lambda^2 + b)
     p = params_generic
     lam = -0.4 + 6.6j
-    t1t3 = entire_char_fn(lam, p) / char_fn(lam, p)
-    # product rule cross-check at one point
-    step = 1e-7 * max(1.0, abs(lam))
-    dprod = (entire_char_fn(lam + step, p) - entire_char_fn(lam - step, p)) / (2 * step)
-    assert entire_char_fn_derivative(lam, p) == pytest.approx(dprod, rel=1e-12)
+    fval, d, f = entire_char_fn_and_derivative(lam, p)
+    assert f == char_fn(lam, p)
+    r = branch_roots(lam, p.b)
+    assert fval == pytest.approx(f * r.t1 * r.t3, rel=1e-15)
+    t1t3 = fval / f
     assert abs(t1t3) > 1.0
+    step = 1e-7 * max(1.0, abs(lam))
+    df = (char_fn(lam + step, p) - char_fn(lam - step, p)) / (2 * step)
+    dt1t3 = (2 * lam**3 + p.b * lam) / t1t3
+    assert d == pytest.approx(df * t1t3 + f * dt1t3, rel=1e-7)
+
+
+_B_LATTICE = 4.0 * math.pi**2
+_REGIME_SETS = {
+    "generic": (2.0, 1.0, 2.0, 3.0, 2.0),
+    "case1": (_B_LATTICE, 2.0, 1.0, 2.0, 5.0),
+    "case2": (_B_LATTICE, 2.0, 1.0, 2.0, 1.0),
+    "case3": (_B_LATTICE, 2.0, 0.0, 2.0, 0.0),
+    "borderline": (_B_LATTICE * (1 + 1e-7), 2.0, 1.0, 2.0 * (1 + 1e-7), 5.0),
+    "conservative": (2.0, 1.0, 0.0, 3.0, 0.0),
+}
+
+
+def test_regime_sets_cover_every_regime():
+    infos = {name: regime_info(validate_params(1.0, *vals))
+             for name, vals in _REGIME_SETS.items()}
+    assert {name: info.regime for name, info in infos.items()} == {
+        "generic": "generic", "case1": "case1", "case2": "case2",
+        "case3": "case3", "borderline": "generic", "conservative": "generic"}
+    assert infos["borderline"].borderline
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_REGIME_SETS)),
+       re=st.floats(-4.0, 1.0), im=st.floats(-400.0, 400.0))
+def test_derivative_matches_central_difference_property(name, re, im):
+    p = validate_params(1.0, *_REGIME_SETS[name])
+    lam = complex(re, im)
+    sb = math.sqrt(p.b)
+    assume(min(abs(lam), abs(lam - 1j * sb), abs(lam + 1j * sb)) > 0.05)
+    fval, d, _ = entire_char_fn_and_derivative(lam, p)
+    scale = max(abs(d), abs(fval))
+    # Richardson-extrapolated central difference as the reference
+    coarse = _central_diff(lam, p, 2e-4 / max(1.0, abs(lam)) ** 0.5)
+    fine = _central_diff(lam, p, 1e-4 / max(1.0, abs(lam)) ** 0.5)
+    assert abs(d - (4 * fine - coarse) / 3) <= 1e-8 * scale
+    _, dc, _ = entire_char_fn_and_derivative(lam.conjugate(), p)
+    assert abs(dc - d.conjugate()) <= 1e-12 * scale

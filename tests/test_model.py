@@ -12,7 +12,6 @@ from tipbeam.errors import (
 from tipbeam.model import (
     GridState,
     apply_operator,
-    condition_c1,
     cumulative_integral,
     derivative,
     grid_inner_product,
@@ -58,10 +57,8 @@ def test_require_unit_speed(params_generic):
 
 
 def test_regime_dispatch(params_generic, params_degenerate):
-    assert condition_c1(params_generic)
     assert regime_info(params_generic).regime == "generic"
 
-    assert not condition_c1(params_degenerate)
     info = regime_info(params_degenerate)
     assert info.regime == "case1" and info.degenerate_p == 1
 

@@ -36,7 +36,7 @@ def mode12(params_generic, root12):
 
 def test_nullspace_annihilates_matrix(params_generic, root12):
     c = nullspace_coeffs(root12, params_generic)
-    m = boundary_matrix(root12.lam, params_generic).matrix
+    m = boundary_matrix(root12.lam, params_generic)
     assert np.linalg.norm(m @ c) <= 1e-9
     # rows one and two of the matrix are the clamped-end conditions
     assert abs(np.sum(c)) <= 1e-9

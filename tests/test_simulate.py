@@ -7,6 +7,7 @@ import pytest
 
 from tipbeam.errors import (
     IllConditionedGram,
+    NonPositiveEnergy,
     ResolutionTooLow,
     WindowTooShort,
 )
@@ -194,6 +195,18 @@ def test_fit_decay_window_guard():
                      energies=np.array([1.0, 0.5, 0.25]))
     with pytest.raises(WindowTooShort):
         fit_decay(tr)
+
+
+def test_fit_decay_rejects_nonpositive_energy():
+    from tipbeam.simulate import EnergyTrace
+    times = np.linspace(0.0, 10.0, 41)
+    energies = 1.0 / (1.0 + times)
+    energies[[30, 35]] = [0.0, -1e-3]
+    tr = EnergyTrace(times=times, energies=energies)
+    with pytest.raises(NonPositiveEnergy, match=r"t = 7\.5 "):
+        fit_decay(tr)
+    # outside the window a bad sample is never read
+    assert fit_decay(tr, window=(0.25, 0.7)).exponent < 0.0
 
 
 def test_pack_unpack_roundtrip(params_generic):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import tipbeam.spectrum
 from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import char_fn
 from tipbeam.errors import BasinEscape, NoConvergence, RegimeMismatch
 from tipbeam.model import validate_params
 from tipbeam.spectrum import (
     EigenvalueRecord,
+    RootSearchReport,
     count_roots_in_rect,
+    family_roots,
     pair_at_frequency,
     refine_root,
     spectrum_in_strip,
@@ -35,6 +38,16 @@ def test_count_frequency_box_has_two(params_generic):
     k = 12
     rect = (-5.0, 0.2, (k - 0.5) * math.pi, (k + 0.5) * math.pi)
     assert count_roots_in_rect(rect, params_generic) == 2
+
+
+def test_count_shifts_off_a_branch_point(params_generic):
+    # a corner exactly on i sqrt(b), where F' is singular, moves the box;
+    # the low-frequency root near -0.49 + 1.48i stays inside
+    p = params_generic
+    rect = (-1.0, 0.0, math.sqrt(p.b), 3.0)
+    report = RootSearchReport()
+    assert count_roots_in_rect(rect, p, report) == 1
+    assert report.boxes[0][0] != rect
 
 
 def test_count_splits_consistently(params_generic):
@@ -97,6 +110,43 @@ def test_pair_at_frequency(params_generic):
     for r in recs:
         pred = predict_eigenvalue(50, r.family, params_generic)
         assert abs(r.lam - pred) < 1e-3
+
+
+def test_family_roots_in_family_order(params_generic):
+    p = params_generic
+    recs = family_roots(p, 30)
+    assert [(r.k_index, r.family) for r in recs] == [(30, 1), (30, 2)]
+    for r in recs:
+        direct = refine_root(predict_eigenvalue(30, r.family, p), p)
+        assert r.lam == direct.lam and r.iterations == direct.iterations
+
+
+@pytest.fixture
+def family_two_seeded_off(monkeypatch):
+    # family 2 seeded at the root-free midpoint between frequency clusters
+    real_predict = tipbeam.spectrum.predict_eigenvalue
+
+    def predict(k, j, p, **kwargs):
+        if j == 2:
+            return (k + 0.5) * math.pi * 1j - 0.1
+        return real_predict(k, j, p, **kwargs)
+
+    monkeypatch.setattr(tipbeam.spectrum, "predict_eigenvalue", predict)
+
+
+def test_family_roots_failure_names_k_and_j(params_generic, family_two_seeded_off):
+    with pytest.raises(BasinEscape, match=r"family 2 at k = 12") as info:
+        family_roots(params_generic, 12)
+    assert [r.family for r in info.value.records] == [1]
+
+
+def test_pair_at_frequency_keeps_surviving_family(params_generic,
+                                                  family_two_seeded_off):
+    report = RootSearchReport()
+    recs, complete = pair_at_frequency(params_generic, 12, report=report)
+    assert not complete
+    assert [r.family for r in recs] == [1]
+    assert report.incomplete_boxes[0][1:] == (2, 1)
 
 
 def test_spectrum_validation_errors(params_generic, params_conservative):
