@@ -22,7 +22,7 @@ from .asymptotics import predict_eigenvalue
 from .charfn import boundary_matrix
 from .errors import ConfigError, IncompleteBox, TipbeamError
 from .model import BeamParams, GridState, regime_info, solve_static, validate_params
-from .modes import build_mode, mode_residuals, normalize, nullspace_coeffs, riesz_closeness
+from .modes import _matrix_nullspace, build_mode, mode_residuals, normalize, riesz_closeness
 from .simulate import assemble_generator, fit_decay, integrate
 from .spectrum import K_MIN, family_roots, pair_at_frequency, spectrum_in_strip
 
@@ -286,8 +286,9 @@ def _cmd_modes(cfg: RunConfig) -> list:
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
     for k in range(K_MIN, cfg.k_max + 1):
         for rec in family_roots(p, k, cfg.variant, tol=cfg.tolerance):
-            coeffs = nullspace_coeffs(rec.lam, p)
-            matrix_residual = float(np.linalg.norm(boundary_matrix(rec.lam, p) @ coeffs))
+            m = boundary_matrix(rec.lam, p)
+            coeffs = _matrix_nullspace(m, rec.lam)
+            matrix_residual = float(np.linalg.norm(m @ coeffs))
             mode = normalize(build_mode(rec.lam, coeffs, p, variant=cfg.variant), p)
             res = mode_residuals(mode, p)
             identity = abs(rec.lam.real
@@ -369,6 +370,7 @@ def _cmd_decay(cfg: RunConfig) -> list:
         "initial_energy": float(trace.energies[0]),
         "final_energy": float(trace.energies[-1]),
         "dt": float(dt),
+        "stats": trace.stats,
     }
     json_path = cfg.out_dir / "decay_fit.json"
     _write_json(json_path, cfg, payload)

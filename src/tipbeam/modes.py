@@ -83,7 +83,11 @@ def nullspace_coeffs(lam, p: BeamParams) -> np.ndarray:
     multiplicity two, which this closed form does not span.
     """
     lam = complex(getattr(lam, "lam", lam))
-    m = boundary_matrix(lam, p)
+    return _matrix_nullspace(boundary_matrix(lam, p), lam)
+
+
+def _matrix_nullspace(m: np.ndarray, lam: complex) -> np.ndarray:
+    """nullspace_coeffs on an already built boundary matrix m = M(lam)."""
     _, s, vh = np.linalg.svd(m)
     # sigma4/sigma3 <= 1e-6 is the usual quality gate, but sigma3 is itself
     # depressed when a second simple root sits Theta(1/k^2) away (unequal

@@ -388,8 +388,16 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
     if in_outer != outer_count:
         report.incomplete_boxes.append((outer, outer_count, in_outer))
 
-    records.sort(key=lambda r: (r.lam.imag, r.family if r.family is not None else 0))
+    records.sort(key=_record_order)
     return records, report
+
+
+def _record_order(rec: EigenvalueRecord):
+    """Sort key: Im lambda with rounding noise on the real axis read as 0, then
+    Re lambda, then family, so real roots keep their order on ulp-level changes."""
+    lam = rec.lam
+    im = 0.0 if abs(lam.imag) <= 1e-12 * max(1.0, abs(lam)) else lam.imag
+    return (im, lam.real, rec.family if rec.family is not None else 0)
 
 
 def verify_no_imaginary_roots(p: BeamParams, h_max: float, records=None) -> bool:

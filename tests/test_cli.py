@@ -130,6 +130,23 @@ def test_decay_energy_and_fit(tmp_path, generic_file):
     assert fit["initial_energy"] == pytest.approx(energies[0])
 
 
+def test_decay_reruns_are_byte_identical(tmp_path, generic_file):
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["decay", "--params", str(generic_file), "--grid-n", "32",
+                     "--horizon", "5", "--out", str(out)]) == 0
+    for name in ("energy.csv", "decay_fit.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    fit = json.loads((outs[0] / "decay_fit.json").read_text(encoding="utf-8"))
+    stats = fit["stats"]
+    steps = round(5.0 / (0.4 / 32))
+    assert stats["steps"] == stats["solves"] == steps
+    assert stats["factorizations"] == 1
+    assert stats["energy_samples"] == fit["samples"]
+    assert stats["kl"] <= 7 and stats["ku"] <= 7
+    assert 0 < stats["nnz_A"] <= 4 * (4 * 32 + 2) and 0 < stats["nnz_W"] <= 4 * (4 * 32 + 2)
+
+
 def test_table_degenerate_params(tmp_path):
     b = 4 * math.pi ** 2
     params = write_params(tmp_path, ["a=1", f"b={b!r}", "k1=2", "k2=1",

@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+import tipbeam.simulate
 from tipbeam.errors import (
     IllConditionedGram,
     NonPositiveEnergy,
     ResolutionTooLow,
+    SingularSolve,
     WindowTooShort,
 )
 from tipbeam.model import GridState, grid_inner_product, solve_static
@@ -67,8 +73,8 @@ def test_resolution_floor(params_generic):
 def test_conservative_generator_skew(params_conservative):
     g = assemble_generator(params_conservative, 32)
     s = g.weight @ g.matrix
-    scale = np.linalg.norm(g.matrix)
-    assert np.max(np.abs(s + s.T)) <= 1e-12 * scale
+    scale = scipy.sparse.linalg.norm(g.matrix)
+    assert abs(s + s.T).max() <= 1e-12 * scale
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.standard_normal(g.matrix.shape[0])
@@ -167,6 +173,87 @@ def test_integrate_second_order_in_dt(params_generic):
     d1 = abs(finals[0] - finals[1])
     d2 = abs(finals[1] - finals[2])
     assert d1 / d2 >= 3.0
+
+
+def test_banded_step_matches_dense_reference(params_generic):
+    p = params_generic
+    N, dt, steps = 32, 0.5 / 32, 100
+    g = assemble_generator(p, N)
+    st = smooth_state(p, N, seed=1)
+    tr = integrate(g, st, steps * dt, dt)
+    A = g.matrix.toarray()
+    eye = np.eye(A.shape[0])
+    left, right = eye - 0.5 * dt * A, eye + 0.5 * dt * A
+    x = _pack(st).real
+    for _ in range(steps):
+        x = scipy.linalg.solve(left, right @ x)
+    diff = _pack(tr.final_state).real - x
+    assert math.sqrt(g.energy(diff) / g.energy(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [16, 400])
+def test_generator_sparse_and_narrow_band(params_generic, N):
+    g = assemble_generator(params_generic, N)
+    n = 4 * N + 2
+    assert g.matrix.nnz <= 4 * n and g.weight.nnz <= 4 * n
+    dt = 0.5 / N
+    pattern = abs(g.matrix) + abs(g.matrix.T)
+    perm = reverse_cuthill_mckee(scipy.sparse.csr_array(pattern), symmetric_mode=True)
+    left = (scipy.sparse.eye_array(n) - 0.5 * dt * g.matrix).tocsr()[perm][:, perm].tocoo()
+    kl = int(np.max(left.row - left.col))
+    ku = int(np.max(left.col - left.row))
+    assert kl <= 7 and ku <= 7
+    stats = integrate(g, smooth_state(params_generic, N), dt, dt).stats
+    assert (stats["kl"], stats["ku"]) == (kl, ku)
+    assert (stats["nnz_A"], stats["nnz_W"]) == (g.matrix.nnz, g.weight.nnz)
+
+
+def test_one_factorization_one_solve_per_step(params_generic, monkeypatch):
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+    for name in calls:
+        original = getattr(tipbeam.simulate, name)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(tipbeam.simulate, name, counted)
+    g = assemble_generator(params_generic, 32)
+    tr = integrate(g, smooth_state(params_generic, 32), 37 * 0.5 / 32, 0.5 / 32)
+    assert calls == {"dgbtrf": 1, "dgbtrs": 37}
+    assert tr.stats["factorizations"] == 1 and tr.stats["solves"] == tr.stats["steps"] == 37
+    assert tr.stats["energy_samples"] == len(tr.energies)
+
+
+def test_large_grid_is_feasible(params_generic):
+    # dense A and W would take 2 x 12.8 GB at N = 10^4
+    N = 10_000
+    g = assemble_generator(params_generic, N)
+    for m in (g.matrix, g.weight):
+        assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes < 2 * 2 ** 20
+    dt = 0.5 / N
+    tr = integrate(g, smooth_state(params_generic, N), 20 * dt, dt)
+    assert len(tr.energies) == 21
+    assert np.all(np.diff(tr.energies) <= 0.0)
+
+
+def test_singular_midpoint_matrix_names_pivot(params_generic):
+    g = assemble_generator(params_generic, 16)
+    dt = 0.5 / 16
+    n = g.matrix.shape[0]
+    g.matrix = (2.0 / dt) * scipy.sparse.eye_array(n, format="csr")   # I - dt/2 A = 0
+    with pytest.raises(SingularSolve, match=r"N = 16, dt = 0\.03125: zero pivot at index 0 "):
+        integrate(g, smooth_state(params_generic, 16), 1.0, dt)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_blow_up_names_step_and_time(params_generic):
+    g = assemble_generator(params_generic, 16)
+    dt = 0.5 / 16
+    n = g.matrix.shape[0]
+    # one pivot of 2^-52: each step multiplies the state by about 2^53
+    g.matrix = (1.0 - 2.0 ** -52) * (2.0 / dt) * scipy.sparse.eye_array(n, format="csr")
+    with pytest.raises(SingularSolve, match=r"blew up at step \d+, t = "):
+        integrate(g, smooth_state(params_generic, 16), 1.0, dt)
 
 
 def test_fit_decay_conservative_flat(params_conservative):

@@ -238,3 +238,18 @@ def test_verify_no_imaginary_roots(params_generic, params_conservative,
     assert verify_no_imaginary_roots(params_generic, 30.0, records=recs)
     crecs, _ = cons_spectrum
     assert not verify_no_imaginary_roots(params_conservative, 25.0, records=crecs)
+
+
+def test_real_roots_sort_by_real_part(fig_spectrum):
+    # Im = +-1e-16 is rounding noise of Newton on the real axis; its sign
+    # must not decide the order of the two real roots in spectrum.csv
+    rec = lambda lam, fam: EigenvalueRecord(lam, None, fam, 0.0, 1, "dissipative")
+    recs = [rec(complex(-0.3786, 1e-16), 1), rec(complex(-1.1164, -1e-16), 2),
+            rec(complex(-0.5, 3.0), 1), rec(complex(-0.5, -3.0), 1)]
+    recs.sort(key=tipbeam.spectrum._record_order)
+    assert [r.lam for r in recs] == [complex(-0.5, -3.0), complex(-1.1164, -1e-16),
+                                     complex(-0.3786, 1e-16), complex(-0.5, 3.0)]
+    assert recs[1].lam.imag == -1e-16        # stored values are left as they are
+    records, _ = fig_spectrum
+    real = [r.lam.real for r in records if abs(r.lam.imag) <= 1e-12]
+    assert len(real) >= 2 and real == sorted(real)
