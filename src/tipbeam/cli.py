@@ -261,6 +261,7 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
             {"rect": [float(v) for v in rect], "winding": int(w), "recovered": int(r)}
             for rect, w, r in report.incomplete_boxes
         ],
+        "stats": report.stats,
     }
     json_path = cfg.out_dir / "spectrum_report.json"
     _write_json(json_path, cfg, report_payload)

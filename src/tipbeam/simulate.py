@@ -232,7 +232,9 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
     reordered once by reverse Cuthill-McKee, I - dt/2 A is factored in
     LAPACK band storage, and each step is x <- (I - dt/2 A)^{-1} (I + dt/2 A) x.
     The state is mapped back to the natural order only where it is sampled.
-    Energy is sampled on a stride targeting about one thousand samples.
+    Energy is sampled on a stride targeting about one thousand samples; a
+    state or an energy sample that is not finite raises SingularSolve naming
+    the step and t.
     """
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("T and dt must be positive")
@@ -265,16 +267,24 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
 
     nsteps = max(1, int(round(T / dt)))
     stride = max(1, int(round(T / (1000.0 * dt))))
-    times = [0.0]
-    energies = [g.energy(x)]
+    times, energies = [], []
+
+    def sample(step, state):
+        energy = g.energy(state)
+        if not math.isfinite(energy):
+            raise SingularSolve(f"integration blew up at step {step}, t = {step * dt:.17g}: "
+                                f"energy sample {energy}")
+        times.append(step * dt)
+        energies.append(energy)
+
+    sample(0, x)
     x = x[perm]
     for step in range(1, nsteps + 1):
         x, _ = dgbtrs(lub, kl, ku, right @ x, piv, overwrite_b=True)
         if not np.all(np.isfinite(x)):
             raise SingularSolve(f"integration blew up at step {step}, t = {step * dt:.17g}")
         if step % stride == 0 or step == nsteps:
-            times.append(step * dt)
-            energies.append(g.energy(x[inv]))
+            sample(step, x[inv])
     stats = {
         "steps": nsteps,
         "energy_samples": len(energies),

@@ -6,6 +6,16 @@ by Newton polishing of the closed-form predictions, each validated by a
 winding count of exactly 2 per frequency box.  All contour work uses the
 single-valued surrogate F = f * t1 * t3 from charfn, which has the same
 zeros as f off the branch points but no sheet jumps.
+
+A winding count sums the phase increments arg F(z_{i+1})/F(z_i) around the
+box (Kravanja & Van Barel, Computing the Zeros of Analytic Functions, 2000;
+Johnson & Tucker, Enclosing all zeros of an analytic function, 2009).  An
+interval is refined until its increment and its F'-bounded turn
+max |F'/F| * |z_{i+1} - z_i| at its two ends both stay within pi/4; the
+F' bound catches a close pair of roots whose 2 pi turn the wrapped
+increment alone would hide.  The sum is then an integer up to rounding.
+Boxes split off centre, so no edge of the conservative sweep lands on the
+root locus Re lambda = 0.
 """
 
 from __future__ import annotations
@@ -31,7 +41,12 @@ K_MIN = 8                     # boundary between contour sweep and seeded Newton
 DEDUPE_RTOL = 1e-8
 _COINCIDENCE_RTOL = 1e-10     # Newton resolution; scale of a genuine double root
 _DIP_FACTOR = 1e-6            # |F| dip threshold relative to boundary median
-_WINDING_TOL = 0.05
+_SPLIT = 0.5 - 0.0618         # off-centre split fraction: no edge on Re = 0 in the sweep
+_EDGE_POINTS = 16             # initial samples per box edge
+_MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-bounded turn
+_SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is shifted
+_INTEGER_TOL = 1e-9           # rounding slack of the increment sum
+_SHIFTS = ((0.01, 0.0), (-0.01, 0.0), (0.0, 0.01), (0.0, -0.01), (0.01, 0.01))
 
 
 @dataclass
@@ -55,78 +70,100 @@ class RootSearchReport:
     k0_effective: int | None = None
     duplicates_merged: int = 0
     incomplete_boxes: list = field(default_factory=list)  # (rect, winding, recovered)
+    shifted_boxes: int = 0       # counts made on a shifted box
+    contour_points: int = 0      # F evaluations in counting, refinements included
+    newton_calls: int = 0        # Newton polishes started, converged or not
+
+    @property
+    def stats(self) -> dict:
+        """Deterministic effort counts; newton_iterations sums the converged polishes."""
+        return {"boxes": len(self.boxes), "shifted_boxes": self.shifted_boxes,
+                "contour_points": self.contour_points, "newton_calls": self.newton_calls,
+                "newton_iterations": sum(it for _, it in self.newton_iterations)}
 
 
-def _boundary_segments(rect, n: int):
+def _boundary(rect) -> np.ndarray:
+    """The closed boundary, counter-clockwise: each corner once, _EDGE_POINTS per edge."""
     re_lo, re_hi, im_lo, im_hi = rect
-    corners = [
-        re_lo + 1j * im_lo,
-        re_hi + 1j * im_lo,
-        re_hi + 1j * im_hi,
-        re_lo + 1j * im_hi,
-    ]
-    t = np.linspace(0.0, 1.0, n + 1)
-    return [a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])]
+    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                        complex(re_hi, im_hi), complex(re_lo, im_hi)])
+    t = np.arange(_EDGE_POINTS) / _EDGE_POINTS
+    return (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
 
 
-def _winding_once(rect, p: BeamParams, n: int):
-    """One trapezoid pass; returns (winding value, min |F|, median |F|)."""
-    total = 0.0 + 0.0j
-    fmin, fmed = np.inf, []
-    for pts in _boundary_segments(rect, n):
-        fvals, dvals, _ = entire_char_fn_and_derivative(pts, p)
-        total += np.trapezoid(dvals / fvals, pts)
-        mags = np.abs(fvals)
-        fmin = min(fmin, mags.min())
-        fmed.append(np.median(mags))
-    return total / (2j * np.pi), fmin, float(np.median(fmed))
+def _phase_winding(rect, p: BeamParams, report: RootSearchReport | None):
+    """Winding of F around rect by summed phase increments.
+
+    Returns None when the boundary grazes a root (|F| dips below _DIP_FACTOR
+    of the median of the initial samples) or needs more than _SAMPLE_BUDGET
+    samples.  All midpoints of one refinement round go in one evaluation.
+    """
+    z = _boundary(rect)
+    fz, dz, _ = entire_char_fn_and_derivative(z, p)
+    floor = _DIP_FACTOR * np.median(np.abs(fz))
+    new_f = fz
+    while True:
+        if report is not None:
+            report.contour_points += new_f.size
+        if np.abs(new_f).min() < floor:
+            return None
+        turn = np.angle(np.roll(fz, -1) / fz)
+        slope = np.abs(dz / fz)
+        bound = np.maximum(slope, np.roll(slope, -1)) * np.abs(np.roll(z, -1) - z)
+        coarse = np.flatnonzero((np.abs(turn) > _MAX_TURN) | (bound > _MAX_TURN))
+        if coarse.size == 0:
+            return turn.sum() / (2.0 * math.pi)
+        if z.size + coarse.size > _SAMPLE_BUDGET:
+            return None
+        mid = 0.5 * (z[coarse] + z[(coarse + 1) % z.size])
+        new_f, new_d, _ = entire_char_fn_and_derivative(mid, p)
+        z = np.insert(z, coarse + 1, mid)
+        fz = np.insert(fz, coarse + 1, new_f)
+        dz = np.insert(dz, coarse + 1, new_d)
 
 
 def _perturbed(rect, attempt: int):
     re_lo, re_hi, im_lo, im_hi = rect
     w, h = re_hi - re_lo, im_hi - im_lo
-    shifts = [(0.01, 0.0), (-0.01, 0.0), (0.0, 0.01), (0.0, -0.01), (0.01, 0.01)]
-    sx, sy = shifts[attempt]
+    sx, sy = _SHIFTS[attempt]
     return (re_lo + sx * w, re_hi + sx * w, im_lo + sy * h, im_hi + sy * h)
 
 
 def _count_rect(rect, p: BeamParams, report: RootSearchReport | None = None):
     """Winding count plus the rectangle actually used (possibly perturbed)."""
     base = tuple(float(v) for v in rect)
-    candidates = [base] + [_perturbed(base, i) for i in range(5)]
-    dipped = False
-    for cur in candidates:
-        n = 64
-        while n <= 8192:
-            try:
-                wind, fmin, fmed = _winding_once(cur, p, n)
-                grazes = fmin < _DIP_FACTOR * fmed
-            except NearBranchPoint:
-                grazes = True
-            if grazes:
-                dipped = True   # boundary grazes a root or a branch point; next shift
-                break
-            k = round(wind.real)
-            if abs(wind - k) <= _WINDING_TOL and k >= 0:
-                if report is not None:
-                    report.boxes.append((cur, int(k)))
-                return int(k), cur
-            n *= 2
-    if dipped:
-        raise BoundaryTooCloseToRoot(f"boundary of {rect} grazes a root after 5 shifts")
-    raise NonConvergentContour(f"winding did not stabilize on {rect} or its shifts")
+    for cur in [base] + [_perturbed(base, i) for i in range(len(_SHIFTS))]:
+        try:
+            wind = _phase_winding(cur, p, report)
+        except NearBranchPoint:
+            wind = None
+        if wind is None:
+            continue    # boundary grazes a root or a branch point; next shift
+        k = round(wind)
+        if abs(wind - k) > _INTEGER_TOL or k < 0:
+            raise NonConvergentContour(f"phase increments around {cur} sum to {wind!r} turns")
+        if report is not None:
+            report.boxes.append((cur, k))
+            report.shifted_boxes += int(cur != base)
+        return k, cur
+    raise BoundaryTooCloseToRoot(
+        f"boundary of {rect} grazes a root or needs over {_SAMPLE_BUDGET} samples "
+        f"after {len(_SHIFTS)} shifts")
 
 
 def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = None) -> int:
     """Number of eigenvalues (with multiplicity) inside an axis-aligned box.
 
-    rect = (re_lo, re_hi, im_lo, im_hi).  Adaptive trapezoid integration of
-    F'/F along the boundary, starting at 64 points per edge and doubling
-    until the pre-rounding winding value sits within 0.05 of an integer.
-    If |F| on the boundary dips below 1e-6 of its boundary median, a sample
-    comes within 1e-6 of a branch point, or the integral refuses to
-    stabilize (a root exactly on an edge can evade the dip samples), the
-    box is shifted by 1% of its size, up to five deterministic attempts.
+    rect = (re_lo, re_hi, im_lo, im_hi).  The boundary starts with each
+    corner and 16 points per edge; an interval whose phase increment
+    exceeds pi/4, or whose length times the larger |F'/F| at its ends
+    exceeds pi/4, gets its midpoint, round by round.  The winding is the
+    sum of the increments over 2 pi, an integer up to rounding; a sum off
+    an integer by more than 1e-9, or negative, raises NonConvergentContour.
+    If |F| on the boundary dips below 1e-6 of the median of the initial
+    samples, a sample comes within 1e-6 of a branch point, or refinement
+    needs more than 4 * 8192 samples, the box is shifted by 1% of its size,
+    up to five deterministic attempts, then BoundaryTooCloseToRoot.
     """
     require_unit_speed(p)
     return _count_rect(rect, p, report)[0]
@@ -218,33 +255,45 @@ def pair_at_frequency(p: BeamParams, k: int, variant: str = "dissipative",
     """Both family roots near i k pi, each polished and jointly box-validated.
 
     Returns (records, complete) where complete means the winding count over
-    the frequency box equals the recovered multiplicity.  A single record of
-    multiplicity 2 is reported only at exact coincidence: the two polished
-    roots agree to Newton resolution and the box count confirms 2.  Families
-    separated by Theta(1/k^2), as with unequal damping gains and degenerate
-    sqrt(b), stay distinct records however close they come.
+    the frequency box equals the recovered multiplicity.  When both families
+    polish onto one root (agreeing to Newton resolution) while the box
+    counts 2, the box is subdivided until its roots isolate: two distinct
+    roots, as with unequal damping gains and degenerate sqrt(b) at Theta(1/k^2)
+    apart, come back as two records in family order; only an unresolvable
+    cluster comes back as one record of multiplicity 2.
     """
+    if report is None:
+        report = RootSearchReport()
     try:
         recs = family_roots(p, k, variant)
     except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
         recs = exc.records
-    if report is not None:
-        report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
+    report.newton_calls += 2                # family_roots polishes both families
+    report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
 
     rect = _validation_rect(p, k, variant)
     count, rect = _count_rect(rect, p, report)
     inside = [r for r in recs if _inside(r.lam, rect)]
-    if len(inside) == 2:
-        a, b = inside
-        if abs(a.lam - b.lam) <= _COINCIDENCE_RTOL * max(1.0, abs(a.lam)) and count == 2:
-            a.multiplicity = 2
-            a.family = 1
-            recs = [a]
-            inside = [a]
+    coincident = len(inside) == 2 and abs(inside[0].lam - inside[1].lam) <= \
+        _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
+    if coincident and count == 2:
+        recs = inside = _isolate(rect, count, p, report)
+        _label_pair(recs, p, k, variant)
     complete = count == sum(r.multiplicity for r in inside)
-    if not complete and report is not None:
+    if not complete:
         report.incomplete_boxes.append((rect, count, sum(r.multiplicity for r in inside)))
     return recs, complete
+
+
+def _label_pair(recs, p: BeamParams, k: int, variant: str):
+    """Tag the roots of frequency box k, in place, in family order: the
+    assignment to the two predictions with the smaller total distance."""
+    preds = [predict_eigenvalue(k, j, p, variant=variant, k_min=1) for j in (1, 2)]
+    if len(recs) == 2 and (abs(recs[0].lam - preds[1]) + abs(recs[1].lam - preds[0])
+                           < abs(recs[0].lam - preds[0]) + abs(recs[1].lam - preds[1])):
+        recs.reverse()
+    for j, rec in enumerate(recs, start=1):
+        rec.k_index, rec.family = k, j
 
 
 def _sweep_box(p: BeamParams, variant: str):
@@ -255,9 +304,20 @@ def _sweep_box(p: BeamParams, variant: str):
 
 
 def _low_frequency_sweep(p: BeamParams, variant: str, report: RootSearchReport):
-    """Recursive subdivision of the low-frequency box until roots isolate."""
+    """Count the low-frequency box and isolate its roots."""
     outer = _sweep_box(p, variant)
     total, outer = _count_rect(outer, p, report)
+    return _isolate(outer, total, p, report), outer, total
+
+
+def _isolate(outer, total: int, p: BeamParams, report: RootSearchReport):
+    """Records of the `total` roots in `outer`, by recursive subdivision.
+
+    A box with one root and diameter at most 0.25 is Newton-polished from
+    its centre.  Each box splits its longer side at the fraction _SPLIT,
+    not at the centre: halving the symmetric conservative box would put an
+    edge on Re lambda = 0, where every conservative root lies.
+    """
     records = []
     stack = [(outer, total)]
     visited = 0
@@ -265,7 +325,7 @@ def _low_frequency_sweep(p: BeamParams, variant: str, report: RootSearchReport):
         rect, cnt = stack.pop()
         visited += 1
         if visited > 10000:
-            raise NoConvergence("low-frequency subdivision exploded")
+            raise NoConvergence(f"subdivision of {outer} exploded")
         if cnt == 0:
             continue
         re_lo, re_hi, im_lo, im_hi = rect
@@ -281,6 +341,7 @@ def _low_frequency_sweep(p: BeamParams, variant: str, report: RootSearchReport):
             continue
         if cnt == 1 and diam <= 0.25:
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+            report.newton_calls += 1
             try:
                 rec = refine_root(center, p)
             except (NoConvergence, BasinEscape, NearBranchPoint):
@@ -292,16 +353,16 @@ def _low_frequency_sweep(p: BeamParams, variant: str, report: RootSearchReport):
                 continue
             # fall through to subdivision when polishing misbehaves
         if w >= h:
-            mid = 0.5 * (re_lo + re_hi)
+            mid = re_lo + _SPLIT * w
             halves = [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
         else:
-            mid = 0.5 * (im_lo + im_hi)
+            mid = im_lo + _SPLIT * h
             halves = [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
         for half in halves:
             c, used = _count_rect(half, p, report)
             if c:
                 stack.append((used, c))
-    return records, outer, total
+    return records
 
 
 def _dedupe(records):
@@ -347,7 +408,8 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
 
     Low-frequency sweep below (K_MIN + 1/2) pi, seeded Newton with per-box
     validation from K_MIN to k_max, conjugate closure, dedupe, family labels.
-    Incomplete boxes are reported, never silently dropped.
+    Im lambda below Newton's resolution is stored as 0.0.  Incomplete boxes
+    are reported, never silently dropped.
     """
     if k_max < 10:
         raise ValueError(f"k_max must be >= 10, got {k_max}")
@@ -383,6 +445,9 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
             mirrored.append(twin)
     records, merged = _dedupe(records + mirrored)
     report.duplicates_merged = merged
+    for rec in records:
+        if _on_real_axis(rec.lam):
+            rec.lam = complex(rec.lam.real, 0.0)
 
     in_outer = sum(r.multiplicity for r in records if _inside(r.lam, outer))
     if in_outer != outer_count:
@@ -392,11 +457,16 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
     return records, report
 
 
+def _on_real_axis(lam: complex) -> bool:
+    """Im lambda below Newton's resolution: rounding noise on a real root."""
+    return abs(lam.imag) <= 1e-12 * max(1.0, abs(lam))
+
+
 def _record_order(rec: EigenvalueRecord):
     """Sort key: Im lambda with rounding noise on the real axis read as 0, then
     Re lambda, then family, so real roots keep their order on ulp-level changes."""
     lam = rec.lam
-    im = 0.0 if abs(lam.imag) <= 1e-12 * max(1.0, abs(lam)) else lam.imag
+    im = 0.0 if _on_real_axis(lam) else lam.imag
     return (im, lam.real, rec.family if rec.family is not None else 0)
 
 

@@ -65,6 +65,13 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
     assert (out1 / "spectrum_report.json").read_bytes() == \
         (out2 / "spectrum_report.json").read_bytes()
+    report = json.loads((out1 / "spectrum_report.json").read_text(encoding="utf-8"))
+    stats = report["stats"]
+    assert set(stats) == {"boxes", "shifted_boxes", "contour_points",
+                          "newton_calls", "newton_iterations"}
+    assert stats["boxes"] == len(report["boxes"])
+    assert stats["newton_iterations"] == sum(n["iterations"] for n in report["newton"])
+    assert stats["contour_points"] > 0 and stats["newton_calls"] > 0
 
 
 def test_spectrum_conservative_flag(tmp_path, generic_file):

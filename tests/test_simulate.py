@@ -256,6 +256,19 @@ def test_blow_up_names_step_and_time(params_generic):
         integrate(g, smooth_state(params_generic, 16), 1.0, dt)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_infinite_energy_sample_raises(params_generic):
+    # the state grows by about 2^53 a step: after 12 steps it is still
+    # finite, but its energy, quadratic in the state, overflowed on the way
+    g = assemble_generator(params_generic, 16)
+    dt = 0.5 / 16
+    n = g.matrix.shape[0]
+    g.matrix = (1.0 - 2.0 ** -52) * (2.0 / dt) * scipy.sparse.eye_array(n, format="csr")
+    with pytest.raises(SingularSolve, match=r"at step \d+, t = .*energy sample (inf|nan)"):
+        integrate(g, smooth_state(params_generic, 16), 12 * dt, dt)
+
+
 def test_fit_decay_conservative_flat(params_conservative):
     g = assemble_generator(params_conservative, 32)
     tr = integrate(g, smooth_state(params_conservative, 32), 40.0, 0.5 / 32)

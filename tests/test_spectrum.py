@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_charfn import _REGIME_SETS
 
 import tipbeam.spectrum
 from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import char_fn
-from tipbeam.errors import BasinEscape, NoConvergence, RegimeMismatch
-from tipbeam.model import validate_params
+from tipbeam.errors import BasinEscape, NegativeRadicand, NoConvergence, RegimeMismatch
+from tipbeam.model import regime_info, validate_params
 from tipbeam.spectrum import (
+    K_MIN,
     EigenvalueRecord,
     RootSearchReport,
     count_roots_in_rect,
@@ -59,6 +63,27 @@ def test_count_splits_consistently(params_generic):
     top = count_roots_in_rect((-5.0, 0.2, mid, hi), p)
     bottom = count_roots_in_rect((-5.0, 0.2, lo, mid), p)
     assert top == 1 and bottom == 1
+
+
+def test_count_does_not_alias_a_root_near_an_edge():
+    # a conservative root at Im = 18.89614 sits 0.0017 below the shared edge;
+    # a fixed-rule trapezoid sum of F'/F read 2.02 and -0.02 at 64 points per
+    # edge, within 0.05 of the wrong integers
+    p = validate_params(1.0, 2.038786616131473, 1.014145822087823, 0.0,
+                        2.8841124150393984, 0.0)
+    edge = 18.897837103895696
+    assert count_roots_in_rect((-0.5, 0.5, 18.180701554930696, edge), p) == 1
+    assert count_roots_in_rect((-0.5, 0.5, edge, 19.817250046407196), p) == 1
+
+
+def test_count_resolves_close_roots_near_the_boundary(params_generic):
+    # the generic sweep box has roots at Re ~ -0.003, 0.11 apart, next to its
+    # right edge: phase increments alone, without the F'/F step bound, read
+    # 17 or 15 here depending on the initial spacing
+    rect = (-5.0, -1e-12, -0.3, 8.5 * math.pi)
+    report = RootSearchReport()
+    assert count_roots_in_rect(rect, params_generic, report) == 19
+    assert report.stats["contour_points"] > 0 and report.shifted_boxes == 0
 
 
 def test_refine_root_from_prediction(params_generic):
@@ -253,3 +278,78 @@ def test_real_roots_sort_by_real_part(fig_spectrum):
     records, _ = fig_spectrum
     real = [r.lam.real for r in records if abs(r.lam.imag) <= 1e-12]
     assert len(real) >= 2 and real == sorted(real)
+
+
+# b, k1, k3 of five jittered copies of the conservative set (k2 = k4 = 0)
+# on which the conservative strip was once left incomplete: the sweep box
+# counted 18 windings and recovered 17 roots
+_JITTERED_CONSERVATIVE = [
+    (2.0250190933209335, 1.0397213800969576, 2.9175621569971772),
+    (2.013383367775873, 0.9930744145490186, 2.9544238651307984),
+    (1.9840757591458522, 1.0425869344816705, 2.868014581236758),
+    (2.038786616131473, 1.014145822087823, 2.8841124150393984),
+    (1.9886501907751102, 1.0099639506949123, 2.9151875029627625),
+]
+
+
+@pytest.mark.parametrize("b, k1, k3", _JITTERED_CONSERVATIVE)
+def test_jittered_conservative_strip_complete(b, k1, k3):
+    p = validate_params(1.0, b, k1, 0.0, k3, 0.0)
+    recs, report = spectrum_in_strip(p, 50, variant="conservative")
+    assert report.incomplete_boxes == []
+    assert report.k0_effective == K_MIN
+    assert len(recs) == 204
+    assert all(abs(r.lam.real) <= 1e-9 * max(1.0, abs(r.lam)) for r in recs)
+
+
+def test_conservative_boxes_avoid_root_locus(cons_spectrum):
+    # every conservative root lies on Re = 0; no vertical edge may sit there
+    _, report = cons_spectrum
+    for (re_lo, re_hi, _, _), _ in report.boxes:
+        width = re_hi - re_lo
+        assert min(abs(re_lo), abs(re_hi)) >= 0.01 * width
+    assert report.stats["shifted_boxes"] == 0
+    assert report.stats["boxes"] == len(report.boxes)
+
+
+def test_spectrum_stats_count_the_search(fig_spectrum):
+    _, report = fig_spectrum
+    stats = report.stats
+    assert stats["boxes"] == len(report.boxes)
+    assert stats["newton_iterations"] == sum(it for _, it in report.newton_iterations)
+    assert stats["newton_calls"] >= len(report.newton_iterations)
+    assert stats["contour_points"] >= 64 * stats["boxes"]
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_REGIME_SETS)),
+       gains=st.floats(0.25, 1.25), damping=st.floats(0.25, 1.25))
+# both families once polished onto one root at k = 8..12 and the box was
+# taken for a double root, though its roots lie 0.005 apart
+@example(name="case1", gains=0.25, damping=0.8)
+# colliding families with a real third-order expansion (k1 = 0.5)
+@example(name="case2", gains=0.25, damping=1.0)
+@example(name="case3", gains=0.25, damping=1.0)
+def test_spectrum_properties_across_regimes(name, gains, damping):
+    # k1, k3 and k2, k4 scale in pairs, which keeps each set in its regime
+    b, k1, k2, k3, k4 = _REGIME_SETS[name]
+    p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
+    variant = "conservative" if p.is_conservative else "dissipative"
+    k_max = 12
+    try:
+        recs, report = spectrum_in_strip(p, k_max, variant=variant)
+    except NegativeRadicand:
+        # the documented refusal of the third-order degenerate expansion
+        assert regime_info(p).regime in ("case2", "case3")
+        return
+    assert report.incomplete_boxes == []
+    for k in range(K_MIN, k_max + 1):
+        for center in (k * math.pi, -k * math.pi):
+            near = [r for r in recs if abs(r.lam.imag - center) <= math.pi / 2]
+            assert sum(r.multiplicity for r in near) == 2, (k, center)
+    for r in recs:
+        twin = r.lam.conjugate()
+        assert any(abs(s.lam - twin) <= 1e-8 * max(1.0, abs(twin)) for s in recs)
+        assert r.lam.real >= -(p.k2 + p.k4) - 1e-8 * max(1.0, abs(r.lam))
+    if variant == "dissipative":
+        assert verify_no_imaginary_roots(p, k_max * math.pi, records=recs)
