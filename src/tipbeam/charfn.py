@@ -156,11 +156,15 @@ def char_fn(lam, p: BeamParams):
     return complex(val) if arr.ndim == 0 else val
 
 
+def _near_branch_point(lam: np.ndarray, b: float) -> np.ndarray:
+    """True where lambda lies within 1e-6 of a branch point 0 or +- i sqrt(b)."""
+    return np.abs(lam[..., None] - np.array([0.0, 1j, -1j]) * np.sqrt(b)).min(axis=-1) < 1e-6
+
+
 def _guard_branch_points(lam: np.ndarray, b: float) -> None:
-    gap = np.abs(lam[..., None] - np.array([0.0, 1j, -1j]) * np.sqrt(b)).min(axis=-1)
-    if np.any(gap < 1e-6):
-        near = complex(lam.flat[np.argmin(gap)])
-        raise NearBranchPoint(f"lambda={near} within 1e-6 of a branch point")
+    near = _near_branch_point(lam, b)
+    if np.any(near):
+        raise NearBranchPoint(f"lambda={complex(lam[near].flat[0])} within 1e-6 of a branch point")
 
 
 def entire_char_fn_and_derivative(lam, p: BeamParams):

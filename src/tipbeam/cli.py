@@ -24,7 +24,7 @@ from .errors import ConfigError, IncompleteBox, TipbeamError
 from .model import BeamParams, GridState, regime_info, solve_static, validate_params
 from .modes import _matrix_nullspace, build_mode, mode_residuals, normalize, riesz_closeness
 from .simulate import assemble_generator, fit_decay, integrate
-from .spectrum import K_MIN, family_roots, pair_at_frequency, spectrum_in_strip
+from .spectrum import K_MIN, RootSearchReport, family_roots, pair_at_frequency, spectrum_in_strip
 
 COMMANDS = ("spectrum", "predict", "modes", "riesz", "decay", "table", "plot")
 TABLE_KS = (200, 400, 600, 800, 1000)
@@ -285,30 +285,33 @@ def _cmd_modes(cfg: RunConfig) -> list:
     p = cfg.effective_params
     entries = []
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
-    for k in range(K_MIN, cfg.k_max + 1):
-        for rec in family_roots(p, k, cfg.variant, tol=cfg.tolerance):
-            m = boundary_matrix(rec.lam, p)
-            coeffs = _matrix_nullspace(m, rec.lam)
-            matrix_residual = float(np.linalg.norm(m @ coeffs))
-            mode = normalize(build_mode(rec.lam, coeffs, p, variant=cfg.variant), p)
-            res = mode_residuals(mode, p)
-            identity = abs(rec.lam.real
-                           + (p.k2 / p.k1) * abs(mode.tip_eta) ** 2
-                           + (p.k4 / p.k3) * abs(mode.tip_gamma) ** 2)
-            entries.append({
-                "k": k,
-                "j": rec.family,
-                "lambda": _pair(rec.lam),
-                "coefficients": [_pair(c) for c in mode.coeffs],
-                "branch_roots": [_pair(t) for t in mode._ts()],
-                "tip_eta": _pair(mode.tip_eta),
-                "tip_gamma": _pair(mode.tip_gamma),
-                "matrix_residual": matrix_residual,
-                "residuals": {name: float(r) for name, r in zip(names, res)},
-                "dissipation_identity": float(identity),
-            })
+    report = RootSearchReport()
+    for rec in family_roots(p, range(K_MIN, cfg.k_max + 1), cfg.variant,
+                            tol=cfg.tolerance, report=report):
+        m = boundary_matrix(rec.lam, p)
+        coeffs = _matrix_nullspace(m, rec.lam)
+        matrix_residual = float(np.linalg.norm(m @ coeffs))
+        mode = normalize(build_mode(rec.lam, coeffs, p, variant=cfg.variant), p)
+        res = mode_residuals(mode, p)
+        identity = abs(rec.lam.real
+                       + (p.k2 / p.k1) * abs(mode.tip_eta) ** 2
+                       + (p.k4 / p.k3) * abs(mode.tip_gamma) ** 2)
+        entries.append({
+            "k": rec.k_index,
+            "j": rec.family,
+            "lambda": _pair(rec.lam),
+            "coefficients": [_pair(c) for c in mode.coeffs],
+            "branch_roots": [_pair(t) for t in mode._ts()],
+            "tip_eta": _pair(mode.tip_eta),
+            "tip_gamma": _pair(mode.tip_gamma),
+            "matrix_residual": matrix_residual,
+            "residuals": {name: float(r) for name, r in zip(names, res)},
+            "dissipation_identity": float(identity),
+        })
+    stats = {key: report.stats[key]
+             for key in ("newton_calls", "newton_iterations", "newton_rounds")}
     path = cfg.out_dir / "modes.json"
-    _write_json(path, cfg, {"modes": entries})
+    _write_json(path, cfg, {"modes": entries, "stats": stats})
     return [path]
 
 

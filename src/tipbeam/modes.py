@@ -135,7 +135,7 @@ def _exp_integral(s: np.ndarray) -> np.ndarray:
     ss = s[small]
     out[small] = 1.0 + ss / 2.0 + ss * ss / 6.0
     sb = s[~small]
-    out[~small] = (np.exp(sb) - 1.0) / sb
+    out[~small] = np.expm1(sb) / sb      # exp(s) - 1 would cancel |log10 s| digits
     return out
 
 
@@ -247,9 +247,10 @@ def riesz_closeness(K: int, p: BeamParams, k_min: int = K_MIN) -> RieszDiagnosti
     tip_eta = np.empty(shape)
     tip_gamma = np.empty(shape)
     gap = np.empty(shape)
+    damped_all = family_roots(p, ks, "dissipative")
+    cons_all = family_roots(p0, ks, "conservative")
     for row, k in enumerate(ks):
-        damped = family_roots(p, int(k), "dissipative")
-        cons = family_roots(p0, int(k), "conservative")
+        damped, cons = damped_all[2 * row:2 * row + 2], cons_all[2 * row:2 * row + 2]
         for j in (0, 1):
             own = abs(damped[j].lam - cons[j].lam)
             cross = abs(damped[j].lam - cons[1 - j].lam)
@@ -282,11 +283,8 @@ def gram_condition(p: BeamParams, K: int, k_min: int = K_MIN) -> float:
     require_unit_speed(p)
     if K < 1:
         raise ValueError("K must be positive")
-    modes = []
-    for k in range(k_min, k_min + K):
-        for rec in family_roots(p, k, "dissipative" if not p.is_conservative
-                                else "conservative"):
-            modes.append(eigenmode(rec.lam, p))
+    variant = "conservative" if p.is_conservative else "dissipative"
+    modes = [eigenmode(rec.lam, p) for rec in family_roots(p, range(k_min, k_min + K), variant)]
     n = len(modes)
     g = np.empty((n, n), dtype=complex)
     for i in range(n):

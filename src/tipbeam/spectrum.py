@@ -20,13 +20,14 @@ root locus Re lambda = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asymptotics import predict_eigenvalue
-from .charfn import char_fn, entire_char_fn_and_derivative
+from .charfn import _near_branch_point, char_fn, entire_char_fn_and_derivative
 from .errors import (
     BasinEscape,
     BoundaryTooCloseToRoot,
@@ -59,6 +60,7 @@ class EigenvalueRecord:
     residual: float
     multiplicity: int
     variant: str
+    iterations: int = 0          # Newton steps to convergence
 
 
 @dataclass
@@ -73,13 +75,15 @@ class RootSearchReport:
     shifted_boxes: int = 0       # counts made on a shifted box
     contour_points: int = 0      # F evaluations in counting, refinements included
     newton_calls: int = 0        # Newton polishes started, converged or not
+    newton_rounds: int = 0       # batched (F, F', f) evaluations of those polishes
 
     @property
     def stats(self) -> dict:
         """Deterministic effort counts; newton_iterations sums the converged polishes."""
         return {"boxes": len(self.boxes), "shifted_boxes": self.shifted_boxes,
                 "contour_points": self.contour_points, "newton_calls": self.newton_calls,
-                "newton_iterations": sum(it for _, it in self.newton_iterations)}
+                "newton_iterations": sum(it for _, it in self.newton_iterations),
+                "newton_rounds": self.newton_rounds}
 
 
 def _boundary(rect) -> np.ndarray:
@@ -169,68 +173,110 @@ def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = N
     return _count_rect(rect, p, report)[0]
 
 
-def refine_root(seed: complex, p: BeamParams, tol: float = 1e-13) -> EigenvalueRecord:
-    """Polish a root by Newton iteration on the surrogate F.
+def polish(seeds, p: BeamParams, tol: float = 1e-13,
+           report: RootSearchReport | None = None) -> list:
+    """Newton on the surrogate F from each seed of a 1-d array, all lanes at once.
 
-    One evaluation of (F, F', f) per iteration.  Converged when |f(lam)| <=
-    tol * max(1, |lam|) and the last step fell below 1e-12 * max(1, |lam|)
-    (so already-small seeds are still refined); at most 50 iterations, each
-    iterate within 0.5 of the seed.  The step test scales with |lam|, so a
-    root whose derivative is depressed by a neighbor Theta(1/k^2) away can
-    keep one productive step: up to 3 more follow while they stay in the
-    basin and strictly lower |f|, landing on the evaluation floor of the
-    determinant.  ``iterations`` counts the steps up to convergence.  An
-    iterate within 1e-6 of a branch point raises NearBranchPoint.
+    Each round evaluates (F, F', f) once, on the lanes still running.  A
+    lane converges when |f(lam)| <= tol * max(1, |lam|) and its last step
+    fell below 1e-12 * max(1, |lam|) (so already-small seeds are still
+    refined); at most 50 iterations, each iterate within 0.5 of its seed.
+    The step test scales with |lam|, so a root whose derivative is depressed
+    by a neighbor Theta(1/k^2) away can keep one productive step: up to 3
+    more follow while they stay in the basin and strictly lower |f|, landing
+    on the evaluation floor of the determinant.  ``iterations`` counts the
+    steps up to convergence.  Returns, per seed, an EigenvalueRecord or the
+    NoConvergence, BasinEscape or NearBranchPoint (an iterate within 1e-6 of
+    a branch point) that ended the lane.  A lane's arithmetic does not
+    depend on the other lanes.
     """
     if tol < 1e-13:
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
     require_unit_speed(p)
+    seeds = np.asarray(seeds, dtype=complex)
+    n = seeds.size
+    out = [None] * n
+    lam, best, best_res, step = seeds.copy(), seeds.copy(), np.full(n, np.inf), np.full(n, np.inf)
+    its, conv = np.zeros(n, dtype=int), np.full(n, -1)   # conv: its at convergence
+    live = np.arange(n)
+    while live.size:
+        near = _near_branch_point(lam[live], p.b)
+        for i in live[near]:
+            out[i] = NearBranchPoint(f"lambda={complex(lam[i])} within 1e-6 of a branch point")
+        live = live[~near]
+        if not live.size:
+            break
+        z = lam[live]
+        surrogate, slope, fval = entire_char_fn_and_derivative(z, p)
+        if report is not None:
+            report.newton_rounds += 1
+        residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
+        polishing = conv[live] >= 0        # floor polish keeps strict drops only
+        keep = np.where(polishing, residual < best_res[live],
+                        (step[live] <= 1e-12 * scale) & (residual <= tol * scale))
+        conv[live[keep & ~polishing]] = its[live[keep & ~polishing]]
+        best[live[keep]], best_res[live[keep]] = z[keep], residual[keep]
+        found = conv[live] >= 0
+        done = polishing & (~keep | (its[live] == conv[live] + 3))
+        stuck = ~found & (its[live] == 50)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = surrogate / slope
+            new = z - delta
+        flat = ~done & ~stuck & (slope == 0)
+        escaped = ~done & ~stuck & ~flat & (np.abs(new - seeds[live]) > 0.5)
+        for i in live[stuck]:
+            out[i] = NoConvergence(f"Newton did not converge from seed {complex(seeds[i])}")
+        for i in live[flat & ~found]:
+            out[i] = NoConvergence(f"flat surrogate at {complex(lam[i])}")
+        for i, it in zip(live[escaped & ~found], new[escaped & ~found]):
+            out[i] = BasinEscape(f"iterate {complex(it)} left the basin of seed "
+                                 f"{complex(seeds[i])}")
+        # a converged lane that goes flat or leaves its basin keeps its record
+        go = ~(done | stuck | flat | escaped)
+        live = live[go]
+        lam[live], step[live] = new[go], np.abs(delta[go])
+        its[live] += 1
     variant = "conservative" if p.is_conservative else "dissipative"
-    lam = seed = complex(seed)
-    step, iterations, rec = math.inf, 0, None
-    while True:
-        surrogate, slope, fval = entire_char_fn_and_derivative(lam, p)
-        residual, scale = abs(fval), max(1.0, abs(lam))
-        if rec is not None:                 # floor polish: keep strict drops only
-            if residual >= rec.residual:
-                return rec
-            rec.lam, rec.residual = lam, residual
-            if iterations == rec.iterations + 3:
-                return rec
-        elif step <= 1e-12 * scale and residual <= tol * scale:
-            rec = EigenvalueRecord(lam, None, None, residual, 1, variant)
-            rec.iterations = iterations
-        elif iterations == 50:
-            raise NoConvergence(f"Newton did not converge from seed {seed}")
-        if slope == 0:
-            if rec is not None:
-                return rec
-            raise NoConvergence(f"flat surrogate at {lam}")
-        delta = surrogate / slope
-        if abs(lam - delta - seed) > 0.5:
-            if rec is not None:
-                return rec
-            raise BasinEscape(f"iterate {lam - delta} left the basin of seed {seed}")
-        lam, step, iterations = lam - delta, abs(delta), iterations + 1
+    if report is not None:
+        report.newton_calls += n
+    # every lane that ended without an error had converged
+    return [rec if rec is not None else
+            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), 1, variant,
+                             int(conv[i]))
+            for i, rec in enumerate(out)]
 
 
-def family_roots(p: BeamParams, k: int, variant: str = "dissipative", tol: float = 1e-13):
+def refine_root(seed: complex, p: BeamParams, tol: float = 1e-13) -> EigenvalueRecord:
+    """Polish one root: `polish` on a one-element batch, its failure raised."""
+    (rec,) = polish(np.array([complex(seed)]), p, tol)
+    if isinstance(rec, Exception):
+        raise rec
+    return rec
+
+
+def family_roots(p: BeamParams, k, variant: str = "dissipative", tol: float = 1e-13,
+                 report: RootSearchReport | None = None):
     """Both family roots near i k pi, Newton-polished from their predictions.
 
-    Records come in family order with k_index and family set.  A failed
-    family is raised again naming k and j, after the other was tried; the
-    records that converged ride along on the error as ``records``.
+    k is one frequency index or a sequence of them; all seeds go through
+    one `polish`.  Records come in (k, family) order with k_index and
+    family set, and are logged to report when given.  A failed lane is
+    raised again naming k and j, after every lane was tried (the first
+    failure in that order); the records that converged ride along on the
+    error as ``records``.
     """
+    ks = [int(k)] if np.ndim(k) == 0 else [int(v) for v in k]
+    lanes = [(kk, j) for kk in ks for j in (1, 2)]
+    seeds = [predict_eigenvalue(kk, j, p, variant=variant, k_min=1) for kk, j in lanes]
     recs, failure = [], None
-    for j in (1, 2):
-        seed = predict_eigenvalue(k, j, p, variant=variant, k_min=1)
-        try:
-            rec = refine_root(seed, p, tol=tol)
-        except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
-            failure = failure or type(exc)(f"family {j} at k = {k}: {exc}")
+    for (kk, j), rec in zip(lanes, polish(np.array(seeds, dtype=complex), p, tol, report)):
+        if isinstance(rec, Exception):
+            failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
             continue
-        rec.k_index, rec.family = k, j
+        rec.k_index, rec.family = kk, j
         recs.append(rec)
+    if report is not None:
+        report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
     if failure is not None:
         failure.records = recs
         raise failure
@@ -264,13 +310,19 @@ def pair_at_frequency(p: BeamParams, k: int, variant: str = "dissipative",
     """
     if report is None:
         report = RootSearchReport()
-    try:
-        recs = family_roots(p, k, variant)
-    except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
-        recs = exc.records
-    report.newton_calls += 2                # family_roots polishes both families
-    report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
+    return _validate_pair(p, k, variant, _polished_families(p, k, variant, report), report)
 
+
+def _polished_families(p: BeamParams, k, variant: str, report: RootSearchReport):
+    """family_roots(p, k), keeping the converged records of a failed call."""
+    try:
+        return family_roots(p, k, variant, report=report)
+    except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
+        return exc.records
+
+
+def _validate_pair(p: BeamParams, k: int, variant: str, recs, report: RootSearchReport):
+    """Count frequency box k and check the polished recs against it."""
     rect = _validation_rect(p, k, variant)
     count, rect = _count_rect(rect, p, report)
     inside = [r for r in recs if _inside(r.lam, rect)]
@@ -341,13 +393,9 @@ def _isolate(outer, total: int, p: BeamParams, report: RootSearchReport):
             continue
         if cnt == 1 and diam <= 0.25:
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            report.newton_calls += 1
-            try:
-                rec = refine_root(center, p)
-            except (NoConvergence, BasinEscape, NearBranchPoint):
-                rec = None
-            if rec is not None and _inside(rec.lam, (re_lo - 1e-6, re_hi + 1e-6,
-                                                     im_lo - 1e-6, im_hi + 1e-6)):
+            (rec,) = polish([center], p, report=report)
+            if isinstance(rec, EigenvalueRecord) and _inside(
+                    rec.lam, (re_lo - 1e-6, re_hi + 1e-6, im_lo - 1e-6, im_hi + 1e-6)):
                 records.append(rec)
                 report.newton_iterations.append((rec.lam, rec.iterations))
                 continue
@@ -368,11 +416,17 @@ def _isolate(outer, total: int, p: BeamParams, report: RootSearchReport):
 def _dedupe(records):
     """Merge records that coincide within tolerance; keep the best residual."""
     records = sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
-    out = []
+    tols = [DEDUPE_RTOL * max(1.0, abs(r.lam)) for r in records]
+    # A merge only raises a kept record's Im (records come sorted by Im), so a
+    # kept record below every later record's Im - 2 tol can never merge again.
+    floors = list(itertools.accumulate(
+        reversed([r.lam.imag - 2.0 * tol for r, tol in zip(records, tols)]), min))[::-1]
+    out, near = [], []          # near: kept records that can still merge, in out order
     merged = 0
-    for rec in records:
-        for kept in out:
-            if abs(rec.lam - kept.lam) <= DEDUPE_RTOL * max(1.0, abs(rec.lam)):
+    for rec, tol, floor in zip(records, tols, floors):
+        near = [kept for kept in near if kept.lam.imag >= floor]
+        for kept in near:
+            if abs(rec.lam - kept.lam) <= tol:
                 merged += 1
                 if rec.residual < kept.residual:
                     kept.lam, kept.residual = rec.lam, rec.residual
@@ -384,6 +438,7 @@ def _dedupe(records):
                 break
         else:
             out.append(rec)
+            near.append(rec)
     return out, merged
 
 
@@ -420,9 +475,12 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
     report = RootSearchReport()
     records, outer, outer_count = _low_frequency_sweep(p, variant, report)
 
+    by_k = {}
+    for rec in _polished_families(p, range(K_MIN, k_max + 1), variant, report):
+        by_k.setdefault(rec.k_index, []).append(rec)
     failed_k = []
     for k in range(K_MIN, k_max + 1):
-        recs, complete = pair_at_frequency(p, k, variant, report)
+        recs, complete = _validate_pair(p, k, variant, by_k.get(k, []), report)
         if len(recs) < 2 and not (len(recs) == 1 and recs[0].multiplicity == 2):
             failed_k.append(k)
         records.extend(recs)

@@ -68,10 +68,11 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
     report = json.loads((out1 / "spectrum_report.json").read_text(encoding="utf-8"))
     stats = report["stats"]
     assert set(stats) == {"boxes", "shifted_boxes", "contour_points",
-                          "newton_calls", "newton_iterations"}
+                          "newton_calls", "newton_iterations", "newton_rounds"}
     assert stats["boxes"] == len(report["boxes"])
     assert stats["newton_iterations"] == sum(n["iterations"] for n in report["newton"])
     assert stats["contour_points"] > 0 and stats["newton_calls"] > 0
+    assert stats["newton_rounds"] > 0
 
 
 def test_spectrum_conservative_flag(tmp_path, generic_file):
@@ -108,6 +109,22 @@ def test_modes_json_residuals(tmp_path, generic_file):
         assert max(e["residuals"].values()) <= 1e-8
         assert e["dissipation_identity"] <= 1e-8
         assert len(e["coefficients"]) == 4
+
+
+def test_modes_reruns_are_byte_identical(tmp_path, generic_file):
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["modes", "--params", str(generic_file), "--kmax", "12",
+                     "--out", str(out)]) == 0
+    assert (outs[0] / "modes.json").read_bytes() == (outs[1] / "modes.json").read_bytes()
+    data = json.loads((outs[0] / "modes.json").read_text(encoding="utf-8"))
+    assert [(e["k"], e["j"]) for e in data["modes"]] == \
+        [(k, j) for k in range(8, 13) for j in (1, 2)]
+    stats = data["stats"]
+    assert set(stats) == {"newton_calls", "newton_iterations", "newton_rounds"}
+    assert stats["newton_calls"] == len(data["modes"]) == 10
+    # all ten seeds share each round, so rounds are the slowest lane's count
+    assert 0 < stats["newton_rounds"] < stats["newton_iterations"]
 
 
 def test_riesz_csv_columns(tmp_path, generic_file):

@@ -130,6 +130,16 @@ def test_exp_integral_limits():
     assert vals[3] == pytest.approx((np.exp(s) - 1.0) / s, rel=1e-14)
 
 
+def test_exp_integral_keeps_relative_accuracy_near_zero():
+    # (e^s - 1)/s by exp and subtraction loses |log10 s| digits: 2e-10 at
+    # |s| = 1e-6, the size of t_i + conj(t_j') for a damped mode against its
+    # conservative twin at k ~ 240, enough to move riesz closeness by 1e-11
+    rng = np.random.default_rng(5)
+    s = 10.0 ** rng.uniform(-6.0, -2.0, 400) * np.exp(2j * math.pi * rng.uniform(size=400))
+    series = sum(s**n / math.factorial(n + 1) for n in range(9, -1, -1))
+    assert np.max(np.abs(_exp_integral(s) / series - 1.0)) <= 1e-15
+
+
 def test_grid_state_traces(params_generic, mode12):
     g = mode12.to_grid_state(64)
     assert g.v[-1] == pytest.approx(g.eta, rel=1e-12)

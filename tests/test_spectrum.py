@@ -9,15 +9,24 @@ from test_charfn import _REGIME_SETS
 import tipbeam.spectrum
 from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import char_fn
-from tipbeam.errors import BasinEscape, NegativeRadicand, NoConvergence, RegimeMismatch
+from tipbeam.errors import (
+    BasinEscape,
+    NearBranchPoint,
+    NegativeRadicand,
+    NoConvergence,
+    RegimeMismatch,
+)
 from tipbeam.model import regime_info, validate_params
 from tipbeam.spectrum import (
+    DEDUPE_RTOL,
     K_MIN,
     EigenvalueRecord,
     RootSearchReport,
+    _dedupe,
     count_roots_in_rect,
     family_roots,
     pair_at_frequency,
+    polish,
     refine_root,
     spectrum_in_strip,
     verify_no_imaginary_roots,
@@ -144,6 +153,177 @@ def test_family_roots_in_family_order(params_generic):
     for r in recs:
         direct = refine_root(predict_eigenvalue(30, r.family, p), p)
         assert r.lam == direct.lam and r.iterations == direct.iterations
+
+
+def _alone(seed, p):
+    """refine_root on one seed: its record, or the error it raised."""
+    try:
+        return refine_root(seed, p)
+    except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
+        return exc
+
+
+def _scalar_newton(seed, p, tol=1e-13):
+    """The one-seed Newton loop polish replaced, on 0-d evaluations.
+
+    Returns (lam, iterations) or the error type.  Its arithmetic differs
+    from a batch lane's in the last bits (0-d NumPy and Python complex
+    division), so lambdas are compared within a tolerance.
+    """
+    lam = seed = complex(seed)
+    step, iterations, best = math.inf, 0, None
+    while True:
+        try:
+            surrogate, slope, fval = tipbeam.spectrum.entire_char_fn_and_derivative(lam, p)
+        except NearBranchPoint:
+            return NearBranchPoint
+        residual, scale = abs(fval), max(1.0, abs(lam))
+        if best is not None:
+            if residual >= best[1]:
+                return best[0], best[2]
+            best = (lam, residual, best[2])
+            if iterations == best[2] + 3:
+                return best[0], best[2]
+        elif step <= 1e-12 * scale and residual <= tol * scale:
+            best = (lam, residual, iterations)
+        elif iterations == 50:
+            return NoConvergence
+        if slope == 0:
+            return (best[0], best[2]) if best is not None else NoConvergence
+        delta = surrogate / slope
+        if abs(lam - delta - seed) > 0.5:
+            return (best[0], best[2]) if best is not None else BasinEscape
+        lam, step, iterations = lam - delta, abs(delta), iterations + 1
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_REGIME_SETS)),
+       gains=st.floats(0.25, 1.25), damping=st.floats(0.25, 1.25),
+       lanes=st.lists(st.tuples(st.integers(K_MIN, 400), st.sampled_from((1, 2)),
+                                st.sampled_from((0.0, 0.05j, -0.02 + 0.3j, 0.6j,
+                                                 0.5 * math.pi * 1j))),
+                      min_size=1, max_size=8))
+def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
+    # seeds from several k, some pushed off their root or out of its basin:
+    # each lane of the batch ends exactly as refine_root does on its seed alone
+    b, k1, k2, k3, k4 = _REGIME_SETS[name]
+    p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
+    variant = "conservative" if p.is_conservative else "dissipative"
+    try:
+        seeds = [predict_eigenvalue(k, j, p, variant=variant, k_min=1) + shift
+                 for k, j, shift in lanes]
+    except NegativeRadicand:
+        assert regime_info(p).regime in ("case2", "case3")
+        return
+    report = RootSearchReport()
+    batch = polish(np.array(seeds), p, report=report)
+    assert report.newton_calls == len(seeds) and report.newton_rounds <= 54
+    for seed, got in zip(seeds, batch):
+        want = _alone(seed, p)
+        assert type(got) is type(want)
+        if isinstance(want, EigenvalueRecord):
+            assert got.lam == want.lam and got.iterations == want.iterations
+            assert got.residual == want.residual
+        else:
+            assert str(got) == str(want)
+        # the scalar loop: same outcome and step count, lambda to 64 ulp
+        ref = _scalar_newton(seed, p)
+        if isinstance(got, EigenvalueRecord):
+            assert got.iterations == ref[1]
+            assert abs(got.lam - ref[0]) <= 64 * np.finfo(float).eps * max(1.0, abs(ref[0]))
+        else:
+            assert type(got) is ref
+
+
+def test_polish_fails_only_the_affected_lanes(params_generic):
+    p = params_generic
+    seeds = [predict_eigenvalue(12, 1, p), (12 + 0.5) * math.pi * 1j - 0.1,
+             1j * math.sqrt(p.b) + 1e-9, predict_eigenvalue(30, 2, p)]
+    out = polish(np.array(seeds), p)
+    assert [type(o) for o in out] == [EigenvalueRecord, BasinEscape, NearBranchPoint,
+                                      EigenvalueRecord]
+    assert "left the basin of seed" in str(out[1])
+    assert str(out[2]).endswith("within 1e-6 of a branch point")
+    for seed, rec in zip(seeds[::3], out[::3]):
+        assert rec.lam == refine_root(seed, p).lam
+        assert rec.residual <= 1e-13 * abs(rec.lam)
+    with pytest.raises(NearBranchPoint, match="branch point"):
+        refine_root(seeds[2], p)
+
+
+def test_polish_makes_one_evaluation_per_round(params_generic, monkeypatch):
+    p = params_generic
+    real = tipbeam.spectrum.entire_char_fn_and_derivative
+    sizes = []
+
+    def counted(lam, params):
+        sizes.append(np.size(lam))
+        return real(lam, params)
+
+    monkeypatch.setattr(tipbeam.spectrum, "entire_char_fn_and_derivative", counted)
+    seeds = [predict_eigenvalue(k, j, p) for k in range(K_MIN, 108) for j in (1, 2)]
+    alone = []
+    for seed in seeds[:6]:
+        sizes.clear()
+        polish(np.array([seed]), p)
+        alone.append(len(sizes))
+    rounds = []
+    for batch in (seeds[:6], seeds):
+        sizes.clear()
+        report = RootSearchReport()
+        polish(np.array(batch), p, report=report)
+        # one call per round on the lanes still running, never one per seed
+        assert len(sizes) == report.newton_rounds <= 54
+        assert sizes[0] == len(batch) and sizes == sorted(sizes, reverse=True)
+        rounds.append(len(sizes))
+    assert report.newton_calls == 200
+    assert rounds[0] == max(alone)     # a batch takes the rounds of its slowest seed
+
+
+def _dedupe_quadratic(records):
+    """The all-pairs merge that _dedupe must reproduce exactly."""
+    records = sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
+    out, merged = [], 0
+    for rec in records:
+        for kept in out:
+            if abs(rec.lam - kept.lam) <= DEDUPE_RTOL * max(1.0, abs(rec.lam)):
+                merged += 1
+                if rec.residual < kept.residual:
+                    kept.lam, kept.residual = rec.lam, rec.residual
+                if kept.k_index is None:
+                    kept.k_index = rec.k_index
+                if kept.family is None:
+                    kept.family = rec.family
+                kept.multiplicity = max(kept.multiplicity, rec.multiplicity)
+                break
+        else:
+            out.append(rec)
+    return out, merged
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-1, 0), st.integers(-2, 2),
+                          st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                          st.floats(0.0, 1.0), st.sampled_from((None, 1, 2)),
+                          st.sampled_from((1, 2))),
+                min_size=20, max_size=60))
+def test_dedupe_matches_all_pairs_merge(points):
+    # ten sites, each record a few merge tolerances off its site: merges
+    # chain and move a kept lambda, on the real axis and at |lambda| ~ 75
+    def records():
+        out = []
+        for re, im, dre, dim, res, fam, mult in points:
+            site = complex(0.3 * re, 37.5 * im)
+            tol = DEDUPE_RTOL * max(1.0, abs(site))
+            out.append(EigenvalueRecord(site + complex(dre, dim) * tol,
+                                        None if fam is None else im, fam, res, mult,
+                                        "dissipative"))
+        return out
+    got, got_merged = _dedupe(records())
+    want, want_merged = _dedupe_quadratic(records())
+    assert got_merged == want_merged
+    assert [(r.lam, r.k_index, r.family, r.residual, r.multiplicity) for r in got] == \
+        [(r.lam, r.k_index, r.family, r.residual, r.multiplicity) for r in want]
 
 
 @pytest.fixture
