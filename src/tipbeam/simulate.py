@@ -9,10 +9,16 @@ drain of the implicit midpoint integrator is then the boundary feedback,
 which is what the decay measurements are after.
 
 Both the generator and its weight are sparse (about three entries per
-row), from assembly through energy evaluation.  The integrator reorders
-the coordinates once by reverse Cuthill-McKee, which makes the midpoint
-matrix banded with seven sub- and super-diagonals, and steps with one
-banded LAPACK solve.  Only the eigenvalue check densifies.
+row), from assembly through energy evaluation.  The generator has the
+block form [[0, S], [K, D]] on displacements (u, y) and velocities
+(v, z, eta, gamma), with the damping D confined to the two tip columns, and
+the weight is diag(W_d, M_w) with M_w diagonal.  The midpoint rule on such a
+second-order system is Newmark's average-acceleration scheme, so the
+integrator eliminates the displacements: each step solves the 2N+2 velocity
+system M_w (I - dt^2/4 KS), symmetric positive definite because
+W_d S = -(M_w K)^T, with one banded Cholesky factorization (half-bandwidth
+five after reverse Cuthill-McKee) plus a rank-two correction for the tip
+damping.  Only the eigenvalue check densifies.
 """
 
 import math
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
@@ -223,49 +229,118 @@ class EnergyTrace:
     stats: dict = field(default_factory=dict)
 
 
-def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> EnergyTrace:
-    """Implicit midpoint march: one banded factorization, one solve per step.
+def _refuse_entries(m: scipy.sparse.coo_array, bad: np.ndarray, what: str,
+                    coords: np.ndarray | None = None) -> None:
+    """Raise ValueError naming the first flagged entry of m by its coordinates."""
+    rows, cols = (m.row, m.col) if coords is None else (coords[m.row], coords[m.col])
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = hits[np.lexsort((cols[hits], rows[hits]))[0]]
+        raise ValueError(f"{what}: entry [{rows[k]}, {cols[k]}] = {float(m.data[k])!r}")
 
-    The midpoint rule conserves the quadratic energy exactly for skew
-    systems, so any decay in the samples is boundary feedback, not scheme
-    dissipation; no refinement solve is needed.  The coordinates are
-    reordered once by reverse Cuthill-McKee, I - dt/2 A is factored in
-    LAPACK band storage, and each step is x <- (I - dt/2 A)^{-1} (I + dt/2 A) x.
-    The state is mapped back to the natural order only where it is sampled.
-    Energy is sampled on a stride targeting about one thousand samples; a
-    state or an energy sample that is not finite raises SingularSolve naming
-    the step and t.
+
+def _check_block_form(g: DiscreteGenerator, is_d: np.ndarray) -> None:
+    """Require A = [[0, S], [K, D]] and W = diag(W_d, M_w) with M_w diagonal."""
+    a = g.matrix.tocoo()
+    _refuse_entries(a, is_d[a.row] & is_d[a.col] & (a.data != 0.0),
+                    "A couples a displacement to a displacement")
+    w = g.weight.tocoo()
+    off = (is_d[w.row] != is_d[w.col]) | (~is_d[w.row] & (w.row != w.col))
+    _refuse_entries(w, off & (w.data != 0.0),
+                    "W is not block-diagonal with a diagonal velocity block")
+
+
+def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> EnergyTrace:
+    """Implicit midpoint march in velocity form: one banded Cholesky, one solve per step.
+
+    The generator has the block form A = [[0, S], [K, D]] on the
+    displacements d = (u, y) and the velocities w = (v, z, eta, gamma), and
+    D, the tip damping, is non-zero only in the eta and gamma columns.  The
+    midpoint rule on this second-order system is Newmark's
+    average-acceleration scheme (beta = 1/4, gamma = 1/2), so d1 can be
+    eliminated:
+
+        (C - dt/2 M_w D) w1 = M_w (I + dt/2 D + dt^2/4 KS) w0 + dt M_w K d0,
+        d1 = d0 + dt/2 S (w0 + w1),
+
+    with C = M_w (I - dt^2/4 KS).  A is skew in the weight W = diag(W_d, M_w)
+    up to D, so W_d S = -(M_w K)^T and C = M_w + dt^2/4 S^T W_d S is
+    symmetric positive definite.  C is reordered once by reverse
+    Cuthill-McKee and factored once with dpbtrf; the r tip columns of D go
+    in as a precomputed r x r Sherman-Morrison-Woodbury correction (r set-up
+    solves).  A step is one fused sparse matvec for the right-hand side, one
+    dpbtrs, the correction and the displacement update.  This is the same
+    scheme as the full midpoint rule, so it conserves the energy exactly when
+    D = 0 and any decay in the samples is boundary feedback.
+
+    A generator or weight of another form raises ValueError at its first
+    offending entry.  Energy is sampled on a stride targeting about one
+    thousand samples; a state or an energy sample that is not finite raises
+    SingularSolve naming the step and t.
     """
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("T and dt must be positive")
     if dt > 0.5 * g.h * (1.0 + 1e-12):
         raise ValueError(f"dt = {dt} exceeds h/2 = {0.5 * g.h}")
+    nsteps = int(round(T / dt))
+    if nsteps == 0:
+        raise ValueError(f"horizon T = {T!r} is shorter than half a step, dt = {dt!r}")
     x = np.real_if_close(_pack(U0), tol=1000)
     if np.iscomplexobj(x):
         raise ValueError("time integration expects real initial data")
     x = x.astype(float)
 
+    N = g.N
     n = g.matrix.shape[0]
-    perm = reverse_cuthill_mckee(abs(g.matrix) + abs(g.matrix.T), symmetric_mode=True)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n, dtype=perm.dtype)
-    coo = g.matrix.tocoo()
-    rows, cols = inv[coo.row], inv[coo.col]
-    half = 0.5 * dt * coo.data
-    right = scipy.sparse.eye_array(n, format="csr") \
-        + scipy.sparse.csr_array((half, (rows, cols)), shape=(n, n))
-    kl = int(np.max(rows - cols, initial=0))
-    ku = int(np.max(cols - rows, initial=0))
-    band = np.zeros((2 * kl + ku + 1, n))      # LAPACK layout, kl spare rows for pivoting
-    band[kl + ku] = 1.0
-    np.subtract.at(band, (kl + ku + rows - cols, cols), half)
-    lub, piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
+    is_d = np.zeros(n, dtype=bool)
+    is_d[0:N] = is_d[2 * N:3 * N] = True
+    _check_block_form(g, is_d)
+    disp, vel = np.flatnonzero(is_d), np.flatnonzero(~is_d)
+    nd, nw = disp.size, vel.size
+    d_rows, w_rows = g.matrix[disp], g.matrix[vel]
+    S, K, D = d_rows[:, vel], w_rows[:, disp], w_rows[:, vel]
+    mass = scipy.sparse.diags_array(g.weight.diagonal()[vel], format="csr")
+    MK = mass @ K
+    MKS = MK @ S
+    C = (mass - (0.25 * dt * dt) * MKS).tocsr()
+    asym = abs(C - C.T).tocoo()
+    _refuse_entries(asym, asym.data > 1e-12 * abs(C).max(),
+                    "M_w K S is not symmetric, so A is not skew in W up to D", vel)
+
+    perm = reverse_cuthill_mckee(abs(C), symmetric_mode=True)
+    upper = scipy.sparse.triu(C[perm][:, perm]).tocoo()
+    kd = int(np.max(upper.col - upper.row, initial=0))
+    band = np.zeros((kd + 1, nw))               # LAPACK upper band storage
+    band[kd + upper.row - upper.col, upper.col] = upper.data
+    chol, info = dpbtrf(band, overwrite_ab=1)
     if info != 0:
         where = (f"zero pivot at index {info - 1} of the reordered matrix "
-                 f"(coordinate {perm[info - 1]})" if info > 0 else f"dgbtrf info = {info}")
-        raise SingularSolve(f"I - dt/2 A is singular for N = {g.N}, dt = {dt:.17g}: {where}")
+                 f"(coordinate {vel[perm[info - 1]]})" if info > 0 else f"dpbtrf info = {info}")
+        raise SingularSolve(f"M_w (I - dt^2/4 KS) is not positive definite for N = {N}, "
+                            f"dt = {dt:.17g}: {where}")
 
-    nsteps = max(1, int(round(T / dt)))
+    # tip damping, r = len(tips) columns J of D: with U = dt/2 M_w D[:, J],
+    # (C - U E_J^T)^{-1} b = y + Z (I - Z[J])^{-1} y[J], y = C^{-1} b, Z = C^{-1} U
+    Dp = D[perm][:, perm]
+    tips = np.flatnonzero(abs(Dp).sum(axis=0))
+    half_MD = (0.5 * dt) * (mass[perm][:, perm] @ Dp)
+    U = half_MD[:, tips].toarray()
+    Z = np.empty_like(U)
+    for i in range(tips.size):
+        Z[:, i], _ = dpbtrs(chol, U[:, i])
+    try:
+        tip_gain = np.linalg.solve((np.eye(tips.size) - Z[tips]).T, Z.T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularSolve(f"I - dt/2 A is singular for N = {N}, dt = {dt:.17g}: tip correction "
+                            f"at coordinates {sorted(vel[perm[tips]].tolist())}") from exc
+
+    right = scipy.sparse.hstack(
+        [dt * MK[perm], (mass + (0.25 * dt * dt) * MKS)[perm][:, perm] + half_MD], format="csr")
+    half_S = (0.5 * dt) * S[:, perm]
+    order = np.concatenate([disp, vel[perm]])   # state layout: d, then the reordered w
+    natural = np.empty_like(order)
+    natural[order] = np.arange(n, dtype=order.dtype)
+
     stride = max(1, int(round(T / (1000.0 * dt))))
     times, energies = [], []
 
@@ -278,25 +353,28 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         energies.append(energy)
 
     sample(0, x)
-    x = x[perm]
+    x = x[order]
     for step in range(1, nsteps + 1):
-        x, _ = dgbtrs(lub, kl, ku, right @ x, piv, overwrite_b=True)
+        y, _ = dpbtrs(chol, right @ x, overwrite_b=1)
+        w = y + tip_gain @ y[tips]
+        x[:nd] += half_S @ (x[nd:] + w)
+        x[nd:] = w
         if not np.all(np.isfinite(x)):
             raise SingularSolve(f"integration blew up at step {step}, t = {step * dt:.17g}")
         if step % stride == 0 or step == nsteps:
-            sample(step, x[inv])
+            sample(step, x[natural])
     stats = {
         "steps": nsteps,
         "energy_samples": len(energies),
         "factorizations": 1,
-        "solves": nsteps,
-        "kl": kl,
-        "ku": ku,
+        "solves": nsteps + int(tips.size),
+        "kd": kd,
+        "solve_n": int(nw),
         "nnz_A": int(g.matrix.nnz),
         "nnz_W": int(g.weight.nnz),
     }
     return EnergyTrace(times=np.array(times), energies=np.array(energies),
-                       final_state=_unpack(x[inv], g.N), stats=stats)
+                       final_state=_unpack(x[natural], N), stats=stats)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import tipbeam.simulate
@@ -17,7 +19,7 @@ from tipbeam.errors import (
     SingularSolve,
     WindowTooShort,
 )
-from tipbeam.model import GridState, grid_inner_product, solve_static
+from tipbeam.model import GridState, grid_inner_product, solve_static, validate_params
 from tipbeam.modes import eigenmode
 from tipbeam.simulate import (
     _pack,
@@ -149,6 +151,15 @@ def test_integrate_validates_step(params_generic):
         integrate(g, st, -1.0, 0.5 / 32)
 
 
+def test_integrate_refuses_horizon_below_half_step(params_generic):
+    g = assemble_generator(params_generic, 16)
+    st = smooth_state(params_generic, 16)
+    with pytest.raises(ValueError, match=r"T = 0\.0001 is shorter than half a step, dt = 0\.03125"):
+        integrate(g, st, 1e-4, 1.0 / 32)
+    # half a step or more still rounds to one step
+    assert integrate(g, st, 0.6 / 32, 1.0 / 32).times[-1] == 1.0 / 32
+
+
 def test_integrate_conserves_energy(params_conservative):
     g = assemble_generator(params_conservative, 32)
     tr = integrate(g, smooth_state(params_conservative, 32), 5.0, 0.5 / 32)
@@ -175,20 +186,62 @@ def test_integrate_second_order_in_dt(params_generic):
     assert d1 / d2 >= 3.0
 
 
+def dense_midpoint(g, state, dt, steps):
+    """The full 4N+2 implicit midpoint rule, densely: the reference step."""
+    A = g.matrix.toarray()
+    eye = np.eye(A.shape[0])
+    left = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
+    right = eye + 0.5 * dt * A
+    x = _pack(state).real
+    for _ in range(steps):
+        x = scipy.linalg.lu_solve(left, right @ x)
+    return x
+
+
 def test_banded_step_matches_dense_reference(params_generic):
     p = params_generic
     N, dt, steps = 32, 0.5 / 32, 100
     g = assemble_generator(p, N)
     st = smooth_state(p, N, seed=1)
     tr = integrate(g, st, steps * dt, dt)
-    A = g.matrix.toarray()
-    eye = np.eye(A.shape[0])
-    left, right = eye - 0.5 * dt * A, eye + 0.5 * dt * A
-    x = _pack(st).real
-    for _ in range(steps):
-        x = scipy.linalg.solve(left, right @ x)
+    x = dense_midpoint(g, st, dt, steps)
     diff = _pack(tr.final_state).real - x
     assert math.sqrt(g.energy(diff) / g.energy(x)) <= 1e-12
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(16, 64), b=st.floats(0.25, 1.25), gains=st.floats(0.25, 1.25),
+       damping=st.floats(0.25, 1.25), rank=st.sampled_from(((0, 0), (0, 1), (1, 0), (1, 1))),
+       seed=st.integers(0, 3))
+@example(N=16, b=0.25, gains=1.25, damping=0.25, rank=(0, 0), seed=0)
+@example(N=64, b=1.25, gains=0.25, damping=1.25, rank=(0, 1), seed=1)
+@example(N=17, b=1.0, gains=1.0, damping=1.0, rank=(1, 0), seed=2)
+@example(N=63, b=0.5, gains=0.75, damping=0.5, rank=(1, 1), seed=3)
+def test_velocity_step_matches_dense_reference_for_every_damping_rank(
+        N, b, gains, damping, rank, seed):
+    # rank 0, 1 and 2 of the tip damping: k2 = k4 = 0, one of them zero, neither
+    on2, on4 = rank
+    p = validate_params(a=1.0, b=2.0 * b, k1=1.0 * gains, k2=2.0 * damping * on2,
+                        k3=3.0 * gains, k4=2.0 * damping * on4)
+    g = assemble_generator(p, N)
+    dt, steps = 0.5 / N, 60
+    state = smooth_state(p, N, seed=seed)
+    tr = integrate(g, state, steps * dt, dt)
+    x = dense_midpoint(g, state, dt, steps)
+    diff = _pack(tr.final_state).real - x
+    assert math.sqrt(g.energy(diff) / g.energy(x)) <= 1e-12
+    assert tr.stats["solves"] == steps + on2 + on4
+
+
+def velocity_matrix(g, dt):
+    """M_w (I - dt^2/4 KS) on the velocities w = (v, z, eta, gamma), and w's indices."""
+    N = g.N
+    vel = np.r_[N:2 * N, 3 * N:4 * N + 2]
+    disp = np.r_[0:N, 2 * N:3 * N]
+    S = g.matrix[disp][:, vel]
+    K = g.matrix[vel][:, disp]
+    mass = scipy.sparse.diags_array(g.weight.diagonal()[vel])
+    return (mass - 0.25 * dt * dt * (mass @ K @ S)).tocsr(), vel
 
 
 @pytest.mark.parametrize("N", [16, 400])
@@ -197,19 +250,19 @@ def test_generator_sparse_and_narrow_band(params_generic, N):
     n = 4 * N + 2
     assert g.matrix.nnz <= 4 * n and g.weight.nnz <= 4 * n
     dt = 0.5 / N
-    pattern = abs(g.matrix) + abs(g.matrix.T)
-    perm = reverse_cuthill_mckee(scipy.sparse.csr_array(pattern), symmetric_mode=True)
-    left = (scipy.sparse.eye_array(n) - 0.5 * dt * g.matrix).tocsr()[perm][:, perm].tocoo()
-    kl = int(np.max(left.row - left.col))
-    ku = int(np.max(left.col - left.row))
-    assert kl <= 7 and ku <= 7
+    C, vel = velocity_matrix(g, dt)
+    assert abs(C - C.T).max() <= 1e-15 * abs(C).max()
+    perm = reverse_cuthill_mckee(abs(C), symmetric_mode=True)
+    reordered = C[perm][:, perm].tocoo()
+    kd = int(np.max(reordered.col - reordered.row))
+    assert kd <= 5
     stats = integrate(g, smooth_state(params_generic, N), dt, dt).stats
-    assert (stats["kl"], stats["ku"]) == (kl, ku)
+    assert (stats["kd"], stats["solve_n"]) == (kd, vel.size) == (kd, 2 * N + 2)
     assert (stats["nnz_A"], stats["nnz_W"]) == (g.matrix.nnz, g.weight.nnz)
 
 
 def test_one_factorization_one_solve_per_step(params_generic, monkeypatch):
-    calls = {"dgbtrf": 0, "dgbtrs": 0}
+    calls = {"dpbtrf": 0, "dpbtrs": 0}
     for name in calls:
         original = getattr(tipbeam.simulate, name)
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -218,8 +271,10 @@ def test_one_factorization_one_solve_per_step(params_generic, monkeypatch):
         monkeypatch.setattr(tipbeam.simulate, name, counted)
     g = assemble_generator(params_generic, 32)
     tr = integrate(g, smooth_state(params_generic, 32), 37 * 0.5 / 32, 0.5 / 32)
-    assert calls == {"dgbtrf": 1, "dgbtrs": 37}
-    assert tr.stats["factorizations"] == 1 and tr.stats["solves"] == tr.stats["steps"] == 37
+    # two tip damping columns (k2, k4 > 0): two set-up solves for the correction
+    assert calls == {"dpbtrf": 1, "dpbtrs": 37 + 2}
+    assert tr.stats["factorizations"] == 1 and tr.stats["steps"] == 37
+    assert tr.stats["solves"] == 37 + 2
     assert tr.stats["energy_samples"] == len(tr.energies)
 
 
@@ -238,35 +293,95 @@ def test_large_grid_is_feasible(params_generic):
 def test_singular_midpoint_matrix_names_pivot(params_generic):
     g = assemble_generator(params_generic, 16)
     dt = 0.5 / 16
-    n = g.matrix.shape[0]
-    g.matrix = (2.0 / dt) * scipy.sparse.eye_array(n, format="csr")   # I - dt/2 A = 0
+    # negated kinetic weights: M_w (I - dt^2/4 KS) is negative definite, so
+    # the very first Cholesky pivot is not positive
+    _, vel = velocity_matrix(g, dt)
+    flip = np.ones(g.weight.shape[0])
+    flip[vel] = -1.0
+    g.weight = (scipy.sparse.diags_array(flip) @ g.weight).tocsr()
     with pytest.raises(SingularSolve, match=r"N = 16, dt = 0\.03125: zero pivot at index 0 "):
         integrate(g, smooth_state(params_generic, 16), 1.0, dt)
+
+
+def test_singular_tip_correction_names_coordinates(params_generic):
+    N, dt = 16, 0.5 / 16
+    g = assemble_generator(params_generic, N)
+    eta = 4 * N
+    A = g.matrix.tolil()
+    A[N - 1, eta] = 0.0                            # eta leaves the u_N transport row ...
+    A[eta, :] = 0.0                                # ... and feels no shear
+    A[eta, eta] = 2.0 / dt                         # so I - dt/2 A has a zero eta row
+    g.matrix = A.tocsr()
+    with pytest.raises(SingularSolve, match=r"dt = 0\.03125: tip correction at coordinates \[64, 65\]"):
+        integrate(g, smooth_state(params_generic, N), 1.0, dt)
+
+
+def anti_damped(p, N, dt, margin):
+    """Generator whose eta row anti-damps, at (1 - margin) of the singular value.
+
+    The eta diagonal entry, near 2/dt, makes I - dt/2 A singular at
+    2 / (dt ((I - dt/2 A_0)^{-1})_{eta eta}), where A_0 has that entry zeroed.
+    Just below it each step multiplies the state by about 2/margin.
+    """
+    g = assemble_generator(p, N)
+    eta = 4 * N
+    A = g.matrix.tolil()
+    A[eta, eta] = 0.0
+    left = np.eye(A.shape[0]) - 0.5 * dt * A.toarray()
+    unit = np.zeros(A.shape[0])
+    unit[eta] = 1.0
+    A[eta, eta] = (1.0 - margin) * 2.0 / (dt * np.linalg.solve(left, unit)[eta])
+    g.matrix = A.tocsr()
+    return g
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_blow_up_names_step_and_time(params_generic):
-    g = assemble_generator(params_generic, 16)
     dt = 0.5 / 16
-    n = g.matrix.shape[0]
-    # one pivot of 2^-52: each step multiplies the state by about 2^53
-    g.matrix = (1.0 - 2.0 ** -52) * (2.0 / dt) * scipy.sparse.eye_array(n, format="csr")
-    with pytest.raises(SingularSolve, match=r"blew up at step \d+, t = "):
-        integrate(g, smooth_state(params_generic, 16), 1.0, dt)
+    g = anti_damped(params_generic, 16, dt, 2.0 ** -40)
+    # energy is sampled every 40 steps, so the per-step state check fires first
+    with pytest.raises(SingularSolve, match=r"blew up at step \d+, t = ") as info:
+        integrate(g, smooth_state(params_generic, 16), 1250.0, dt)
+    assert "energy" not in str(info.value)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_infinite_energy_sample_raises(params_generic):
-    # the state grows by about 2^53 a step: after 12 steps it is still
+    # the state grows by about 2^41 a step: after 20 steps it is still
     # finite, but its energy, quadratic in the state, overflowed on the way
-    g = assemble_generator(params_generic, 16)
     dt = 0.5 / 16
-    n = g.matrix.shape[0]
-    g.matrix = (1.0 - 2.0 ** -52) * (2.0 / dt) * scipy.sparse.eye_array(n, format="csr")
+    g = anti_damped(params_generic, 16, dt, 2.0 ** -40)
     with pytest.raises(SingularSolve, match=r"at step \d+, t = .*energy sample (inf|nan)"):
-        integrate(g, smooth_state(params_generic, 16), 12 * dt, dt)
+        integrate(g, smooth_state(params_generic, 16), 20 * dt, dt)
+
+
+def test_integrate_refuses_other_block_forms(params_generic):
+    N, dt = 16, 0.5 / 16
+    st = smooth_state(params_generic, N)
+    g = assemble_generator(params_generic, N)
+    A = g.matrix.tolil()
+    A[0, 2 * N] = 0.5                              # du_1 reads y_1
+    g.matrix = A.tocsr()
+    with pytest.raises(ValueError, match=r"displacement to a displacement: entry \[0, 32\] = 0\.5"):
+        integrate(g, st, 1.0, dt)
+    for entries, where in ((((0, N), (N, 0)), r"\[0, 16\]"),            # u_1 with v_1
+                           (((N + 3, N + 1), (N + 1, N + 3)), r"\[17, 19\]")):  # v_2 with v_4
+        g = assemble_generator(params_generic, N)
+        W = g.weight.tolil()
+        for i, j in entries:
+            W[i, j] = 0.25
+        g.weight = W.tocsr()
+        with pytest.raises(ValueError, match=r"W is not block-diagonal .*: entry " + where):
+            integrate(g, st, 1.0, dt)
+    # one kinetic weight off by a factor: M_w K S is no longer symmetric
+    g = assemble_generator(params_generic, N)
+    W = g.weight.tolil()
+    W[N + 4, N + 4] *= 2.0
+    g.weight = W.tocsr()
+    with pytest.raises(ValueError, match=r"M_w K S is not symmetric.*: entry \[19, 20\]"):
+        integrate(g, st, 1.0, dt)
 
 
 def test_fit_decay_conservative_flat(params_conservative):
