@@ -196,11 +196,11 @@ def entire_char_fn_and_derivative(lam, p: BeamParams):
             exps * (tp * g3 + dp * h + d * hp))
     det = np.linalg.det(m)
     ddet = np.zeros_like(det)
-    work = m.copy()    # one reused buffer; stacking all three would triple the peak
-    for r, row in enumerate(rows, start=1):
-        work[..., r, :] = row
-        ddet += np.linalg.det(work)
-        work[..., r, :] = m[..., r, :]
+    for r, row in enumerate(rows, start=1):   # in place: a copy of M would add to the peak
+        kept = m[..., r, :].copy()
+        m[..., r, :] = row
+        ddet += np.linalg.det(m)
+        m[..., r, :] = kept
     t1, t3 = ts[..., 0], ts[..., 2]
     f = -det / (16.0 * p.b)
     big_f = f * t1 * t3

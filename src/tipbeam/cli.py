@@ -24,7 +24,7 @@ from .errors import ConfigError, IncompleteBox, TipbeamError
 from .model import BeamParams, GridState, regime_info, solve_static, validate_params
 from .modes import _matrix_nullspace, build_mode, mode_residuals, normalize, riesz_closeness
 from .simulate import assemble_generator, fit_decay, integrate
-from .spectrum import K_MIN, RootSearchReport, family_roots, pair_at_frequency, spectrum_in_strip
+from .spectrum import K_MIN, RootSearchReport, family_roots, frequency_pairs, spectrum_in_strip
 
 COMMANDS = ("spectrum", "predict", "modes", "riesz", "decay", "table", "plot")
 TABLE_KS = (200, 400, 600, 800, 1000)
@@ -258,7 +258,8 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
         "newton": [{"lambda": _pair(lam), "iterations": int(it)}
                    for lam, it in report.newton_iterations],
         "incomplete_boxes": [
-            {"rect": [float(v) for v in rect], "winding": int(w), "recovered": int(r)}
+            {"rect": [float(v) for v in rect], "winding": None if w is None else int(w),
+             "recovered": int(r)}
             for rect, w, r in report.incomplete_boxes
         ],
         "stats": report.stats,
@@ -385,8 +386,8 @@ def _cmd_table(cfg: RunConfig) -> list:
     p = cfg.effective_params
     lines = [f"# {k}={v}" for k, v in cfg.header_items()]
     lines.append(f"{'k':>6}  {'k^2 Re lambda_1':>16}  {'k^2 Re lambda_2':>16}")
-    for k in TABLE_KS:
-        recs, complete = pair_at_frequency(p, k, cfg.variant)
+    pairs = frequency_pairs(p, TABLE_KS, cfg.variant)
+    for k, (recs, complete) in zip(TABLE_KS, pairs):
         by_family = {rec.family: rec for rec in recs}
         if not complete or 1 not in by_family or 2 not in by_family:
             raise IncompleteBox(f"could not certify both families at k = {k}")

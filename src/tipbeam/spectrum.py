@@ -16,6 +16,15 @@ F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
 Boxes split off centre, so no edge of the conservative sweep lands on the
 root locus Re lambda = 0.
+
+Counting is batched.  A search submits all its boxes to one counter, and
+every box refines in the same rounds: each call of the characteristic
+function takes at most _CHUNK = 1024 new samples of the live boxes, the most
+recently submitted first, which keeps the working set small.  The checks
+stay per box.  The frequency boxes and the union of the strip count in the
+background while the sweep subdivides, and a box's halves start as soon as
+its own count is in, so the k <= 200 strip takes about a hundred calls.  Per
+box the samples, and so the counts, are those of counting the box alone.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ _MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-boun
 _SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is shifted
 _INTEGER_TOL = 1e-9           # rounding slack of the increment sum
 _SHIFTS = ((0.01, 0.0), (-0.01, 0.0), (0.0, 0.01), (0.0, -0.01), (0.01, 0.01))
+_CHUNK = 1024                 # points per contour evaluation call; bounds the working set
 
 
 @dataclass
@@ -71,19 +81,28 @@ class RootSearchReport:
     newton_iterations: list = field(default_factory=list)  # (lam, iterations)
     k0_effective: int | None = None
     duplicates_merged: int = 0
-    incomplete_boxes: list = field(default_factory=list)  # (rect, winding, recovered)
+    # (rect, winding or None when the box could not be counted, recovered)
+    incomplete_boxes: list = field(default_factory=list)
     shifted_boxes: int = 0       # counts made on a shifted box
     contour_points: int = 0      # F evaluations in counting, refinements included
+    contour_rounds: int = 0      # (F, F') evaluation calls made by counting
     newton_calls: int = 0        # Newton polishes started, converged or not
     newton_rounds: int = 0       # batched (F, F', f) evaluations of those polishes
+    global_count: int | None = None   # winding over the union of the strip's boxes
 
     @property
     def stats(self) -> dict:
-        """Deterministic effort counts; newton_iterations sums the converged polishes."""
+        """Deterministic effort counts; newton_iterations sums the converged polishes.
+
+        boxes, shifted_boxes and contour_points cover the search boxes; the
+        global count of a strip is not among them, but its evaluation calls,
+        shared with the frequency boxes, are in contour_rounds.
+        """
         return {"boxes": len(self.boxes), "shifted_boxes": self.shifted_boxes,
-                "contour_points": self.contour_points, "newton_calls": self.newton_calls,
+                "contour_points": self.contour_points, "contour_rounds": self.contour_rounds,
+                "newton_calls": self.newton_calls,
                 "newton_iterations": sum(it for _, it in self.newton_iterations),
-                "newton_rounds": self.newton_rounds}
+                "newton_rounds": self.newton_rounds, "global_count": self.global_count}
 
 
 def _boundary(rect) -> np.ndarray:
@@ -95,82 +114,212 @@ def _boundary(rect) -> np.ndarray:
     return (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
 
 
-def _phase_winding(rect, p: BeamParams, report: RootSearchReport | None):
-    """Winding of F around rect by summed phase increments.
+class _Boundary:
+    """One box boundary under refinement, at a shift attempt of the base rect.
 
-    Returns None when the boundary grazes a root (|F| dips below _DIP_FACTOR
-    of the median of the initial samples) or needs more than _SAMPLE_BUDGET
-    samples.  All midpoints of one refinement round go in one evaluation.
+    zfd holds the samples z, F and F' in boundary order as rows, closed by a
+    copy of the first column.  pending holds the samples of the current
+    round, evaluated in chunks (send, receive), and slots the columns they
+    are inserted before.  samples counts the evaluations of every attempt.
     """
-    z = _boundary(rect)
-    fz, dz, _ = entire_char_fn_and_derivative(z, p)
-    floor = _DIP_FACTOR * np.median(np.abs(fz))
-    new_f = fz
-    while True:
-        if report is not None:
-            report.contour_points += new_f.size
-        if np.abs(new_f).min() < floor:
-            return None
-        turn = np.angle(np.roll(fz, -1) / fz)
+
+    def __init__(self, base, attempt: int = 0, samples: int = 0):
+        self.base, self.attempt, self.samples = base, attempt, samples
+        if attempt:
+            re_lo, re_hi, im_lo, im_hi = base
+            w, h = re_hi - re_lo, im_hi - im_lo
+            sx, sy = _SHIFTS[attempt - 1]
+            self.rect = (re_lo + sx * w, re_hi + sx * w, im_lo + sy * h, im_hi + sy * h)
+        else:
+            self.rect = base
+        self.slots = None            # None until the initial samples are evaluated
+        self.winding = None
+        self._queue(_boundary(self.rect))
+
+    def _queue(self, samples):
+        self.pending, self.sent, self.parts = samples, 0, []
+
+    def send(self, room: int) -> np.ndarray:
+        """The next at most `room` pending samples to evaluate."""
+        chunk = self.pending[self.sent:self.sent + room]
+        self.sent += chunk.size
+        return chunk
+
+    def receive(self, f, d) -> bool:
+        """Keep F, F' at sent samples; True once the whole round is in."""
+        self.parts.append((f, d))
+        return self.sent == self.pending.size
+
+    def absorb(self) -> bool:
+        """Take in the round; True when midpoints are pending again.
+
+        Otherwise the box is finished: winding is the sum of the phase
+        increments over 2 pi, or None when |F| dipped below _DIP_FACTOR of the
+        median of the initial samples or refinement needs more than
+        _SAMPLE_BUDGET samples.
+        """
+        f = np.concatenate([part[0] for part in self.parts])
+        d = np.concatenate([part[1] for part in self.parts])
+        self.samples += f.size
+        new = np.stack([self.pending, f, d])
+        if self.slots is None:
+            self.zfd = np.concatenate([new, new[:, :1]], axis=1)
+            self.floor = _DIP_FACTOR * np.median(np.abs(f))
+        else:
+            self.zfd = np.insert(self.zfd, self.slots, new, axis=1)
+        if np.abs(f).min() < self.floor:
+            return False
+        z, fz, dz = self.zfd
+        turn = np.angle(fz[1:] / fz[:-1])
         slope = np.abs(dz / fz)
-        bound = np.maximum(slope, np.roll(slope, -1)) * np.abs(np.roll(z, -1) - z)
+        bound = np.maximum(slope[:-1], slope[1:]) * np.abs(z[1:] - z[:-1])
         coarse = np.flatnonzero((np.abs(turn) > _MAX_TURN) | (bound > _MAX_TURN))
         if coarse.size == 0:
-            return turn.sum() / (2.0 * math.pi)
-        if z.size + coarse.size > _SAMPLE_BUDGET:
-            return None
-        mid = 0.5 * (z[coarse] + z[(coarse + 1) % z.size])
-        new_f, new_d, _ = entire_char_fn_and_derivative(mid, p)
-        z = np.insert(z, coarse + 1, mid)
-        fz = np.insert(fz, coarse + 1, new_f)
-        dz = np.insert(dz, coarse + 1, new_d)
+            self.winding = turn.sum() / (2.0 * math.pi)
+            return False
+        if turn.size + coarse.size > _SAMPLE_BUDGET:
+            return False
+        self._queue(0.5 * (z[coarse] + z[coarse + 1]))
+        self.slots = coarse + 1
+        return True
 
 
-def _perturbed(rect, attempt: int):
-    re_lo, re_hi, im_lo, im_hi = rect
-    w, h = re_hi - re_lo, im_hi - im_lo
-    sx, sy = _SHIFTS[attempt]
-    return (re_lo + sx * w, re_hi + sx * w, im_lo + sy * h, im_hi + sy * h)
+class _Counter:
+    """Winding counts of many boxes that share their evaluation calls.
+
+    Boxes join with `submit` and refine round by round (see _Boundary).  Each
+    call evaluates at most _CHUNK pending samples, those of the most recently
+    submitted boxes first, so a subdivision goes ahead of boxes still counting
+    in the background; a box's round may span calls.  Pending samples are
+    screened for branch points before they are queued, so such a box shifts
+    without raising for the others.  A box that fails restarts shifted by the
+    next entry of _SHIFTS.  A rect already submitted keeps its ticket, so a
+    search can start boxes early and collect them later.
+    """
+
+    def __init__(self, p: BeamParams, report: RootSearchReport | None):
+        self.p, self.report = p, report
+        self.tickets = {}     # base rect -> ticket
+        self.boxes = []       # per ticket, the current attempt
+        self.outcomes = {}    # ticket -> (count, rect used, samples, shifted) or the error
+        self.live = []        # unresolved tickets, in submission order
+
+    def submit(self, rects) -> list:
+        """Tickets of rects; counting starts for those not yet submitted."""
+        tickets = []
+        for rect in rects:
+            base = tuple(float(v) for v in rect)
+            if base not in self.tickets:
+                self.tickets[base] = len(self.boxes)
+                self.boxes.append(None)
+                self.live.append(self.tickets[base])
+                self._screen(self.tickets[base], _Boundary(base))
+            tickets.append(self.tickets[base])
+        return tickets
+
+    def outcomes_of(self, tickets) -> list:
+        """The outcomes of the tickets, in order, once all are resolved."""
+        while any(t not in self.outcomes for t in tickets):
+            self._call()
+        return [self.outcomes[t] for t in tickets]
+
+    def first_resolved(self, tickets) -> dict:
+        """Ticket -> outcome of those tickets resolved once at least one is."""
+        while not any(t in self.outcomes for t in tickets):
+            self._call()
+        return {t: self.outcomes[t] for t in tickets if t in self.outcomes}
+
+    def _screen(self, ticket: int, box: _Boundary):
+        """Make box the ticket's; shift it if a pending sample lies near a branch point."""
+        self.boxes[ticket] = box
+        if _near_branch_point(box.pending, self.p.b).any():
+            self._shift(ticket)
+
+    def _shift(self, ticket: int):
+        box = self.boxes[ticket]
+        if box.attempt < len(_SHIFTS):
+            self._screen(ticket, _Boundary(box.base, box.attempt + 1, box.samples))
+        else:
+            self._resolve(ticket, BoundaryTooCloseToRoot(
+                f"boundary of {box.base} grazes a root or needs over {_SAMPLE_BUDGET} "
+                f"samples after {len(_SHIFTS)} shifts"))
+
+    def _resolve(self, ticket: int, outcome):
+        self.outcomes[ticket] = outcome
+        self.boxes[ticket] = None     # its samples are no longer needed
+        self.live.remove(ticket)
+
+    def _finish(self, ticket: int):
+        box = self.boxes[ticket]
+        if box.winding is None:
+            self._shift(ticket)      # grazes a root or over budget
+            return
+        k = round(box.winding)
+        if abs(box.winding - k) > _INTEGER_TOL or k < 0:
+            self._resolve(ticket, NonConvergentContour(
+                f"phase increments around {box.rect} sum to {float(box.winding)!r} turns"))
+        else:
+            self._resolve(ticket, (k, box.rect, box.samples, box.attempt > 0))
+
+    def _call(self):
+        """One evaluation of at most _CHUNK pending samples, newest boxes first."""
+        room, sent = _CHUNK, []
+        for ticket in reversed(self.live):
+            chunk = self.boxes[ticket].send(room)
+            if chunk.size:
+                sent.append((ticket, chunk))
+                room -= chunk.size
+                if not room:
+                    break
+        f, d, _ = entire_char_fn_and_derivative(np.concatenate([c for _, c in sent]), self.p)
+        if self.report is not None:
+            self.report.contour_rounds += 1
+        start = 0
+        for ticket, chunk in sent:
+            end = start + chunk.size
+            box = self.boxes[ticket]
+            if box.receive(f[start:end], d[start:end]):
+                if box.absorb():
+                    self._screen(ticket, box)
+                else:
+                    self._finish(ticket)
+            start = end
 
 
-def _count_rect(rect, p: BeamParams, report: RootSearchReport | None = None):
-    """Winding count plus the rectangle actually used (possibly perturbed)."""
-    base = tuple(float(v) for v in rect)
-    for cur in [base] + [_perturbed(base, i) for i in range(len(_SHIFTS))]:
-        try:
-            wind = _phase_winding(cur, p, report)
-        except NearBranchPoint:
-            wind = None
-        if wind is None:
-            continue    # boundary grazes a root or a branch point; next shift
-        k = round(wind)
-        if abs(wind - k) > _INTEGER_TOL or k < 0:
-            raise NonConvergentContour(f"phase increments around {cur} sum to {wind!r} turns")
-        if report is not None:
-            report.boxes.append((cur, k))
-            report.shifted_boxes += int(cur != base)
-        return k, cur
-    raise BoundaryTooCloseToRoot(
-        f"boundary of {rect} grazes a root or needs over {_SAMPLE_BUDGET} samples "
-        f"after {len(_SHIFTS)} shifts")
+def _logged(outcomes, report: RootSearchReport | None):
+    """(count, rect used) of each counter outcome, logged to report; the first
+    error, in the given order, is raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    if report is not None:
+        for k, used, samples, shifted in outcomes:
+            report.boxes.append((used, k))
+            report.shifted_boxes += int(shifted)
+            report.contour_points += samples
+    return [outcome[:2] for outcome in outcomes]
 
 
 def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = None) -> int:
     """Number of eigenvalues (with multiplicity) inside an axis-aligned box.
 
-    rect = (re_lo, re_hi, im_lo, im_hi).  The boundary starts with each
-    corner and 16 points per edge; an interval whose phase increment
-    exceeds pi/4, or whose length times the larger |F'/F| at its ends
-    exceeds pi/4, gets its midpoint, round by round.  The winding is the
-    sum of the increments over 2 pi, an integer up to rounding; a sum off
-    an integer by more than 1e-9, or negative, raises NonConvergentContour.
-    If |F| on the boundary dips below 1e-6 of the median of the initial
-    samples, a sample comes within 1e-6 of a branch point, or refinement
-    needs more than 4 * 8192 samples, the box is shifted by 1% of its size,
-    up to five deterministic attempts, then BoundaryTooCloseToRoot.
+    rect = (re_lo, re_hi, im_lo, im_hi).  This is the one-box use of the
+    batched counter, which refines many boxes in shared rounds: each
+    evaluation call takes at most 1024 new samples of the live boxes.  The
+    boundary starts with each corner and 16 points per edge; an interval
+    whose phase increment exceeds pi/4, or whose length times the larger
+    |F'/F| at its ends exceeds pi/4, gets its midpoint, round by round.  The
+    winding is the sum of the increments over 2 pi, an integer up to
+    rounding; a sum off an integer by more than 1e-9, or negative, raises
+    NonConvergentContour.  If |F| on the boundary dips below 1e-6 of the
+    median of the initial samples, a sample comes within 1e-6 of a branch
+    point, or refinement needs more than 4 * 8192 samples, the box is shifted
+    by 1% of its size, up to five deterministic attempts, then
+    BoundaryTooCloseToRoot.  Both errors name the rectangle.
     """
     require_unit_speed(p)
-    return _count_rect(rect, p, report)[0]
+    counter = _Counter(p, report)
+    return _logged(counter.outcomes_of(counter.submit([rect])), report)[0][0]
 
 
 def polish(seeds, p: BeamParams, tol: float = 1e-13,
@@ -308,9 +457,15 @@ def pair_at_frequency(p: BeamParams, k: int, variant: str = "dissipative",
     apart, come back as two records in family order; only an unresolvable
     cluster comes back as one record of multiplicity 2.
     """
-    if report is None:
-        report = RootSearchReport()
-    return _validate_pair(p, k, variant, _polished_families(p, k, variant, report), report)
+    return frequency_pairs(p, [k], variant, report)[0]
+
+
+def frequency_pairs(p: BeamParams, ks, variant: str = "dissipative",
+                    report: RootSearchReport | None = None) -> list:
+    """(records, complete) of each frequency k in ks, as pair_at_frequency,
+    from one `polish` of all seeds and one batch of box counts."""
+    counter = _Counter(p, report if report is not None else RootSearchReport())
+    return _frequency_pairs(p, ks, variant, counter)
 
 
 def _polished_families(p: BeamParams, k, variant: str, report: RootSearchReport):
@@ -321,19 +476,31 @@ def _polished_families(p: BeamParams, k, variant: str, report: RootSearchReport)
         return exc.records
 
 
-def _validate_pair(p: BeamParams, k: int, variant: str, recs, report: RootSearchReport):
-    """Count frequency box k and check the polished recs against it."""
-    rect = _validation_rect(p, k, variant)
-    count, rect = _count_rect(rect, p, report)
+def _frequency_pairs(p: BeamParams, ks, variant: str, counter: _Counter):
+    """frequency_pairs with the boxes counted on `counter`."""
+    ks = list(ks)
+    by_k = {}
+    for rec in _polished_families(p, ks, variant, counter.report):
+        by_k.setdefault(rec.k_index, []).append(rec)
+    rects = counter.submit([_validation_rect(p, k, variant) for k in ks])
+    counts = _logged(counter.outcomes_of(rects), counter.report)
+    return [_check_pair(p, k, variant, by_k.get(k, []), count, rect, counter)
+            for k, (count, rect) in zip(ks, counts)]
+
+
+def _check_pair(p: BeamParams, k: int, variant: str, recs, count: int, rect,
+                counter: _Counter):
+    """Check the polished recs of frequency box k against its count over rect."""
     inside = [r for r in recs if _inside(r.lam, rect)]
     coincident = len(inside) == 2 and abs(inside[0].lam - inside[1].lam) <= \
         _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
     if coincident and count == 2:
-        recs = inside = _isolate(rect, count, p, report)
+        recs = inside = _isolate(rect, count, p, counter)
         _label_pair(recs, p, k, variant)
     complete = count == sum(r.multiplicity for r in inside)
     if not complete:
-        report.incomplete_boxes.append((rect, count, sum(r.multiplicity for r in inside)))
+        counter.report.incomplete_boxes.append(
+            (rect, count, sum(r.multiplicity for r in inside)))
     return recs, complete
 
 
@@ -355,61 +522,66 @@ def _sweep_box(p: BeamParams, variant: str):
     return (-(p.k2 + p.k4) - 1.0, -1e-12, -0.3, top)
 
 
-def _low_frequency_sweep(p: BeamParams, variant: str, report: RootSearchReport):
-    """Count the low-frequency box and isolate its roots."""
-    outer = _sweep_box(p, variant)
-    total, outer = _count_rect(outer, p, report)
-    return _isolate(outer, total, p, report), outer, total
+def _halves(rect):
+    """The two halves of rect, its longer side split at the fraction _SPLIT."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    w, h = re_hi - re_lo, im_hi - im_lo
+    if w >= h:
+        mid = re_lo + _SPLIT * w
+        return [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
+    mid = im_lo + _SPLIT * h
+    return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
 
 
-def _isolate(outer, total: int, p: BeamParams, report: RootSearchReport):
+def _isolate(outer, total: int, p: BeamParams, counter: _Counter):
     """Records of the `total` roots in `outer`, by recursive subdivision.
 
-    A box with one root and diameter at most 0.25 is Newton-polished from
-    its centre.  Each box splits its longer side at the fraction _SPLIT,
-    not at the centre: halving the symmetric conservative box would put an
-    edge on Re lambda = 0, where every conservative root lies.
+    Each box splits its longer side at the fraction _SPLIT, not at the
+    centre: halving the symmetric conservative box would put an edge on
+    Re lambda = 0, where every conservative root lies.  The halves of a box
+    go to the counter as soon as its own count is in, so boxes of every
+    depth share evaluation calls.  A box with one root and diameter at most
+    0.25 waits as a leaf.  Whenever no count of the subdivision is pending,
+    all waiting leaves are Newton-polished from their centres in one
+    `polish`; a leaf whose polish fails or lands outside it splits in turn.
     """
-    records = []
-    stack = [(outer, total)]
+    report = counter.report
+    variant = "conservative" if p.is_conservative else "dissipative"
+    records, leaves, live = [], [], []
+    boxes = [(outer, total)] if total else []
     visited = 0
-    while stack:
-        rect, cnt = stack.pop()
-        visited += 1
-        if visited > 10000:
-            raise NoConvergence(f"subdivision of {outer} exploded")
-        if cnt == 0:
-            continue
-        re_lo, re_hi, im_lo, im_hi = rect
-        w, h = re_hi - re_lo, im_hi - im_lo
-        diam = max(w, h)
-        if diam < 1e-6:
-            # unresolvable cluster: record as a multiple root at the center
+    while boxes or live or leaves:
+        for rect, cnt in boxes:
+            visited += 1
+            if visited > 10000:
+                raise NoConvergence(f"subdivision of {outer} exploded")
+            re_lo, re_hi, im_lo, im_hi = rect
+            diam = max(re_hi - re_lo, im_hi - im_lo)
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            variant_tag = "conservative" if p.is_conservative else "dissipative"
-            records.append(
-                EigenvalueRecord(center, None, None, abs(char_fn(center, p)), cnt, variant_tag)
-            )
-            continue
-        if cnt == 1 and diam <= 0.25:
-            center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            (rec,) = polish([center], p, report=report)
-            if isinstance(rec, EigenvalueRecord) and _inside(
-                    rec.lam, (re_lo - 1e-6, re_hi + 1e-6, im_lo - 1e-6, im_hi + 1e-6)):
-                records.append(rec)
-                report.newton_iterations.append((rec.lam, rec.iterations))
-                continue
-            # fall through to subdivision when polishing misbehaves
-        if w >= h:
-            mid = re_lo + _SPLIT * w
-            halves = [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
-        else:
-            mid = im_lo + _SPLIT * h
-            halves = [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
-        for half in halves:
-            c, used = _count_rect(half, p, report)
-            if c:
-                stack.append((used, c))
+            if diam < 1e-6:
+                # unresolvable cluster: record as a multiple root at the center
+                records.append(EigenvalueRecord(center, None, None, abs(char_fn(center, p)),
+                                                cnt, variant))
+            elif cnt == 1 and diam <= 0.25:
+                leaves.append((rect, center))
+            else:
+                live += counter.submit(_halves(rect))
+        boxes = []
+        if live:
+            done = counter.first_resolved(live)
+            live = [t for t in live if t not in done]
+            boxes = [(used, c) for c, used in _logged(list(done.values()), report) if c]
+        elif leaves:
+            polished = polish([center for _, center in leaves], p, report=report)
+            for (rect, _), rec in zip(leaves, polished):
+                re_lo, re_hi, im_lo, im_hi = rect
+                if isinstance(rec, EigenvalueRecord) and _inside(
+                        rec.lam, (re_lo - 1e-6, re_hi + 1e-6, im_lo - 1e-6, im_hi + 1e-6)):
+                    records.append(rec)
+                    report.newton_iterations.append((rec.lam, rec.iterations))
+                else:
+                    live += counter.submit(_halves(rect))   # polishing misbehaved: split
+            leaves = []
     return records
 
 
@@ -463,8 +635,12 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
 
     Low-frequency sweep below (K_MIN + 1/2) pi, seeded Newton with per-box
     validation from K_MIN to k_max, conjugate closure, dedupe, family labels.
-    Im lambda below Newton's resolution is stored as 0.0.  Incomplete boxes
-    are reported, never silently dropped.
+    The sweep box, every frequency box and the union of them all are counted
+    in one batch; the union's count is report.global_count and must equal
+    the multiplicity of the records inside it.  Im lambda below Newton's
+    resolution is stored as 0.0.  Incomplete boxes, including a union that
+    disagrees or cannot be counted (winding None), are reported, never
+    silently dropped.
     """
     if k_max < 10:
         raise ValueError(f"k_max must be >= 10, got {k_max}")
@@ -473,14 +649,18 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
     require_unit_speed(p)
 
     report = RootSearchReport()
-    records, outer, outer_count = _low_frequency_sweep(p, variant, report)
-
-    by_k = {}
-    for rec in _polished_families(p, range(K_MIN, k_max + 1), variant, report):
-        by_k.setdefault(rec.k_index, []).append(rec)
+    counter = _Counter(p, report)
+    ks = range(K_MIN, k_max + 1)
+    outer, top = _sweep_box(p, variant), _validation_rect(p, k_max, variant)
+    union = (min(outer[0], top[0]), max(outer[1], top[1]), outer[2], top[3])
+    # the frequency boxes and the union count in the background of the sweep
+    counter.submit([_validation_rect(p, k, variant) for k in ks] + [union, outer])
+    ((outer_count, outer),) = _logged(counter.outcomes_of(counter.submit([outer])), report)
+    records = _isolate(outer, outer_count, p, counter)
+    pairs = _frequency_pairs(p, ks, variant, counter)
+    (union_out,) = counter.outcomes_of(counter.submit([union]))
     failed_k = []
-    for k in range(K_MIN, k_max + 1):
-        recs, complete = _validate_pair(p, k, variant, by_k.get(k, []), report)
+    for k, (recs, complete) in zip(ks, pairs):
         if len(recs) < 2 and not (len(recs) == 1 and recs[0].multiplicity == 2):
             failed_k.append(k)
         records.extend(recs)
@@ -507,9 +687,17 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
         if _on_real_axis(rec.lam):
             rec.lam = complex(rec.lam.real, 0.0)
 
-    in_outer = sum(r.multiplicity for r in records if _inside(r.lam, outer))
-    if in_outer != outer_count:
-        report.incomplete_boxes.append((outer, outer_count, in_outer))
+    def recovered(rect):
+        return sum(r.multiplicity for r in records if _inside(r.lam, rect))
+
+    if recovered(outer) != outer_count:
+        report.incomplete_boxes.append((outer, outer_count, recovered(outer)))
+    if isinstance(union_out, Exception):
+        report.incomplete_boxes.append((union, None, recovered(union)))
+    else:
+        report.global_count, union = union_out[:2]
+        if recovered(union) != report.global_count:
+            report.incomplete_boxes.append((union, report.global_count, recovered(union)))
 
     records.sort(key=_record_order)
     return records, report

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import tipbeam.spectrum
 from tipbeam.cli import main
 
 
@@ -67,12 +68,18 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
         (out2 / "spectrum_report.json").read_bytes()
     report = json.loads((out1 / "spectrum_report.json").read_text(encoding="utf-8"))
     stats = report["stats"]
-    assert set(stats) == {"boxes", "shifted_boxes", "contour_points",
-                          "newton_calls", "newton_iterations", "newton_rounds"}
+    assert set(stats) == {"boxes", "shifted_boxes", "contour_points", "contour_rounds",
+                          "newton_calls", "newton_iterations", "newton_rounds",
+                          "global_count"}
     assert stats["boxes"] == len(report["boxes"])
     assert stats["newton_iterations"] == sum(n["iterations"] for n in report["newton"])
     assert stats["contour_points"] > 0 and stats["newton_calls"] > 0
     assert stats["newton_rounds"] > 0
+    assert 0 < stats["contour_rounds"] < stats["contour_points"]
+    # the union of the strip's boxes starts at Im = -0.3
+    _, header, rows = read_csv(out1 / "spectrum.csv")
+    im, mult = header.index("im"), header.index("multiplicity")
+    assert stats["global_count"] == sum(int(r[mult]) for r in rows if float(r[im]) > -0.3)
 
 
 def test_spectrum_conservative_flag(tmp_path, generic_file):
@@ -172,6 +179,24 @@ def test_decay_reruns_are_byte_identical(tmp_path, generic_file):
     assert stats["energy_samples"] == fit["samples"]
     assert stats["kd"] <= 5 and stats["solve_n"] == 2 * 32 + 2
     assert 0 < stats["nnz_A"] <= 4 * (4 * 32 + 2) and 0 < stats["nnz_W"] <= 4 * (4 * 32 + 2)
+
+
+def test_table_names_the_uncertified_frequency(tmp_path, generic_file, monkeypatch, capsys):
+    # family 2 at k = 600 seeded at the root-free edge of its box: the five
+    # frequencies share one polish and one batch of counts, and the error
+    # still names the k that could not be certified
+    real_predict = tipbeam.spectrum.predict_eigenvalue
+
+    def predict(k, j, p, **kwargs):
+        if (k, j) == (600, 2):
+            return (k + 0.5) * math.pi * 1j - 0.1
+        return real_predict(k, j, p, **kwargs)
+
+    monkeypatch.setattr(tipbeam.spectrum, "predict_eigenvalue", predict)
+    assert main(["table", "--params", str(generic_file), "--out", str(tmp_path)]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "IncompleteBox"
+    assert error["message"] == "could not certify both families at k = 600"
 
 
 def test_table_degenerate_params(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import char_fn
 from tipbeam.errors import (
     BasinEscape,
+    BoundaryTooCloseToRoot,
     NearBranchPoint,
     NegativeRadicand,
     NoConvergence,
+    NonConvergentContour,
     RegimeMismatch,
 )
 from tipbeam.model import regime_info, validate_params
@@ -93,6 +96,76 @@ def test_count_resolves_close_roots_near_the_boundary(params_generic):
     report = RootSearchReport()
     assert count_roots_in_rect(rect, params_generic, report) == 19
     assert report.stats["contour_points"] > 0 and report.shifted_boxes == 0
+
+
+def _batch(rects, p):
+    """Counter outcomes of rects counted in one batch, and its evaluation calls."""
+    report = RootSearchReport()
+    counter = tipbeam.spectrum._Counter(p, report)
+    return counter.outcomes_of(counter.submit(rects)), report.contour_rounds
+
+
+def test_batched_counts_match_one_box_counts(params_generic):
+    # the branch-point corner, a zero box, a frequency box and the sweep box of
+    # the generic set; the near-edge conservative pair with a zero box and a
+    # frequency box: each count, rect used and sample total equals the box's
+    # one-box count, and only the branch-point box shifts
+    cons = validate_params(1.0, 2.038786616131473, 1.014145822087823, 0.0,
+                           2.8841124150393984, 0.0)
+    edge = 18.897837103895696
+    branch = (-1.0, 0.0, math.sqrt(params_generic.b), 3.0)
+    cases = [
+        (params_generic, [branch, (0.3, 2.3, 1.0, 20.0), (-5.0, 0.2, 11.5 * math.pi,
+                                                           12.5 * math.pi),
+                          (-5.0, -1e-12, -0.3, 8.5 * math.pi)]),
+        (cons, [(-0.5, 0.5, 18.180701554930696, edge), (-0.5, 0.5, edge, 19.817250046407196),
+                (0.3, 2.3, 1.0, 20.0), (-0.5, 0.5, 29.5 * math.pi, 30.5 * math.pi)]),
+    ]
+    for p, rects in cases:
+        batch, rounds = _batch(rects, p)
+        alone, alone_rounds = [], []
+        for rect in rects:
+            report = RootSearchReport()
+            count = count_roots_in_rect(rect, p, report)
+            ((used, winding),) = report.boxes
+            assert winding == count
+            alone.append((count, used, report.contour_points, report.shifted_boxes == 1))
+            alone_rounds.append(report.contour_rounds)
+        assert batch == alone
+        assert [shifted for *_, shifted in batch] == [rect == branch for rect in rects]
+        # the boxes refine side by side: the batch takes the calls of its slowest box
+        assert rounds == max(alone_rounds) < sum(alone_rounds)
+    assert [count for count, *_ in batch] == [1, 1, 0, 2]
+
+
+def test_batch_errors_name_the_rect(params_generic, monkeypatch):
+    p = params_generic
+    branch = (-1.0, 0.0, math.sqrt(p.b), 3.0)
+    frequency = (-5.0, 0.2, 11.5 * math.pi, 12.5 * math.pi)
+    zero = (0.3, 2.3, 1.0, 20.0)
+    # without shifts the branch-point box cannot be counted; the others can
+    monkeypatch.setattr(tipbeam.spectrum, "_SHIFTS", ())
+    outcomes, _ = _batch([zero, branch, frequency], p)
+    assert [o[0] for o in outcomes[::2]] == [0, 2]
+    assert isinstance(outcomes[1], BoundaryTooCloseToRoot)
+    with pytest.raises(BoundaryTooCloseToRoot, match=re.escape(f"boundary of {branch}")):
+        tipbeam.spectrum._logged(outcomes, None)
+    monkeypatch.undo()
+    # F conjugated on the frequency box only: it winds -2 and is refused by name
+    real = tipbeam.spectrum.entire_char_fn_and_derivative
+
+    def mirrored(lam, params):
+        f, d, fval = real(lam, params)
+        on_box = (lam.imag > 11.4 * math.pi) & (lam.imag < 12.6 * math.pi)
+        return np.where(on_box, f.conj(), f), np.where(on_box, d.conj(), d), fval
+
+    monkeypatch.setattr(tipbeam.spectrum, "entire_char_fn_and_derivative", mirrored)
+    outcomes, _ = _batch([zero, frequency], p)
+    assert outcomes[0][0] == 0
+    assert isinstance(outcomes[1], NonConvergentContour)
+    assert str(outcomes[1]).startswith(f"phase increments around {frequency} sum to -2")
+    with pytest.raises(NonConvergentContour, match=re.escape(str(frequency))):
+        count_roots_in_rect(frequency, p)
 
 
 def test_refine_root_from_prediction(params_generic):
@@ -490,6 +563,49 @@ def test_conservative_boxes_avoid_root_locus(cons_spectrum):
         assert min(abs(re_lo), abs(re_hi)) >= 0.01 * width
     assert report.stats["shifted_boxes"] == 0
     assert report.stats["boxes"] == len(report.boxes)
+
+
+def test_generic_strip_batches_its_evaluations(params_generic):
+    # k <= 200: the strip's 466 boxes share their evaluation calls, and the
+    # sweep's leaves share their polishes
+    recs, report = spectrum_in_strip(params_generic, 200)
+    stats = report.stats
+    assert report.incomplete_boxes == []
+    assert stats["contour_rounds"] <= 120
+    assert stats["newton_rounds"] <= 45
+    assert stats["global_count"] == 403 == sum(r.multiplicity for r in recs
+                                               if r.lam.imag > -0.3)
+
+
+def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
+    p = params_generic
+    union = (-5.0, 0.2, -0.3, 12.5 * math.pi)
+    # a sweep root lost before the conjugate closure: the union counts 27
+    real_label = tipbeam.spectrum._label_low_frequency
+
+    def drop_one(records, params, variant):
+        records.remove(next(r for r in records if 1.0 < r.lam.imag < 2.0))
+        real_label(records, params, variant)
+
+    monkeypatch.setattr(tipbeam.spectrum, "_label_low_frequency", drop_one)
+    _, report = spectrum_in_strip(p, 12)
+    assert report.global_count == 27
+    assert (union, 27, 26) in report.incomplete_boxes
+    monkeypatch.undo()
+    # |F| collapsed on the union's right edge below the frequency boxes, in
+    # every shift: the union cannot be counted, the search still returns
+    real = tipbeam.spectrum.entire_char_fn_and_derivative
+
+    def dip(lam, params):
+        f, d, fval = real(lam, params)
+        off = (lam.real > 0.1) & (lam.imag < 7.4 * math.pi)
+        return np.where(off, 1e-30 * f, f), d, fval
+
+    monkeypatch.setattr(tipbeam.spectrum, "entire_char_fn_and_derivative", dip)
+    recs, report = spectrum_in_strip(p, 12)
+    assert report.global_count is None
+    assert report.incomplete_boxes == [(union, None, 27)]
+    assert len(recs) == 2 * 27 - 2     # two real roots
 
 
 def test_spectrum_stats_count_the_search(fig_spectrum):
