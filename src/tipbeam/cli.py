@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import predict_eigenvalue
-from .charfn import boundary_matrix
 from .errors import ConfigError, IncompleteBox, TipbeamError
 from .model import BeamParams, GridState, regime_info, solve_static, validate_params
-from .modes import _matrix_nullspace, build_mode, mode_residuals, normalize, riesz_closeness
+from .modes import eigenmode, mode_residuals, riesz_closeness
 from .simulate import assemble_generator, fit_decay, integrate
 from .spectrum import K_MIN, RootSearchReport, family_roots, frequency_pairs, spectrum_in_strip
 
@@ -284,31 +283,27 @@ def _cmd_predict(cfg: RunConfig) -> list:
 
 def _cmd_modes(cfg: RunConfig) -> list:
     p = cfg.effective_params
-    entries = []
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
     report = RootSearchReport()
-    for rec in family_roots(p, range(K_MIN, cfg.k_max + 1), cfg.variant,
-                            tol=cfg.tolerance, report=report):
-        m = boundary_matrix(rec.lam, p)
-        coeffs = _matrix_nullspace(m, rec.lam)
-        matrix_residual = float(np.linalg.norm(m @ coeffs))
-        mode = normalize(build_mode(rec.lam, coeffs, p, variant=cfg.variant), p)
-        res = mode_residuals(mode, p)
-        identity = abs(rec.lam.real
-                       + (p.k2 / p.k1) * abs(mode.tip_eta) ** 2
-                       + (p.k4 / p.k3) * abs(mode.tip_gamma) ** 2)
-        entries.append({
-            "k": rec.k_index,
-            "j": rec.family,
-            "lambda": _pair(rec.lam),
-            "coefficients": [_pair(c) for c in mode.coeffs],
-            "branch_roots": [_pair(t) for t in mode._ts()],
-            "tip_eta": _pair(mode.tip_eta),
-            "tip_gamma": _pair(mode.tip_gamma),
-            "matrix_residual": matrix_residual,
-            "residuals": {name: float(r) for name, r in zip(names, res)},
-            "dissipation_identity": float(identity),
-        })
+    recs = family_roots(p, range(K_MIN, cfg.k_max + 1), cfg.variant,
+                        tol=cfg.tolerance, report=report)
+    modes = eigenmode(np.array([rec.lam for rec in recs]), p, variant=cfg.variant)
+    res = mode_residuals(modes, p)
+    identity = np.abs(modes.lam.real
+                      + (p.k2 / p.k1) * np.abs(modes.tip_eta) ** 2
+                      + (p.k4 / p.k3) * np.abs(modes.tip_gamma) ** 2)
+    entries = [{
+        "k": rec.k_index,
+        "j": rec.family,
+        "lambda": _pair(rec.lam),
+        "coefficients": [_pair(c) for c in modes.coeffs[i]],
+        "branch_roots": [_pair(t) for t in modes.ts[i]],
+        "tip_eta": _pair(modes.tip_eta[i]),
+        "tip_gamma": _pair(modes.tip_gamma[i]),
+        "matrix_residual": float(modes.matrix_residual[i]),
+        "residuals": {name: float(r) for name, r in zip(names, res[i])},
+        "dissipation_identity": float(identity[i]),
+    } for i, rec in enumerate(recs)]
     stats = {key: report.stats[key]
              for key in ("newton_calls", "newton_iterations", "newton_rounds")}
     path = cfg.out_dir / "modes.json"

@@ -168,31 +168,33 @@ def derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative on a uniform grid.
 
     Central five-point stencil in the interior, one-sided five-point stencils
-    at the two nodes next to each end.
+    at the two nodes next to each end.  The nodes run along the last axis.
     """
-    n = values.shape[0]
+    n = values.shape[-1]
     if n < 5:
         raise GridMismatch("need at least 5 nodes for the 4th-order stencil")
     d = np.empty_like(values)
-    d[2:-2] = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
+    d[..., 2:-2] = (values[..., :-4] - 8.0 * values[..., 1:-3]
+                    + 8.0 * values[..., 3:-1] - values[..., 4:]) / (12.0 * h)
     c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
     c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * h)
-    d[0] = c0 @ values[:5]
-    d[1] = c1 @ values[:5]
-    d[-1] = -(c0 @ values[-5:][::-1])
-    d[-2] = -(c1 @ values[-5:][::-1])
+    d[..., 0] = values[..., :5] @ c0
+    d[..., 1] = values[..., :5] @ c1
+    d[..., -1] = -(values[..., -5:][..., ::-1] @ c0)
+    d[..., -2] = -(values[..., -5:][..., ::-1] @ c1)
     return d
 
 
-def grid_inner_product(u1: GridState, u2: GridState, p: BeamParams) -> complex:
-    """Energy inner product of two sampled states.
+def grid_inner_product(u1: GridState, u2: GridState, p: BeamParams):
+    """Energy inner product of two sampled states, or of batches of them.
 
     Composite Simpson quadrature of
 
         v v1* + (1/b) z z1* + (a/b) y_x y1_x* + (u_x + y)(u1_x + y1)*
 
     plus the tip terms (1/k1) eta eta1* + (1/k3) gamma gamma1*.  Spatial
-    derivatives use the 4th-order stencils of ``derivative``.
+    derivatives use the 4th-order stencils of ``derivative``.  Fields with
+    leading batch axes before the node axis broadcast.
     """
     _check_same_grid(u1, u2)
     h = u1.h
@@ -205,9 +207,9 @@ def grid_inner_product(u1: GridState, u2: GridState, p: BeamParams) -> complex:
     w1 = derivative(u1.u, h) + u1.y
     w2 = derivative(u2.u, h) + u2.y
     s4 = w1 * np.conj(w2)
-    integral = np.sum(w * (s1 + s2 + s3 + s4))
-    tips = u1.eta * np.conj(u2.eta) / p.k1 + u1.gamma * np.conj(u2.gamma) / p.k3
-    return complex(integral + tips)
+    integral = np.sum(w * (s1 + s2 + s3 + s4), axis=-1)
+    val = integral + u1.eta * np.conj(u2.eta) / p.k1 + u1.gamma * np.conj(u2.gamma) / p.k3
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:

@@ -5,14 +5,23 @@ y(x) = sum c_i d_i e^{t_i x} whose coefficients span the nullspace of the
 4x4 boundary matrix.  Because every energy-norm integrand is again a sum
 of exponentials, Gram entries are evaluated exactly through (e^s - 1)/s,
 which keeps the k^2-weighted tail diagnostics free of quadrature error.
+
+The layer works on arrays of modes.  `eigenmode(lams, p)` builds every
+mode of an array of eigenvalues in one pass: one boundary-matrix
+evaluation, one stacked SVD and one normalization; a scalar eigenvalue
+gives a 0-d batch.  The fields of a ModeShape carry the shape of its
+lambdas as leading axes, and indexing a ModeShape indexes those axes, so
+modes[i] is one mode.  `gram_inner_product` broadcasts over them:
+gram_inner_product(psi, phi, p) pairs two batches lane by lane, and
+gram_inner_product(modes[:, None], modes[None, :], p) is the Gram matrix.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .charfn import BranchRoots, boundary_matrix, branch_roots, mode_couplings
+from .charfn import _check_nonzero, _matrix
 from .errors import (
     NotAnEigenvalue,
     RankDeficiencyTwo,
@@ -28,30 +37,39 @@ _ROOT_FLOOR = 1e-9    # sigma relative to sigma1 at which a direction counts as 
 
 @dataclass(frozen=True)
 class ModeShape:
-    """Closed-form eigenfunction u, y with its energy-space tip traces.
+    """Closed-form eigenfunctions u, y with their energy-space tip traces.
 
+    Every field has the batch shape of lam as its leading axes; coeffs, the
+    exponents ts and the shear couplings d_i add a trailing axis of four.
     tip_eta is lambda*u(1), the velocity trace at the tip.  tip_gamma
     carries the extra sqrt(a/b) factor on lambda*y(1) so that the energy
     norm and the dissipation identity hold exactly for every a, b.
+    matrix_residual is ||M(lambda) c|| for the nullspace vector scaled to
+    largest entry one, before normalization.
     """
 
-    lam: complex
+    lam: np.ndarray
     coeffs: np.ndarray
-    roots: BranchRoots
+    ts: np.ndarray
     couplings: np.ndarray
-    hnorm: float
-    tip_eta: complex
-    tip_gamma: complex
+    hnorm: np.ndarray
+    tip_eta: np.ndarray
+    tip_gamma: np.ndarray
+    matrix_residual: np.ndarray
     variant: str
 
-    def _ts(self) -> np.ndarray:
-        r = self.roots
-        return np.array([r.t1, r.t2, r.t3, r.t4])
+    def __getitem__(self, index) -> "ModeShape":
+        """Index the batch axes: modes[i] is one mode, modes[:, None] a broadcast view."""
+        return replace(self, **{f.name: getattr(self, f.name)[index]
+                                for f in fields(self) if f.name != "variant"})
 
     def _eval(self, x, weights: np.ndarray):
+        """sum_i w_i e^{t_i x}, shaped batch shape + x.shape."""
         x = np.asarray(x, dtype=float)
-        vals = np.exp(x[..., None] * self._ts()) @ weights
-        return complex(vals) if x.ndim == 0 else vals
+        lift = np.shape(self.lam) + (1,) * x.ndim + (4,)
+        vals = np.sum(np.exp(x[..., None] * self.ts.reshape(lift)) * weights.reshape(lift),
+                      axis=-1)
+        return complex(vals) if vals.ndim == 0 else vals
 
     def u(self, x):
         return self._eval(x, self.coeffs)
@@ -59,35 +77,51 @@ class ModeShape:
     def y(self, x):
         return self._eval(x, self.coeffs * self.couplings)
 
-    def ux(self, x):
-        return self._eval(x, self.coeffs * self._ts())
-
-    def yx(self, x):
-        return self._eval(x, self.coeffs * self.couplings * self._ts())
-
     def to_grid_state(self, N: int) -> GridState:
-        """Sample the eigenvector (u, lam u, y, lam y, eta, gamma) on a grid."""
+        """Sample the eigenvectors (u, lam u, y, lam y, eta, gamma) on a grid.
+
+        The node axis comes after the batch axes.
+        """
         x = np.linspace(0.0, 1.0, N + 1)
         u = self.u(x)
         y = self.y(x)
-        return GridState(N=N, u=u, v=self.lam * u, y=y, z=self.lam * y,
+        lam = np.asarray(self.lam)[..., None]
+        return GridState(N=N, u=u, v=lam * u, y=y, z=lam * y,
                          eta=self.tip_eta, gamma=self.tip_gamma)
 
 
-def nullspace_coeffs(lam, p: BeamParams) -> np.ndarray:
-    """Coefficients spanning the nullspace of the boundary matrix at lam.
+def _first(bad: np.ndarray) -> tuple:
+    """Index of the first True entry of a batch mask (empty for a 0-d batch)."""
+    return tuple(int(v) for v in np.unravel_index(np.argmax(bad), np.shape(bad)))
 
-    Right singular vector for the smallest singular value, rescaled so the
-    largest-modulus entry equals one.  A moderate smallest singular value
-    means lam is not actually an eigenvalue; two tiny ones mean geometric
-    multiplicity two, which this closed form does not span.
+
+def _lane_error(error, index: tuple, lam, why: str):
+    """error naming the offending mode's batch index and lambda; index rides along."""
+    at = f"mode {index[0] if len(index) == 1 else index}, " if index else ""
+    err = error(f"{at}lambda = {complex(np.asarray(lam)[index])}: {why}")
+    err.index = index
+    return err
+
+
+def eigenmode(lam, p: BeamParams, variant: str | None = None) -> ModeShape:
+    """Build, check and normalize the modes at an array of eigenvalues.
+
+    One boundary-matrix evaluation and one stacked SVD serve every mode.
+    The coefficients are the right singular vector of the smallest
+    singular value, rescaled so the largest-modulus entry is one, and are
+    then normalized to energy norm one.  A moderate smallest singular
+    value means lam is not actually an eigenvalue (NotAnEigenvalue); two
+    tiny ones mean geometric multiplicity two (RankDeficiencyTwo), which
+    this closed form does not span.  Both name the first offending mode.
     """
-    lam = complex(getattr(lam, "lam", lam))
-    return _matrix_nullspace(boundary_matrix(lam, p), lam)
-
-
-def _matrix_nullspace(m: np.ndarray, lam: complex) -> np.ndarray:
-    """nullspace_coeffs on an already built boundary matrix m = M(lam)."""
+    require_unit_speed(p)
+    lam = np.asarray(lam, dtype=complex)
+    if lam.ndim == 0:   # numpy's scalar arithmetic rounds apart from its array loops
+        return eigenmode(lam[None], p, variant)[0]
+    _check_nonzero(lam)
+    if variant is None:
+        variant = "conservative" if p.is_conservative else "dissipative"
+    m, (ts, exps, _, d, _, _) = _matrix(lam, p)
     _, s, vh = np.linalg.svd(m)
     # sigma4/sigma3 <= 1e-6 is the usual quality gate, but sigma3 is itself
     # depressed when a second simple root sits Theta(1/k^2) away (unequal
@@ -95,36 +129,25 @@ def _matrix_nullspace(m: np.ndarray, lam: complex) -> np.ndarray:
     # the rounding floor of the matrix scale is accepted regardless.  At the
     # measured roots sigma4/sigma1 stays below 7e-13 while the midpoint
     # between two such neighbors gives 2e-7: six orders of separation.
-    if s[2] <= _ROOT_FLOOR * s[0]:
-        raise RankDeficiencyTwo(
-            f"two singular values vanish at {lam}: {s[3]:.3e}, {s[2]:.3e}")
-    if s[3] > _RANK_RTOL * s[2] and s[3] > _ROOT_FLOOR * s[0]:
-        raise NotAnEigenvalue(
-            f"sigma4/sigma3 = {s[3] / s[2]:.3e}, sigma4/sigma1 = "
-            f"{s[3] / s[0]:.3e} at {lam}; not in the spectrum")
-    c = np.conj(vh[3])
-    return c / c[np.argmax(np.abs(c))]
-
-
-def build_mode(lam, c: np.ndarray, p: BeamParams, variant: str | None = None) -> ModeShape:
-    """Assemble a ModeShape from nullspace coefficients; hnorm is computed."""
-    lam = complex(getattr(lam, "lam", lam))
-    require_unit_speed(p)
-    if variant is None:
-        variant = "conservative" if p.is_conservative else "dissipative"
-    roots = branch_roots(lam, p.b)
-    d = np.array(mode_couplings(lam, roots))
-    c = np.asarray(c, dtype=complex)
-    ts = np.array([roots.t1, roots.t2, roots.t3, roots.t4])
-    e1 = np.exp(ts)
-    u_tip = np.sum(c * e1)
-    y_tip = np.sum(c * d * e1)
-    mode = ModeShape(lam=lam, coeffs=c, roots=roots, couplings=d, hnorm=0.0,
-                     tip_eta=lam * u_tip,
-                     tip_gamma=math.sqrt(p.a / p.b) * lam * y_tip,
+    s1, s3, s4 = s[..., 0], s[..., 2], s[..., 3]
+    deficient = s3 <= _ROOT_FLOOR * s1
+    bad = deficient | ((s4 > _RANK_RTOL * s3) & (s4 > _ROOT_FLOOR * s1))
+    if np.any(bad):
+        i = _first(bad)
+        if deficient[i]:
+            raise _lane_error(RankDeficiencyTwo, i, lam,
+                              f"two singular values vanish: {s4[i]:.3e}, {s3[i]:.3e}")
+        raise _lane_error(NotAnEigenvalue, i, lam,
+                          f"sigma4/sigma3 = {s4[i] / s3[i]:.3e}, "
+                          f"sigma4/sigma1 = {s4[i] / s1[i]:.3e}; not in the spectrum")
+    c = np.conj(vh[..., 3, :])
+    c = c / np.take_along_axis(c, np.argmax(np.abs(c), axis=-1)[..., None], axis=-1)
+    mode = ModeShape(lam=lam, coeffs=c, ts=ts, couplings=d, hnorm=None,
+                     tip_eta=lam * np.sum(c * exps, axis=-1),
+                     tip_gamma=math.sqrt(p.a / p.b) * lam * np.sum(c * d * exps, axis=-1),
+                     matrix_residual=np.linalg.norm(m @ c[..., None], axis=(-2, -1)),
                      variant=variant)
-    g = gram_inner_product(mode, mode, p)
-    return replace(mode, hnorm=math.sqrt(abs(g)))
+    return normalize(replace(mode, hnorm=np.sqrt(np.abs(gram_inner_product(mode, mode, p)))), p)
 
 
 def _exp_integral(s: np.ndarray) -> np.ndarray:
@@ -139,75 +162,58 @@ def _exp_integral(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_inner_product(m1: ModeShape, m2: ModeShape, p: BeamParams) -> complex:
-    """Energy inner product of two modes, evaluated in closed form.
+def gram_inner_product(m1: ModeShape, m2: ModeShape, p: BeamParams):
+    """Energy inner products <m1, m2>, broadcast over the two batch shapes.
 
     Every integrand term is a product of exponentials, so the x-integrals
     reduce to (e^s - 1)/s with s = t_i + conj(t_j').  The tip traces add
     (1/k1) eta eta1* + (1/k3) gamma gamma1*.
     """
-    t = m1._ts()
-    tq = np.conj(m2._ts())
-    c, d, lam = m1.coeffs, m1.couplings, m1.lam
-    cq, dq, lamq = np.conj(m2.coeffs), np.conj(m2.couplings), np.conjugate(m2.lam)
-    ee = _exp_integral(t[:, None] + tq[None, :])
-    v = lam * c
-    vq = lamq * cq
-    z = lam * c * d
-    zq = lamq * cq * dq
-    yx = c * d * t
-    yxq = cq * dq * tq
-    sh = c * (t + d)
-    shq = cq * (tq + dq)
-    total = (np.outer(v, vq) + np.outer(z, zq) / p.b
-             + (p.a / p.b) * np.outer(yx, yxq) + np.outer(sh, shq)) * ee
-    val = total.sum()
-    val += m1.tip_eta * np.conj(m2.tip_eta) / p.k1
-    val += m1.tip_gamma * np.conj(m2.tip_gamma) / p.k3
-    return complex(val)
+    def factors(m):
+        # per exponent: v = lam u, z = lam y, y_x and the shear u_x + y
+        c, d, t = m.coeffs, m.couplings, m.ts
+        v = np.asarray(m.lam)[..., None] * c
+        return np.stack([v, v * d, c * d * t, c * (t + d)], axis=-2)
+
+    weights = np.array([1.0, 1.0 / p.b, p.a / p.b, 1.0])[:, None]
+    pairs = np.swapaxes(weights * factors(m1), -1, -2) @ np.conj(factors(m2))
+    ee = _exp_integral(m1.ts[..., :, None] + np.conj(m2.ts)[..., None, :])
+    return (np.einsum("...ij,...ij->...", pairs, ee)
+            + m1.tip_eta * np.conj(m2.tip_eta) / p.k1
+            + m1.tip_gamma * np.conj(m2.tip_gamma) / p.k3)
 
 
 def normalize(m: ModeShape, p: BeamParams) -> ModeShape:
-    """Rescale so the energy norm is one; recomputes hnorm as a check."""
-    if not (m.hnorm > 0.0) or not math.isfinite(m.hnorm):
-        raise ZeroMode(f"cannot normalize a mode of norm {m.hnorm}")
-    scaled = replace(m, coeffs=m.coeffs / m.hnorm,
-                     tip_eta=m.tip_eta / m.hnorm,
-                     tip_gamma=m.tip_gamma / m.hnorm)
-    g = gram_inner_product(scaled, scaled, p)
-    return replace(scaled, hnorm=math.sqrt(abs(g)))
-
-
-def eigenmode(lam, p: BeamParams, variant: str | None = None) -> ModeShape:
-    """Nullspace coefficients, assembly and normalization in one call."""
-    c = nullspace_coeffs(lam, p)
-    return normalize(build_mode(lam, c, p, variant=variant), p)
+    """Rescale every mode to energy norm one; recomputes hnorm as a check."""
+    h = np.asarray(m.hnorm)
+    bad = ~(np.isfinite(h) & (h > 0.0))
+    if np.any(bad):
+        i = _first(bad)
+        raise _lane_error(ZeroMode, i, m.lam, f"cannot normalize a mode of norm {h[i]}")
+    scaled = replace(m, coeffs=m.coeffs / h[..., None], tip_eta=m.tip_eta / h,
+                     tip_gamma=m.tip_gamma / h)
+    return replace(scaled, hnorm=np.sqrt(np.abs(gram_inner_product(scaled, scaled, p))))
 
 
 def mode_residuals(m: ModeShape, p: BeamParams) -> np.ndarray:
-    """Six residuals: two interior ODEs, two clamped traces, two tip laws.
+    """Six residuals per mode: two interior ODEs, two clamped traces, two tip laws.
 
-    Interior residuals are maxima over 20 Chebyshev points; all are raw
-    (not normalized by the mode's energy norm).
+    Shaped batch shape + (6,).  Interior residuals are maxima over 20
+    Chebyshev points; all are raw (not normalized by the energy norm).
     """
-    lam = m.lam
-    x = 0.5 * (1.0 + np.cos(np.pi * (np.arange(20) + 0.5) / 20.0))
-    ts = m._ts()
-    c, d = m.coeffs, m.couplings
-    u = m._eval(x, c)
-    y = m._eval(x, c * d)
-    ux = m._eval(x, c * ts)
-    yx = m._eval(x, c * d * ts)
-    uxx = m._eval(x, c * ts * ts)
-    yxx = m._eval(x, c * d * ts * ts)
-    r1 = np.max(np.abs(uxx + yx - lam * lam * u))
-    r2 = np.max(np.abs(p.a * yxx - p.b * (ux + y) - lam * lam * y))
-    r3 = abs(m.u(0.0))
-    r4 = abs(m.y(0.0))
-    u1, y1 = m.u(1.0), m.y(1.0)
-    r5 = abs(lam * lam * u1 + p.k1 * (m.ux(1.0) + y1) + p.k2 * lam * u1)
-    r6 = abs(lam * lam * y1 + p.k3 * m.yx(1.0) + p.k4 * lam * y1)
-    return np.array([r1, r2, r3, r4, r5, r6])
+    lam = np.asarray(m.lam)
+    lx = lam[..., None]
+    # 20 interior points, then the clamped end and the tip
+    x = np.append(0.5 * (1.0 + np.cos(np.pi * (np.arange(20) + 0.5) / 20.0)), [0.0, 1.0])
+    c, cd, ts = m.coeffs, m.coeffs * m.couplings, m.ts
+    u, y, ux, yx, uxx, yxx = (m._eval(x, w) for w in
+                              (c, cd, c * ts, cd * ts, c * ts * ts, cd * ts * ts))
+    r1 = np.max(np.abs(uxx + yx - lx * lx * u)[..., :20], axis=-1)
+    r2 = np.max(np.abs(p.a * yxx - p.b * (ux + y) - lx * lx * y)[..., :20], axis=-1)
+    u1, y1 = u[..., 21], y[..., 21]
+    r5 = np.abs(lam * lam * u1 + p.k1 * (ux[..., 21] + y1) + p.k2 * lam * u1)
+    r6 = np.abs(lam * lam * y1 + p.k3 * yx[..., 21] + p.k4 * lam * y1)
+    return np.stack([r1, r2, np.abs(u[..., 20]), np.abs(y[..., 20]), r5, r6], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -229,6 +235,16 @@ class RieszDiagnostics:
     partial_sums: np.ndarray
 
 
+def _family_modes(p: BeamParams, ks, variant: str) -> ModeShape:
+    """Both family modes at every k, flat in (k, family) order; errors name k and j."""
+    lams = np.array([rec.lam for rec in family_roots(p, ks, variant)])
+    try:
+        return eigenmode(lams, p, variant=variant)
+    except (NotAnEigenvalue, RankDeficiencyTwo, ZeroMode) as err:
+        (i,) = err.index
+        raise type(err)(f"family {i % 2 + 1} at k = {ks[i // 2]}: {err}") from err
+
+
 def riesz_closeness(K: int, p: BeamParams, k_min: int = K_MIN) -> RieszDiagnostics:
     """Pair damped and undamped modes per (k, j) and measure their distance.
 
@@ -241,36 +257,23 @@ def riesz_closeness(K: int, p: BeamParams, k_min: int = K_MIN) -> RieszDiagnosti
         raise ValueError(f"K = {K} must be at least k_min = {k_min}")
     p0 = replace(p, k2=0.0, k4=0.0)
     ks = np.arange(k_min, K + 1)
-    shape = (len(ks), 2)
-    closeness = np.empty(shape)
-    alignment = np.empty(shape)
-    tip_eta = np.empty(shape)
-    tip_gamma = np.empty(shape)
-    gap = np.empty(shape)
-    damped_all = family_roots(p, ks, "dissipative")
-    cons_all = family_roots(p0, ks, "conservative")
-    for row, k in enumerate(ks):
-        damped, cons = damped_all[2 * row:2 * row + 2], cons_all[2 * row:2 * row + 2]
-        for j in (0, 1):
-            own = abs(damped[j].lam - cons[j].lam)
-            cross = abs(damped[j].lam - cons[1 - j].lam)
-            if own > 2.0 * cross:
-                raise UnpairedFamily(
-                    f"family {j + 1} at k = {k}: damped root {damped[j].lam} "
-                    f"sits closer to the other conservative family")
-            psi = eigenmode(damped[j].lam, p, variant="dissipative")
-            phi = eigenmode(cons[j].lam, p0, variant="conservative")
-            ip = gram_inner_product(psi, phi, p)
-            alignment[row, j] = abs(ip)
-            closeness[row, j] = max(2.0 - 2.0 * abs(ip), 0.0)
-            tip_eta[row, j] = abs(psi.tip_eta)
-            tip_gamma[row, j] = abs(psi.tip_gamma)
-            gap[row, j] = own
-    partial = 2.0 * np.cumsum(closeness.sum(axis=1))
-    return RieszDiagnostics(k_values=ks, closeness=closeness,
-                            alignment=alignment, tip_eta=tip_eta,
-                            tip_gamma=tip_gamma, pairing_gap=gap,
-                            partial_sums=partial)
+    psi = _family_modes(p, ks, "dissipative")
+    phi = _family_modes(p0, ks, "conservative")
+    damped, cons = psi.lam.reshape(-1, 2), phi.lam.reshape(-1, 2)
+    own = np.abs(damped - cons)
+    unpaired = own > 2.0 * np.abs(damped - cons[:, ::-1])
+    if np.any(unpaired):
+        row, j = _first(unpaired)
+        raise UnpairedFamily(
+            f"family {j + 1} at k = {ks[row]}: damped root {damped[row, j]} "
+            f"sits closer to the other conservative family")
+    alignment = np.abs(gram_inner_product(psi, phi, p)).reshape(-1, 2)
+    closeness = np.maximum(2.0 - 2.0 * alignment, 0.0)
+    return RieszDiagnostics(k_values=ks, closeness=closeness, alignment=alignment,
+                            tip_eta=np.abs(psi.tip_eta).reshape(-1, 2),
+                            tip_gamma=np.abs(psi.tip_gamma).reshape(-1, 2),
+                            pairing_gap=own,
+                            partial_sums=2.0 * np.cumsum(closeness.sum(axis=1)))
 
 
 def gram_condition(p: BeamParams, K: int, k_min: int = K_MIN) -> float:
@@ -284,11 +287,5 @@ def gram_condition(p: BeamParams, K: int, k_min: int = K_MIN) -> float:
     if K < 1:
         raise ValueError("K must be positive")
     variant = "conservative" if p.is_conservative else "dissipative"
-    modes = [eigenmode(rec.lam, p) for rec in family_roots(p, range(k_min, k_min + K), variant)]
-    n = len(modes)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = gram_inner_product(modes[i], modes[j], p)
-            g[j, i] = np.conj(g[i, j])
-    return float(np.linalg.cond(g))
+    modes = _family_modes(p, range(k_min, k_min + K), variant)
+    return float(np.linalg.cond(gram_inner_product(modes[:, None], modes[None, :], p)))

@@ -39,7 +39,7 @@ from .errors import (
     WindowTooShort,
 )
 from .model import BeamParams, GridState, grid_inner_product
-from .modes import gram_inner_product
+from .modes import ModeShape, gram_inner_product
 
 _KERNEL_TOL = 1e-8      # spurious consistency kernel of the duplicated tip rows
 
@@ -414,39 +414,21 @@ def fit_decay(trace: EnergyTrace, window: tuple = (0.25, 1.0)) -> DecayFit:
     return fit
 
 
-def spectral_solution(U0: GridState, modes, t: float, p: BeamParams) -> GridState:
+def spectral_solution(U0: GridState, modes: ModeShape, t: float, p: BeamParams) -> GridState:
     """Truncated eigenfunction expansion of the semigroup solution.
 
-    Coefficients solve the Gram system G c = <U0, psi_i> assembled from
-    closed-form inner products; the time factor is e^{lambda t} per mode.
-    Pass modes at conjugate eigenvalue pairs to represent real data.
+    modes is a 1-d batch (see `modes.eigenmode`).  Coefficients solve the
+    Gram system G c = <U0, psi_i> assembled from closed-form inner
+    products; the time factor is e^{lambda t} per mode.  Pass modes at
+    conjugate eigenvalue pairs to represent real data.
     """
-    if not modes:
-        raise ValueError("need at least one mode")
-    K = len(modes)
-    gram = np.empty((K, K), dtype=complex)
-    for i in range(K):
-        for j in range(K):
-            gram[i, j] = gram_inner_product(modes[j], modes[i], p)
+    if np.ndim(modes.lam) != 1 or not len(modes.lam):
+        raise ValueError("need a 1-d batch of at least one mode")
+    gram = gram_inner_product(modes[None, :], modes[:, None], p)
     cond = np.linalg.cond(gram)
     if cond > 1e8:
         raise IllConditionedGram(f"Gram condition {cond:.3e} exceeds 1e8")
-    N = U0.N
-    sampled = [m.to_grid_state(N) for m in modes]
-    beta = np.array([grid_inner_product(U0, s, p) for s in sampled])
-    coeff = np.linalg.solve(gram, beta)
-    weights = coeff * np.exp(np.array([m.lam for m in modes]) * t)
-    u = np.zeros(N + 1, dtype=complex)
-    v = np.zeros(N + 1, dtype=complex)
-    y = np.zeros(N + 1, dtype=complex)
-    z = np.zeros(N + 1, dtype=complex)
-    eta = 0.0 + 0.0j
-    gamma = 0.0 + 0.0j
-    for w, s in zip(weights, sampled):
-        u += w * s.u
-        v += w * s.v
-        y += w * s.y
-        z += w * s.z
-        eta += w * s.eta
-        gamma += w * s.gamma
-    return GridState(N=N, u=u, v=v, y=y, z=z, eta=eta, gamma=gamma)
+    sampled = modes.to_grid_state(U0.N)
+    w = np.linalg.solve(gram, grid_inner_product(U0, sampled, p)) * np.exp(modes.lam * t)
+    return GridState(N=U0.N, u=w @ sampled.u, v=w @ sampled.v, y=w @ sampled.y,
+                     z=w @ sampled.z, eta=w @ sampled.eta, gamma=w @ sampled.gamma)

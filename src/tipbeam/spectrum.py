@@ -616,18 +616,15 @@ def _dedupe(records):
 
 def _label_low_frequency(records, p: BeamParams, variant: str):
     """Assign family tags to sweep roots by nearest closed-form prediction."""
-    for rec in records:
-        if rec.family is not None or rec.lam.imag < 0:
-            continue
-        best = (np.inf, None)
-        for k in range(1, K_MIN + 2):
-            for j in (1, 2):
-                pred = predict_eigenvalue(k, j, p, variant=variant, k_min=1)
-                dist = abs(pred - rec.lam)
-                if dist < best[0]:
-                    best = (dist, j)
-        if best[0] < 0.5:
-            rec.family = best[1]
+    todo = [rec for rec in records if rec.family is None and rec.lam.imag >= 0]
+    if not todo:
+        return
+    preds = [(predict_eigenvalue(k, j, p, variant=variant, k_min=1), j)
+             for k in range(1, K_MIN + 2) for j in (1, 2)]
+    for rec in todo:
+        pred, j = min(preds, key=lambda pj: abs(pj[0] - rec.lam))   # min keeps the first of equals
+        if abs(pred - rec.lam) < 0.5:
+            rec.family = j
 
 
 def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):

@@ -439,12 +439,12 @@ def expansion_setup(params_generic, fig_low_records):
     u0 = solve_static(smooth_state(p, N, seed=0), p)
     upper = sorted(fig_low_records, key=lambda r: abs(r.lam.imag))
     def mode_set(count):
-        modes = []
+        lams = []
         for rec in upper[:count]:
-            modes.append(eigenmode(rec.lam, p))
+            lams.append(rec.lam)
             if rec.lam.imag > 1e-10:
-                modes.append(eigenmode(np.conj(rec.lam), p))
-        return modes
+                lams.append(np.conj(rec.lam))
+        return eigenmode(np.array(lams), p)
     return p, u0, mode_set
 
 
@@ -477,4 +477,6 @@ def test_spectral_solution_rejects_duplicates(expansion_setup):
     p, u0, mode_set = expansion_setup
     modes = mode_set(4)
     with pytest.raises(IllConditionedGram):
-        spectral_solution(u0, modes + modes[:1], 0.0, p)
+        spectral_solution(u0, modes[np.r_[0:len(modes.lam), 0]], 0.0, p)
+    with pytest.raises(ValueError, match="at least one mode"):
+        spectral_solution(u0, modes[:0], 0.0, p)
