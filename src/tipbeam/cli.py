@@ -301,6 +301,7 @@ def _cmd_modes(cfg: RunConfig) -> list:
         "tip_eta": _pair(modes.tip_eta[i]),
         "tip_gamma": _pair(modes.tip_gamma[i]),
         "matrix_residual": float(modes.matrix_residual[i]),
+        "conditioning": float(modes.conditioning[i]),
         "residuals": {name: float(r) for name, r in zip(names, res[i])},
         "dissipation_identity": float(identity[i]),
     } for i, rec in enumerate(recs)]

@@ -45,7 +45,10 @@ class ModeShape:
     carries the extra sqrt(a/b) factor on lambda*y(1) so that the energy
     norm and the dissipation identity hold exactly for every a, b.
     matrix_residual is ||M(lambda) c|| for the nullspace vector scaled to
-    largest entry one, before normalization.
+    largest entry one, before normalization.  conditioning is sigma3/sigma1
+    of M(lambda): the gap of the nullspace to the next singular direction.
+    It is small near the degenerate sqrt(b) lattice, where coeffs and the
+    tip traces move with the last bits of lambda.
     """
 
     lam: np.ndarray
@@ -56,6 +59,7 @@ class ModeShape:
     tip_eta: np.ndarray
     tip_gamma: np.ndarray
     matrix_residual: np.ndarray
+    conditioning: np.ndarray
     variant: str
 
     def __getitem__(self, index) -> "ModeShape":
@@ -146,7 +150,7 @@ def eigenmode(lam, p: BeamParams, variant: str | None = None) -> ModeShape:
                      tip_eta=lam * np.sum(c * exps, axis=-1),
                      tip_gamma=math.sqrt(p.a / p.b) * lam * np.sum(c * d * exps, axis=-1),
                      matrix_residual=np.linalg.norm(m @ c[..., None], axis=(-2, -1)),
-                     variant=variant)
+                     conditioning=s3 / s1, variant=variant)
     return normalize(replace(mode, hnorm=np.sqrt(np.abs(gram_inner_product(mode, mode, p)))), p)
 
 

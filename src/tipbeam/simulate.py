@@ -1,24 +1,30 @@
 """Finite-difference oracle: discrete generator, energy-exact integrator.
 
-The generator acts on (u_1..u_N, v_1..v_N, y_1..y_N, z_1..z_N, eta, gamma)
-with the clamped node eliminated.  Interior rows reduce to the standard
-second-order central stencils, but they are assembled from midpoint shear
-and slope fluxes so that the matrix is exactly skew-adjoint in the
-discrete energy weight when the damping gains vanish.  The only energy
-drain of the implicit midpoint integrator is then the boundary feedback,
-which is what the decay measurements are after.
+The state of N cells, clamped node eliminated, is ordered as the
+displacements d = (u_1, y_1, .., u_N, y_N) and then the velocities
+w = (v_1, z_1, .., v_N, z_N, eta, gamma), node by node, so the generator is
+the block matrix A = [[0, S], [K, D]] and eta, gamma sit at coordinates
+4N, 4N+1.  It is stored as the four blocks that define it: the transport S
+(d' = S w); the flux operator B, whose rows are the midpoint shears
+(u_m - u_{m-1})/h + (y_{m-1} + y_m)/2 and the sqrt(a/b)-scaled slopes
+(y_m - y_{m-1})/h; the diagonal velocity masses M_w; and the tip damping
+D, non-zero only in the eta and gamma columns.  Everything else is
+derived: the stiffness W_d = h B^T B, the accelerations M_w K = -S^T W_d,
+and the sparse 4N+2 arrays `matrix` (A) and `weight` (W = diag(W_d, M_w)).
+So A is skew in W up to D by construction, the interior rows reduce to the
+standard second-order central stencils, and the only energy drain of the
+implicit midpoint integrator is the boundary feedback, which is what the
+decay measurements are after.  The energy is read from the fluxes as a sum
+of squares, which does not cancel the way x^T W x does on the O(1/h)
+entries of W_d.
 
-Both the generator and its weight are sparse (about three entries per
-row), from assembly through energy evaluation.  The generator has the
-block form [[0, S], [K, D]] on displacements (u, y) and velocities
-(v, z, eta, gamma), with the damping D confined to the two tip columns, and
-the weight is diag(W_d, M_w) with M_w diagonal.  The midpoint rule on such a
-second-order system is Newmark's average-acceleration scheme, so the
-integrator eliminates the displacements: each step solves the 2N+2 velocity
-system M_w (I - dt^2/4 KS), symmetric positive definite because
-W_d S = -(M_w K)^T, with one banded Cholesky factorization (half-bandwidth
-five after reverse Cuthill-McKee) plus a rank-two correction for the tip
-damping.  Only the eigenvalue check densifies.
+The midpoint rule on this second-order system is Newmark's
+average-acceleration scheme, so the integrator eliminates the
+displacements: each step solves the 2N+2 velocity system
+M_w (I - dt^2/4 KS) = M_w + dt^2/4 S^T W_d S, symmetric positive definite,
+with one banded Cholesky factorization (half-bandwidth five after reverse
+Cuthill-McKee) plus a rank-two correction for the tip damping.  Only the
+eigenvalue check densifies.
 """
 
 import math
@@ -46,154 +52,102 @@ _KERNEL_TOL = 1e-8      # spurious consistency kernel of the duplicated tip rows
 
 @dataclass
 class DiscreteGenerator:
-    """Sparse (CSR) real generator with its energy weight on 4N+2 coordinates."""
+    """The blocks S, B, M_w, D of the generator on 4N+2 coordinates (CSR, M_w a vector)."""
 
     N: int
     params: BeamParams
-    matrix: scipy.sparse.csr_array
-    weight: scipy.sparse.csr_array
+    S: scipy.sparse.csr_array       # 2N x (2N+2): displacement rates from velocities
+    B: scipy.sparse.csr_array       # 2N x 2N: shear and scaled slope fluxes of d
+    M_w: np.ndarray                 # 2N+2 velocity masses
+    D: scipy.sparse.csr_array       # (2N+2) x (2N+2) tip damping
 
     @property
     def h(self) -> float:
         return 1.0 / self.N
 
+    @property
+    def W_d(self) -> scipy.sparse.csr_array:
+        """Stiffness h B^T B on the displacements."""
+        return self.h * (self.B.T @ self.B).tocsr()
+
+    @property
+    def matrix(self) -> scipy.sparse.csr_array:
+        """A = [[0, S], [K, D]] with M_w K = -S^T W_d."""
+        K = scipy.sparse.diags_array(-1.0 / self.M_w) @ (self.S.T @ self.W_d)
+        return scipy.sparse.block_array([[None, self.S], [K, self.D]], format="csr")
+
+    @property
+    def weight(self) -> scipy.sparse.csr_array:
+        """W = diag(W_d, M_w), the energy weight."""
+        return scipy.sparse.block_diag((self.W_d, scipy.sparse.diags_array(self.M_w)),
+                                       format="csr")
+
     def energy(self, vec: np.ndarray) -> float:
-        return 0.5 * float(np.real(np.conj(vec) @ (self.weight @ vec)))
+        """1/2 h (|shear|^2 + (a/b) |slope|^2) + 1/2 sum M_w |w|^2, from the fluxes B d."""
+        flux, w = self.B @ vec[:2 * self.N], vec[2 * self.N:]
+        return 0.5 * float(np.real(self.h * np.vdot(flux, flux) + np.vdot(w, self.M_w * w)))
 
 
 def _pack(state: GridState) -> np.ndarray:
-    vec = np.concatenate([state.u[1:], state.v[1:], state.y[1:], state.z[1:],
-                          [state.eta], [state.gamma]])
-    return vec
+    """(u_1, y_1, .., u_N, y_N, v_1, z_1, .., v_N, z_N, eta, gamma)."""
+    return np.concatenate([np.stack([state.u[1:], state.y[1:]], axis=-1).ravel(),
+                           np.stack([state.v[1:], state.z[1:]], axis=-1).ravel(),
+                           [state.eta], [state.gamma]])
 
 
 def _unpack(vec: np.ndarray, N: int) -> GridState:
-    zero = np.zeros(1, dtype=vec.dtype)
-    u = np.concatenate([zero, vec[0:N]])
-    v = np.concatenate([zero, vec[N:2 * N]])
-    y = np.concatenate([zero, vec[2 * N:3 * N]])
-    z = np.concatenate([zero, vec[3 * N:4 * N]])
+    zero = np.zeros((1, 2), dtype=vec.dtype)
+    (u, y), (v, z) = (np.concatenate([zero, pairs.reshape(N, 2)]).T
+                      for pairs in (vec[:2 * N], vec[2 * N:4 * N]))
     return GridState(N=N, u=u, v=v, y=y, z=z, eta=vec[4 * N], gamma=vec[4 * N + 1])
 
 
-def _shear_rows(N: int):
-    """Index/coefficient lists of w_m = (u_m - u_{m-1})/h + (y_{m-1}+y_m)/2."""
-    h = 1.0 / N
-    rows = []
-    for m in range(1, N + 1):
-        cols = [m - 1]
-        coef = [1.0 / h]
-        if m >= 2:
-            cols.append(m - 2)
-            coef.append(-1.0 / h)
-        cols.append(2 * N + m - 1)
-        coef.append(0.5)
-        if m >= 2:
-            cols.append(2 * N + m - 2)
-            coef.append(0.5)
-        rows.append((cols, coef))
-    return rows
-
-
-def _slope_rows(N: int):
-    """Index/coefficient lists of Dy_m = (y_m - y_{m-1})/h."""
-    h = 1.0 / N
-    rows = []
-    for m in range(1, N + 1):
-        cols = [2 * N + m - 1]
-        coef = [1.0 / h]
-        if m >= 2:
-            cols.append(2 * N + m - 2)
-            coef.append(-1.0 / h)
-        rows.append((cols, coef))
-    return rows
-
-
-class _Triplets:
-    """(row, col, value) lists; duplicates are summed when converted to CSR."""
-
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def emit(self, row: int, cols, coef, scale: float = 1.0) -> None:
-        self.rows.extend([row] * len(cols))
-        self.cols.extend(cols)
-        self.vals.extend([scale * w for w in coef])
-
-    def csr(self, n: int) -> scipy.sparse.csr_array:
-        rows = np.asarray(self.rows, dtype=np.int32)     # half the index storage of int64
-        cols = np.asarray(self.cols, dtype=np.int32)
-        out = scipy.sparse.coo_array((self.vals, (rows, cols)), shape=(n, n)).tocsr()
-        out.eliminate_zeros()       # the flux differences cancel some entries exactly
-        return out
+def _csr(rows, cols, vals, shape) -> scipy.sparse.csr_array:
+    index = (np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32))
+    out = scipy.sparse.coo_array((vals, index), shape=shape).tocsr()
+    out.eliminate_zeros()       # zero gains leave no damping entries
+    return out
 
 
 def assemble_generator(p: BeamParams, N: int) -> DiscreteGenerator:
-    """Build the 4N+2 generator and its energy weight, both sparse.
+    """Build the four blocks S, B, M_w and D of the generator.
 
-    The tip accelerations share one row with the tip trace derivatives and
-    carry the lumped half-cell mass, so consistent states (v_N = eta,
-    gamma = sqrt(a/b) z_N) stay consistent and dissipate exactly
-    -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2.  The u_N and y_N transport rows use
-    the weight-averaged velocities, which agree with v_N, z_N on
-    consistent states and make the conservative matrix skew for every
-    vector, not only the consistent ones.
+    The tip accelerations v_N, z_N carry the lumped half-cell mass and the
+    tip traces eta, gamma the masses 1/k1, 1/k3.  The u_N and y_N transport
+    rows use the weight-averaged velocities, which agree with v_N, z_N on
+    consistent states (v_N = eta, gamma = sqrt(a/b) z_N), so such states
+    stay consistent and dissipate exactly -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2.
     """
     if N < 16:
         raise ResolutionTooLow(f"N = {N} is below the minimum of 16")
     h = 1.0 / N
     a, b = p.a, p.b
     sab = math.sqrt(a / b)
-    n = 4 * N + 2
-    A = _Triplets()
-    shear = _shear_rows(N)
-    slope = _slope_rows(N)
-
-    # transport rows: du_m = v_m, dy_m = z_m away from the tip
-    for m in range(1, N):
-        A.emit(m - 1, [N + m - 1], [1.0])
-        A.emit(2 * N + m - 1, [3 * N + m - 1], [1.0])
+    v_N, z_N, eta, gamma = 2 * N - 2, 2 * N - 1, 2 * N, 2 * N + 1     # indices in w
     mu_v = 0.5 * h + 1.0 / p.k1
-    A.emit(N - 1, [2 * N - 1, 4 * N], [0.5 * h, 1.0 / p.k1], 1.0 / mu_v)  # weighted velocity
     mu_z = 0.5 * h / b + a / (b * p.k3)
-    A.emit(3 * N - 1, [4 * N - 1, 4 * N + 1], [0.5 * h / b, sab / p.k3], 1.0 / mu_z)
 
-    # interior accelerations from flux differences (central stencils)
-    for m in range(1, N):
-        row_v = N + m - 1
-        A.emit(row_v, *shear[m], 1.0 / h)
-        A.emit(row_v, *shear[m - 1], -1.0 / h)
-        row_z = 3 * N + m - 1
-        A.emit(row_z, *slope[m], a / h)
-        A.emit(row_z, *slope[m - 1], -a / h)
-        A.emit(row_z, *shear[m - 1], -0.5 * b)
-        A.emit(row_z, *shear[m], -0.5 * b)
+    transport = np.ones(2 * N)                  # du_m = v_m, dy_m = z_m away from the tip
+    transport[[v_N, z_N]] = (1.0 / mu_v) * (0.5 * h), (1.0 / mu_z) * (0.5 * h / b)
+    S = _csr(np.r_[0:2 * N, v_N, z_N], np.r_[0:2 * N, eta, gamma],
+             np.r_[transport, (1.0 / mu_v) * (1.0 / p.k1), (1.0 / mu_z) * (sab / p.k3)],
+             (2 * N, 2 * N + 2))
 
-    # tip rows: boundary laws with lumped half-cell mass; the tip traces
-    # eta, gamma repeat the rows of v_N and (scaled) z_N
-    for row in (2 * N - 1, 4 * N):
-        A.emit(row, *shear[N - 1], -1.0 / mu_v)
-        A.emit(row, [4 * N], [p.k2 / p.k1], -1.0 / mu_v)
-    for row, scale in ((4 * N - 1, -1.0 / mu_z), (4 * N + 1, -sab / mu_z)):
-        A.emit(row, *shear[N - 1], 0.5 * h * scale)
-        A.emit(row, *slope[N - 1], (a / b) * scale)
-        A.emit(row, [4 * N + 1], [sab * p.k4 / p.k3], scale)
+    # block bidiagonal: the shear and slope of cell m read nodes m - 1 and m
+    B = (scipy.sparse.kron(scipy.sparse.eye_array(N), [[1.0 / h, 0.5], [0.0, sab / h]])
+         + scipy.sparse.kron(scipy.sparse.eye_array(N, k=-1), [[-1.0 / h, 0.5], [0.0, -sab / h]])
+         ).tocsr()
 
-    # energy weight: kinetic diagonals plus shear/slope stiffness
-    W = _Triplets()
-    for m in range(1, N):
-        W.emit(N + m - 1, [N + m - 1], [h])
-        W.emit(3 * N + m - 1, [3 * N + m - 1], [h / b])
-    W.emit(2 * N - 1, [2 * N - 1], [0.5 * h])
-    W.emit(4 * N - 1, [4 * N - 1], [0.5 * h / b])
-    W.emit(4 * N, [4 * N], [1.0 / p.k1])
-    W.emit(4 * N + 1, [4 * N + 1], [1.0 / p.k3])
-    for (cols, coef), (scols, scoef) in zip(shear, slope):
-        for ci, wi in zip(cols, coef):
-            W.emit(ci, cols, coef, h * wi)
-        for ci, wi in zip(scols, scoef):
-            W.emit(ci, scols, scoef, h * (a / b) * wi)
-    return DiscreteGenerator(N=N, params=p, matrix=A.csr(n), weight=W.csr(n))
+    M_w = np.r_[np.tile([h, h / b], N), 1.0 / p.k1, 1.0 / p.k3]
+    M_w[[v_N, z_N]] = 0.5 * h, 0.5 * h / b
+
+    # the tip traces repeat the damping of v_N and (scaled) z_N
+    damp_v = (-1.0 / mu_v) * (p.k2 / p.k1)
+    damp_z = sab * p.k4 / p.k3
+    D = _csr([v_N, eta, z_N, gamma], [eta, eta, gamma, gamma],
+             [damp_v, damp_v, (-1.0 / mu_z) * damp_z, (-sab / mu_z) * damp_z],
+             (2 * N + 2, 2 * N + 2))
+    return DiscreteGenerator(N=N, params=p, S=S, B=B, M_w=M_w, D=D)
 
 
 def generator_spectrum(g: DiscreteGenerator, m: int) -> np.ndarray:
@@ -203,8 +157,9 @@ def generator_spectrum(g: DiscreteGenerator, m: int) -> np.ndarray:
     v_N != eta) are filtered out; everything else is a physical mode.  This
     is the one place the generator is densified.
     """
-    if m > g.matrix.shape[0]:
-        raise ValueError(f"asked for {m} of {g.matrix.shape[0]} eigenvalues")
+    n = 4 * g.N + 2
+    if m > n:
+        raise ValueError(f"asked for {m} of {n} eigenvalues")
     try:
         vals = scipy.linalg.eigvals(g.matrix.toarray())
     except scipy.linalg.LinAlgError as exc:
@@ -223,60 +178,35 @@ class EnergyTrace:
 
     times: np.ndarray
     energies: np.ndarray
-    fitted_exponent: float = math.nan
-    fitted_constant: float = math.nan
     final_state: GridState | None = None
     stats: dict = field(default_factory=dict)
-
-
-def _refuse_entries(m: scipy.sparse.coo_array, bad: np.ndarray, what: str,
-                    coords: np.ndarray | None = None) -> None:
-    """Raise ValueError naming the first flagged entry of m by its coordinates."""
-    rows, cols = (m.row, m.col) if coords is None else (coords[m.row], coords[m.col])
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        k = hits[np.lexsort((cols[hits], rows[hits]))[0]]
-        raise ValueError(f"{what}: entry [{rows[k]}, {cols[k]}] = {float(m.data[k])!r}")
-
-
-def _check_block_form(g: DiscreteGenerator, is_d: np.ndarray) -> None:
-    """Require A = [[0, S], [K, D]] and W = diag(W_d, M_w) with M_w diagonal."""
-    a = g.matrix.tocoo()
-    _refuse_entries(a, is_d[a.row] & is_d[a.col] & (a.data != 0.0),
-                    "A couples a displacement to a displacement")
-    w = g.weight.tocoo()
-    off = (is_d[w.row] != is_d[w.col]) | (~is_d[w.row] & (w.row != w.col))
-    _refuse_entries(w, off & (w.data != 0.0),
-                    "W is not block-diagonal with a diagonal velocity block")
 
 
 def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> EnergyTrace:
     """Implicit midpoint march in velocity form: one banded Cholesky, one solve per step.
 
-    The generator has the block form A = [[0, S], [K, D]] on the
-    displacements d = (u, y) and the velocities w = (v, z, eta, gamma), and
-    D, the tip damping, is non-zero only in the eta and gamma columns.  The
-    midpoint rule on this second-order system is Newmark's
-    average-acceleration scheme (beta = 1/4, gamma = 1/2), so d1 can be
-    eliminated:
+    The generator is A = [[0, S], [K, D]] on the displacements d = (u, y)
+    and the velocities w = (v, z, eta, gamma), and D, the tip damping, is
+    non-zero only in the eta and gamma columns.  The midpoint rule on this
+    second-order system is Newmark's average-acceleration scheme
+    (beta = 1/4, gamma = 1/2), so d1 can be eliminated:
 
         (C - dt/2 M_w D) w1 = M_w (I + dt/2 D + dt^2/4 KS) w0 + dt M_w K d0,
         d1 = d0 + dt/2 S (w0 + w1),
 
-    with C = M_w (I - dt^2/4 KS).  A is skew in the weight W = diag(W_d, M_w)
-    up to D, so W_d S = -(M_w K)^T and C = M_w + dt^2/4 S^T W_d S is
-    symmetric positive definite.  C is reordered once by reverse
-    Cuthill-McKee and factored once with dpbtrf; the r tip columns of D go
-    in as a precomputed r x r Sherman-Morrison-Woodbury correction (r set-up
-    solves).  A step is one fused sparse matvec for the right-hand side, one
-    dpbtrs, the correction and the displacement update.  This is the same
-    scheme as the full midpoint rule, so it conserves the energy exactly when
-    D = 0 and any decay in the samples is boundary feedback.
+    with C = M_w (I - dt^2/4 KS).  Since M_w K = -S^T W_d by construction,
+    C = M_w + dt^2/4 S^T W_d S is symmetric positive definite.  C is
+    reordered once by reverse Cuthill-McKee and factored once with dpbtrf;
+    the r tip columns of D go in as a precomputed r x r
+    Sherman-Morrison-Woodbury correction (r set-up solves).  A step is one
+    fused sparse matvec for the right-hand side, one dpbtrs, the correction
+    and the displacement update.  This is the same scheme as the full
+    midpoint rule, so it conserves the energy exactly when D = 0 and any
+    decay in the samples is boundary feedback.
 
-    A generator or weight of another form raises ValueError at its first
-    offending entry.  Energy is sampled on a stride targeting about one
-    thousand samples; a state or an energy sample that is not finite raises
-    SingularSolve naming the step and t.
+    Energy is sampled on a stride targeting about one thousand samples; a
+    state or an energy sample that is not finite raises SingularSolve
+    naming the step and t.
     """
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("T and dt must be positive")
@@ -290,40 +220,31 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         raise ValueError("time integration expects real initial data")
     x = x.astype(float)
 
-    N = g.N
-    n = g.matrix.shape[0]
-    is_d = np.zeros(n, dtype=bool)
-    is_d[0:N] = is_d[2 * N:3 * N] = True
-    _check_block_form(g, is_d)
-    disp, vel = np.flatnonzero(is_d), np.flatnonzero(~is_d)
-    nd, nw = disp.size, vel.size
-    d_rows, w_rows = g.matrix[disp], g.matrix[vel]
-    S, K, D = d_rows[:, vel], w_rows[:, disp], w_rows[:, vel]
-    mass = scipy.sparse.diags_array(g.weight.diagonal()[vel], format="csr")
-    MK = mass @ K
+    N, nd = g.N, 2 * g.N
+    S = g.S
+    mass = scipy.sparse.diags_array(g.M_w, format="csr")
+    W_d = g.W_d
+    MK = -(S.T @ W_d).tocsr()
     MKS = MK @ S
     C = (mass - (0.25 * dt * dt) * MKS).tocsr()
-    asym = abs(C - C.T).tocoo()
-    _refuse_entries(asym, asym.data > 1e-12 * abs(C).max(),
-                    "M_w K S is not symmetric, so A is not skew in W up to D", vel)
 
     perm = reverse_cuthill_mckee(abs(C), symmetric_mode=True)
     upper = scipy.sparse.triu(C[perm][:, perm]).tocoo()
     kd = int(np.max(upper.col - upper.row, initial=0))
+    nw = perm.size
     band = np.zeros((kd + 1, nw))               # LAPACK upper band storage
     band[kd + upper.row - upper.col, upper.col] = upper.data
     chol, info = dpbtrf(band, overwrite_ab=1)
     if info != 0:
         where = (f"zero pivot at index {info - 1} of the reordered matrix "
-                 f"(coordinate {vel[perm[info - 1]]})" if info > 0 else f"dpbtrf info = {info}")
+                 f"(coordinate {nd + perm[info - 1]})" if info > 0 else f"dpbtrf info = {info}")
         raise SingularSolve(f"M_w (I - dt^2/4 KS) is not positive definite for N = {N}, "
                             f"dt = {dt:.17g}: {where}")
 
     # tip damping, r = len(tips) columns J of D: with U = dt/2 M_w D[:, J],
     # (C - U E_J^T)^{-1} b = y + Z (I - Z[J])^{-1} y[J], y = C^{-1} b, Z = C^{-1} U
-    Dp = D[perm][:, perm]
-    tips = np.flatnonzero(abs(Dp).sum(axis=0))
-    half_MD = (0.5 * dt) * (mass[perm][:, perm] @ Dp)
+    half_MD = ((0.5 * dt) * (mass @ g.D))[perm][:, perm]
+    tips = np.flatnonzero(abs(half_MD).sum(axis=0))
     U = half_MD[:, tips].toarray()
     Z = np.empty_like(U)
     for i in range(tips.size):
@@ -332,14 +253,15 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         tip_gain = np.linalg.solve((np.eye(tips.size) - Z[tips]).T, Z.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularSolve(f"I - dt/2 A is singular for N = {N}, dt = {dt:.17g}: tip correction "
-                            f"at coordinates {sorted(vel[perm[tips]].tolist())}") from exc
+                            f"at coordinates {sorted((nd + perm[tips]).tolist())}") from exc
 
     right = scipy.sparse.hstack(
         [dt * MK[perm], (mass + (0.25 * dt * dt) * MKS)[perm][:, perm] + half_MD], format="csr")
     half_S = (0.5 * dt) * S[:, perm]
-    order = np.concatenate([disp, vel[perm]])   # state layout: d, then the reordered w
-    natural = np.empty_like(order)
-    natural[order] = np.arange(n, dtype=order.dtype)
+    unpermute = np.argsort(perm)
+
+    def natural(x):
+        return np.concatenate([x[:nd], x[nd:][unpermute]])
 
     stride = max(1, int(round(T / (1000.0 * dt))))
     times, energies = [], []
@@ -353,7 +275,7 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         energies.append(energy)
 
     sample(0, x)
-    x = x[order]
+    x[nd:] = x[nd:][perm]                       # w in the factored (RCM) order
     for step in range(1, nsteps + 1):
         y, _ = dpbtrs(chol, right @ x, overwrite_b=1)
         w = y + tip_gain @ y[tips]
@@ -362,7 +284,7 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         if not np.all(np.isfinite(x)):
             raise SingularSolve(f"integration blew up at step {step}, t = {step * dt:.17g}")
         if step % stride == 0 or step == nsteps:
-            sample(step, x[natural])
+            sample(step, natural(x))
     stats = {
         "steps": nsteps,
         "energy_samples": len(energies),
@@ -370,11 +292,11 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         "solves": nsteps + int(tips.size),
         "kd": kd,
         "solve_n": int(nw),
-        "nnz_A": int(g.matrix.nnz),
-        "nnz_W": int(g.weight.nnz),
+        "nnz_A": int(S.nnz + MK.nnz + g.D.nnz),      # the entries of matrix and weight
+        "nnz_W": int(W_d.nnz + nw),
     }
     return EnergyTrace(times=np.array(times), energies=np.array(energies),
-                       final_state=_unpack(x[natural], N), stats=stats)
+                       final_state=_unpack(natural(x), N), stats=stats)
 
 
 @dataclass(frozen=True)
@@ -407,11 +329,8 @@ def fit_decay(trace: EnergyTrace, window: tuple = (0.25, 1.0)) -> DecayFit:
         raise NonPositiveEnergy(
             f"energy {e[bad[0]]:.3e} <= 0 at t = {t[bad[0]]:.17g} in the fit window")
     slope, intercept = np.polyfit(np.log(t), np.log(e), 1)
-    fit = DecayFit(exponent=float(slope), constant=float(math.exp(intercept)),
-                   sup_te=float(np.max(t * e)), window=(float(lo), float(hi)))
-    trace.fitted_exponent = fit.exponent
-    trace.fitted_constant = fit.constant
-    return fit
+    return DecayFit(exponent=float(slope), constant=float(math.exp(intercept)),
+                    sup_te=float(np.max(t * e)), window=(float(lo), float(hi)))
 
 
 def spectral_solution(U0: GridState, modes: ModeShape, t: float, p: BeamParams) -> GridState:

@@ -127,6 +127,7 @@ def test_modes_reruns_are_byte_identical(tmp_path, generic_file):
     data = json.loads((outs[0] / "modes.json").read_text(encoding="utf-8"))
     assert [(e["k"], e["j"]) for e in data["modes"]] == \
         [(k, j) for k in range(8, 13) for j in (1, 2)]
+    assert all(0.0 < e["conditioning"] < 1.0 for e in data["modes"])
     stats = data["stats"]
     assert set(stats) == {"newton_calls", "newton_iterations", "newton_rounds"}
     assert stats["newton_calls"] == len(data["modes"]) == 10

@@ -24,7 +24,7 @@ from tipbeam.modes import (
     normalize,
     riesz_closeness,
 )
-from tipbeam.spectrum import K_MIN, EigenvalueRecord, polish, refine_root
+from tipbeam.spectrum import K_MIN, EigenvalueRecord, family_roots, polish, refine_root
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,19 @@ def test_nullspace_annihilates_matrix(params_generic, root12, mode12):
     # real energy norm, so it stays real and positive
     big = mode12.coeffs[np.argmax(np.abs(mode12.coeffs))]
     assert big.real > 0.0 and abs(big.imag) <= 1e-14 * big.real
+
+
+def test_conditioning_flags_the_degenerate_lattice(params_generic):
+    # sigma3/sigma1 of M(lambda) is 4.97e-4 / 17.8 on the borderline set at
+    # k = 48, j = 2, where one ulp of t_i moves tip_eta by 2e-10 relative;
+    # the generic modes up to k = 300 sit at 1e-3 and above
+    border = validate_params(1.0, *_REGIME_SETS["borderline"])
+    lam = [r.lam for r in family_roots(border, 48) if r.family == 2][0]
+    cond = eigenmode(lam, border).conditioning
+    assert 2.7e-5 <= cond <= 2.9e-5
+    recs = family_roots(params_generic, range(K_MIN, 301))
+    generic = eigenmode(np.array([r.lam for r in recs]), params_generic)
+    assert np.all(generic.conditioning >= 30.0 * cond)
 
 
 def test_nullspace_rejects_non_eigenvalue(params_generic):

@@ -1,10 +1,13 @@
-"""The README's library-use example runs against the current API."""
+"""The README's library-use example runs, and its command-line section names every stat."""
 
 import contextlib
 import io
+import json
 import math
 import re
 from pathlib import Path
+
+from tipbeam.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +29,18 @@ def test_readme_library_example_runs():
     assert complex(lam).imag > 39 * math.pi    # the top of the k <= 40 strip
     assert 0.0 < float(tip) < 1.0
     assert 1.0 <= float(cond) < 100.0
+
+
+def test_readme_names_every_stats_key(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    params = tmp_path / "beam.cfg"
+    params.write_text("a=1\nb=2\nk1=1\nk2=2\nk3=3\nk4=2\n", encoding="utf-8")
+    runs = {"spectrum": (["--kmax", "10"], "spectrum_report.json"),
+            "modes": (["--kmax", "10"], "modes.json"),
+            "decay": (["--grid-n", "16", "--horizon", "1"], "decay_fit.json")}
+    for command, (flags, artifact) in runs.items():
+        out = tmp_path / command
+        assert main([command, "--params", str(params), *flags, "--out", str(out)]) == 0
+        stats = json.loads((out / artifact).read_text(encoding="utf-8"))["stats"]
+        missing = [key for key in stats if f"`{key}`" not in section]
+        assert stats and not missing, f"{command}: stats keys not in the README: {missing}"

@@ -186,6 +186,30 @@ def test_integrate_second_order_in_dt(params_generic):
     assert d1 / d2 >= 3.0
 
 
+def flux_energy_long_double(state, p):
+    """The energy of a grid state from its shear and slope fluxes, summed in long double."""
+    L = np.longdouble
+    h = L(1) / state.N
+    u, v, y, z = (np.asarray(f, dtype=L) for f in (state.u, state.v, state.y, state.z))
+    shear = np.diff(u) / h + (y[:-1] + y[1:]) / 2
+    slope = np.diff(y) / h
+    kinetic = np.sum(v[1:-1] ** 2) + v[-1] ** 2 / 2 + (np.sum(z[1:-1] ** 2) + z[-1] ** 2 / 2) / L(p.b)
+    return (h * (np.sum(shear ** 2) + L(p.a) / L(p.b) * np.sum(slope ** 2) + kinetic)
+            + L(state.eta) ** 2 / L(p.k1) + L(state.gamma) ** 2 / L(p.k3)) / 2
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0, 5.0])
+def test_energy_is_read_from_the_fluxes(params_generic, params_conservative, T):
+    # x^T W x / 2 cancels on the O(1/h) stiffness entries and is off by 9e-14
+    # to 5e-12 of the energy on these states; the sum of squared fluxes is not
+    N = 400
+    for p in (params_generic, params_conservative):
+        g = assemble_generator(p, N)
+        state = integrate(g, smooth_state(p, N), T, 0.5 / N).final_state
+        exact = flux_energy_long_double(state, p)
+        assert abs(g.energy(_pack(state)) - exact) <= 1e-15 * exact
+
+
 def dense_midpoint(g, state, dt, steps):
     """The full 4N+2 implicit midpoint rule, densely: the reference step."""
     A = g.matrix.toarray()
@@ -234,14 +258,8 @@ def test_velocity_step_matches_dense_reference_for_every_damping_rank(
 
 
 def velocity_matrix(g, dt):
-    """M_w (I - dt^2/4 KS) on the velocities w = (v, z, eta, gamma), and w's indices."""
-    N = g.N
-    vel = np.r_[N:2 * N, 3 * N:4 * N + 2]
-    disp = np.r_[0:N, 2 * N:3 * N]
-    S = g.matrix[disp][:, vel]
-    K = g.matrix[vel][:, disp]
-    mass = scipy.sparse.diags_array(g.weight.diagonal()[vel])
-    return (mass - 0.25 * dt * dt * (mass @ K @ S)).tocsr(), vel
+    """M_w (I - dt^2/4 KS) = M_w + dt^2/4 S^T W_d S on the velocities w = (v, z, eta, gamma)."""
+    return (scipy.sparse.diags_array(g.M_w) + 0.25 * dt * dt * (g.S.T @ (g.W_d @ g.S))).tocsr()
 
 
 @pytest.mark.parametrize("N", [16, 400])
@@ -250,14 +268,14 @@ def test_generator_sparse_and_narrow_band(params_generic, N):
     n = 4 * N + 2
     assert g.matrix.nnz <= 4 * n and g.weight.nnz <= 4 * n
     dt = 0.5 / N
-    C, vel = velocity_matrix(g, dt)
+    C = velocity_matrix(g, dt)
     assert abs(C - C.T).max() <= 1e-15 * abs(C).max()
     perm = reverse_cuthill_mckee(abs(C), symmetric_mode=True)
     reordered = C[perm][:, perm].tocoo()
     kd = int(np.max(reordered.col - reordered.row))
     assert kd <= 5
     stats = integrate(g, smooth_state(params_generic, N), dt, dt).stats
-    assert (stats["kd"], stats["solve_n"]) == (kd, vel.size) == (kd, 2 * N + 2)
+    assert (stats["kd"], stats["solve_n"]) == (kd, C.shape[0]) == (kd, 2 * N + 2)
     assert (stats["nnz_A"], stats["nnz_W"]) == (g.matrix.nnz, g.weight.nnz)
 
 
@@ -293,12 +311,9 @@ def test_large_grid_is_feasible(params_generic):
 def test_singular_midpoint_matrix_names_pivot(params_generic):
     g = assemble_generator(params_generic, 16)
     dt = 0.5 / 16
-    # negated kinetic weights: M_w (I - dt^2/4 KS) is negative definite, so
-    # the very first Cholesky pivot is not positive
-    _, vel = velocity_matrix(g, dt)
-    flip = np.ones(g.weight.shape[0])
-    flip[vel] = -1.0
-    g.weight = (scipy.sparse.diags_array(flip) @ g.weight).tocsr()
+    # negated kinetic masses: M_w + dt^2/4 S^T W_d S is negative on every
+    # diagonal, so the very first Cholesky pivot is not positive
+    g.M_w = -g.M_w
     with pytest.raises(SingularSolve, match=r"N = 16, dt = 0\.03125: zero pivot at index 0 "):
         integrate(g, smooth_state(params_generic, 16), 1.0, dt)
 
@@ -306,12 +321,11 @@ def test_singular_midpoint_matrix_names_pivot(params_generic):
 def test_singular_tip_correction_names_coordinates(params_generic):
     N, dt = 16, 0.5 / 16
     g = assemble_generator(params_generic, N)
-    eta = 4 * N
-    A = g.matrix.tolil()
-    A[N - 1, eta] = 0.0                            # eta leaves the u_N transport row ...
-    A[eta, :] = 0.0                                # ... and feels no shear
-    A[eta, eta] = 2.0 / dt                         # so I - dt/2 A has a zero eta row
-    g.matrix = A.tocsr()
+    eta = 2 * N                                    # its index in w
+    S, D = g.S.tolil(), g.D.tolil()
+    S[2 * N - 2, eta] = 0.0                        # eta leaves the u_N transport row,
+    D[eta, eta] = 2.0 / dt                         # feels no shear, and I - dt/2 A has
+    g.S, g.D = S.tocsr(), D.tocsr()                # a zero eta row
     with pytest.raises(SingularSolve, match=r"dt = 0\.03125: tip correction at coordinates \[64, 65\]"):
         integrate(g, smooth_state(params_generic, N), 1.0, dt)
 
@@ -324,14 +338,14 @@ def anti_damped(p, N, dt, margin):
     Just below it each step multiplies the state by about 2/margin.
     """
     g = assemble_generator(p, N)
-    eta = 4 * N
-    A = g.matrix.tolil()
-    A[eta, eta] = 0.0
-    left = np.eye(A.shape[0]) - 0.5 * dt * A.toarray()
-    unit = np.zeros(A.shape[0])
-    unit[eta] = 1.0
-    A[eta, eta] = (1.0 - margin) * 2.0 / (dt * np.linalg.solve(left, unit)[eta])
-    g.matrix = A.tocsr()
+    D = g.D.tolil()
+    D[2 * N, 2 * N] = 0.0                          # eta's entry of D, at 4N in A
+    g.D = D.tocsr()
+    left = np.eye(4 * N + 2) - 0.5 * dt * g.matrix.toarray()
+    unit = np.zeros(4 * N + 2)
+    unit[4 * N] = 1.0
+    D[2 * N, 2 * N] = (1.0 - margin) * 2.0 / (dt * np.linalg.solve(left, unit)[4 * N])
+    g.D = D.tocsr()
     return g
 
 
@@ -357,39 +371,11 @@ def test_infinite_energy_sample_raises(params_generic):
         integrate(g, smooth_state(params_generic, 16), 20 * dt, dt)
 
 
-def test_integrate_refuses_other_block_forms(params_generic):
-    N, dt = 16, 0.5 / 16
-    st = smooth_state(params_generic, N)
-    g = assemble_generator(params_generic, N)
-    A = g.matrix.tolil()
-    A[0, 2 * N] = 0.5                              # du_1 reads y_1
-    g.matrix = A.tocsr()
-    with pytest.raises(ValueError, match=r"displacement to a displacement: entry \[0, 32\] = 0\.5"):
-        integrate(g, st, 1.0, dt)
-    for entries, where in ((((0, N), (N, 0)), r"\[0, 16\]"),            # u_1 with v_1
-                           (((N + 3, N + 1), (N + 1, N + 3)), r"\[17, 19\]")):  # v_2 with v_4
-        g = assemble_generator(params_generic, N)
-        W = g.weight.tolil()
-        for i, j in entries:
-            W[i, j] = 0.25
-        g.weight = W.tocsr()
-        with pytest.raises(ValueError, match=r"W is not block-diagonal .*: entry " + where):
-            integrate(g, st, 1.0, dt)
-    # one kinetic weight off by a factor: M_w K S is no longer symmetric
-    g = assemble_generator(params_generic, N)
-    W = g.weight.tolil()
-    W[N + 4, N + 4] *= 2.0
-    g.weight = W.tocsr()
-    with pytest.raises(ValueError, match=r"M_w K S is not symmetric.*: entry \[19, 20\]"):
-        integrate(g, st, 1.0, dt)
-
-
 def test_fit_decay_conservative_flat(params_conservative):
     g = assemble_generator(params_conservative, 32)
     tr = integrate(g, smooth_state(params_conservative, 32), 40.0, 0.5 / 32)
     fit = fit_decay(tr)
     assert abs(fit.exponent) < 0.02
-    assert tr.fitted_exponent == fit.exponent
 
 
 def test_fit_decay_dissipative_slope(params_generic):
