@@ -4,6 +4,17 @@ Separating variables turns the eigenproblem into a 4x4 homogeneous linear
 system for the coefficients of the exponential interior solutions e^{t_i x}.
 Eigenvalues are the zeros of f(lambda) = -det M(lambda) / (16 b), where M
 collects the clamped-end and tip-feedback conditions.
+
+One kernel gives f, F and F'.  Row 0 of M (the clamped end) is all ones, so
+subtracting column 0 from columns 1..3 leaves a 3x3 matrix R of rows 1..3
+with det M = det R.  R's nine signed cofactors C (its 2x2 minors) then give
+det M = sum_j R_0j C_0j, the expansion along the shear row.  The column
+differences come first on purpose: at the ten table roots of the degenerate
+set (k = 200 .. 1000), where det M cancels to about 1e-16, this errs by at
+most 5.2e-19 against a 60-digit determinant of the same double entries, as
+an LU determinant of M does.  A Laplace expansion of the 4x4 itself by pairs
+of rows (rows 0-1 against rows 2-3) sums six products of 2x2 minors that
+cancel far more, and errs by 2.8e-14 there; it is not used.
 """
 
 from __future__ import annotations
@@ -96,27 +107,36 @@ def g_functions(t: complex, lam: complex, p: BeamParams):
     return g1, g2, g3
 
 
-def _matrix(lam: np.ndarray, p: BeamParams):
-    """Collocation matrices of shape lam.shape + (4, 4), stabilized entries.
+def _columns(lam: np.ndarray, p: BeamParams):
+    """Per-column pieces of M, column axis first (shape (4,) + lam.shape).
 
-    Also returns the per-column pieces (shape lam.shape + (4,)) the rows are
-    built from: the exponents t_i, the stabilized e^{t_i}, the constants
-    q_i = (lambda^2 - t_i^2)/lambda = -+ i sqrt(b), and the row symbols
-    d_i = q_i lambda / t_i, g2_i and g3_i.
+    The exponents t_i, the stabilized e^{t_i}, the constants
+    q_i = (lambda^2 - t_i^2)/lambda = -+ i sqrt(b) (shape (4, 1, ...)), and
+    the row symbols d_i = q_i lambda / t_i, g2_i and g3_i.
     """
     t1, t3, dl1, dl3 = _shifted_roots(lam, p.b)
     ez = np.exp(lam)
     e1 = ez * np.exp(dl1)
     e3 = ez * np.exp(dl3)
-    exps = np.stack([e1, 1.0 / e1, e3, 1.0 / e3], axis=-1)
-    ts = np.stack([t1, -t1, t3, -t3], axis=-1)
-    q = np.array([-1j, -1j, 1j, 1j]) * np.sqrt(p.b)
-    lamx = lam[..., None]
-    d = q * lamx / ts
-    g2 = (p.k2 * ts + (p.k1 + ts) * lamx) / (lamx * ts)
-    g3 = d * (p.k3 * ts + lamx * (p.k4 + lamx)) / lamx**2
-    m = np.stack([np.ones_like(ts), d, exps * g2, exps * g3], axis=-2)
-    return m, (ts, exps, q, d, g2, g3)
+    exps = np.array([e1, 1.0 / e1, e3, 1.0 / e3])
+    ts = np.array([t1, -t1, t3, -t3])
+    q = np.array([-1j, -1j, 1j, 1j]).reshape((4,) + (1,) * lam.ndim) * np.sqrt(p.b)
+    d = q * lam / ts
+    g2 = (p.k2 * ts + (p.k1 + ts) * lam) / (lam * ts)
+    g3 = d * (p.k3 * ts + lam * (p.k4 + lam)) / lam**2
+    return ts, exps, q, d, g2, g3
+
+
+def _matrix(lam, p: BeamParams):
+    """Collocation matrices of shape lam.shape + (4, 4), stabilized entries.
+
+    Also returns the per-column pieces of _columns, column axis last (shape
+    lam.shape + (4,)), that the rows are built from.
+    """
+    pieces = _columns(lam, p)
+    ts, exps, _, d, g2, g3 = pieces
+    m = np.array([np.ones_like(ts), d, exps * g2, exps * g3])
+    return np.moveaxis(m, (0, 1), (-2, -1)), tuple(np.moveaxis(x, 0, -1) for x in pieces)
 
 
 def paired_exponentials(lam, b: float):
@@ -141,18 +161,83 @@ def boundary_matrix(lam: complex, p: BeamParams) -> np.ndarray:
     return _matrix(arr, p)[0]
 
 
+def _cofactor_row(r: np.ndarray, i: int) -> np.ndarray:
+    """Row i of the signed cofactors of R: rows i+1 and i+2 of R crossed.
+
+    r holds R with its columns 0 and 1 repeated after column 2, so every
+    term of the cross product is a slice.
+    """
+    a, b = r[(i + 1) % 3], r[(i + 2) % 3]
+    c = a[1:4] * b[2:5]
+    c -= a[2:5] * b[1:4]
+    return c
+
+
+def _reduced_det(lam: np.ndarray, p: BeamParams):
+    """(det M, padded R, C's row 0, column pieces) at the 1-d array lam.
+
+    The pieces are those of _columns, with g2 and g3 multiplied by e^{t_i}
+    in place into rows 2 and 3 of M.
+    """
+    pieces = _columns(lam, p)
+    _, exps, _, d, m2, m3 = pieces
+    np.multiply(exps, m2, out=m2)       # bit for bit M's entries: numpy's complex
+    np.multiply(exps, m3, out=m3)       # product is not commutative in the last bit
+    r = np.empty((3, 5, lam.size), dtype=complex)
+    for i, row in enumerate((d, m2, m3)):
+        np.subtract(row[1:], row[0], out=r[i, :3])
+    r[:, 3:] = r[:, :2]
+    c0 = _cofactor_row(r, 0)
+    return np.sum(r[0, :3] * c0, axis=0), r, c0, pieces
+
+
+def _row_derivatives(lam: np.ndarray, p: BeamParams, pieces):
+    """Rows 1..3 of dM/dlambda, written over the pieces d, m2, m3, and t_i'.
+
+    t' = (2 lambda - q)/(2 t) and d' = (q - d t')/t; with
+    g2 = 1 + k2/lambda + k1/t and g3 = q (k3/lambda + (k4 + lambda)/t),
+    g2' = -k2/lambda^2 - k1 t'/t^2 and g3' = q (1/t - (k4 + lambda) t'/t^2
+    - k3/lambda^2), and (e g)' = t' e g + e g'.  The rows are built in
+    place, with one scratch buffer, to keep the peak memory of a batch low.
+    """
+    ts, exps, q, d, m2, m3 = pieces
+    it = 1.0 / ts
+    tp = (lam - 0.5 * q) * it
+    w = tp * it * it                    # t'/t^2
+    d *= tp
+    np.subtract(q, d, out=d)
+    d *= it
+    g = p.k1 * w
+    g += p.k2 / lam**2
+    g *= exps                           # -e g2'
+    m2 *= tp
+    m2 -= g
+    np.multiply(p.k4 + lam, w, out=g)
+    np.subtract(it, g, out=g)
+    g -= p.k3 / lam**2
+    g *= q
+    g *= exps                           # e g3'
+    m3 *= tp
+    m3 += g
+    return (d, m2, m3), tp
+
+
 def char_fn(lam, p: BeamParams):
     """Characteristic function f(lambda) = -det M(lambda) / (16 b).
 
-    Vectorized over any leading shape of ``lam``; determinant by
-    partial-pivoted LU on the 4x4 blocks.  Zeros with Re(lambda) < 0 are
-    exactly the eigenvalues of the damped beam.
+    det M is the reduced 3x3 expansion of the module docstring, from the
+    same kernel as entire_char_fn_and_derivative, so its f is this value bit
+    for bit.  Vectorized over any leading shape of ``lam``; a 0-d lambda runs
+    as a one-lane batch, since numpy's scalar complex arithmetic can round
+    apart from its array loops, and each lane's arithmetic is independent of
+    the others.  Zeros with Re(lambda) < 0 are exactly the eigenvalues of the
+    damped beam.
     """
     require_unit_speed(p)
     arr = np.asarray(lam, dtype=complex)
     _check_nonzero(arr)
-    det = np.linalg.det(_matrix(arr, p)[0])
-    val = -det / (16.0 * p.b)
+    det = _reduced_det(arr.reshape(-1), p)[0]
+    val = (-det / (16.0 * p.b)).reshape(arr.shape)
     return complex(val) if arr.ndim == 0 else val
 
 
@@ -176,34 +261,28 @@ def entire_char_fn_and_derivative(lam, p: BeamParams):
     branch points, so all contour and Newton work uses F.
 
     Row 0 of M is constant, so by Jacobi's rule det' is the sum of the three
-    determinants of M with row r (r = 1..3) replaced by its derivative.  The
-    row derivatives follow from t_i' = (2 lambda - q_i)/(2 t_i).  Unlike
+    determinants of M with row r (r = 1..3) replaced by its derivative.  Each
+    of them keeps the row of ones and reduces like M, to R with row r - 1
+    replaced by the reduced derivative row, and expanding along that row
+    gives sum_j R'_(r-1)j C_(r-1)j with the cofactors C of R itself.  So
+    det' = sum_ij R'_ij C_ij from the same reduction as det.  The row
+    derivatives follow from t_i' = (2 lambda - q_i)/(2 t_i).  Unlike
     det * tr(M^-1 M'), the sum stays finite at the roots.  Vectorized like
-    char_fn; every point must stay 1e-6 away from the branch points 0 and
-    +- i sqrt(b), where t_i' blows up.
+    char_fn, with the same lane independence; every point must stay 1e-6
+    away from the branch points 0 and +- i sqrt(b), where t_i' blows up.
     """
     require_unit_speed(p)
     arr = np.asarray(lam, dtype=complex)
     _guard_branch_points(arr, p.b)
-    m, (ts, exps, q, d, g2, g3) = _matrix(arr, p)
-    lamx = arr[..., None]
-    tp = (2.0 * lamx - q) / (2.0 * ts)
-    dp = (q - d * tp) / ts
-    h = (p.k3 * ts + lamx * (p.k4 + lamx)) / lamx**2      # g3 = d h
-    hp = (p.k3 * tp + p.k4 + 2.0 * lamx) / lamx**2 - 2.0 * h / lamx
-    rows = (dp,
-            exps * (tp * g2 - p.k2 / lamx**2 - p.k1 * tp / ts**2),
-            exps * (tp * g3 + dp * h + d * hp))
-    det = np.linalg.det(m)
-    ddet = np.zeros_like(det)
-    for r, row in enumerate(rows, start=1):   # in place: a copy of M would add to the peak
-        kept = m[..., r, :].copy()
-        m[..., r, :] = row
-        ddet += np.linalg.det(m)
-        m[..., r, :] = kept
-    t1, t3 = ts[..., 0], ts[..., 2]
+    lanes = arr.reshape(-1)
+    det, r, c0, pieces = _reduced_det(lanes, p)
+    cof = (c0, _cofactor_row(r, 1), _cofactor_row(r, 2))
+    del r
+    rows, tp = _row_derivatives(lanes, p, pieces)
+    ddet = sum(np.sum((row[1:] - row[0]) * c, axis=0) for row, c in zip(rows, cof))
+    t1, t3 = pieces[0][0], pieces[0][2]
     f = -det / (16.0 * p.b)
     big_f = f * t1 * t3
-    dbig_f = -(ddet * t1 * t3 + det * (tp[..., 0] * t3 + t1 * tp[..., 2])) / (16.0 * p.b)
-    out = (big_f, dbig_f, f)
+    dbig_f = -(ddet * t1 * t3 + det * (tp[0] * t3 + t1 * tp[2])) / (16.0 * p.b)
+    out = tuple(v.reshape(arr.shape) for v in (big_f, dbig_f, f))
     return tuple(complex(v) for v in out) if arr.ndim == 0 else out

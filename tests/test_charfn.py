@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +18,8 @@ from tipbeam.charfn import (
 )
 from tipbeam.errors import NearBranchPoint, ZeroDenominator, ZeroLambda
 from tipbeam.model import regime_info, validate_params
-from tipbeam.spectrum import refine_root
+from tipbeam.cli import TABLE_KS
+from tipbeam.spectrum import family_roots, refine_root
 
 
 def _strip_points(rng, n, im_lo=0.5, im_hi=60.0):
@@ -160,6 +163,54 @@ def test_char_fn_vectorized_matches_scalar(params_generic):
     vec = char_fn(lams, p)
     for i, lam in enumerate(lams):
         assert vec[i] == pytest.approx(char_fn(complex(lam), p), rel=1e-14)
+
+
+def test_determinant_matches_extended_precision(params_degenerate):
+    # at the table roots of the degenerate set det M cancels to ~1e-16; the
+    # reference is a 60-digit determinant of the very same double entries
+    # (partial-pivoted LU errs by 5.2e-19 here, a Laplace expansion of the
+    # 4x4 by row pairs by 2.8e-14)
+    p = params_degenerate
+    lam = np.array([rec.lam for rec in family_roots(p, TABLE_KS)])
+    assert lam.shape == (2 * len(TABLE_KS),)
+    dets = -16.0 * p.b * char_fn(lam, p)
+    with mpmath.workdps(60):
+        for m, det in zip(boundary_matrix(lam, p), dets):
+            exact = mpmath.det(mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row]
+                                              for row in m]))
+            assert abs(mpmath.mpc(det.real, det.imag) - exact) <= 2e-18
+
+
+def test_lanes_match_single_point_calls(params_generic):
+    # spectrum.polish relies on a lane's arithmetic not depending on the
+    # other lanes; numpy's scalar and array loops can round apart, so every
+    # lane of a mixed batch must equal the 0-d call bit for bit
+    p = params_generic
+    rng = np.random.default_rng(41)
+    lams = np.concatenate([_strip_points(rng, 17), _strip_points(rng, 12, 60.0, 1000.0),
+                           np.conj(_strip_points(rng, 5)), [0.7 + 3.1j, -1.3 + 0j, 2.0 - 40j]])
+    batch = entire_char_fn_and_derivative(lams, p)
+    values = char_fn(lams, p)
+    assert np.array_equal(batch[2], values)
+    for i, lam in enumerate(lams):
+        assert tuple(v[i] for v in batch) == entire_char_fn_and_derivative(lam, p)
+        assert values[i] == char_fn(lam, p)
+
+
+def test_kernel_peak_memory(params_generic):
+    # one contour call evaluates up to 1,024 points; the evaluation must not
+    # hold M, its LAPACK copy or the stacked column pieces all at once
+    p = params_generic
+    lams = _strip_points(np.random.default_rng(43), 1024, im_hi=600.0)
+    entire_char_fn_and_derivative(lams, p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        entire_char_fn_and_derivative(lams, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
 
 
 def entire_char_fn(lam, p):

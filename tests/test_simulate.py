@@ -211,14 +211,21 @@ def test_energy_is_read_from_the_fluxes(params_generic, params_conservative, T):
 
 
 def dense_midpoint(g, state, dt, steps):
-    """The full 4N+2 implicit midpoint rule, densely: the reference step."""
+    """The full 4N+2 implicit midpoint rule, densely: the reference step.
+
+    Each step takes one round of residual refinement: the residual of the
+    midpoint equation in long double, solved with the same LU factors.
+    Without it the reference's own round-off (up to 7.9e-13 on the examples
+    below) would fill most of the 1e-12 bound; with it, 2.6e-14.
+    """
     A = g.matrix.toarray()
-    eye = np.eye(A.shape[0])
-    left = scipy.linalg.lu_factor(eye - 0.5 * dt * A)
-    right = eye + 0.5 * dt * A
+    left = scipy.linalg.lu_factor(np.eye(A.shape[0]) - 0.5 * dt * A)
+    half = 0.5 * dt * A.astype(np.longdouble)
     x = _pack(state).real
     for _ in range(steps):
-        x = scipy.linalg.lu_solve(left, right @ x)
+        rhs = x + half @ x
+        y = scipy.linalg.lu_solve(left, rhs.astype(float))
+        x = y + scipy.linalg.lu_solve(left, (rhs - (y - half @ y)).astype(float))
     return x
 
 
