@@ -149,7 +149,7 @@ class GridState:
         return np.linspace(0.0, 1.0, self.N + 1)
 
 
-def _check_same_grid(u1: GridState, u2: GridState) -> None:
+def _check_same_grid(u1, u2) -> None:
     if u1.N != u2.N:
         raise GridMismatch(f"grids differ: N={u1.N} vs N={u2.N}")
 

@@ -44,7 +44,7 @@ from .errors import (
     SingularSolve,
     WindowTooShort,
 )
-from .model import BeamParams, GridState, grid_inner_product
+from .model import BeamParams, GridState, _check_same_grid, grid_inner_product
 from .modes import ModeShape, gram_inner_product
 
 _KERNEL_TOL = 1e-8      # spurious consistency kernel of the duplicated tip rows
@@ -206,8 +206,9 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
 
     Energy is sampled on a stride targeting about one thousand samples; a
     state or an energy sample that is not finite raises SingularSolve
-    naming the step and t.
+    naming the step and t; U0 on another grid raises GridMismatch.
     """
+    _check_same_grid(U0, g)
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("T and dt must be positive")
     if dt > 0.5 * g.h * (1.0 + 1e-12):

@@ -7,6 +7,10 @@ winding count of exactly 2 per frequency box.  All contour work uses the
 single-valued surrogate F = f * t1 * t3 from charfn, which has the same
 zeros as f off the branch points but no sheet jumps.
 
+The counter and the Newton kernel see only a _Target: evaluate(z) -> (F, F',
+f) and an excluded(z) mask.  Each beam-facing entry point binds the beam's
+pair once, in `_beam`; other analytic functions use the same seam.
+
 A winding count sums the phase increments arg F(z_{i+1})/F(z_i) around the
 box (Kravanja & Van Barel, Computing the Zeros of Analytic Functions, 2000;
 Johnson & Tucker, Enclosing all zeros of an analytic function, 2009).  An
@@ -31,12 +35,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotics import predict_eigenvalue
-from .charfn import _near_branch_point, char_fn, entire_char_fn_and_derivative
+from .charfn import _near_branch_point, entire_char_fn_and_derivative
 from .errors import (
     BasinEscape,
     BoundaryTooCloseToRoot,
@@ -103,6 +109,27 @@ class RootSearchReport:
                 "newton_calls": self.newton_calls,
                 "newton_iterations": sum(it for _, it in self.newton_iterations),
                 "newton_rounds": self.newton_rounds, "global_count": self.global_count}
+
+
+class _Target(NamedTuple):
+    """evaluate(z) -> (F, F', f) on a 1-d array: the function counted and
+    polished, its exact derivative and the residual |f| reported at a root.
+    excluded(z) marks where evaluate must not go: a boundary sample there
+    shifts its box, a Newton iterate there ends its lane (NearBranchPoint).
+    variant tags the records.
+    """
+
+    evaluate: Callable
+    excluded: Callable
+    variant: str
+
+
+def _beam(p: BeamParams) -> _Target:
+    """The beam's surrogate F = f t1 t3, with f, away from its branch points."""
+    require_unit_speed(p)
+    return _Target(lambda z: entire_char_fn_and_derivative(z, p),
+                   lambda z: _near_branch_point(z, p.b),
+                   "conservative" if p.is_conservative else "dissipative")
 
 
 def _boundary(rect) -> np.ndarray:
@@ -191,14 +218,14 @@ class _Counter:
     call evaluates at most _CHUNK pending samples, those of the most recently
     submitted boxes first, so a subdivision goes ahead of boxes still counting
     in the background; a box's round may span calls.  Pending samples are
-    screened for branch points before they are queued, so such a box shifts
-    without raising for the others.  A box that fails restarts shifted by the
+    screened by the target's excluded mask before they are queued, so such a
+    box shifts without raising for the others.  A box that fails restarts shifted by the
     next entry of _SHIFTS.  A rect already submitted keeps its ticket, so a
     search can start boxes early and collect them later.
     """
 
-    def __init__(self, p: BeamParams, report: RootSearchReport | None):
-        self.p, self.report = p, report
+    def __init__(self, target: _Target, report: RootSearchReport):
+        self.target, self.report = target, report
         self.tickets = {}     # base rect -> ticket
         self.boxes = []       # per ticket, the current attempt
         self.outcomes = {}    # ticket -> (count, rect used, samples, shifted) or the error
@@ -230,9 +257,9 @@ class _Counter:
         return {t: self.outcomes[t] for t in tickets if t in self.outcomes}
 
     def _screen(self, ticket: int, box: _Boundary):
-        """Make box the ticket's; shift it if a pending sample lies near a branch point."""
+        """Make box the ticket's; shift it if a pending sample is excluded."""
         self.boxes[ticket] = box
-        if _near_branch_point(box.pending, self.p.b).any():
+        if self.target.excluded(box.pending).any():
             self._shift(ticket)
 
     def _shift(self, ticket: int):
@@ -254,12 +281,12 @@ class _Counter:
         if box.winding is None:
             self._shift(ticket)      # grazes a root or over budget
             return
-        k = round(box.winding)
-        if abs(box.winding - k) > _INTEGER_TOL or k < 0:
+        k = np.rint(box.winding)
+        if not abs(box.winding - k) <= _INTEGER_TOL or k < 0:     # NaN fails too
             self._resolve(ticket, NonConvergentContour(
                 f"phase increments around {box.rect} sum to {float(box.winding)!r} turns"))
         else:
-            self._resolve(ticket, (k, box.rect, box.samples, box.attempt > 0))
+            self._resolve(ticket, (int(k), box.rect, box.samples, box.attempt > 0))
 
     def _call(self):
         """One evaluation of at most _CHUNK pending samples, newest boxes first."""
@@ -271,9 +298,8 @@ class _Counter:
                 room -= chunk.size
                 if not room:
                     break
-        f, d, _ = entire_char_fn_and_derivative(np.concatenate([c for _, c in sent]), self.p)
-        if self.report is not None:
-            self.report.contour_rounds += 1
+        f, d, _ = self.target.evaluate(np.concatenate([c for _, c in sent]))
+        self.report.contour_rounds += 1
         start = 0
         for ticket, chunk in sent:
             end = start + chunk.size
@@ -286,17 +312,16 @@ class _Counter:
             start = end
 
 
-def _logged(outcomes, report: RootSearchReport | None):
+def _logged(outcomes, report: RootSearchReport):
     """(count, rect used) of each counter outcome, logged to report; the first
     error, in the given order, is raised."""
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    if report is not None:
-        for k, used, samples, shifted in outcomes:
-            report.boxes.append((used, k))
-            report.shifted_boxes += int(shifted)
-            report.contour_points += samples
+    for k, used, samples, shifted in outcomes:
+        report.boxes.append((used, k))
+        report.shifted_boxes += int(shifted)
+        report.contour_points += samples
     return [outcome[:2] for outcome in outcomes]
 
 
@@ -315,11 +340,14 @@ def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = N
     median of the initial samples, a sample comes within 1e-6 of a branch
     point, or refinement needs more than 4 * 8192 samples, the box is shifted
     by 1% of its size, up to five deterministic attempts, then
-    BoundaryTooCloseToRoot.  Both errors name the rectangle.
+    BoundaryTooCloseToRoot.  Both errors name the rectangle, as does the
+    ValueError for a rect not finite with re_lo < re_hi, im_lo < im_hi.
     """
-    require_unit_speed(p)
-    counter = _Counter(p, report)
-    return _logged(counter.outcomes_of(counter.submit([rect])), report)[0][0]
+    re_lo, re_hi, im_lo, im_hi = rect
+    if not (np.isfinite(rect).all() and re_lo < re_hi and im_lo < im_hi):
+        raise ValueError(f"rect {tuple(rect)} is not finite with re_lo < re_hi, im_lo < im_hi")
+    counter = _Counter(_beam(p), report or RootSearchReport())
+    return _logged(counter.outcomes_of(counter.submit([rect])), counter.report)[0][0]
 
 
 def polish(seeds, p: BeamParams, tol: float = 1e-13,
@@ -339,9 +367,13 @@ def polish(seeds, p: BeamParams, tol: float = 1e-13,
     a branch point) that ended the lane.  A lane's arithmetic does not
     depend on the other lanes.
     """
+    return _newton(seeds, _beam(p), tol, report or RootSearchReport())
+
+
+def _newton(seeds, target: _Target, tol: float, report: RootSearchReport) -> list:
+    """The kernel of `polish`, on the zeros of target's F; records carry its variant."""
     if tol < 1e-13:
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
-    require_unit_speed(p)
     seeds = np.asarray(seeds, dtype=complex)
     n = seeds.size
     out = [None] * n
@@ -349,16 +381,15 @@ def polish(seeds, p: BeamParams, tol: float = 1e-13,
     its, conv = np.zeros(n, dtype=int), np.full(n, -1)   # conv: its at convergence
     live = np.arange(n)
     while live.size:
-        near = _near_branch_point(lam[live], p.b)
+        near = target.excluded(lam[live])
         for i in live[near]:
             out[i] = NearBranchPoint(f"lambda={complex(lam[i])} within 1e-6 of a branch point")
         live = live[~near]
         if not live.size:
             break
         z = lam[live]
-        surrogate, slope, fval = entire_char_fn_and_derivative(z, p)
-        if report is not None:
-            report.newton_rounds += 1
+        surrogate, slope, fval = target.evaluate(z)
+        report.newton_rounds += 1
         residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
         polishing = conv[live] >= 0        # floor polish keeps strict drops only
         keep = np.where(polishing, residual < best_res[live],
@@ -385,13 +416,11 @@ def polish(seeds, p: BeamParams, tol: float = 1e-13,
         live = live[go]
         lam[live], step[live] = new[go], np.abs(delta[go])
         its[live] += 1
-    variant = "conservative" if p.is_conservative else "dissipative"
-    if report is not None:
-        report.newton_calls += n
+    report.newton_calls += n
     # every lane that ended without an error had converged
     return [rec if rec is not None else
-            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), 1, variant,
-                             int(conv[i]))
+            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), 1,
+                             target.variant, int(conv[i]))
             for i, rec in enumerate(out)]
 
 
@@ -408,28 +437,32 @@ def family_roots(p: BeamParams, k, variant: str = "dissipative", tol: float = 1e
     """Both family roots near i k pi, Newton-polished from their predictions.
 
     k is one frequency index or a sequence of them; all seeds go through
-    one `polish`.  Records come in (k, family) order with k_index and
+    one Newton batch.  Records come in (k, family) order with k_index and
     family set, and are logged to report when given.  A failed lane is
     raised again naming k and j, after every lane was tried (the first
-    failure in that order); the records that converged ride along on the
-    error as ``records``.
+    failure in that order).
     """
+    recs, failure = _families(p, _beam(p), k, variant, tol, report or RootSearchReport())
+    if failure is not None:
+        raise failure
+    return recs
+
+
+def _families(p: BeamParams, target: _Target, k, variant: str, tol: float,
+              report: RootSearchReport):
+    """family_roots on target: the records and the first failure, or None."""
     ks = [int(k)] if np.ndim(k) == 0 else [int(v) for v in k]
     lanes = [(kk, j) for kk in ks for j in (1, 2)]
     seeds = [predict_eigenvalue(kk, j, p, variant=variant, k_min=1) for kk, j in lanes]
     recs, failure = [], None
-    for (kk, j), rec in zip(lanes, polish(np.array(seeds, dtype=complex), p, tol, report)):
+    for (kk, j), rec in zip(lanes, _newton(np.array(seeds, dtype=complex), target, tol, report)):
         if isinstance(rec, Exception):
             failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
             continue
         rec.k_index, rec.family = kk, j
         recs.append(rec)
-    if report is not None:
-        report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
-    if failure is not None:
-        failure.records = recs
-        raise failure
-    return recs
+    report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
+    return recs, failure
 
 
 def _validation_rect(p: BeamParams, k: int, variant: str):
@@ -445,42 +478,28 @@ def _inside(lam: complex, rect) -> bool:
     return rect[0] <= lam.real <= rect[1] and rect[2] <= lam.imag <= rect[3]
 
 
-def pair_at_frequency(p: BeamParams, k: int, variant: str = "dissipative",
-                      report: RootSearchReport | None = None):
-    """Both family roots near i k pi, each polished and jointly box-validated.
-
-    Returns (records, complete) where complete means the winding count over
-    the frequency box equals the recovered multiplicity.  When both families
-    polish onto one root (agreeing to Newton resolution) while the box
-    counts 2, the box is subdivided until its roots isolate: two distinct
-    roots, as with unequal damping gains and degenerate sqrt(b) at Theta(1/k^2)
-    apart, come back as two records in family order; only an unresolvable
-    cluster comes back as one record of multiplicity 2.
-    """
-    return frequency_pairs(p, [k], variant, report)[0]
-
-
 def frequency_pairs(p: BeamParams, ks, variant: str = "dissipative",
                     report: RootSearchReport | None = None) -> list:
-    """(records, complete) of each frequency k in ks, as pair_at_frequency,
-    from one `polish` of all seeds and one batch of box counts."""
-    counter = _Counter(p, report if report is not None else RootSearchReport())
+    """(records, complete) of each frequency k in ks: both family roots near
+    i k pi from one Newton batch, jointly validated by one batch of box counts.
+
+    complete means the winding count over the frequency box equals the
+    recovered multiplicity.  When both families polish onto one root
+    (agreeing to Newton resolution) while the box counts 2, the box is
+    subdivided until its roots isolate: two distinct roots, as with unequal
+    damping gains and degenerate sqrt(b) at Theta(1/k^2) apart, come back as
+    two records in family order; only an unresolvable cluster comes back as
+    one record of multiplicity 2.
+    """
+    counter = _Counter(_beam(p), report or RootSearchReport())
     return _frequency_pairs(p, ks, variant, counter)
-
-
-def _polished_families(p: BeamParams, k, variant: str, report: RootSearchReport):
-    """family_roots(p, k), keeping the converged records of a failed call."""
-    try:
-        return family_roots(p, k, variant, report=report)
-    except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
-        return exc.records
 
 
 def _frequency_pairs(p: BeamParams, ks, variant: str, counter: _Counter):
     """frequency_pairs with the boxes counted on `counter`."""
     ks = list(ks)
     by_k = {}
-    for rec in _polished_families(p, ks, variant, counter.report):
+    for rec in _families(p, counter.target, ks, variant, 1e-13, counter.report)[0]:
         by_k.setdefault(rec.k_index, []).append(rec)
     rects = counter.submit([_validation_rect(p, k, variant) for k in ks])
     counts = _logged(counter.outcomes_of(rects), counter.report)
@@ -495,7 +514,7 @@ def _check_pair(p: BeamParams, k: int, variant: str, recs, count: int, rect,
     coincident = len(inside) == 2 and abs(inside[0].lam - inside[1].lam) <= \
         _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
     if coincident and count == 2:
-        recs = inside = _isolate(rect, count, p, counter)
+        recs = inside = _isolate(rect, count, counter)
         _label_pair(recs, p, k, variant)
     complete = count == sum(r.multiplicity for r in inside)
     if not complete:
@@ -533,7 +552,7 @@ def _halves(rect):
     return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
 
 
-def _isolate(outer, total: int, p: BeamParams, counter: _Counter):
+def _isolate(outer, total: int, counter: _Counter):
     """Records of the `total` roots in `outer`, by recursive subdivision.
 
     Each box splits its longer side at the fraction _SPLIT, not at the
@@ -543,10 +562,9 @@ def _isolate(outer, total: int, p: BeamParams, counter: _Counter):
     depth share evaluation calls.  A box with one root and diameter at most
     0.25 waits as a leaf.  Whenever no count of the subdivision is pending,
     all waiting leaves are Newton-polished from their centres in one
-    `polish`; a leaf whose polish fails or lands outside it splits in turn.
+    Newton batch; a leaf whose polish fails or lands outside it splits in turn.
     """
-    report = counter.report
-    variant = "conservative" if p.is_conservative else "dissipative"
+    report, target = counter.report, counter.target
     records, leaves, live = [], [], []
     boxes = [(outer, total)] if total else []
     visited = 0
@@ -560,8 +578,9 @@ def _isolate(outer, total: int, p: BeamParams, counter: _Counter):
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
             if diam < 1e-6:
                 # unresolvable cluster: record as a multiple root at the center
-                records.append(EigenvalueRecord(center, None, None, abs(char_fn(center, p)),
-                                                cnt, variant))
+                residual = float(abs(target.evaluate(np.array([center]))[2][0]))
+                records.append(EigenvalueRecord(center, None, None, residual, cnt,
+                                                target.variant))
             elif cnt == 1 and diam <= 0.25:
                 leaves.append((rect, center))
             else:
@@ -572,7 +591,7 @@ def _isolate(outer, total: int, p: BeamParams, counter: _Counter):
             live = [t for t in live if t not in done]
             boxes = [(used, c) for c, used in _logged(list(done.values()), report) if c]
         elif leaves:
-            polished = polish([center for _, center in leaves], p, report=report)
+            polished = _newton([center for _, center in leaves], target, 1e-13, report)
             for (rect, _), rec in zip(leaves, polished):
                 re_lo, re_hi, im_lo, im_hi = rect
                 if isinstance(rec, EigenvalueRecord) and _inside(
@@ -643,17 +662,16 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
         raise ValueError(f"k_max must be >= 10, got {k_max}")
     if (variant == "conservative") != p.is_conservative:
         raise RegimeMismatch(f"variant {variant!r} inconsistent with k2={p.k2}, k4={p.k4}")
-    require_unit_speed(p)
 
     report = RootSearchReport()
-    counter = _Counter(p, report)
+    counter = _Counter(_beam(p), report)
     ks = range(K_MIN, k_max + 1)
     outer, top = _sweep_box(p, variant), _validation_rect(p, k_max, variant)
     union = (min(outer[0], top[0]), max(outer[1], top[1]), outer[2], top[3])
     # the frequency boxes and the union count in the background of the sweep
     counter.submit([_validation_rect(p, k, variant) for k in ks] + [union, outer])
     ((outer_count, outer),) = _logged(counter.outcomes_of(counter.submit([outer])), report)
-    records = _isolate(outer, outer_count, p, counter)
+    records = _isolate(outer, outer_count, counter)
     pairs = _frequency_pairs(p, ks, variant, counter)
     (union_out,) = counter.outcomes_of(counter.submit([union]))
     failed_k = []
@@ -711,24 +729,3 @@ def _record_order(rec: EigenvalueRecord):
     lam = rec.lam
     im = 0.0 if _on_real_axis(lam) else lam.imag
     return (im, lam.real, rec.family if rec.family is not None else 0)
-
-
-def verify_no_imaginary_roots(p: BeamParams, h_max: float, records=None) -> bool:
-    """Check the damped spectrum stays strictly off the imaginary axis.
-
-    Combines the located roots (all must have Re < 0) with a dense sampling
-    of |f(i h)| for h in [0.01, h_max], which must stay above a fraction of
-    its median except near the imaginary parts of actual roots.
-    """
-    if records is None:
-        records, _ = spectrum_in_strip(p, max(10, int(math.ceil(h_max / math.pi)) + 1))
-    relevant = [r for r in records if abs(r.lam.imag) <= h_max]
-    if any(r.lam.real >= -1e-12 * max(1.0, abs(r.lam)) for r in relevant):
-        return False
-    hs = np.linspace(0.01, h_max, max(2000, int(20 * h_max)))
-    mags = np.abs(char_fn(1j * hs, p))
-    near_root = np.zeros(hs.shape, dtype=bool)
-    for r in relevant:
-        near_root |= np.abs(hs - r.lam.imag) < 0.3
-    floor = _DIP_FACTOR * np.median(mags)
-    return bool(np.all(mags[~near_root] > floor))

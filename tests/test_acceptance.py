@@ -40,7 +40,7 @@ from tipbeam.simulate import (
     generator_spectrum,
     integrate,
 )
-from tipbeam.spectrum import pair_at_frequency, refine_root, spectrum_in_strip
+from tipbeam.spectrum import frequency_pairs, refine_root, spectrum_in_strip
 
 TABLE_KS = (200, 400, 600, 800, 1000)
 
@@ -50,11 +50,13 @@ TABLE_KS = (200, 400, 600, 800, 1000)
 
 @pytest.fixture(scope="module")
 def table_pairs(params_degenerate):
-    """Polished family pairs at the table frequencies, with wall time."""
+    """Polished family pairs at the table frequencies, with wall time.
+
+    One batch of all five frequencies, as the `table` command makes it.
+    """
     t0 = time.perf_counter()
     pairs = {}
-    for k in TABLE_KS:
-        recs, complete = pair_at_frequency(params_degenerate, k)
+    for k, (recs, complete) in zip(TABLE_KS, frequency_pairs(params_degenerate, TABLE_KS)):
         assert complete, f"box count mismatch at k = {k}"
         pairs[k] = {rec.family: rec for rec in recs}
         assert set(pairs[k]) == {1, 2}, f"missing family at k = {k}"

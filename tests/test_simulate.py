@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import tipbeam.simulate
 from tipbeam.errors import (
+    GridMismatch,
     IllConditionedGram,
     NonPositiveEnergy,
     ResolutionTooLow,
@@ -149,6 +150,12 @@ def test_integrate_validates_step(params_generic):
         integrate(g, st, 1.0, 1.0 / 32)
     with pytest.raises(ValueError):
         integrate(g, st, -1.0, 0.5 / 32)
+
+
+def test_integrate_refuses_state_on_another_grid(params_generic):
+    g = assemble_generator(params_generic, 16)
+    with pytest.raises(GridMismatch, match=r"grids differ: N=32 vs N=16"):
+        integrate(g, smooth_state(params_generic, 32), 1.0, 0.5 / 16)
 
 
 def test_integrate_refuses_horizon_below_half_step(params_generic):

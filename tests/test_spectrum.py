@@ -9,7 +9,6 @@ from test_charfn import _REGIME_SETS
 
 import tipbeam.spectrum
 from tipbeam.asymptotics import predict_eigenvalue
-from tipbeam.charfn import char_fn
 from tipbeam.errors import (
     BasinEscape,
     BoundaryTooCloseToRoot,
@@ -28,11 +27,10 @@ from tipbeam.spectrum import (
     _dedupe,
     count_roots_in_rect,
     family_roots,
-    pair_at_frequency,
+    frequency_pairs,
     polish,
     refine_root,
     spectrum_in_strip,
-    verify_no_imaginary_roots,
 )
 
 
@@ -98,10 +96,10 @@ def test_count_resolves_close_roots_near_the_boundary(params_generic):
     assert report.stats["contour_points"] > 0 and report.shifted_boxes == 0
 
 
-def _batch(rects, p):
-    """Counter outcomes of rects counted in one batch, and its evaluation calls."""
+def _batch(rects, target):
+    """Counter outcomes of rects counted in one batch on target, and its evaluation calls."""
     report = RootSearchReport()
-    counter = tipbeam.spectrum._Counter(p, report)
+    counter = tipbeam.spectrum._Counter(target, report)
     return counter.outcomes_of(counter.submit(rects)), report.contour_rounds
 
 
@@ -122,7 +120,7 @@ def test_batched_counts_match_one_box_counts(params_generic):
                 (0.3, 2.3, 1.0, 20.0), (-0.5, 0.5, 29.5 * math.pi, 30.5 * math.pi)]),
     ]
     for p, rects in cases:
-        batch, rounds = _batch(rects, p)
+        batch, rounds = _batch(rects, tipbeam.spectrum._beam(p))
         alone, alone_rounds = [], []
         for rect in rects:
             report = RootSearchReport()
@@ -138,34 +136,118 @@ def test_batched_counts_match_one_box_counts(params_generic):
     assert [count for count, *_ in batch] == [1, 1, 0, 2]
 
 
-def test_batch_errors_name_the_rect(params_generic, monkeypatch):
+def test_batch_errors_name_the_rect(params_generic):
     p = params_generic
+    beam = tipbeam.spectrum._beam(p)
     branch = (-1.0, 0.0, math.sqrt(p.b), 3.0)
     frequency = (-5.0, 0.2, 11.5 * math.pi, 12.5 * math.pi)
     zero = (0.3, 2.3, 1.0, 20.0)
-    # without shifts the branch-point box cannot be counted; the others can
-    monkeypatch.setattr(tipbeam.spectrum, "_SHIFTS", ())
-    outcomes, _ = _batch([zero, branch, frequency], p)
+    # a disc of radius 0.05 excluded around the branch point i sqrt(b): every
+    # shift of the box with that corner still has a sample in it, so that box
+    # cannot be counted; the others can
+    fenced = beam._replace(excluded=lambda z: np.abs(z - 1j * math.sqrt(p.b)) < 0.05)
+    outcomes, _ = _batch([zero, branch, frequency], fenced)
     assert [o[0] for o in outcomes[::2]] == [0, 2]
     assert isinstance(outcomes[1], BoundaryTooCloseToRoot)
     with pytest.raises(BoundaryTooCloseToRoot, match=re.escape(f"boundary of {branch}")):
-        tipbeam.spectrum._logged(outcomes, None)
-    monkeypatch.undo()
-    # F conjugated on the frequency box only: it winds -2 and is refused by name
-    real = tipbeam.spectrum.entire_char_fn_and_derivative
+        tipbeam.spectrum._logged(outcomes, RootSearchReport())
 
-    def mirrored(lam, params):
-        f, d, fval = real(lam, params)
+    # F conjugated on the frequency box only: it winds -2 and is refused by name
+    def mirrored(lam):
+        f, d, fval = beam.evaluate(lam)
         on_box = (lam.imag > 11.4 * math.pi) & (lam.imag < 12.6 * math.pi)
         return np.where(on_box, f.conj(), f), np.where(on_box, d.conj(), d), fval
 
-    monkeypatch.setattr(tipbeam.spectrum, "entire_char_fn_and_derivative", mirrored)
-    outcomes, _ = _batch([zero, frequency], p)
+    outcomes, _ = _batch([zero, frequency], beam._replace(evaluate=mirrored))
     assert outcomes[0][0] == 0
     assert isinstance(outcomes[1], NonConvergentContour)
     assert str(outcomes[1]).startswith(f"phase increments around {frequency} sum to -2")
     with pytest.raises(NonConvergentContour, match=re.escape(str(frequency))):
-        count_roots_in_rect(frequency, p)
+        tipbeam.spectrum._logged(outcomes, RootSearchReport())
+
+
+@pytest.mark.parametrize("rect", [
+    (math.nan, 0.2, 1.0, 2.0),
+    (-5.0, math.inf, 1.0, 2.0),
+    (-5.0, 0.2, 12 * math.pi, 12 * math.pi),     # zero height
+    (0.2, 0.2, 1.0, 2.0),                        # zero width
+    (0.2, -5.0, 1.0, 2.0),                       # inverted
+    (-5.0, 0.2, 2.0, 1.0),
+])
+def test_count_refuses_a_degenerate_rect(params_generic, rect):
+    with pytest.raises(ValueError, match=re.escape(f"rect {rect} ")):
+        count_roots_in_rect(rect, params_generic)
+
+
+def _known_zeros(roots):
+    """Target of F(z) = prod (z - r)^m over (r, m) in roots, with exact F' and f = F."""
+    def evaluate(z):
+        factors = [(z - r) ** m for r, m in roots]
+        f = np.prod(factors, axis=0)
+        d = sum(m * (z - r) ** (m - 1) * np.prod(factors[:i] + factors[i + 1:], axis=0)
+                for i, (r, m) in enumerate(roots))
+        return f, d, f
+
+    return tipbeam.spectrum._Target(evaluate, lambda z: np.zeros(z.shape, dtype=bool), "known")
+
+
+_UNIT = (-1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("roots, rects", [
+    # a pair 1e-6 apart, 0.005 inside an edge between two initial samples,
+    # and one inside beside a simple root
+    ([(0.995 + 0.0625j, 1), (0.995 + 0.0625j + 1e-6j, 1)], [_UNIT, (0.0, 0.5, 0.0, 0.5)]),
+    ([(0.3 + 0.2j, 1), (0.3 + 0.2j + 1e-6j, 1), (-0.6 - 0.4j, 1)],
+     [_UNIT, (-1.0, 0.0, -1.0, 0.0)]),
+    # a triple root 0.01 inside an edge, and a simple one
+    ([(0.06 - 0.99j, 3), (0.3, 1)], [_UNIT, (-0.5, 0.5, -0.5, 0.5)]),
+    # roots 1e-9 inside and outside the midpoints of the unit box's edges
+    ([(1.0 - 1e-9, 1), (0.2j - 0.3, 1)], [_UNIT]),
+    ([(1j * (1.0 + 1e-9), 1), (-0.4 + 0.1j, 1)], [_UNIT]),
+    ([(-1.0 + 1e-9, 1), (-1j * (1.0 - 1e-9), 1), (0.5, 1)], [_UNIT]),
+])
+def test_counter_and_newton_on_known_zeros(roots, rects):
+    # the count equals the known zeros inside the rect the counter used, or
+    # the box is refused by name; a wrong integer is never allowed.  Phase
+    # increments alone, without the F'-bounded turn, read 1 for the edge pair
+    # and 3 for the triple root with its neighbour
+    target = _known_zeros(roots)
+    outcomes, _ = _batch(rects, target)
+    for rect, outcome in zip(rects, outcomes):
+        if isinstance(outcome, Exception):
+            assert isinstance(outcome, (BoundaryTooCloseToRoot, NonConvergentContour))
+            assert str(rect) in str(outcome)
+            continue
+        count, used, _, _ = outcome
+        assert count == sum(m for r, m in roots if tipbeam.spectrum._inside(r, used))
+    # Newton from 0.01 off each simple root, away from its nearest neighbour,
+    # lands on that root
+    simple = [r for r, m in roots if m == 1]
+    seeds = []
+    for r in simple:
+        away = r - min((s for s, _ in roots if s != r), key=lambda s: abs(s - r))
+        seeds.append(r + 0.01 * away / abs(away))
+    polished = tipbeam.spectrum._newton(np.array(seeds), target, 1e-13, RootSearchReport())
+    for r, rec in zip(simple, polished):
+        assert isinstance(rec, EigenvalueRecord) and rec.variant == "known"
+        assert abs(rec.lam - r) <= 1e-12
+
+
+@pytest.mark.parametrize("rect", [(math.nan, 1.0, -1.0, 1.0), (-1.0, math.inf, -1.0, 1.0), _UNIT])
+def test_counter_refuses_non_finite_samples(rect):
+    # a NaN or infinite corner, or F NaN on part of the boundary: the winding
+    # is not a number, and the error names the rect
+    known = _known_zeros([(0.1j, 1)])
+
+    def holed(z):
+        f, d, fval = known.evaluate(z)
+        return np.where(z.real > 0.9, np.nan, f), d, fval
+
+    with np.errstate(invalid="ignore"):
+        ((outcome,), _) = _batch([rect], known._replace(evaluate=holed))
+    assert isinstance(outcome, (NonConvergentContour, BoundaryTooCloseToRoot))
+    assert str(rect) in str(outcome)
 
 
 def test_refine_root_from_prediction(params_generic):
@@ -211,7 +293,7 @@ def test_adversarial_midpoint_seed(params_generic):
 
 
 def test_pair_at_frequency(params_generic):
-    recs, complete = pair_at_frequency(params_generic, 50)
+    recs, complete = frequency_pairs(params_generic, [50])[0]
     assert complete and len(recs) == 2
     assert {r.family for r in recs} == {1, 2}
     for r in recs:
@@ -413,15 +495,14 @@ def family_two_seeded_off(monkeypatch):
 
 
 def test_family_roots_failure_names_k_and_j(params_generic, family_two_seeded_off):
-    with pytest.raises(BasinEscape, match=r"family 2 at k = 12") as info:
+    with pytest.raises(BasinEscape, match=r"family 2 at k = 12"):
         family_roots(params_generic, 12)
-    assert [r.family for r in info.value.records] == [1]
 
 
 def test_pair_at_frequency_keeps_surviving_family(params_generic,
                                                   family_two_seeded_off):
     report = RootSearchReport()
-    recs, complete = pair_at_frequency(params_generic, 12, report=report)
+    recs, complete = frequency_pairs(params_generic, [12], report=report)[0]
     assert not complete
     assert [r.family for r in recs] == [1]
     assert report.incomplete_boxes[0][1:] == (2, 1)
@@ -512,10 +593,19 @@ def test_spectrum_conservative_axis(cons_spectrum):
 
 def test_verify_no_imaginary_roots(params_generic, params_conservative,
                                    fig_spectrum, cons_spectrum):
-    recs, _ = fig_spectrum
-    assert verify_no_imaginary_roots(params_generic, 30.0, records=recs)
+    # the union of the generic strip reaches Re = +0.2: its certified count
+    # equals the roots recovered in it, and every root lies left of the axis
+    recs, report = fig_spectrum
+    p = params_generic
+    union = (-(p.k2 + p.k4) - 1.0, 0.2, -0.3, 20.5 * math.pi)
+    assert report.global_count == sum(r.multiplicity for r in recs
+                                      if tipbeam.spectrum._inside(r.lam, union))
+    assert all(r.lam.real < -1e-12 * max(1.0, abs(r.lam)) for r in recs)
+    # a box of the same kind sees the conservative roots on the axis
     crecs, _ = cons_spectrum
-    assert not verify_no_imaginary_roots(params_conservative, 25.0, records=crecs)
+    on_axis = sum(r.multiplicity for r in crecs if 0.01 <= r.lam.imag <= 25.0)
+    assert on_axis > 0
+    assert count_roots_in_rect((-0.5, 0.2, 0.01, 25.0), params_conservative) == on_axis
 
 
 def test_real_roots_sort_by_real_part(fig_spectrum):
@@ -648,4 +738,5 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
         assert any(abs(s.lam - twin) <= 1e-8 * max(1.0, abs(twin)) for s in recs)
         assert r.lam.real >= -(p.k2 + p.k4) - 1e-8 * max(1.0, abs(r.lam))
     if variant == "dissipative":
-        assert verify_no_imaginary_roots(p, k_max * math.pi, records=recs)
+        assert report.global_count is not None
+        assert all(r.lam.real < 0 for r in recs)
