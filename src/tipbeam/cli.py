@@ -250,7 +250,6 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
 
     report_payload = {
         "k0_effective": report.k0_effective,
-        "duplicates_merged": report.duplicates_merged,
         "eigenvalue_count": len(records),
         "boxes": [{"rect": [float(v) for v in rect], "winding": int(w)}
                   for rect, w in report.boxes],

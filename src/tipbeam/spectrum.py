@@ -1,9 +1,17 @@
 """Eigenvalue search in the horizontal strip of the complex plane.
 
-Low frequencies are handled by argument-principle counting with recursive
-box subdivision (robust, no a-priori location knowledge); high frequencies
-by Newton polishing of the closed-form predictions, each validated by a
-winding count of exactly 2 per frequency box.  All contour work uses the
+The strip is tiled by boxes that share their edges: a low-frequency sweep
+box from Im = -0.3 up to (K_MIN - 1/2) pi, searched by argument-principle
+counting with recursive box subdivision (robust, no a-priori location
+knowledge), and one frequency box per k >= K_MIN from (k - 1/2) pi to
+(k + 1/2) pi, whose two roots are Newton-polished from the closed-form
+predictions and validated by the box's winding count.  Each root is
+recorded by the one box that holds it; a count over the union of the boxes
+certifies the whole strip, so a root found twice or missed shows there.
+The negative half comes from conjugate closure.  The left edge of the
+dissipative boxes is -max(k2, k4) - 1: for an energy-normalized mode,
+Re lambda = -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2 with |eta|^2/k1 +
+|gamma|^2/k3 <= 1, so Re lambda >= -max(k2, k4).  All contour work uses the
 single-valued surrogate F = f * t1 * t3 from charfn, which has the same
 zeros as f off the branch points but no sheet jumps.
 
@@ -33,7 +41,6 @@ box the samples, and so the counts, are those of counting the box alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -54,7 +61,6 @@ from .errors import (
 from .model import BeamParams, require_unit_speed
 
 K_MIN = 8                     # boundary between contour sweep and seeded Newton
-DEDUPE_RTOL = 1e-8
 _COINCIDENCE_RTOL = 1e-10     # Newton resolution; scale of a genuine double root
 _DIP_FACTOR = 1e-6            # |F| dip threshold relative to boundary median
 _SPLIT = 0.5 - 0.0618         # off-centre split fraction: no edge on Re = 0 in the sweep
@@ -86,7 +92,7 @@ class RootSearchReport:
     boxes: list = field(default_factory=list)            # (rect, winding)
     newton_iterations: list = field(default_factory=list)  # (lam, iterations)
     k0_effective: int | None = None
-    duplicates_merged: int = 0
+    duplicates_merged: int = 0   # always 0: the boxes tile; kept for perfbench/layers.py
     # (rect, winding or None when the box could not be counted, recovered)
     incomplete_boxes: list = field(default_factory=list)
     shifted_boxes: int = 0       # counts made on a shifted box
@@ -471,7 +477,7 @@ def _validation_rect(p: BeamParams, k: int, variant: str):
         return (-0.5, 0.5, im_lo, im_hi)
     # right edge slightly into the right half plane: no roots there, and it
     # keeps high-k roots (Re ~ -1/k^2) safely off the contour
-    return (-(p.k2 + p.k4) - 1.0, 0.2, im_lo, im_hi)
+    return (-max(p.k2, p.k4) - 1.0, 0.2, im_lo, im_hi)
 
 
 def _inside(lam: complex, rect) -> bool:
@@ -483,13 +489,15 @@ def frequency_pairs(p: BeamParams, ks, variant: str = "dissipative",
     """(records, complete) of each frequency k in ks: both family roots near
     i k pi from one Newton batch, jointly validated by one batch of box counts.
 
-    complete means the winding count over the frequency box equals the
-    recovered multiplicity.  When both families polish onto one root
-    (agreeing to Newton resolution) while the box counts 2, the box is
-    subdivided until its roots isolate: two distinct roots, as with unequal
-    damping gains and degenerate sqrt(b) at Theta(1/k^2) apart, come back as
-    two records in family order; only an unresolvable cluster comes back as
-    one record of multiplicity 2.
+    The records of k are those inside the rect its box was counted on,
+    (k - 1/2) pi <= Im lambda <= (k + 1/2) pi unless the box was shifted, so
+    adjacent boxes never report one root twice.  complete means the winding
+    count over that rect equals their multiplicity.  When both families
+    polish onto one root (agreeing to Newton resolution) while the box
+    counts 2, the box is subdivided until its roots isolate: two distinct
+    roots, as with unequal damping gains and degenerate sqrt(b) at
+    Theta(1/k^2) apart, come back as two records in family order; only an
+    unresolvable cluster comes back as one record of multiplicity 2.
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     return _frequency_pairs(p, ks, variant, counter)
@@ -509,18 +517,19 @@ def _frequency_pairs(p: BeamParams, ks, variant: str, counter: _Counter):
 
 def _check_pair(p: BeamParams, k: int, variant: str, recs, count: int, rect,
                 counter: _Counter):
-    """Check the polished recs of frequency box k against its count over rect."""
+    """The polished recs of frequency box k that lie inside rect, and whether
+    their multiplicity equals its count over rect."""
     inside = [r for r in recs if _inside(r.lam, rect)]
     coincident = len(inside) == 2 and abs(inside[0].lam - inside[1].lam) <= \
         _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
     if coincident and count == 2:
-        recs = inside = _isolate(rect, count, counter)
-        _label_pair(recs, p, k, variant)
+        inside = _isolate(rect, count, counter)
+        _label_pair(inside, p, k, variant)
     complete = count == sum(r.multiplicity for r in inside)
     if not complete:
         counter.report.incomplete_boxes.append(
             (rect, count, sum(r.multiplicity for r in inside)))
-    return recs, complete
+    return inside, complete
 
 
 def _label_pair(recs, p: BeamParams, k: int, variant: str):
@@ -535,10 +544,10 @@ def _label_pair(recs, p: BeamParams, k: int, variant: str):
 
 
 def _sweep_box(p: BeamParams, variant: str):
-    top = (K_MIN + 0.5) * math.pi
+    top = (K_MIN - 0.5) * math.pi     # the bottom edge of frequency box K_MIN
     if variant == "conservative":
         return (-0.5, 0.5, -0.3, top)
-    return (-(p.k2 + p.k4) - 1.0, -1e-12, -0.3, top)
+    return (-max(p.k2, p.k4) - 1.0, -1e-12, -0.3, top)
 
 
 def _halves(rect):
@@ -604,42 +613,13 @@ def _isolate(outer, total: int, counter: _Counter):
     return records
 
 
-def _dedupe(records):
-    """Merge records that coincide within tolerance; keep the best residual."""
-    records = sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
-    tols = [DEDUPE_RTOL * max(1.0, abs(r.lam)) for r in records]
-    # A merge only raises a kept record's Im (records come sorted by Im), so a
-    # kept record below every later record's Im - 2 tol can never merge again.
-    floors = list(itertools.accumulate(
-        reversed([r.lam.imag - 2.0 * tol for r, tol in zip(records, tols)]), min))[::-1]
-    out, near = [], []          # near: kept records that can still merge, in out order
-    merged = 0
-    for rec, tol, floor in zip(records, tols, floors):
-        near = [kept for kept in near if kept.lam.imag >= floor]
-        for kept in near:
-            if abs(rec.lam - kept.lam) <= tol:
-                merged += 1
-                if rec.residual < kept.residual:
-                    kept.lam, kept.residual = rec.lam, rec.residual
-                if kept.k_index is None:
-                    kept.k_index = rec.k_index
-                if kept.family is None:
-                    kept.family = rec.family
-                kept.multiplicity = max(kept.multiplicity, rec.multiplicity)
-                break
-        else:
-            out.append(rec)
-            near.append(rec)
-    return out, merged
-
-
 def _label_low_frequency(records, p: BeamParams, variant: str):
     """Assign family tags to sweep roots by nearest closed-form prediction."""
     todo = [rec for rec in records if rec.family is None and rec.lam.imag >= 0]
     if not todo:
         return
     preds = [(predict_eigenvalue(k, j, p, variant=variant, k_min=1), j)
-             for k in range(1, K_MIN + 2) for j in (1, 2)]
+             for k in range(1, K_MIN) for j in (1, 2)]
     for rec in todo:
         pred, j = min(preds, key=lambda pj: abs(pj[0] - rec.lam))   # min keeps the first of equals
         if abs(pred - rec.lam) < 0.5:
@@ -649,14 +629,20 @@ def _label_low_frequency(records, p: BeamParams, variant: str):
 def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
     """All eigenvalues with |Im lambda| <= (k_max + 1/2) pi, plus search report.
 
-    Low-frequency sweep below (K_MIN + 1/2) pi, seeded Newton with per-box
-    validation from K_MIN to k_max, conjugate closure, dedupe, family labels.
-    The sweep box, every frequency box and the union of them all are counted
-    in one batch; the union's count is report.global_count and must equal
-    the multiplicity of the records inside it.  Im lambda below Newton's
-    resolution is stored as 0.0.  Incomplete boxes, including a union that
-    disagrees or cannot be counted (winding None), are reported, never
-    silently dropped.
+    The sweep box below (K_MIN - 1/2) pi and the frequency boxes K_MIN to
+    k_max tile the strip: the sweep subdivides until its roots isolate, each
+    frequency box keeps its Newton-polished pair, and each root is recorded
+    by the box holding it.  Conjugate closure then mirrors the records above
+    the line Im = -im_lo of the sweep rect used, whose conjugates no box
+    searched; the sweep holds both members of every pair below it.  Sweep
+    roots get family labels from the nearest prediction.  The sweep box,
+    every frequency box and the union of them all are counted in one batch;
+    the union's count is report.global_count and must equal the multiplicity
+    of the records inside it, so a root recorded twice or missed, for
+    instance where a shifted box overlaps its neighbour or leaves a gap,
+    shows as an incomplete union.  Im lambda below Newton's resolution is
+    stored as 0.0.  Incomplete boxes, including a union that disagrees or
+    cannot be counted (winding None), are reported, never silently dropped.
     """
     if k_max < 10:
         raise ValueError(f"k_max must be >= 10, got {k_max}")
@@ -683,21 +669,11 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
 
     _label_low_frequency(records, p, variant)
 
-    # conjugate closure (only Im > 0 was searched)
-    mirrored = []
-    for rec in records:
-        if rec.lam.imag > 1e-8:
-            twin = EigenvalueRecord(
-                rec.lam.conjugate(),
-                -rec.k_index if rec.k_index is not None else None,
-                rec.family,
-                rec.residual,
-                rec.multiplicity,
-                rec.variant,
-            )
-            mirrored.append(twin)
-    records, merged = _dedupe(records + mirrored)
-    report.duplicates_merged = merged
+    # conjugate closure: below Im = -outer[2] the sweep holds both members
+    records += [EigenvalueRecord(rec.lam.conjugate(),
+                                 -rec.k_index if rec.k_index is not None else None,
+                                 rec.family, rec.residual, rec.multiplicity, rec.variant)
+                for rec in records if rec.lam.imag > -outer[2]]
     for rec in records:
         if _on_real_axis(rec.lam):
             rec.lam = complex(rec.lam.real, 0.0)

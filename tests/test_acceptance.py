@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_spectrum import assert_tiled
 
 from tipbeam.asymptotics import (
     alpha_coefficients,
@@ -227,6 +228,7 @@ def test_c07_finite_difference_oracle(params_generic, params_degenerate):
 def test_c08_spectral_completeness(strip_generic, strip_conservative):
     records, report = strip_generic
     assert report.incomplete_boxes == []
+    assert_tiled(records, report)
     assert report.k0_effective == 8
     assert all(rec.lam.real < 0.0 for rec in records)
     # every frequency box holds exactly two roots, both half-planes
@@ -243,6 +245,7 @@ def test_c08_spectral_completeness(strip_generic, strip_conservative):
 
     crecs, crep = strip_conservative
     assert crep.incomplete_boxes == []
+    assert_tiled(crecs, crep)
     worst = max(abs(r.lam.real) for r in crecs)
     assert worst <= 1e-9
     print(f"[PASS] 08 completeness: {len(records)} damped records certified, "

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,9 @@ from tipbeam.errors import (
 )
 from tipbeam.model import regime_info, validate_params
 from tipbeam.spectrum import (
-    DEDUPE_RTOL,
     K_MIN,
     EigenvalueRecord,
     RootSearchReport,
-    _dedupe,
     count_roots_in_rect,
     family_roots,
     frequency_pairs,
@@ -87,9 +86,10 @@ def test_count_does_not_alias_a_root_near_an_edge():
 
 
 def test_count_resolves_close_roots_near_the_boundary(params_generic):
-    # the generic sweep box has roots at Re ~ -0.003, 0.11 apart, next to its
-    # right edge: phase increments alone, without the F'/F step bound, read
-    # 17 or 15 here depending on the initial spacing
+    # a low-frequency box of the generic set up to 8.5 pi holds the k = 8
+    # roots at Re ~ -0.003, 0.11 apart, next to its right edge: phase
+    # increments alone, without the F'/F step bound, read 17 or 15 here
+    # depending on the initial spacing
     rect = (-5.0, -1e-12, -0.3, 8.5 * math.pi)
     report = RootSearchReport()
     assert count_roots_in_rect(rect, params_generic, report) == 19
@@ -104,10 +104,11 @@ def _batch(rects, target):
 
 
 def test_batched_counts_match_one_box_counts(params_generic):
-    # the branch-point corner, a zero box, a frequency box and the sweep box of
-    # the generic set; the near-edge conservative pair with a zero box and a
-    # frequency box: each count, rect used and sample total equals the box's
-    # one-box count, and only the branch-point box shifts
+    # the branch-point corner, a zero box, a frequency box and the near-edge
+    # box of the test above, on the generic set; the near-edge conservative
+    # pair with a zero box and a frequency box: each count, rect used and
+    # sample total equals the box's one-box count, and only the branch-point
+    # box shifts
     cons = validate_params(1.0, 2.038786616131473, 1.014145822087823, 0.0,
                            2.8841124150393984, 0.0)
     edge = 18.897837103895696
@@ -435,52 +436,6 @@ def test_polish_makes_one_evaluation_per_round(params_generic, monkeypatch):
     assert rounds[0] == max(alone)     # a batch takes the rounds of its slowest seed
 
 
-def _dedupe_quadratic(records):
-    """The all-pairs merge that _dedupe must reproduce exactly."""
-    records = sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
-    out, merged = [], 0
-    for rec in records:
-        for kept in out:
-            if abs(rec.lam - kept.lam) <= DEDUPE_RTOL * max(1.0, abs(rec.lam)):
-                merged += 1
-                if rec.residual < kept.residual:
-                    kept.lam, kept.residual = rec.lam, rec.residual
-                if kept.k_index is None:
-                    kept.k_index = rec.k_index
-                if kept.family is None:
-                    kept.family = rec.family
-                kept.multiplicity = max(kept.multiplicity, rec.multiplicity)
-                break
-        else:
-            out.append(rec)
-    return out, merged
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.integers(-1, 0), st.integers(-2, 2),
-                          st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
-                          st.floats(0.0, 1.0), st.sampled_from((None, 1, 2)),
-                          st.sampled_from((1, 2))),
-                min_size=20, max_size=60))
-def test_dedupe_matches_all_pairs_merge(points):
-    # ten sites, each record a few merge tolerances off its site: merges
-    # chain and move a kept lambda, on the real axis and at |lambda| ~ 75
-    def records():
-        out = []
-        for re, im, dre, dim, res, fam, mult in points:
-            site = complex(0.3 * re, 37.5 * im)
-            tol = DEDUPE_RTOL * max(1.0, abs(site))
-            out.append(EigenvalueRecord(site + complex(dre, dim) * tol,
-                                        None if fam is None else im, fam, res, mult,
-                                        "dissipative"))
-        return out
-    got, got_merged = _dedupe(records())
-    want, want_merged = _dedupe_quadratic(records())
-    assert got_merged == want_merged
-    assert [(r.lam, r.k_index, r.family, r.residual, r.multiplicity) for r in got] == \
-        [(r.lam, r.k_index, r.family, r.residual, r.multiplicity) for r in want]
-
-
 @pytest.fixture
 def family_two_seeded_off(monkeypatch):
     # family 2 seeded at the root-free midpoint between frequency clusters
@@ -523,7 +478,7 @@ def test_spectrum_strip_containment(params_generic, fig_spectrum):
     assert len(recs) > 0
     for r in recs:
         assert r.lam.real < 0.0
-        assert r.lam.real >= -(p.k2 + p.k4) - 1e-8
+        assert r.lam.real >= -max(p.k2, p.k4)      # the dissipation identity
         assert r.residual <= 1e-10 * max(1.0, abs(r.lam))
 
 
@@ -534,9 +489,21 @@ def test_spectrum_conjugate_closure(fig_spectrum):
         assert any(abs(s.lam - twin) <= 1e-8 * max(1.0, abs(twin)) for s in recs)
 
 
+def assert_tiled(records, report):
+    """The sweep box, logged first, ends where frequency box K_MIN begins, and
+    no two records lie within 1e-8 max(1, |lambda|) of each other."""
+    sweep = report.boxes[0][0]
+    box = next(rect for rect, _ in report.boxes if rect[2] < K_MIN * math.pi < rect[3])
+    assert sweep[3] == box[2] == (K_MIN - 0.5) * math.pi
+    lam = np.array([r.lam for r in records])
+    gap = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(lam.size, np.inf))
+    assert (gap > 1e-8 * np.maximum(1.0, np.abs(lam))).all()
+
+
 def test_spectrum_completeness_report(fig_spectrum):
     recs, report = fig_spectrum
     assert report.incomplete_boxes == []
+    assert_tiled(recs, report)
     assert report.k0_effective == 8
     assert report.newton_iterations
 
@@ -584,6 +551,7 @@ def test_spectrum_prediction_convergence(params_generic, fig_spectrum):
 def test_spectrum_conservative_axis(cons_spectrum):
     recs, report = cons_spectrum
     assert report.incomplete_boxes == []
+    assert_tiled(recs, report)
     assert len(recs) > 0
     for r in recs:
         assert abs(r.lam.real) <= 1e-9 * max(1.0, abs(r.lam))
@@ -597,7 +565,7 @@ def test_verify_no_imaginary_roots(params_generic, params_conservative,
     # equals the roots recovered in it, and every root lies left of the axis
     recs, report = fig_spectrum
     p = params_generic
-    union = (-(p.k2 + p.k4) - 1.0, 0.2, -0.3, 20.5 * math.pi)
+    union = (-max(p.k2, p.k4) - 1.0, 0.2, -0.3, 20.5 * math.pi)
     assert report.global_count == sum(r.multiplicity for r in recs
                                       if tipbeam.spectrum._inside(r.lam, union))
     assert all(r.lam.real < -1e-12 * max(1.0, abs(r.lam)) for r in recs)
@@ -640,6 +608,7 @@ def test_jittered_conservative_strip_complete(b, k1, k3):
     p = validate_params(1.0, b, k1, 0.0, k3, 0.0)
     recs, report = spectrum_in_strip(p, 50, variant="conservative")
     assert report.incomplete_boxes == []
+    assert_tiled(recs, report)
     assert report.k0_effective == K_MIN
     assert len(recs) == 204
     assert all(abs(r.lam.real) <= 1e-9 * max(1.0, abs(r.lam)) for r in recs)
@@ -656,11 +625,12 @@ def test_conservative_boxes_avoid_root_locus(cons_spectrum):
 
 
 def test_generic_strip_batches_its_evaluations(params_generic):
-    # k <= 200: the strip's 466 boxes share their evaluation calls, and the
+    # k <= 200: the strip's 428 boxes share their evaluation calls, and the
     # sweep's leaves share their polishes
     recs, report = spectrum_in_strip(params_generic, 200)
     stats = report.stats
     assert report.incomplete_boxes == []
+    assert_tiled(recs, report)
     assert stats["contour_rounds"] <= 120
     assert stats["newton_rounds"] <= 45
     assert stats["global_count"] == 403 == sum(r.multiplicity for r in recs
@@ -669,7 +639,7 @@ def test_generic_strip_batches_its_evaluations(params_generic):
 
 def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
     p = params_generic
-    union = (-5.0, 0.2, -0.3, 12.5 * math.pi)
+    union = (-3.0, 0.2, -0.3, 12.5 * math.pi)
     # a sweep root lost before the conjugate closure: the union counts 27
     real_label = tipbeam.spectrum._label_low_frequency
 
@@ -681,6 +651,17 @@ def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
     _, report = spectrum_in_strip(p, 12)
     assert report.global_count == 27
     assert (union, 27, 26) in report.incomplete_boxes
+
+    # the same root recorded twice, as overlapping boxes would: the union
+    # recovers 28
+    def record_twice(records, params, variant):
+        records.append(replace(next(r for r in records if 1.0 < r.lam.imag < 2.0)))
+        real_label(records, params, variant)
+
+    monkeypatch.setattr(tipbeam.spectrum, "_label_low_frequency", record_twice)
+    _, report = spectrum_in_strip(p, 12)
+    assert report.global_count == 27
+    assert (union, 27, 28) in report.incomplete_boxes
     monkeypatch.undo()
     # |F| collapsed on the union's right edge below the frequency boxes, in
     # every shift: the union cannot be counted, the search still returns
@@ -696,6 +677,20 @@ def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
     assert report.global_count is None
     assert report.incomplete_boxes == [(union, None, 27)]
     assert len(recs) == 2 * 27 - 2     # two real roots
+
+
+def test_strip_with_strong_damping_completes():
+    # with the boxes' left edge at -(k2 + k4) - 1 = -15, |F| on the initial
+    # samples of the sweep box fell to 5.8e-8 of their median, under the dip
+    # floor, with no root near the edge, and every shift failed
+    # (BoundaryTooCloseToRoot); the dissipation identity puts every root
+    # right of -max(k2, k4) = -8, and the edge at -9 counts
+    p = validate_params(1.0, 2.0, 1.0, 8.0, 3.0, 6.0)
+    recs, report = spectrum_in_strip(p, 60)
+    assert report.incomplete_boxes == []
+    assert report.global_count == 124 and len(recs) == 244
+    assert all(-8.0 <= r.lam.real < 0.0 for r in recs)
+    assert_tiled(recs, report)
 
 
 def test_spectrum_stats_count_the_search(fig_spectrum):
@@ -729,6 +724,7 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
         assert regime_info(p).regime in ("case2", "case3")
         return
     assert report.incomplete_boxes == []
+    assert_tiled(recs, report)
     for k in range(K_MIN, k_max + 1):
         for center in (k * math.pi, -k * math.pi):
             near = [r for r in recs if abs(r.lam.imag - center) <= math.pi / 2]
@@ -736,7 +732,7 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
     for r in recs:
         twin = r.lam.conjugate()
         assert any(abs(s.lam - twin) <= 1e-8 * max(1.0, abs(twin)) for s in recs)
-        assert r.lam.real >= -(p.k2 + p.k4) - 1e-8 * max(1.0, abs(r.lam))
+        assert r.lam.real >= -max(p.k2, p.k4) - 1e-8 * max(1.0, abs(r.lam))
     if variant == "dissipative":
         assert report.global_count is not None
         assert all(r.lam.real < 0 for r in recs)
