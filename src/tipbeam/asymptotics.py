@@ -159,24 +159,17 @@ def special_a3(p: BeamParams) -> tuple[float, float]:
     return base - spread, base + spread
 
 
-def predict_eigenvalue(
-    k: int, j: int, p: BeamParams, variant: str = "dissipative", k_min: int = 5
-) -> complex:
-    """Closed-form eigenvalue prediction for family j at frequency index k.
+def predict_eigenvalue(k: int, j: int, p: BeamParams) -> complex:
+    """Closed-form eigenvalue prediction for family j at frequency index k != 0.
 
     Generic regime: i k pi + i alpha_j / k - beta_j / k^2 (the beta term
-    dropped for the conservative variant).  Degenerate regimes use the
-    colliding-family expansions; negative k mirrors by conjugation built
-    into the formulas.
+    dropped when k2 = k4 = 0).  Degenerate regimes use the colliding-family
+    expansions; negative k mirrors by conjugation built into the formulas.
     """
     if j not in (1, 2):
         raise ValueError(f"family index j must be 1 or 2, got {j}")
-    if variant not in ("dissipative", "conservative"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if abs(int(k)) < k_min:
-        raise ValueError(f"prediction needs |k| >= {k_min}, got k={k}")
-    if (variant == "conservative") != p.is_conservative:
-        raise RegimeMismatch(f"variant {variant!r} inconsistent with k2={p.k2}, k4={p.k4}")
+    if int(k) == 0:
+        raise ValueError("prediction needs k != 0")
     require_unit_speed(p)
 
     info = regime_info(p)
@@ -185,7 +178,7 @@ def predict_eigenvalue(
         g1, g2, _ = gamma_coefficients(p)
         a1, a2 = alpha_coefficients(g1, g2)
         aj = a1 if j == 1 else a2
-        if variant == "conservative":
+        if p.is_conservative:
             return base + 1j * aj / k
         beta = omega_beta(p, (a1, a2))[j - 1][2]
         return base + 1j * aj / k - beta / k**2

@@ -69,11 +69,6 @@ class RunConfig:
             return replace(self.params, k2=0.0, k4=0.0)
         return self.params
 
-    @property
-    def variant(self) -> str:
-        return "conservative" if self.conservative or self.params.is_conservative \
-            else "dissipative"
-
     def header_items(self):
         """Ordered (key, value-string) pairs covering the full configuration."""
         p = self.params
@@ -236,7 +231,7 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
 # commands
 
 def _cmd_spectrum(cfg: RunConfig) -> list:
-    records, report = spectrum_in_strip(cfg.effective_params, cfg.k_max, cfg.variant)
+    records, report = spectrum_in_strip(cfg.effective_params, cfg.k_max)
     rows = []
     for rec in records:
         rows.append([
@@ -273,7 +268,7 @@ def _cmd_predict(cfg: RunConfig) -> list:
     rows = []
     for k in range(K_MIN, cfg.k_max + 1):
         for j in (1, 2):
-            lam = predict_eigenvalue(k, j, p, variant=cfg.variant)
+            lam = predict_eigenvalue(k, j, p)
             rows.append([str(k), str(j), _g17(lam.real), _g17(lam.imag), regime])
     path = cfg.out_dir / "predictions.csv"
     _write_csv(path, cfg, ["k", "j", "re", "im", "regime"], rows)
@@ -284,9 +279,8 @@ def _cmd_modes(cfg: RunConfig) -> list:
     p = cfg.effective_params
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
     report = RootSearchReport()
-    recs = family_roots(p, range(K_MIN, cfg.k_max + 1), cfg.variant,
-                        tol=cfg.tolerance, report=report)
-    modes = eigenmode(np.array([rec.lam for rec in recs]), p, variant=cfg.variant)
+    recs = family_roots(p, range(K_MIN, cfg.k_max + 1), tol=cfg.tolerance, report=report)
+    modes = eigenmode(np.array([rec.lam for rec in recs]), p)
     res = mode_residuals(modes, p)
     identity = np.abs(modes.lam.real
                       + (p.k2 / p.k1) * np.abs(modes.tip_eta) ** 2
@@ -381,7 +375,7 @@ def _cmd_table(cfg: RunConfig) -> list:
     p = cfg.effective_params
     lines = [f"# {k}={v}" for k, v in cfg.header_items()]
     lines.append(f"{'k':>6}  {'k^2 Re lambda_1':>16}  {'k^2 Re lambda_2':>16}")
-    pairs = frequency_pairs(p, TABLE_KS, cfg.variant)
+    pairs = frequency_pairs(p, TABLE_KS)
     for k, (recs, complete) in zip(TABLE_KS, pairs):
         by_family = {rec.family: rec for rec in recs}
         if not complete or 1 not in by_family or 2 not in by_family:
@@ -395,7 +389,7 @@ def _cmd_table(cfg: RunConfig) -> list:
 
 
 def _cmd_plot(cfg: RunConfig) -> list:
-    records, _ = spectrum_in_strip(cfg.effective_params, cfg.k_max, cfg.variant)
+    records, _ = spectrum_in_strip(cfg.effective_params, cfg.k_max)
     width, height = float(cfg.width), float(cfg.height)
     margin = 40.0
     im_hi = (cfg.k_max + 0.5) * math.pi

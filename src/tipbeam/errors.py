@@ -70,7 +70,8 @@ class NegativeRadicand(TipbeamError, ValueError):
 
 
 class RegimeMismatch(TipbeamError, ValueError):
-    """Requested prediction variant is inconsistent with the parameters."""
+    """The parameters are outside the regime a routine needs: special_a3 needs
+    the degenerate set, riesz_closeness a damped beam (k2, k4 not both zero)."""
 
 
 # --- root search ---

@@ -25,6 +25,7 @@ from .charfn import _check_nonzero, _matrix
 from .errors import (
     NotAnEigenvalue,
     RankDeficiencyTwo,
+    RegimeMismatch,
     UnpairedFamily,
     ZeroMode,
 )
@@ -60,12 +61,10 @@ class ModeShape:
     tip_gamma: np.ndarray
     matrix_residual: np.ndarray
     conditioning: np.ndarray
-    variant: str
 
     def __getitem__(self, index) -> "ModeShape":
         """Index the batch axes: modes[i] is one mode, modes[:, None] a broadcast view."""
-        return replace(self, **{f.name: getattr(self, f.name)[index]
-                                for f in fields(self) if f.name != "variant"})
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
     def _eval(self, x, weights: np.ndarray):
         """sum_i w_i e^{t_i x}, shaped batch shape + x.shape."""
@@ -107,7 +106,7 @@ def _lane_error(error, index: tuple, lam, why: str):
     return err
 
 
-def eigenmode(lam, p: BeamParams, variant: str | None = None) -> ModeShape:
+def eigenmode(lam, p: BeamParams) -> ModeShape:
     """Build, check and normalize the modes at an array of eigenvalues.
 
     One boundary-matrix evaluation and one stacked SVD serve every mode.
@@ -121,10 +120,8 @@ def eigenmode(lam, p: BeamParams, variant: str | None = None) -> ModeShape:
     require_unit_speed(p)
     lam = np.asarray(lam, dtype=complex)
     if lam.ndim == 0:   # numpy's scalar arithmetic rounds apart from its array loops
-        return eigenmode(lam[None], p, variant)[0]
+        return eigenmode(lam[None], p)[0]
     _check_nonzero(lam)
-    if variant is None:
-        variant = "conservative" if p.is_conservative else "dissipative"
     m, (ts, exps, _, d, _, _) = _matrix(lam, p)
     _, s, vh = np.linalg.svd(m)
     # sigma4/sigma3 <= 1e-6 is the usual quality gate, but sigma3 is itself
@@ -150,7 +147,7 @@ def eigenmode(lam, p: BeamParams, variant: str | None = None) -> ModeShape:
                      tip_eta=lam * np.sum(c * exps, axis=-1),
                      tip_gamma=math.sqrt(p.a / p.b) * lam * np.sum(c * d * exps, axis=-1),
                      matrix_residual=np.linalg.norm(m @ c[..., None], axis=(-2, -1)),
-                     conditioning=s3 / s1, variant=variant)
+                     conditioning=s3 / s1)
     return normalize(replace(mode, hnorm=np.sqrt(np.abs(gram_inner_product(mode, mode, p)))), p)
 
 
@@ -239,30 +236,31 @@ class RieszDiagnostics:
     partial_sums: np.ndarray
 
 
-def _family_modes(p: BeamParams, ks, variant: str) -> ModeShape:
+def _family_modes(p: BeamParams, ks) -> ModeShape:
     """Both family modes at every k, flat in (k, family) order; errors name k and j."""
-    lams = np.array([rec.lam for rec in family_roots(p, ks, variant)])
+    lams = np.array([rec.lam for rec in family_roots(p, ks)])
     try:
-        return eigenmode(lams, p, variant=variant)
+        return eigenmode(lams, p)
     except (NotAnEigenvalue, RankDeficiencyTwo, ZeroMode) as err:
         (i,) = err.index
         raise type(err)(f"family {i % 2 + 1} at k = {ks[i // 2]}: {err}") from err
 
 
-def riesz_closeness(K: int, p: BeamParams, k_min: int = K_MIN) -> RieszDiagnostics:
-    """Pair damped and undamped modes per (k, j) and measure their distance.
+def riesz_closeness(K: int, p: BeamParams) -> RieszDiagnostics:
+    """Pair damped and undamped modes per (k, j), K_MIN <= k <= K, by their distance.
 
-    The conservative twin uses the same (a, b, k1, k3) with the damping
-    gains removed; the energy norm does not involve k2, k4, so the cross
-    inner products are unambiguous.
+    The conservative twin of the damped p uses the same (a, b, k1, k3) with
+    the damping gains removed; the energy norm does not involve k2, k4, so
+    the cross inner products are unambiguous.
     """
     require_unit_speed(p)
-    if K < k_min:
-        raise ValueError(f"K = {K} must be at least k_min = {k_min}")
-    p0 = replace(p, k2=0.0, k4=0.0)
-    ks = np.arange(k_min, K + 1)
-    psi = _family_modes(p, ks, "dissipative")
-    phi = _family_modes(p0, ks, "conservative")
+    if p.is_conservative:
+        raise RegimeMismatch(f"riesz_closeness needs damping, got k2={p.k2}, k4={p.k4}")
+    if K < K_MIN:
+        raise ValueError(f"K = {K} must be at least K_MIN = {K_MIN}")
+    ks = np.arange(K_MIN, K + 1)
+    psi = _family_modes(p, ks)
+    phi = _family_modes(replace(p, k2=0.0, k4=0.0), ks)
     damped, cons = psi.lam.reshape(-1, 2), phi.lam.reshape(-1, 2)
     own = np.abs(damped - cons)
     unpaired = own > 2.0 * np.abs(damped - cons[:, ::-1])
@@ -280,16 +278,15 @@ def riesz_closeness(K: int, p: BeamParams, k_min: int = K_MIN) -> RieszDiagnosti
                             partial_sums=2.0 * np.cumsum(closeness.sum(axis=1)))
 
 
-def gram_condition(p: BeamParams, K: int, k_min: int = K_MIN) -> float:
+def gram_condition(p: BeamParams, K: int) -> float:
     """2-norm condition number of the Gram matrix of 2K seeded modes.
 
-    Uses the damped families j = 1, 2 for k = k_min .. k_min + K - 1,
+    Uses the families j = 1, 2 for k = K_MIN .. K_MIN + K - 1,
     each normalized; a bounded condition number as K grows is the
     quadratic-closeness route to the Riesz basis property.
     """
     require_unit_speed(p)
     if K < 1:
         raise ValueError("K must be positive")
-    variant = "conservative" if p.is_conservative else "dissipative"
-    modes = _family_modes(p, range(k_min, k_min + K), variant)
+    modes = _family_modes(p, range(K_MIN, K_MIN + K))
     return float(np.linalg.cond(gram_inner_product(modes[:, None], modes[None, :], p)))

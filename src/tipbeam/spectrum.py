@@ -27,7 +27,8 @@ max |F'/F| * |z_{i+1} - z_i| at its two ends both stay within pi/4; the
 F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
 Boxes split off centre, so no edge of the conservative sweep lands on the
-root locus Re lambda = 0.
+root locus Re lambda = 0.  When a half cannot be counted unshifted, its
+parent splits again at another fraction: the split line moves, not the half.
 
 Counting is batched.  A search submits all its boxes to one counter, and
 every box refines in the same rounds: each call of the characteristic
@@ -56,14 +57,13 @@ from .errors import (
     NearBranchPoint,
     NoConvergence,
     NonConvergentContour,
-    RegimeMismatch,
 )
 from .model import BeamParams, require_unit_speed
 
 K_MIN = 8                     # boundary between contour sweep and seeded Newton
 _COINCIDENCE_RTOL = 1e-10     # Newton resolution; scale of a genuine double root
 _DIP_FACTOR = 1e-6            # |F| dip threshold relative to boundary median
-_SPLIT = 0.5 - 0.0618         # off-centre split fraction: no edge on Re = 0 in the sweep
+_SPLITS = (0.4382, 0.4182, 0.4582, 0.3982, 0.4782)   # off centre, tried in turn
 _EDGE_POINTS = 16             # initial samples per box edge
 _MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-bounded turn
 _SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is shifted
@@ -81,7 +81,6 @@ class EigenvalueRecord:
     family: int | None
     residual: float
     multiplicity: int
-    variant: str
     iterations: int = 0          # Newton steps to convergence
 
 
@@ -95,7 +94,7 @@ class RootSearchReport:
     duplicates_merged: int = 0   # always 0: the boxes tile; kept for perfbench/layers.py
     # (rect, winding or None when the box could not be counted, recovered)
     incomplete_boxes: list = field(default_factory=list)
-    shifted_boxes: int = 0       # counts made on a shifted box
+    shifted_boxes: int = 0       # counts made on a shifted box, plus re-splits
     contour_points: int = 0      # F evaluations in counting, refinements included
     contour_rounds: int = 0      # (F, F') evaluation calls made by counting
     newton_calls: int = 0        # Newton polishes started, converged or not
@@ -122,20 +121,17 @@ class _Target(NamedTuple):
     polished, its exact derivative and the residual |f| reported at a root.
     excluded(z) marks where evaluate must not go: a boundary sample there
     shifts its box, a Newton iterate there ends its lane (NearBranchPoint).
-    variant tags the records.
     """
 
     evaluate: Callable
     excluded: Callable
-    variant: str
 
 
 def _beam(p: BeamParams) -> _Target:
     """The beam's surrogate F = f t1 t3, with f, away from its branch points."""
     require_unit_speed(p)
     return _Target(lambda z: entire_char_fn_and_derivative(z, p),
-                   lambda z: _near_branch_point(z, p.b),
-                   "conservative" if p.is_conservative else "dissipative")
+                   lambda z: _near_branch_point(z, p.b))
 
 
 def _boundary(rect) -> np.ndarray:
@@ -256,11 +252,11 @@ class _Counter:
             self._call()
         return [self.outcomes[t] for t in tickets]
 
-    def first_resolved(self, tickets) -> dict:
-        """Ticket -> outcome of those tickets resolved once at least one is."""
-        while not any(t in self.outcomes for t in tickets):
+    def first_resolved(self, groups) -> list:
+        """Indices of the groups of tickets wholly resolved, once at least one is."""
+        while not any(all(t in self.outcomes for t in g) for g in groups):
             self._call()
-        return {t: self.outcomes[t] for t in tickets if t in self.outcomes}
+        return [i for i, g in enumerate(groups) if all(t in self.outcomes for t in g)]
 
     def _screen(self, ticket: int, box: _Boundary):
         """Make box the ticket's; shift it if a pending sample is excluded."""
@@ -377,7 +373,7 @@ def polish(seeds, p: BeamParams, tol: float = 1e-13,
 
 
 def _newton(seeds, target: _Target, tol: float, report: RootSearchReport) -> list:
-    """The kernel of `polish`, on the zeros of target's F; records carry its variant."""
+    """The kernel of `polish`, on the zeros of target's F."""
     if tol < 1e-13:
         raise ValueError(f"tol must be >= 1e-13, got {tol}")
     seeds = np.asarray(seeds, dtype=complex)
@@ -425,8 +421,7 @@ def _newton(seeds, target: _Target, tol: float, report: RootSearchReport) -> lis
     report.newton_calls += n
     # every lane that ended without an error had converged
     return [rec if rec is not None else
-            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), 1,
-                             target.variant, int(conv[i]))
+            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), 1, int(conv[i]))
             for i, rec in enumerate(out)]
 
 
@@ -438,8 +433,7 @@ def refine_root(seed: complex, p: BeamParams, tol: float = 1e-13) -> EigenvalueR
     return rec
 
 
-def family_roots(p: BeamParams, k, variant: str = "dissipative", tol: float = 1e-13,
-                 report: RootSearchReport | None = None):
+def family_roots(p: BeamParams, k, tol: float = 1e-13, report: RootSearchReport | None = None):
     """Both family roots near i k pi, Newton-polished from their predictions.
 
     k is one frequency index or a sequence of them; all seeds go through
@@ -448,18 +442,17 @@ def family_roots(p: BeamParams, k, variant: str = "dissipative", tol: float = 1e
     raised again naming k and j, after every lane was tried (the first
     failure in that order).
     """
-    recs, failure = _families(p, _beam(p), k, variant, tol, report or RootSearchReport())
+    recs, failure = _families(p, _beam(p), k, tol, report or RootSearchReport())
     if failure is not None:
         raise failure
     return recs
 
 
-def _families(p: BeamParams, target: _Target, k, variant: str, tol: float,
-              report: RootSearchReport):
+def _families(p: BeamParams, target: _Target, k, tol: float, report: RootSearchReport):
     """family_roots on target: the records and the first failure, or None."""
     ks = [int(k)] if np.ndim(k) == 0 else [int(v) for v in k]
     lanes = [(kk, j) for kk in ks for j in (1, 2)]
-    seeds = [predict_eigenvalue(kk, j, p, variant=variant, k_min=1) for kk, j in lanes]
+    seeds = [predict_eigenvalue(kk, j, p) for kk, j in lanes]
     recs, failure = [], None
     for (kk, j), rec in zip(lanes, _newton(np.array(seeds, dtype=complex), target, tol, report)):
         if isinstance(rec, Exception):
@@ -471,9 +464,9 @@ def _families(p: BeamParams, target: _Target, k, variant: str, tol: float,
     return recs, failure
 
 
-def _validation_rect(p: BeamParams, k: int, variant: str):
+def _validation_rect(p: BeamParams, k: int):
     im_lo, im_hi = (k - 0.5) * math.pi, (k + 0.5) * math.pi
-    if variant == "conservative":
+    if p.is_conservative:
         return (-0.5, 0.5, im_lo, im_hi)
     # right edge slightly into the right half plane: no roots there, and it
     # keeps high-k roots (Re ~ -1/k^2) safely off the contour
@@ -484,8 +477,7 @@ def _inside(lam: complex, rect) -> bool:
     return rect[0] <= lam.real <= rect[1] and rect[2] <= lam.imag <= rect[3]
 
 
-def frequency_pairs(p: BeamParams, ks, variant: str = "dissipative",
-                    report: RootSearchReport | None = None) -> list:
+def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -> list:
     """(records, complete) of each frequency k in ks: both family roots near
     i k pi from one Newton batch, jointly validated by one batch of box counts.
 
@@ -494,29 +486,28 @@ def frequency_pairs(p: BeamParams, ks, variant: str = "dissipative",
     adjacent boxes never report one root twice.  complete means the winding
     count over that rect equals their multiplicity.  When both families
     polish onto one root (agreeing to Newton resolution) while the box
-    counts 2, the box is subdivided until its roots isolate: two distinct
-    roots, as with unequal damping gains and degenerate sqrt(b) at
-    Theta(1/k^2) apart, come back as two records in family order; only an
+    counts 2, the box is subdivided (see _isolate) until its roots isolate:
+    two distinct roots, as with unequal damping gains and degenerate sqrt(b)
+    at Theta(1/k^2) apart, come back as two records in family order; only an
     unresolvable cluster comes back as one record of multiplicity 2.
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
-    return _frequency_pairs(p, ks, variant, counter)
+    return _frequency_pairs(p, ks, counter)
 
 
-def _frequency_pairs(p: BeamParams, ks, variant: str, counter: _Counter):
+def _frequency_pairs(p: BeamParams, ks, counter: _Counter):
     """frequency_pairs with the boxes counted on `counter`."""
     ks = list(ks)
     by_k = {}
-    for rec in _families(p, counter.target, ks, variant, 1e-13, counter.report)[0]:
+    for rec in _families(p, counter.target, ks, 1e-13, counter.report)[0]:
         by_k.setdefault(rec.k_index, []).append(rec)
-    rects = counter.submit([_validation_rect(p, k, variant) for k in ks])
+    rects = counter.submit([_validation_rect(p, k) for k in ks])
     counts = _logged(counter.outcomes_of(rects), counter.report)
-    return [_check_pair(p, k, variant, by_k.get(k, []), count, rect, counter)
+    return [_check_pair(p, k, by_k.get(k, []), count, rect, counter)
             for k, (count, rect) in zip(ks, counts)]
 
 
-def _check_pair(p: BeamParams, k: int, variant: str, recs, count: int, rect,
-                counter: _Counter):
+def _check_pair(p: BeamParams, k: int, recs, count: int, rect, counter: _Counter):
     """The polished recs of frequency box k that lie inside rect, and whether
     their multiplicity equals its count over rect."""
     inside = [r for r in recs if _inside(r.lam, rect)]
@@ -524,7 +515,7 @@ def _check_pair(p: BeamParams, k: int, variant: str, recs, count: int, rect,
         _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
     if coincident and count == 2:
         inside = _isolate(rect, count, counter)
-        _label_pair(inside, p, k, variant)
+        _label_pair(inside, p, k)
     complete = count == sum(r.multiplicity for r in inside)
     if not complete:
         counter.report.incomplete_boxes.append(
@@ -532,10 +523,10 @@ def _check_pair(p: BeamParams, k: int, variant: str, recs, count: int, rect,
     return inside, complete
 
 
-def _label_pair(recs, p: BeamParams, k: int, variant: str):
+def _label_pair(recs, p: BeamParams, k: int):
     """Tag the roots of frequency box k, in place, in family order: the
     assignment to the two predictions with the smaller total distance."""
-    preds = [predict_eigenvalue(k, j, p, variant=variant, k_min=1) for j in (1, 2)]
+    preds = [predict_eigenvalue(k, j, p) for j in (1, 2)]
     if len(recs) == 2 and (abs(recs[0].lam - preds[1]) + abs(recs[1].lam - preds[0])
                            < abs(recs[0].lam - preds[0]) + abs(recs[1].lam - preds[1])):
         recs.reverse()
@@ -543,41 +534,49 @@ def _label_pair(recs, p: BeamParams, k: int, variant: str):
         rec.k_index, rec.family = k, j
 
 
-def _sweep_box(p: BeamParams, variant: str):
+def _sweep_box(p: BeamParams):
     top = (K_MIN - 0.5) * math.pi     # the bottom edge of frequency box K_MIN
-    if variant == "conservative":
+    if p.is_conservative:
         return (-0.5, 0.5, -0.3, top)
     return (-max(p.k2, p.k4) - 1.0, -1e-12, -0.3, top)
 
 
-def _halves(rect):
-    """The two halves of rect, its longer side split at the fraction _SPLIT."""
+def _halves(rect, fraction: float):
+    """The two halves of rect, its longer side split at `fraction` of its length."""
     re_lo, re_hi, im_lo, im_hi = rect
     w, h = re_hi - re_lo, im_hi - im_lo
     if w >= h:
-        mid = re_lo + _SPLIT * w
+        mid = re_lo + fraction * w
         return [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
-    mid = im_lo + _SPLIT * h
+    mid = im_lo + fraction * h
     return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
 
 
 def _isolate(outer, total: int, counter: _Counter):
     """Records of the `total` roots in `outer`, by recursive subdivision.
 
-    Each box splits its longer side at the fraction _SPLIT, not at the
+    Each box splits its longer side at the fraction _SPLITS[0], not at the
     centre: halving the symmetric conservative box would put an edge on
     Re lambda = 0, where every conservative root lies.  The halves of a box
     go to the counter as soon as its own count is in, so boxes of every
-    depth share evaluation calls.  A box with one root and diameter at most
-    0.25 waits as a leaf.  Whenever no count of the subdivision is pending,
-    all waiting leaves are Newton-polished from their centres in one
-    Newton batch; a leaf whose polish fails or lands outside it splits in turn.
+    depth share evaluation calls.  Once both are in, a half counted only
+    shifted (or not at all) drops both, and the box splits again at the next
+    fraction, so the halves tile it; each re-split adds one to
+    report.shifted_boxes.  The last fraction's halves are taken as counted.
+    A box with one root and diameter at most 0.25 waits as a leaf.  Whenever
+    no count of the subdivision is pending, all waiting leaves are
+    Newton-polished from their centres in one Newton batch; a leaf whose
+    polish fails or lands outside it splits in turn.
     """
     report, target = counter.report, counter.target
-    records, leaves, live = [], [], []
+    records, leaves, splits = [], [], []     # splits: (rect, count, attempt, tickets)
+
+    def split(rect, cnt: int, attempt: int = 0):
+        splits.append((rect, cnt, attempt, counter.submit(_halves(rect, _SPLITS[attempt]))))
+
     boxes = [(outer, total)] if total else []
     visited = 0
-    while boxes or live or leaves:
+    while boxes or splits or leaves:
         for rect, cnt in boxes:
             visited += 1
             if visited > 10000:
@@ -588,17 +587,26 @@ def _isolate(outer, total: int, counter: _Counter):
             if diam < 1e-6:
                 # unresolvable cluster: record as a multiple root at the center
                 residual = float(abs(target.evaluate(np.array([center]))[2][0]))
-                records.append(EigenvalueRecord(center, None, None, residual, cnt,
-                                                target.variant))
+                records.append(EigenvalueRecord(center, None, None, residual, cnt))
             elif cnt == 1 and diam <= 0.25:
                 leaves.append((rect, center))
             else:
-                live += counter.submit(_halves(rect))
+                split(rect, cnt)
         boxes = []
-        if live:
-            done = counter.first_resolved(live)
-            live = [t for t in live if t not in done]
-            boxes = [(used, c) for c, used in _logged(list(done.values()), report) if c]
+        if splits:
+            done = counter.first_resolved([tickets for *_, tickets in splits])
+            ready = [splits[i] for i in done]
+            splits = [s for i, s in enumerate(splits) if i not in done]
+            for rect, cnt, attempt, tickets in ready:
+                halves = counter.outcomes_of(tickets)
+                if attempt + 1 < len(_SPLITS) and any(isinstance(h, Exception) or h[3]
+                                                      for h in halves):
+                    report.shifted_boxes += 1
+                    report.contour_points += sum(h[2] for h in halves
+                                                 if not isinstance(h, Exception))
+                    split(rect, cnt, attempt + 1)
+                else:
+                    boxes += [(used, c) for c, used in _logged(halves, report) if c]
         elif leaves:
             polished = _newton([center for _, center in leaves], target, 1e-13, report)
             for (rect, _), rec in zip(leaves, polished):
@@ -608,25 +616,24 @@ def _isolate(outer, total: int, counter: _Counter):
                     records.append(rec)
                     report.newton_iterations.append((rec.lam, rec.iterations))
                 else:
-                    live += counter.submit(_halves(rect))   # polishing misbehaved: split
+                    split(rect, 1)   # polishing misbehaved: split
             leaves = []
     return records
 
 
-def _label_low_frequency(records, p: BeamParams, variant: str):
+def _label_low_frequency(records, p: BeamParams):
     """Assign family tags to sweep roots by nearest closed-form prediction."""
     todo = [rec for rec in records if rec.family is None and rec.lam.imag >= 0]
     if not todo:
         return
-    preds = [(predict_eigenvalue(k, j, p, variant=variant, k_min=1), j)
-             for k in range(1, K_MIN) for j in (1, 2)]
+    preds = [(predict_eigenvalue(k, j, p), j) for k in range(1, K_MIN) for j in (1, 2)]
     for rec in todo:
         pred, j = min(preds, key=lambda pj: abs(pj[0] - rec.lam))   # min keeps the first of equals
         if abs(pred - rec.lam) < 0.5:
             rec.family = j
 
 
-def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
+def spectrum_in_strip(p: BeamParams, k_max: int):
     """All eigenvalues with |Im lambda| <= (k_max + 1/2) pi, plus search report.
 
     The sweep box below (K_MIN - 1/2) pi and the frequency boxes K_MIN to
@@ -646,19 +653,17 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
     """
     if k_max < 10:
         raise ValueError(f"k_max must be >= 10, got {k_max}")
-    if (variant == "conservative") != p.is_conservative:
-        raise RegimeMismatch(f"variant {variant!r} inconsistent with k2={p.k2}, k4={p.k4}")
 
     report = RootSearchReport()
     counter = _Counter(_beam(p), report)
     ks = range(K_MIN, k_max + 1)
-    outer, top = _sweep_box(p, variant), _validation_rect(p, k_max, variant)
+    outer, top = _sweep_box(p), _validation_rect(p, k_max)
     union = (min(outer[0], top[0]), max(outer[1], top[1]), outer[2], top[3])
     # the frequency boxes and the union count in the background of the sweep
-    counter.submit([_validation_rect(p, k, variant) for k in ks] + [union, outer])
+    counter.submit([_validation_rect(p, k) for k in ks] + [union, outer])
     ((outer_count, outer),) = _logged(counter.outcomes_of(counter.submit([outer])), report)
     records = _isolate(outer, outer_count, counter)
-    pairs = _frequency_pairs(p, ks, variant, counter)
+    pairs = _frequency_pairs(p, ks, counter)
     (union_out,) = counter.outcomes_of(counter.submit([union]))
     failed_k = []
     for k, (recs, complete) in zip(ks, pairs):
@@ -667,12 +672,12 @@ def spectrum_in_strip(p: BeamParams, k_max: int, variant: str = "dissipative"):
         records.extend(recs)
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
 
-    _label_low_frequency(records, p, variant)
+    _label_low_frequency(records, p)
 
     # conjugate closure: below Im = -outer[2] the sweep holds both members
     records += [EigenvalueRecord(rec.lam.conjugate(),
                                  -rec.k_index if rec.k_index is not None else None,
-                                 rec.family, rec.residual, rec.multiplicity, rec.variant)
+                                 rec.family, rec.residual, rec.multiplicity)
                 for rec in records if rec.lam.imag > -outer[2]]
     for rec in records:
         if _on_real_axis(rec.lam):

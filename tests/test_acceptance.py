@@ -72,7 +72,7 @@ def strip_generic(params_generic):
 @pytest.fixture(scope="module")
 def strip_conservative(params_generic):
     p0 = replace(params_generic, k2=0.0, k4=0.0)
-    return spectrum_in_strip(p0, 50, variant="conservative")
+    return spectrum_in_strip(p0, 50)
 
 
 @pytest.fixture(scope="module")

@@ -186,7 +186,7 @@ def test_predict_generic(params_generic, params_conservative):
     # negative k mirrors by conjugation
     assert predict_eigenvalue(-100, 1, p) == pytest.approx(np.conj(lam), rel=1e-13)
     # conservative: purely imaginary predictions
-    lam_c = predict_eigenvalue(50, 2, params_conservative, variant="conservative")
+    lam_c = predict_eigenvalue(50, 2, params_conservative)
     assert lam_c.real == 0.0
 
 
@@ -207,22 +207,18 @@ def test_predict_case2_and_case3():
     lam = predict_eigenvalue(50, 1, p2)
     assert lam.real == pytest.approx(-20 * 3 / (50 * math.pi) ** 2, rel=1e-12)
     p3 = validate_params(1, 4 * pi2, 20, 0, 20, 0)
-    lam3 = predict_eigenvalue(50, 1, p3, variant="conservative")
+    lam3 = predict_eigenvalue(50, 1, p3)
     assert lam3.real == 0.0
     a31 = special_a3(p3)[0]
     expect = 50 * math.pi + (2 * 20 + pi2) / (2 * 50 * math.pi) + a31 / (24 * 50**3 * math.pi**3)
     assert lam3.imag == pytest.approx(expect, rel=1e-13)
 
 
-def test_predict_validation(params_generic, params_conservative):
-    with pytest.raises(ValueError):
-        predict_eigenvalue(3, 1, params_generic)
+def test_predict_validation(params_generic):
+    with pytest.raises(ValueError, match="k != 0"):
+        predict_eigenvalue(0, 1, params_generic)
     with pytest.raises(ValueError):
         predict_eigenvalue(100, 3, params_generic)
-    with pytest.raises(RegimeMismatch):
-        predict_eigenvalue(100, 1, params_generic, variant="conservative")
-    with pytest.raises(RegimeMismatch):
-        predict_eigenvalue(100, 1, params_conservative, variant="dissipative")
 
 
 def test_f_expansion_f0_identity(params_generic):

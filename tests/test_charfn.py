@@ -257,7 +257,7 @@ def test_derivative_finite_at_roots(params_generic, params_degenerate):
     # degenerate families sit Theta(1/k^2) apart
     for p, k in ((params_generic, 12), (params_degenerate, 200)):
         for j in (1, 2):
-            lam = refine_root(predict_eigenvalue(k, j, p, k_min=1), p).lam
+            lam = refine_root(predict_eigenvalue(k, j, p), p).lam
             fval, d, _ = entire_char_fn_and_derivative(lam, p)
             assert np.isfinite(d) and abs(d) > 0.0
             assert abs(fval) <= 1e-9 * abs(d)

@@ -13,7 +13,13 @@ from test_charfn import _REGIME_SETS
 import tipbeam.modes
 from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import boundary_matrix
-from tipbeam.errors import NegativeRadicand, NotAnEigenvalue, RankDeficiencyTwo, ZeroMode
+from tipbeam.errors import (
+    NegativeRadicand,
+    NotAnEigenvalue,
+    RankDeficiencyTwo,
+    RegimeMismatch,
+    ZeroMode,
+)
 from tipbeam.model import grid_inner_product, regime_info, validate_params
 from tipbeam.modes import (
     _exp_integral,
@@ -87,9 +93,9 @@ def test_riesz_error_names_k_and_j(params_generic, monkeypatch):
     # a damped k = 9, j = 2 root pushed off the spectrum
     real = tipbeam.modes.family_roots
 
-    def shifted(p, ks, variant):
-        recs = real(p, ks, variant)
-        if variant == "dissipative":
+    def shifted(p, ks):
+        recs = real(p, ks)
+        if not p.is_conservative:
             recs[3] = replace(recs[3], lam=recs[3].lam + 0.3j)
         return recs
 
@@ -108,9 +114,8 @@ def test_mode_lanes_match_single_builds(name, gains, damping, lanes):
     # matrix is Hermitian, has unit diagonal and equals the one-pair calls
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
-    variant = "conservative" if p.is_conservative else "dissipative"
     try:
-        seeds = [predict_eigenvalue(k, j, p, variant=variant) for k, j in lanes]
+        seeds = [predict_eigenvalue(k, j, p) for k, j in lanes]
     except NegativeRadicand:
         assert regime_info(p).regime in ("case2", "case3")
         return
@@ -134,7 +139,7 @@ def test_mode_lanes_match_single_builds(name, gains, damping, lanes):
     eps = 64 * np.finfo(float).eps
     for lane, i in enumerate(keep):
         one = singles[i]
-        assert batch.lam[lane] == one.lam and batch.variant == one.variant
+        assert batch.lam[lane] == one.lam
         for field in ("coeffs", "ts", "tip_eta", "tip_gamma", "hnorm"):
             got, want = getattr(batch, field)[lane], getattr(one, field)
             assert np.max(np.abs(got - want)) <= eps * max(1.0, np.max(np.abs(want))), field
@@ -207,9 +212,8 @@ def test_dissipation_identity_on_eigenvector(params_generic, mode12):
 
 def test_conservative_modes_orthonormal(params_conservative):
     p = params_conservative
-    lams = [refine_root(predict_eigenvalue(k, j, p, variant="conservative"), p).lam
-            for k in (9, 10) for j in (1, 2)]
-    modes = eigenmode(np.array(lams), p, variant="conservative")
+    lams = [refine_root(predict_eigenvalue(k, j, p), p).lam for k in (9, 10) for j in (1, 2)]
+    modes = eigenmode(np.array(lams), p)
     g = gram_inner_product(modes[:, None], modes[None, :], p)
     assert g.shape == (4, 4)
     assert np.max(np.abs(g - np.eye(4))) <= 1e-8
@@ -284,7 +288,13 @@ def test_riesz_tip_traces_decay(riesz16):
 
 def test_riesz_validates_window(params_generic):
     with pytest.raises(ValueError):
-        riesz_closeness(4, params_generic, k_min=8)
+        riesz_closeness(4, params_generic)
+
+
+def test_riesz_refuses_a_conservative_beam(params_conservative):
+    # with k2 = k4 = 0 there is no damped beam to compare with its twin
+    with pytest.raises(RegimeMismatch, match="k2=0.0, k4=0.0"):
+        riesz_closeness(20, params_conservative)
 
 
 def test_gram_condition_near_orthonormal(params_generic):

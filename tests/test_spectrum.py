@@ -17,7 +17,6 @@ from tipbeam.errors import (
     NegativeRadicand,
     NoConvergence,
     NonConvergentContour,
-    RegimeMismatch,
 )
 from tipbeam.model import regime_info, validate_params
 from tipbeam.spectrum import (
@@ -40,7 +39,7 @@ def fig_spectrum(params_generic):
 
 @pytest.fixture(scope="module")
 def cons_spectrum(params_conservative):
-    return spectrum_in_strip(params_conservative, 12, variant="conservative")
+    return spectrum_in_strip(params_conservative, 12)
 
 
 def test_count_right_half_plane_empty(params_generic):
@@ -189,7 +188,7 @@ def _known_zeros(roots):
                 for i, (r, m) in enumerate(roots))
         return f, d, f
 
-    return tipbeam.spectrum._Target(evaluate, lambda z: np.zeros(z.shape, dtype=bool), "known")
+    return tipbeam.spectrum._Target(evaluate, lambda z: np.zeros(z.shape, dtype=bool))
 
 
 _UNIT = (-1.0, 1.0, -1.0, 1.0)
@@ -231,7 +230,7 @@ def test_counter_and_newton_on_known_zeros(roots, rects):
         seeds.append(r + 0.01 * away / abs(away))
     polished = tipbeam.spectrum._newton(np.array(seeds), target, 1e-13, RootSearchReport())
     for r, rec in zip(simple, polished):
-        assert isinstance(rec, EigenvalueRecord) and rec.variant == "known"
+        assert isinstance(rec, EigenvalueRecord)
         assert abs(rec.lam - r) <= 1e-12
 
 
@@ -258,19 +257,18 @@ def test_refine_root_from_prediction(params_generic):
     assert rec.residual <= 1e-10 * max(1.0, abs(rec.lam))
     assert abs(rec.lam.imag - k * math.pi) < 0.1
     assert rec.lam.real < 0
-    assert rec.variant == "dissipative"
 
 
 def test_refine_root_degenerate_table_value(params_degenerate):
     # k = 200, slower family: scaled real part matches the reference table
     p = params_degenerate
-    rec = refine_root(predict_eigenvalue(200, 1, p, k_min=1), p)
+    rec = refine_root(predict_eigenvalue(200, 1, p), p)
     assert 200**2 * rec.lam.real == pytest.approx(-0.202667, abs=1e-4)
 
 
 def test_refine_root_conservative_on_axis(params_conservative):
     p = params_conservative
-    rec = refine_root(predict_eigenvalue(12, 1, p, variant="conservative"), p)
+    rec = refine_root(predict_eigenvalue(12, 1, p), p)
     assert abs(rec.lam.real) < 1e-10
 
 
@@ -364,10 +362,8 @@ def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
     # each lane of the batch ends exactly as refine_root does on its seed alone
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
-    variant = "conservative" if p.is_conservative else "dissipative"
     try:
-        seeds = [predict_eigenvalue(k, j, p, variant=variant, k_min=1) + shift
-                 for k, j, shift in lanes]
+        seeds = [predict_eigenvalue(k, j, p) + shift for k, j, shift in lanes]
     except NegativeRadicand:
         assert regime_info(p).regime in ("case2", "case3")
         return
@@ -441,10 +437,10 @@ def family_two_seeded_off(monkeypatch):
     # family 2 seeded at the root-free midpoint between frequency clusters
     real_predict = tipbeam.spectrum.predict_eigenvalue
 
-    def predict(k, j, p, **kwargs):
+    def predict(k, j, p):
         if j == 2:
             return (k + 0.5) * math.pi * 1j - 0.1
-        return real_predict(k, j, p, **kwargs)
+        return real_predict(k, j, p)
 
     monkeypatch.setattr(tipbeam.spectrum, "predict_eigenvalue", predict)
 
@@ -463,13 +459,9 @@ def test_pair_at_frequency_keeps_surviving_family(params_generic,
     assert report.incomplete_boxes[0][1:] == (2, 1)
 
 
-def test_spectrum_validation_errors(params_generic, params_conservative):
+def test_spectrum_validation_errors(params_generic):
     with pytest.raises(ValueError):
         spectrum_in_strip(params_generic, 5)
-    with pytest.raises(RegimeMismatch):
-        spectrum_in_strip(params_generic, 15, variant="conservative")
-    with pytest.raises(RegimeMismatch):
-        spectrum_in_strip(params_conservative, 15, variant="dissipative")
 
 
 def test_spectrum_strip_containment(params_generic, fig_spectrum):
@@ -556,7 +548,6 @@ def test_spectrum_conservative_axis(cons_spectrum):
     for r in recs:
         assert abs(r.lam.real) <= 1e-9 * max(1.0, abs(r.lam))
         assert abs(r.lam) > 1e-6   # origin is in the resolvent set
-        assert r.variant == "conservative"
 
 
 def test_verify_no_imaginary_roots(params_generic, params_conservative,
@@ -579,7 +570,7 @@ def test_verify_no_imaginary_roots(params_generic, params_conservative,
 def test_real_roots_sort_by_real_part(fig_spectrum):
     # Im = +-1e-16 is rounding noise of Newton on the real axis; its sign
     # must not decide the order of the two real roots in spectrum.csv
-    rec = lambda lam, fam: EigenvalueRecord(lam, None, fam, 0.0, 1, "dissipative")
+    rec = lambda lam, fam: EigenvalueRecord(lam, None, fam, 0.0, 1)
     recs = [rec(complex(-0.3786, 1e-16), 1), rec(complex(-1.1164, -1e-16), 2),
             rec(complex(-0.5, 3.0), 1), rec(complex(-0.5, -3.0), 1)]
     recs.sort(key=tipbeam.spectrum._record_order)
@@ -606,7 +597,7 @@ _JITTERED_CONSERVATIVE = [
 @pytest.mark.parametrize("b, k1, k3", _JITTERED_CONSERVATIVE)
 def test_jittered_conservative_strip_complete(b, k1, k3):
     p = validate_params(1.0, b, k1, 0.0, k3, 0.0)
-    recs, report = spectrum_in_strip(p, 50, variant="conservative")
+    recs, report = spectrum_in_strip(p, 50)
     assert report.incomplete_boxes == []
     assert_tiled(recs, report)
     assert report.k0_effective == K_MIN
@@ -643,9 +634,9 @@ def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
     # a sweep root lost before the conjugate closure: the union counts 27
     real_label = tipbeam.spectrum._label_low_frequency
 
-    def drop_one(records, params, variant):
+    def drop_one(records, params):
         records.remove(next(r for r in records if 1.0 < r.lam.imag < 2.0))
-        real_label(records, params, variant)
+        real_label(records, params)
 
     monkeypatch.setattr(tipbeam.spectrum, "_label_low_frequency", drop_one)
     _, report = spectrum_in_strip(p, 12)
@@ -654,9 +645,9 @@ def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
 
     # the same root recorded twice, as overlapping boxes would: the union
     # recovers 28
-    def record_twice(records, params, variant):
+    def record_twice(records, params):
         records.append(replace(next(r for r in records if 1.0 < r.lam.imag < 2.0)))
-        real_label(records, params, variant)
+        real_label(records, params)
 
     monkeypatch.setattr(tipbeam.spectrum, "_label_low_frequency", record_twice)
     _, report = spectrum_in_strip(p, 12)
@@ -711,14 +702,20 @@ def test_spectrum_stats_count_the_search(fig_spectrum):
 # colliding families with a real third-order expansion (k1 = 0.5)
 @example(name="case2", gains=0.25, damping=1.0)
 @example(name="case3", gains=0.25, damping=1.0)
+# a subdivision half that could only be counted shifted left a gap beside
+# its sibling, and a sweep root (-0.0664 + 10.1645i on the first) fell in it
+@example(name="borderline", gains=1.0, damping=1.25)
+@example(name="borderline", gains=0.85, damping=1.05)
+@example(name="borderline", gains=0.85, damping=1.25)
+@example(name="case1", gains=0.85, damping=1.05)
+@example(name="case1", gains=0.85, damping=1.25)
 def test_spectrum_properties_across_regimes(name, gains, damping):
     # k1, k3 and k2, k4 scale in pairs, which keeps each set in its regime
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
-    variant = "conservative" if p.is_conservative else "dissipative"
     k_max = 12
     try:
-        recs, report = spectrum_in_strip(p, k_max, variant=variant)
+        recs, report = spectrum_in_strip(p, k_max)
     except NegativeRadicand:
         # the documented refusal of the third-order degenerate expansion
         assert regime_info(p).regime in ("case2", "case3")
@@ -733,6 +730,6 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
         twin = r.lam.conjugate()
         assert any(abs(s.lam - twin) <= 1e-8 * max(1.0, abs(twin)) for s in recs)
         assert r.lam.real >= -max(p.k2, p.k4) - 1e-8 * max(1.0, abs(r.lam))
-    if variant == "dissipative":
+    if not p.is_conservative:
         assert report.global_count is not None
         assert all(r.lam.real < 0 for r in recs)
