@@ -33,7 +33,6 @@ _DEFAULTS = {
     "grid_n": 200,
     "horizon": 60.0,
     "dt": None,
-    "tolerance": 1e-13,
     "width": 640,
     "height": 480,
     "seed": 0,
@@ -41,7 +40,7 @@ _DEFAULTS = {
 
 _PARAM_KEYS = ("a", "b", "k1", "k2", "k3", "k4")
 _FILE_KEYS = _PARAM_KEYS + (
-    "kmax", "grid_n", "horizon", "dt", "conservative", "tolerance",
+    "kmax", "grid_n", "horizon", "dt", "conservative",
     "width", "height", "seed",
 )
 
@@ -58,7 +57,6 @@ class RunConfig:
     dt: float | None
     out_dir: Path
     conservative: bool
-    tolerance: float
     width: int
     height: int
     seed: int
@@ -82,7 +80,6 @@ class RunConfig:
             ("horizon", _g17(self.horizon)),
             ("dt", "auto" if self.dt is None else _g17(self.dt)),
             ("conservative", "true" if self.conservative else "false"),
-            ("tolerance", _g17(self.tolerance)),
             ("width", str(self.width)),
             ("height", str(self.height)),
             ("seed", str(self.seed)),
@@ -168,7 +165,6 @@ def build_config(args) -> RunConfig:
     horizon = float(resolve("horizon", args.horizon, _as_float))
     dt = resolve("dt", args.dt, _as_float)
     dt = None if dt is None else float(dt)
-    tolerance = float(resolve("tolerance", args.tolerance, _as_float))
     width = _as_int(resolve("width", None, _as_int), "width")
     height = _as_int(resolve("height", None, _as_int), "height")
     seed = _as_int(resolve("seed", None, _as_int), "seed")
@@ -177,8 +173,6 @@ def build_config(args) -> RunConfig:
         conservative = _as_bool(file_data["conservative"], "conservative")
 
     # flags a command would ignore; file keys stay accepted (one file, all commands)
-    if args.tolerance is not None and args.command != "modes":
-        raise ConfigError(f"--tolerance only applies to 'modes', not {args.command!r}")
     if args.conservative and args.command == "riesz":
         raise ConfigError("--conservative does not apply to 'riesz' (it compares both variants)")
 
@@ -192,15 +186,13 @@ def build_config(args) -> RunConfig:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if dt is not None and dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    if tolerance < 1e-13:
-        raise ConfigError(f"tolerance {tolerance} is below the 1e-13 floor")
     if width <= 0 or height <= 0:
         raise ConfigError(f"width/height must be positive, got {width}x{height}")
 
     return RunConfig(
         command=args.command, params=params, k_max=k_max, grid_n=grid_n,
         horizon=horizon, dt=dt, out_dir=Path(args.out),
-        conservative=conservative, tolerance=tolerance,
+        conservative=conservative,
         width=width, height=height, seed=seed,
     )
 
@@ -279,7 +271,7 @@ def _cmd_modes(cfg: RunConfig) -> list:
     p = cfg.effective_params
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
     report = RootSearchReport()
-    recs = family_roots(p, range(K_MIN, cfg.k_max + 1), tol=cfg.tolerance, report=report)
+    recs = family_roots(p, range(K_MIN, cfg.k_max + 1), report=report)
     modes = eigenmode(np.array([rec.lam for rec in recs]), p)
     res = mode_residuals(modes, p)
     identity = np.abs(modes.lam.real
@@ -480,8 +472,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--conservative", action="store_true",
                         help="drop the damping gains k2, k4 (not for riesz)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="Newton residual tolerance (modes only)")
     args = parser.parse_args(argv)
 
     try:

@@ -77,7 +77,7 @@ class RegimeMismatch(TipbeamError, ValueError):
 # --- root search ---
 
 class BoundaryTooCloseToRoot(TipbeamError, RuntimeError):
-    """Contour perturbation failed to move the boundary off a root."""
+    """A box boundary meets a root or a branch point, or needs too many samples."""
 
 
 class NonConvergentContour(TipbeamError, RuntimeError):

@@ -26,9 +26,13 @@ interval is refined until its increment and its F'-bounded turn
 max |F'/F| * |z_{i+1} - z_i| at its two ends both stay within pi/4; the
 F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
-Boxes split off centre, so no edge of the conservative sweep lands on the
-root locus Re lambda = 0.  When a half cannot be counted unshifted, its
-parent splits again at another fraction: the split line moves, not the half.
+Every box is counted on the rect it was submitted with, or refused by name
+(BoundaryTooCloseToRoot) when a sample is excluded or is an exact zero of F,
+when an interval still too coarse has no floating-point midpoint, or when
+refinement exceeds its sample budget; boxes never shift.  Boxes split off
+centre, so no edge of the conservative sweep lands on the root locus
+Re lambda = 0.  When a half is refused, its parent splits again at another
+fraction: the split line moves, and the halves still tile the parent.
 
 Counting is batched.  A search submits all its boxes to one counter, and
 every box refines in the same rounds: each call of the characteristic
@@ -62,13 +66,11 @@ from .model import BeamParams, require_unit_speed
 
 K_MIN = 8                     # boundary between contour sweep and seeded Newton
 _COINCIDENCE_RTOL = 1e-10     # Newton resolution; scale of a genuine double root
-_DIP_FACTOR = 1e-6            # |F| dip threshold relative to boundary median
 _SPLITS = (0.4382, 0.4182, 0.4582, 0.3982, 0.4782)   # off centre, tried in turn
 _EDGE_POINTS = 16             # initial samples per box edge
 _MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-bounded turn
-_SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is shifted
+_SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is refused
 _INTEGER_TOL = 1e-9           # rounding slack of the increment sum
-_SHIFTS = ((0.01, 0.0), (-0.01, 0.0), (0.0, 0.01), (0.0, -0.01), (0.01, 0.01))
 _CHUNK = 1024                 # points per contour evaluation call; bounds the working set
 
 
@@ -94,7 +96,7 @@ class RootSearchReport:
     duplicates_merged: int = 0   # always 0: the boxes tile; kept for perfbench/layers.py
     # (rect, winding or None when the box could not be counted, recovered)
     incomplete_boxes: list = field(default_factory=list)
-    shifted_boxes: int = 0       # counts made on a shifted box, plus re-splits
+    resplits: int = 0            # subdivisions split again at another fraction
     contour_points: int = 0      # F evaluations in counting, refinements included
     contour_rounds: int = 0      # (F, F') evaluation calls made by counting
     newton_calls: int = 0        # Newton polishes started, converged or not
@@ -105,11 +107,11 @@ class RootSearchReport:
     def stats(self) -> dict:
         """Deterministic effort counts; newton_iterations sums the converged polishes.
 
-        boxes, shifted_boxes and contour_points cover the search boxes; the
+        boxes, resplits and contour_points cover the search boxes; the
         global count of a strip is not among them, but its evaluation calls,
         shared with the frequency boxes, are in contour_rounds.
         """
-        return {"boxes": len(self.boxes), "shifted_boxes": self.shifted_boxes,
+        return {"boxes": len(self.boxes), "resplits": self.resplits,
                 "contour_points": self.contour_points, "contour_rounds": self.contour_rounds,
                 "newton_calls": self.newton_calls,
                 "newton_iterations": sum(it for _, it in self.newton_iterations),
@@ -120,7 +122,7 @@ class _Target(NamedTuple):
     """evaluate(z) -> (F, F', f) on a 1-d array: the function counted and
     polished, its exact derivative and the residual |f| reported at a root.
     excluded(z) marks where evaluate must not go: a boundary sample there
-    shifts its box, a Newton iterate there ends its lane (NearBranchPoint).
+    refuses its box, a Newton iterate there ends its lane (NearBranchPoint).
     """
 
     evaluate: Callable
@@ -144,26 +146,20 @@ def _boundary(rect) -> np.ndarray:
 
 
 class _Boundary:
-    """One box boundary under refinement, at a shift attempt of the base rect.
+    """One box boundary under refinement, on the rect it was submitted with.
 
     zfd holds the samples z, F and F' in boundary order as rows, closed by a
     copy of the first column.  pending holds the samples of the current
     round, evaluated in chunks (send, receive), and slots the columns they
-    are inserted before.  samples counts the evaluations of every attempt.
+    are inserted before.
     """
 
-    def __init__(self, base, attempt: int = 0, samples: int = 0):
-        self.base, self.attempt, self.samples = base, attempt, samples
-        if attempt:
-            re_lo, re_hi, im_lo, im_hi = base
-            w, h = re_hi - re_lo, im_hi - im_lo
-            sx, sy = _SHIFTS[attempt - 1]
-            self.rect = (re_lo + sx * w, re_hi + sx * w, im_lo + sy * h, im_hi + sy * h)
-        else:
-            self.rect = base
+    def __init__(self, rect):
+        self.rect = rect
         self.slots = None            # None until the initial samples are evaluated
         self.winding = None
-        self._queue(_boundary(self.rect))
+        self.refusal = None          # why the box cannot be counted
+        self._queue(_boundary(rect))
 
     def _queue(self, samples):
         self.pending, self.sent, self.parts = samples, 0, []
@@ -183,20 +179,19 @@ class _Boundary:
         """Take in the round; True when midpoints are pending again.
 
         Otherwise the box is finished: winding is the sum of the phase
-        increments over 2 pi, or None when |F| dipped below _DIP_FACTOR of the
-        median of the initial samples or refinement needs more than
-        _SAMPLE_BUDGET samples.
+        increments over 2 pi, or refusal says why there is none: F is 0 at a
+        sample, an interval still too coarse has no floating-point midpoint,
+        or refinement needs more than _SAMPLE_BUDGET samples.
         """
         f = np.concatenate([part[0] for part in self.parts])
         d = np.concatenate([part[1] for part in self.parts])
-        self.samples += f.size
         new = np.stack([self.pending, f, d])
         if self.slots is None:
             self.zfd = np.concatenate([new, new[:, :1]], axis=1)
-            self.floor = _DIP_FACTOR * np.median(np.abs(f))
         else:
             self.zfd = np.insert(self.zfd, self.slots, new, axis=1)
-        if np.abs(f).min() < self.floor:
+        if (f == 0).any():
+            self.refusal = f"passes through a zero of F at {complex(self.pending[f == 0][0])}"
             return False
         z, fz, dz = self.zfd
         turn = np.angle(fz[1:] / fz[:-1])
@@ -206,9 +201,15 @@ class _Boundary:
         if coarse.size == 0:
             self.winding = turn.sum() / (2.0 * math.pi)
             return False
-        if turn.size + coarse.size > _SAMPLE_BUDGET:
+        mid = 0.5 * (z[coarse] + z[coarse + 1])
+        stuck = (mid == z[coarse]) | (mid == z[coarse + 1])
+        if stuck.any():
+            self.refusal = f"cannot be refined in floating point at {complex(mid[stuck][0])}"
             return False
-        self._queue(0.5 * (z[coarse] + z[coarse + 1]))
+        if turn.size + coarse.size > _SAMPLE_BUDGET:
+            self.refusal = f"needs over {_SAMPLE_BUDGET} samples"
+            return False
+        self._queue(mid)
         self.slots = coarse + 1
         return True
 
@@ -221,29 +222,30 @@ class _Counter:
     submitted boxes first, so a subdivision goes ahead of boxes still counting
     in the background; a box's round may span calls.  Pending samples are
     screened by the target's excluded mask before they are queued, so such a
-    box shifts without raising for the others.  A box that fails restarts shifted by the
-    next entry of _SHIFTS.  A rect already submitted keeps its ticket, so a
-    search can start boxes early and collect them later.
+    box is refused without raising for the others.  Every box is counted on
+    the rect it was submitted with, or refused with a BoundaryTooCloseToRoot
+    naming it.  A rect already submitted keeps its ticket, so a search can
+    start boxes early and collect them later.
     """
 
     def __init__(self, target: _Target, report: RootSearchReport):
         self.target, self.report = target, report
-        self.tickets = {}     # base rect -> ticket
-        self.boxes = []       # per ticket, the current attempt
-        self.outcomes = {}    # ticket -> (count, rect used, samples, shifted) or the error
+        self.tickets = {}     # rect -> ticket
+        self.boxes = []       # per ticket, its boundary while unresolved
+        self.outcomes = {}    # ticket -> (count, rect, samples) or the error
         self.live = []        # unresolved tickets, in submission order
 
     def submit(self, rects) -> list:
         """Tickets of rects; counting starts for those not yet submitted."""
         tickets = []
         for rect in rects:
-            base = tuple(float(v) for v in rect)
-            if base not in self.tickets:
-                self.tickets[base] = len(self.boxes)
-                self.boxes.append(None)
-                self.live.append(self.tickets[base])
-                self._screen(self.tickets[base], _Boundary(base))
-            tickets.append(self.tickets[base])
+            rect = tuple(float(v) for v in rect)
+            if rect not in self.tickets:
+                ticket = self.tickets[rect] = len(self.boxes)
+                self.boxes.append(_Boundary(rect))
+                self.live.append(ticket)
+                self._screen(ticket)
+            tickets.append(self.tickets[rect])
         return tickets
 
     def outcomes_of(self, tickets) -> list:
@@ -258,20 +260,12 @@ class _Counter:
             self._call()
         return [i for i, g in enumerate(groups) if all(t in self.outcomes for t in g)]
 
-    def _screen(self, ticket: int, box: _Boundary):
-        """Make box the ticket's; shift it if a pending sample is excluded."""
-        self.boxes[ticket] = box
-        if self.target.excluded(box.pending).any():
-            self._shift(ticket)
-
-    def _shift(self, ticket: int):
+    def _screen(self, ticket: int):
+        """Refuse the ticket's box if a pending sample is excluded."""
         box = self.boxes[ticket]
-        if box.attempt < len(_SHIFTS):
-            self._screen(ticket, _Boundary(box.base, box.attempt + 1, box.samples))
-        else:
-            self._resolve(ticket, BoundaryTooCloseToRoot(
-                f"boundary of {box.base} grazes a root or needs over {_SAMPLE_BUDGET} "
-                f"samples after {len(_SHIFTS)} shifts"))
+        if self.target.excluded(box.pending).any():
+            box.refusal = "has a sample in the excluded set (near a branch point)"
+            self._finish(ticket)
 
     def _resolve(self, ticket: int, outcome):
         self.outcomes[ticket] = outcome
@@ -280,15 +274,16 @@ class _Counter:
 
     def _finish(self, ticket: int):
         box = self.boxes[ticket]
-        if box.winding is None:
-            self._shift(ticket)      # grazes a root or over budget
+        if box.refusal is not None:
+            self._resolve(ticket, BoundaryTooCloseToRoot(
+                f"boundary of {box.rect} {box.refusal}"))
             return
         k = np.rint(box.winding)
         if not abs(box.winding - k) <= _INTEGER_TOL or k < 0:     # NaN fails too
             self._resolve(ticket, NonConvergentContour(
                 f"phase increments around {box.rect} sum to {float(box.winding)!r} turns"))
         else:
-            self._resolve(ticket, (int(k), box.rect, box.samples, box.attempt > 0))
+            self._resolve(ticket, (int(k), box.rect, box.zfd.shape[1] - 1))
 
     def _call(self):
         """One evaluation of at most _CHUNK pending samples, newest boxes first."""
@@ -308,23 +303,22 @@ class _Counter:
             box = self.boxes[ticket]
             if box.receive(f[start:end], d[start:end]):
                 if box.absorb():
-                    self._screen(ticket, box)
+                    self._screen(ticket)
                 else:
                     self._finish(ticket)
             start = end
 
 
-def _logged(outcomes, report: RootSearchReport):
-    """(count, rect used) of each counter outcome, logged to report; the first
-    error, in the given order, is raised."""
+def _logged(outcomes, report: RootSearchReport) -> list:
+    """The count of each counter outcome, logged to report; the first error,
+    in the given order, is raised."""
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    for k, used, samples, shifted in outcomes:
-        report.boxes.append((used, k))
-        report.shifted_boxes += int(shifted)
+    for k, rect, samples in outcomes:
+        report.boxes.append((rect, k))
         report.contour_points += samples
-    return [outcome[:2] for outcome in outcomes]
+    return [k for k, _, _ in outcomes]
 
 
 def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = None) -> int:
@@ -338,44 +332,42 @@ def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = N
     |F'/F| at its ends exceeds pi/4, gets its midpoint, round by round.  The
     winding is the sum of the increments over 2 pi, an integer up to
     rounding; a sum off an integer by more than 1e-9, or negative, raises
-    NonConvergentContour.  If |F| on the boundary dips below 1e-6 of the
-    median of the initial samples, a sample comes within 1e-6 of a branch
-    point, or refinement needs more than 4 * 8192 samples, the box is shifted
-    by 1% of its size, up to five deterministic attempts, then
-    BoundaryTooCloseToRoot.  Both errors name the rectangle, as does the
-    ValueError for a rect not finite with re_lo < re_hi, im_lo < im_hi.
+    NonConvergentContour.  The count is always of rect itself, which never
+    shifts: if a sample comes within 1e-6 of a branch point, F is 0 at a
+    sample, an interval still too coarse cannot be halved in floating point
+    (a root on or next to the edge), or refinement needs more than 4 * 8192
+    samples, BoundaryTooCloseToRoot is raised.  Both errors name the
+    rectangle and the reason, as does the ValueError for a rect not finite
+    with re_lo < re_hi, im_lo < im_hi.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (np.isfinite(rect).all() and re_lo < re_hi and im_lo < im_hi):
         raise ValueError(f"rect {tuple(rect)} is not finite with re_lo < re_hi, im_lo < im_hi")
     counter = _Counter(_beam(p), report or RootSearchReport())
-    return _logged(counter.outcomes_of(counter.submit([rect])), counter.report)[0][0]
+    return _logged(counter.outcomes_of(counter.submit([rect])), counter.report)[0]
 
 
-def polish(seeds, p: BeamParams, tol: float = 1e-13,
-           report: RootSearchReport | None = None) -> list:
+def polish(seeds, p: BeamParams, report: RootSearchReport | None = None) -> list:
     """Newton on the surrogate F from each seed of a 1-d array, all lanes at once.
 
     Each round evaluates (F, F', f) once, on the lanes still running.  A
-    lane converges when |f(lam)| <= tol * max(1, |lam|) and its last step
-    fell below 1e-12 * max(1, |lam|) (so already-small seeds are still
-    refined); at most 50 iterations, each iterate within 0.5 of its seed.
-    The step test scales with |lam|, so a root whose derivative is depressed
-    by a neighbor Theta(1/k^2) away can keep one productive step: up to 3
-    more follow while they stay in the basin and strictly lower |f|, landing
-    on the evaluation floor of the determinant.  ``iterations`` counts the
-    steps up to convergence.  Returns, per seed, an EigenvalueRecord or the
-    NoConvergence, BasinEscape or NearBranchPoint (an iterate within 1e-6 of
-    a branch point) that ended the lane.  A lane's arithmetic does not
-    depend on the other lanes.
+    lane converges when its last step fell to at most 1e-12 * max(1, |lam|)
+    (so already-small seeds are still refined); at most 50 iterations, each
+    iterate within 0.5 of its seed.  The step test scales with |lam|, so a
+    root whose derivative is depressed by a neighbor Theta(1/k^2) away can
+    keep one productive step: up to 3 more follow while they stay in the
+    basin and strictly lower |f|, landing where rounding in the determinant
+    stops |f| from falling; the residual reported is |f| there.
+    ``iterations`` counts the steps up to convergence.  Returns, per seed,
+    an EigenvalueRecord or the NoConvergence, BasinEscape or NearBranchPoint
+    (an iterate within 1e-6 of a branch point) that ended the lane.  A
+    lane's arithmetic does not depend on the other lanes.
     """
-    return _newton(seeds, _beam(p), tol, report or RootSearchReport())
+    return _newton(seeds, _beam(p), report or RootSearchReport())
 
 
-def _newton(seeds, target: _Target, tol: float, report: RootSearchReport) -> list:
+def _newton(seeds, target: _Target, report: RootSearchReport) -> list:
     """The kernel of `polish`, on the zeros of target's F."""
-    if tol < 1e-13:
-        raise ValueError(f"tol must be >= 1e-13, got {tol}")
     seeds = np.asarray(seeds, dtype=complex)
     n = seeds.size
     out = [None] * n
@@ -393,9 +385,8 @@ def _newton(seeds, target: _Target, tol: float, report: RootSearchReport) -> lis
         surrogate, slope, fval = target.evaluate(z)
         report.newton_rounds += 1
         residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
-        polishing = conv[live] >= 0        # floor polish keeps strict drops only
-        keep = np.where(polishing, residual < best_res[live],
-                        (step[live] <= 1e-12 * scale) & (residual <= tol * scale))
+        polishing = conv[live] >= 0        # the extra steps keep strict drops only
+        keep = np.where(polishing, residual < best_res[live], step[live] <= 1e-12 * scale)
         conv[live[keep & ~polishing]] = its[live[keep & ~polishing]]
         best[live[keep]], best_res[live[keep]] = z[keep], residual[keep]
         found = conv[live] >= 0
@@ -425,15 +416,15 @@ def _newton(seeds, target: _Target, tol: float, report: RootSearchReport) -> lis
             for i, rec in enumerate(out)]
 
 
-def refine_root(seed: complex, p: BeamParams, tol: float = 1e-13) -> EigenvalueRecord:
+def refine_root(seed: complex, p: BeamParams) -> EigenvalueRecord:
     """Polish one root: `polish` on a one-element batch, its failure raised."""
-    (rec,) = polish(np.array([complex(seed)]), p, tol)
+    (rec,) = polish(np.array([complex(seed)]), p)
     if isinstance(rec, Exception):
         raise rec
     return rec
 
 
-def family_roots(p: BeamParams, k, tol: float = 1e-13, report: RootSearchReport | None = None):
+def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
     """Both family roots near i k pi, Newton-polished from their predictions.
 
     k is one frequency index or a sequence of them; all seeds go through
@@ -442,19 +433,19 @@ def family_roots(p: BeamParams, k, tol: float = 1e-13, report: RootSearchReport 
     raised again naming k and j, after every lane was tried (the first
     failure in that order).
     """
-    recs, failure = _families(p, _beam(p), k, tol, report or RootSearchReport())
+    recs, failure = _families(p, _beam(p), k, report or RootSearchReport())
     if failure is not None:
         raise failure
     return recs
 
 
-def _families(p: BeamParams, target: _Target, k, tol: float, report: RootSearchReport):
+def _families(p: BeamParams, target: _Target, k, report: RootSearchReport):
     """family_roots on target: the records and the first failure, or None."""
     ks = [int(k)] if np.ndim(k) == 0 else [int(v) for v in k]
     lanes = [(kk, j) for kk in ks for j in (1, 2)]
     seeds = [predict_eigenvalue(kk, j, p) for kk, j in lanes]
     recs, failure = [], None
-    for (kk, j), rec in zip(lanes, _newton(np.array(seeds, dtype=complex), target, tol, report)):
+    for (kk, j), rec in zip(lanes, _newton(np.array(seeds, dtype=complex), target, report)):
         if isinstance(rec, Exception):
             failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
             continue
@@ -481,15 +472,16 @@ def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -
     """(records, complete) of each frequency k in ks: both family roots near
     i k pi from one Newton batch, jointly validated by one batch of box counts.
 
-    The records of k are those inside the rect its box was counted on,
-    (k - 1/2) pi <= Im lambda <= (k + 1/2) pi unless the box was shifted, so
-    adjacent boxes never report one root twice.  complete means the winding
-    count over that rect equals their multiplicity.  When both families
-    polish onto one root (agreeing to Newton resolution) while the box
-    counts 2, the box is subdivided (see _isolate) until its roots isolate:
-    two distinct roots, as with unequal damping gains and degenerate sqrt(b)
-    at Theta(1/k^2) apart, come back as two records in family order; only an
-    unresolvable cluster comes back as one record of multiplicity 2.
+    The records of k are those inside its box, (k - 1/2) pi <= Im lambda <=
+    (k + 1/2) pi, so adjacent boxes never report one root twice.  complete
+    means the winding count over the box equals their multiplicity; a box
+    that cannot be counted raises BoundaryTooCloseToRoot naming it.  When
+    both families polish onto one root (agreeing to Newton resolution) while
+    the box counts 2, the box is subdivided (see _isolate) until its roots
+    isolate: two distinct roots, as with unequal damping gains and
+    degenerate sqrt(b) at Theta(1/k^2) apart, come back as two records in
+    family order; only an unresolvable cluster comes back as one record of
+    multiplicity 2.
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     return _frequency_pairs(p, ks, counter)
@@ -499,12 +491,12 @@ def _frequency_pairs(p: BeamParams, ks, counter: _Counter):
     """frequency_pairs with the boxes counted on `counter`."""
     ks = list(ks)
     by_k = {}
-    for rec in _families(p, counter.target, ks, 1e-13, counter.report)[0]:
+    for rec in _families(p, counter.target, ks, counter.report)[0]:
         by_k.setdefault(rec.k_index, []).append(rec)
-    rects = counter.submit([_validation_rect(p, k) for k in ks])
-    counts = _logged(counter.outcomes_of(rects), counter.report)
+    rects = [_validation_rect(p, k) for k in ks]
+    counts = _logged(counter.outcomes_of(counter.submit(rects)), counter.report)
     return [_check_pair(p, k, by_k.get(k, []), count, rect, counter)
-            for k, (count, rect) in zip(ks, counts)]
+            for k, count, rect in zip(ks, counts, rects)]
 
 
 def _check_pair(p: BeamParams, k: int, recs, count: int, rect, counter: _Counter):
@@ -559,20 +551,20 @@ def _isolate(outer, total: int, counter: _Counter):
     centre: halving the symmetric conservative box would put an edge on
     Re lambda = 0, where every conservative root lies.  The halves of a box
     go to the counter as soon as its own count is in, so boxes of every
-    depth share evaluation calls.  Once both are in, a half counted only
-    shifted (or not at all) drops both, and the box splits again at the next
-    fraction, so the halves tile it; each re-split adds one to
-    report.shifted_boxes.  The last fraction's halves are taken as counted.
-    A box with one root and diameter at most 0.25 waits as a leaf.  Whenever
-    no count of the subdivision is pending, all waiting leaves are
-    Newton-polished from their centres in one Newton batch; a leaf whose
-    polish fails or lands outside it splits in turn.
+    depth share evaluation calls.  Once both are in, a half the counter
+    refuses (a root or branch point on or next to the split line) drops
+    both, and the box splits again at the next fraction, so the halves
+    always tile it; each re-split adds one to report.resplits.  A refusal at
+    the last fraction is raised.  A box with one root and diameter at most
+    0.25 waits as a leaf.  Whenever no count of the subdivision is pending,
+    all waiting leaves are Newton-polished from their centres in one Newton
+    batch; a leaf whose polish fails or lands outside it splits in turn.
     """
     report, target = counter.report, counter.target
-    records, leaves, splits = [], [], []     # splits: (rect, count, attempt, tickets)
+    records, leaves, splits = [], [], []     # splits: (rect, count, index in _SPLITS, tickets)
 
-    def split(rect, cnt: int, attempt: int = 0):
-        splits.append((rect, cnt, attempt, counter.submit(_halves(rect, _SPLITS[attempt]))))
+    def split(rect, cnt: int, at: int = 0):
+        splits.append((rect, cnt, at, counter.submit(_halves(rect, _SPLITS[at]))))
 
     boxes = [(outer, total)] if total else []
     visited = 0
@@ -597,18 +589,18 @@ def _isolate(outer, total: int, counter: _Counter):
             done = counter.first_resolved([tickets for *_, tickets in splits])
             ready = [splits[i] for i in done]
             splits = [s for i, s in enumerate(splits) if i not in done]
-            for rect, cnt, attempt, tickets in ready:
+            for rect, cnt, at, tickets in ready:
                 halves = counter.outcomes_of(tickets)
-                if attempt + 1 < len(_SPLITS) and any(isinstance(h, Exception) or h[3]
-                                                      for h in halves):
-                    report.shifted_boxes += 1
+                if at + 1 < len(_SPLITS) and any(isinstance(h, Exception) for h in halves):
+                    report.resplits += 1
                     report.contour_points += sum(h[2] for h in halves
                                                  if not isinstance(h, Exception))
-                    split(rect, cnt, attempt + 1)
+                    split(rect, cnt, at + 1)
                 else:
-                    boxes += [(used, c) for c, used in _logged(halves, report) if c]
+                    _logged(halves, report)
+                    boxes += [(half, c) for c, half, _ in halves if c]
         elif leaves:
-            polished = _newton([center for _, center in leaves], target, 1e-13, report)
+            polished = _newton([center for _, center in leaves], target, report)
             for (rect, _), rec in zip(leaves, polished):
                 re_lo, re_hi, im_lo, im_hi = rect
                 if isinstance(rec, EigenvalueRecord) and _inside(
@@ -640,16 +632,18 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     k_max tile the strip: the sweep subdivides until its roots isolate, each
     frequency box keeps its Newton-polished pair, and each root is recorded
     by the box holding it.  Conjugate closure then mirrors the records above
-    the line Im = -im_lo of the sweep rect used, whose conjugates no box
-    searched; the sweep holds both members of every pair below it.  Sweep
-    roots get family labels from the nearest prediction.  The sweep box,
-    every frequency box and the union of them all are counted in one batch;
-    the union's count is report.global_count and must equal the multiplicity
-    of the records inside it, so a root recorded twice or missed, for
-    instance where a shifted box overlaps its neighbour or leaves a gap,
-    shows as an incomplete union.  Im lambda below Newton's resolution is
-    stored as 0.0.  Incomplete boxes, including a union that disagrees or
-    cannot be counted (winding None), are reported, never silently dropped.
+    the line Im = -im_lo of the sweep box, whose conjugates no box searched;
+    the sweep holds both members of every pair below it.  Sweep roots get
+    family labels from the nearest prediction.  The sweep box, every
+    frequency box and the union of them all are counted in one batch, each
+    on its own rect: no box shifts.  The union's count is
+    report.global_count and must equal the multiplicity of the records
+    inside it, so a root recorded twice or missed shows as an incomplete
+    union.  Im lambda below Newton's resolution is stored as 0.0.
+    Incomplete boxes, including a union that disagrees or cannot be counted
+    (winding None), are reported, never silently dropped.  A sweep,
+    subdivision or frequency box that cannot be counted raises
+    BoundaryTooCloseToRoot naming it.
     """
     if k_max < 10:
         raise ValueError(f"k_max must be >= 10, got {k_max}")
@@ -661,7 +655,7 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     union = (min(outer[0], top[0]), max(outer[1], top[1]), outer[2], top[3])
     # the frequency boxes and the union count in the background of the sweep
     counter.submit([_validation_rect(p, k) for k in ks] + [union, outer])
-    ((outer_count, outer),) = _logged(counter.outcomes_of(counter.submit([outer])), report)
+    (outer_count,) = _logged(counter.outcomes_of(counter.submit([outer])), report)
     records = _isolate(outer, outer_count, counter)
     pairs = _frequency_pairs(p, ks, counter)
     (union_out,) = counter.outcomes_of(counter.submit([union]))
@@ -691,7 +685,7 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     if isinstance(union_out, Exception):
         report.incomplete_boxes.append((union, None, recovered(union)))
     else:
-        report.global_count, union = union_out[:2]
+        report.global_count = union_out[0]
         if recovered(union) != report.global_count:
             report.incomplete_boxes.append((union, report.global_count, recovered(union)))
 

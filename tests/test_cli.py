@@ -68,7 +68,7 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
         (out2 / "spectrum_report.json").read_bytes()
     report = json.loads((out1 / "spectrum_report.json").read_text(encoding="utf-8"))
     stats = report["stats"]
-    assert set(stats) == {"boxes", "shifted_boxes", "contour_points", "contour_rounds",
+    assert set(stats) == {"boxes", "resplits", "contour_points", "contour_rounds",
                           "newton_calls", "newton_iterations", "newton_rounds",
                           "global_count"}
     assert stats["boxes"] == len(report["boxes"])
@@ -268,40 +268,25 @@ def test_error_json_on_module_error(tmp_path, generic_file, capsys):
     assert err["command"] == "decay"
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("spectrum", ["--tolerance", "1e-12"]),
-    ("table", ["--tolerance", "1e-12"]),
-    ("riesz", ["--conservative"]),
-])
-def test_ignored_flag_rejected(tmp_path, generic_file, capsys, command, flag):
-    rc = main([command, "--params", str(generic_file), "--kmax", "12", *flag,
+def test_ignored_flag_rejected(tmp_path, generic_file, capsys):
+    rc = main(["riesz", "--params", str(generic_file), "--kmax", "12", "--conservative",
                "--out", str(tmp_path / "run")])
     assert rc == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "ConfigError"
-    assert flag[0] in err["message"] and command in err["message"]
+    assert "--conservative" in err["message"] and "riesz" in err["message"]
     assert not (tmp_path / "run").exists()
-
-
-def test_tolerance_flag_reaches_modes(tmp_path, generic_file):
-    out = tmp_path / "run"
-    assert main(["modes", "--params", str(generic_file), "--kmax", "8",
-                 "--tolerance", "1e-10", "--out", str(out)]) == 0
-    data = json.loads((out / "modes.json").read_text(encoding="utf-8"))
-    assert data["config"]["tolerance"] == "1e-10"
-    assert [e["j"] for e in data["modes"]] == [1, 2]
 
 
 def test_file_keys_accepted_by_every_command(tmp_path):
     # one params file serves every command, so the file keys stay accepted
     params = write_params(tmp_path, ["a=1", "b=2", "k1=1", "k2=2", "k3=3",
-                                     "k4=2", "tolerance=1e-12",
-                                     "conservative=false"])
+                                     "k4=2", "conservative=false"])
     out = tmp_path / "run"
     assert main(["riesz", "--params", str(params), "--kmax", "8",
                  "--out", str(out)]) == 0
     config, _, _ = read_csv(out / "riesz.csv")
-    assert config["tolerance"] == "9.9999999999999998e-13"
+    assert config["conservative"] == "false"
 
 
 def test_error_json_on_missing_params_file(tmp_path, capsys):
