@@ -27,22 +27,18 @@ from .spectrum import K_MIN, RootSearchReport, family_roots, frequency_pairs, sp
 
 COMMANDS = ("spectrum", "predict", "modes", "riesz", "decay", "table", "plot")
 TABLE_KS = (200, 400, 600, 800, 1000)
+SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 _DEFAULTS = {
     "kmax": 40,
     "grid_n": 200,
     "horizon": 60.0,
     "dt": None,
-    "width": 640,
-    "height": 480,
     "seed": 0,
 }
 
 _PARAM_KEYS = ("a", "b", "k1", "k2", "k3", "k4")
-_FILE_KEYS = _PARAM_KEYS + (
-    "kmax", "grid_n", "horizon", "dt", "conservative",
-    "width", "height", "seed",
-)
+_FILE_KEYS = _PARAM_KEYS + ("kmax", "grid_n", "horizon", "dt", "conservative", "seed")
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,6 @@ class RunConfig:
     dt: float | None
     out_dir: Path
     conservative: bool
-    width: int
-    height: int
     seed: int
 
     @property
@@ -80,8 +74,6 @@ class RunConfig:
             ("horizon", _g17(self.horizon)),
             ("dt", "auto" if self.dt is None else _g17(self.dt)),
             ("conservative", "true" if self.conservative else "false"),
-            ("width", str(self.width)),
-            ("height", str(self.height)),
             ("seed", str(self.seed)),
         ]
 
@@ -165,8 +157,6 @@ def build_config(args) -> RunConfig:
     horizon = float(resolve("horizon", args.horizon, _as_float))
     dt = resolve("dt", args.dt, _as_float)
     dt = None if dt is None else float(dt)
-    width = _as_int(resolve("width", None, _as_int), "width")
-    height = _as_int(resolve("height", None, _as_int), "height")
     seed = _as_int(resolve("seed", None, _as_int), "seed")
     conservative = bool(args.conservative)
     if not conservative and "conservative" in file_data:
@@ -186,14 +176,11 @@ def build_config(args) -> RunConfig:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if dt is not None and dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    if width <= 0 or height <= 0:
-        raise ConfigError(f"width/height must be positive, got {width}x{height}")
 
     return RunConfig(
         command=args.command, params=params, k_max=k_max, grid_n=grid_n,
         horizon=horizon, dt=dt, out_dir=Path(args.out),
-        conservative=conservative,
-        width=width, height=height, seed=seed,
+        conservative=conservative, seed=seed,
     )
 
 
@@ -382,7 +369,7 @@ def _cmd_table(cfg: RunConfig) -> list:
 
 def _cmd_plot(cfg: RunConfig) -> list:
     records, _ = spectrum_in_strip(cfg.effective_params, cfg.k_max)
-    width, height = float(cfg.width), float(cfg.height)
+    width, height = float(SVG_WIDTH), float(SVG_HEIGHT)
     margin = 40.0
     im_hi = (cfg.k_max + 0.5) * math.pi
     span = max(max(-rec.lam.real for rec in records), 1e-3)
@@ -399,10 +386,10 @@ def _cmd_plot(cfg: RunConfig) -> list:
     parts.extend(f"<!-- {k}={v} -->" for k, v in cfg.header_items())
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{cfg.width}" height="{cfg.height}" '
-        f'viewBox="0 0 {cfg.width} {cfg.height}">'
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">'
     )
-    parts.append(f'<rect x="0" y="0" width="{cfg.width}" height="{cfg.height}" '
+    parts.append(f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
                  f'fill="white"/>')
 
     label_step = max(1, round(cfg.k_max / 8))

@@ -30,8 +30,6 @@ REGIME_CASE3 = "case3"   # k1 = k3, b = 4 p^2 pi^2, k2 = k4 = 0
 # Relative tolerance deciding whether sqrt(b)/(2 pi) is an integer.  Kept tight
 # so the degenerate formulas are only selected under exact user intent.
 _DEGENERATE_RTOL = 1e-12
-# Looser band used to flag "suspiciously close to degenerate" inputs.
-_BORDERLINE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,11 +50,10 @@ class BeamParams:
 
 @dataclass(frozen=True)
 class RegimeInfo:
-    """Which asymptotic expansion applies, plus borderline diagnostics."""
+    """Which asymptotic expansion applies, and the lattice index p if degenerate."""
 
     regime: str
     degenerate_p: int | None   # integer p with b = 4 p^2 pi^2, if degenerate
-    borderline: bool           # nearly (but not exactly) degenerate input
 
 
 def validate_params(a, b, k1, k2, k3, k4) -> BeamParams:
@@ -92,24 +89,20 @@ def _nearest_degenerate_p(b: float) -> tuple[int, float]:
 def regime_info(p: BeamParams) -> RegimeInfo:
     """Classify the parameter set for asymptotic dispatch.
 
-    Borderline inputs (nearly equal gains, or sqrt(b) nearly on the 2 pi
-    lattice but not within the strict tolerance) route to the generic regime
-    with the borderline flag set, so callers can warn instead of silently
-    switching expansions.
+    A degenerate case needs k1 == k3 exactly and sqrt(b) on the 2 pi
+    lattice within a relative 1e-12; anything nearer than that but not on
+    it, however close, is generic.
     """
     pint, rel = _nearest_degenerate_p(p.b)
     b_degenerate = rel <= _DEGENERATE_RTOL
     gains_equal = p.k1 == p.k3
     if gains_equal and b_degenerate:
         if p.k2 == 0.0 and p.k4 == 0.0:
-            return RegimeInfo(REGIME_CASE3, pint, False)
+            return RegimeInfo(REGIME_CASE3, pint)
         if p.k2 == p.k4:
-            return RegimeInfo(REGIME_CASE2, pint, False)
-        return RegimeInfo(REGIME_CASE1, pint, False)
-    near_b = rel <= _BORDERLINE_RTOL
-    near_gains = abs(p.k1 - p.k3) <= _BORDERLINE_RTOL * max(p.k1, p.k3)
-    borderline = near_b and near_gains and not (b_degenerate and gains_equal)
-    return RegimeInfo(REGIME_GENERIC, pint if b_degenerate else None, borderline)
+            return RegimeInfo(REGIME_CASE2, pint)
+        return RegimeInfo(REGIME_CASE1, pint)
+    return RegimeInfo(REGIME_GENERIC, pint if b_degenerate else None)
 
 
 @dataclass

@@ -22,8 +22,8 @@ The midpoint rule on this second-order system is Newmark's
 average-acceleration scheme, so the integrator eliminates the
 displacements: each step solves the 2N+2 velocity system
 M_w (I - dt^2/4 KS) = M_w + dt^2/4 S^T W_d S, symmetric positive definite,
-with one banded Cholesky factorization (half-bandwidth five after reverse
-Cuthill-McKee) plus a rank-two correction for the tip damping.  Only the
+with one banded Cholesky factorization in node order (half-bandwidth
+five) plus a rank-two correction for the tip damping.  Only the
 eigenvalue check densifies.
 """
 
@@ -34,7 +34,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
     EigensolveFailure,
@@ -55,7 +54,6 @@ class DiscreteGenerator:
     """The blocks S, B, M_w, D of the generator on 4N+2 coordinates (CSR, M_w a vector)."""
 
     N: int
-    params: BeamParams
     S: scipy.sparse.csr_array       # 2N x (2N+2): displacement rates from velocities
     B: scipy.sparse.csr_array       # 2N x 2N: shear and scaled slope fluxes of d
     M_w: np.ndarray                 # 2N+2 velocity masses
@@ -147,7 +145,7 @@ def assemble_generator(p: BeamParams, N: int) -> DiscreteGenerator:
     D = _csr([v_N, eta, z_N, gamma], [eta, eta, gamma, gamma],
              [damp_v, damp_v, (-1.0 / mu_z) * damp_z, (-sab / mu_z) * damp_z],
              (2 * N + 2, 2 * N + 2))
-    return DiscreteGenerator(N=N, params=p, S=S, B=B, M_w=M_w, D=D)
+    return DiscreteGenerator(N=N, S=S, B=B, M_w=M_w, D=D)
 
 
 def generator_spectrum(g: DiscreteGenerator, m: int) -> np.ndarray:
@@ -195,8 +193,10 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         d1 = d0 + dt/2 S (w0 + w1),
 
     with C = M_w (I - dt^2/4 KS).  Since M_w K = -S^T W_d by construction,
-    C = M_w + dt^2/4 S^T W_d S is symmetric positive definite.  C is
-    reordered once by reverse Cuthill-McKee and factored once with dpbtrf;
+    C = M_w + dt^2/4 S^T W_d S is symmetric positive definite, and banded
+    in node order: B couples neighbouring nodes only, and S is the identity
+    apart from the eta and gamma columns, which sit next to v_N and z_N, so
+    the half-bandwidth is five for every N.  C is factored once with dpbtrf;
     the r tip columns of D go in as a precomputed r x r
     Sherman-Morrison-Woodbury correction (r set-up solves).  A step is one
     fused sparse matvec for the right-hand side, one dpbtrs, the correction
@@ -229,22 +229,21 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
     MKS = MK @ S
     C = (mass - (0.25 * dt * dt) * MKS).tocsr()
 
-    perm = reverse_cuthill_mckee(abs(C), symmetric_mode=True)
-    upper = scipy.sparse.triu(C[perm][:, perm]).tocoo()
+    upper = scipy.sparse.triu(C).tocoo()
     kd = int(np.max(upper.col - upper.row, initial=0))
-    nw = perm.size
+    nw = C.shape[0]
     band = np.zeros((kd + 1, nw))               # LAPACK upper band storage
     band[kd + upper.row - upper.col, upper.col] = upper.data
     chol, info = dpbtrf(band, overwrite_ab=1)
     if info != 0:
-        where = (f"zero pivot at index {info - 1} of the reordered matrix "
-                 f"(coordinate {nd + perm[info - 1]})" if info > 0 else f"dpbtrf info = {info}")
+        where = (f"zero pivot at index {info - 1} (coordinate {nd + info - 1})"
+                 if info > 0 else f"dpbtrf info = {info}")
         raise SingularSolve(f"M_w (I - dt^2/4 KS) is not positive definite for N = {N}, "
                             f"dt = {dt:.17g}: {where}")
 
     # tip damping, r = len(tips) columns J of D: with U = dt/2 M_w D[:, J],
     # (C - U E_J^T)^{-1} b = y + Z (I - Z[J])^{-1} y[J], y = C^{-1} b, Z = C^{-1} U
-    half_MD = ((0.5 * dt) * (mass @ g.D))[perm][:, perm]
+    half_MD = (0.5 * dt) * (mass @ g.D)
     tips = np.flatnonzero(abs(half_MD).sum(axis=0))
     U = half_MD[:, tips].toarray()
     Z = np.empty_like(U)
@@ -254,15 +253,11 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         tip_gain = np.linalg.solve((np.eye(tips.size) - Z[tips]).T, Z.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularSolve(f"I - dt/2 A is singular for N = {N}, dt = {dt:.17g}: tip correction "
-                            f"at coordinates {sorted((nd + perm[tips]).tolist())}") from exc
+                            f"at coordinates {(nd + tips).tolist()}") from exc
 
     right = scipy.sparse.hstack(
-        [dt * MK[perm], (mass + (0.25 * dt * dt) * MKS)[perm][:, perm] + half_MD], format="csr")
-    half_S = (0.5 * dt) * S[:, perm]
-    unpermute = np.argsort(perm)
-
-    def natural(x):
-        return np.concatenate([x[:nd], x[nd:][unpermute]])
+        [dt * MK, mass + (0.25 * dt * dt) * MKS + half_MD], format="csr")
+    half_S = (0.5 * dt) * S
 
     stride = max(1, int(round(T / (1000.0 * dt))))
     times, energies = [], []
@@ -276,7 +271,6 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         energies.append(energy)
 
     sample(0, x)
-    x[nd:] = x[nd:][perm]                       # w in the factored (RCM) order
     for step in range(1, nsteps + 1):
         y, _ = dpbtrs(chol, right @ x, overwrite_b=1)
         w = y + tip_gain @ y[tips]
@@ -285,11 +279,10 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         if not np.all(np.isfinite(x)):
             raise SingularSolve(f"integration blew up at step {step}, t = {step * dt:.17g}")
         if step % stride == 0 or step == nsteps:
-            sample(step, natural(x))
+            sample(step, x)
     stats = {
         "steps": nsteps,
         "energy_samples": len(energies),
-        "factorizations": 1,
         "solves": nsteps + int(tips.size),
         "kd": kd,
         "solve_n": int(nw),
@@ -297,7 +290,7 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         "nnz_W": int(W_d.nnz + nw),
     }
     return EnergyTrace(times=np.array(times), energies=np.array(energies),
-                       final_state=_unpack(natural(x), N), stats=stats)
+                       final_state=_unpack(x, N), stats=stats)
 
 
 @dataclass(frozen=True)

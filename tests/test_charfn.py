@@ -313,7 +313,12 @@ def test_regime_sets_cover_every_regime():
     assert {name: info.regime for name, info in infos.items()} == {
         "generic": "generic", "case1": "case1", "case2": "case2",
         "case3": "case3", "borderline": "generic", "conservative": "generic"}
-    assert infos["borderline"].borderline
+    # the borderline set is near the p = 1 lattice point and near equal gains,
+    # but on neither
+    b, k1, _, k3, _ = _REGIME_SETS["borderline"]
+    lattice = abs(math.sqrt(b) / (2.0 * math.pi) - 1.0)
+    gains = abs(k1 - k3) / max(k1, k3)
+    assert 0.0 < lattice <= 1e-6 and 0.0 < gains <= 1e-6
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)

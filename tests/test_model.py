@@ -69,10 +69,10 @@ def test_regime_dispatch(params_generic, params_degenerate):
     info4 = regime_info(validate_params(1, 16.0 * math.pi**2, 2, 1, 2, 5))
     assert info4.degenerate_p == 2
 
-    # close to the lattice but not on it: generic with a warning flag
+    # close to the lattice but not on it: generic
     near = validate_params(1, b * (1 + 1e-9), 2, 1, 2, 5)
     info_near = regime_info(near)
-    assert info_near.regime == "generic" and info_near.borderline
+    assert info_near.regime == "generic" and info_near.degenerate_p is None
 
 
 def test_simpson_exact_on_cubic():

@@ -9,7 +9,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import tipbeam.simulate
 from tipbeam.errors import (
@@ -284,12 +283,13 @@ def test_generator_sparse_and_narrow_band(params_generic, N):
     dt = 0.5 / N
     C = velocity_matrix(g, dt)
     assert abs(C - C.T).max() <= 1e-15 * abs(C).max()
-    perm = reverse_cuthill_mckee(abs(C), symmetric_mode=True)
-    reordered = C[perm][:, perm].tocoo()
-    kd = int(np.max(reordered.col - reordered.row))
-    assert kd <= 5
+    # node order: B couples neighbours, and the eta, gamma columns of S sit
+    # next to v_N, z_N, so the half-bandwidth is five for every N
+    upper = scipy.sparse.triu(C).tocoo()
+    kd = int(np.max(upper.col - upper.row))
     stats = integrate(g, smooth_state(params_generic, N), dt, dt).stats
-    assert (stats["kd"], stats["solve_n"]) == (kd, C.shape[0]) == (kd, 2 * N + 2)
+    assert kd == 5 == stats["kd"]
+    assert stats["solve_n"] == C.shape[0] == 2 * N + 2
     assert (stats["nnz_A"], stats["nnz_W"]) == (g.matrix.nnz, g.weight.nnz)
 
 
@@ -305,7 +305,7 @@ def test_one_factorization_one_solve_per_step(params_generic, monkeypatch):
     tr = integrate(g, smooth_state(params_generic, 32), 37 * 0.5 / 32, 0.5 / 32)
     # two tip damping columns (k2, k4 > 0): two set-up solves for the correction
     assert calls == {"dpbtrf": 1, "dpbtrs": 37 + 2}
-    assert tr.stats["factorizations"] == 1 and tr.stats["steps"] == 37
+    assert tr.stats["steps"] == 37
     assert tr.stats["solves"] == 37 + 2
     assert tr.stats["energy_samples"] == len(tr.energies)
 
@@ -328,7 +328,7 @@ def test_singular_midpoint_matrix_names_pivot(params_generic):
     # negated kinetic masses: M_w + dt^2/4 S^T W_d S is negative on every
     # diagonal, so the very first Cholesky pivot is not positive
     g.M_w = -g.M_w
-    with pytest.raises(SingularSolve, match=r"N = 16, dt = 0\.03125: zero pivot at index 0 "):
+    with pytest.raises(SingularSolve, match=r"N = 16, dt = 0\.03125: zero pivot at index 0 \(coordinate 32\)"):
         integrate(g, smooth_state(params_generic, 16), 1.0, dt)
 
 

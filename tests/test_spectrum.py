@@ -210,14 +210,16 @@ def test_count_refuses_a_degenerate_rect(params_generic, rect):
         count_roots_in_rect(rect, params_generic)
 
 
-def _known_zeros(roots):
-    """Target of F(z) = prod (z - r)^m over (r, m) in roots, with exact F' and f = F."""
+def _known_zeros(roots, c=0.0):
+    """Target of F(z) = e^{cz} prod (z - r)^m over (r, m) in roots, with exact F' and f = F."""
     def evaluate(z):
         factors = [(z - r) ** m for r, m in roots]
-        f = np.prod(factors, axis=0)
+        prod = np.prod(factors, axis=0)
         d = sum(m * (z - r) ** (m - 1) * np.prod(factors[:i] + factors[i + 1:], axis=0)
                 for i, (r, m) in enumerate(roots))
-        return f, d, f
+        scale = np.exp(c * z)
+        f = scale * prod
+        return f, scale * (c * prod + d), f
 
     return tipbeam.spectrum._Target(evaluate, lambda z: np.zeros(z.shape, dtype=bool))
 
@@ -242,13 +244,28 @@ _UNIT = (-1.0, 1.0, -1.0, 1.0)
     ([(1.0, 1), (0.1j, 1)], [_UNIT]),
     ([(1 + 1j, 1), (0.1j, 1)], [_UNIT]),
     ([(1.0 + 1e-12 + 0.3j, 1), (0.1j, 1)], [_UNIT]),
+    # pairs 1e-4 to 1e-8 apart, 0.005 inside an edge and next to a corner,
+    # with a third root
+    *[([(0.995 + 0.0625j, 1), (0.995 + 0.0625j + gap * 1j, 1), (-0.3 + 0.2j, 1)], [_UNIT])
+      for gap in (1e-4, 1e-6, 1e-8)],
+    *[([(0.995 + 0.995j, 1), (0.995 + 0.995j - gap * 1j, 1), (-0.3 + 0.2j, 1)], [_UNIT])
+      for gap in (1e-4, 1e-6, 1e-8)],
+    # fifty roots in the box
+    ([(complex(x, y), 1) for x, y in np.random.default_rng(0).uniform(-0.9, 0.9, (50, 2))],
+     [_UNIT]),
+    # (c, roots): F times e^{cz}, whose |F'/F| near |c| refines every edge to
+    # 512 samples, over a simple and a double root, and over a pair 1e-6 apart
+    *[((c, [(0.3 + 0.2j, 1), (-0.4 - 0.5j, 2)]), [_UNIT]) for c in (115.0, 115j, -115.0)],
+    ((115.0, [(0.3 + 0.2j, 1), (0.3 + 0.2j + 1e-6j, 1)]), [_UNIT]),
 ])
 def test_counter_and_newton_on_known_zeros(roots, rects):
     # the count equals the known zeros inside the rect as submitted, or, when
     # a root lies on its boundary, the box is refused by name; a wrong integer
     # is never allowed.  Phase increments alone, without the F'-bounded turn,
-    # read 1 for the edge pair and 3 for the triple root with its neighbour
-    target = _known_zeros(roots)
+    # read 1 for the first edge pair, 2 for the later edge pairs, 38 for the
+    # fifty roots and 24, 23 and 25 for the three e^{cz} sets with a double root
+    c, roots = roots if isinstance(roots, tuple) else (0.0, roots)
+    target = _known_zeros(roots, c)
     outcomes, rounds = _batch(rects, target)
     assert rounds <= 50
     for rect, outcome in zip(rects, outcomes):
@@ -260,17 +277,58 @@ def test_counter_and_newton_on_known_zeros(roots, rects):
         count, used, _ = outcome
         assert used == rect
         assert count == sum(m for r, m in roots if tipbeam.spectrum._inside(r, rect))
-    # Newton from 0.01 off each simple root, away from its nearest neighbour,
-    # lands on that root
-    simple = [r for r, m in roots if m == 1]
-    seeds = []
-    for r in simple:
-        away = r - min((s for s, _ in roots if s != r), key=lambda s: abs(s - r))
-        seeds.append(r + 0.01 * away / abs(away))
+    # Newton from 0.01 off each simple root at least 0.05 from every other
+    # root, away from its nearest neighbour, lands on that root; with e^{cz},
+    # from at most 0.25 / |c| off, where its step contracts the error
+    offset = 0.01 / max(1.0, 0.04 * abs(c))
+    simple, seeds = [], []
+    for r, m in roots:
+        nearest = min((s for s, _ in roots if s != r), key=lambda s: abs(s - r))
+        if m == 1 and abs(nearest - r) >= 0.05:
+            simple.append(r)
+            seeds.append(r + offset * (r - nearest) / abs(r - nearest))
     polished = tipbeam.spectrum._newton(np.array(seeds), target, RootSearchReport())
     for r, rec in zip(simple, polished):
         assert isinstance(rec, EigenvalueRecord)
         assert abs(rec.lam - r) <= 1e-12
+
+
+# a point of each edge of the unit box, at t in [-1, 1] along it, and the
+# inward normal there
+_EDGES = ((lambda t: complex(1.0, t), -1.0), (lambda t: complex(t, 1.0), -1j),
+          (lambda t: complex(-1.0, t), 1.0), (lambda t: complex(t, -1.0), 1j))
+
+
+@st.composite
+def _near_edge_zeros(draw):
+    """Up to four roots 1e-12 to 1e-2 inside or outside an edge of the unit
+    box, each of multiplicity 1 to 3 and maybe with a partner 1e-9 to 1e-3
+    away, plus one root well inside."""
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        point, inward = _EDGES[draw(st.integers(0, 3))]
+        depth = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, -2.0))
+        r = point(draw(st.floats(-1.0, 1.0))) + inward * depth
+        roots.append((r, draw(st.integers(1, 3))))
+        if draw(st.booleans()):
+            partner = 10.0 ** draw(st.floats(-9.0, -3.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+            roots.append((r + complex(partner), draw(st.integers(1, 3))))
+    roots.append((complex(draw(st.floats(-0.9, 0.9)), draw(st.floats(-0.9, 0.9))), 1))
+    return roots
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(roots=_near_edge_zeros(), c=st.complex_numbers(max_magnitude=85.0))
+def test_counter_is_exact_or_refuses_property(roots, c):
+    # close pairs, multiple roots and e^{cz} next to the boundary: the count
+    # is the known one, or the box is refused by name, never a wrong integer.
+    # Phase increments alone, without the F'-bounded turn, read a wrong
+    # integer in most examples of this strategy (72 of 100 in one draw)
+    ((outcome,), _) = _batch([_UNIT], _known_zeros(roots, c))
+    if isinstance(outcome, (BoundaryTooCloseToRoot, NonConvergentContour)):
+        assert str(_UNIT) in str(outcome)
+    else:
+        assert outcome[0] == sum(m for r, m in roots if tipbeam.spectrum._inside(r, _UNIT))
 
 
 @pytest.mark.parametrize("rect", [(math.nan, 1.0, -1.0, 1.0), (-1.0, math.inf, -1.0, 1.0), _UNIT])
