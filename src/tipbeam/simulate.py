@@ -23,8 +23,9 @@ average-acceleration scheme, so the integrator eliminates the
 displacements: each step solves the 2N+2 velocity system
 M_w (I - dt^2/4 KS) = M_w + dt^2/4 S^T W_d S, symmetric positive definite,
 with one banded Cholesky factorization in node order (half-bandwidth
-five) plus a rank-two correction for the tip damping.  Only the
-eigenvalue check densifies.
+five) plus a rank-two correction for the tip damping.  A step is one
+sparse matvec, one banded solve, the correction added in place and an
+elementwise displacement update.  Only the eigenvalue check densifies.
 """
 
 import math
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
@@ -199,14 +201,21 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
     the half-bandwidth is five for every N.  C is factored once with dpbtrf;
     the r tip columns of D go in as a precomputed r x r
     Sherman-Morrison-Woodbury correction (r set-up solves).  A step is one
-    fused sparse matvec for the right-hand side, one dpbtrs, the correction
-    and the displacement update.  This is the same scheme as the full
-    midpoint rule, so it conserves the energy exactly when D = 0 and any
-    decay in the samples is boundary feedback.
+    fused sparse matvec for the right-hand side and one dpbtrs; the
+    correction then adds y[J_t] times the t-th gain column to the solution
+    y in place, for each tip column, with y[J] read first.  The
+    displacement update is elementwise: S is read from g.S once per call
+    as its diagonal plus its other entries, the tip entries (v_N, eta) and
+    (z_N, gamma), so d += dt/2 diag(S) (w0 + w1) and then one scalar update
+    per tip entry, with w kept in its slice of the state.  This is the same
+    scheme as the full midpoint rule, so it conserves the energy exactly
+    when D = 0 and any decay in the samples is boundary feedback.
 
-    Energy is sampled on a stride targeting about one thousand samples; a
-    state or an energy sample that is not finite raises SingularSolve
-    naming the step and t; U0 on another grid raises GridMismatch.
+    Energy is sampled on a stride targeting about one thousand samples.
+    Every step checks one scalar, the sum of the state, which is not
+    finite whenever an entry is; a non-finite sum or energy sample raises
+    SingularSolve naming the step and t.  U0 on another grid raises
+    GridMismatch.
     """
     _check_same_grid(U0, g)
     if dt <= 0.0 or T <= 0.0:
@@ -250,14 +259,21 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
     for i in range(tips.size):
         Z[:, i], _ = dpbtrs(chol, U[:, i])
     try:
-        tip_gain = np.linalg.solve((np.eye(tips.size) - Z[tips]).T, Z.T).T
+        # row t: the gain of tip column t, (Z (I - Z[J])^{-1})[:, t]
+        gains = np.linalg.solve((np.eye(tips.size) - Z[tips]).T, Z.T)
     except np.linalg.LinAlgError as exc:
         raise SingularSolve(f"I - dt/2 A is singular for N = {N}, dt = {dt:.17g}: tip correction "
                             f"at coordinates {(nd + tips).tolist()}") from exc
 
     right = scipy.sparse.hstack(
         [dt * MK, mass + (0.25 * dt * dt) * MKS + half_MD], format="csr")
-    half_S = (0.5 * dt) * S
+    # d1 = d0 + dt/2 S (w0 + w1): the diagonal of S elementwise, its other
+    # entries one by one; from g.S, which need not be assemble_generator's
+    half_diag = (0.5 * dt) * S.diagonal()
+    entries = S.tocoo()
+    off = entries.row != entries.col
+    half_off = [(int(i), int(j), 0.5 * dt * float(s)) for i, j, s
+                in zip(entries.row[off], entries.col[off], entries.data[off])]
 
     stride = max(1, int(round(T / (1000.0 * dt))))
     times, energies = [], []
@@ -271,12 +287,17 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         energies.append(energy)
 
     sample(0, x)
+    d, w = x[:nd], x[nd:]
     for step in range(1, nsteps + 1):
         y, _ = dpbtrs(chol, right @ x, overwrite_b=1)
-        w = y + tip_gain @ y[tips]
-        x[:nd] += half_S @ (x[nd:] + w)
-        x[nd:] = w
-        if not np.all(np.isfinite(x)):
+        for y_t, gain in zip(y[tips].tolist(), gains):
+            y = daxpy(gain, y, a=y_t)
+        w += y                          # w0 + w1 until w[:] = y
+        d += half_diag * w[:nd]
+        for i, j, half_s in half_off:
+            d[i] += half_s * w[j]
+        w[:] = y
+        if not math.isfinite(x.sum()):
             raise SingularSolve(f"integration blew up at step {step}, t = {step * dt:.17g}")
         if step % stride == 0 or step == nsteps:
             sample(step, x)

@@ -1,6 +1,7 @@
 """Discrete generator structure, integrator exactness, decay measurement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,23 @@ def test_banded_step_matches_dense_reference(params_generic):
     assert math.sqrt(g.energy(diff) / g.energy(x)) <= 1e-12
 
 
+def test_step_reads_S_from_the_generator(params_generic):
+    # the displacement update takes the diagonal and the tip entries of g.S,
+    # not assemble_generator's formulas: edit all three kinds of entry
+    N, dt, steps = 32, 0.5 / 32, 100
+    g = assemble_generator(params_generic, N)
+    S = g.S.tolil()
+    S[2 * N - 2, 2 * N] *= 1.5                     # (v_N, eta)
+    S[2 * N - 1, 2 * N + 1] *= 0.5                 # (z_N, gamma)
+    S[N, N] *= 2.0                                 # an interior transport entry
+    g.S = S.tocsr()
+    st = smooth_state(params_generic, N, seed=1)
+    tr = integrate(g, st, steps * dt, dt)
+    x = dense_midpoint(g, st, dt, steps)
+    diff = _pack(tr.final_state).real - x
+    assert math.sqrt(g.energy(diff) / g.energy(x)) <= 1e-12
+
+
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(N=st.integers(16, 64), b=st.floats(0.25, 1.25), gains=st.floats(0.25, 1.25),
        damping=st.floats(0.25, 1.25), rank=st.sampled_from(((0, 0), (0, 1), (1, 0), (1, 1))),
@@ -293,21 +311,25 @@ def test_generator_sparse_and_narrow_band(params_generic, N):
     assert (stats["nnz_A"], stats["nnz_W"]) == (g.matrix.nnz, g.weight.nnz)
 
 
-def test_one_factorization_one_solve_per_step(params_generic, monkeypatch):
-    calls = {"dpbtrf": 0, "dpbtrs": 0}
-    for name in calls:
+def test_one_factorization_one_solve_per_step(params_generic, params_conservative,
+                                              monkeypatch):
+    calls = {}
+    for name in ("dpbtrf", "dpbtrs"):
         original = getattr(tipbeam.simulate, name)
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(tipbeam.simulate, name, counted)
-    g = assemble_generator(params_generic, 32)
-    tr = integrate(g, smooth_state(params_generic, 32), 37 * 0.5 / 32, 0.5 / 32)
-    # two tip damping columns (k2, k4 > 0): two set-up solves for the correction
-    assert calls == {"dpbtrf": 1, "dpbtrs": 37 + 2}
-    assert tr.stats["steps"] == 37
-    assert tr.stats["solves"] == 37 + 2
-    assert tr.stats["energy_samples"] == len(tr.energies)
+    # two tip damping columns (k2, k4 > 0): two set-up solves for the
+    # correction; the conservative control has no tip columns and none
+    for p, tips in ((params_generic, 2), (params_conservative, 0)):
+        calls.update(dpbtrf=0, dpbtrs=0)
+        g = assemble_generator(p, 32)
+        tr = integrate(g, smooth_state(p, 32), 37 * 0.5 / 32, 0.5 / 32)
+        assert calls == {"dpbtrf": 1, "dpbtrs": 37 + tips}
+        assert tr.stats["steps"] == 37
+        assert tr.stats["solves"] == 37 + tips
+        assert tr.stats["energy_samples"] == len(tr.energies)
 
 
 def test_large_grid_is_feasible(params_generic):
@@ -368,10 +390,18 @@ def anti_damped(p, N, dt, margin):
 def test_blow_up_names_step_and_time(params_generic):
     dt = 0.5 / 16
     g = anti_damped(params_generic, 16, dt, 2.0 ** -40)
+    state = smooth_state(params_generic, 16)
     # energy is sampled every 40 steps, so the per-step state check fires first
     with pytest.raises(SingularSolve, match=r"blew up at step \d+, t = ") as info:
-        integrate(g, smooth_state(params_generic, 16), 1250.0, dt)
+        integrate(g, state, 1250.0, dt)
     assert "energy" not in str(info.value)
+    # and at the first non-finite step: the march to the step before it does
+    # not blow up per step (an energy sample, quadratic in the state, may)
+    n = int(re.search(r"step (\d+)", str(info.value)).group(1))
+    try:
+        integrate(g, state, (n - 1) * dt, dt)
+    except SingularSolve as exc:
+        assert "energy sample" in str(exc)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
