@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import paired_exponentials
-from .errors import (
-    NegativeDiscriminant,
-    NegativeRadicand,
-    RegimeMismatch,
-    ZeroOmega1,
-)
+from .errors import NegativeDiscriminant, RegimeMismatch, ZeroOmega1
 from .model import (
     REGIME_CASE1,
     REGIME_CASE2,
@@ -136,9 +131,8 @@ def special_a3(p: BeamParams) -> tuple[float, float]:
     """Third-order coefficients a_{3,1} <= a_{3,2} on the degenerate set.
 
     Only defined for k1 = k3 and sqrt(b) = 2 p pi; the radicand
-    4 k1^4 - 43 k1^2 p^2 pi^2 - 4 k1 p^4 pi^4 + p^6 pi^6 can be negative
-    (e.g. k1 = 2, p = 1), in which case the expansion is refused rather
-    than silently continued into the complex plane.
+    4 k1^4 + 4 k1^2 p^2 pi^2 - 4 k1 p^4 pi^4 + p^6 pi^6
+    = 4 k1^4 + p^2 pi^2 (2 k1 - p^2 pi^2)^2 is positive for every k1 > 0.
     """
     info = regime_info(p)
     if info.regime == REGIME_GENERIC:
@@ -146,14 +140,7 @@ def special_a3(p: BeamParams) -> tuple[float, float]:
     pp = info.degenerate_p
     k1 = p.k1
     pi2 = math.pi**2
-    radicand = (
-        4.0 * k1**4 - 43.0 * k1**2 * pp**2 * pi2
-        - 4.0 * k1 * pp**4 * pi2**2 + pp**6 * pi2**3
-    )
-    if radicand < 0.0:
-        raise NegativeRadicand(
-            f"a3 radicand = {radicand} < 0 at k1={k1}, p={pp}; real expansion unavailable"
-        )
+    radicand = 4.0 * k1**4 + pp**2 * pi2 * (2.0 * k1 - pp**2 * pi2) ** 2
     base = -24.0 * k1**2 - 8.0 * k1**3 - 36.0 * k1 * pp**2 * pi2 + 9.0 * pp**4 * pi2**2
     spread = 12.0 * pp * math.pi * math.sqrt(radicand)
     return base - spread, base + spread

@@ -355,9 +355,9 @@ def _cmd_table(cfg: RunConfig) -> list:
     lines = [f"# {k}={v}" for k, v in cfg.header_items()]
     lines.append(f"{'k':>6}  {'k^2 Re lambda_1':>16}  {'k^2 Re lambda_2':>16}")
     pairs = frequency_pairs(p, TABLE_KS)
-    for k, (recs, complete) in zip(TABLE_KS, pairs):
+    for k, recs in zip(TABLE_KS, pairs):
         by_family = {rec.family: rec for rec in recs}
-        if not complete or 1 not in by_family or 2 not in by_family:
+        if 1 not in by_family or 2 not in by_family:
             raise IncompleteBox(f"could not certify both families at k = {k}")
         val1 = k * k * by_family[1].lam.real
         val2 = k * k * by_family[2].lam.real

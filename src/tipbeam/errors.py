@@ -51,10 +51,6 @@ class ZeroDenominator(TipbeamError, ValueError):
     """g-function evaluated at t = 0 or lambda = 0."""
 
 
-class NearBranchPoint(TipbeamError, ValueError):
-    """Derivative evaluated within 1e-6 of 0 or +/- i*sqrt(b), where t' blows up."""
-
-
 # --- asymptotics ---
 
 class NegativeDiscriminant(TipbeamError, RuntimeError):
@@ -65,10 +61,6 @@ class ZeroOmega1(TipbeamError, RuntimeError):
     """First-order coefficient vanished; the two families are not separated."""
 
 
-class NegativeRadicand(TipbeamError, ValueError):
-    """Third-order degenerate coefficients are not real for these parameters."""
-
-
 class RegimeMismatch(TipbeamError, ValueError):
     """The parameters are outside the regime a routine needs: special_a3 needs
     the degenerate set, riesz_closeness a damped beam (k2, k4 not both zero)."""
@@ -77,7 +69,7 @@ class RegimeMismatch(TipbeamError, ValueError):
 # --- root search ---
 
 class BoundaryTooCloseToRoot(TipbeamError, RuntimeError):
-    """A box boundary meets a root or a branch point, or needs too many samples."""
+    """A box boundary meets a root, or needs too many samples."""
 
 
 class NonConvergentContour(TipbeamError, RuntimeError):

@@ -5,7 +5,8 @@ box from Im = -0.3 up to (K_MIN - 1/2) pi, searched by argument-principle
 counting with recursive box subdivision (robust, no a-priori location
 knowledge), and one frequency box per k >= K_MIN from (k - 1/2) pi to
 (k + 1/2) pi, whose two roots are Newton-polished from the closed-form
-predictions and validated by the box's winding count.  Each root is
+predictions and validated by the box's winding count (a box whose records
+disagree with its count is subdivided like the sweep).  Each root is
 recorded by the one box that holds it; a count over the union of the boxes
 certifies the whole strip, so a root found twice or missed shows there.
 The negative half comes from conjugate closure.  The left edge of the
@@ -13,11 +14,13 @@ dissipative boxes is -max(k2, k4) - 1: for an energy-normalized mode,
 Re lambda = -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2 with |eta|^2/k1 +
 |gamma|^2/k3 <= 1, so Re lambda >= -max(k2, k4).  All contour work uses the
 single-valued surrogate F = f * t1 * t3 from charfn, which has the same
-zeros as f off the branch points but no sheet jumps.
+zeros as f but no sheet jumps.  It is evaluated through its removable
+points +- i sqrt(b) too, so boxes and Newton iterates avoid no point but
+lambda = 0 itself (ZeroLambda).
 
-The counter and the Newton kernel see only a _Target: evaluate(z) -> (F, F',
-f) and an excluded(z) mask.  Each beam-facing entry point binds the beam's
-pair once, in `_beam`; other analytic functions use the same seam.
+The counter and the Newton kernel see only evaluate(z) -> (F, F', f).  Each
+beam-facing entry point binds it to the beam once, in `_beam`; other
+analytic functions use the same seam.
 
 A winding count sums the phase increments arg F(z_{i+1})/F(z_i) around the
 box (Kravanja & Van Barel, Computing the Zeros of Analytic Functions, 2000;
@@ -27,8 +30,8 @@ max |F'/F| * |z_{i+1} - z_i| at its two ends both stay within pi/4; the
 F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
 Every box is counted on the rect it was submitted with, or refused by name
-(BoundaryTooCloseToRoot) when a sample is excluded or is an exact zero of F,
-when an interval still too coarse has no floating-point midpoint, or when
+(BoundaryTooCloseToRoot) when a sample is an exact zero of F, when an
+interval still too coarse has no floating-point midpoint, or when
 refinement exceeds its sample budget; boxes never shift.  Boxes split off
 centre, so no edge of the conservative sweep lands on the root locus
 Re lambda = 0.  When a half is refused, its parent splits again at another
@@ -49,19 +52,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotics import predict_eigenvalue
-from .charfn import _near_branch_point, entire_char_fn_and_derivative
-from .errors import (
-    BasinEscape,
-    BoundaryTooCloseToRoot,
-    NearBranchPoint,
-    NoConvergence,
-    NonConvergentContour,
-)
+from .charfn import entire_char_fn_and_derivative
+from .errors import BasinEscape, BoundaryTooCloseToRoot, NoConvergence, NonConvergentContour
 from .model import BeamParams, require_unit_speed
 
 K_MIN = 8                     # boundary between contour sweep and seeded Newton
@@ -118,22 +114,12 @@ class RootSearchReport:
                 "newton_rounds": self.newton_rounds, "global_count": self.global_count}
 
 
-class _Target(NamedTuple):
-    """evaluate(z) -> (F, F', f) on a 1-d array: the function counted and
-    polished, its exact derivative and the residual |f| reported at a root.
-    excluded(z) marks where evaluate must not go: a boundary sample there
-    refuses its box, a Newton iterate there ends its lane (NearBranchPoint).
-    """
-
-    evaluate: Callable
-    excluded: Callable
-
-
-def _beam(p: BeamParams) -> _Target:
-    """The beam's surrogate F = f t1 t3, with f, away from its branch points."""
+def _beam(p: BeamParams) -> Callable:
+    """evaluate(z) -> (F, F', f) on a 1-d array for the beam: the surrogate
+    F = f t1 t3 counted and polished, its exact derivative, and the residual
+    |f| reported at a root."""
     require_unit_speed(p)
-    return _Target(lambda z: entire_char_fn_and_derivative(z, p),
-                   lambda z: _near_branch_point(z, p.b))
+    return lambda z: entire_char_fn_and_derivative(z, p)
 
 
 def _boundary(rect) -> np.ndarray:
@@ -220,16 +206,15 @@ class _Counter:
     Boxes join with `submit` and refine round by round (see _Boundary).  Each
     call evaluates at most _CHUNK pending samples, those of the most recently
     submitted boxes first, so a subdivision goes ahead of boxes still counting
-    in the background; a box's round may span calls.  Pending samples are
-    screened by the target's excluded mask before they are queued, so such a
-    box is refused without raising for the others.  Every box is counted on
+    in the background; a box's round may span calls.  Every box is counted on
     the rect it was submitted with, or refused with a BoundaryTooCloseToRoot
-    naming it.  A rect already submitted keeps its ticket, so a search can
-    start boxes early and collect them later.
+    naming it, without raising for the others.  A rect already submitted
+    keeps its ticket, so a search can start boxes early and collect them
+    later.
     """
 
-    def __init__(self, target: _Target, report: RootSearchReport):
-        self.target, self.report = target, report
+    def __init__(self, evaluate: Callable, report: RootSearchReport):
+        self.evaluate, self.report = evaluate, report
         self.tickets = {}     # rect -> ticket
         self.boxes = []       # per ticket, its boundary while unresolved
         self.outcomes = {}    # ticket -> (count, rect, samples) or the error
@@ -244,7 +229,6 @@ class _Counter:
                 ticket = self.tickets[rect] = len(self.boxes)
                 self.boxes.append(_Boundary(rect))
                 self.live.append(ticket)
-                self._screen(ticket)
             tickets.append(self.tickets[rect])
         return tickets
 
@@ -259,13 +243,6 @@ class _Counter:
         while not any(all(t in self.outcomes for t in g) for g in groups):
             self._call()
         return [i for i, g in enumerate(groups) if all(t in self.outcomes for t in g)]
-
-    def _screen(self, ticket: int):
-        """Refuse the ticket's box if a pending sample is excluded."""
-        box = self.boxes[ticket]
-        if self.target.excluded(box.pending).any():
-            box.refusal = "has a sample in the excluded set (near a branch point)"
-            self._finish(ticket)
 
     def _resolve(self, ticket: int, outcome):
         self.outcomes[ticket] = outcome
@@ -295,17 +272,14 @@ class _Counter:
                 room -= chunk.size
                 if not room:
                     break
-        f, d, _ = self.target.evaluate(np.concatenate([c for _, c in sent]))
+        f, d, _ = self.evaluate(np.concatenate([c for _, c in sent]))
         self.report.contour_rounds += 1
         start = 0
         for ticket, chunk in sent:
             end = start + chunk.size
             box = self.boxes[ticket]
-            if box.receive(f[start:end], d[start:end]):
-                if box.absorb():
-                    self._screen(ticket)
-                else:
-                    self._finish(ticket)
+            if box.receive(f[start:end], d[start:end]) and not box.absorb():
+                self._finish(ticket)
             start = end
 
 
@@ -333,12 +307,11 @@ def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = N
     winding is the sum of the increments over 2 pi, an integer up to
     rounding; a sum off an integer by more than 1e-9, or negative, raises
     NonConvergentContour.  The count is always of rect itself, which never
-    shifts: if a sample comes within 1e-6 of a branch point, F is 0 at a
-    sample, an interval still too coarse cannot be halved in floating point
-    (a root on or next to the edge), or refinement needs more than 4 * 8192
-    samples, BoundaryTooCloseToRoot is raised.  Both errors name the
-    rectangle and the reason, as does the ValueError for a rect not finite
-    with re_lo < re_hi, im_lo < im_hi.
+    shifts: if F is 0 at a sample, an interval still too coarse cannot be
+    halved in floating point (a root on or next to the edge), or refinement
+    needs more than 4 * 8192 samples, BoundaryTooCloseToRoot is raised.
+    Both errors name the rectangle and the reason, as does the ValueError
+    for a rect not finite with re_lo < re_hi, im_lo < im_hi.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (np.isfinite(rect).all() and re_lo < re_hi and im_lo < im_hi):
@@ -359,15 +332,14 @@ def polish(seeds, p: BeamParams, report: RootSearchReport | None = None) -> list
     basin and strictly lower |f|, landing where rounding in the determinant
     stops |f| from falling; the residual reported is |f| there.
     ``iterations`` counts the steps up to convergence.  Returns, per seed,
-    an EigenvalueRecord or the NoConvergence, BasinEscape or NearBranchPoint
-    (an iterate within 1e-6 of a branch point) that ended the lane.  A
-    lane's arithmetic does not depend on the other lanes.
+    an EigenvalueRecord or the NoConvergence or BasinEscape that ended the
+    lane.  A lane's arithmetic does not depend on the other lanes.
     """
     return _newton(seeds, _beam(p), report or RootSearchReport())
 
 
-def _newton(seeds, target: _Target, report: RootSearchReport) -> list:
-    """The kernel of `polish`, on the zeros of target's F."""
+def _newton(seeds, evaluate: Callable, report: RootSearchReport) -> list:
+    """The kernel of `polish`, on the zeros of evaluate's F."""
     seeds = np.asarray(seeds, dtype=complex)
     n = seeds.size
     out = [None] * n
@@ -375,14 +347,8 @@ def _newton(seeds, target: _Target, report: RootSearchReport) -> list:
     its, conv = np.zeros(n, dtype=int), np.full(n, -1)   # conv: its at convergence
     live = np.arange(n)
     while live.size:
-        near = target.excluded(lam[live])
-        for i in live[near]:
-            out[i] = NearBranchPoint(f"lambda={complex(lam[i])} within 1e-6 of a branch point")
-        live = live[~near]
-        if not live.size:
-            break
         z = lam[live]
-        surrogate, slope, fval = target.evaluate(z)
+        surrogate, slope, fval = evaluate(z)
         report.newton_rounds += 1
         residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
         polishing = conv[live] >= 0        # the extra steps keep strict drops only
@@ -439,13 +405,13 @@ def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
     return recs
 
 
-def _families(p: BeamParams, target: _Target, k, report: RootSearchReport):
-    """family_roots on target: the records and the first failure, or None."""
+def _families(p: BeamParams, evaluate: Callable, k, report: RootSearchReport):
+    """family_roots on evaluate: the records and the first failure, or None."""
     ks = [int(k)] if np.ndim(k) == 0 else [int(v) for v in k]
     lanes = [(kk, j) for kk in ks for j in (1, 2)]
     seeds = [predict_eigenvalue(kk, j, p) for kk, j in lanes]
     recs, failure = [], None
-    for (kk, j), rec in zip(lanes, _newton(np.array(seeds, dtype=complex), target, report)):
+    for (kk, j), rec in zip(lanes, _newton(np.array(seeds, dtype=complex), evaluate, report)):
         if isinstance(rec, Exception):
             failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
             continue
@@ -469,19 +435,19 @@ def _inside(lam: complex, rect) -> bool:
 
 
 def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -> list:
-    """(records, complete) of each frequency k in ks: both family roots near
-    i k pi from one Newton batch, jointly validated by one batch of box counts.
+    """The records of each frequency k in ks: both family roots near i k pi
+    from one Newton batch, jointly validated by one batch of box counts.
 
     The records of k are those inside its box, (k - 1/2) pi <= Im lambda <=
-    (k + 1/2) pi, so adjacent boxes never report one root twice.  complete
-    means the winding count over the box equals their multiplicity; a box
-    that cannot be counted raises BoundaryTooCloseToRoot naming it.  When
-    both families polish onto one root (agreeing to Newton resolution) while
-    the box counts 2, the box is subdivided (see _isolate) until its roots
-    isolate: two distinct roots, as with unequal damping gains and
-    degenerate sqrt(b) at Theta(1/k^2) apart, come back as two records in
-    family order; only an unresolvable cluster comes back as one record of
-    multiplicity 2.
+    (k + 1/2) pi, so adjacent boxes never report one root twice; a box that
+    cannot be counted raises BoundaryTooCloseToRoot naming it.  When the
+    polished records disagree with the box's winding count (a seed missed
+    or left its box), or both families polish onto one root (agreeing to
+    Newton resolution), the box is subdivided (see _isolate) until its roots
+    isolate, so the multiplicity of its records equals its count.  Two
+    distinct roots, as with unequal damping gains and degenerate sqrt(b) at
+    Theta(1/k^2) apart, come back as two records in family order; only an
+    unresolvable cluster comes back as one record of multiplicity 2.
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     return _frequency_pairs(p, ks, counter)
@@ -491,7 +457,7 @@ def _frequency_pairs(p: BeamParams, ks, counter: _Counter):
     """frequency_pairs with the boxes counted on `counter`."""
     ks = list(ks)
     by_k = {}
-    for rec in _families(p, counter.target, ks, counter.report)[0]:
+    for rec in _families(p, counter.evaluate, ks, counter.report)[0]:
         by_k.setdefault(rec.k_index, []).append(rec)
     rects = [_validation_rect(p, k) for k in ks]
     counts = _logged(counter.outcomes_of(counter.submit(rects)), counter.report)
@@ -500,30 +466,27 @@ def _frequency_pairs(p: BeamParams, ks, counter: _Counter):
 
 
 def _check_pair(p: BeamParams, k: int, recs, count: int, rect, counter: _Counter):
-    """The polished recs of frequency box k that lie inside rect, and whether
-    their multiplicity equals its count over rect."""
+    """The polished recs of frequency box k that lie inside rect, or, when
+    they disagree with its count over rect or coincide, its isolated roots."""
     inside = [r for r in recs if _inside(r.lam, rect)]
     coincident = len(inside) == 2 and abs(inside[0].lam - inside[1].lam) <= \
         _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
-    if coincident and count == 2:
+    if coincident or count != sum(r.multiplicity for r in inside):
         inside = _isolate(rect, count, counter)
         _label_pair(inside, p, k)
-    complete = count == sum(r.multiplicity for r in inside)
-    if not complete:
-        counter.report.incomplete_boxes.append(
-            (rect, count, sum(r.multiplicity for r in inside)))
-    return inside, complete
+    return inside
 
 
 def _label_pair(recs, p: BeamParams, k: int):
-    """Tag the roots of frequency box k, in place, in family order: the
-    assignment to the two predictions with the smaller total distance."""
+    """Tag the roots of frequency box k, in place: a pair in family order (the
+    assignment to the two predictions with the smaller total distance), a
+    lone record as family 1, and more than two roots with no family."""
     preds = [predict_eigenvalue(k, j, p) for j in (1, 2)]
     if len(recs) == 2 and (abs(recs[0].lam - preds[1]) + abs(recs[1].lam - preds[0])
                            < abs(recs[0].lam - preds[0]) + abs(recs[1].lam - preds[1])):
         recs.reverse()
     for j, rec in enumerate(recs, start=1):
-        rec.k_index, rec.family = k, j
+        rec.k_index, rec.family = k, (j if len(recs) <= 2 else None)
 
 
 def _sweep_box(p: BeamParams):
@@ -552,7 +515,7 @@ def _isolate(outer, total: int, counter: _Counter):
     Re lambda = 0, where every conservative root lies.  The halves of a box
     go to the counter as soon as its own count is in, so boxes of every
     depth share evaluation calls.  Once both are in, a half the counter
-    refuses (a root or branch point on or next to the split line) drops
+    refuses (a root on or next to the split line) drops
     both, and the box splits again at the next fraction, so the halves
     always tile it; each re-split adds one to report.resplits.  A refusal at
     the last fraction is raised.  A box with one root and diameter at most
@@ -560,7 +523,7 @@ def _isolate(outer, total: int, counter: _Counter):
     all waiting leaves are Newton-polished from their centres in one Newton
     batch; a leaf whose polish fails or lands outside it splits in turn.
     """
-    report, target = counter.report, counter.target
+    report, evaluate = counter.report, counter.evaluate
     records, leaves, splits = [], [], []     # splits: (rect, count, index in _SPLITS, tickets)
 
     def split(rect, cnt: int, at: int = 0):
@@ -578,7 +541,7 @@ def _isolate(outer, total: int, counter: _Counter):
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
             if diam < 1e-6:
                 # unresolvable cluster: record as a multiple root at the center
-                residual = float(abs(target.evaluate(np.array([center]))[2][0]))
+                residual = float(abs(evaluate(np.array([center]))[2][0]))
                 records.append(EigenvalueRecord(center, None, None, residual, cnt))
             elif cnt == 1 and diam <= 0.25:
                 leaves.append((rect, center))
@@ -600,7 +563,7 @@ def _isolate(outer, total: int, counter: _Counter):
                     _logged(halves, report)
                     boxes += [(half, c) for c, half, _ in halves if c]
         elif leaves:
-            polished = _newton([center for _, center in leaves], target, report)
+            polished = _newton([center for _, center in leaves], evaluate, report)
             for (rect, _), rec in zip(leaves, polished):
                 re_lo, re_hi, im_lo, im_hi = rect
                 if isinstance(rec, EigenvalueRecord) and _inside(
@@ -660,7 +623,7 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     pairs = _frequency_pairs(p, ks, counter)
     (union_out,) = counter.outcomes_of(counter.submit([union]))
     failed_k = []
-    for k, (recs, complete) in zip(ks, pairs):
+    for k, recs in zip(ks, pairs):
         if len(recs) < 2 and not (len(recs) == 1 and recs[0].multiplicity == 2):
             failed_k.append(k)
         records.extend(recs)

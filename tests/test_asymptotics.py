@@ -14,8 +14,9 @@ from tipbeam.asymptotics import (
     special_a3,
 )
 from tipbeam.charfn import char_fn, paired_exponentials
-from tipbeam.errors import NegativeRadicand, RegimeMismatch, ZeroOmega1
+from tipbeam.errors import RegimeMismatch, ZeroOmega1
 from tipbeam.model import validate_params
+from tipbeam.spectrum import frequency_pairs
 
 # frozen reference values for the (b=2, k1=1, k2=2, k3=3, k4=2) set,
 # cross-checked against measured root locations and the k^3 f limit below
@@ -163,9 +164,12 @@ def test_asymptotic_coefficients_dispatch(params_generic, params_degenerate):
 
 def test_special_a3():
     pi2 = math.pi**2
-    # k1 = 2, p = 1: radicand is negative, expansion refused
-    with pytest.raises(NegativeRadicand):
-        special_a3(validate_params(1, 4 * pi2, 2, 1, 2, 1))
+    # k1 = 2, p = 1: the radicand 4 k1^4 + p^2 pi^2 (2 k1 - p^2 pi^2)^2 is
+    # 404.03, so the half-spread is 12 pi sqrt(404.03)
+    a31, a32 = special_a3(validate_params(1, 4 * pi2, 2, 1, 2, 1))
+    assert (a32 - a31) / 2 == pytest.approx(12 * math.pi * math.sqrt(64 + pi2 * (4 - pi2) ** 2),
+                                            rel=1e-14)
+    assert math.sqrt(64 + pi2 * (4 - pi2) ** 2) == pytest.approx(20.1005, abs=1e-4)
     with pytest.raises(RegimeMismatch):
         special_a3(validate_params(1, 2.0, 1, 2, 3, 2))
     # k1 = 20, p = 1: radicand positive
@@ -212,6 +216,25 @@ def test_predict_case2_and_case3():
     a31 = special_a3(p3)[0]
     expect = 50 * math.pi + (2 * 20 + pi2) / (2 * 50 * math.pi) + a31 / (24 * 50**3 * math.pi**3)
     assert lam3.imag == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("k2", [1.0, 0.0])     # case 2 and case 3
+def test_third_order_split_matches_the_roots(k2):
+    # the families of k1 = k3 = 2, sqrt(b) = 2 pi part at third order:
+    # k^3 (Im lambda_2 - Im lambda_1) tends to (a3_2 - a3_1) / (24 pi^3),
+    # and the polished pair agrees within 1/k^2 relative (measured 0.50 to
+    # 0.54 / k^2 at k = 50 and 100); each root lies within 1/k^4 of its
+    # prediction (measured at most 0.72 / k^4).  The radicand with
+    # -43 k1^2 p^2 pi^2 was negative here
+    p = validate_params(1, 4 * math.pi**2, 2, k2, 2, k2)
+    a31, a32 = special_a3(p)
+    want = (a32 - a31) / (24 * math.pi**3)
+    for k, recs in zip((50, 100), frequency_pairs(p, [50, 100])):
+        assert [r.family for r in recs] == [1, 2]
+        got = k**3 * (recs[1].lam.imag - recs[0].lam.imag)
+        assert abs(got - want) <= want / k**2
+        for r in recs:
+            assert abs(r.lam - predict_eigenvalue(k, r.family, p)) <= 1 / k**4
 
 
 def test_predict_validation(params_generic):

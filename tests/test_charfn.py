@@ -16,7 +16,7 @@ from tipbeam.charfn import (
     g_functions,
     mode_couplings,
 )
-from tipbeam.errors import NearBranchPoint, ZeroDenominator, ZeroLambda
+from tipbeam.errors import ZeroDenominator, ZeroLambda
 from tipbeam.model import regime_info, validate_params
 from tipbeam.cli import TABLE_KS
 from tipbeam.spectrum import family_roots, refine_root
@@ -246,10 +246,51 @@ def test_derivative_conjugate_and_richardson(params_generic):
     # two central differences a decade apart in step both agree
     assert d == pytest.approx(_central_diff(lam, p, 1e-6), rel=1e-7)
     assert d == pytest.approx(_central_diff(lam, p, 1e-7), rel=1e-6)
-    with pytest.raises(NearBranchPoint):
-        entire_char_fn_and_derivative(1j * np.sqrt(p.b) + 1e-9, p)
-    with pytest.raises(NearBranchPoint):
-        entire_char_fn_and_derivative(np.array([2.0j, 1e-9 + 0j]), p)
+    with pytest.raises(ZeroLambda):
+        entire_char_fn_and_derivative(np.array([2.0j, 0j]), p)
+    # 1e-9 from the origin is evaluated, not refused
+    assert np.isfinite(entire_char_fn_and_derivative(1e-9 + 0j, p)[0])
+
+
+def _ring_reference(center, h, p, radius=0.1, n=64):
+    """F and F' at center + h from a Taylor polynomial fitted on a ring of
+    n samples at `radius`, with the coefficients summed term by term."""
+    m = np.arange(n)
+    ring = entire_char_fn(center + radius * np.exp(2j * np.pi * m / n), p)
+    coef = np.array([np.mean(ring * np.exp(-2j * np.pi * j * m / n)) for j in range(n)])
+    s = np.asarray(h) / radius
+    return (np.polyval(coef[::-1], s),
+            np.polyval((np.arange(1, n) * coef[1:])[::-1], s) / radius)
+
+
+@pytest.mark.parametrize("q", [0.5, 8.5, 20.5])
+@pytest.mark.parametrize("gains", [(0.0, 0.0), (2.0, 1.0)])
+def test_branch_points_match_another_ring(q, gains):
+    # F is analytic at +- i sqrt(b): within the switch radius (a tenth of the
+    # ring radius 1e-2) F and F' agree with a ring of radius 0.1 and 64
+    # samples within the bound the docstring states, 3e-13 of their largest
+    # modulus on the disc; f = F/(t1 t3) is infinite at the point itself
+    p = validate_params(1.0, (q * math.pi) ** 2, 1.0, gains[0], 3.0, gains[1])
+    sb = math.sqrt(p.b)
+    rng = np.random.default_rng(5)
+    h = np.concatenate([[0.0, 9.99e-4, -9.99e-4j, 1e-12],
+                        9.99e-4 * np.sqrt(rng.uniform(0, 1, 40))
+                        * np.exp(2j * np.pi * rng.uniform(0, 1, 40))])
+    for center in (1j * sb, -1j * sb):
+        fval, d, f = entire_char_fn_and_derivative(center + h, p)
+        ref_f, ref_d = _ring_reference(center, h, p)
+        assert np.max(np.abs(fval - ref_f)) <= 3e-13 * np.max(np.abs(ref_f))
+        assert np.max(np.abs(d - ref_d)) <= 3e-13 * np.max(np.abs(ref_d))
+        assert np.isinf(f[0]) and np.isfinite(f[1:]).all()
+        # a lane inside the disc is the one-point call bit for bit
+        one = entire_char_fn_and_derivative(complex(center + h[5]), p)
+        assert one == (complex(fval[5]), complex(d[5]), complex(f[5]))
+    # just outside the switch radius the direct kernel agrees as well
+    outside = 1j * sb + 1.001e-3 * np.exp(2j * np.pi * np.arange(8) / 8)
+    fval, d, _ = entire_char_fn_and_derivative(outside, p)
+    ref_f, ref_d = _ring_reference(1j * sb, outside - 1j * sb, p)
+    assert np.max(np.abs(fval - ref_f)) <= 1e-11 * np.max(np.abs(ref_f))
+    assert np.max(np.abs(d - ref_d)) <= 1e-10 * np.max(np.abs(ref_d))
 
 
 def test_derivative_finite_at_roots(params_generic, params_degenerate):

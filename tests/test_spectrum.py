@@ -13,12 +13,10 @@ from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.errors import (
     BasinEscape,
     BoundaryTooCloseToRoot,
-    NearBranchPoint,
-    NegativeRadicand,
     NoConvergence,
     NonConvergentContour,
 )
-from tipbeam.model import regime_info, validate_params
+from tipbeam.model import validate_params
 from tipbeam.spectrum import (
     K_MIN,
     EigenvalueRecord,
@@ -52,15 +50,16 @@ def test_count_frequency_box_has_two(params_generic):
     assert count_roots_in_rect(rect, params_generic) == 2
 
 
-def test_count_shifts_off_a_branch_point(params_generic):
-    # a corner exactly on i sqrt(b), where F' is singular: the box no longer
-    # shifts off it but is refused by name before any evaluation
+def test_count_on_a_branch_point(params_generic):
+    # a corner exactly on i sqrt(b), where the direct F' is singular: F is
+    # analytic there, so the box is counted as it stands, and holds the one
+    # root near -0.4871 + 1.4759i, as do boxes 0.01 lower and higher
     p = params_generic
-    rect = (-1.0, 0.0, math.sqrt(p.b), 3.0)
-    report = RootSearchReport()
-    with pytest.raises(BoundaryTooCloseToRoot, match=re.escape(f"boundary of {rect} ")):
-        count_roots_in_rect(rect, p, report)
-    assert report.contour_rounds == 0 and report.boxes == []
+    for im_lo in (math.sqrt(p.b), math.sqrt(p.b) - 0.01, math.sqrt(p.b) + 0.01):
+        rect = (-1.0, 0.0, im_lo, 3.0)
+        report = RootSearchReport()
+        assert count_roots_in_rect(rect, p, report) == 1
+        assert report.boxes == [(rect, 1)]
 
 
 def test_count_refuses_an_edge_through_a_real_root(params_generic):
@@ -133,8 +132,7 @@ def test_batched_counts_match_one_box_counts(params_generic):
     # the branch-point corner, a zero box, a frequency box and the near-edge
     # box of the test above, on the generic set; the near-edge conservative
     # pair with a zero box and a frequency box: each count, rect and sample
-    # total equals the box's one-box count, and only the branch-point box is
-    # refused, by the same error
+    # total equals the box's one-box count
     cons = validate_params(1.0, 2.038786616131473, 1.014145822087823, 0.0,
                            2.8841124150393984, 0.0)
     edge = 18.897837103895696
@@ -146,25 +144,21 @@ def test_batched_counts_match_one_box_counts(params_generic):
         (cons, [(-0.5, 0.5, 18.180701554930696, edge), (-0.5, 0.5, edge, 19.817250046407196),
                 (0.3, 2.3, 1.0, 20.0), (-0.5, 0.5, 29.5 * math.pi, 30.5 * math.pi)]),
     ]
+    counts = []
     for p, rects in cases:
         batch, rounds = _batch(rects, tipbeam.spectrum._beam(p))
         alone, alone_rounds = [], []
         for rect in rects:
             report = RootSearchReport()
-            try:
-                count = count_roots_in_rect(rect, p, report)
-            except BoundaryTooCloseToRoot as exc:
-                alone.append(str(exc))
-            else:
-                assert report.boxes == [(rect, count)]
-                alone.append((count, rect, report.contour_points))
+            count = count_roots_in_rect(rect, p, report)
+            assert report.boxes == [(rect, count)]
+            alone.append((count, rect, report.contour_points))
             alone_rounds.append(report.contour_rounds)
-        assert [o if isinstance(o, tuple) else str(o) for o in batch] == alone
-        assert [isinstance(o, BoundaryTooCloseToRoot) for o in batch] == \
-            [rect == branch for rect in rects]
+        assert batch == alone
         # the boxes refine side by side: the batch takes the calls of its slowest box
         assert rounds == max(alone_rounds) < sum(alone_rounds)
-    assert [count for count, *_ in batch] == [1, 1, 0, 2]
+        counts.append([count for count, *_ in batch])
+    assert counts == [[1, 0, 2, 19], [1, 1, 0, 2]]
 
 
 def test_batch_errors_name_the_rect(params_generic):
@@ -173,23 +167,28 @@ def test_batch_errors_name_the_rect(params_generic):
     branch = (-1.0, 0.0, math.sqrt(p.b), 3.0)
     frequency = (-5.0, 0.2, 11.5 * math.pi, 12.5 * math.pi)
     zero = (0.3, 2.3, 1.0, 20.0)
-    # a disc of radius 0.05 excluded around the branch point i sqrt(b): the
-    # box with that corner has samples in it, so that box cannot be counted;
-    # the others can
-    fenced = beam._replace(excluded=lambda z: np.abs(z - 1j * math.sqrt(p.b)) < 0.05)
-    outcomes, _ = _batch([zero, branch, frequency], fenced)
+    # F exactly 0 at the corner i sqrt(b), one of the initial samples: the
+    # box with that corner cannot be counted; the others can
+    corner = 1j * math.sqrt(p.b)
+
+    def zeroed(lam):
+        f, d, fval = beam(lam)
+        return np.where(lam == corner, 0.0, f), d, fval
+
+    outcomes, _ = _batch([zero, branch, frequency], zeroed)
     assert [o[0] for o in outcomes[::2]] == [0, 2]
     assert isinstance(outcomes[1], BoundaryTooCloseToRoot)
+    assert str(outcomes[1]) == f"boundary of {branch} passes through a zero of F at {corner}"
     with pytest.raises(BoundaryTooCloseToRoot, match=re.escape(f"boundary of {branch}")):
         tipbeam.spectrum._logged(outcomes, RootSearchReport())
 
     # F conjugated on the frequency box only: it winds -2 and is refused by name
     def mirrored(lam):
-        f, d, fval = beam.evaluate(lam)
+        f, d, fval = beam(lam)
         on_box = (lam.imag > 11.4 * math.pi) & (lam.imag < 12.6 * math.pi)
         return np.where(on_box, f.conj(), f), np.where(on_box, d.conj(), d), fval
 
-    outcomes, _ = _batch([zero, frequency], beam._replace(evaluate=mirrored))
+    outcomes, _ = _batch([zero, frequency], mirrored)
     assert outcomes[0][0] == 0
     assert isinstance(outcomes[1], NonConvergentContour)
     assert str(outcomes[1]).startswith(f"phase increments around {frequency} sum to -2")
@@ -211,7 +210,7 @@ def test_count_refuses_a_degenerate_rect(params_generic, rect):
 
 
 def _known_zeros(roots, c=0.0):
-    """Target of F(z) = e^{cz} prod (z - r)^m over (r, m) in roots, with exact F' and f = F."""
+    """evaluate of F(z) = e^{cz} prod (z - r)^m over (r, m) in roots, with exact F' and f = F."""
     def evaluate(z):
         factors = [(z - r) ** m for r, m in roots]
         prod = np.prod(factors, axis=0)
@@ -221,7 +220,7 @@ def _known_zeros(roots, c=0.0):
         f = scale * prod
         return f, scale * (c * prod + d), f
 
-    return tipbeam.spectrum._Target(evaluate, lambda z: np.zeros(z.shape, dtype=bool))
+    return evaluate
 
 
 _UNIT = (-1.0, 1.0, -1.0, 1.0)
@@ -338,11 +337,11 @@ def test_counter_refuses_non_finite_samples(rect):
     known = _known_zeros([(0.1j, 1)])
 
     def holed(z):
-        f, d, fval = known.evaluate(z)
+        f, d, fval = known(z)
         return np.where(z.real > 0.9, np.nan, f), d, fval
 
     with np.errstate(invalid="ignore"):
-        ((outcome,), _) = _batch([rect], known._replace(evaluate=holed))
+        ((outcome,), _) = _batch([rect], holed)
     assert isinstance(outcome, (NonConvergentContour, BoundaryTooCloseToRoot))
     assert str(rect) in str(outcome)
 
@@ -384,8 +383,9 @@ def test_adversarial_midpoint_seed(params_generic):
 
 
 def test_pair_at_frequency(params_generic):
-    recs, complete = frequency_pairs(params_generic, [50])[0]
-    assert complete and len(recs) == 2
+    report = RootSearchReport()
+    recs = frequency_pairs(params_generic, [50], report=report)[0]
+    assert len(recs) == 2 and report.boxes[0][1] == 2
     assert {r.family for r in recs} == {1, 2}
     for r in recs:
         pred = predict_eigenvalue(50, r.family, params_generic)
@@ -405,7 +405,7 @@ def _alone(seed, p):
     """refine_root on one seed: its record, or the error it raised."""
     try:
         return refine_root(seed, p)
-    except (NoConvergence, BasinEscape, NearBranchPoint) as exc:
+    except (NoConvergence, BasinEscape) as exc:
         return exc
 
 
@@ -419,10 +419,7 @@ def _scalar_newton(seed, p):
     lam = seed = complex(seed)
     step, iterations, best = math.inf, 0, None
     while True:
-        try:
-            surrogate, slope, fval = tipbeam.spectrum.entire_char_fn_and_derivative(lam, p)
-        except NearBranchPoint:
-            return NearBranchPoint
+        surrogate, slope, fval = tipbeam.spectrum.entire_char_fn_and_derivative(lam, p)
         residual, scale = abs(fval), max(1.0, abs(lam))
         if best is not None:
             if residual >= best[1]:
@@ -454,11 +451,7 @@ def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
     # each lane of the batch ends exactly as refine_root does on its seed alone
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
-    try:
-        seeds = [predict_eigenvalue(k, j, p) + shift for k, j, shift in lanes]
-    except NegativeRadicand:
-        assert regime_info(p).regime in ("case2", "case3")
-        return
+    seeds = [predict_eigenvalue(k, j, p) + shift for k, j, shift in lanes]
     report = RootSearchReport()
     batch = polish(np.array(seeds), p, report=report)
     assert report.newton_calls == len(seeds) and report.newton_rounds <= 54
@@ -484,14 +477,16 @@ def test_polish_fails_only_the_affected_lanes(params_generic):
     seeds = [predict_eigenvalue(12, 1, p), (12 + 0.5) * math.pi * 1j - 0.1,
              1j * math.sqrt(p.b) + 1e-9, predict_eigenvalue(30, 2, p)]
     out = polish(np.array(seeds), p)
-    assert [type(o) for o in out] == [EigenvalueRecord, BasinEscape, NearBranchPoint,
+    # the seed 1e-9 from i sqrt(b) is evaluated there, and its first step
+    # lands 0.507 away, beside the root near -0.4871 + 1.4759i
+    assert [type(o) for o in out] == [EigenvalueRecord, BasinEscape, BasinEscape,
                                       EigenvalueRecord]
     assert "left the basin of seed" in str(out[1])
-    assert str(out[2]).endswith("within 1e-6 of a branch point")
+    assert str(out[2]).startswith("iterate (-0.50612")
     for seed, rec in zip(seeds[::3], out[::3]):
         assert rec.lam == refine_root(seed, p).lam
         assert rec.residual <= 1e-13 * abs(rec.lam)
-    with pytest.raises(NearBranchPoint, match="branch point"):
+    with pytest.raises(BasinEscape, match=re.escape(str(out[2]))):
         refine_root(seeds[2], p)
 
 
@@ -544,11 +539,14 @@ def test_family_roots_failure_names_k_and_j(params_generic, family_two_seeded_of
 
 def test_pair_at_frequency_keeps_surviving_family(params_generic,
                                                   family_two_seeded_off):
+    # family 2's seed misses, so the box counts 2 where one record was
+    # polished: the box is subdivided, and both roots come back in family order
     report = RootSearchReport()
-    recs, complete = frequency_pairs(params_generic, [12], report=report)[0]
-    assert not complete
-    assert [r.family for r in recs] == [1]
-    assert report.incomplete_boxes[0][1:] == (2, 1)
+    recs = frequency_pairs(params_generic, [12], report=report)[0]
+    assert [(r.k_index, r.family) for r in recs] == [(12, 1), (12, 2)]
+    assert report.incomplete_boxes == []
+    for r in recs:
+        assert abs(r.lam - predict_eigenvalue(12, r.family, params_generic)) < 1e-3
 
 
 def test_spectrum_validation_errors(params_generic):
@@ -790,21 +788,35 @@ def test_low_gain_strip_union_completes():
     assert_tiled(recs, report)
 
 
-def test_branch_point_on_a_split_line_or_a_box_edge():
-    # sqrt(b) on the sweep's first split line puts a sample on the branch
-    # point i sqrt(b): the halves are refused and the sweep splits again at
-    # the next fraction, so the strip completes
-    p = validate_params(1.0, (-0.3 + 0.4382 * (7.5 * math.pi + 0.3)) ** 2, 1.0, 0.0, 3.0, 0.0)
-    recs, report = spectrum_in_strip(p, 12)
+def _assert_strip_complete(sqrt_b, gains, k_max):
+    """The strip of (1, sqrt_b^2, 1, k2, 3, k4) is counted box by box with no
+    re-split, its records equal the count over the whole strip, and a
+    counted box has i sqrt(b) on its boundary."""
+    p = validate_params(1.0, sqrt_b**2, 1.0, gains[0], 3.0, gains[1])
+    recs, report = spectrum_in_strip(p, k_max)
     assert report.incomplete_boxes == []
-    assert report.stats["resplits"] == 1
+    assert report.stats["resplits"] == 0
+    assert report.global_count == sum(r.multiplicity for r in recs if r.lam.imag > -0.3)
     assert_tiled(recs, report)
-    # sqrt(b) = 8.5 pi is the top edge of frequency box 8, which no split
-    # moves: it is refused by name, and so is the search
-    p = validate_params(1.0, (8.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0)
-    rect = (-0.5, 0.5, 7.5 * math.pi, 8.5 * math.pi)
-    with pytest.raises(BoundaryTooCloseToRoot, match=re.escape(f"boundary of {rect} ")):
-        spectrum_in_strip(p, 12)
+    assert any(sqrt_b in rect[2:] for rect, _ in report.boxes)
+
+
+def test_branch_point_on_a_split_line_or_a_box_edge():
+    # F is evaluated at the branch point like anywhere else.  sqrt(b) on the
+    # sweep's first split line puts a sample on i sqrt(b), and nothing is
+    # split again; sqrt(b) = 8.5 pi is the top edge of frequency box 8,
+    # which once refused the whole search
+    _assert_strip_complete(-0.3 + 0.4382 * (7.5 * math.pi + 0.3), (0.0, 0.0), 12)
+    _assert_strip_complete(8.5 * math.pi, (0.0, 0.0), 12)
+
+
+@pytest.mark.parametrize("q", [8.5, 9.5, 20.5])
+@pytest.mark.parametrize("gains", [(0.0, 0.0), (2.0, 1.0)], ids=["conservative", "damped"])
+def test_branch_point_on_a_shared_box_edge(q, gains):
+    # sqrt(b) = q pi is the edge that frequency boxes q - 1/2 and q + 1/2
+    # share, with a sample on i sqrt(b); for k >> sqrt(b) the seeds miss and
+    # those boxes are subdivided
+    _assert_strip_complete(q * math.pi, gains, 24)
 
 
 def test_spectrum_stats_count_the_search(fig_spectrum):
@@ -837,12 +849,7 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
     k_max = 12
-    try:
-        recs, report = spectrum_in_strip(p, k_max)
-    except NegativeRadicand:
-        # the documented refusal of the third-order degenerate expansion
-        assert regime_info(p).regime in ("case2", "case3")
-        return
+    recs, report = spectrum_in_strip(p, k_max)
     assert report.incomplete_boxes == []
     assert_tiled(recs, report)
     for k in range(K_MIN, k_max + 1):
