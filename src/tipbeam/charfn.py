@@ -15,26 +15,19 @@ most 5.2e-19 against a 60-digit determinant of the same double entries, as
 an LU determinant of M does.  A Laplace expansion of the 4x4 itself by pairs
 of rows (rows 0-1 against rows 2-3) sums six products of 2x2 minors that
 cancel far more, and errs by 2.8e-14 there; it is not used.
+
+A lane's value depends neither on the other lanes nor on the batch size.
+numpy's complex product is not commutative in the last bit, and from
+256 KiB on numpy reuses a temporary right operand of `*` for the result,
+swapping the operands; so such a product is written np.multiply(left, right).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BranchRootNearZero, ZeroDenominator, ZeroLambda
+from .errors import ZeroLambda
 from .model import BeamParams, require_unit_speed
-
-
-@dataclass(frozen=True)
-class BranchRoots:
-    """The four interior exponents; t2 = -t1 and t4 = -t3 exactly."""
-
-    t1: complex
-    t2: complex
-    t3: complex
-    t4: complex
 
 
 def _check_nonzero(lam: np.ndarray) -> None:
@@ -63,48 +56,17 @@ def _shifted_roots(lam: np.ndarray, b: float):
     return t1, t3, 1j * lam * sb / (t1 + lam), -1j * lam * sb / (t3 + lam)
 
 
-def branch_roots(lam: complex, b: float) -> BranchRoots:
-    """Exponents of the four interior solutions e^{t x} at frequency lambda.
+def _exponents(lam: np.ndarray, b: float):
+    """(t1, -t1, t3, -t3) and the stabilized e^{t_i}, column axis first.
 
-    t1 = sqrt(lambda) * sqrt(i sqrt(b) + lambda) and t3 its mirror across the
-    real axis of the second factor; each square root is the principal branch,
-    applied to the two factors separately.
+    A function of its own so that its (n,) temporaries are freed before
+    _columns builds the (4, n) row symbols.
     """
-    lam = np.asarray(lam, dtype=complex)
-    _check_nonzero(lam)
-    t1, t3 = _roots(lam, b)
-    return BranchRoots(complex(t1), complex(-t1), complex(t3), complex(-t3))
-
-
-def mode_couplings(lam: complex, roots: BranchRoots):
-    """Shear amplitudes d_i = (lambda^2 - t_i^2)/t_i for each exponent.
-
-    Evaluated through lambda^2 - t1^2 = -(t1^2 - t3^2)/2 (= -i lambda
-    sqrt(b), and +i for t3), avoiding the direct difference with lambda^2
-    that cancels badly at large |lambda|.
-    """
-    t1, t3 = roots.t1, roots.t3
-    if min(abs(t1), abs(t3)) < 1e-12:
-        raise BranchRootNearZero(f"branch root too small at lambda={lam}")
-    ilsb = (t1 * t1 - t3 * t3) / 2.0   # i lambda sqrt(b)
-    d1 = -ilsb / t1
-    d3 = ilsb / t3
-    return d1, -d1, d3, -d3
-
-
-def g_functions(t: complex, lam: complex, p: BeamParams):
-    """Boundary symbols (g1, g2, g3) entering the collocation rows.
-
-    g1 multiplies the shear-angle row, g2 the force feedback row, g3 the
-    moment feedback row (the latter two already divided by the lambda powers
-    shared along their rows).
-    """
-    if abs(t) < 1e-14 or abs(lam) < 1e-14:
-        raise ZeroDenominator("g functions need t != 0 and lambda != 0")
-    g1 = -t + lam**2 / t
-    g2 = (p.k2 * t + (p.k1 + t) * lam) / (lam * t)
-    g3 = (-(t**2) + lam**2) * (p.k3 * t + lam * (p.k4 + lam)) / (lam**2 * t)
-    return g1, g2, g3
+    t1, t3, dl1, dl3 = _shifted_roots(lam, b)
+    ez = np.exp(lam)
+    e1 = np.multiply(ez, np.exp(dl1))
+    e3 = np.multiply(ez, np.exp(dl3))
+    return np.array([t1, -t1, t3, -t3]), np.array([e1, 1.0 / e1, e3, 1.0 / e3])
 
 
 def _columns(lam: np.ndarray, p: BeamParams):
@@ -112,18 +74,24 @@ def _columns(lam: np.ndarray, p: BeamParams):
 
     The exponents t_i, the stabilized e^{t_i}, the constants
     q_i = (lambda^2 - t_i^2)/lambda = -+ i sqrt(b) (shape (4, 1, ...)), and
-    the row symbols d_i = q_i lambda / t_i, g2_i and g3_i.
+    the row symbols d_i = q_i lambda / t_i, g2_i and g3_i.  The row symbols
+    are formed in place, g3's array serving as g2's scratch first, with the
+    operands of every product in the order of the formula.
     """
-    t1, t3, dl1, dl3 = _shifted_roots(lam, p.b)
-    ez = np.exp(lam)
-    e1 = ez * np.exp(dl1)
-    e3 = ez * np.exp(dl3)
-    exps = np.array([e1, 1.0 / e1, e3, 1.0 / e3])
-    ts = np.array([t1, -t1, t3, -t3])
+    ts, exps = _exponents(lam, p.b)
     q = np.array([-1j, -1j, 1j, 1j]).reshape((4,) + (1,) * lam.ndim) * np.sqrt(p.b)
-    d = q * lam / ts
-    g2 = (p.k2 * ts + (p.k1 + ts) * lam) / (lam * ts)
-    g3 = d * (p.k3 * ts + lam * (p.k4 + lam)) / lam**2
+    d = q * lam
+    d /= ts
+    g2 = p.k2 * ts                      # (k2 t + (k1 + t) lambda) / (lambda t)
+    g3 = p.k1 + ts
+    g3 *= lam
+    g2 += g3
+    np.multiply(lam, ts, out=g3)
+    g2 /= g3
+    np.multiply(p.k3, ts, out=g3)       # d (k3 t + lambda (k4 + lambda)) / lambda^2
+    g3 += np.multiply(lam, p.k4 + lam)
+    np.multiply(d, g3, out=g3)
+    g3 /= lam**2
     return ts, exps, q, d, g2, g3
 
 
@@ -250,7 +218,7 @@ def _kernel(lanes: np.ndarray, p: BeamParams):
     ddet = sum(np.sum((row[1:] - row[0]) * c, axis=0) for row, c in zip(rows, cof))
     t1, t3 = pieces[0][0], pieces[0][2]
     f = -det / (16.0 * p.b)
-    dbig_f = -(ddet * t1 * t3 + det * (tp[0] * t3 + t1 * tp[2])) / (16.0 * p.b)
+    dbig_f = -(ddet * t1 * t3 + np.multiply(det, tp[0] * t3 + t1 * tp[2])) / (16.0 * p.b)
     return f * t1 * t3, dbig_f, f
 
 

@@ -5,6 +5,12 @@ flags override file entries.  Every artifact embeds the resolved configuration
 (CSV and the human table as leading comment lines, JSON under a "config" key,
 SVG as leading XML comments) and is formatted deterministically, so identical
 configurations produce byte-identical files.
+
+Only `decay` needs `simulate`, and with it scipy, so the spectral commands
+start without them: `assemble_generator`, `integrate` and `fit_decay` are
+attributes of this module that import `simulate` on first access, and
+`decay` calls them through the module, so a wrapper set on one of them is
+the one that runs.
 """
 
 from __future__ import annotations
@@ -22,8 +28,17 @@ from .asymptotics import predict_eigenvalue
 from .errors import ConfigError, IncompleteBox, TipbeamError
 from .model import BeamParams, GridState, regime_info, solve_static, validate_params
 from .modes import eigenmode, mode_residuals, riesz_closeness
-from .simulate import assemble_generator, fit_decay, integrate
 from .spectrum import K_MIN, RootSearchReport, family_roots, frequency_pairs, spectrum_in_strip
+
+_SIMULATE_NAMES = ("assemble_generator", "integrate", "fit_decay")
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulate
+    return getattr(simulate, name)
+
 
 COMMANDS = ("spectrum", "predict", "modes", "riesz", "decay", "table", "plot")
 TABLE_KS = (200, 400, 600, 800, 1000)
@@ -325,12 +340,13 @@ def _smooth_domain_state(p: BeamParams, N: int, seed: int) -> GridState:
 
 
 def _cmd_decay(cfg: RunConfig) -> list:
+    this = sys.modules[__name__]
     p = cfg.effective_params
-    g = assemble_generator(p, cfg.grid_n)
+    g = this.assemble_generator(p, cfg.grid_n)
     dt = cfg.dt if cfg.dt is not None else 0.4 * g.h
     u0 = _smooth_domain_state(p, cfg.grid_n, cfg.seed)
-    trace = integrate(g, u0, cfg.horizon, dt)
-    fit = fit_decay(trace)
+    trace = this.integrate(g, u0, cfg.horizon, dt)
+    fit = this.fit_decay(trace)
     rows = [[_g17(t), _g17(e)] for t, e in zip(trace.times, trace.energies)]
     csv_path = cfg.out_dir / "energy.csv"
     _write_csv(csv_path, cfg, ["t", "energy"], rows)

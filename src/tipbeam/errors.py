@@ -43,14 +43,6 @@ class ZeroLambda(TipbeamError, ValueError):
     """Branch roots are undefined at lambda = 0."""
 
 
-class BranchRootNearZero(TipbeamError, ValueError):
-    """t1 or t3 is too close to zero for the coupling formulas."""
-
-
-class ZeroDenominator(TipbeamError, ValueError):
-    """g-function evaluated at t = 0 or lambda = 0."""
-
-
 # --- asymptotics ---
 
 class NegativeDiscriminant(TipbeamError, RuntimeError):
@@ -122,10 +114,6 @@ class WindowTooShort(TipbeamError, ValueError):
 
 class NonPositiveEnergy(TipbeamError, ValueError):
     """Decay-fit window holds an energy sample <= 0; log E is undefined."""
-
-
-class IllConditionedGram(TipbeamError, RuntimeError):
-    """Truncated Gram system is too ill-conditioned to invert."""
 
 
 # --- cli ---

@@ -1,10 +1,10 @@
-"""Physical parameters, sampled states, and the energy-space geometry.
+"""Physical parameters, sampled states, and the static solve of the generator.
 
 The state of the beam is U = (u, v, y, z, eta, gamma): lateral displacement,
 its velocity, shear angle, its velocity, and the two tip traces.  The tip
 shear trace carries a sqrt(a/b) scaling (gamma = sqrt(a/b) * z(1)); with that
-convention the weighted inner product below reproduces the boundary feedback
-power balance exactly, for every a, b (see grid_inner_product).
+convention the weighted energy inner product reproduces the boundary
+feedback power balance exactly, for every a, b.
 """
 
 from __future__ import annotations
@@ -147,64 +147,6 @@ def _check_same_grid(u1, u2) -> None:
         raise GridMismatch(f"grids differ: N={u1.N} vs N={u2.N}")
 
 
-def simpson_weights(N: int, h: float) -> np.ndarray:
-    """Composite Simpson weights on N+1 nodes; N must be even."""
-    if N % 2 != 0:
-        raise GridMismatch(f"composite Simpson needs an even interval count, got N={N}")
-    w = np.full(N + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[N] = 1.0
-    return w * (h / 3.0)
-
-
-def derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite-difference derivative on a uniform grid.
-
-    Central five-point stencil in the interior, one-sided five-point stencils
-    at the two nodes next to each end.  The nodes run along the last axis.
-    """
-    n = values.shape[-1]
-    if n < 5:
-        raise GridMismatch("need at least 5 nodes for the 4th-order stencil")
-    d = np.empty_like(values)
-    d[..., 2:-2] = (values[..., :-4] - 8.0 * values[..., 1:-3]
-                    + 8.0 * values[..., 3:-1] - values[..., 4:]) / (12.0 * h)
-    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * h)
-    d[..., 0] = values[..., :5] @ c0
-    d[..., 1] = values[..., :5] @ c1
-    d[..., -1] = -(values[..., -5:][..., ::-1] @ c0)
-    d[..., -2] = -(values[..., -5:][..., ::-1] @ c1)
-    return d
-
-
-def grid_inner_product(u1: GridState, u2: GridState, p: BeamParams):
-    """Energy inner product of two sampled states, or of batches of them.
-
-    Composite Simpson quadrature of
-
-        v v1* + (1/b) z z1* + (a/b) y_x y1_x* + (u_x + y)(u1_x + y1)*
-
-    plus the tip terms (1/k1) eta eta1* + (1/k3) gamma gamma1*.  Spatial
-    derivatives use the 4th-order stencils of ``derivative``.  Fields with
-    leading batch axes before the node axis broadcast.
-    """
-    _check_same_grid(u1, u2)
-    h = u1.h
-    w = simpson_weights(u1.N, h)
-    y1x = derivative(u1.y, h)
-    y2x = derivative(u2.y, h)
-    s1 = u1.v * np.conj(u2.v)
-    s2 = u1.z * np.conj(u2.z) / p.b
-    s3 = (p.a / p.b) * y1x * np.conj(y2x)
-    w1 = derivative(u1.u, h) + u1.y
-    w2 = derivative(u2.u, h) + u2.y
-    s4 = w1 * np.conj(w2)
-    integral = np.sum(w * (s1 + s2 + s3 + s4), axis=-1)
-    val = integral + u1.eta * np.conj(u2.eta) / p.k1 + u1.gamma * np.conj(u2.gamma) / p.k3
-    return complex(val) if np.ndim(val) == 0 else val
-
-
 def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     """Running integral from node 0, 4th-order accurate at every node.
 
@@ -265,25 +207,3 @@ def solve_static(f: GridState, p: BeamParams) -> GridState:
     u = cumulative_integral(-y + big_f2, h) + a1 * x
 
     return GridState(N, u, f1.copy(), y, f3.copy(), f1[N], sab * f3[N])
-
-
-def apply_operator(state: GridState, p: BeamParams) -> GridState:
-    """Apply the evolution generator to a sampled domain state.
-
-    Interior components (v, (u_x+y)_x, z, a y_xx - b(u_x+y)) use 4th-order
-    differences; the tip components follow the feedback laws, with the scaled
-    shear trace gamma = sqrt(a/b) * z(1).  Serves as the residual oracle for
-    solve_static.
-    """
-    h = state.h
-    sab = math.sqrt(p.a / p.b)
-    ux = derivative(state.u, h)
-    yx = derivative(state.y, h)
-    shear = ux + state.y
-    du = state.v.copy()
-    dv = derivative(shear, h)
-    dy = state.z.copy()
-    dz = p.a * derivative(yx, h) - p.b * shear
-    deta = -p.k1 * shear[-1] - p.k2 * state.eta
-    dgamma = -p.k3 * sab * yx[-1] - p.k4 * state.gamma
-    return GridState(state.N, du, dv, dy, dz, deta, dgamma)

@@ -29,7 +29,7 @@ from .errors import (
     UnpairedFamily,
     ZeroMode,
 )
-from .model import BeamParams, GridState, require_unit_speed
+from .model import BeamParams, require_unit_speed
 from .spectrum import K_MIN, family_roots
 
 _RANK_RTOL = 1e-6
@@ -80,17 +80,6 @@ class ModeShape:
     def y(self, x):
         return self._eval(x, self.coeffs * self.couplings)
 
-    def to_grid_state(self, N: int) -> GridState:
-        """Sample the eigenvectors (u, lam u, y, lam y, eta, gamma) on a grid.
-
-        The node axis comes after the batch axes.
-        """
-        x = np.linspace(0.0, 1.0, N + 1)
-        u = self.u(x)
-        y = self.y(x)
-        lam = np.asarray(self.lam)[..., None]
-        return GridState(N=N, u=u, v=lam * u, y=y, z=lam * y,
-                         eta=self.tip_eta, gamma=self.tip_gamma)
 
 
 def _first(bad: np.ndarray) -> tuple:

@@ -39,14 +39,12 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     EigensolveFailure,
-    IllConditionedGram,
     NonPositiveEnergy,
     ResolutionTooLow,
     SingularSolve,
     WindowTooShort,
 )
-from .model import BeamParams, GridState, _check_same_grid, grid_inner_product
-from .modes import ModeShape, gram_inner_product
+from .model import BeamParams, GridState, _check_same_grid
 
 _KERNEL_TOL = 1e-8      # spurious consistency kernel of the duplicated tip rows
 
@@ -346,23 +344,3 @@ def fit_decay(trace: EnergyTrace, window: tuple = (0.25, 1.0)) -> DecayFit:
     slope, intercept = np.polyfit(np.log(t), np.log(e), 1)
     return DecayFit(exponent=float(slope), constant=float(math.exp(intercept)),
                     sup_te=float(np.max(t * e)), window=(float(lo), float(hi)))
-
-
-def spectral_solution(U0: GridState, modes: ModeShape, t: float, p: BeamParams) -> GridState:
-    """Truncated eigenfunction expansion of the semigroup solution.
-
-    modes is a 1-d batch (see `modes.eigenmode`).  Coefficients solve the
-    Gram system G c = <U0, psi_i> assembled from closed-form inner
-    products; the time factor is e^{lambda t} per mode.  Pass modes at
-    conjugate eigenvalue pairs to represent real data.
-    """
-    if np.ndim(modes.lam) != 1 or not len(modes.lam):
-        raise ValueError("need a 1-d batch of at least one mode")
-    gram = gram_inner_product(modes[None, :], modes[:, None], p)
-    cond = np.linalg.cond(gram)
-    if cond > 1e8:
-        raise IllConditionedGram(f"Gram condition {cond:.3e} exceeds 1e8")
-    sampled = modes.to_grid_state(U0.N)
-    w = np.linalg.solve(gram, grid_inner_product(U0, sampled, p)) * np.exp(modes.lam * t)
-    return GridState(N=U0.N, u=w @ sampled.u, v=w @ sampled.v, y=w @ sampled.y,
-                     z=w @ sampled.z, eta=w @ sampled.eta, gamma=w @ sampled.gamma)

@@ -1,0 +1,216 @@
+"""Reference implementations that the tests compare the package against.
+
+No command runs these, so they live with the tests:
+
+- the composite Simpson weights, the 4th-order stencil derivative, the
+  energy inner product of sampled states and the sampled generator, the
+  oracles for `model.solve_static`, the integrator and the closed-form
+  Gram entries;
+- the truncated eigenfunction expansion of the semigroup solution, with the
+  sampling of modes on a grid it needs, the oracle for the integrator;
+- the branch roots, shear couplings and boundary symbols one exponent at a
+  time, the unstabilized forms that `charfn._matrix` is checked against.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from tipbeam.charfn import _check_nonzero, _roots
+from tipbeam.errors import GridMismatch, TipbeamError
+from tipbeam.model import BeamParams, GridState, _check_same_grid
+from tipbeam.modes import ModeShape, gram_inner_product
+
+
+class BranchRootNearZero(TipbeamError, ValueError):
+    """t1 or t3 is too close to zero for the coupling formulas."""
+
+
+class ZeroDenominator(TipbeamError, ValueError):
+    """g-function evaluated at t = 0 or lambda = 0."""
+
+
+class IllConditionedGram(TipbeamError, RuntimeError):
+    """Truncated Gram system is too ill-conditioned to invert."""
+
+
+# ---------------------------------------------------------------------------
+# sampled states
+
+
+def simpson_weights(N: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on N+1 nodes; N must be even."""
+    if N % 2 != 0:
+        raise GridMismatch(f"composite Simpson needs an even interval count, got N={N}")
+    w = np.full(N + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[N] = 1.0
+    return w * (h / 3.0)
+
+
+def derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order finite-difference derivative on a uniform grid.
+
+    Central five-point stencil in the interior, one-sided five-point stencils
+    at the two nodes next to each end.  The nodes run along the last axis.
+    """
+    n = values.shape[-1]
+    if n < 5:
+        raise GridMismatch("need at least 5 nodes for the 4th-order stencil")
+    d = np.empty_like(values)
+    d[..., 2:-2] = (values[..., :-4] - 8.0 * values[..., 1:-3]
+                    + 8.0 * values[..., 3:-1] - values[..., 4:]) / (12.0 * h)
+    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
+    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * h)
+    d[..., 0] = values[..., :5] @ c0
+    d[..., 1] = values[..., :5] @ c1
+    d[..., -1] = -(values[..., -5:][..., ::-1] @ c0)
+    d[..., -2] = -(values[..., -5:][..., ::-1] @ c1)
+    return d
+
+
+def grid_inner_product(u1: GridState, u2: GridState, p: BeamParams):
+    """Energy inner product of two sampled states, or of batches of them.
+
+    Composite Simpson quadrature of
+
+        v v1* + (1/b) z z1* + (a/b) y_x y1_x* + (u_x + y)(u1_x + y1)*
+
+    plus the tip terms (1/k1) eta eta1* + (1/k3) gamma gamma1*.  Spatial
+    derivatives use the 4th-order stencils of ``derivative``.  Fields with
+    leading batch axes before the node axis broadcast.
+    """
+    _check_same_grid(u1, u2)
+    h = u1.h
+    w = simpson_weights(u1.N, h)
+    y1x = derivative(u1.y, h)
+    y2x = derivative(u2.y, h)
+    s1 = u1.v * np.conj(u2.v)
+    s2 = u1.z * np.conj(u2.z) / p.b
+    s3 = (p.a / p.b) * y1x * np.conj(y2x)
+    w1 = derivative(u1.u, h) + u1.y
+    w2 = derivative(u2.u, h) + u2.y
+    s4 = w1 * np.conj(w2)
+    integral = np.sum(w * (s1 + s2 + s3 + s4), axis=-1)
+    val = integral + u1.eta * np.conj(u2.eta) / p.k1 + u1.gamma * np.conj(u2.gamma) / p.k3
+    return complex(val) if np.ndim(val) == 0 else val
+
+
+def apply_operator(state: GridState, p: BeamParams) -> GridState:
+    """Apply the evolution generator to a sampled domain state.
+
+    Interior components (v, (u_x+y)_x, z, a y_xx - b(u_x+y)) use 4th-order
+    differences; the tip components follow the feedback laws, with the scaled
+    shear trace gamma = sqrt(a/b) * z(1).  Serves as the residual oracle for
+    solve_static.
+    """
+    h = state.h
+    sab = math.sqrt(p.a / p.b)
+    ux = derivative(state.u, h)
+    yx = derivative(state.y, h)
+    shear = ux + state.y
+    du = state.v.copy()
+    dv = derivative(shear, h)
+    dy = state.z.copy()
+    dz = p.a * derivative(yx, h) - p.b * shear
+    deta = -p.k1 * shear[-1] - p.k2 * state.eta
+    dgamma = -p.k3 * sab * yx[-1] - p.k4 * state.gamma
+    return GridState(state.N, du, dv, dy, dz, deta, dgamma)
+
+
+# ---------------------------------------------------------------------------
+# eigenfunction expansion
+
+
+def to_grid_state(modes: ModeShape, N: int) -> GridState:
+    """Sample the eigenvectors (u, lam u, y, lam y, eta, gamma) on a grid.
+
+    The node axis comes after the batch axes.
+    """
+    x = np.linspace(0.0, 1.0, N + 1)
+    u = modes.u(x)
+    y = modes.y(x)
+    lam = np.asarray(modes.lam)[..., None]
+    return GridState(N=N, u=u, v=lam * u, y=y, z=lam * y,
+                     eta=modes.tip_eta, gamma=modes.tip_gamma)
+
+
+def spectral_solution(U0: GridState, modes: ModeShape, t: float, p: BeamParams) -> GridState:
+    """Truncated eigenfunction expansion of the semigroup solution.
+
+    modes is a 1-d batch (see `modes.eigenmode`).  Coefficients solve the
+    Gram system G c = <U0, psi_i> assembled from closed-form inner
+    products; the time factor is e^{lambda t} per mode.  Pass modes at
+    conjugate eigenvalue pairs to represent real data.
+    """
+    if np.ndim(modes.lam) != 1 or not len(modes.lam):
+        raise ValueError("need a 1-d batch of at least one mode")
+    gram = gram_inner_product(modes[None, :], modes[:, None], p)
+    cond = np.linalg.cond(gram)
+    if cond > 1e8:
+        raise IllConditionedGram(f"Gram condition {cond:.3e} exceeds 1e8")
+    sampled = to_grid_state(modes, U0.N)
+    w = np.linalg.solve(gram, grid_inner_product(U0, sampled, p)) * np.exp(modes.lam * t)
+    return GridState(N=U0.N, u=w @ sampled.u, v=w @ sampled.v, y=w @ sampled.y,
+                     z=w @ sampled.z, eta=w @ sampled.eta, gamma=w @ sampled.gamma)
+
+
+# ---------------------------------------------------------------------------
+# unstabilized characteristic-function pieces
+
+
+@dataclass(frozen=True)
+class BranchRoots:
+    """The four interior exponents; t2 = -t1 and t4 = -t3 exactly."""
+
+    t1: complex
+    t2: complex
+    t3: complex
+    t4: complex
+
+
+def branch_roots(lam: complex, b: float) -> BranchRoots:
+    """Exponents of the four interior solutions e^{t x} at frequency lambda.
+
+    t1 = sqrt(lambda) * sqrt(i sqrt(b) + lambda) and t3 its mirror across the
+    real axis of the second factor; each square root is the principal branch,
+    applied to the two factors separately.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    _check_nonzero(lam)
+    t1, t3 = _roots(lam, b)
+    return BranchRoots(complex(t1), complex(-t1), complex(t3), complex(-t3))
+
+
+def mode_couplings(lam: complex, roots: BranchRoots):
+    """Shear amplitudes d_i = (lambda^2 - t_i^2)/t_i for each exponent.
+
+    Evaluated through lambda^2 - t1^2 = -(t1^2 - t3^2)/2 (= -i lambda
+    sqrt(b), and +i for t3), avoiding the direct difference with lambda^2
+    that cancels badly at large |lambda|.
+    """
+    t1, t3 = roots.t1, roots.t3
+    if min(abs(t1), abs(t3)) < 1e-12:
+        raise BranchRootNearZero(f"branch root too small at lambda={lam}")
+    ilsb = (t1 * t1 - t3 * t3) / 2.0   # i lambda sqrt(b)
+    d1 = -ilsb / t1
+    d3 = ilsb / t3
+    return d1, -d1, d3, -d3
+
+
+def g_functions(t: complex, lam: complex, p: BeamParams):
+    """Boundary symbols (g1, g2, g3) entering the collocation rows.
+
+    g1 multiplies the shear-angle row, g2 the force feedback row, g3 the
+    moment feedback row (the latter two already divided by the lambda powers
+    shared along their rows).
+    """
+    if abs(t) < 1e-14 or abs(lam) < 1e-14:
+        raise ZeroDenominator("g functions need t != 0 and lambda != 0")
+    g1 = -t + lam**2 / t
+    g2 = (p.k2 * t + (p.k1 + t) * lam) / (lam * t)
+    g3 = (-(t**2) + lam**2) * (p.k3 * t + lam * (p.k4 + lam)) / (lam**2 * t)
+    return g1, g2, g3

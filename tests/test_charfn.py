@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import (
+    _columns,
     boundary_matrix,
-    branch_roots,
     char_fn,
     entire_char_fn_and_derivative,
-    g_functions,
-    mode_couplings,
 )
-from tipbeam.errors import ZeroDenominator, ZeroLambda
+from tipbeam.errors import ZeroLambda
 from tipbeam.model import regime_info, validate_params
 from tipbeam.cli import TABLE_KS
 from tipbeam.spectrum import family_roots, refine_root
+
+from reference import ZeroDenominator, branch_roots, g_functions, mode_couplings
 
 
 def _strip_points(rng, n, im_lo=0.5, im_hi=60.0):
@@ -197,20 +197,41 @@ def test_lanes_match_single_point_calls(params_generic):
         assert values[i] == char_fn(lam, p)
 
 
-def test_kernel_peak_memory(params_generic):
-    # one contour call evaluates up to 1,024 points; the evaluation must not
-    # hold M, its LAPACK copy or the stacked column pieces all at once
+def test_lanes_do_not_depend_on_the_batch_size(params_generic):
+    # from 256 KiB on, numpy reuses a temporary right operand for a product's
+    # result and swaps the operands, which moves the last bit; a batch of
+    # 16,384 lanes crosses that size for the (4, n) column pieces and for
+    # the (n,) lanes, and must equal its 1,024-lane chunks bit for bit
     p = params_generic
-    lams = _strip_points(np.random.default_rng(43), 1024, im_hi=600.0)
-    entire_char_fn_and_derivative(lams, p)
+    rng = np.random.default_rng(47)
+    lams = np.concatenate([_strip_points(rng, 8192), _strip_points(rng, 8192, 60.0, 3000.0)])
+    whole = entire_char_fn_and_derivative(lams, p)
+    chunks = [entire_char_fn_and_derivative(lams[i:i + 1024], p) for i in range(0, lams.size, 1024)]
+    for k in range(3):
+        assert np.array_equal(whole[k], np.concatenate([c[k] for c in chunks]))
+
+
+def _traced_peak(fn):
+    """Peak traced bytes of one call of fn, above what was allocated before it."""
+    fn()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        entire_char_fn_and_derivative(lams, p)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 1.0e6
+
+
+def test_kernel_peak_memory(params_generic):
+    # one contour call evaluates up to 1,024 points; the evaluation must not
+    # hold M, its LAPACK copy or the stacked column pieces all at once, and
+    # the column pieces are formed without (4, n) temporaries beside them
+    p = params_generic
+    lams = _strip_points(np.random.default_rng(43), 1024, im_hi=600.0)
+    assert _traced_peak(lambda: entire_char_fn_and_derivative(lams, p)) < 1.0e6
+    returned = sum(piece.nbytes for piece in _columns(lams, p))
+    assert _traced_peak(lambda: _columns(lams, p)) < 1.4 * returned
 
 
 def entire_char_fn(lam, p):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import tipbeam.cli
 import tipbeam.spectrum
 from tipbeam.cli import main
 
@@ -38,25 +39,59 @@ def read_csv(path):
     return config, header, rows
 
 
-def test_cli_import_loads_no_graph_reordering():
+def test_cli_import_loads_no_graph_reordering(tmp_path, generic_file):
     # the velocity system is banded in node order, so no process pays for
     # scipy.sparse.csgraph (and the scipy.sparse.linalg it pulls in).  The
     # ring that evaluates F at a branch point is a matrix product and
     # Horner's rule: the spectral modules, run through i sqrt(b), load
-    # neither numpy.fft nor numpy.polynomial (scipy, which `simulate`
-    # imports, loads both)
+    # neither numpy.fft nor numpy.polynomial.  scipy loads both, and only
+    # `decay` imports it (through `simulate`), so neither a fresh `import
+    # tipbeam.cli` nor a spectral command loads any of the three
     src = str(Path(tipbeam.spectrum.__file__).parents[1])
+    run = (f"['--params', {str(generic_file)!r}, '--out', {str(tmp_path)!r}, "
+           "'--kmax', '12', '--grid-n', '16', '--horizon', '2']")
     code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import contextlib\n"
+            "def loaded(*prefixes):\n"
+            "    print(sorted(m for m in sys.modules if m.startswith(prefixes)))\n"
             "import tipbeam.modes\n"
             "from tipbeam.charfn import entire_char_fn_and_derivative\n"
             "from tipbeam.model import validate_params\n"
             "entire_char_fn_and_derivative(2 ** 0.5 * 1j, validate_params(1, 2, 1, 2, 3, 2))\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('numpy.fft', 'numpy.polynomial'))))\n"
+            "loaded('numpy.fft', 'numpy.polynomial')\n"
             "import tipbeam.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))\n")
+            "loaded('scipy', 'numpy.fft', 'numpy.polynomial')\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            f"    assert tipbeam.cli.main(['spectrum'] + {run}) == 0\n"
+            "loaded('scipy', 'numpy.fft', 'numpy.polynomial')\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            f"    assert tipbeam.cli.main(['decay'] + {run}) == 0\n"
+            "loaded('scipy.sparse.csgraph')\n"
+            "print('scipy.sparse' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["[]", "[]"]
+    assert out.stdout.split() == ["[]", "[]", "[]", "[]", "True"]
+
+
+def test_decay_calls_simulate_through_the_cli_module(tmp_path, generic_file, monkeypatch):
+    # a wrapper set on tipbeam.cli's simulate names is the one `decay` runs,
+    # and a name the module lacks stays absent
+    import tipbeam.simulate
+
+    for name in ("assemble_generator", "integrate", "fit_decay"):
+        assert getattr(tipbeam.cli, name) is getattr(tipbeam.simulate, name)
+    with pytest.raises(AttributeError, match="refine_root"):
+        tipbeam.cli.refine_root
+    calls = []
+    real = tipbeam.cli.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tipbeam.cli, "integrate", counting)
+    assert main(["decay", "--params", str(generic_file), "--grid-n", "16",
+                 "--horizon", "2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_spectrum_artifacts(tmp_path, generic_file):

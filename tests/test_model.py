@@ -11,16 +11,14 @@ from tipbeam.errors import (
 )
 from tipbeam.model import (
     GridState,
-    apply_operator,
     cumulative_integral,
-    derivative,
-    grid_inner_product,
     regime_info,
     require_unit_speed,
-    simpson_weights,
     solve_static,
     validate_params,
 )
+
+from reference import apply_operator, derivative, grid_inner_product, simpson_weights
 
 
 def test_validate_params_accepts_and_freezes():

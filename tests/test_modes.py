@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import grid_inner_product, to_grid_state
 from test_charfn import _REGIME_SETS
 
 import tipbeam.modes
@@ -19,7 +20,7 @@ from tipbeam.errors import (
     RegimeMismatch,
     ZeroMode,
 )
-from tipbeam.model import grid_inner_product, validate_params
+from tipbeam.model import validate_params
 from tipbeam.modes import (
     _exp_integral,
     eigenmode,
@@ -222,7 +223,7 @@ def test_gram_matches_grid_quadrature(params_generic, mode12):
         exact = gram_inner_product(modes, modes, p)
         errs = []
         for n in (128, 256):
-            g = modes.to_grid_state(n)
+            g = to_grid_state(modes, n)
             approx = grid_inner_product(g, g, p)
             assert np.shape(approx) == np.shape(modes.lam)
             errs.append(np.abs(approx - exact))
@@ -250,7 +251,7 @@ def test_exp_integral_keeps_relative_accuracy_near_zero():
 
 
 def test_grid_state_traces(params_generic, mode12):
-    g = mode12.to_grid_state(64)
+    g = to_grid_state(mode12, 64)
     assert g.v[-1] == pytest.approx(g.eta, rel=1e-12)
     p = params_generic
     assert math.sqrt(p.a / p.b) * g.z[-1] == pytest.approx(g.gamma, rel=1e-12)
