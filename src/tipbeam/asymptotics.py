@@ -1,14 +1,24 @@
 """High-frequency eigenvalue expansions and closed-form coefficients.
 
-Away from the degenerate parameter set {k1 = k3 and sqrt(b) on the 2*pi
-lattice} the eigenvalues split into two families
+Each eigenvalue family j = 1, 2 follows one series in every regime,
 
-    lambda_k^j = i k pi + i alpha_j / k - beta_j / k^2 + o(1/k^2),  j = 1, 2,
+    lambda_k^j ~ i k pi + c1_j / k + c2_j / k^2 + c3_j / k^3,
 
-with alpha_j the roots of z^2 - gamma1 z + gamma2 and beta_j > 0 under
-damping.  On the degenerate set the families collide at order 1/k and three
-special expansions take over, ordered by whether the two damping gains
-differ, agree, or vanish.
+with the coefficients of the regime `model.regime_info` names:
+
+    regime    c1_j                         c2_j                c3_j
+    generic   i alpha_j                    -beta_j             0
+    case1     i (2 k1 + p^2 pi^2)/(2 pi)   -k1 g_j / pi^2      0
+    case2     as case1                     -k1 g_j / pi^2      i (a3_j - 24 k1 g_j^2)/(24 pi^3)
+    case3     as case1                     0                   i a3_j / (24 pi^3)
+
+Here alpha_1 <= alpha_2 are the roots of z^2 - gamma1 z + gamma2, beta_j =
+omega2_j / omega1_j is positive under damping and 0 when k2 = k4 = 0,
+g_1 = k2 and g_2 = k4 are the damping gains, and a3_1 <= a3_2 come from
+`special_a3`.  The degenerate set {k1 = k3 and sqrt(b) = 2 p pi} is where
+the families collide at order 1/k; cases 1 to 3 order it by whether the
+two gains differ, agree, or vanish.  `asymptotic_coefficients(p)` computes
+the series once; `predict_eigenvalue` evaluates it over arrays of k and j.
 """
 
 from __future__ import annotations
@@ -22,8 +32,6 @@ from .charfn import paired_exponentials
 from .errors import NegativeDiscriminant, RegimeMismatch, ZeroOmega1
 from .model import (
     REGIME_CASE1,
-    REGIME_CASE2,
-    REGIME_CASE3,
     REGIME_GENERIC,
     BeamParams,
     regime_info,
@@ -33,17 +41,21 @@ from .model import (
 
 @dataclass(frozen=True)
 class AsymptoticCoefficients:
-    """Expansion coefficients; omega/beta entries are None off the generic regime."""
+    """The expansion of one parameter set.
+
+    c1, c2 and c3 hold the series coefficients of families 1 and 2 (index
+    j - 1), valid in every regime; alpha1 <= alpha2 are the roots of
+    z^2 - gamma1 z + gamma2.
+    """
 
     gamma1: float
     gamma2: float
     gamma3: float
     alpha1: float
     alpha2: float
-    omega1: tuple[complex, complex] | None
-    omega2: tuple[complex, complex] | None
-    beta1: float | None
-    beta2: float | None
+    c1: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
     regime: str
 
 
@@ -80,53 +92,6 @@ def discriminant_reduced(p: BeamParams) -> float:
     return (2.0 * sq1 * sq1 + 0.5 * b * sq2 * sq2) / (2.0 * math.pi**2)
 
 
-def alpha_coefficients(gamma1: float, gamma2: float) -> tuple[float, float]:
-    """Roots alpha1 <= alpha2 of z^2 - gamma1 z + gamma2."""
-    disc = gamma1 * gamma1 - 4.0 * gamma2
-    if disc < 0.0:
-        if disc > -1e-12 * max(1.0, gamma1 * gamma1):
-            disc = 0.0   # rounding at the degenerate set
-        else:
-            raise NegativeDiscriminant(f"gamma1^2 - 4 gamma2 = {disc} < 0")
-    root = math.sqrt(disc)
-    return 0.5 * (gamma1 - root), 0.5 * (gamma1 + root)
-
-
-def omega_beta(p: BeamParams, alphas: tuple[float, float]):
-    """Per-family (omega1_j, omega2_j, beta_j), j = 1, 2.
-
-    omega1_j = -i (b + 4k1 + 4k3 - 8 alpha_j pi)/(4 pi) = -+ i sqrt(disc);
-    omega2_j = (i/(8 pi^3)) (8 pi (k1 k2 + k3 k4) alpha_j - gamma3), the sign
-    fixed so that beta_j = omega2_j / omega1_j is positive under damping
-    (validated against the measured limits of k^3 f(i k pi + i alpha_j / k));
-    beta_j is returned as a real number.
-    """
-    g1, g2, g3 = gamma_coefficients(p)
-    kk = p.k1 * p.k2 + p.k3 * p.k4
-    out = []
-    for aj in alphas:
-        om1 = -1j * (p.b + 4.0 * p.k1 + 4.0 * p.k3 - 8.0 * aj * math.pi) / (4.0 * math.pi)
-        if abs(om1) < 1e-12:
-            raise ZeroOmega1("families collide: omega1 vanishes on the degenerate set")
-        om2 = 1j * (8.0 * math.pi * kk * aj - g3) / (8.0 * math.pi**3)
-        beta = (om2 / om1).real
-        out.append((om1, om2, beta))
-    return tuple(out)
-
-
-def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
-    """All expansion coefficients, with regime dispatch made explicit."""
-    g1, g2, g3 = gamma_coefficients(p)
-    a1, a2 = alpha_coefficients(g1, g2)
-    regime = regime_info(p).regime
-    if regime == REGIME_GENERIC:
-        (om11, om21, b1), (om12, om22, b2) = omega_beta(p, (a1, a2))
-        return AsymptoticCoefficients(
-            g1, g2, g3, a1, a2, (om11, om12), (om21, om22), b1, b2, regime
-        )
-    return AsymptoticCoefficients(g1, g2, g3, a1, a2, None, None, None, None, regime)
-
-
 def special_a3(p: BeamParams) -> tuple[float, float]:
     """Third-order coefficients a_{3,1} <= a_{3,2} on the degenerate set.
 
@@ -146,43 +111,72 @@ def special_a3(p: BeamParams) -> tuple[float, float]:
     return base - spread, base + spread
 
 
-def predict_eigenvalue(k: int, j: int, p: BeamParams) -> complex:
-    """Closed-form eigenvalue prediction for family j at frequency index k != 0.
+def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
+    """The series of p, each coefficient computed once in dependency order:
+    gamma, the discriminant, alpha, then beta (generic) or the degenerate
+    first- and third-order terms.
 
-    Generic regime: i k pi + i alpha_j / k - beta_j / k^2 (the beta term
-    dropped when k2 = k4 = 0).  Degenerate regimes use the colliding-family
-    expansions; negative k mirrors by conjugation built into the formulas.
+    Generic: omega1_j = -+ i sqrt(gamma1^2 - 4 gamma2) and omega2_j =
+    (i/(8 pi^3)) (8 pi (k1 k2 + k3 k4) alpha_j - gamma3), the sign fixed so
+    that beta_j = omega2_j / omega1_j is positive under damping (validated
+    against the measured limits of k^3 f(i k pi + i alpha_j / k)).  A
+    damped generic set whose omega1 vanishes raises ZeroOmega1.
     """
-    if j not in (1, 2):
-        raise ValueError(f"family index j must be 1 or 2, got {j}")
-    if int(k) == 0:
-        raise ValueError("prediction needs k != 0")
-    require_unit_speed(p)
-
+    g1, g2, g3 = gamma_coefficients(p)
+    disc = g1 * g1 - 4.0 * g2
+    if disc < 0.0:
+        if disc > -1e-12 * max(1.0, g1 * g1):
+            disc = 0.0   # rounding at the degenerate set
+        else:
+            raise NegativeDiscriminant(f"gamma1^2 - 4 gamma2 = {disc} < 0")
+    root = math.sqrt(disc)
+    alphas = (0.5 * (g1 - root), 0.5 * (g1 + root))
     info = regime_info(p)
-    base = 1j * k * math.pi
     if info.regime == REGIME_GENERIC:
-        g1, g2, _ = gamma_coefficients(p)
-        a1, a2 = alpha_coefficients(g1, g2)
-        aj = a1 if j == 1 else a2
-        if p.is_conservative:
-            return base + 1j * aj / k
-        beta = omega_beta(p, (a1, a2))[j - 1][2]
-        return base + 1j * aj / k - beta / k**2
+        c1 = [1j * a for a in alphas]
+        c2 = [0.0, 0.0]
+        if not p.is_conservative:
+            kk = p.k1 * p.k2 + p.k3 * p.k4
+            c2 = []
+            for a in alphas:
+                om1 = -1j * (p.b + 4.0 * p.k1 + 4.0 * p.k3 - 8.0 * a * math.pi) / (4.0 * math.pi)
+                if abs(om1) < 1e-12:
+                    raise ZeroOmega1("families collide: omega1 vanishes on the degenerate set")
+                om2 = 1j * (8.0 * math.pi * kk * a - g3) / (8.0 * math.pi**3)
+                c2.append(-(om2 / om1).real)
+        c3 = [0.0, 0.0]
+    else:
+        pp, k1, gains = info.degenerate_p, p.k1, (p.k2, p.k4)
+        c1 = [1j * (2.0 * k1 + pp**2 * math.pi**2) / (2.0 * math.pi)] * 2
+        c2 = [-k1 * g / math.pi**2 for g in gains]
+        c3 = [0.0, 0.0]
+        if info.regime != REGIME_CASE1:
+            c3 = [1j * (a3 - 24.0 * k1 * g**2) / (24.0 * math.pi**3)
+                  for a3, g in zip(special_a3(p), gains)]
+    return AsymptoticCoefficients(g1, g2, g3, *alphas, *(np.array(c, dtype=complex)
+                                                         for c in (c1, c2, c3)), info.regime)
 
-    pp = info.degenerate_p
-    k1 = p.k1
-    first = 1j * (2.0 * k1 + pp**2 * math.pi**2) / (2.0 * k * math.pi)
-    if info.regime == REGIME_CASE1:
-        gain = p.k2 if j == 1 else p.k4
-        return base + first - k1 * gain / (k * math.pi) ** 2
-    a3 = special_a3(p)[j - 1]
-    if info.regime == REGIME_CASE2:
-        real = -k1 * p.k2 / (k * math.pi) ** 2
-        third = 1j * (a3 - 24.0 * k1 * p.k2**2) / (24.0 * k**3 * math.pi**3)
-        return base + first + real + third
-    # case 3: conservative collision
-    return base + first + 1j * a3 / (24.0 * k**3 * math.pi**3)
+
+def predict_eigenvalue(k, j, p: BeamParams):
+    """The series of family j at frequency index k != 0, broadcast over k and j.
+
+    One `asymptotic_coefficients(p)` serves every (k, j).  A scalar k and j
+    give a complex; negative k mirrors by conjugation.  The real and
+    imaginary parts are summed apart, so each term is one real division
+    (numpy's complex division multiplies by a reciprocal).
+    """
+    k, j = np.broadcast_arrays(np.asarray(k), np.asarray(j))
+    if not np.all((j == 1) | (j == 2)):
+        raise ValueError(f"family index j must be 1 or 2, got {j}")
+    if np.any(k == 0):
+        raise ValueError("prediction needs k != 0")
+    coef = asymptotic_coefficients(p)
+    c1, c2, c3 = coef.c1[j - 1], coef.c2[j - 1], coef.c3[j - 1]
+    k = k.astype(float)
+    re = c1.real / k + c2.real / k**2 + c3.real / k**3
+    im = k * math.pi + c1.imag / k + c2.imag / k**2 + c3.imag / k**3
+    lam = re + 1j * im
+    return complex(lam) if lam.ndim == 0 else lam
 
 
 def f_expansion_terms(lam, p: BeamParams):

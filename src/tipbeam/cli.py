@@ -259,11 +259,10 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
 def _cmd_predict(cfg: RunConfig) -> list:
     p = cfg.effective_params
     regime = regime_info(p).regime
-    rows = []
-    for k in range(K_MIN, cfg.k_max + 1):
-        for j in (1, 2):
-            lam = predict_eigenvalue(k, j, p)
-            rows.append([str(k), str(j), _g17(lam.real), _g17(lam.imag), regime])
+    ks = np.arange(K_MIN, cfg.k_max + 1)
+    lams = predict_eigenvalue(ks[:, None], np.array([1, 2]), p)
+    rows = [[str(k), str(j), _g17(lam.real), _g17(lam.imag), regime]
+            for k, pair in zip(ks, lams) for j, lam in enumerate(pair, start=1)]
     path = cfg.out_dir / "predictions.csv"
     _write_csv(path, cfg, ["k", "j", "re", "im", "regime"], rows)
     return [path]

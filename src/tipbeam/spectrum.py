@@ -407,11 +407,11 @@ def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
 
 def _families(p: BeamParams, evaluate: Callable, k, report: RootSearchReport):
     """family_roots on evaluate: the records and the first failure, or None."""
-    ks = [int(k)] if np.ndim(k) == 0 else [int(v) for v in k]
-    lanes = [(kk, j) for kk in ks for j in (1, 2)]
-    seeds = [predict_eigenvalue(kk, j, p) for kk, j in lanes]
+    ks = np.atleast_1d(np.asarray(k, dtype=int))
+    seeds = predict_eigenvalue(ks[:, None], np.array([1, 2]), p).ravel()   # (k, family) lanes
     recs, failure = [], None
-    for (kk, j), rec in zip(lanes, _newton(np.array(seeds, dtype=complex), evaluate, report)):
+    for i, rec in enumerate(_newton(seeds, evaluate, report)):
+        kk, j = int(ks[i // 2]), i % 2 + 1
         if isinstance(rec, Exception):
             failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
             continue
@@ -481,7 +481,7 @@ def _label_pair(recs, p: BeamParams, k: int):
     """Tag the roots of frequency box k, in place: a pair in family order (the
     assignment to the two predictions with the smaller total distance), a
     lone record as family 1, and more than two roots with no family."""
-    preds = [predict_eigenvalue(k, j, p) for j in (1, 2)]
+    preds = predict_eigenvalue(k, np.array([1, 2]), p)
     if len(recs) == 2 and (abs(recs[0].lam - preds[1]) + abs(recs[1].lam - preds[0])
                            < abs(recs[0].lam - preds[0]) + abs(recs[1].lam - preds[1])):
         recs.reverse()
@@ -581,11 +581,11 @@ def _label_low_frequency(records, p: BeamParams):
     todo = [rec for rec in records if rec.family is None and rec.lam.imag >= 0]
     if not todo:
         return
-    preds = [(predict_eigenvalue(k, j, p), j) for k in range(1, K_MIN) for j in (1, 2)]
+    preds = predict_eigenvalue(np.arange(1, K_MIN)[:, None], np.array([1, 2]), p).ravel()
     for rec in todo:
-        pred, j = min(preds, key=lambda pj: abs(pj[0] - rec.lam))   # min keeps the first of equals
-        if abs(pred - rec.lam) < 0.5:
-            rec.family = j
+        i = int(np.argmin(np.abs(preds - rec.lam)))   # argmin keeps the first of equals
+        if abs(preds[i] - rec.lam) < 0.5:
+            rec.family = i % 2 + 1
 
 
 def spectrum_in_strip(p: BeamParams, k_max: int):

@@ -9,7 +9,9 @@ No command runs these, so they live with the tests:
 - the truncated eigenfunction expansion of the semigroup solution, with the
   sampling of modes on a grid it needs, the oracle for the integrator;
 - the branch roots, shear couplings and boundary symbols one exponent at a
-  time, the unstabilized forms that `charfn._matrix` is checked against.
+  time, the unstabilized forms that `charfn._matrix` is checked against;
+- the eigenvalue prediction as one scalar formula per regime, the oracle
+  for the series that `asymptotics.predict_eigenvalue` evaluates.
 """
 
 from __future__ import annotations
@@ -19,9 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tipbeam.asymptotics import gamma_coefficients, special_a3
 from tipbeam.charfn import _check_nonzero, _roots
-from tipbeam.errors import GridMismatch, TipbeamError
-from tipbeam.model import BeamParams, GridState, _check_same_grid
+from tipbeam.errors import GridMismatch, NegativeDiscriminant, TipbeamError, ZeroOmega1
+from tipbeam.model import (
+    REGIME_CASE1,
+    REGIME_CASE2,
+    REGIME_GENERIC,
+    BeamParams,
+    GridState,
+    _check_same_grid,
+    regime_info,
+    require_unit_speed,
+)
 from tipbeam.modes import ModeShape, gram_inner_product
 
 
@@ -214,3 +226,73 @@ def g_functions(t: complex, lam: complex, p: BeamParams):
     g2 = (p.k2 * t + (p.k1 + t) * lam) / (lam * t)
     g3 = (-(t**2) + lam**2) * (p.k3 * t + lam * (p.k4 + lam)) / (lam**2 * t)
     return g1, g2, g3
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue predictions, one (k, j) and one regime branch at a time
+
+
+def alpha_coefficients(gamma1: float, gamma2: float) -> tuple[float, float]:
+    """Roots alpha1 <= alpha2 of z^2 - gamma1 z + gamma2."""
+    disc = gamma1 * gamma1 - 4.0 * gamma2
+    if disc < 0.0:
+        if disc > -1e-12 * max(1.0, gamma1 * gamma1):
+            disc = 0.0   # rounding at the degenerate set
+        else:
+            raise NegativeDiscriminant(f"gamma1^2 - 4 gamma2 = {disc} < 0")
+    root = math.sqrt(disc)
+    return 0.5 * (gamma1 - root), 0.5 * (gamma1 + root)
+
+
+def omega_beta(p: BeamParams, alphas: tuple[float, float]):
+    """Per-family (omega1_j, omega2_j, beta_j), j = 1, 2."""
+    g1, g2, g3 = gamma_coefficients(p)
+    kk = p.k1 * p.k2 + p.k3 * p.k4
+    out = []
+    for aj in alphas:
+        om1 = -1j * (p.b + 4.0 * p.k1 + 4.0 * p.k3 - 8.0 * aj * math.pi) / (4.0 * math.pi)
+        if abs(om1) < 1e-12:
+            raise ZeroOmega1("families collide: omega1 vanishes on the degenerate set")
+        om2 = 1j * (8.0 * math.pi * kk * aj - g3) / (8.0 * math.pi**3)
+        beta = (om2 / om1).real
+        out.append((om1, om2, beta))
+    return tuple(out)
+
+
+def predict_eigenvalue(k: int, j: int, p: BeamParams) -> complex:
+    """Closed-form eigenvalue prediction for family j at frequency index k != 0.
+
+    Generic regime: i k pi + i alpha_j / k - beta_j / k^2 (the beta term
+    dropped when k2 = k4 = 0).  Degenerate regimes use the colliding-family
+    expansions; negative k mirrors by conjugation built into the formulas.
+    """
+    if j not in (1, 2):
+        raise ValueError(f"family index j must be 1 or 2, got {j}")
+    if int(k) == 0:
+        raise ValueError("prediction needs k != 0")
+    require_unit_speed(p)
+
+    info = regime_info(p)
+    base = 1j * k * math.pi
+    if info.regime == REGIME_GENERIC:
+        g1, g2, _ = gamma_coefficients(p)
+        a1, a2 = alpha_coefficients(g1, g2)
+        aj = a1 if j == 1 else a2
+        if p.is_conservative:
+            return base + 1j * aj / k
+        beta = omega_beta(p, (a1, a2))[j - 1][2]
+        return base + 1j * aj / k - beta / k**2
+
+    pp = info.degenerate_p
+    k1 = p.k1
+    first = 1j * (2.0 * k1 + pp**2 * math.pi**2) / (2.0 * k * math.pi)
+    if info.regime == REGIME_CASE1:
+        gain = p.k2 if j == 1 else p.k4
+        return base + first - k1 * gain / (k * math.pi) ** 2
+    a3 = special_a3(p)[j - 1]
+    if info.regime == REGIME_CASE2:
+        real = -k1 * p.k2 / (k * math.pi) ** 2
+        third = 1j * (a3 - 24.0 * k1 * p.k2**2) / (24.0 * k**3 * math.pi**3)
+        return base + first + real + third
+    # case 3: conservative collision
+    return base + first + 1j * a3 / (24.0 * k**3 * math.pi**3)

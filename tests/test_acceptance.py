@@ -17,12 +17,9 @@ import pytest
 from test_spectrum import assert_tiled
 
 from tipbeam.asymptotics import (
-    alpha_coefficients,
     asymptotic_coefficients,
     discriminant_reduced,
     f_expansion_terms,
-    gamma_coefficients,
-    omega_beta,
     predict_eigenvalue,
 )
 from tipbeam.charfn import char_fn
@@ -126,7 +123,7 @@ def test_c03_generic_regime_convergence(params_generic):
     k = 500
     worst_a, worst_b = 0.0, 0.0
     for j, (alpha, beta) in enumerate(
-            [(coef.alpha1, coef.beta1), (coef.alpha2, coef.beta2)], start=1):
+            [(coef.alpha1, -coef.c2[0].real), (coef.alpha2, -coef.c2[1].real)], start=1):
         assert beta > 0.0
         lam = refine_root(predict_eigenvalue(k, j, params_generic),
                           params_generic).lam
@@ -145,23 +142,23 @@ def test_c04_coefficient_identities():
         k1, k3 = rng.uniform(0.2, 8.0, size=2)
         k2, k4 = rng.uniform(0.05, 6.0, size=2)
         p = validate_params(1.0, b, k1, k2, k3, k4)
-        g1, g2, g3 = gamma_coefficients(p)
-        a1, a2 = alpha_coefficients(g1, g2)
+        coef = asymptotic_coefficients(p)
+        g1, g2, a1, a2 = coef.gamma1, coef.gamma2, coef.alpha1, coef.alpha2
         assert abs(a1 + a2 - g1) <= 1e-13 * max(1.0, abs(g1))
         assert abs(a1 * a2 - g2) <= 1e-13 * max(1.0, abs(g2))
         disc = g1 * g1 - 4.0 * g2
         assert abs(disc - discriminant_reduced(p)) <= 1e-12 * max(1.0, g1 * g1)
-        (om11, _, _), (om12, _, _) = omega_beta(p, (a1, a2))
+        # omega1_j = -i (b + 4 k1 + 4 k3 - 8 alpha_j pi)/(4 pi) = -+ i sqrt(disc)
+        om11, om12 = (-1j * (p.b + 4.0 * p.k1 + 4.0 * p.k3 - 8.0 * a * math.pi)
+                      / (4.0 * math.pi) for a in (a1, a2))
         root = math.sqrt(max(disc, 0.0))
         assert abs(om11 - (-1j) * root) <= 1e-12 * max(1.0, root)
         assert abs(om12 - 1j * root) <= 1e-12 * max(1.0, root)
         # undamped twin: the damping scale and both decay rates vanish
-        p0 = replace(p, k2=0.0, k4=0.0)
-        g3_0 = gamma_coefficients(p0)[2]
-        assert g3_0 == 0.0
-        for _, _, beta in omega_beta(p0, alpha_coefficients(
-                *gamma_coefficients(p0)[:2])):
-            assert abs(beta) <= 1e-15
+        coef0 = asymptotic_coefficients(replace(p, k2=0.0, k4=0.0))
+        assert coef0.gamma3 == 0.0
+        for c2 in coef0.c2:
+            assert abs(c2) <= 1e-15
     print("[PASS] 04 coefficient identities: 100 draws, all exact")
 
 

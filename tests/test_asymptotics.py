@@ -1,21 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import reference
 from tipbeam.asymptotics import (
-    alpha_coefficients,
     asymptotic_coefficients,
     discriminant_reduced,
     f_expansion_terms,
     gamma_coefficients,
-    omega_beta,
     predict_eigenvalue,
     special_a3,
 )
 from tipbeam.charfn import char_fn, paired_exponentials
 from tipbeam.errors import RegimeMismatch, ZeroOmega1
-from tipbeam.model import validate_params
+from tipbeam.model import regime_info, validate_params
 from tipbeam.spectrum import frequency_pairs
 
 # frozen reference values for the (b=2, k1=1, k2=2, k3=3, k4=2) set,
@@ -33,6 +33,14 @@ FROZEN = dict(
     beta1=0.20742420499106495,
     beta2=0.6031452641476374,
 )
+
+
+def _omegas(coef):
+    """(omega1_j, omega2_j, beta_j) per family from the series: omega1_j = -+ i
+    sqrt(gamma1^2 - 4 gamma2) (alpha_2 - alpha_1 = sqrt of it) and beta_j =
+    -c2_j = omega2_j / omega1_j."""
+    root = coef.alpha2 - coef.alpha1
+    return [(om1, -c2.real * om1, -c2.real) for om1, c2 in zip((-1j * root, 1j * root), coef.c2)]
 
 
 def _random_params(rng, conservative=False):
@@ -80,13 +88,13 @@ def test_alpha_vieta_and_ordering(params_generic):
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = _random_params(rng)
-        g1, g2, _ = gamma_coefficients(p)
-        a1, a2 = alpha_coefficients(g1, g2)
+        coef = asymptotic_coefficients(p)
+        g1, g2, a1, a2 = coef.gamma1, coef.gamma2, coef.alpha1, coef.alpha2
         assert a1 + a2 == pytest.approx(g1, rel=1e-13)
         assert a1 * a2 == pytest.approx(g2, rel=1e-13)
         assert a1 <= a2
-    g1, g2, _ = gamma_coefficients(params_generic)
-    a1, a2 = alpha_coefficients(g1, g2)
+    coef = asymptotic_coefficients(params_generic)
+    a1, a2 = coef.alpha1, coef.alpha2
     assert a1 == pytest.approx(FROZEN["alpha1"], rel=1e-13)
     assert a2 == pytest.approx(FROZEN["alpha2"], rel=1e-13)
     assert a1 < a2
@@ -94,18 +102,19 @@ def test_alpha_vieta_and_ordering(params_generic):
 
 def test_alpha_collision_on_degenerate_set(params_degenerate):
     p = params_degenerate
-    g1, g2, _ = gamma_coefficients(p)
-    a1, a2 = alpha_coefficients(g1, g2)
+    coef = asymptotic_coefficients(p)
+    a1, a2 = coef.alpha1, coef.alpha2
     collide = (2.0 * p.k1 + math.pi**2) / (2.0 * math.pi)
     assert a1 == pytest.approx(collide, rel=1e-12)
     assert a2 == pytest.approx(collide, rel=1e-12)
 
 
 def test_omega_beta_frozen(params_generic):
-    p = params_generic
-    g1, g2, _ = gamma_coefficients(p)
-    alphas = alpha_coefficients(g1, g2)
-    (om11, om21, b1), (om12, om22, b2) = omega_beta(p, alphas)
+    coef = asymptotic_coefficients(params_generic)
+    g1, g2 = coef.gamma1, coef.gamma2
+    (om11, om21, b1), (om12, om22, b2) = _omegas(coef)
+    assert np.all(coef.c1 == 1j * np.array([coef.alpha1, coef.alpha2]))
+    assert np.all(coef.c3 == 0.0)
     root = FROZEN["omega1_mag"]
     assert om11 == pytest.approx(-1j * root, rel=1e-12)
     assert om12 == pytest.approx(1j * root, rel=1e-12)
@@ -119,11 +128,9 @@ def test_omega_beta_frozen(params_generic):
 def test_omega2_matches_char_fn_limit(params_generic):
     # independent oracle: k^3 f(i k pi + i alpha_j / k) -> omega2_j
     p = params_generic
-    g1, g2, _ = gamma_coefficients(p)
-    alphas = alpha_coefficients(g1, g2)
-    pairs = omega_beta(p, alphas)
+    coef = asymptotic_coefficients(p)
     k = 2000
-    for aj, (om1, om2, beta) in zip(alphas, pairs):
+    for aj, (om1, om2, beta) in zip((coef.alpha1, coef.alpha2), _omegas(coef)):
         measured = k**3 * char_fn(1j * k * np.pi + 1j * aj / k, p)
         assert abs(measured - om2) < 1e-3 * abs(om2)
 
@@ -132,9 +139,7 @@ def test_beta_positive_under_damping():
     rng = np.random.default_rng(99)
     for _ in range(100):
         p = _random_params(rng)
-        g1, g2, _ = gamma_coefficients(p)
-        alphas = alpha_coefficients(g1, g2)
-        for _, _, beta in omega_beta(p, alphas):
+        for _, _, beta in _omegas(asymptotic_coefficients(p)):
             assert beta > 0.0
 
 
@@ -142,24 +147,34 @@ def test_beta_zero_conservative():
     rng = np.random.default_rng(17)
     for _ in range(20):
         p = _random_params(rng, conservative=True)
-        g1, g2, g3 = gamma_coefficients(p)
-        assert g3 == 0.0
-        for _, om2, beta in omega_beta(p, alpha_coefficients(g1, g2)):
+        coef = asymptotic_coefficients(p)
+        assert coef.gamma3 == 0.0
+        for _, om2, beta in _omegas(coef):
             assert om2 == 0.0 and beta == 0.0
 
 
-def test_omega_beta_degenerate_raises(params_degenerate):
-    p = params_degenerate
-    g1, g2, _ = gamma_coefficients(p)
+def test_colliding_families_off_the_lattice_raise():
+    # sqrt(b) 1e-11 off the p = 1 lattice point is generic, and k1 - k3 =
+    # (sqrt(b)/2) sin sqrt(b) cancels the discriminant to about 4e-34:
+    # beta_j = omega2_j / omega1_j has no meaning there
+    sb = 2.0 * math.pi * (1.0 + 1e-11)
+    p = validate_params(1.0, sb * sb, 1.0 + 0.5 * sb * math.sin(sb), 1.0, 1.0, 2.0)
+    assert regime_info(p).regime == "generic"
     with pytest.raises(ZeroOmega1):
-        omega_beta(p, alpha_coefficients(g1, g2))
+        predict_eigenvalue(20, 1, p)
+    # undamped, the families keep beta = 0 without dividing by omega1
+    assert predict_eigenvalue(20, 1, replace(p, k2=0.0, k4=0.0)).real == 0.0
 
 
 def test_asymptotic_coefficients_dispatch(params_generic, params_degenerate):
     ac = asymptotic_coefficients(params_generic)
-    assert ac.regime == "generic" and ac.beta1 > 0
+    assert ac.regime == "generic" and np.all(ac.c2.real < 0) and np.all(ac.c3 == 0)
     acd = asymptotic_coefficients(params_degenerate)
-    assert acd.regime == "case1" and acd.beta1 is None and acd.omega1 is None
+    p = params_degenerate
+    assert acd.regime == "case1"
+    assert np.all(acd.c1 == 1j * (2.0 * p.k1 + math.pi**2) / (2.0 * math.pi))
+    assert np.all(acd.c2 == [-p.k1 * p.k2 / math.pi**2, -p.k1 * p.k4 / math.pi**2])
+    assert np.all(acd.c3 == 0)
 
 
 def test_special_a3():
@@ -219,14 +234,14 @@ def test_predict_case2_and_case3():
 
 
 @pytest.mark.parametrize("k2", [1.0, 0.0])     # case 2 and case 3
-def test_third_order_split_matches_the_roots(k2):
+def test_third_order_split_matches_the_roots(k2, request):
     # the families of k1 = k3 = 2, sqrt(b) = 2 pi part at third order:
     # k^3 (Im lambda_2 - Im lambda_1) tends to (a3_2 - a3_1) / (24 pi^3),
     # and the polished pair agrees within 1/k^2 relative (measured 0.50 to
     # 0.54 / k^2 at k = 50 and 100); each root lies within 1/k^4 of its
     # prediction (measured at most 0.72 / k^4).  The radicand with
     # -43 k1^2 p^2 pi^2 was negative here
-    p = validate_params(1, 4 * math.pi**2, 2, k2, 2, k2)
+    p = request.getfixturevalue("params_case2" if k2 else "params_case3")
     a31, a32 = special_a3(p)
     want = (a32 - a31) / (24 * math.pi**3)
     for k, recs in zip((50, 100), frequency_pairs(p, [50, 100])):
@@ -235,6 +250,22 @@ def test_third_order_split_matches_the_roots(k2):
         assert abs(got - want) <= want / k**2
         for r in recs:
             assert abs(r.lam - predict_eigenvalue(k, r.family, p)) <= 1 / k**4
+
+
+@pytest.mark.parametrize("name", ["params_generic", "params_conservative", "params_degenerate",
+                                  "params_case2", "params_case3"])
+def test_series_matches_the_scalar_oracle(name, request):
+    # bit for bit where the terms are the same (generic); the degenerate
+    # series divides c_n by k^n where the scalar formulas divide by (k pi)^n,
+    # which moves lambda by at most 2 ulp of |lambda|
+    p = request.getfixturevalue(name)
+    ks = np.arange(1, 1001)
+    got = predict_eigenvalue(ks[:, None], np.array([1, 2]), p)
+    want = np.array([[reference.predict_eigenvalue(int(k), j, p) for j in (1, 2)] for k in ks])
+    if regime_info(p).regime == "generic":
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
 
 def test_predict_validation(params_generic):

@@ -54,15 +54,15 @@ def test_require_unit_speed(params_generic):
         require_unit_speed(validate_params(a=2, b=2, k1=1, k2=2, k3=3, k4=2))
 
 
-def test_regime_dispatch(params_generic, params_degenerate):
+def test_regime_dispatch(params_generic, params_degenerate, params_case2, params_case3):
     assert regime_info(params_generic).regime == "generic"
 
     info = regime_info(params_degenerate)
     assert info.regime == "case1" and info.degenerate_p == 1
 
     b = 4.0 * math.pi**2
-    assert regime_info(validate_params(1, b, 2, 1, 2, 1)).regime == "case2"
-    assert regime_info(validate_params(1, b, 2, 0, 2, 0)).regime == "case3"
+    assert regime_info(params_case2).regime == "case2"
+    assert regime_info(params_case3).regime == "case3"
     # p = 2 lattice point
     info4 = regime_info(validate_params(1, 16.0 * math.pi**2, 2, 1, 2, 5))
     assert info4.degenerate_p == 2

@@ -525,11 +525,32 @@ def family_two_seeded_off(monkeypatch):
     real_predict = tipbeam.spectrum.predict_eigenvalue
 
     def predict(k, j, p):
-        if j == 2:
-            return (k + 0.5) * math.pi * 1j - 0.1
-        return real_predict(k, j, p)
+        return np.where(j == 2, (k + 0.5) * math.pi * 1j - 0.1, real_predict(k, j, p))
 
     monkeypatch.setattr(tipbeam.spectrum, "predict_eigenvalue", predict)
+
+
+def test_one_prediction_call_per_batch(params_generic, monkeypatch):
+    # the frequency boxes' seeds, each subdivided box's labels and the
+    # low-frequency labels each predict every (k, j) they need in one call
+    sizes, labelled = [], []
+    real_predict, real_label = tipbeam.spectrum.predict_eigenvalue, tipbeam.spectrum._label_pair
+
+    def predict(k, j, p):
+        sizes.append(np.broadcast(k, j).size)
+        return real_predict(k, j, p)
+
+    def label(recs, p, k):
+        labelled.append(k)
+        real_label(recs, p, k)
+
+    monkeypatch.setattr(tipbeam.spectrum, "predict_eigenvalue", predict)
+    monkeypatch.setattr(tipbeam.spectrum, "_label_pair", label)
+    spectrum_in_strip(params_generic, 200)
+    assert sizes == [2 * (201 - K_MIN)] + [2] * len(labelled) + [2 * (K_MIN - 1)]
+    sizes.clear()
+    family_roots(params_generic, range(8, 301))
+    assert sizes == [2 * 293]
 
 
 def test_family_roots_failure_names_k_and_j(params_generic, family_two_seeded_off):
