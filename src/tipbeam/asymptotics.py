@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import paired_exponentials
-from .errors import NegativeDiscriminant, RegimeMismatch, ZeroOmega1
+from .errors import RegimeMismatch, ZeroOmega1
 from .model import (
     REGIME_CASE1,
     REGIME_GENERIC,
@@ -116,34 +116,28 @@ def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
     gamma, the discriminant, alpha, then beta (generic) or the degenerate
     first- and third-order terms.
 
-    Generic: omega1_j = -+ i sqrt(gamma1^2 - 4 gamma2) and omega2_j =
-    (i/(8 pi^3)) (8 pi (k1 k2 + k3 k4) alpha_j - gamma3), the sign fixed so
-    that beta_j = omega2_j / omega1_j is positive under damping (validated
+    The discriminant gamma1^2 - 4 gamma2 is `discriminant_reduced`, which
+    does not cancel near the degenerate set, so alpha_j = (gamma1 -+
+    sqrt(d))/2.  Generic: omega1_j = -+ i sqrt(d) and omega2_j = (i/(8
+    pi^3)) (8 pi (k1 k2 + k3 k4) alpha_j - gamma3), the sign fixed so that
+    beta_j = omega2_j / omega1_j is positive under damping (validated
     against the measured limits of k^3 f(i k pi + i alpha_j / k)).  A
-    damped generic set whose omega1 vanishes raises ZeroOmega1.
+    damped generic set with |omega1| below 1e-12 raises ZeroOmega1.
     """
     g1, g2, g3 = gamma_coefficients(p)
-    disc = g1 * g1 - 4.0 * g2
-    if disc < 0.0:
-        if disc > -1e-12 * max(1.0, g1 * g1):
-            disc = 0.0   # rounding at the degenerate set
-        else:
-            raise NegativeDiscriminant(f"gamma1^2 - 4 gamma2 = {disc} < 0")
-    root = math.sqrt(disc)
+    root = math.sqrt(discriminant_reduced(p))
     alphas = (0.5 * (g1 - root), 0.5 * (g1 + root))
     info = regime_info(p)
     if info.regime == REGIME_GENERIC:
         c1 = [1j * a for a in alphas]
         c2 = [0.0, 0.0]
         if not p.is_conservative:
+            if root < 1e-12:
+                raise ZeroOmega1(f"families collide: |omega1| = sqrt(gamma1^2 - 4 gamma2) = {root:.3e}")
             kk = p.k1 * p.k2 + p.k3 * p.k4
-            c2 = []
-            for a in alphas:
-                om1 = -1j * (p.b + 4.0 * p.k1 + 4.0 * p.k3 - 8.0 * a * math.pi) / (4.0 * math.pi)
-                if abs(om1) < 1e-12:
-                    raise ZeroOmega1("families collide: omega1 vanishes on the degenerate set")
-                om2 = 1j * (8.0 * math.pi * kk * a - g3) / (8.0 * math.pi**3)
-                c2.append(-(om2 / om1).real)
+            # omega2_j / omega1_j with both on the imaginary axis
+            c2 = [-(8.0 * math.pi * kk * a - g3) / (8.0 * math.pi**3) / om1
+                  for a, om1 in zip(alphas, (-root, root))]
         c3 = [0.0, 0.0]
     else:
         pp, k1, gains = info.degenerate_p, p.k1, (p.k2, p.k4)

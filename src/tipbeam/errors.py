@@ -45,10 +45,6 @@ class ZeroLambda(TipbeamError, ValueError):
 
 # --- asymptotics ---
 
-class NegativeDiscriminant(TipbeamError, RuntimeError):
-    """gamma1^2 - 4*gamma2 < 0; indicates an implementation bug."""
-
-
 class ZeroOmega1(TipbeamError, RuntimeError):
     """First-order coefficient vanished; the two families are not separated."""
 

@@ -36,7 +36,7 @@ def params_case3():
 
 @pytest.fixture(scope="session")
 def params_near_lattice():
-    """sqrt(b) 5e-9 off the p = 2 lattice point with k1 = k3: generic, but
-    the two alpha_j differ by only about 1.3e-8."""
+    """sqrt(b) a relative 5e-9 off the p = 2 lattice point with k1 = k3:
+    generic, but the two alpha_j differ by only 1.3e-7."""
     return validate_params(a=1.0, b=(4.0 * math.pi) ** 2 * (1.0 + 1e-8),
                            k1=1.0, k2=1.0, k3=1.0, k4=2.0)

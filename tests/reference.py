@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tipbeam.asymptotics import gamma_coefficients, special_a3
+from tipbeam.asymptotics import discriminant_reduced, gamma_coefficients, special_a3
 from tipbeam.charfn import _check_nonzero, _roots
-from tipbeam.errors import GridMismatch, NegativeDiscriminant, TipbeamError, ZeroOmega1
+from tipbeam.errors import GridMismatch, TipbeamError, ZeroOmega1
 from tipbeam.model import (
     REGIME_CASE1,
     REGIME_CASE2,
@@ -232,33 +232,6 @@ def g_functions(t: complex, lam: complex, p: BeamParams):
 # eigenvalue predictions, one (k, j) and one regime branch at a time
 
 
-def alpha_coefficients(gamma1: float, gamma2: float) -> tuple[float, float]:
-    """Roots alpha1 <= alpha2 of z^2 - gamma1 z + gamma2."""
-    disc = gamma1 * gamma1 - 4.0 * gamma2
-    if disc < 0.0:
-        if disc > -1e-12 * max(1.0, gamma1 * gamma1):
-            disc = 0.0   # rounding at the degenerate set
-        else:
-            raise NegativeDiscriminant(f"gamma1^2 - 4 gamma2 = {disc} < 0")
-    root = math.sqrt(disc)
-    return 0.5 * (gamma1 - root), 0.5 * (gamma1 + root)
-
-
-def omega_beta(p: BeamParams, alphas: tuple[float, float]):
-    """Per-family (omega1_j, omega2_j, beta_j), j = 1, 2."""
-    g1, g2, g3 = gamma_coefficients(p)
-    kk = p.k1 * p.k2 + p.k3 * p.k4
-    out = []
-    for aj in alphas:
-        om1 = -1j * (p.b + 4.0 * p.k1 + 4.0 * p.k3 - 8.0 * aj * math.pi) / (4.0 * math.pi)
-        if abs(om1) < 1e-12:
-            raise ZeroOmega1("families collide: omega1 vanishes on the degenerate set")
-        om2 = 1j * (8.0 * math.pi * kk * aj - g3) / (8.0 * math.pi**3)
-        beta = (om2 / om1).real
-        out.append((om1, om2, beta))
-    return tuple(out)
-
-
 def predict_eigenvalue(k: int, j: int, p: BeamParams) -> complex:
     """Closed-form eigenvalue prediction for family j at frequency index k != 0.
 
@@ -275,12 +248,17 @@ def predict_eigenvalue(k: int, j: int, p: BeamParams) -> complex:
     info = regime_info(p)
     base = 1j * k * math.pi
     if info.regime == REGIME_GENERIC:
-        g1, g2, _ = gamma_coefficients(p)
-        a1, a2 = alpha_coefficients(g1, g2)
-        aj = a1 if j == 1 else a2
+        g1, _, g3 = gamma_coefficients(p)
+        root = math.sqrt(discriminant_reduced(p))
+        aj = 0.5 * (g1 - root) if j == 1 else 0.5 * (g1 + root)
         if p.is_conservative:
             return base + 1j * aj / k
-        beta = omega_beta(p, (a1, a2))[j - 1][2]
+        om1 = (-1j if j == 1 else 1j) * root
+        if abs(om1) < 1e-12:
+            raise ZeroOmega1("families collide: omega1 vanishes")
+        kk = p.k1 * p.k2 + p.k3 * p.k4
+        om2 = 1j * (8.0 * math.pi * kk * aj - g3) / (8.0 * math.pi**3)
+        beta = (om2 / om1).real
         return base + 1j * aj / k - beta / k**2
 
     pp = info.degenerate_p

@@ -252,8 +252,8 @@ def test_third_order_split_matches_the_roots(k2, request):
             assert abs(r.lam - predict_eigenvalue(k, r.family, p)) <= 1 / k**4
 
 
-@pytest.mark.parametrize("name", ["params_generic", "params_conservative", "params_degenerate",
-                                  "params_case2", "params_case3"])
+@pytest.mark.parametrize("name", ["params_generic", "params_conservative", "params_near_lattice",
+                                  "params_degenerate", "params_case2", "params_case3"])
 def test_series_matches_the_scalar_oracle(name, request):
     # bit for bit where the terms are the same (generic); the degenerate
     # series divides c_n by k^n where the scalar formulas divide by (k pi)^n,

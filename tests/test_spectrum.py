@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_charfn import _REGIME_SETS
 
 import tipbeam.spectrum
-from tipbeam.asymptotics import predict_eigenvalue
+from tipbeam.asymptotics import asymptotic_coefficients, predict_eigenvalue
 from tipbeam.errors import (
     BasinEscape,
     BoundaryTooCloseToRoot,
@@ -17,6 +17,7 @@ from tipbeam.errors import (
     NonConvergentContour,
 )
 from tipbeam.model import validate_params
+from tipbeam.modes import riesz_closeness
 from tipbeam.spectrum import (
     K_MIN,
     EigenvalueRecord,
@@ -551,6 +552,22 @@ def test_one_prediction_call_per_batch(params_generic, monkeypatch):
     sizes.clear()
     family_roots(params_generic, range(8, 301))
     assert sizes == [2 * 293]
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_near_lattice_sets_are_searched(params_near_lattice, eps):
+    # sqrt(b) a relative eps/2 off the p = 2 lattice point with k1 = k3 is
+    # generic, but gamma1^2 - 4 gamma2 cancels to 0.0 in floating point
+    # there (true value 1.6e-14 at eps = 1e-8), which made the families'
+    # predictions collide and raise ZeroOmega1
+    p = replace(params_near_lattice, b=(4.0 * math.pi) ** 2 * (1.0 + eps))
+    coef = asymptotic_coefficients(p)
+    assert coef.regime == "generic"
+    assert coef.alpha2 - coef.alpha1 == pytest.approx(1.2566e-7 * eps / 1e-8, rel=1e-3)
+    records, report = spectrum_in_strip(p, 20)
+    assert report.incomplete_boxes == [] and report.k0_effective == K_MIN
+    assert [(r.k_index, r.family) for r in records if r.k_index == 20] == [(20, 1), (20, 2)]
+    assert np.all(np.isfinite(riesz_closeness(100, p).closeness))
 
 
 def test_family_roots_failure_names_k_and_j(params_generic, family_two_seeded_off):
