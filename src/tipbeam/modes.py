@@ -14,6 +14,8 @@ lambdas as leading axes, and indexing a ModeShape indexes those axes, so
 modes[i] is one mode.  `gram_inner_product` broadcasts over them:
 gram_inner_product(psi, phi, p) pairs two batches lane by lane, and
 gram_inner_product(modes[:, None], modes[None, :], p) is the Gram matrix.
+A lane does not depend on the batch size: as in charfn, a complex product
+whose right operand is a temporary is written np.multiply(left, right).
 """
 
 import math
@@ -133,7 +135,7 @@ def eigenmode(lam, p: BeamParams) -> ModeShape:
     c = np.conj(vh[..., 3, :])
     c = c / np.take_along_axis(c, np.argmax(np.abs(c), axis=-1)[..., None], axis=-1)
     mode = ModeShape(lam=lam, coeffs=c, ts=ts, couplings=d, hnorm=None,
-                     tip_eta=lam * np.sum(c * exps, axis=-1),
+                     tip_eta=np.multiply(lam, np.sum(c * exps, axis=-1)),
                      tip_gamma=math.sqrt(p.a / p.b) * lam * np.sum(c * d * exps, axis=-1),
                      matrix_residual=np.linalg.norm(m @ c[..., None], axis=(-2, -1)),
                      conditioning=s3 / s1)
@@ -163,14 +165,14 @@ def gram_inner_product(m1: ModeShape, m2: ModeShape, p: BeamParams):
         # per exponent: v = lam u, z = lam y, y_x and the shear u_x + y
         c, d, t = m.coeffs, m.couplings, m.ts
         v = np.asarray(m.lam)[..., None] * c
-        return np.stack([v, v * d, c * d * t, c * (t + d)], axis=-2)
+        return np.stack([v, v * d, c * d * t, np.multiply(c, t + d)], axis=-2)
 
     weights = np.array([1.0, 1.0 / p.b, p.a / p.b, 1.0])[:, None]
     pairs = np.swapaxes(weights * factors(m1), -1, -2) @ np.conj(factors(m2))
     ee = _exp_integral(m1.ts[..., :, None] + np.conj(m2.ts)[..., None, :])
     return (np.einsum("...ij,...ij->...", pairs, ee)
-            + m1.tip_eta * np.conj(m2.tip_eta) / p.k1
-            + m1.tip_gamma * np.conj(m2.tip_gamma) / p.k3)
+            + np.multiply(m1.tip_eta, np.conj(m2.tip_eta)) / p.k1
+            + np.multiply(m1.tip_gamma, np.conj(m2.tip_gamma)) / p.k3)
 
 
 def normalize(m: ModeShape, p: BeamParams) -> ModeShape:

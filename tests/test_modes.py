@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -146,6 +146,20 @@ def test_mode_lanes_match_single_builds(name, gains, damping, lanes):
     paired = np.array([[gram_inner_product(batch[i], batch[j], p) for j in range(len(keep))]
                        for i in range(len(keep))])
     assert np.max(np.abs(g - paired)) <= 1e-13
+
+
+def test_large_batch_equals_its_chunks(params_generic):
+    # from 256 KiB numpy reuses a temporary right operand of `*` for the
+    # result and swaps the operands, and the complex product is not
+    # commutative in the last bit: 16,384 lanes reach that size for the
+    # (n, 4) and (n,) products of eigenmode and gram_inner_product
+    p = params_generic
+    lams = np.tile([r.lam for r in family_roots(p, range(8, 12))], 2048)
+    whole = eigenmode(lams, p)
+    chunks = [eigenmode(lams[i:i + 512], p) for i in range(0, lams.size, 512)]
+    for f in fields(whole):
+        assert np.array_equal(getattr(whole, f.name),
+                              np.concatenate([getattr(m, f.name) for m in chunks])), f.name
 
 
 def test_mode_residuals_small(params_generic, mode12):
