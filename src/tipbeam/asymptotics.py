@@ -128,9 +128,9 @@ def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
     root = math.sqrt(discriminant_reduced(p))
     alphas = (0.5 * (g1 - root), 0.5 * (g1 + root))
     info = regime_info(p)
+    c2 = c3 = [0.0, 0.0]
     if info.regime == REGIME_GENERIC:
         c1 = [1j * a for a in alphas]
-        c2 = [0.0, 0.0]
         if not p.is_conservative:
             if root < 1e-12:
                 raise ZeroOmega1(f"families collide: |omega1| = sqrt(gamma1^2 - 4 gamma2) = {root:.3e}")
@@ -138,17 +138,15 @@ def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
             # omega2_j / omega1_j with both on the imaginary axis
             c2 = [-(8.0 * math.pi * kk * a - g3) / (8.0 * math.pi**3) / om1
                   for a, om1 in zip(alphas, (-root, root))]
-        c3 = [0.0, 0.0]
     else:
         pp, k1, gains = info.degenerate_p, p.k1, (p.k2, p.k4)
         c1 = [1j * (2.0 * k1 + pp**2 * math.pi**2) / (2.0 * math.pi)] * 2
         c2 = [-k1 * g / math.pi**2 for g in gains]
-        c3 = [0.0, 0.0]
         if info.regime != REGIME_CASE1:
             c3 = [1j * (a3 - 24.0 * k1 * g**2) / (24.0 * math.pi**3)
                   for a3, g in zip(special_a3(p), gains)]
-    return AsymptoticCoefficients(g1, g2, g3, *alphas, *(np.array(c, dtype=complex)
-                                                         for c in (c1, c2, c3)), info.regime)
+    c1, c2, c3 = (np.array(c, dtype=complex) for c in (c1, c2, c3))
+    return AsymptoticCoefficients(g1, g2, g3, *alphas, c1, c2, c3, info.regime)
 
 
 def predict_eigenvalue(k, j, p: BeamParams):
