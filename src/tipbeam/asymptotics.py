@@ -133,7 +133,8 @@ def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
         c1 = [1j * a for a in alphas]
         if not p.is_conservative:
             if root < 1e-12:
-                raise ZeroOmega1(f"families collide: |omega1| = sqrt(gamma1^2 - 4 gamma2) = {root:.3e}")
+                raise ZeroOmega1("families collide: |omega1| = sqrt(gamma1^2 - 4 gamma2)"
+                                 f" = {root:.3e}")
             kk = p.k1 * p.k2 + p.k3 * p.k4
             # omega2_j / omega1_j with both on the imaginary axis
             c2 = [-(8.0 * math.pi * kk * a - g3) / (8.0 * math.pi**3) / om1
