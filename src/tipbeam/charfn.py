@@ -166,24 +166,38 @@ def _row_derivatives(lam: np.ndarray, p: BeamParams, pieces):
     g2 = 1 + k2/lambda + k1/t and g3 = q (k3/lambda + (k4 + lambda)/t),
     g2' = -k2/lambda^2 - k1 t'/t^2 and g3' = q (1/t - (k4 + lambda) t'/t^2
     - k3/lambda^2), and (e g)' = t' e g + e g'.  The rows are built in
-    place, with one scratch buffer, to keep the peak memory of a batch low.
+    place, with one (4, n) scratch buffer and one (n,) lane buffer, to keep
+    the peak memory of a batch low.  A lane array or a q_i enters a (4, n)
+    array row by row, as a row or a scalar: numpy gives every ufunc call
+    that broadcasts a lower-rank array against it a 64 KiB iteration buffer.
     """
     ts, exps, q, d, m2, m3 = pieces
+    qs = q.ravel()
     it = 1.0 / ts
-    tp = (lam - 0.5 * q) * it
+    tp = np.empty_like(ts)
+    for row, qi in zip(tp, qs):
+        np.subtract(lam, 0.5 * qi, out=row)
+    tp *= it
     w = tp * it * it                    # t'/t^2
     d *= tp
-    np.subtract(q, d, out=d)
+    for row, qi in zip(d, qs):
+        np.subtract(qi, row, out=row)
     d *= it
     g = p.k1 * w
-    g += p.k2 / lam**2
+    lane = p.k2 / lam**2
+    for row in g:
+        row += lane
     g *= exps                           # -e g2'
     m2 *= tp
     m2 -= g
-    np.multiply(p.k4 + lam, w, out=g)
+    np.add(p.k4, lam, out=lane)
+    for row, wi in zip(g, w):
+        np.multiply(lane, wi, out=row)
     np.subtract(it, g, out=g)
-    g -= p.k3 / lam**2
-    g *= q
+    np.divide(p.k3, lam**2, out=lane)
+    for row, qi in zip(g, qs):
+        row -= lane
+        row *= qi
     g *= exps                           # e g3'
     m3 *= tp
     m3 += g

@@ -34,17 +34,21 @@ Every box is counted on the rect it was submitted with, or refused by name
 interval still too coarse has no floating-point midpoint, or when
 refinement exceeds its sample budget; boxes never shift.  Boxes split off
 centre, so no edge of the conservative sweep lands on the root locus
-Re lambda = 0.  When a half is refused, its parent splits again at another
-fraction: the split line moves, and the halves still tile the parent.
+Re lambda = 0.  Only the first, smaller half of a split is counted: the
+halves tile the parent, so the second half's count is the parent's less
+the first's.  When the first half is refused, its parent splits again at
+another fraction: the split line moves, and the halves still tile the
+parent.
 
 Counting is batched.  A search submits all its boxes to one counter, and
 every box refines in the same rounds: each call of the characteristic
 function takes at most _CHUNK = 1024 new samples of the live boxes, the most
 recently submitted first, which keeps the working set small.  The checks
 stay per box.  The frequency boxes and the union of the strip count in the
-background while the sweep subdivides, and a box's halves start as soon as
-its own count is in, so the k <= 200 strip takes about a hundred calls.  Per
-box the samples, and so the counts, are those of counting the box alone.
+background while the sweep subdivides, and a box's first half starts as
+soon as its own count is in, so the k <= 200 strip takes about fifty calls.
+Per counted box the samples, and so the counts, are those of counting the
+box alone.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ class RootSearchReport:
     # (rect, winding or None when the box could not be counted, recovered)
     incomplete_boxes: list = field(default_factory=list)
     resplits: int = 0            # subdivisions split again at another fraction
+    derived_boxes: int = 0       # second halves of splits: the box's count less the first's
     contour_points: int = 0      # F evaluations in counting, refinements included
     contour_rounds: int = 0      # (F, F') evaluation calls made by counting
     newton_calls: int = 0        # Newton polishes started, converged or not
@@ -103,11 +108,13 @@ class RootSearchReport:
     def stats(self) -> dict:
         """Deterministic effort counts; newton_iterations sums the converged polishes.
 
-        boxes, resplits and contour_points cover the search boxes; the
-        global count of a strip is not among them, but its evaluation calls,
-        shared with the frequency boxes, are in contour_rounds.
+        boxes, derived_boxes, resplits and contour_points cover the search
+        boxes; the global count of a strip is not among them, but its
+        evaluation calls, shared with the frequency boxes, are in
+        contour_rounds.
         """
-        return {"boxes": len(self.boxes), "resplits": self.resplits,
+        return {"boxes": len(self.boxes), "derived_boxes": self.derived_boxes,
+                "resplits": self.resplits,
                 "contour_points": self.contour_points, "contour_rounds": self.contour_rounds,
                 "newton_calls": self.newton_calls,
                 "newton_iterations": sum(it for _, it in self.newton_iterations),
@@ -238,11 +245,11 @@ class _Counter:
             self._call()
         return [self.outcomes[t] for t in tickets]
 
-    def first_resolved(self, groups) -> list:
-        """Indices of the groups of tickets wholly resolved, once at least one is."""
-        while not any(all(t in self.outcomes for t in g) for g in groups):
+    def first_resolved(self, tickets) -> list:
+        """Indices of the resolved tickets, once at least one is."""
+        while not any(t in self.outcomes for t in tickets):
             self._call()
-        return [i for i, g in enumerate(groups) if all(t in self.outcomes for t in g)]
+        return [i for i, t in enumerate(tickets) if t in self.outcomes]
 
     def _resolve(self, ticket: int, outcome):
         self.outcomes[ticket] = outcome
@@ -512,11 +519,17 @@ def _isolate(outer, total: int, counter: _Counter):
 
     Each box splits its longer side at the fraction _SPLITS[0], not at the
     centre: halving the symmetric conservative box would put an edge on
-    Re lambda = 0, where every conservative root lies.  The halves of a box
-    go to the counter as soon as its own count is in, so boxes of every
-    depth share evaluation calls.  Once both are in, a half the counter
-    refuses (a root on or next to the split line) drops
-    both, and the box splits again at the next fraction, so the halves
+    Re lambda = 0, where every conservative root lies.  Only the first,
+    smaller half of a split is counted; the halves tile the box, so the
+    second half's winding is the box's count less the first's, logged to
+    report.boxes with no samples and to report.derived_boxes.  That is exact
+    when both counts are: the second half's boundary is the box's counted
+    edges and the split line, which the first half's count certified.  A
+    first half that counts more than its box raises NonConvergentContour
+    naming both.  The first half goes to the counter as soon as its box's
+    count is in, so boxes of every depth share evaluation calls.  A first
+    half the counter refuses (a root on or next to the split line) derives
+    nothing, and the box splits again at the next fraction, so the halves
     always tile it; each re-split adds one to report.resplits.  A refusal at
     the last fraction is raised.  A box with one root and diameter at most
     0.25 waits as a leaf.  Whenever no count of the subdivision is pending,
@@ -524,10 +537,11 @@ def _isolate(outer, total: int, counter: _Counter):
     batch; a leaf whose polish fails or lands outside it splits in turn.
     """
     report, evaluate = counter.report, counter.evaluate
-    records, leaves, splits = [], [], []     # splits: (rect, count, index in _SPLITS, tickets)
+    records, leaves, splits = [], [], []     # splits: (rect, count, index in _SPLITS, ticket)
 
     def split(rect, cnt: int, at: int = 0):
-        splits.append((rect, cnt, at, counter.submit(_halves(rect, _SPLITS[at]))))
+        (ticket,) = counter.submit(_halves(rect, _SPLITS[at])[:1])
+        splits.append((rect, cnt, at, ticket))
 
     boxes = [(outer, total)] if total else []
     visited = 0
@@ -549,19 +563,24 @@ def _isolate(outer, total: int, counter: _Counter):
                 split(rect, cnt)
         boxes = []
         if splits:
-            done = counter.first_resolved([tickets for *_, tickets in splits])
+            done = counter.first_resolved([ticket for *_, ticket in splits])
             ready = [splits[i] for i in done]
             splits = [s for i, s in enumerate(splits) if i not in done]
-            for rect, cnt, at, tickets in ready:
-                halves = counter.outcomes_of(tickets)
-                if at + 1 < len(_SPLITS) and any(isinstance(h, Exception) for h in halves):
+            for rect, cnt, at, ticket in ready:
+                (outcome,) = counter.outcomes_of([ticket])
+                if at + 1 < len(_SPLITS) and isinstance(outcome, Exception):
                     report.resplits += 1
-                    report.contour_points += sum(h[2] for h in halves
-                                                 if not isinstance(h, Exception))
                     split(rect, cnt, at + 1)
-                else:
-                    _logged(halves, report)
-                    boxes += [(half, c) for c, half, _ in halves if c]
+                    continue
+                (first_cnt,) = _logged([outcome], report)
+                first, second = _halves(rect, _SPLITS[at])
+                rest = cnt - first_cnt
+                if rest < 0:
+                    raise NonConvergentContour(f"first half {first} counts {first_cnt} roots, "
+                                               f"more than the {cnt} of its box {rect}")
+                report.boxes.append((second, rest))
+                report.derived_boxes += 1
+                boxes += [(half, c) for half, c in ((first, first_cnt), (second, rest)) if c]
         elif leaves:
             polished = _newton([center for _, center in leaves], evaluate, report)
             for (rect, _), rec in zip(leaves, polished):

@@ -857,13 +857,60 @@ def test_branch_point_on_a_shared_box_edge(q, gains):
     _assert_strip_complete(q * math.pi, gains, 24)
 
 
+def _strip_with_derived_boxes_counted(p, k_max):
+    """spectrum_in_strip(p, k_max), asserting that each derived box, one
+    logged to report.boxes but never submitted to the counter, has the
+    winding it has when counted.  The derived boxes are counted in one
+    batch, whose counts are the one-box counts of count_roots_in_rect
+    (test_batched_counts_match_one_box_counts)."""
+    submitted = set()
+    real = tipbeam.spectrum._Counter.submit
+
+    def spy(counter, rects):
+        submitted.update(tuple(float(v) for v in rect) for rect in rects)
+        return real(counter, rects)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tipbeam.spectrum._Counter, "submit", spy)
+        recs, report = spectrum_in_strip(p, k_max)
+    derived = [(rect, w) for rect, w in report.boxes if rect not in submitted]
+    assert len(derived) == report.stats["derived_boxes"]
+    outcomes, _ = _batch([rect for rect, _ in derived], tipbeam.spectrum._beam(p))
+    assert [o[0] for o in outcomes] == [w for _, w in derived]
+    return recs, report
+
+
+def test_derived_boxes_on_the_lattice_set():
+    # on the p = 2 lattice point both seeds of every frequency box converge
+    # to one root, so each box from K_MIN on is subdivided
+    p = validate_params(1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0)
+    recs, report = _strip_with_derived_boxes_counted(p, 24)
+    assert report.incomplete_boxes == []
+    assert report.global_count == sum(r.multiplicity for r in recs if r.lam.imag > -0.3)
+    assert report.stats["derived_boxes"] > 100
+
+
+def test_first_half_counting_more_than_its_box_raises():
+    # both roots lie in the first half, but the box is said to hold one
+    outer = (-1.0, 1.0, -1.0, 1.0)
+    first = tipbeam.spectrum._halves(outer, tipbeam.spectrum._SPLITS[0])[0]
+    counter = tipbeam.spectrum._Counter(_known_zeros([(-0.5 + 0.2j, 1), (-0.5 - 0.3j, 1)]),
+                                        RootSearchReport())
+    with pytest.raises(NonConvergentContour) as err:
+        tipbeam.spectrum._isolate(outer, 1, counter)
+    assert str(err.value) == (f"first half {first} counts 2 roots, "
+                              f"more than the 1 of its box {outer}")
+
+
 def test_spectrum_stats_count_the_search(fig_spectrum):
     _, report = fig_spectrum
     stats = report.stats
     assert stats["boxes"] == len(report.boxes)
     assert stats["newton_iterations"] == sum(it for _, it in report.newton_iterations)
     assert stats["newton_calls"] >= len(report.newton_iterations)
-    assert stats["contour_points"] >= 64 * stats["boxes"]
+    # a derived box is counted on no samples of its own
+    assert 0 < stats["derived_boxes"] < stats["boxes"]
+    assert stats["contour_points"] >= 64 * (stats["boxes"] - stats["derived_boxes"])
 
 
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
@@ -887,7 +934,7 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
     k_max = 12
-    recs, report = spectrum_in_strip(p, k_max)
+    recs, report = _strip_with_derived_boxes_counted(p, k_max)
     assert report.incomplete_boxes == []
     assert_tiled(recs, report)
     for k in range(K_MIN, k_max + 1):
