@@ -40,15 +40,17 @@ the first's.  When the first half is refused, its parent splits again at
 another fraction: the split line moves, and the halves still tile the
 parent.
 
-Counting is batched.  A search submits all its boxes to one counter, and
-every box refines in the same rounds: each call of the characteristic
-function takes at most _CHUNK = 1024 new samples of the live boxes, the most
-recently submitted first, which keeps the working set small.  The checks
-stay per box.  The frequency boxes and the union of the strip count in the
-background while the sweep subdivides, and a box's first half starts as
-soon as its own count is in, so the k <= 200 strip takes about fifty calls.
-Per counted box the samples, and so the counts, are those of counting the
-box alone.
+Counting is batched.  A search submits all its boxes to one counter, which
+keeps one table of the intervals still too coarse, over all boxes.  Each
+call of the characteristic function takes at most _CHUNK = 1024 new
+samples, those of the most recently submitted boxes first, which keeps the
+working set small, and every interval the call completes is checked in one
+vectorised pass.  Whether an interval is halved depends on its two ends
+alone, so per counted box the samples, and so the counts, are those of
+counting the box alone, in any batch and at any _CHUNK.  The frequency
+boxes and the union of the strip count in the background while the sweep
+subdivides, and a box's first half starts as soon as its own count is in,
+so the k <= 200 strip takes about fifty calls.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ _MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-boun
 _SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is refused
 _INTEGER_TOL = 1e-9           # rounding slack of the increment sum
 _CHUNK = 1024                 # points per contour evaluation call; bounds the working set
+_ALONG = np.arange(_EDGE_POINTS) / _EDGE_POINTS   # initial samples' fractions of an edge
 
 
 @dataclass
@@ -129,103 +132,45 @@ def _beam(p: BeamParams) -> Callable:
     return lambda z: entire_char_fn_and_derivative(z, p)
 
 
-def _boundary(rect) -> np.ndarray:
-    """The closed boundary, counter-clockwise: each corner once, _EDGE_POINTS per edge."""
-    re_lo, re_hi, im_lo, im_hi = rect
-    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
-                        complex(re_hi, im_hi), complex(re_lo, im_hi)])
-    t = np.arange(_EDGE_POINTS) / _EDGE_POINTS
-    return (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
-
-
-class _Boundary:
-    """One box boundary under refinement, on the rect it was submitted with.
-
-    zfd holds the samples z, F and F' in boundary order as rows, closed by a
-    copy of the first column.  pending holds the samples of the current
-    round, evaluated in chunks (send, receive), and slots the columns they
-    are inserted before.
-    """
-
-    def __init__(self, rect):
-        self.rect = rect
-        self.slots = None            # None until the initial samples are evaluated
-        self.winding = None
-        self.refusal = None          # why the box cannot be counted
-        self._queue(_boundary(rect))
-
-    def _queue(self, samples):
-        self.pending, self.sent, self.parts = samples, 0, []
-
-    def send(self, room: int) -> np.ndarray:
-        """The next at most `room` pending samples to evaluate."""
-        chunk = self.pending[self.sent:self.sent + room]
-        self.sent += chunk.size
-        return chunk
-
-    def receive(self, f, d) -> bool:
-        """Keep F, F' at sent samples; True once the whole round is in."""
-        self.parts.append((f, d))
-        return self.sent == self.pending.size
-
-    def absorb(self) -> bool:
-        """Take in the round; True when midpoints are pending again.
-
-        Otherwise the box is finished: winding is the sum of the phase
-        increments over 2 pi, or refusal says why there is none: F is 0 at a
-        sample, an interval still too coarse has no floating-point midpoint,
-        or refinement needs more than _SAMPLE_BUDGET samples.
-        """
-        f = np.concatenate([part[0] for part in self.parts])
-        d = np.concatenate([part[1] for part in self.parts])
-        new = np.stack([self.pending, f, d])
-        if self.slots is None:
-            self.zfd = np.concatenate([new, new[:, :1]], axis=1)
-        else:
-            self.zfd = np.insert(self.zfd, self.slots, new, axis=1)
-        if (f == 0).any():
-            self.refusal = f"passes through a zero of F at {complex(self.pending[f == 0][0])}"
-            return False
-        z, fz, dz = self.zfd
-        turn = np.angle(fz[1:] / fz[:-1])
-        slope = np.abs(dz / fz)
-        bound = np.maximum(slope[:-1], slope[1:]) * np.abs(z[1:] - z[:-1])
-        coarse = np.flatnonzero((np.abs(turn) > _MAX_TURN) | (bound > _MAX_TURN))
-        if coarse.size == 0:
-            self.winding = turn.sum() / (2.0 * math.pi)
-            return False
-        mid = 0.5 * (z[coarse] + z[coarse + 1])
-        stuck = (mid == z[coarse]) | (mid == z[coarse + 1])
-        if stuck.any():
-            self.refusal = f"cannot be refined in floating point at {complex(mid[stuck][0])}"
-            return False
-        if turn.size + coarse.size > _SAMPLE_BUDGET:
-            self.refusal = f"needs over {_SAMPLE_BUDGET} samples"
-            return False
-        self._queue(mid)
-        self.slots = coarse + 1
-        return True
+def _rings(rects) -> np.ndarray:
+    """The rects' closed boundaries, one after another, each counter-clockwise:
+    each corner once, _EDGE_POINTS per edge."""
+    corners = np.array([[complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
+                         complex(re_lo, im_hi), complex(re_lo, im_lo)]
+                        for re_lo, re_hi, im_lo, im_hi in rects]).reshape(-1, 5)
+    edges = (corners[:, 1:] - corners[:, :-1])[:, :, None]
+    return (corners[:, :-1, None] + edges * _ALONG).ravel()
 
 
 class _Counter:
     """Winding counts of many boxes that share their evaluation calls.
 
-    Boxes join with `submit` and refine round by round (see _Boundary).  Each
-    call evaluates at most _CHUNK pending samples, those of the most recently
-    submitted boxes first, so a subdivision goes ahead of boxes still counting
-    in the background; a box's round may span calls.  Every box is counted on
-    the rect it was submitted with, or refused with a BoundaryTooCloseToRoot
-    naming it, without raising for the others.  A rect already submitted
-    keeps its ticket, so a search can start boxes early and collect them
-    later.
+    Boxes join with `submit`.  One table holds the coarse intervals of all
+    boxes still counting, with z, F and |F'/F| at both ends; the midpoint of
+    each is a sample still to evaluate.  Each call evaluates at most _CHUNK
+    samples, those of the most recently submitted boxes first, so a
+    subdivision goes ahead of boxes still counting in the background: whole
+    initial rings of boxes just submitted, and queued midpoints.  Every
+    interval the call completes is checked at once: a fine one adds its phase
+    increment to its box and is dropped, a coarse one queues its midpoint.
+    Whether an interval is split depends on its two ends alone, so each box
+    gets the samples, and the count, of counting it alone, whatever the batch
+    or _CHUNK.  A box with nothing queued is resolved: counted on the rect it
+    was submitted with, or refused with a BoundaryTooCloseToRoot naming it,
+    without raising for the others.  A rect already submitted keeps its
+    ticket, so a search can start boxes early and collect them later.
     """
 
     def __init__(self, evaluate: Callable, report: RootSearchReport):
         self.evaluate, self.report = evaluate, report
         self.tickets = {}     # rect -> ticket
-        self.boxes = []       # per ticket, its boundary while unresolved
+        self.rects = []       # per ticket, its rect
         self.outcomes = {}    # ticket -> (count, rect, samples) or the error
-        self.live = []        # unresolved tickets, in submission order
+        self.fresh = []       # tickets whose ring is not yet evaluated, in submission order
+        self.turns = np.zeros(0)                # per ticket, the increments of its fine intervals
+        self.samples = np.zeros(0, dtype=int)   # per ticket, its samples evaluated
+        self.owner = np.zeros(0, dtype=int)     # per queued interval, its ticket
+        self.queue = np.zeros((6, 0), dtype=complex)   # columns: z, F, |F'/F| at both ends
 
     def submit(self, rects) -> list:
         """Tickets of rects; counting starts for those not yet submitted."""
@@ -233,9 +178,9 @@ class _Counter:
         for rect in rects:
             rect = tuple(float(v) for v in rect)
             if rect not in self.tickets:
-                ticket = self.tickets[rect] = len(self.boxes)
-                self.boxes.append(_Boundary(rect))
-                self.live.append(ticket)
+                self.tickets[rect] = len(self.rects)
+                self.fresh.append(len(self.rects))
+                self.rects.append(rect)
             tickets.append(self.tickets[rect])
         return tickets
 
@@ -251,43 +196,96 @@ class _Counter:
             self._call()
         return [i for i, t in enumerate(tickets) if t in self.outcomes]
 
-    def _resolve(self, ticket: int, outcome):
-        self.outcomes[ticket] = outcome
-        self.boxes[ticket] = None     # its samples are no longer needed
-        self.live.remove(ticket)
-
-    def _finish(self, ticket: int):
-        box = self.boxes[ticket]
-        if box.refusal is not None:
-            self._resolve(ticket, BoundaryTooCloseToRoot(
-                f"boundary of {box.rect} {box.refusal}"))
-            return
-        k = np.rint(box.winding)
-        if not abs(box.winding - k) <= _INTEGER_TOL or k < 0:     # NaN fails too
-            self._resolve(ticket, NonConvergentContour(
-                f"phase increments around {box.rect} sum to {float(box.winding)!r} turns"))
-        else:
-            self._resolve(ticket, (int(k), box.rect, box.zfd.shape[1] - 1))
-
     def _call(self):
-        """One evaluation of at most _CHUNK pending samples, newest boxes first."""
-        room, sent = _CHUNK, []
-        for ticket in reversed(self.live):
-            chunk = self.boxes[ticket].send(room)
-            if chunk.size:
-                sent.append((ticket, chunk))
-                room -= chunk.size
-                if not room:
-                    break
-        f, d, _ = self.evaluate(np.concatenate([c for _, c in sent]))
+        """One evaluation of at most _CHUNK samples, newest boxes first, and
+        the check of every interval it completes.
+
+        A box is refused when F is 0 at a sample, else when an interval
+        still too coarse has no floating-point midpoint, else when its
+        samples and queued midpoints exceed _SAMPLE_BUDGET.
+        """
+        ring, n = 4 * _EDGE_POINTS, len(self.rects)
+        if ring * len(self.fresh) + self.owner.size <= _CHUNK:
+            rings, split, owner = self.fresh, self.queue, self.owner
+            self.fresh, self.queue, self.owner = [], self.queue[:, :0], self.owner[:0]
+        else:
+            fresh = np.array(self.fresh, dtype=int)
+            units = np.argsort(-np.concatenate([fresh, self.owner]), kind="stable")
+            units = units[np.cumsum(np.where(units < fresh.size, ring, 1)) <= _CHUNK]
+            rings = fresh[units[units < fresh.size]].tolist()
+            mids = units[units >= fresh.size] - fresh.size
+            del self.fresh[len(self.fresh) - len(rings):]     # the newest are taken
+            split, owner = self.queue[:, mids], self.owner[mids]
+            self.queue = np.delete(self.queue, mids, axis=1)
+            self.owner = np.delete(self.owner, mids)
+
+        z = np.concatenate([_rings([self.rects[t] for t in rings]), 0.5 * (split[0] + split[3])])
+        f, d, _ = self.evaluate(z)
         self.report.contour_rounds += 1
-        start = 0
-        for ticket, chunk in sent:
-            end = start + chunk.size
-            box = self.boxes[ticket]
-            if box.receive(f[start:end], d[start:end]) and not box.absorb():
-                self._finish(ticket)
-            start = end
+        on_ring = np.repeat(np.array(rings, dtype=int), ring)
+        sampled = np.concatenate([on_ring, owner])
+        refused = {}
+        if np.count_nonzero(f) < f.size:
+            for i in np.flatnonzero(f == 0):
+                refused.setdefault(int(sampled[i]),
+                                   f"passes through a zero of F at {complex(z[i])}")
+            f = np.where(f == 0, 1.0, f)      # the box is refused; this spares the division
+
+        # the new intervals in boundary order, as rows z, F, |F'/F| at the
+        # start, then at the end: each ring sample to the next, and both
+        # halves of each split interval
+        zfs = np.array([z, f, np.abs(d / f)])
+        closed = zfs[:, :on_ring.size].reshape(3, len(rings), ring)
+        closed = np.concatenate([closed, closed[:, :, :1]], axis=2)
+        mid = zfs[:, on_ring.size:]
+        ends = np.concatenate([
+            np.concatenate([closed[:, :, :-1], closed[:, :, 1:]]).reshape(6, -1),
+            np.concatenate([split[:3], mid, mid, split[3:]]).reshape(2, 6, -1)
+            .transpose(1, 2, 0).reshape(6, -1)], axis=1)
+        box = np.concatenate([on_ring, np.repeat(owner, 2)])
+        za, fa, sa, zb, fb, sb = ends
+        turn = np.angle(fb / fa)
+        bound = np.maximum(sa.real, sb.real) * np.abs(zb - za)
+        coarse = (np.fmax(np.abs(turn), bound) > _MAX_TURN).nonzero()[0]   # fmax skips a NaN
+        new = ends.take(coarse, axis=1)
+        halfway = 0.5 * (new[0] + new[3])
+        stuck = ((halfway == new[0]) | (halfway == new[3])).nonzero()[0]
+        for i in stuck:
+            refused.setdefault(int(box[coarse[i]]), "cannot be refined in floating point "
+                                                    f"at {complex(halfway[i])}")
+
+        if self.turns.size < n:
+            self.turns = np.concatenate([self.turns, np.zeros(2 * n - self.turns.size)])
+            self.samples = np.concatenate([self.samples, np.zeros(2 * n - self.samples.size, int)])
+        turn[coarse] = 0.0      # only fine intervals add their increment
+        self.turns += np.bincount(box, turn, self.turns.size)
+        count = np.bincount(sampled, minlength=self.samples.size)
+        self.samples += count
+        touched = count.nonzero()[0]
+        self.queue = np.concatenate([self.queue, new], axis=1)
+        self.owner = np.concatenate([self.owner, box.take(coarse)])
+        queued = np.bincount(self.owner, minlength=n)[touched]
+        for t in touched[self.samples[touched] + queued > _SAMPLE_BUDGET]:
+            refused.setdefault(int(t), f"needs over {_SAMPLE_BUDGET} samples")
+        if refused:
+            live = ~np.isin(self.owner, list(refused))
+            self.queue, self.owner = self.queue[:, live], self.owner[live]
+            for t, reason in refused.items():
+                self.outcomes[t] = BoundaryTooCloseToRoot(f"boundary of {self.rects[t]} {reason}")
+        for t in touched[queued == 0].tolist():
+            if t not in refused:
+                self.outcomes[t] = self._count(t)
+
+    def _count(self, ticket: int):
+        """The outcome of a box with every interval fine: the sum of its
+        increments over 2 pi, rounded, or NonConvergentContour when that is
+        off an integer or negative."""
+        rect, winding = self.rects[ticket], float(self.turns[ticket]) / (2.0 * math.pi)
+        k = round(winding) if math.isfinite(winding) else -1
+        if not abs(winding - k) <= _INTEGER_TOL or k < 0:
+            return NonConvergentContour(
+                f"phase increments around {rect} sum to {winding!r} turns")
+        return k, rect, int(self.samples[ticket])
 
 
 def _logged(outcomes, report: RootSearchReport) -> list:
@@ -306,11 +304,11 @@ def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = N
     """Number of eigenvalues (with multiplicity) inside an axis-aligned box.
 
     rect = (re_lo, re_hi, im_lo, im_hi).  This is the one-box use of the
-    batched counter, which refines many boxes in shared rounds: each
-    evaluation call takes at most 1024 new samples of the live boxes.  The
-    boundary starts with each corner and 16 points per edge; an interval
-    whose phase increment exceeds pi/4, or whose length times the larger
-    |F'/F| at its ends exceeds pi/4, gets its midpoint, round by round.  The
+    batched counter, which refines the intervals of many boxes in shared
+    evaluation calls of at most 1024 samples each.  The boundary starts
+    with each corner and 16 points per edge; an interval whose phase
+    increment exceeds pi/4, or whose length times the larger |F'/F| at its
+    ends exceeds pi/4, is halved at its midpoint, and so on.  The
     winding is the sum of the increments over 2 pi, an integer up to
     rounding; a sum off an integer by more than 1e-9, or negative, raises
     NonConvergentContour.  The count is always of rect itself, which never

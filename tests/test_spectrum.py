@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_charfn import _REGIME_SETS
+from test_charfn import _REGIME_SETS, _traced_peak
 
 import tipbeam.spectrum
 from tipbeam.asymptotics import asymptotic_coefficients, predict_eigenvalue
@@ -129,37 +129,84 @@ def _batch(rects, target):
     return counter.outcomes_of(counter.submit(rects)), report.contour_rounds
 
 
-def test_batched_counts_match_one_box_counts(params_generic):
-    # the branch-point corner, a zero box, a frequency box and the near-edge
-    # box of the test above, on the generic set; the near-edge conservative
-    # pair with a zero box and a frequency box: each count, rect and sample
-    # total equals the box's one-box count
+def _batched_cases(params_generic):
+    """The branch-point corner, a zero box, a frequency box and the near-edge
+    box of test_count_resolves_close_roots_near_the_boundary, on the generic
+    set; the near-edge conservative pair with a zero box and a frequency box."""
     cons = validate_params(1.0, 2.038786616131473, 1.014145822087823, 0.0,
                            2.8841124150393984, 0.0)
     edge = 18.897837103895696
     branch = (-1.0, 0.0, math.sqrt(params_generic.b), 3.0)
-    cases = [
+    return [
         (params_generic, [branch, (0.3, 2.3, 1.0, 20.0), (-5.0, 0.2, 11.5 * math.pi,
                                                            12.5 * math.pi),
                           (-5.0, -1e-12, -0.3, 8.5 * math.pi)]),
         (cons, [(-0.5, 0.5, 18.180701554930696, edge), (-0.5, 0.5, edge, 19.817250046407196),
                 (0.3, 2.3, 1.0, 20.0), (-0.5, 0.5, 29.5 * math.pi, 30.5 * math.pi)]),
     ]
+
+
+def _one_box_counts(p, rects):
+    """(count, rect, samples) and evaluation calls of each rect counted alone."""
+    alone, alone_rounds = [], []
+    for rect in rects:
+        report = RootSearchReport()
+        count = count_roots_in_rect(rect, p, report)
+        assert report.boxes == [(rect, count)]
+        alone.append((count, rect, report.contour_points))
+        alone_rounds.append(report.contour_rounds)
+    return alone, alone_rounds
+
+
+def test_batched_counts_match_one_box_counts(params_generic):
+    # each count, rect and sample total of a batch equals the box's one-box count
     counts = []
-    for p, rects in cases:
+    for p, rects in _batched_cases(params_generic):
         batch, rounds = _batch(rects, tipbeam.spectrum._beam(p))
-        alone, alone_rounds = [], []
-        for rect in rects:
-            report = RootSearchReport()
-            count = count_roots_in_rect(rect, p, report)
-            assert report.boxes == [(rect, count)]
-            alone.append((count, rect, report.contour_points))
-            alone_rounds.append(report.contour_rounds)
+        alone, alone_rounds = _one_box_counts(p, rects)
         assert batch == alone
         # the boxes refine side by side: the batch takes the calls of its slowest box
         assert rounds == max(alone_rounds) < sum(alone_rounds)
         counts.append([count for count, *_ in batch])
     assert counts == [[1, 0, 2, 19], [1, 1, 0, 2]]
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_counts_do_not_depend_on_scheduling(params_generic, chunk, monkeypatch):
+    # whether an interval is halved depends on its two ends alone: with at
+    # most 64 samples per call, or every pending sample in one call, each box
+    # of a batch gets the samples and the count it gets alone at the default
+    # chunk.  With e^{115 z} the unit box's last level, 1,024 midpoints whose
+    # halves are all fine, spans sixteen calls of 64; the box is submitted
+    # first, so it refines last, and the batch ends as soon as it resolves
+    cases = [(tipbeam.spectrum._beam(p), rects) for p, rects in _batched_cases(params_generic)]
+    cases.append((_known_zeros([(0.3 + 0.2j, 1), (-0.4 - 0.5j, 2)], 115.0),
+                  [_UNIT, (0.2, 0.4, 0.1, 0.3)]))
+    alone = [[_batch([rect], target)[0][0] for rect in rects] for target, rects in cases]
+    monkeypatch.setattr(tipbeam.spectrum, "_CHUNK", chunk)
+    for (target, rects), expected in zip(cases, alone):
+        batch, rounds = _batch(rects, target)
+        assert batch == expected
+        if chunk == 64:
+            assert rounds >= sum(samples for *_, samples in expected) / 64
+    assert [count for count, *_ in alone[-1]] == [3, 1]
+
+
+def test_sample_budget_refuses_by_name(monkeypatch):
+    # with e^{115 z} every edge of the unit box refines to 512 samples, 2,048
+    # in all: over a budget of 1,024 the box is refused by name, alone and
+    # in a batch, and its smaller neighbours, one around the root and one
+    # beside it, still count
+    monkeypatch.setattr(tipbeam.spectrum, "_SAMPLE_BUDGET", 1024)
+    target = _known_zeros([(0.3 + 0.2j, 1)], c=115.0)
+    around, beside = (0.2, 0.4, 0.1, 0.3), (-0.4, -0.2, 0.1, 0.3)
+    expected = f"boundary of {_UNIT} needs over 1024 samples"
+    ((alone,), _) = _batch([_UNIT], target)
+    assert isinstance(alone, BoundaryTooCloseToRoot) and str(alone) == expected
+    outcomes, _ = _batch([around, _UNIT, beside], target)
+    assert isinstance(outcomes[1], BoundaryTooCloseToRoot) and str(outcomes[1]) == expected
+    assert [(o[0], o[1]) for o in outcomes[::2]] == [(1, around), (0, beside)]
+    assert all(o[2] <= 1024 for o in outcomes[::2])
 
 
 def test_batch_errors_name_the_rect(params_generic):
@@ -754,6 +801,13 @@ def test_generic_strip_batches_its_evaluations(params_generic):
     assert stats["newton_rounds"] <= 45
     assert stats["global_count"] == 403 == sum(r.multiplicity for r in recs
                                                if r.lam.imag > -0.3)
+
+
+def test_strip_peak_memory(params_generic):
+    # the counter keeps the intervals still too coarse, not the samples of
+    # every box: the k <= 200 strip once peaked at 1,406,152 B traced, when
+    # each box kept its whole boundary until it was counted
+    assert _traced_peak(lambda: spectrum_in_strip(params_generic, 200)) < 1.2e6
 
 
 def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
