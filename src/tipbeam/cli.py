@@ -4,7 +4,8 @@ Configuration comes from a flat key=value file named by --params; individual
 flags override file entries.  Every artifact embeds the resolved configuration
 (CSV and the human table as leading comment lines, JSON under a "config" key,
 SVG as leading XML comments) and is formatted deterministically, so identical
-configurations produce byte-identical files.
+configurations produce byte-identical files.  A JSON artifact is one line of
+sorted-key JSON (`python -m json.tool` indents it).
 
 Only `decay` needs `simulate`, and with it scipy, so the spectral commands
 start without them: `assemble_generator`, `integrate` and `fit_decay` are
@@ -103,6 +104,11 @@ def _g6(x) -> str:
 
 def _pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
+
+
+def _pairs(z: np.ndarray) -> list:
+    """Nested [re, im] lists of a complex array, as Python floats."""
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def load_params_file(path) -> dict:
@@ -217,7 +223,8 @@ def _write_csv(path: Path, cfg: RunConfig, header: list, rows: list) -> None:
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
     payload = dict(payload)
     payload["config"] = {k: v for k, v in cfg.header_items()}
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+    # no indent: CPython's C encoder only runs without one
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     _write_text(path, text + "\n")
 
 
@@ -278,19 +285,25 @@ def _cmd_modes(cfg: RunConfig) -> list:
     identity = np.abs(modes.lam.real
                       + (p.k2 / p.k1) * np.abs(modes.tip_eta) ** 2
                       + (p.k4 / p.k3) * np.abs(modes.tip_gamma) ** 2)
+    # whole arrays to Python lists, so no numpy scalar is indexed per element
+    columns = zip(recs, _pairs(modes.lam), _pairs(modes.coeffs), _pairs(modes.ts),
+                  _pairs(modes.tip_eta), _pairs(modes.tip_gamma),
+                  modes.matrix_residual.tolist(), modes.conditioning.tolist(),
+                  res.tolist(), identity.tolist())
     entries = [{
         "k": rec.k_index,
         "j": rec.family,
-        "lambda": _pair(rec.lam),
-        "coefficients": [_pair(c) for c in modes.coeffs[i]],
-        "branch_roots": [_pair(t) for t in modes.ts[i]],
-        "tip_eta": _pair(modes.tip_eta[i]),
-        "tip_gamma": _pair(modes.tip_gamma[i]),
-        "matrix_residual": float(modes.matrix_residual[i]),
-        "conditioning": float(modes.conditioning[i]),
-        "residuals": {name: float(r) for name, r in zip(names, res[i])},
-        "dissipation_identity": float(identity[i]),
-    } for i, rec in enumerate(recs)]
+        "lambda": lam,
+        "coefficients": coeffs,
+        "branch_roots": ts,
+        "tip_eta": eta,
+        "tip_gamma": gamma,
+        "matrix_residual": matrix_residual,
+        "conditioning": conditioning,
+        "residuals": dict(zip(names, r)),
+        "dissipation_identity": ident,
+    } for rec, lam, coeffs, ts, eta, gamma, matrix_residual, conditioning, r, ident
+        in columns]
     stats = {key: report.stats[key]
              for key in ("newton_calls", "newton_iterations", "newton_rounds")}
     path = cfg.out_dir / "modes.json"

@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tipbeam.cli
 import tipbeam.spectrum
 from tipbeam.cli import main
+from tipbeam.modes import eigenmode, mode_residuals
+from tipbeam.spectrum import K_MIN, family_roots
 
 
 def write_params(tmp_path, lines):
@@ -37,6 +40,14 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return config, header, rows
+
+
+def read_canonical_json(path):
+    """The parsed artifact, after checking that it is one line of sorted-key JSON."""
+    text = path.read_text(encoding="utf-8")
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, ensure_ascii=False) + "\n"
+    return data
 
 
 def test_cli_import_loads_no_graph_reordering(tmp_path, generic_file):
@@ -125,7 +136,7 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
     assert (out1 / "spectrum_report.json").read_bytes() == \
         (out2 / "spectrum_report.json").read_bytes()
-    report = json.loads((out1 / "spectrum_report.json").read_text(encoding="utf-8"))
+    report = read_canonical_json(out1 / "spectrum_report.json")
     stats = report["stats"]
     assert set(stats) == {"boxes", "derived_boxes", "resplits", "contour_points",
                           "contour_rounds", "newton_calls", "newton_iterations",
@@ -183,7 +194,7 @@ def test_modes_reruns_are_byte_identical(tmp_path, generic_file):
         assert main(["modes", "--params", str(generic_file), "--kmax", "12",
                      "--out", str(out)]) == 0
     assert (outs[0] / "modes.json").read_bytes() == (outs[1] / "modes.json").read_bytes()
-    data = json.loads((outs[0] / "modes.json").read_text(encoding="utf-8"))
+    data = read_canonical_json(outs[0] / "modes.json")
     assert [(e["k"], e["j"]) for e in data["modes"]] == \
         [(k, j) for k in range(8, 13) for j in (1, 2)]
     assert all(0.0 < e["conditioning"] < 1.0 for e in data["modes"])
@@ -192,6 +203,42 @@ def test_modes_reruns_are_byte_identical(tmp_path, generic_file):
     assert stats["newton_calls"] == len(data["modes"]) == 10
     # all ten seeds share each round, so rounds are the slowest lane's count
     assert 0 < stats["newton_rounds"] < stats["newton_iterations"]
+
+
+def test_modes_json_holds_the_library_values(tmp_path, generic_file, params_generic):
+    # every value of every entry, rebuilt one element at a time from the
+    # library's arrays and compared with == on floats
+    out = tmp_path / "run"
+    assert main(["modes", "--params", str(generic_file), "--kmax", "12",
+                 "--out", str(out)]) == 0
+    entries = json.loads((out / "modes.json").read_text(encoding="utf-8"))["modes"]
+    p = params_generic
+    recs = family_roots(p, range(K_MIN, 13))
+    modes = eigenmode(np.array([rec.lam for rec in recs]), p)
+    res = mode_residuals(modes, p)
+    identity = np.abs(modes.lam.real + (p.k2 / p.k1) * np.abs(modes.tip_eta) ** 2
+                      + (p.k4 / p.k3) * np.abs(modes.tip_gamma) ** 2)
+    names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
+
+    def pair(z):
+        return [float(z.real), float(z.imag)]
+
+    expected = [{
+        "k": rec.k_index,
+        "j": rec.family,
+        "lambda": pair(rec.lam),
+        "coefficients": [pair(c) for c in modes.coeffs[i]],
+        "branch_roots": [pair(t) for t in modes.ts[i]],
+        "tip_eta": pair(modes.tip_eta[i]),
+        "tip_gamma": pair(modes.tip_gamma[i]),
+        "matrix_residual": float(modes.matrix_residual[i]),
+        "conditioning": float(modes.conditioning[i]),
+        "residuals": {name: float(r) for name, r in zip(names, res[i])},
+        "dissipation_identity": float(identity[i]),
+    } for i, rec in enumerate(recs)]
+    assert len(entries) == len(expected) == 10
+    for entry, want in zip(entries, expected):
+        assert entry == want
 
 
 def test_riesz_csv_columns(tmp_path, generic_file):
@@ -228,7 +275,7 @@ def test_decay_reruns_are_byte_identical(tmp_path, generic_file):
                      "--horizon", "5", "--out", str(out)]) == 0
     for name in ("energy.csv", "decay_fit.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    fit = json.loads((outs[0] / "decay_fit.json").read_text(encoding="utf-8"))
+    fit = read_canonical_json(outs[0] / "decay_fit.json")
     stats = fit["stats"]
     steps = round(5.0 / (0.4 / 32))
     assert set(stats) == {"steps", "energy_samples", "solves", "kd", "solve_n",
