@@ -239,7 +239,7 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
             "" if rec.k_index is None else str(rec.k_index),
             "" if rec.family is None else str(rec.family),
             _g17(rec.lam.real), _g17(rec.lam.imag),
-            _g17(rec.residual), str(rec.multiplicity),
+            _g17(rec.residual), "1",
         ])
     csv_path = cfg.out_dir / "spectrum.csv"
     _write_csv(csv_path, cfg, ["k", "j", "re", "im", "residual", "multiplicity"], rows)

@@ -67,7 +67,7 @@ from .errors import BasinEscape, BoundaryTooCloseToRoot, NoConvergence, NonConve
 from .model import BeamParams, require_unit_speed
 
 K_MIN = 8                     # boundary between contour sweep and seeded Newton
-_COINCIDENCE_RTOL = 1e-10     # Newton resolution; scale of a genuine double root
+_COINCIDENCE_RTOL = 1e-10     # Newton resolution: lanes this close found one root
 _SPLITS = (0.4382, 0.4182, 0.4582, 0.3982, 0.4782)   # off centre, tried in turn
 _EDGE_POINTS = 16             # initial samples per box edge
 _MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-bounded turn
@@ -85,7 +85,6 @@ class EigenvalueRecord:
     k_index: int | None
     family: int | None
     residual: float
-    multiplicity: int
     iterations: int = 0          # Newton steps to convergence
 
 
@@ -383,7 +382,7 @@ def _newton(seeds, evaluate: Callable, report: RootSearchReport) -> list:
     report.newton_calls += n
     # every lane that ended without an error had converged
     return [rec if rec is not None else
-            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), 1, int(conv[i]))
+            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), int(conv[i]))
             for i, rec in enumerate(out)]
 
 
@@ -448,11 +447,10 @@ def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -
     cannot be counted raises BoundaryTooCloseToRoot naming it.  When the
     polished records disagree with the box's winding count (a seed missed
     or left its box), or both families polish onto one root (agreeing to
-    Newton resolution), the box is subdivided (see _isolate) until its roots
-    isolate, so the multiplicity of its records equals its count.  Two
-    distinct roots, as with unequal damping gains and degenerate sqrt(b) at
-    Theta(1/k^2) apart, come back as two records in family order; only an
-    unresolvable cluster comes back as one record of multiplicity 2.
+    Newton resolution), the box is subdivided (see _isolate) into one
+    record per root.  Two roots come back as two records in family order
+    however close, Theta(1/k^3) apart in cases 2 and 3; a pair no
+    subdivision parts raises BoundaryTooCloseToRoot naming a box.
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     return _frequency_pairs(p, ks, counter)
@@ -476,7 +474,7 @@ def _check_pair(p: BeamParams, k: int, recs, count: int, rect, counter: _Counter
     inside = [r for r in recs if _inside(r.lam, rect)]
     coincident = len(inside) == 2 and abs(inside[0].lam - inside[1].lam) <= \
         _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
-    if coincident or count != sum(r.multiplicity for r in inside):
+    if coincident or count != len(inside):
         inside = _isolate(rect, count, counter)
         _label_pair(inside, p, k)
     return inside
@@ -532,7 +530,10 @@ def _isolate(outer, total: int, counter: _Counter):
     the last fraction is raised.  A box with one root and diameter at most
     0.25 waits as a leaf.  Whenever no count of the subdivision is pending,
     all waiting leaves are Newton-polished from their centres in one Newton
-    batch; a leaf whose polish fails or lands outside it splits in turn.
+    batch; a leaf whose polish fails or lands outside it splits in turn, so
+    each record is the one simple root of its leaf.  Roots however close
+    part by subdivision alone; a pair no split parts (a double root, or two
+    at rounding level) raises BoundaryTooCloseToRoot naming a box.
     """
     report, evaluate = counter.report, counter.evaluate
     records, leaves, splits = [], [], []     # splits: (rect, count, index in _SPLITS, ticket)
@@ -549,14 +550,8 @@ def _isolate(outer, total: int, counter: _Counter):
             if visited > 10000:
                 raise NoConvergence(f"subdivision of {outer} exploded")
             re_lo, re_hi, im_lo, im_hi = rect
-            diam = max(re_hi - re_lo, im_hi - im_lo)
-            center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            if diam < 1e-6:
-                # unresolvable cluster: record as a multiple root at the center
-                residual = float(abs(evaluate(np.array([center]))[2][0]))
-                records.append(EigenvalueRecord(center, None, None, residual, cnt))
-            elif cnt == 1 and diam <= 0.25:
-                leaves.append((rect, center))
+            if cnt == 1 and max(re_hi - re_lo, im_hi - im_lo) <= 0.25:
+                leaves.append((rect, complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))))
             else:
                 split(rect, cnt)
         boxes = []
@@ -582,9 +577,7 @@ def _isolate(outer, total: int, counter: _Counter):
         elif leaves:
             polished = _newton([center for _, center in leaves], evaluate, report)
             for (rect, _), rec in zip(leaves, polished):
-                re_lo, re_hi, im_lo, im_hi = rect
-                if isinstance(rec, EigenvalueRecord) and _inside(
-                        rec.lam, (re_lo - 1e-6, re_hi + 1e-6, im_lo - 1e-6, im_hi + 1e-6)):
+                if isinstance(rec, EigenvalueRecord) and _inside(rec.lam, rect):
                     records.append(rec)
                     report.newton_iterations.append((rec.lam, rec.iterations))
                 else:
@@ -616,10 +609,10 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     the sweep holds both members of every pair below it.  Sweep roots get
     family labels from the nearest prediction.  The sweep box, every
     frequency box and the union of them all are counted in one batch, each
-    on its own rect: no box shifts.  The union's count is
-    report.global_count and must equal the multiplicity of the records
-    inside it, so a root recorded twice or missed shows as an incomplete
-    union.  Im lambda below Newton's resolution is stored as 0.0.
+    on its own rect: no box shifts.  Each record is one simple root.  The
+    union's count is report.global_count and must equal the number of
+    records inside it, so a root recorded twice or missed shows as an
+    incomplete union.  Im lambda below Newton's resolution is stored as 0.0.
     Incomplete boxes, including a union that disagrees or cannot be counted
     (winding None), are reported, never silently dropped.  A sweep,
     subdivision or frequency box that cannot be counted raises
@@ -641,7 +634,7 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     (union_out,) = counter.outcomes_of(counter.submit([union]))
     failed_k = []
     for k, recs in zip(ks, pairs):
-        if len(recs) < 2 and not (len(recs) == 1 and recs[0].multiplicity == 2):
+        if len(recs) < 2:
             failed_k.append(k)
         records.extend(recs)
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
@@ -651,14 +644,14 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     # conjugate closure: below Im = -outer[2] the sweep holds both members
     records += [EigenvalueRecord(rec.lam.conjugate(),
                                  -rec.k_index if rec.k_index is not None else None,
-                                 rec.family, rec.residual, rec.multiplicity)
+                                 rec.family, rec.residual)
                 for rec in records if rec.lam.imag > -outer[2]]
     for rec in records:
         if _on_real_axis(rec.lam):
             rec.lam = complex(rec.lam.real, 0.0)
 
     def recovered(rect):
-        return sum(r.multiplicity for r in records if _inside(r.lam, rect))
+        return sum(_inside(r.lam, rect) for r in records)
 
     if recovered(outer) != outer_count:
         report.incomplete_boxes.append((outer, outer_count, recovered(outer)))

@@ -12,7 +12,9 @@ import pytest
 
 import tipbeam.cli
 import tipbeam.spectrum
+from tipbeam.asymptotics import asymptotic_coefficients
 from tipbeam.cli import main
+from tipbeam.model import validate_params
 from tipbeam.modes import eigenmode, mode_residuals
 from tipbeam.spectrum import K_MIN, family_roots
 
@@ -322,6 +324,57 @@ def test_table_degenerate_params(tmp_path):
         assert int(k) in (200, 400, 600, 800, 1000)
         assert -0.2032 <= float(v1) <= -0.2021
         assert -1.0140 <= float(v2) <= -1.0125
+
+
+# (b, k1, k2, k3, k4) where the families collide at order 1/k: case 2 and
+# case 3 part at order 1/k^3, 3.2e-8 to 2.0e-9 apart at the table's k, and the
+# p = 2 lattice point, whose family-2 seed falls into family 1's basin
+_COLLIDING_SETS = {
+    "case2": (4.0 * math.pi**2, 2.0, 1.0, 2.0, 1.0),
+    "case3": (4.0 * math.pi**2, 2.0, 0.0, 2.0, 0.0),
+    "lattice": (16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0),
+}
+
+
+def colliding_file(tmp_path, name):
+    b, k1, k2, k3, k4 = _COLLIDING_SETS[name]
+    return write_params(tmp_path, ["a=1", f"b={b!r}", f"k1={k1}", f"k2={k2}",
+                                   f"k3={k3}", f"k4={k4}"])
+
+
+@pytest.mark.parametrize("name", sorted(_COLLIDING_SETS))
+def test_table_separates_colliding_families(tmp_path, name):
+    # each family's root is certified on its own: k^2 Re lambda_j tends to
+    # Re c2_j, and on the conservative case 3 Re lambda is rounding of |lambda|
+    out = tmp_path / "run"
+    assert main(["table", "--params", str(colliding_file(tmp_path, name)),
+                 "--out", str(out)]) == 0
+    rows = [ln.split() for ln in (out / "table.txt").read_text(encoding="utf-8").splitlines()
+            if ln and not ln.startswith("#")][1:]
+    assert [int(row[0]) for row in rows] == [200, 400, 600, 800, 1000]
+    p = validate_params(1.0, *_COLLIDING_SETS[name])
+    c2 = asymptotic_coefficients(p).c2.real
+    for row in rows:
+        k = int(row[0])
+        for value, c in zip(map(float, row[1:]), c2):
+            if p.is_conservative:
+                assert abs(value) <= k * k * np.finfo(float).eps * k * math.pi, (k, value)
+            else:
+                assert abs(value - c) <= 1e-4, (k, value, c)
+
+
+def test_spectrum_rows_are_simple_roots_on_case2(tmp_path):
+    # the multiplicity column is kept for its readers and always reads 1
+    out = tmp_path / "run"
+    assert main(["spectrum", "--params", str(colliding_file(tmp_path, "case2")), "--kmax", "60",
+                 "--out", str(out)]) == 0
+    _, header, rows = read_csv(out / "spectrum.csv")
+    mult = header.index("multiplicity")
+    assert rows and all(r[mult] == "1" for r in rows)
+    report = read_canonical_json(out / "spectrum_report.json")
+    assert report["incomplete_boxes"] == []
+    im = header.index("im")
+    assert report["stats"]["global_count"] == sum(float(r[im]) > -0.3 for r in rows)
 
 
 def test_plot_svg_geometry(tmp_path, generic_file):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_charfn import _REGIME_SETS, _traced_peak
 
@@ -732,12 +732,11 @@ def test_verify_no_imaginary_roots(params_generic, params_conservative,
     recs, report = fig_spectrum
     p = params_generic
     union = (-max(p.k2, p.k4) - 1.0, 0.2, -0.3, 20.5 * math.pi)
-    assert report.global_count == sum(r.multiplicity for r in recs
-                                      if tipbeam.spectrum._inside(r.lam, union))
+    assert report.global_count == sum(tipbeam.spectrum._inside(r.lam, union) for r in recs)
     assert all(r.lam.real < -1e-12 * max(1.0, abs(r.lam)) for r in recs)
     # a box of the same kind sees the conservative roots on the axis
     crecs, _ = cons_spectrum
-    on_axis = sum(r.multiplicity for r in crecs if 0.01 <= r.lam.imag <= 25.0)
+    on_axis = sum(0.01 <= r.lam.imag <= 25.0 for r in crecs)
     assert on_axis > 0
     assert count_roots_in_rect((-0.5, 0.2, 0.01, 25.0), params_conservative) == on_axis
 
@@ -745,7 +744,7 @@ def test_verify_no_imaginary_roots(params_generic, params_conservative,
 def test_real_roots_sort_by_real_part(fig_spectrum):
     # Im = +-1e-16 is rounding noise of Newton on the real axis; its sign
     # must not decide the order of the two real roots in spectrum.csv
-    rec = lambda lam, fam: EigenvalueRecord(lam, None, fam, 0.0, 1)
+    rec = lambda lam, fam: EigenvalueRecord(lam, None, fam, 0.0)
     recs = [rec(complex(-0.3786, 1e-16), 1), rec(complex(-1.1164, -1e-16), 2),
             rec(complex(-0.5, 3.0), 1), rec(complex(-0.5, -3.0), 1)]
     recs.sort(key=tipbeam.spectrum._record_order)
@@ -799,8 +798,7 @@ def test_generic_strip_batches_its_evaluations(params_generic):
     assert_tiled(recs, report)
     assert stats["contour_rounds"] <= 120
     assert stats["newton_rounds"] <= 45
-    assert stats["global_count"] == 403 == sum(r.multiplicity for r in recs
-                                               if r.lam.imag > -0.3)
+    assert stats["global_count"] == 403 == sum(r.lam.imag > -0.3 for r in recs)
 
 
 def test_strip_peak_memory(params_generic):
@@ -888,7 +886,7 @@ def _assert_strip_complete(sqrt_b, gains, k_max):
     recs, report = spectrum_in_strip(p, k_max)
     assert report.incomplete_boxes == []
     assert report.stats["resplits"] == 0
-    assert report.global_count == sum(r.multiplicity for r in recs if r.lam.imag > -0.3)
+    assert report.global_count == sum(r.lam.imag > -0.3 for r in recs)
     assert_tiled(recs, report)
     assert any(sqrt_b in rect[2:] for rect, _ in report.boxes)
 
@@ -940,7 +938,7 @@ def test_derived_boxes_on_the_lattice_set():
     p = validate_params(1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0)
     recs, report = _strip_with_derived_boxes_counted(p, 24)
     assert report.incomplete_boxes == []
-    assert report.global_count == sum(r.multiplicity for r in recs if r.lam.imag > -0.3)
+    assert report.global_count == sum(r.lam.imag > -0.3 for r in recs)
     assert report.stats["derived_boxes"] > 100
 
 
@@ -954,6 +952,56 @@ def test_first_half_counting_more_than_its_box_raises():
         tipbeam.spectrum._isolate(outer, 1, counter)
     assert str(err.value) == (f"first half {first} counts 2 roots, "
                               f"more than the 1 of its box {outer}")
+
+
+def _isolated(roots):
+    """The records `_isolate` returns for the simple roots in the unit box."""
+    counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots]),
+                                        RootSearchReport())
+    return tipbeam.spectrum._isolate(_UNIT, len(roots), counter)
+
+
+def _assert_one_record_per_root(recs, roots):
+    assert len(recs) == len(roots)
+    for r in roots:
+        matches = [rec for rec in recs if abs(rec.lam - r) <= 4 * np.finfo(float).eps]
+        assert len(matches) == 1, (r, [rec.lam for rec in recs])
+
+
+def test_isolate_separates_a_pair_closer_than_any_floor():
+    # two roots 1.6e-8 apart beside a third: a floor on the box diameter
+    # recorded one double root 4.2e-8 off both, and a leaf whose Newton
+    # record could land outside it returned a2 twice
+    a1 = -0.15361947115979258 + 0.42207042921971294j
+    a2 = -0.15361945672837368 + 0.4220704226555521j
+    b = -0.6931212600943707 + 0.4122272107373569j
+    _assert_one_record_per_root(_isolated([a1, a2, b]), [a1, a2, b])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(-0.8, 0.8), y=st.floats(-0.8, 0.8), log_gap=st.floats(-11.0, -3.0),
+       angle=st.floats(0.0, 6.3), third=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)))
+def test_isolate_returns_each_of_a_close_pair_property(x, y, log_gap, angle, third):
+    # a pair 1e-11 to 1e-3 apart and a third root: subdivision alone parts
+    # the pair, and each leaf's record is the one root inside it
+    a1 = complex(x, y)
+    a2 = a1 + 10.0**log_gap * np.exp(1j * angle)
+    b = complex(*third)
+    assume(min(abs(b - a1), abs(b - a2)) > 1e-3)
+    _assert_one_record_per_root(_isolated([a1, a2, b]), [a1, a2, b])
+
+
+def test_isolate_refuses_a_double_root_by_name():
+    # no subdivision parts a double root: a box around it is refused, named
+    a = -0.15361947115979258 + 0.42207042921971294j
+    counter = tipbeam.spectrum._Counter(_known_zeros([(a, 2), (-0.5 - 0.5j, 1)]),
+                                        RootSearchReport())
+    with pytest.raises(BoundaryTooCloseToRoot) as err:
+        tipbeam.spectrum._isolate(_UNIT, 3, counter)
+    named = re.match(r"boundary of \(([^)]*)\) ", str(err.value))
+    assert named
+    re_lo, re_hi, im_lo, im_hi = map(float, named.group(1).split(","))
+    assert re_lo <= a.real <= re_hi and im_lo <= a.imag <= im_hi
 
 
 def test_spectrum_stats_count_the_search(fig_spectrum):
@@ -994,7 +1042,7 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
     for k in range(K_MIN, k_max + 1):
         for center in (k * math.pi, -k * math.pi):
             near = [r for r in recs if abs(r.lam.imag - center) <= math.pi / 2]
-            assert sum(r.multiplicity for r in near) == 2, (k, center)
+            assert len(near) == 2, (k, center)
     for r in recs:
         twin = r.lam.conjugate()
         assert any(abs(s.lam - twin) <= 1e-8 * max(1.0, abs(twin)) for s in recs)
