@@ -1,32 +1,36 @@
 """Eigenvalue search in the horizontal strip of the complex plane.
 
 The strip is tiled by boxes that share their edges: a low-frequency sweep
-box from Im = -0.3 up to (K_MIN - 1/2) pi, searched by argument-principle
-counting with recursive box subdivision (robust, no a-priori location
-knowledge), and one frequency box per k >= K_MIN from (k - 1/2) pi to
-(k + 1/2) pi, whose two roots are Newton-polished from the closed-form
-predictions and validated by the box's winding count (a box whose records
-disagree with its count is subdivided like the sweep).  Each root is
-recorded by the one box that holds it; a count over the union of the boxes
-certifies the whole strip, so a root found twice or missed shows there.
-The negative half comes from conjugate closure.  The left edge of the
-dissipative boxes is -max(k2, k4) - 1: for an energy-normalized mode,
-Re lambda = -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2 with |eta|^2/k1 +
-|gamma|^2/k3 <= 1, so Re lambda >= -max(k2, k4).  All contour work uses the
-single-valued surrogate F = f * t1 * t3 from charfn, which has the same
-zeros as f but no sheet jumps.  It is evaluated through its removable
-points +- i sqrt(b) too, so boxes and Newton iterates avoid no point but
-lambda = 0 itself (ZeroLambda).
+box from Im = -0.3 up to (K_MIN - 1/2) pi, and one frequency box per
+k >= K_MIN from (k - 1/2) pi to (k + 1/2) pi.  One Newton batch polishes
+the two closed-form predictions of every k = 1 .. k_max; the roots it
+reaches are each box's known roots, and every box is counted by the
+argument principle (Kravanja & Van Barel, Computing the Zeros of Analytic
+Functions, 2000: count the roots of a box, then locate them).  A box whose
+count equals its known roots inside keeps them; the others, the sweep and
+any frequency box whose seeds missed, are subdivided in one pass until
+each root is known or alone in a small leaf, which Newton polishes from
+its centre.  So subdivision locates only the roots Newton left unfound.
+Each root is recorded by the one box that holds it; a count over the union
+of the boxes certifies the whole strip, so a root found twice or missed
+shows there.  The negative half comes from conjugate closure.  The left
+edge of the dissipative boxes is -max(k2, k4) - 1: for an
+energy-normalized mode, Re lambda = -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2
+with |eta|^2/k1 + |gamma|^2/k3 <= 1, so Re lambda >= -max(k2, k4).  All
+contour work uses the single-valued surrogate F = f * t1 * t3 from charfn,
+which has the same zeros as f but no sheet jumps.  It is evaluated through
+its removable points +- i sqrt(b) too, so boxes and Newton iterates avoid
+no point but lambda = 0 itself (ZeroLambda).
 
 The counter and the Newton kernel see only evaluate(z) -> (F, F', f).  Each
 beam-facing entry point binds it to the beam once, in `_beam`; other
 analytic functions use the same seam.
 
 A winding count sums the phase increments arg F(z_{i+1})/F(z_i) around the
-box (Kravanja & Van Barel, Computing the Zeros of Analytic Functions, 2000;
-Johnson & Tucker, Enclosing all zeros of an analytic function, 2009).  An
-interval is refined until its increment and its F'-bounded turn
-max |F'/F| * |z_{i+1} - z_i| at its two ends both stay within pi/4; the
+box (Kravanja & Van Barel 2000; Johnson & Tucker, Enclosing all zeros of
+an analytic function, 2009).  An interval is refined until its increment
+and its F'-bounded turn max |F'/F| * |z_{i+1} - z_i| at its two ends both
+stay within pi/4; the
 F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
 Every box is counted on the rect it was submitted with, or refused by name
@@ -49,8 +53,9 @@ vectorised pass.  Whether an interval is halved depends on its two ends
 alone, so per counted box the samples, and so the counts, are those of
 counting the box alone, in any batch and at any _CHUNK.  The frequency
 boxes and the union of the strip count in the background while the sweep
-subdivides, and a box's first half starts as soon as its own count is in,
-so the k <= 200 strip takes about fifty calls.
+subdivides, a box's first half starts as soon as its own count is in, and
+the frequency boxes that disagree with their seeds subdivide together, so
+the k <= 200 strip takes about thirty calls.
 """
 
 from __future__ import annotations
@@ -100,6 +105,7 @@ class RootSearchReport:
     incomplete_boxes: list = field(default_factory=list)
     resplits: int = 0            # subdivisions split again at another fraction
     derived_boxes: int = 0       # second halves of splits: the box's count less the first's
+    matched_boxes: int = 0       # boxes closed because the records inside met their count
     contour_points: int = 0      # F evaluations in counting, refinements included
     contour_rounds: int = 0      # (F, F') evaluation calls made by counting
     newton_calls: int = 0        # Newton polishes started, converged or not
@@ -116,7 +122,7 @@ class RootSearchReport:
         contour_rounds.
         """
         return {"boxes": len(self.boxes), "derived_boxes": self.derived_boxes,
-                "resplits": self.resplits,
+                "matched_boxes": self.matched_boxes, "resplits": self.resplits,
                 "contour_points": self.contour_points, "contour_rounds": self.contour_rounds,
                 "newton_calls": self.newton_calls,
                 "newton_iterations": sum(it for _, it in self.newton_iterations),
@@ -403,14 +409,15 @@ def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
     raised again naming k and j, after every lane was tried (the first
     failure in that order).
     """
-    recs, failure = _families(p, _beam(p), k, report or RootSearchReport())
+    recs, failure, _ = _families(p, _beam(p), k, report or RootSearchReport())
     if failure is not None:
         raise failure
     return recs
 
 
 def _families(p: BeamParams, evaluate: Callable, k, report: RootSearchReport):
-    """family_roots on evaluate: the records and the first failure, or None."""
+    """family_roots on evaluate: the records, the first failure or None, and
+    the predictions the lanes were seeded from, in (k, family) order."""
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     seeds = predict_eigenvalue(ks[:, None], np.array([1, 2]), p).ravel()   # (k, family) lanes
     recs, failure = [], None
@@ -422,7 +429,7 @@ def _families(p: BeamParams, evaluate: Callable, k, report: RootSearchReport):
         rec.k_index, rec.family = kk, j
         recs.append(rec)
     report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
-    return recs, failure
+    return recs, failure, seeds
 
 
 def _validation_rect(p: BeamParams, k: int):
@@ -438,46 +445,79 @@ def _inside(lam: complex, rect) -> bool:
     return rect[0] <= lam.real <= rect[1] and rect[2] <= lam.imag <= rect[3]
 
 
+def _coincide(a: complex, b: complex) -> bool:
+    """a and b agree to Newton resolution: two polishes that found one root."""
+    return abs(a - b) <= _COINCIDENCE_RTOL * max(1.0, abs(a))
+
+
+def _distinct(recs) -> list:
+    """The records of recs that coincide with no other: two polishes that
+    found one root, or roots closer than Newton resolution, leave them to
+    subdivision."""
+    return [rec for rec in recs
+            if not any(_coincide(rec.lam, other.lam) for other in recs if other is not rec)]
+
+
+def _refuse_coincident(records, known):
+    """Raise BoundaryTooCloseToRoot naming two records that coincide, one of
+    them from known.  A known record just across a split line or a shared
+    box edge from its root can be taken for a root of the box it lies in:
+    that root is missed and the other recorded twice, and no count shows it.
+    Two leaf records that coincide are a close pair, each inside its own
+    one-root leaf."""
+    known = {id(rec) for rec in known}
+    recs = sorted(records, key=lambda rec: rec.lam.imag)
+    lam = np.array([rec.lam for rec in recs], dtype=complex)
+    # only records within the tolerance in Im can coincide
+    ends = np.searchsorted(lam.imag, lam.imag + _COINCIDENCE_RTOL * np.maximum(1.0, np.abs(lam)),
+                           side="right")
+    for i, end in enumerate(ends.tolist()):
+        for other in recs[i + 1:end]:
+            if (id(recs[i]) in known or id(other) in known) and _coincide(recs[i].lam, other.lam):
+                raise BoundaryTooCloseToRoot(
+                    f"records {recs[i].lam} and {other.lam} coincide: a known record "
+                    "across a box edge from its root was taken for a root of that box")
+
+
 def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -> list:
     """The records of each frequency k in ks: both family roots near i k pi
     from one Newton batch, jointly validated by one batch of box counts.
 
     The records of k are those inside its box, (k - 1/2) pi <= Im lambda <=
     (k + 1/2) pi, so adjacent boxes never report one root twice; a box that
-    cannot be counted raises BoundaryTooCloseToRoot naming it.  When the
-    polished records disagree with the box's winding count (a seed missed
-    or left its box), or both families polish onto one root (agreeing to
-    Newton resolution), the box is subdivided (see _isolate) into one
-    record per root.  Two roots come back as two records in family order
-    however close, Theta(1/k^3) apart in cases 2 and 3; a pair no
-    subdivision parts raises BoundaryTooCloseToRoot naming a box.
+    cannot be counted raises BoundaryTooCloseToRoot naming it.  A box keeps
+    its records when they are as many as its winding count, those that
+    coincide to Newton resolution (both families polished onto one root, or
+    a pair closer than that) left out.  Every other box (a seed missed or
+    left its box, or records were left out) goes to one subdivision pass
+    with its records as known roots (see _isolate), and gets one record per
+    root.  Two roots come back as two records in family order however
+    close, Theta(1/k^3) apart in cases 2 and 3; a pair no subdivision parts
+    raises BoundaryTooCloseToRoot naming a box.
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
-    return _frequency_pairs(p, ks, counter)
-
-
-def _frequency_pairs(p: BeamParams, ks, counter: _Counter):
-    """frequency_pairs with the boxes counted on `counter`."""
     ks = list(ks)
+    return _frequency_pairs(p, ks, _families(p, counter.evaluate, ks, counter.report)[0], counter)
+
+
+def _frequency_pairs(p: BeamParams, ks, recs, counter: _Counter):
+    """frequency_pairs from the polished recs, with the boxes counted on
+    `counter` and every box whose count its records do not meet isolated in
+    one call of _isolate."""
     by_k = {}
-    for rec in _families(p, counter.evaluate, ks, counter.report)[0]:
+    for rec in recs:
         by_k.setdefault(rec.k_index, []).append(rec)
     rects = [_validation_rect(p, k) for k in ks]
     counts = _logged(counter.outcomes_of(counter.submit(rects)), counter.report)
-    return [_check_pair(p, k, by_k.get(k, []), count, rect, counter)
-            for k, count, rect in zip(ks, counts, rects)]
-
-
-def _check_pair(p: BeamParams, k: int, recs, count: int, rect, counter: _Counter):
-    """The polished recs of frequency box k that lie inside rect, or, when
-    they disagree with its count over rect or coincide, its isolated roots."""
-    inside = [r for r in recs if _inside(r.lam, rect)]
-    coincident = len(inside) == 2 and abs(inside[0].lam - inside[1].lam) <= \
-        _COINCIDENCE_RTOL * max(1.0, abs(inside[0].lam))
-    if coincident or count != len(inside):
-        inside = _isolate(rect, count, counter)
-        _label_pair(inside, p, k)
-    return inside
+    pairs = [_distinct([r for r in by_k.get(k, []) if _inside(r.lam, rect)])
+             for k, rect in zip(ks, rects)]
+    odd = [i for i, (pair, count) in enumerate(zip(pairs, counts)) if len(pair) != count]
+    counter.report.matched_boxes += len(ks) - len(odd)
+    isolated = _isolate([(rects[i], counts[i], pairs[i]) for i in odd], counter)
+    for i, recs_of_k in zip(odd, isolated):
+        _label_pair(recs_of_k, p, ks[i])
+        pairs[i] = recs_of_k
+    return pairs
 
 
 def _label_pair(recs, p: BeamParams, k: int):
@@ -510,60 +550,76 @@ def _halves(rect, fraction: float):
     return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
 
 
-def _isolate(outer, total: int, counter: _Counter):
-    """Records of the `total` roots in `outer`, by recursive subdivision.
+def _isolate(boxes, counter: _Counter) -> list:
+    """The records of the roots in each box, all boxes subdivided in one pass.
 
-    Each box splits its longer side at the fraction _SPLITS[0], not at the
-    centre: halving the symmetric conservative box would put an edge on
-    Re lambda = 0, where every conservative root lies.  Only the first,
-    smaller half of a split is counted; the halves tile the box, so the
-    second half's winding is the box's count less the first's, logged to
-    report.boxes with no samples and to report.derived_boxes.  That is exact
-    when both counts are: the second half's boundary is the box's counted
-    edges and the split line, which the first half's count certified.  A
-    first half that counts more than its box raises NonConvergentContour
-    naming both.  The first half goes to the counter as soon as its box's
-    count is in, so boxes of every depth share evaluation calls.  A first
-    half the counter refuses (a root on or next to the split line) derives
-    nothing, and the box splits again at the next fraction, so the halves
-    always tile it; each re-split adds one to report.resplits.  A refusal at
-    the last fraction is raised.  A box with one root and diameter at most
-    0.25 waits as a leaf.  Whenever no count of the subdivision is pending,
-    all waiting leaves are Newton-polished from their centres in one Newton
-    batch; a leaf whose polish fails or lands outside it splits in turn, so
-    each record is the one simple root of its leaf.  Roots however close
-    part by subdivision alone; a pair no split parts (a double root, or two
-    at rounding level) raises BoundaryTooCloseToRoot naming a box.
+    boxes holds (rect, count, known): known records are Newton-polished
+    roots, and those outside rect, or coinciding with another to Newton
+    resolution (see _distinct), are dropped.  A box whose count equals the
+    number of known records inside it is closed with them
+    (report.matched_boxes).  Any other box splits its longer side at the
+    fraction _SPLITS[0], not at the centre: halving the symmetric
+    conservative box would put an edge on Re lambda = 0, where every
+    conservative root lies.  A known record goes
+    to the first half when it lies inside it, else to the second, and a half
+    that counts 0 drops its records.  Only the first, smaller half of a
+    split is counted; the halves tile the box, so the second half's winding
+    is the box's count less the first's, logged to report.boxes with no
+    samples and to report.derived_boxes.  That is exact when both counts
+    are: the second half's boundary is the box's counted edges and the
+    split line, which the first half's count certified.  A first half that
+    counts more than its box raises NonConvergentContour naming both.  The
+    first half goes to the counter as soon as its box's count is in, so
+    boxes of every depth and every outer box share evaluation calls.  A
+    first half the counter refuses (a root on or next to the split line)
+    derives nothing, and the box splits again at the next fraction, so the
+    halves always tile it; each re-split adds one to report.resplits.  A
+    refusal at the last fraction is raised.  A box with one root, no known
+    record and diameter at most 0.25 waits as a leaf.  Whenever no count of
+    the subdivision is pending, all waiting leaves are Newton-polished from
+    their centres in one Newton batch; a leaf whose polish fails or lands
+    outside it splits in turn, so each new record is the one simple root of
+    its leaf.  Roots however close part by subdivision alone; a pair no
+    split parts (a double root, or two at rounding level) raises
+    BoundaryTooCloseToRoot naming a box, as do two records that coincide
+    (see _refuse_coincident).
     """
     report, evaluate = counter.report, counter.evaluate
-    records, leaves, splits = [], [], []     # splits: (rect, count, index in _SPLITS, ticket)
+    found = [[] for _ in boxes]
+    visited = [0] * len(boxes)
+    # pending: (box index, rect, count, known); leaves: (box index, rect, centre);
+    # splits: (box index, rect, count, known, index in _SPLITS, ticket)
+    pending = [(i, rect, cnt, _distinct([r for r in known if _inside(r.lam, rect)]))
+               for i, (rect, cnt, known) in enumerate(boxes) if cnt]
+    leaves, splits = [], []
 
-    def split(rect, cnt: int, at: int = 0):
+    def split(i, rect, cnt: int, known, at: int = 0):
         (ticket,) = counter.submit(_halves(rect, _SPLITS[at])[:1])
-        splits.append((rect, cnt, at, ticket))
+        splits.append((i, rect, cnt, known, at, ticket))
 
-    boxes = [(outer, total)] if total else []
-    visited = 0
-    while boxes or splits or leaves:
-        for rect, cnt in boxes:
-            visited += 1
-            if visited > 10000:
-                raise NoConvergence(f"subdivision of {outer} exploded")
+    while pending or splits or leaves:
+        for i, rect, cnt, known in pending:
+            visited[i] += 1
+            if visited[i] > 10000:
+                raise NoConvergence(f"subdivision of {boxes[i][0]} exploded")
             re_lo, re_hi, im_lo, im_hi = rect
-            if cnt == 1 and max(re_hi - re_lo, im_hi - im_lo) <= 0.25:
-                leaves.append((rect, complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))))
+            if cnt == len(known):
+                found[i] += known
+                report.matched_boxes += 1
+            elif cnt == 1 and not known and max(re_hi - re_lo, im_hi - im_lo) <= 0.25:
+                leaves.append((i, rect, complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))))
             else:
-                split(rect, cnt)
-        boxes = []
+                split(i, rect, cnt, known)
+        pending = []
         if splits:
             done = counter.first_resolved([ticket for *_, ticket in splits])
-            ready = [splits[i] for i in done]
-            splits = [s for i, s in enumerate(splits) if i not in done]
-            for rect, cnt, at, ticket in ready:
+            ready = [splits[j] for j in done]
+            splits = [s for j, s in enumerate(splits) if j not in done]
+            for i, rect, cnt, known, at, ticket in ready:
                 (outcome,) = counter.outcomes_of([ticket])
                 if at + 1 < len(_SPLITS) and isinstance(outcome, Exception):
                     report.resplits += 1
-                    split(rect, cnt, at + 1)
+                    split(i, rect, cnt, known, at + 1)
                     continue
                 (first_cnt,) = _logged([outcome], report)
                 first, second = _halves(rect, _SPLITS[at])
@@ -573,48 +629,57 @@ def _isolate(outer, total: int, counter: _Counter):
                                                f"more than the {cnt} of its box {rect}")
                 report.boxes.append((second, rest))
                 report.derived_boxes += 1
-                boxes += [(half, c) for half, c in ((first, first_cnt), (second, rest)) if c]
+                in_first = [r for r in known if _inside(r.lam, first)]
+                in_second = [r for r in known if not _inside(r.lam, first)]
+                pending += [(i, half, c, recs) for half, c, recs in
+                            ((first, first_cnt, in_first), (second, rest, in_second)) if c]
         elif leaves:
-            polished = _newton([center for _, center in leaves], evaluate, report)
-            for (rect, _), rec in zip(leaves, polished):
+            polished = _newton([centre for *_, centre in leaves], evaluate, report)
+            for (i, rect, _), rec in zip(leaves, polished):
                 if isinstance(rec, EigenvalueRecord) and _inside(rec.lam, rect):
-                    records.append(rec)
+                    found[i].append(rec)
                     report.newton_iterations.append((rec.lam, rec.iterations))
                 else:
-                    split(rect, 1)   # polishing misbehaved: split
+                    split(i, rect, 1, [])   # polishing misbehaved: split
             leaves = []
-    return records
+    _refuse_coincident([rec for recs in found for rec in recs],
+                       [rec for _, _, known in boxes for rec in known])
+    return found
 
 
-def _label_low_frequency(records, p: BeamParams):
-    """Assign family tags to sweep roots by nearest closed-form prediction."""
-    todo = [rec for rec in records if rec.family is None and rec.lam.imag >= 0]
-    if not todo:
-        return
-    preds = predict_eigenvalue(np.arange(1, K_MIN)[:, None], np.array([1, 2]), p).ravel()
-    for rec in todo:
-        i = int(np.argmin(np.abs(preds - rec.lam)))   # argmin keeps the first of equals
-        if abs(preds[i] - rec.lam) < 0.5:
-            rec.family = i % 2 + 1
+def _label_low_frequency(records, preds):
+    """Assign family tags to sweep roots by nearest closed-form prediction;
+    preds holds the predictions of k = 1 .. K_MIN - 1 in (k, family) order."""
+    for rec in records:
+        if rec.family is None and rec.lam.imag >= 0:
+            i = int(np.argmin(np.abs(preds - rec.lam)))   # argmin keeps the first of equals
+            if abs(preds[i] - rec.lam) < 0.5:
+                rec.family = i % 2 + 1
 
 
 def spectrum_in_strip(p: BeamParams, k_max: int):
     """All eigenvalues with |Im lambda| <= (k_max + 1/2) pi, plus search report.
 
     The sweep box below (K_MIN - 1/2) pi and the frequency boxes K_MIN to
-    k_max tile the strip: the sweep subdivides until its roots isolate, each
-    frequency box keeps its Newton-polished pair, and each root is recorded
-    by the box holding it.  Conjugate closure then mirrors the records above
-    the line Im = -im_lo of the sweep box, whose conjugates no box searched;
-    the sweep holds both members of every pair below it.  Sweep roots get
-    family labels from the nearest prediction.  The sweep box, every
-    frequency box and the union of them all are counted in one batch, each
-    on its own rect: no box shifts.  Each record is one simple root.  The
-    union's count is report.global_count and must equal the number of
-    records inside it, so a root recorded twice or missed shows as an
-    incomplete union.  Im lambda below Newton's resolution is stored as 0.0.
-    Incomplete boxes, including a union that disagrees or cannot be counted
-    (winding None), are reported, never silently dropped.  A sweep,
+    k_max tile the strip.  One Newton batch polishes the predictions of
+    k = 1 .. k_max, and its lanes seed the boxes: those of k < K_MIN, with
+    k_index and family cleared, are the sweep's known roots, and those of
+    each k >= K_MIN its frequency box's (see frequency_pairs).  The sweep
+    subdivides only until every root is known or isolated (see _isolate),
+    and each root is recorded by the box holding it.  Conjugate closure
+    then mirrors the records above the line Im = -im_lo of the sweep box,
+    whose conjugates no box searched; the sweep holds both members of every
+    pair below it.  Sweep roots get family labels from the nearest
+    prediction of the same batch.  The sweep box, every frequency box and
+    the union of them all are counted in one batch, each on its own rect:
+    no box shifts.  Each record is one simple root.  The union's count is
+    report.global_count and must equal the number of records inside it, so
+    a root recorded twice or missed shows as an incomplete union.  A known
+    root that coincides with another record raises BoundaryTooCloseToRoot
+    naming both: it was taken for a root across a box edge from its own,
+    which no count shows.  Im lambda below Newton's resolution is stored as
+    0.0.  Incomplete boxes, including a union that disagrees or cannot be
+    counted (winding None), are reported, never silently dropped.  A sweep,
     subdivision or frequency box that cannot be counted raises
     BoundaryTooCloseToRoot naming it.
     """
@@ -628,9 +693,13 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     union = (min(outer[0], top[0]), max(outer[1], top[1]), outer[2], top[3])
     # the frequency boxes and the union count in the background of the sweep
     counter.submit([_validation_rect(p, k) for k in ks] + [union, outer])
+    polished, _, preds = _families(p, counter.evaluate, range(1, k_max + 1), report)
+    known = [rec for rec in polished if rec.k_index < K_MIN]
+    for rec in known:
+        rec.k_index = rec.family = None
     (outer_count,) = _logged(counter.outcomes_of(counter.submit([outer])), report)
-    records = _isolate(outer, outer_count, counter)
-    pairs = _frequency_pairs(p, ks, counter)
+    (records,) = _isolate([(outer, outer_count, known)], counter)
+    pairs = _frequency_pairs(p, ks, polished, counter)
     (union_out,) = counter.outcomes_of(counter.submit([union]))
     failed_k = []
     for k, recs in zip(ks, pairs):
@@ -638,8 +707,9 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
             failed_k.append(k)
         records.extend(recs)
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
+    _refuse_coincident(records, polished)
 
-    _label_low_frequency(records, p)
+    _label_low_frequency(records, preds[:2 * (K_MIN - 1)])
 
     # conjugate closure: below Im = -outer[2] the sweep holds both members
     records += [EigenvalueRecord(rec.lam.conjugate(),

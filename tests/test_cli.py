@@ -140,9 +140,9 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
         (out2 / "spectrum_report.json").read_bytes()
     report = read_canonical_json(out1 / "spectrum_report.json")
     stats = report["stats"]
-    assert set(stats) == {"boxes", "derived_boxes", "resplits", "contour_points",
-                          "contour_rounds", "newton_calls", "newton_iterations",
-                          "newton_rounds", "global_count"}
+    assert set(stats) == {"boxes", "derived_boxes", "matched_boxes", "resplits",
+                          "contour_points", "contour_rounds", "newton_calls",
+                          "newton_iterations", "newton_rounds", "global_count"}
     assert stats["boxes"] == len(report["boxes"])
     assert stats["newton_iterations"] == sum(n["iterations"] for n in report["newton"])
     assert stats["contour_points"] > 0 and stats["newton_calls"] > 0

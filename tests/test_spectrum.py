@@ -579,8 +579,9 @@ def family_two_seeded_off(monkeypatch):
 
 
 def test_one_prediction_call_per_batch(params_generic, monkeypatch):
-    # the frequency boxes' seeds, each subdivided box's labels and the
-    # low-frequency labels each predict every (k, j) they need in one call
+    # the strip's seeds for k = 1 .. 200, which also label the sweep's
+    # roots, and each subdivided box's labels predict every (k, j) they
+    # need in one call
     sizes, labelled = [], []
     real_predict, real_label = tipbeam.spectrum.predict_eigenvalue, tipbeam.spectrum._label_pair
 
@@ -595,7 +596,7 @@ def test_one_prediction_call_per_batch(params_generic, monkeypatch):
     monkeypatch.setattr(tipbeam.spectrum, "predict_eigenvalue", predict)
     monkeypatch.setattr(tipbeam.spectrum, "_label_pair", label)
     spectrum_in_strip(params_generic, 200)
-    assert sizes == [2 * (201 - K_MIN)] + [2] * len(labelled) + [2 * (K_MIN - 1)]
+    assert sizes == [2 * 200] + [2] * len(labelled)
     sizes.clear()
     family_roots(params_generic, range(8, 301))
     assert sizes == [2 * 293]
@@ -790,15 +791,38 @@ def test_conservative_boxes_avoid_root_locus(cons_spectrum):
 
 
 def test_generic_strip_batches_its_evaluations(params_generic):
-    # k <= 200: the strip's 428 boxes share their evaluation calls, and the
-    # sweep's leaves share their polishes
+    # k <= 200: the strip's 252 boxes share their evaluation calls, and the
+    # sweep's leaves share their polishes.  The sweep keeps the roots that
+    # the seeds of k = 1 .. 7 reach; when it split down to one leaf per root
+    # it took 117 derived boxes and 22,528 contour points
     recs, report = spectrum_in_strip(params_generic, 200)
     stats = report.stats
     assert report.incomplete_boxes == []
     assert_tiled(recs, report)
     assert stats["contour_rounds"] <= 120
     assert stats["newton_rounds"] <= 45
+    assert stats["derived_boxes"] <= 40 and stats["contour_points"] < 17500
+    assert stats["matched_boxes"] > 0
     assert stats["global_count"] == 403 == sum(r.lam.imag > -0.3 for r in recs)
+
+
+def test_conservative_sweep_keeps_its_polished_roots(params_conservative):
+    # the k <= 50 strip took 8,493 contour points when its sweep split down
+    # to one leaf per root
+    recs, report = spectrum_in_strip(params_conservative, 50)
+    assert report.incomplete_boxes == []
+    assert report.stats["contour_points"] < 5000
+
+
+def test_lattice_boxes_are_isolated_in_one_pass():
+    # on the p = 2 lattice point every frequency box from K_MIN on is
+    # subdivided; isolated one box after another, k <= 60 took 1,624
+    # contour rounds and 551 Newton rounds
+    p = validate_params(1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0)
+    recs, report = spectrum_in_strip(p, 60)
+    assert report.incomplete_boxes == []
+    assert report.global_count == 123 == sum(r.lam.imag > -0.3 for r in recs)
+    assert report.stats["contour_rounds"] <= 200 and report.stats["newton_rounds"] <= 60
 
 
 def test_strip_peak_memory(params_generic):
@@ -949,7 +973,7 @@ def test_first_half_counting_more_than_its_box_raises():
     counter = tipbeam.spectrum._Counter(_known_zeros([(-0.5 + 0.2j, 1), (-0.5 - 0.3j, 1)]),
                                         RootSearchReport())
     with pytest.raises(NonConvergentContour) as err:
-        tipbeam.spectrum._isolate(outer, 1, counter)
+        tipbeam.spectrum._isolate([(outer, 1, [])], counter)
     assert str(err.value) == (f"first half {first} counts 2 roots, "
                               f"more than the 1 of its box {outer}")
 
@@ -958,7 +982,8 @@ def _isolated(roots):
     """The records `_isolate` returns for the simple roots in the unit box."""
     counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots]),
                                         RootSearchReport())
-    return tipbeam.spectrum._isolate(_UNIT, len(roots), counter)
+    (recs,) = tipbeam.spectrum._isolate([(_UNIT, len(roots), [])], counter)
+    return recs
 
 
 def _assert_one_record_per_root(recs, roots):
@@ -991,13 +1016,29 @@ def test_isolate_returns_each_of_a_close_pair_property(x, y, log_gap, angle, thi
     _assert_one_record_per_root(_isolated([a1, a2, b]), [a1, a2, b])
 
 
+def test_isolate_refuses_a_known_record_across_a_split_line():
+    # a known record 1e-13 across the first split line from its root a: the
+    # second half, which holds one root b, would take it for b, so b would be
+    # missed and a recorded twice, with every count met
+    line = -1.0 + 2.0 * tipbeam.spectrum._SPLITS[0]
+    a, b, c = complex(line - 2e-14, 0.3), 0.5 - 0.4j, -0.6 + 0.5j
+    known = EigenvalueRecord(a + 1e-13, None, None, 0.0)
+    counter = tipbeam.spectrum._Counter(_known_zeros([(a, 1), (b, 1), (c, 1)]),
+                                        RootSearchReport())
+    with pytest.raises(BoundaryTooCloseToRoot) as err:
+        tipbeam.spectrum._isolate([(_UNIT, 3, [known])], counter)
+    named = [complex(z) for z in re.findall(r"\(([^()]*j)\)", str(err.value))]
+    assert len(named) == 2 and known.lam in named
+    assert min(abs(z - a) for z in named) <= 4 * np.finfo(float).eps
+
+
 def test_isolate_refuses_a_double_root_by_name():
     # no subdivision parts a double root: a box around it is refused, named
     a = -0.15361947115979258 + 0.42207042921971294j
     counter = tipbeam.spectrum._Counter(_known_zeros([(a, 2), (-0.5 - 0.5j, 1)]),
                                         RootSearchReport())
     with pytest.raises(BoundaryTooCloseToRoot) as err:
-        tipbeam.spectrum._isolate(_UNIT, 3, counter)
+        tipbeam.spectrum._isolate([(_UNIT, 3, [])], counter)
     named = re.match(r"boundary of \(([^)]*)\) ", str(err.value))
     assert named
     re_lo, re_hi, im_lo, im_hi = map(float, named.group(1).split(","))
