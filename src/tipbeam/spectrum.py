@@ -7,10 +7,16 @@ the two closed-form predictions of every k = 1 .. k_max; the roots it
 reaches are each box's known roots, and every box is counted by the
 argument principle (Kravanja & Van Barel, Computing the Zeros of Analytic
 Functions, 2000: count the roots of a box, then locate them).  A box whose
-count equals its known roots inside keeps them; the others, the sweep and
-any frequency box whose seeds missed, are subdivided in one pass until
-each root is known or alone in a small leaf, which Newton polishes from
-its centre.  So subdivision locates only the roots Newton left unfound.
+count equals its known roots inside keeps them.  The others, the sweep and
+any frequency box whose seeds missed, locate their roots from the contour
+that counted them (Delves & Lyness, A numerical method for locating the
+zeros of an analytic function, Math. Comp. 21, 1967): the moments
+(1/2 pi i) oint (z - c)^q F'/F dz, q <= 2, are the power sums of the
+roots inside about the box's centre c, so less the known roots' they give
+one or two unknown roots, which Newton polishes.  A box with more unknown
+roots, no moments or seeds that failed is subdivided, all such boxes in
+one pass, until each root is known or located.  So subdivision and the
+moments locate only the roots Newton left unfound.
 Each root is recorded by the one box that holds it; a count over the union
 of the boxes certifies the whole strip, so a root found twice or missed
 shows there.  The negative half comes from conjugate closure.  The left
@@ -33,6 +39,9 @@ and its F'-bounded turn max |F'/F| * |z_{i+1} - z_i| at its two ends both
 stay within pi/4; the
 F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
+The same fine intervals give the moments of the boxes that take them (the
+sweep and every first half of a split): the sum of
+(m - c)^q log(F(z_{i+1})/F(z_i)) / (2 pi i), m the interval's midpoint.
 Every box is counted on the rect it was submitted with, or refused by name
 (BoundaryTooCloseToRoot) when a sample is an exact zero of F, when an
 interval still too coarse has no floating-point midpoint, or when
@@ -55,7 +64,7 @@ counting the box alone, in any batch and at any _CHUNK.  The frequency
 boxes and the union of the strip count in the background while the sweep
 subdivides, a box's first half starts as soon as its own count is in, and
 the frequency boxes that disagree with their seeds subdivide together, so
-the k <= 200 strip takes about thirty calls.
+the k <= 200 strip takes about twenty-five calls.
 """
 
 from __future__ import annotations
@@ -106,6 +115,7 @@ class RootSearchReport:
     resplits: int = 0            # subdivisions split again at another fraction
     derived_boxes: int = 0       # second halves of splits: the box's count less the first's
     matched_boxes: int = 0       # boxes closed because the records inside met their count
+    moment_boxes: int = 0        # boxes closed by the records polished from their moment seeds
     contour_points: int = 0      # F evaluations in counting, refinements included
     contour_rounds: int = 0      # (F, F') evaluation calls made by counting
     newton_calls: int = 0        # Newton polishes started, converged or not
@@ -122,7 +132,8 @@ class RootSearchReport:
         contour_rounds.
         """
         return {"boxes": len(self.boxes), "derived_boxes": self.derived_boxes,
-                "matched_boxes": self.matched_boxes, "resplits": self.resplits,
+                "matched_boxes": self.matched_boxes, "moment_boxes": self.moment_boxes,
+                "resplits": self.resplits,
                 "contour_points": self.contour_points, "contour_rounds": self.contour_rounds,
                 "newton_calls": self.newton_calls,
                 "newton_iterations": sum(it for _, it in self.newton_iterations),
@@ -147,6 +158,15 @@ def _rings(rects) -> np.ndarray:
     return (corners[:, :-1, None] + edges * _ALONG).ravel()
 
 
+def _centre(rect) -> complex:
+    return complex(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """a with zero rows appended up to size."""
+    return np.concatenate([a, np.zeros((size - len(a),) + a.shape[1:], a.dtype)])
+
+
 class _Counter:
     """Winding counts of many boxes that share their evaluation calls.
 
@@ -163,7 +183,9 @@ class _Counter:
     or _CHUNK.  A box with nothing queued is resolved: counted on the rect it
     was submitted with, or refused with a BoundaryTooCloseToRoot naming it,
     without raising for the others.  A rect already submitted keeps its
-    ticket, so a search can start boxes early and collect them later.
+    ticket, so a search can start boxes early and collect them later.  A box
+    submitted to take moments also sums, over the same fine intervals, its
+    low moments (see `moments`).
     """
 
     def __init__(self, evaluate: Callable, report: RootSearchReport):
@@ -174,20 +196,45 @@ class _Counter:
         self.fresh = []       # tickets whose ring is not yet evaluated, in submission order
         self.turns = np.zeros(0)                # per ticket, the increments of its fine intervals
         self.samples = np.zeros(0, dtype=int)   # per ticket, its samples evaluated
+        self.slot = np.zeros(0, dtype=int)      # per ticket, its row below, or -1 without moments
+        self.centre = np.zeros(0, dtype=complex)      # per box taking moments, its rect's centre
+        self.sums = np.zeros((0, 3), dtype=complex)   # per box taking moments, 2 pi i times them
         self.owner = np.zeros(0, dtype=int)     # per queued interval, its ticket
         self.queue = np.zeros((6, 0), dtype=complex)   # columns: z, F, |F'/F| at both ends
 
-    def submit(self, rects) -> list:
-        """Tickets of rects; counting starts for those not yet submitted."""
+    def submit(self, rects, moments: bool = False) -> list:
+        """Tickets of rects; counting starts for those not yet submitted,
+        which take moments when asked to."""
         tickets = []
         for rect in rects:
             rect = tuple(float(v) for v in rect)
             if rect not in self.tickets:
-                self.tickets[rect] = len(self.rects)
-                self.fresh.append(len(self.rects))
+                t = self.tickets[rect] = len(self.rects)
+                self.fresh.append(t)
                 self.rects.append(rect)
+                if t == self.turns.size:
+                    self.turns, self.samples, self.slot = (
+                        _grown(a, 2 * t + len(rects)) for a in (self.turns, self.samples, self.slot))
+                self.slot[t] = self.centre.size if moments else -1
+                if moments:
+                    self.centre = np.append(self.centre, _centre(rect))
+                    self.sums = _grown(self.sums, self.centre.size)
             tickets.append(self.tickets[rect])
         return tickets
+
+    def moments(self, rect):
+        """The power sums s_q = sum (r - c)^q, q = 0, 1, 2, over the roots r of
+        a counted rect, c its centre, or None when rect took no moments.
+
+        They are the contour moments (1/2 pi i) oint (z - c)^q F'/F dz of
+        Delves & Lyness (A numerical method for locating the zeros of an
+        analytic function, 1967), on the samples of the count: the sum over
+        its fine intervals of (m - c)^q log(F_b / F_a), m the midpoint.
+        """
+        t = self.tickets.get(tuple(float(v) for v in rect))
+        if t is None or self.slot[t] < 0:
+            return None
+        return self.sums[self.slot[t]] / (2j * math.pi)
 
     def outcomes_of(self, tickets) -> list:
         """The outcomes of the tickets, in order, once all are resolved."""
@@ -251,7 +298,8 @@ class _Counter:
         za, fa, sa, zb, fb, sb = ends
         turn = np.angle(fb / fa)
         bound = np.maximum(sa.real, sb.real) * np.abs(zb - za)
-        coarse = (np.fmax(np.abs(turn), bound) > _MAX_TURN).nonzero()[0]   # fmax skips a NaN
+        is_coarse = np.fmax(np.abs(turn), bound) > _MAX_TURN     # fmax skips a NaN
+        coarse = is_coarse.nonzero()[0]
         new = ends.take(coarse, axis=1)
         halfway = 0.5 * (new[0] + new[3])
         stuck = ((halfway == new[0]) | (halfway == new[3])).nonzero()[0]
@@ -259,11 +307,15 @@ class _Counter:
             refused.setdefault(int(box[coarse[i]]), "cannot be refined in floating point "
                                                     f"at {complex(halfway[i])}")
 
-        if self.turns.size < n:
-            self.turns = np.concatenate([self.turns, np.zeros(2 * n - self.turns.size)])
-            self.samples = np.concatenate([self.samples, np.zeros(2 * n - self.samples.size, int)])
         turn[coarse] = 0.0      # only fine intervals add their increment
         self.turns += np.bincount(box, turn, self.turns.size)
+        slot = self.slot[box]
+        fine = (~is_coarse & (slot >= 0)).nonzero()[0]    # of the boxes taking moments
+        if fine.size:
+            slot = slot[fine]
+            m = 0.5 * (za[fine] + zb[fine]) - self.centre[slot]
+            log = np.log(fb[fine] / fa[fine])
+            np.add.at(self.sums, slot, (log * m ** np.arange(3)[:, None]).T)
         count = np.bincount(sampled, minlength=self.samples.size)
         self.samples += count
         touched = count.nonzero()[0]
@@ -463,8 +515,8 @@ def _refuse_coincident(records, known):
     them from known.  A known record just across a split line or a shared
     box edge from its root can be taken for a root of the box it lies in:
     that root is missed and the other recorded twice, and no count shows it.
-    Two leaf records that coincide are a close pair, each inside its own
-    one-root leaf."""
+    Two records found by subdivision that coincide are a close pair, each
+    inside its own box, as a box's records are distinct."""
     known = {id(rec) for rec in known}
     recs = sorted(records, key=lambda rec: rec.lam.imag)
     lam = np.array([rec.lam for rec in recs], dtype=complex)
@@ -550,6 +602,30 @@ def _halves(rect, fraction: float):
     return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
 
 
+def _moment_seeds(rect, moments, known, unknown: int) -> list:
+    """Seeds for the `unknown` roots, one or two, of rect that are not among
+    the known records: the roots whose power sums about rect's centre are
+    its moments less the known roots' (see _Counter.moments), the lone sum
+    itself, or a pair by the quadratic formula."""
+    c = _centre(rect)
+    r = np.array([rec.lam for rec in known], dtype=complex) - c
+    p1, p2 = moments[1] - r.sum(), moments[2] - (r * r).sum()
+    if unknown == 1:
+        return [c + p1]
+    gap = np.sqrt(2.0 * p2 - p1 * p1)      # x1 - x2, as x1 + x2 = p1, x1^2 + x2^2 = p2
+    return [c + 0.5 * (p1 + gap), c + 0.5 * (p1 - gap)]
+
+
+def _second_moments(rect, moments, first, first_moments, second) -> np.ndarray:
+    """The moments of `second`, the half of rect beside `first`: rect's less
+    first's, each re-centred to second's centre by expanding (r - c + d)^q."""
+    def about(s, d):
+        return np.array([s[0], s[1] + d * s[0], s[2] + 2.0 * d * s[1] + d * d * s[0]])
+
+    c = _centre(second)
+    return about(moments, _centre(rect) - c) - about(first_moments, _centre(first) - c)
+
+
 def _isolate(boxes, counter: _Counter) -> list:
     """The records of the roots in each box, all boxes subdivided in one pass.
 
@@ -557,69 +633,79 @@ def _isolate(boxes, counter: _Counter) -> list:
     roots, and those outside rect, or coinciding with another to Newton
     resolution (see _distinct), are dropped.  A box whose count equals the
     number of known records inside it is closed with them
-    (report.matched_boxes).  Any other box splits its longer side at the
-    fraction _SPLITS[0], not at the centre: halving the symmetric
-    conservative box would put an edge on Re lambda = 0, where every
-    conservative root lies.  A known record goes
+    (report.matched_boxes).  A box with moments (the counter's, if rect took
+    them, else those a split gave it) and one or two roots more than its
+    known records is seeded from them (see _moment_seeds; Delves & Lyness,
+    1967: the contour that counts the roots also locates them).  Whenever no
+    count of the subdivision is pending, all seeds are Newton-polished in one
+    batch.  A seeded box whose distinct records, known and polished ones
+    inside it, meet its count is closed with them (report.moment_boxes);
+    else it splits, with those records as its known ones, and below it only
+    a lone unknown root is seeded: a half holding both roots of a failed
+    pair has their moments, and its seeds would fail alike.
+
+    Any other box splits its longer side at the fraction _SPLITS[0], not at
+    the centre: halving the symmetric conservative box would put an edge on
+    Re lambda = 0, where every conservative root lies.  A known record goes
     to the first half when it lies inside it, else to the second, and a half
     that counts 0 drops its records.  Only the first, smaller half of a
-    split is counted; the halves tile the box, so the second half's winding
-    is the box's count less the first's, logged to report.boxes with no
-    samples and to report.derived_boxes.  That is exact when both counts
-    are: the second half's boundary is the box's counted edges and the
-    split line, which the first half's count certified.  A first half that
-    counts more than its box raises NonConvergentContour naming both.  The
-    first half goes to the counter as soon as its box's count is in, so
-    boxes of every depth and every outer box share evaluation calls.  A
-    first half the counter refuses (a root on or next to the split line)
-    derives nothing, and the box splits again at the next fraction, so the
-    halves always tile it; each re-split adds one to report.resplits.  A
-    refusal at the last fraction is raised.  A box with one root, no known
-    record and diameter at most 0.25 waits as a leaf.  Whenever no count of
-    the subdivision is pending, all waiting leaves are Newton-polished from
-    their centres in one Newton batch; a leaf whose polish fails or lands
-    outside it splits in turn, so each new record is the one simple root of
-    its leaf.  Roots however close part by subdivision alone; a pair no
-    split parts (a double root, or two at rounding level) raises
-    BoundaryTooCloseToRoot naming a box, as do two records that coincide
-    (see _refuse_coincident).
+    split is counted, and it takes moments; the halves tile the box, so the
+    second half's winding is the box's count less the first's, logged to
+    report.boxes with no samples and to report.derived_boxes, and its
+    moments, when its box has some, are the box's less the first half's
+    (see _second_moments).  The count is exact when both counts are: the
+    second half's boundary is the box's counted edges and the split line,
+    which the first half's count certified.  A first half that counts more
+    than its box raises NonConvergentContour naming both.  The first half
+    goes to the counter as soon as its box's count is in, so boxes of every
+    depth and every outer box share evaluation calls.  A first half the
+    counter refuses (a root on or next to the split line) derives nothing,
+    and the box splits again at the next fraction, so the halves always tile
+    it; each re-split adds one to report.resplits.  A refusal at the last
+    fraction is raised.  Roots however close part by subdivision alone: two
+    polishes closer than Newton resolution are not distinct, so their box
+    splits.  A pair no split parts (a double root, or two at rounding level)
+    raises BoundaryTooCloseToRoot naming a box, as do two records that
+    coincide (see _refuse_coincident).
     """
-    report, evaluate = counter.report, counter.evaluate
+    report = counter.report
     found = [[] for _ in boxes]
     visited = [0] * len(boxes)
-    # pending: (box index, rect, count, known); leaves: (box index, rect, centre);
-    # splits: (box index, rect, count, known, index in _SPLITS, ticket)
-    pending = [(i, rect, cnt, _distinct([r for r in known if _inside(r.lam, rect)]))
-               for i, (rect, cnt, known) in enumerate(boxes) if cnt]
-    leaves, splits = [], []
+    # pending: (box index, rect, count, known, moments or None, most unknown roots
+    # to seed); seeded: (pending entry, seeds); splits: (pending entry, index in
+    # _SPLITS, ticket)
+    pending = [(i, rect, cnt, _distinct([r for r in known if _inside(r.lam, rect)]),
+                counter.moments(rect), 2) for i, (rect, cnt, known) in enumerate(boxes) if cnt]
+    seeded, splits = [], []
 
-    def split(i, rect, cnt: int, known, at: int = 0):
-        (ticket,) = counter.submit(_halves(rect, _SPLITS[at])[:1])
-        splits.append((i, rect, cnt, known, at, ticket))
+    def split(box, at: int = 0):
+        (ticket,) = counter.submit(_halves(box[1], _SPLITS[at])[:1], moments=True)
+        splits.append((box, at, ticket))
 
-    while pending or splits or leaves:
-        for i, rect, cnt, known in pending:
+    while pending or splits or seeded:
+        for box in pending:
+            i, rect, cnt, known, moments, most = box
             visited[i] += 1
             if visited[i] > 10000:
                 raise NoConvergence(f"subdivision of {boxes[i][0]} exploded")
-            re_lo, re_hi, im_lo, im_hi = rect
             if cnt == len(known):
                 found[i] += known
                 report.matched_boxes += 1
-            elif cnt == 1 and not known and max(re_hi - re_lo, im_hi - im_lo) <= 0.25:
-                leaves.append((i, rect, complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))))
+            elif moments is not None and 0 < cnt - len(known) <= most:
+                seeded.append((box, _moment_seeds(rect, moments, known, cnt - len(known))))
             else:
-                split(i, rect, cnt, known)
+                split(box)
         pending = []
         if splits:
             done = counter.first_resolved([ticket for *_, ticket in splits])
             ready = [splits[j] for j in done]
             splits = [s for j, s in enumerate(splits) if j not in done]
-            for i, rect, cnt, known, at, ticket in ready:
+            for box, at, ticket in ready:
+                i, rect, cnt, known, moments, most = box
                 (outcome,) = counter.outcomes_of([ticket])
                 if at + 1 < len(_SPLITS) and isinstance(outcome, Exception):
                     report.resplits += 1
-                    split(i, rect, cnt, known, at + 1)
+                    split(box, at + 1)
                     continue
                 (first_cnt,) = _logged([outcome], report)
                 first, second = _halves(rect, _SPLITS[at])
@@ -629,19 +715,29 @@ def _isolate(boxes, counter: _Counter) -> list:
                                                f"more than the {cnt} of its box {rect}")
                 report.boxes.append((second, rest))
                 report.derived_boxes += 1
+                first_moments = counter.moments(first)
+                second_moments = (None if moments is None else
+                                  _second_moments(rect, moments, first, first_moments, second))
                 in_first = [r for r in known if _inside(r.lam, first)]
                 in_second = [r for r in known if not _inside(r.lam, first)]
-                pending += [(i, half, c, recs) for half, c, recs in
-                            ((first, first_cnt, in_first), (second, rest, in_second)) if c]
-        elif leaves:
-            polished = _newton([centre for *_, centre in leaves], evaluate, report)
-            for (i, rect, _), rec in zip(leaves, polished):
-                if isinstance(rec, EigenvalueRecord) and _inside(rec.lam, rect):
-                    found[i].append(rec)
-                    report.newton_iterations.append((rec.lam, rec.iterations))
+                pending += [(i, *half, most) for half in (
+                    (first, first_cnt, in_first, first_moments),
+                    (second, rest, in_second, second_moments)) if half[1]]
+        elif seeded:
+            polished = iter(_newton([z for _, seeds in seeded for z in seeds],
+                                    counter.evaluate, report))
+            for box, seeds in seeded:
+                i, rect, cnt, known, moments, most = box
+                landed = [rec for _, rec in zip(seeds, polished)   # seeds first: no lane skipped
+                          if isinstance(rec, EigenvalueRecord) and _inside(rec.lam, rect)]
+                report.newton_iterations += [(rec.lam, rec.iterations) for rec in landed]
+                recs = _distinct(known + landed)
+                if len(recs) == cnt:
+                    found[i] += recs
+                    report.moment_boxes += 1
                 else:
-                    split(i, rect, 1, [])   # polishing misbehaved: split
-            leaves = []
+                    split((i, rect, cnt, recs, moments, 1))
+            seeded = []
     _refuse_coincident([rec for recs in found for rec in recs],
                        [rec for _, _, known in boxes for rec in known])
     return found
@@ -665,8 +761,9 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     k = 1 .. k_max, and its lanes seed the boxes: those of k < K_MIN, with
     k_index and family cleared, are the sweep's known roots, and those of
     each k >= K_MIN its frequency box's (see frequency_pairs).  The sweep
-    subdivides only until every root is known or isolated (see _isolate),
-    and each root is recorded by the box holding it.  Conjugate closure
+    locates the roots they miss from its contour moments, subdividing only
+    where those fail (see _isolate), and each root is recorded by the box
+    holding it.  Conjugate closure
     then mirrors the records above the line Im = -im_lo of the sweep box,
     whose conjugates no box searched; the sweep holds both members of every
     pair below it.  Sweep roots get family labels from the nearest
@@ -692,7 +789,8 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     outer, top = _sweep_box(p), _validation_rect(p, k_max)
     union = (min(outer[0], top[0]), max(outer[1], top[1]), outer[2], top[3])
     # the frequency boxes and the union count in the background of the sweep
-    counter.submit([_validation_rect(p, k) for k in ks] + [union, outer])
+    counter.submit([_validation_rect(p, k) for k in ks] + [union])
+    counter.submit([outer], moments=True)
     polished, _, preds = _families(p, counter.evaluate, range(1, k_max + 1), report)
     known = [rec for rec in polished if rec.k_index < K_MIN]
     for rec in known:

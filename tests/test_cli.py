@@ -140,7 +140,7 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
         (out2 / "spectrum_report.json").read_bytes()
     report = read_canonical_json(out1 / "spectrum_report.json")
     stats = report["stats"]
-    assert set(stats) == {"boxes", "derived_boxes", "matched_boxes", "resplits",
+    assert set(stats) == {"boxes", "derived_boxes", "matched_boxes", "moment_boxes", "resplits",
                           "contour_points", "contour_rounds", "newton_calls",
                           "newton_iterations", "newton_rounds", "global_count"}
     assert stats["boxes"] == len(report["boxes"])

@@ -129,6 +129,13 @@ def _batch(rects, target):
     return counter.outcomes_of(counter.submit(rects)), report.contour_rounds
 
 
+def _moments(rects, target):
+    """The moments of rects counted in one batch on target."""
+    counter = tipbeam.spectrum._Counter(target, RootSearchReport())
+    counter.outcomes_of(counter.submit(rects, moments=True))
+    return [counter.moments(rect) for rect in rects]
+
+
 def _batched_cases(params_generic):
     """The branch-point corner, a zero box, a frequency box and the near-edge
     box of test_count_resolves_close_roots_near_the_boundary, on the generic
@@ -183,12 +190,16 @@ def test_counts_do_not_depend_on_scheduling(params_generic, chunk, monkeypatch):
     cases.append((_known_zeros([(0.3 + 0.2j, 1), (-0.4 - 0.5j, 2)], 115.0),
                   [_UNIT, (0.2, 0.4, 0.1, 0.3)]))
     alone = [[_batch([rect], target)[0][0] for rect in rects] for target, rects in cases]
+    alone_moments = [[_moments([rect], target)[0] for rect in rects] for target, rects in cases]
     monkeypatch.setattr(tipbeam.spectrum, "_CHUNK", chunk)
-    for (target, rects), expected in zip(cases, alone):
+    for (target, rects), expected, moments in zip(cases, alone, alone_moments):
         batch, rounds = _batch(rects, target)
         assert batch == expected
         if chunk == 64:
             assert rounds >= sum(samples for *_, samples in expected) / 64
+        # the same samples, summed in another order
+        for got, want in zip(_moments(rects, target), moments):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     assert [count for count, *_ in alone[-1]] == [3, 1]
 
 
@@ -808,10 +819,13 @@ def test_generic_strip_batches_its_evaluations(params_generic):
 
 def test_conservative_sweep_keeps_its_polished_roots(params_conservative):
     # the k <= 50 strip took 8,493 contour points when its sweep split down
-    # to one leaf per root
+    # to one leaf per root, and 20 contour rounds when it split until its two
+    # unknown roots, 0.637i and 1.526i, were each alone in a 0.25-wide leaf;
+    # the sweep's moments seed them
     recs, report = spectrum_in_strip(params_conservative, 50)
     assert report.incomplete_boxes == []
     assert report.stats["contour_points"] < 5000
+    assert report.stats["contour_rounds"] <= 10
 
 
 def test_lattice_boxes_are_isolated_in_one_pass():
@@ -942,9 +956,9 @@ def _strip_with_derived_boxes_counted(p, k_max):
     submitted = set()
     real = tipbeam.spectrum._Counter.submit
 
-    def spy(counter, rects):
+    def spy(counter, rects, moments=False):
         submitted.update(tuple(float(v) for v in rect) for rect in rects)
-        return real(counter, rects)
+        return real(counter, rects, moments)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tipbeam.spectrum._Counter, "submit", spy)
@@ -958,9 +972,11 @@ def _strip_with_derived_boxes_counted(p, k_max):
 
 def test_derived_boxes_on_the_lattice_set():
     # on the p = 2 lattice point both seeds of every frequency box converge
-    # to one root, so each box from K_MIN on is subdivided
+    # to one root, so each box from K_MIN on is subdivided; its first half's
+    # moments locate most roots, so k <= 28 derives about as many boxes as
+    # k <= 24 did when each root ended in a 0.25-wide leaf
     p = validate_params(1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0)
-    recs, report = _strip_with_derived_boxes_counted(p, 24)
+    recs, report = _strip_with_derived_boxes_counted(p, 28)
     assert report.incomplete_boxes == []
     assert report.global_count == sum(r.lam.imag > -0.3 for r in recs)
     assert report.stats["derived_boxes"] > 100
@@ -976,6 +992,66 @@ def test_first_half_counting_more_than_its_box_raises():
         tipbeam.spectrum._isolate([(outer, 1, [])], counter)
     assert str(err.value) == (f"first half {first} counts 2 roots, "
                               f"more than the 1 of its box {outer}")
+
+
+_OUTSIDE = [(1.5 + 0.5j, 1), (-0.2 - 1.7j, 1)]     # roots beside the unit box
+
+
+@pytest.mark.parametrize("roots, known", [
+    ([0.3 + 0.2j], []),
+    ([0.3 + 0.2j, -0.4 - 0.5j], []),
+    ([0.3 + 0.2j, -0.4 - 0.5j, -0.6 + 0.55j], [-0.6 + 0.55j]),
+])
+def test_isolate_closes_a_box_from_its_moments(roots, known):
+    # the count's moments, less the known roots', seed Newton on the one or
+    # two roots left: the box closes from one Newton batch, unsplit
+    report = RootSearchReport()
+    counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots] + _OUTSIDE), report)
+    ((count, *_),) = counter.outcomes_of(counter.submit([_UNIT], moments=True))
+    known = [EigenvalueRecord(r, None, None, 0.0) for r in known]
+    (recs,) = tipbeam.spectrum._isolate([(_UNIT, count, known)], counter)
+    assert report.derived_boxes == 0 and report.moment_boxes == 1
+    assert len(recs) == len(roots) == count
+    for r in roots:
+        assert sum(abs(rec.lam - r) <= 1e-12 for rec in recs) == 1
+
+
+def test_a_pair_closer_than_newton_resolution_is_seeded_once(params_case2):
+    # the families of case 2 lie 3.2e-8 apart at k = 400, closer than Newton
+    # resolves: seeded as a pair they polish onto one root.  Seeding every
+    # half that still held both took 799 Newton rounds
+    report = RootSearchReport()
+    (pair,) = frequency_pairs(params_case2, [400], report)
+    assert len(pair) == 2 and 0 < abs(pair[0].lam - pair[1].lam) < 1e-7
+    assert report.newton_rounds <= 60
+
+
+@pytest.mark.parametrize("rect", [_UNIT, (-0.7, 0.9, 8.0, 11.0)])
+def test_second_half_moments_are_its_power_sums(rect):
+    # a split's second half takes the box's moments less its first half's,
+    # each re-centred to its own centre
+    roots = [complex(x, y) for x, y in np.random.default_rng(1).uniform(-1.0, 1.0, (12, 2))]
+    roots = [0.5 * (rect[0] + rect[1]) + 0.5 * (rect[1] - rect[0]) * r.real
+             + 1j * (0.5 * (rect[2] + rect[3]) + 0.5 * (rect[3] - rect[2]) * r.imag)
+             for r in roots]
+    first, second = tipbeam.spectrum._halves(rect, tipbeam.spectrum._SPLITS[0])
+
+    def power_sums(box):
+        z = np.array([r for r in roots if tipbeam.spectrum._inside(r, box)])
+        z = z - tipbeam.spectrum._centre(box)
+        return np.array([z.size, z.sum(), (z * z).sum()], dtype=complex)
+
+    derived = tipbeam.spectrum._second_moments(rect, power_sums(rect), first,
+                                               power_sums(first), second)
+    exact = power_sums(second)
+    assert np.all(np.abs(derived - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+    # the counter's moments are those power sums to within the error of its
+    # quadrature, 1e-4 here, so a derived half agrees with its count to that
+    target = _known_zeros([(r, 1) for r in roots])
+    whole, one, two = _moments([rect, first, second], target)
+    derived = tipbeam.spectrum._second_moments(rect, whole, first, one, second)
+    assert abs(two[0] - exact[0]) <= 1e-12 * abs(exact[0])
+    assert np.all(np.abs(derived - two) <= 1e-3 * np.maximum(1.0, np.abs(exact)))
 
 
 def _isolated(roots):
