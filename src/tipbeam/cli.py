@@ -260,6 +260,9 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
     }
     json_path = cfg.out_dir / "spectrum_report.json"
     _write_json(json_path, cfg, report_payload)
+    for rect, w, r in report.incomplete_boxes:
+        print(f"tipbeam spectrum: incomplete box {[float(v) for v in rect]}: winding "
+              f"{'null' if w is None else int(w)}, {int(r)} roots recovered", file=sys.stderr)
     return [csv_path, json_path]
 
 

@@ -4,23 +4,26 @@ The strip is tiled by boxes that share their edges: a low-frequency sweep
 box from Im = -0.3 up to (K_MIN - 1/2) pi, and one frequency box per
 k >= K_MIN from (k - 1/2) pi to (k + 1/2) pi.  One Newton batch polishes
 the two closed-form predictions of every k = 1 .. k_max; the roots it
-reaches are each box's known roots, and every box is counted by the
-argument principle (Kravanja & Van Barel, Computing the Zeros of Analytic
-Functions, 2000: count the roots of a box, then locate them).  A box whose
-count equals its known roots inside keeps them.  The others, the sweep and
-any frequency box whose seeds missed, locate their roots from the contour
-that counted them (Delves & Lyness, A numerical method for locating the
-zeros of an analytic function, Math. Comp. 21, 1967): the moments
-(1/2 pi i) oint (z - c)^q F'/F dz, q <= 2, are the power sums of the
-roots inside about the box's centre c, so less the known roots' they give
-one or two unknown roots, which Newton polishes.  A box with more unknown
-roots, no moments or seeds that failed is subdivided, all such boxes in
-one pass, until each root is known or located.  So subdivision and the
-moments locate only the roots Newton left unfound.
-Each root is recorded by the one box that holds it; a count over the union
-of the boxes certifies the whole strip, so a root found twice or missed
-shows there.  The negative half comes from conjugate closure.  The left
-edge of the dissipative boxes is -max(k2, k4) - 1: for an
+reaches are each box's known roots.  Roots are counted by the argument
+principle (Kravanja & Van Barel, Computing the Zeros of Analytic Functions,
+2000: count the roots of a box, then locate them), once over the union of
+all boxes, which certifies the whole strip, so a root found twice or missed
+shows there.  The sweep is counted, and so is each odd frequency box, one
+whose known roots are not two distinct roots.  Those boxes locate the roots
+their known ones miss from the contour that counted them (Delves & Lyness,
+A numerical method for locating the zeros of an analytic function, Math.
+Comp. 21, 1967): the moments (1/2 pi i) oint (z - c)^q F'/F dz, q <= 2,
+are the power sums of the roots inside about the box's centre c, so less
+the known roots' they give one or two unknown roots, which Newton
+polishes.  A box with more unknown roots, no moments or seeds that failed
+is subdivided, all such boxes in one pass, until each root is known or
+located.  So subdivision and the moments locate only the roots Newton left
+unfound.  The other frequency boxes are not counted: the union's count less
+the sweep's is the count of the frequency band, and when it equals the
+band's known roots, each box holds just its two.  Otherwise they are
+counted and isolated like the odd ones.  Each root is recorded by the one
+box that holds it.  The negative half comes from conjugate closure.  The
+left edge of the dissipative boxes is -max(k2, k4) - 1: for an
 energy-normalized mode, Re lambda = -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2
 with |eta|^2/k1 + |gamma|^2/k3 <= 1, so Re lambda >= -max(k2, k4).  All
 contour work uses the single-valued surrogate F = f * t1 * t3 from charfn,
@@ -45,9 +48,10 @@ sweep and every first half of a split): the sum of
 Every box is counted on the rect it was submitted with, or refused by name
 (BoundaryTooCloseToRoot) when a sample is an exact zero of F, when an
 interval still too coarse has no floating-point midpoint, or when
-refinement exceeds its sample budget; boxes never shift.  Boxes split off
-centre, so no edge of the conservative sweep lands on the root locus
-Re lambda = 0.  Only the first, smaller half of a split is counted: the
+refinement exceeds its sample budget; boxes never shift.  The budget grows
+with the perimeter past _SAMPLE_BUDGET, so the union's count scales with
+k_max.  Boxes split off centre, so no edge of the conservative sweep lands
+on the root locus Re lambda = 0.  Only the first, smaller half of a split is counted: the
 halves tile the parent, so the second half's count is the parent's less
 the first's.  When the first half is refused, its parent splits again at
 another fraction: the split line moves, and the halves still tile the
@@ -60,11 +64,10 @@ samples, those of the most recently submitted boxes first, which keeps the
 working set small, and every interval the call completes is checked in one
 vectorised pass.  Whether an interval is halved depends on its two ends
 alone, so per counted box the samples, and so the counts, are those of
-counting the box alone, in any batch and at any _CHUNK.  The frequency
-boxes and the union of the strip count in the background while the sweep
-subdivides, a box's first half starts as soon as its own count is in, and
-the frequency boxes that disagree with their seeds subdivide together, so
-the k <= 200 strip takes about twenty-five calls.
+counting the box alone, in any batch and at any _CHUNK.  The union of the
+strip counts in the background while the sweep and the odd frequency boxes
+subdivide, and a box's first half starts as soon as its own count is in,
+so the k <= 200 strip takes about twenty-five calls.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ _COINCIDENCE_RTOL = 1e-10     # Newton resolution: lanes this close found one ro
 _SPLITS = (0.4382, 0.4182, 0.4582, 0.3982, 0.4782)   # off centre, tried in turn
 _EDGE_POINTS = 16             # initial samples per box edge
 _MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-bounded turn
-_SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is refused
+_SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is refused, at least
+_SAMPLES_PER_LENGTH = 16      # or per unit of perimeter, if more; a strip's union takes 3 to 6
 _INTEGER_TOL = 1e-9           # rounding slack of the increment sum
 _CHUNK = 1024                 # points per contour evaluation call; bounds the working set
 _ALONG = np.arange(_EDGE_POINTS) / _EDGE_POINTS   # initial samples' fractions of an edge
@@ -115,29 +119,32 @@ class RootSearchReport:
     resplits: int = 0            # subdivisions split again at another fraction
     derived_boxes: int = 0       # second halves of splits: the box's count less the first's
     matched_boxes: int = 0       # boxes closed because the records inside met their count
+    band_boxes: int = 0          # frequency boxes certified by the strip's count, on no samples
     moment_boxes: int = 0        # boxes closed by the records polished from their moment seeds
     contour_points: int = 0      # F evaluations in counting, refinements included
     contour_rounds: int = 0      # (F, F') evaluation calls made by counting
     newton_calls: int = 0        # Newton polishes started, converged or not
     newton_rounds: int = 0       # batched (F, F', f) evaluations of those polishes
     global_count: int | None = None   # winding over the union of the strip's boxes
+    global_points: int = 0       # F evaluations in counting that union
 
     @property
     def stats(self) -> dict:
         """Deterministic effort counts; newton_iterations sums the converged polishes.
 
-        boxes, derived_boxes, resplits and contour_points cover the search
-        boxes; the global count of a strip is not among them, but its
-        evaluation calls, shared with the frequency boxes, are in
-        contour_rounds.
+        boxes, derived_boxes, band_boxes, resplits and contour_points cover
+        the search boxes; the union a strip's global count is taken over is
+        not among them: its samples are global_points, and its evaluation
+        calls, shared with the search boxes, are in contour_rounds.
         """
         return {"boxes": len(self.boxes), "derived_boxes": self.derived_boxes,
                 "matched_boxes": self.matched_boxes, "moment_boxes": self.moment_boxes,
-                "resplits": self.resplits,
+                "band_boxes": self.band_boxes, "resplits": self.resplits,
                 "contour_points": self.contour_points, "contour_rounds": self.contour_rounds,
                 "newton_calls": self.newton_calls,
                 "newton_iterations": sum(it for _, it in self.newton_iterations),
-                "newton_rounds": self.newton_rounds, "global_count": self.global_count}
+                "newton_rounds": self.newton_rounds, "global_count": self.global_count,
+                "global_points": self.global_points}
 
 
 def _beam(p: BeamParams) -> Callable:
@@ -196,6 +203,7 @@ class _Counter:
         self.fresh = []       # tickets whose ring is not yet evaluated, in submission order
         self.turns = np.zeros(0)                # per ticket, the increments of its fine intervals
         self.samples = np.zeros(0, dtype=int)   # per ticket, its samples evaluated
+        self.budget = np.zeros(0, dtype=int)    # per ticket, the samples it may take
         self.slot = np.zeros(0, dtype=int)      # per ticket, its row below, or -1 without moments
         self.centre = np.zeros(0, dtype=complex)      # per box taking moments, its rect's centre
         self.sums = np.zeros((0, 3), dtype=complex)   # per box taking moments, 2 pi i times them
@@ -213,8 +221,12 @@ class _Counter:
                 self.fresh.append(t)
                 self.rects.append(rect)
                 if t == self.turns.size:
-                    self.turns, self.samples, self.slot = (
-                        _grown(a, 2 * t + len(rects)) for a in (self.turns, self.samples, self.slot))
+                    self.turns, self.samples, self.budget, self.slot = (
+                        _grown(a, 2 * t + len(rects))
+                        for a in (self.turns, self.samples, self.budget, self.slot))
+                perimeter = 2.0 * (rect[1] - rect[0] + rect[3] - rect[2])
+                self.budget[t] = (max(_SAMPLE_BUDGET, int(_SAMPLES_PER_LENGTH * perimeter))
+                                  if math.isfinite(perimeter) else _SAMPLE_BUDGET)
                 self.slot[t] = self.centre.size if moments else -1
                 if moments:
                     self.centre = np.append(self.centre, _centre(rect))
@@ -254,7 +266,8 @@ class _Counter:
 
         A box is refused when F is 0 at a sample, else when an interval
         still too coarse has no floating-point midpoint, else when its
-        samples and queued midpoints exceed _SAMPLE_BUDGET.
+        samples and queued midpoints exceed its budget: _SAMPLE_BUDGET, or
+        _SAMPLES_PER_LENGTH per unit of its perimeter if that is more.
         """
         ring, n = 4 * _EDGE_POINTS, len(self.rects)
         if ring * len(self.fresh) + self.owner.size <= _CHUNK:
@@ -322,8 +335,8 @@ class _Counter:
         self.queue = np.concatenate([self.queue, new], axis=1)
         self.owner = np.concatenate([self.owner, box.take(coarse)])
         queued = np.bincount(self.owner, minlength=n)[touched]
-        for t in touched[self.samples[touched] + queued > _SAMPLE_BUDGET]:
-            refused.setdefault(int(t), f"needs over {_SAMPLE_BUDGET} samples")
+        for t in touched[self.samples[touched] + queued > self.budget[touched]]:
+            refused.setdefault(int(t), f"needs over {self.budget[t]} samples")
         if refused:
             live = ~np.isin(self.owner, list(refused))
             self.queue, self.owner = self.queue[:, live], self.owner[live]
@@ -371,7 +384,8 @@ def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = N
     NonConvergentContour.  The count is always of rect itself, which never
     shifts: if F is 0 at a sample, an interval still too coarse cannot be
     halved in floating point (a root on or next to the edge), or refinement
-    needs more than 4 * 8192 samples, BoundaryTooCloseToRoot is raised.
+    needs more than 4 * 8192 samples, or 16 per unit of the perimeter if
+    that is more, BoundaryTooCloseToRoot is raised.
     Both errors name the rectangle and the reason, as does the ValueError
     for a rect not finite with re_lo < re_hi, im_lo < im_hi.
     """
@@ -549,23 +563,30 @@ def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     ks = list(ks)
-    return _frequency_pairs(p, ks, _families(p, counter.evaluate, ks, counter.report)[0], counter)
+    recs = _families(p, counter.evaluate, ks, counter.report)[0]
+    return _frequency_pairs(p, ks, *_box_records(p, ks, recs), counter)
 
 
-def _frequency_pairs(p: BeamParams, ks, recs, counter: _Counter):
-    """frequency_pairs from the polished recs, with the boxes counted on
-    `counter` and every box whose count its records do not meet isolated in
-    one call of _isolate."""
+def _box_records(p: BeamParams, ks, recs):
+    """The frequency boxes of ks and, per box, the records of its k in recs
+    that lie inside it, those that coincide left out (see _distinct)."""
     by_k = {}
     for rec in recs:
         by_k.setdefault(rec.k_index, []).append(rec)
     rects = [_validation_rect(p, k) for k in ks]
+    return rects, [_distinct([r for r in by_k.get(k, []) if _inside(r.lam, rect)])
+                   for k, rect in zip(ks, rects)]
+
+
+def _frequency_pairs(p: BeamParams, ks, rects, pairs, counter: _Counter) -> list:
+    """frequency_pairs from the records inside each box, with the boxes
+    counted on `counter` and every box whose count its records do not meet
+    isolated in one call of _isolate."""
     counts = _logged(counter.outcomes_of(counter.submit(rects)), counter.report)
-    pairs = [_distinct([r for r in by_k.get(k, []) if _inside(r.lam, rect)])
-             for k, rect in zip(ks, rects)]
     odd = [i for i, (pair, count) in enumerate(zip(pairs, counts)) if len(pair) != count]
     counter.report.matched_boxes += len(ks) - len(odd)
     isolated = _isolate([(rects[i], counts[i], pairs[i]) for i in odd], counter)
+    pairs = list(pairs)
     for i, recs_of_k in zip(odd, isolated):
         _label_pair(recs_of_k, p, ks[i])
         pairs[i] = recs_of_k
@@ -574,9 +595,11 @@ def _frequency_pairs(p: BeamParams, ks, recs, counter: _Counter):
 
 def _label_pair(recs, p: BeamParams, k: int):
     """Tag the roots of frequency box k, in place: a pair in family order (the
-    assignment to the two predictions with the smaller total distance), a
-    lone record as family 1, and more than two roots with no family."""
+    assignment to the two predictions with the smaller total distance, and
+    on a tie the lower root, by Im then Re lambda, in family 1), a lone
+    record as family 1, and more than two roots with no family."""
     preds = predict_eigenvalue(k, np.array([1, 2]), p)
+    recs.sort(key=lambda rec: (rec.lam.imag, rec.lam.real))
     if len(recs) == 2 and (abs(recs[0].lam - preds[1]) + abs(recs[1].lam - preds[0])
                            < abs(recs[0].lam - preds[0]) + abs(recs[1].lam - preds[1])):
         recs.reverse()
@@ -589,6 +612,16 @@ def _sweep_box(p: BeamParams):
     if p.is_conservative:
         return (-0.5, 0.5, -0.3, top)
     return (-max(p.k2, p.k4) - 1.0, -1e-12, -0.3, top)
+
+
+def _union_box(p: BeamParams, k_max: int):
+    """The rect of the strip's one count: the sweep and frequency boxes and,
+    beside them, a margin out to Re = 2 that holds no root, as no root has
+    Re lambda > 0 and a conservative one has Re lambda = 0.  Its edges stay
+    far from the roots near the axis, so they take fewer samples; a root in
+    the margin only raises the count."""
+    re_lo = -2.0 if p.is_conservative else -max(p.k2, p.k4) - 1.0
+    return (re_lo, 2.0, -0.3, (k_max + 0.5) * math.pi)
 
 
 def _halves(rect, fraction: float):
@@ -760,25 +793,32 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     k_max tile the strip.  One Newton batch polishes the predictions of
     k = 1 .. k_max, and its lanes seed the boxes: those of k < K_MIN, with
     k_index and family cleared, are the sweep's known roots, and those of
-    each k >= K_MIN its frequency box's (see frequency_pairs).  The sweep
-    locates the roots they miss from its contour moments, subdividing only
-    where those fail (see _isolate), and each root is recorded by the box
-    holding it.  Conjugate closure
-    then mirrors the records above the line Im = -im_lo of the sweep box,
-    whose conjugates no box searched; the sweep holds both members of every
-    pair below it.  Sweep roots get family labels from the nearest
-    prediction of the same batch.  The sweep box, every frequency box and
-    the union of them all are counted in one batch, each on its own rect:
-    no box shifts.  Each record is one simple root.  The union's count is
-    report.global_count and must equal the number of records inside it, so
-    a root recorded twice or missed shows as an incomplete union.  A known
-    root that coincides with another record raises BoundaryTooCloseToRoot
-    naming both: it was taken for a root across a box edge from its own,
-    which no count shows.  Im lambda below Newton's resolution is stored as
-    0.0.  Incomplete boxes, including a union that disagrees or cannot be
-    counted (winding None), are reported, never silently dropped.  A sweep,
-    subdivision or frequency box that cannot be counted raises
-    BoundaryTooCloseToRoot naming it.
+    each k >= K_MIN, inside its box and distinct, its frequency box's.  The
+    sweep locates the roots they miss from its contour moments, subdividing
+    only where those fail (see _isolate), and so does every odd frequency
+    box, one whose records are not two distinct roots (see frequency_pairs).
+    The union of all boxes and a margin beside them (see _union_box) is
+    counted too, report.global_count.  The other frequency boxes are not
+    counted: when global_count less the sweep's count equals the records of
+    all frequency boxes, each holds just its two records, as the records are
+    roots and the boxes are disjoint, so each box counts at least its
+    records.  They are logged with winding 2 and no samples
+    (report.band_boxes).  Otherwise, or when the union cannot be counted,
+    they are counted and isolated like the odd ones.  Each root is recorded
+    by the box holding it.  Conjugate closure then mirrors the records
+    above the line Im = -im_lo of the sweep box, whose conjugates no box
+    searched; the sweep holds both members of every pair below it.  Sweep
+    roots get family labels from the nearest prediction of the same batch.
+    All counts share one batch, each on its own rect: no box shifts.  Each
+    record is one simple root.  global_count must equal the number of
+    records inside the union, so a root recorded twice or missed shows as
+    an incomplete union.  A known root that coincides with another record
+    raises BoundaryTooCloseToRoot naming both: it was taken for a root
+    across a box edge from its own, which no count shows.  Im lambda below
+    Newton's resolution is stored as 0.0.  Incomplete boxes, including a
+    union that disagrees or cannot be counted (winding None), are reported,
+    never silently dropped.  A sweep, subdivision or counted frequency box
+    that cannot be counted raises BoundaryTooCloseToRoot naming it.
     """
     if k_max < 10:
         raise ValueError(f"k_max must be >= 10, got {k_max}")
@@ -786,24 +826,37 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     report = RootSearchReport()
     counter = _Counter(_beam(p), report)
     ks = range(K_MIN, k_max + 1)
-    outer, top = _sweep_box(p), _validation_rect(p, k_max)
-    union = (min(outer[0], top[0]), max(outer[1], top[1]), outer[2], top[3])
-    # the frequency boxes and the union count in the background of the sweep
-    counter.submit([_validation_rect(p, k) for k in ks] + [union])
-    counter.submit([outer], moments=True)
+    outer, union = _sweep_box(p), _union_box(p, k_max)
+    (union_ticket,) = counter.submit([union])     # counts in the background of the others
     polished, _, preds = _families(p, counter.evaluate, range(1, k_max + 1), report)
     known = [rec for rec in polished if rec.k_index < K_MIN]
     for rec in known:
         rec.k_index = rec.family = None
-    (outer_count,) = _logged(counter.outcomes_of(counter.submit([outer])), report)
+    rects, pairs = _box_records(p, ks, polished)
+    odd = [i for i, pair in enumerate(pairs) if len(pair) != 2]
+    band = [i for i, pair in enumerate(pairs) if len(pair) == 2]
+
+    def count(boxes):
+        """_frequency_pairs on the frequency boxes of these indices, in place."""
+        found = _frequency_pairs(p, [ks[i] for i in boxes], [rects[i] for i in boxes],
+                                 [pairs[i] for i in boxes], counter)
+        for i, pair in zip(boxes, found):
+            pairs[i] = pair
+
+    counter.submit([rects[i] for i in odd])
+    (outer_count,) = _logged(counter.outcomes_of(counter.submit([outer], moments=True)), report)
     (records,) = _isolate([(outer, outer_count, known)], counter)
-    pairs = _frequency_pairs(p, ks, polished, counter)
-    (union_out,) = counter.outcomes_of(counter.submit([union]))
-    failed_k = []
-    for k, recs in zip(ks, pairs):
-        if len(recs) < 2:
-            failed_k.append(k)
-        records.extend(recs)
+    count(odd)
+    (union_out,) = counter.outcomes_of([union_ticket])
+    report.global_points = int(counter.samples[union_ticket])
+    if (not isinstance(union_out, Exception)
+            and union_out[0] - outer_count == sum(len(pair) for pair in pairs)):
+        report.boxes += [(rects[i], 2) for i in band]
+        report.band_boxes = len(band)
+    else:
+        count(band)
+    failed_k = [k for k, pair in zip(ks, pairs) if len(pair) < 2]
+    records += [rec for pair in pairs for rec in pair]
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
     _refuse_coincident(records, polished)
 

@@ -140,9 +140,10 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
         (out2 / "spectrum_report.json").read_bytes()
     report = read_canonical_json(out1 / "spectrum_report.json")
     stats = report["stats"]
-    assert set(stats) == {"boxes", "derived_boxes", "matched_boxes", "moment_boxes", "resplits",
-                          "contour_points", "contour_rounds", "newton_calls",
-                          "newton_iterations", "newton_rounds", "global_count"}
+    assert set(stats) == {"boxes", "derived_boxes", "matched_boxes", "moment_boxes",
+                          "band_boxes", "resplits", "contour_points", "contour_rounds",
+                          "newton_calls", "newton_iterations", "newton_rounds", "global_count",
+                          "global_points"}
     assert stats["boxes"] == len(report["boxes"])
     assert stats["newton_iterations"] == sum(n["iterations"] for n in report["newton"])
     assert stats["contour_points"] > 0 and stats["newton_calls"] > 0
@@ -152,6 +153,22 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
     _, header, rows = read_csv(out1 / "spectrum.csv")
     im, mult = header.index("im"), header.index("multiplicity")
     assert stats["global_count"] == sum(int(r[mult]) for r in rows if float(r[im]) > -0.3)
+
+
+def test_spectrum_names_incomplete_boxes_on_stderr(tmp_path, generic_file, monkeypatch,
+                                                  capsys):
+    # with every budget at 32,768 samples, the union of the k <= 1,100 strip,
+    # which takes 32,812, is refused: the run still writes its artifacts and
+    # exits 0, and stderr names the union
+    monkeypatch.setattr(tipbeam.spectrum, "_SAMPLES_PER_LENGTH", 0)
+    assert main(["spectrum", "--params", str(generic_file), "--kmax", "1100",
+                 "--out", str(tmp_path)]) == 0
+    report = read_canonical_json(tmp_path / "spectrum_report.json")
+    (box,) = report["incomplete_boxes"]
+    assert box["winding"] is None and report["stats"]["global_count"] is None
+    assert capsys.readouterr().err.splitlines() == [
+        f"tipbeam spectrum: incomplete box {box['rect']}: winding null, "
+        f"{box['recovered']} roots recovered"]
 
 
 def test_spectrum_conservative_flag(tmp_path, generic_file):

@@ -739,11 +739,11 @@ def test_spectrum_conservative_axis(cons_spectrum):
 
 def test_verify_no_imaginary_roots(params_generic, params_conservative,
                                    fig_spectrum, cons_spectrum):
-    # the union of the generic strip reaches Re = +0.2: its certified count
+    # the union of the generic strip reaches Re = +2: its certified count
     # equals the roots recovered in it, and every root lies left of the axis
     recs, report = fig_spectrum
     p = params_generic
-    union = (-max(p.k2, p.k4) - 1.0, 0.2, -0.3, 20.5 * math.pi)
+    union = (-max(p.k2, p.k4) - 1.0, 2.0, -0.3, 20.5 * math.pi)
     assert report.global_count == sum(tipbeam.spectrum._inside(r.lam, union) for r in recs)
     assert all(r.lam.real < -1e-12 * max(1.0, abs(r.lam)) for r in recs)
     # a box of the same kind sees the conservative roots on the axis
@@ -802,19 +802,116 @@ def test_conservative_boxes_avoid_root_locus(cons_spectrum):
 
 
 def test_generic_strip_batches_its_evaluations(params_generic):
-    # k <= 200: the strip's 252 boxes share their evaluation calls, and the
-    # sweep's leaves share their polishes.  The sweep keeps the roots that
-    # the seeds of k = 1 .. 7 reach; when it split down to one leaf per root
-    # it took 117 derived boxes and 22,528 contour points
+    # k <= 200: the strip's counted boxes and its union share their
+    # evaluation calls, and the sweep's leaves share their polishes.  The
+    # sweep keeps the roots that the seeds of k = 1 .. 7 reach; when it
+    # split down to one leaf per root it took 117 derived boxes and 22,528
+    # contour points.  The frequency boxes are certified by the union's
+    # count: when each was counted the search took 15,108 contour points,
+    # and the union, with its right edge at Re = 0.2, 6,084
     recs, report = spectrum_in_strip(params_generic, 200)
     stats = report.stats
     assert report.incomplete_boxes == []
     assert_tiled(recs, report)
     assert stats["contour_rounds"] <= 120
     assert stats["newton_rounds"] <= 45
-    assert stats["derived_boxes"] <= 40 and stats["contour_points"] < 17500
+    assert stats["derived_boxes"] <= 40 and stats["contour_points"] < 1000
+    assert stats["band_boxes"] == 193 and stats["global_points"] < 4500
     assert stats["matched_boxes"] > 0
     assert stats["global_count"] == 403 == sum(r.lam.imag > -0.3 for r in recs)
+
+
+def test_generic_strip_certifies_past_a_thousand(params_generic):
+    # the union's samples grow with k_max: 32,812 at k_max = 1,200, over the
+    # 32,768 a box may take at least, so it is refused unless its budget
+    # grows with its perimeter
+    recs, report = spectrum_in_strip(params_generic, 1200)
+    assert report.incomplete_boxes == []
+    assert report.global_count == 2 * 1200 + 3 == sum(r.lam.imag > -0.3 for r in recs)
+    assert report.global_points > tipbeam.spectrum._SAMPLE_BUDGET
+
+
+def test_sample_budget_grows_with_the_perimeter(params_generic):
+    # F = 1 with |F'/F| = D halves every interval down to pi / (4 D).  A
+    # frequency box of the generic set, perimeter 12.7, needs 65,536
+    # samples at D = 3,000 and is refused at 32,768; the union of the
+    # k <= 1,200 strip, perimeter 7,554, needs 65,600 at D = 4 and may take
+    # 16 per unit of its perimeter
+    def flat(d):
+        return lambda z: (np.ones_like(z), np.full_like(z, d), np.ones_like(z))
+
+    box = tipbeam.spectrum._validation_rect(params_generic, 12)
+    ((outcome,), _) = _batch([box], flat(3000.0))
+    assert str(outcome) == f"boundary of {box} needs over 32768 samples"
+    union = tipbeam.spectrum._union_box(params_generic, 1200)
+    ((outcome,), _) = _batch([union], flat(4.0))
+    assert outcome[0] == 0 and outcome[2] == 65600
+
+
+_BAND_SETS = {
+    "generic": ((1.0, 2.0, 1.0, 2.0, 3.0, 2.0), 60),
+    "degenerate": ((1.0, 4.0 * math.pi**2, 2.0, 1.0, 2.0, 5.0), 60),
+    "case2": ((1.0, 4.0 * math.pi**2, 2.0, 1.0, 2.0, 1.0), 60),
+    "case3": ((1.0, 4.0 * math.pi**2, 2.0, 0.0, 2.0, 0.0), 60),
+    "lattice": ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 24),
+    "near-lattice": ((1.0, 16.0 * math.pi**2 * (1.0 + 1e-8), 1.0, 1.0, 1.0, 2.0), 24),
+    "conservative": ((1.0, 2.0, 1.0, 0.0, 3.0, 0.0), 60),
+    "large-b": ((1.0, (20.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0), 30),
+}
+
+
+def _labelled(recs):
+    return [(r.lam, r.k_index, r.family) for r in sorted(recs, key=tipbeam.spectrum._record_order)]
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_SETS))
+def test_band_certified_records_equal_counted_ones(name):
+    # the frequency boxes the union's count certifies hold the records, with
+    # their labels, that counting every box gives (frequency_pairs); on the
+    # other sets no seeded box is odd, and on the lattice and large-b sets
+    # every one is, so each is counted
+    args, k_max = _BAND_SETS[name]
+    p = validate_params(*args)
+    recs, report = spectrum_in_strip(p, k_max)
+    assert report.incomplete_boxes == []
+    counted = frequency_pairs(p, range(K_MIN, k_max + 1))
+    strip = _labelled(r for r in recs if (r.k_index or 0) >= K_MIN)
+    ref = _labelled(r for pair in counted for r in pair)
+    assert [rec[:2] for rec in strip] == [rec[:2] for rec in ref]
+    # a box of more than two roots has no family, but the strip labels such
+    # roots by the low-frequency predictions, as those of the sweep
+    assert all(a == b for a, b in zip(strip, ref) if b[2] is not None)
+    assert report.band_boxes == (0 if name in ("lattice", "near-lattice", "large-b")
+                                 else k_max - K_MIN + 1)
+
+
+@pytest.mark.parametrize("name", ["generic", "case2", "conservative"])
+def test_strip_records_do_not_depend_on_k_max(name):
+    # the records below (k + 1/2) pi are the same whether the strip, and
+    # the union that certifies it, ends there or 37 boxes higher
+    args, k_max = _BAND_SETS[name]
+    p = validate_params(*args)
+    top = (k_max + 0.5) * math.pi
+    recs, _ = spectrum_in_strip(p, k_max)
+    taller, report = spectrum_in_strip(p, k_max + 37)
+    assert report.incomplete_boxes == [] and report.band_boxes > 37
+    assert _labelled(recs) == _labelled(r for r in taller if abs(r.lam.imag) <= top)
+
+
+def test_label_pair_breaks_a_tie_by_height():
+    # both roots of box 24 of (1, (20.5 pi)^2, 1, 0, 3, 0) lie on the axis
+    # below both predictions, so both assignments have one total distance;
+    # the labels must not follow the order in which the roots were found
+    p = validate_params(1.0, (20.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0)
+    (pair,) = frequency_pairs(p, [24])
+    preds = predict_eigenvalue(24, np.array([1, 2]), p)
+    assert all(abs(r.lam.real) < 1e-12 and r.lam.imag < preds.imag.min() for r in pair)
+    labels = []
+    for order in (pair, pair[::-1]):
+        recs = [replace(r, family=None) for r in order]
+        tipbeam.spectrum._label_pair(recs, p, 24)
+        labels.append(sorted((r.lam.imag, r.family) for r in recs))
+    assert labels[0] == labels[1] and [j for _, j in labels[0]] == [1, 2]
 
 
 def test_conservative_sweep_keeps_its_polished_roots(params_conservative):
@@ -848,7 +945,7 @@ def test_strip_peak_memory(params_generic):
 
 def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
     p = params_generic
-    union = (-3.0, 0.2, -0.3, 12.5 * math.pi)
+    union = (-3.0, 2.0, -0.3, 12.5 * math.pi)
     # a sweep root lost before the conjugate closure: the union counts 27
     real_label = tipbeam.spectrum._label_low_frequency
 
@@ -887,6 +984,27 @@ def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
     assert report.global_count is None
     assert report.incomplete_boxes == [(union, None, 27)]
     assert len(recs) == 2 * 27 - 2     # two real roots
+
+
+def test_a_root_the_band_misses_makes_every_box_count(params_generic, monkeypatch):
+    # F with one more root, inside frequency box 15 beside its two: the
+    # seeds still find those two, so the box is not odd, but the union
+    # counts one root more than the records.  So every frequency box is
+    # counted, box 15 is isolated, and its third root is recorded
+    extra = -1.5 + 15.2j * math.pi
+    real = tipbeam.spectrum.entire_char_fn_and_derivative
+
+    def with_extra(lam, params):
+        f, d, fval = real(lam, params)
+        return f * (lam - extra), d * (lam - extra) + f, fval * (lam - extra)
+
+    monkeypatch.setattr(tipbeam.spectrum, "entire_char_fn_and_derivative", with_extra)
+    recs, report = spectrum_in_strip(params_generic, 20)
+    assert report.band_boxes == 0 and report.global_count == 2 * 20 + 3 + 1
+    assert report.incomplete_boxes == []
+    box = [r for r in recs if r.k_index == 15]
+    assert len(box) == 3 and min(abs(r.lam - extra) for r in box) < 1e-9
+    assert (tipbeam.spectrum._validation_rect(params_generic, 15), 3) in report.boxes
 
 
 def test_strip_with_strong_damping_completes():
@@ -948,11 +1066,11 @@ def test_branch_point_on_a_shared_box_edge(q, gains):
 
 
 def _strip_with_derived_boxes_counted(p, k_max):
-    """spectrum_in_strip(p, k_max), asserting that each derived box, one
-    logged to report.boxes but never submitted to the counter, has the
-    winding it has when counted.  The derived boxes are counted in one
-    batch, whose counts are the one-box counts of count_roots_in_rect
-    (test_batched_counts_match_one_box_counts)."""
+    """spectrum_in_strip(p, k_max), asserting that each derived or
+    band-certified box, one logged to report.boxes but never submitted to
+    the counter, has the winding it has when counted.  Those boxes are
+    counted in one batch, whose counts are the one-box counts of
+    count_roots_in_rect (test_batched_counts_match_one_box_counts)."""
     submitted = set()
     real = tipbeam.spectrum._Counter.submit
 
@@ -964,7 +1082,7 @@ def _strip_with_derived_boxes_counted(p, k_max):
         mp.setattr(tipbeam.spectrum._Counter, "submit", spy)
         recs, report = spectrum_in_strip(p, k_max)
     derived = [(rect, w) for rect, w in report.boxes if rect not in submitted]
-    assert len(derived) == report.stats["derived_boxes"]
+    assert len(derived) == report.stats["derived_boxes"] + report.stats["band_boxes"]
     outcomes, _ = _batch([rect for rect, _ in derived], tipbeam.spectrum._beam(p))
     assert [o[0] for o in outcomes] == [w for _, w in derived]
     return recs, report
@@ -1127,9 +1245,12 @@ def test_spectrum_stats_count_the_search(fig_spectrum):
     assert stats["boxes"] == len(report.boxes)
     assert stats["newton_iterations"] == sum(it for _, it in report.newton_iterations)
     assert stats["newton_calls"] >= len(report.newton_iterations)
-    # a derived box is counted on no samples of its own
+    # a derived or band-certified box is counted on no samples of its own
     assert 0 < stats["derived_boxes"] < stats["boxes"]
-    assert stats["contour_points"] >= 64 * (stats["boxes"] - stats["derived_boxes"])
+    assert 0 < stats["band_boxes"] < stats["boxes"]
+    counted = stats["boxes"] - stats["derived_boxes"] - stats["band_boxes"]
+    assert stats["contour_points"] >= 64 * counted
+    assert stats["global_points"] >= 64
 
 
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
