@@ -9,19 +9,20 @@ principle (Kravanja & Van Barel, Computing the Zeros of Analytic Functions,
 2000: count the roots of a box, then locate them), once over the union of
 all boxes, which certifies the whole strip, so a root found twice or missed
 shows there.  The sweep is counted, and so is each odd frequency box, one
-whose known roots are not two distinct roots.  Those boxes locate the roots
-their known ones miss from the contour that counted them (Delves & Lyness,
-A numerical method for locating the zeros of an analytic function, Math.
-Comp. 21, 1967): the moments (1/2 pi i) oint (z - c)^q F'/F dz, q <= 2,
-are the power sums of the roots inside about the box's centre c, so less
-the known roots' they give one or two unknown roots, which Newton
-polishes.  A box with more unknown roots, no moments or seeds that failed
-is subdivided, all such boxes in one pass, until each root is known or
-located.  So subdivision and the moments locate only the roots Newton left
-unfound.  The other frequency boxes are not counted: the union's count less
-the sweep's is the count of the frequency band, and when it equals the
-band's known roots, each box holds just its two.  Otherwise they are
-counted and isolated like the odd ones.  Each root is recorded by the one
+whose known roots are not two distinct roots, all in one pass of _isolate.
+Those boxes locate the roots their known ones miss from the contour that
+counted them (Delves & Lyness, A numerical method for locating the zeros
+of an analytic function, Math. Comp. 21, 1967): the moments
+(1/2 pi i) oint (z - c)^q F'/F dz, q <= 2, are the power sums of the roots
+inside about the box's centre c, so less the known roots' they give one or
+two unknown roots, which Newton polishes.  A box with more unknown roots or
+seeds that failed is subdivided, all such boxes in one pass, until each
+root is known or located.  So subdivision and the moments locate only the
+roots Newton left unfound.  The other frequency boxes are not counted: the
+union's count less the sweep's is the count of the frequency band, and
+when it equals the band's known roots, each box holds just its two.
+Otherwise they are counted and isolated like the odd ones, in a second
+pass.  Each root is recorded by the one
 box that holds it.  The negative half comes from conjugate closure.  The
 left edge of the dissipative boxes is -max(k2, k4) - 1: for an
 energy-normalized mode, Re lambda = -(k2/k1)|eta|^2 - (k4/k3)|gamma|^2
@@ -42,9 +43,10 @@ and its F'-bounded turn max |F'/F| * |z_{i+1} - z_i| at its two ends both
 stay within pi/4; the
 F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
-The same fine intervals give the moments of the boxes that take them (the
-sweep and every first half of a split): the sum of
-(m - c)^q log(F(z_{i+1})/F(z_i)) / (2 pi i), m the interval's midpoint.
+The same fine intervals give the moments of the boxes that take them
+(every box a search isolates and every first half of a split, but not the
+union): the sum of (m - c)^q log(F(z_{i+1})/F(z_i)) / (2 pi i), m the
+interval's midpoint.
 Every box is counted on the rect it was submitted with, or refused by name
 (BoundaryTooCloseToRoot) when a sample is an exact zero of F, when an
 interval still too coarse has no floating-point midpoint, or when
@@ -189,15 +191,12 @@ class _Counter:
     gets the samples, and the count, of counting it alone, whatever the batch
     or _CHUNK.  A box with nothing queued is resolved: counted on the rect it
     was submitted with, or refused with a BoundaryTooCloseToRoot naming it,
-    without raising for the others.  A rect already submitted keeps its
-    ticket, so a search can start boxes early and collect them later.  A box
-    submitted to take moments also sums, over the same fine intervals, its
-    low moments (see `moments`).
+    without raising for the others.  A box submitted to take moments also
+    sums, over the same fine intervals, its low moments (see `moments`).
     """
 
     def __init__(self, evaluate: Callable, report: RootSearchReport):
         self.evaluate, self.report = evaluate, report
-        self.tickets = {}     # rect -> ticket
         self.rects = []       # per ticket, its rect
         self.outcomes = {}    # ticket -> (count, rect, samples) or the error
         self.fresh = []       # tickets whose ring is not yet evaluated, in submission order
@@ -211,42 +210,37 @@ class _Counter:
         self.queue = np.zeros((6, 0), dtype=complex)   # columns: z, F, |F'/F| at both ends
 
     def submit(self, rects, moments: bool = False) -> list:
-        """Tickets of rects; counting starts for those not yet submitted,
-        which take moments when asked to."""
-        tickets = []
+        """Tickets of rects, whose counting starts now; they take moments
+        when asked to."""
+        first = len(self.rects)
         for rect in rects:
             rect = tuple(float(v) for v in rect)
-            if rect not in self.tickets:
-                t = self.tickets[rect] = len(self.rects)
-                self.fresh.append(t)
-                self.rects.append(rect)
-                if t == self.turns.size:
-                    self.turns, self.samples, self.budget, self.slot = (
-                        _grown(a, 2 * t + len(rects))
-                        for a in (self.turns, self.samples, self.budget, self.slot))
-                perimeter = 2.0 * (rect[1] - rect[0] + rect[3] - rect[2])
-                self.budget[t] = (max(_SAMPLE_BUDGET, int(_SAMPLES_PER_LENGTH * perimeter))
-                                  if math.isfinite(perimeter) else _SAMPLE_BUDGET)
-                self.slot[t] = self.centre.size if moments else -1
-                if moments:
-                    self.centre = np.append(self.centre, _centre(rect))
-                    self.sums = _grown(self.sums, self.centre.size)
-            tickets.append(self.tickets[rect])
-        return tickets
+            t = len(self.rects)
+            self.fresh.append(t)
+            self.rects.append(rect)
+            if t == self.turns.size:
+                self.turns, self.samples, self.budget, self.slot = (
+                    _grown(a, 2 * t + len(rects))
+                    for a in (self.turns, self.samples, self.budget, self.slot))
+            perimeter = 2.0 * (rect[1] - rect[0] + rect[3] - rect[2])
+            self.budget[t] = (max(_SAMPLE_BUDGET, int(_SAMPLES_PER_LENGTH * perimeter))
+                              if math.isfinite(perimeter) else _SAMPLE_BUDGET)
+            self.slot[t] = self.centre.size if moments else -1
+            if moments:
+                self.centre = np.append(self.centre, _centre(rect))
+                self.sums = _grown(self.sums, self.centre.size)
+        return list(range(first, len(self.rects)))
 
-    def moments(self, rect):
+    def moments(self, ticket: int):
         """The power sums s_q = sum (r - c)^q, q = 0, 1, 2, over the roots r of
-        a counted rect, c its centre, or None when rect took no moments.
+        a counted box submitted to take moments, c its rect's centre.
 
         They are the contour moments (1/2 pi i) oint (z - c)^q F'/F dz of
         Delves & Lyness (A numerical method for locating the zeros of an
         analytic function, 1967), on the samples of the count: the sum over
         its fine intervals of (m - c)^q log(F_b / F_a), m the midpoint.
         """
-        t = self.tickets.get(tuple(float(v) for v in rect))
-        if t is None or self.slot[t] < 0:
-            return None
-        return self.sums[self.slot[t]] / (2j * math.pi)
+        return self.sums[self.slot[ticket]] / (2j * math.pi)
 
     def outcomes_of(self, tickets) -> list:
         """The outcomes of the tickets, in order, once all are resolved."""
@@ -547,7 +541,7 @@ def _refuse_coincident(records, known):
 
 def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -> list:
     """The records of each frequency k in ks: both family roots near i k pi
-    from one Newton batch, jointly validated by one batch of box counts.
+    from one Newton batch, validated and completed by one call of _isolate.
 
     The records of k are those inside its box, (k - 1/2) pi <= Im lambda <=
     (k + 1/2) pi, so adjacent boxes never report one root twice; a box that
@@ -555,16 +549,21 @@ def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -
     its records when they are as many as its winding count, those that
     coincide to Newton resolution (both families polished onto one root, or
     a pair closer than that) left out.  Every other box (a seed missed or
-    left its box, or records were left out) goes to one subdivision pass
-    with its records as known roots (see _isolate), and gets one record per
-    root.  Two roots come back as two records in family order however
-    close, Theta(1/k^3) apart in cases 2 and 3; a pair no subdivision parts
-    raises BoundaryTooCloseToRoot naming a box.
+    left its box, or records were left out) locates the roots they miss
+    from the moments of its count, subdividing only where those fail (see
+    _isolate), and gets one record per root, labelled by _label_pair.  Two
+    roots come back as two records in family order however close,
+    Theta(1/k^3) apart in cases 2 and 3; a pair no subdivision parts raises
+    BoundaryTooCloseToRoot naming a box.
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     ks = list(ks)
-    recs = _families(p, counter.evaluate, ks, counter.report)[0]
-    return _frequency_pairs(p, ks, *_box_records(p, ks, recs), counter)
+    rects, pairs = _box_records(p, ks, _families(p, counter.evaluate, ks, counter.report)[0])
+    _, found = _isolate(list(zip(rects, pairs)), counter)
+    for k, pair, recs in zip(ks, pairs, found):
+        if recs != pair:
+            _label_pair(recs, p, k)
+    return found
 
 
 def _box_records(p: BeamParams, ks, recs):
@@ -576,21 +575,6 @@ def _box_records(p: BeamParams, ks, recs):
     rects = [_validation_rect(p, k) for k in ks]
     return rects, [_distinct([r for r in by_k.get(k, []) if _inside(r.lam, rect)])
                    for k, rect in zip(ks, rects)]
-
-
-def _frequency_pairs(p: BeamParams, ks, rects, pairs, counter: _Counter) -> list:
-    """frequency_pairs from the records inside each box, with the boxes
-    counted on `counter` and every box whose count its records do not meet
-    isolated in one call of _isolate."""
-    counts = _logged(counter.outcomes_of(counter.submit(rects)), counter.report)
-    odd = [i for i, (pair, count) in enumerate(zip(pairs, counts)) if len(pair) != count]
-    counter.report.matched_boxes += len(ks) - len(odd)
-    isolated = _isolate([(rects[i], counts[i], pairs[i]) for i in odd], counter)
-    pairs = list(pairs)
-    for i, recs_of_k in zip(odd, isolated):
-        _label_pair(recs_of_k, p, ks[i])
-        pairs[i] = recs_of_k
-    return pairs
 
 
 def _label_pair(recs, p: BeamParams, k: int):
@@ -659,16 +643,18 @@ def _second_moments(rect, moments, first, first_moments, second) -> np.ndarray:
     return about(moments, _centre(rect) - c) - about(first_moments, _centre(first) - c)
 
 
-def _isolate(boxes, counter: _Counter) -> list:
-    """The records of the roots in each box, all boxes subdivided in one pass.
+def _isolate(boxes, counter: _Counter):
+    """Each box's count and the records of the roots in it, all boxes counted
+    and subdivided in one pass.
 
-    boxes holds (rect, count, known): known records are Newton-polished
-    roots, and those outside rect, or coinciding with another to Newton
-    resolution (see _distinct), are dropped.  A box whose count equals the
-    number of known records inside it is closed with them
-    (report.matched_boxes).  A box with moments (the counter's, if rect took
-    them, else those a split gave it) and one or two roots more than its
-    known records is seeded from them (see _moment_seeds; Delves & Lyness,
+    boxes holds (rect, known): known records are Newton-polished roots, and
+    those outside rect, or coinciding with another to Newton resolution (see
+    _distinct), are dropped.  Every rect is counted on `counter` with its
+    moments, and the counts are logged to report.boxes; the first box the
+    counter refuses, in the given order, is raised.  A box whose count
+    equals the number of known records inside it is closed with them
+    (report.matched_boxes).  A box with one or two roots more than its known
+    records is seeded from its moments (see _moment_seeds; Delves & Lyness,
     1967: the contour that counts the roots also locates them).  Whenever no
     count of the subdivision is pending, all seeds are Newton-polished in one
     batch.  A seeded box whose distinct records, known and polished ones
@@ -685,30 +671,32 @@ def _isolate(boxes, counter: _Counter) -> list:
     split is counted, and it takes moments; the halves tile the box, so the
     second half's winding is the box's count less the first's, logged to
     report.boxes with no samples and to report.derived_boxes, and its
-    moments, when its box has some, are the box's less the first half's
-    (see _second_moments).  The count is exact when both counts are: the
-    second half's boundary is the box's counted edges and the split line,
-    which the first half's count certified.  A first half that counts more
-    than its box raises NonConvergentContour naming both.  The first half
-    goes to the counter as soon as its box's count is in, so boxes of every
-    depth and every outer box share evaluation calls.  A first half the
-    counter refuses (a root on or next to the split line) derives nothing,
-    and the box splits again at the next fraction, so the halves always tile
-    it; each re-split adds one to report.resplits.  A refusal at the last
-    fraction is raised.  Roots however close part by subdivision alone: two
-    polishes closer than Newton resolution are not distinct, so their box
-    splits.  A pair no split parts (a double root, or two at rounding level)
-    raises BoundaryTooCloseToRoot naming a box, as do two records that
-    coincide (see _refuse_coincident).
+    moments are the box's less the first half's (see _second_moments).  The
+    count is exact when both counts are: the second half's boundary is the
+    box's counted edges and the split line, which the first half's count
+    certified.  A first half that counts more than its box raises
+    NonConvergentContour naming both.  The first half goes to the counter as
+    soon as its box's count is in, so boxes of every depth share evaluation
+    calls.  A first half the counter refuses (a root on or next to the split
+    line) derives nothing, and the box splits again at the next fraction, so
+    the halves always tile it; each re-split adds one to report.resplits.  A
+    refusal at the last fraction is raised.  Roots however close part by
+    subdivision alone: two polishes closer than Newton resolution are not
+    distinct, so their box splits.  A pair no split parts (a double root, or
+    two at rounding level) raises BoundaryTooCloseToRoot naming a box, as do
+    two records that coincide (see _refuse_coincident).
     """
     report = counter.report
+    tickets = counter.submit([rect for rect, _ in boxes], moments=True)
+    counts = _logged(counter.outcomes_of(tickets), report)
     found = [[] for _ in boxes]
     visited = [0] * len(boxes)
-    # pending: (box index, rect, count, known, moments or None, most unknown roots
-    # to seed); seeded: (pending entry, seeds); splits: (pending entry, index in
+    # pending: (box index, rect, count, known, moments, most unknown roots to
+    # seed); seeded: (pending entry, seeds); splits: (pending entry, index in
     # _SPLITS, ticket)
     pending = [(i, rect, cnt, _distinct([r for r in known if _inside(r.lam, rect)]),
-                counter.moments(rect), 2) for i, (rect, cnt, known) in enumerate(boxes) if cnt]
+                counter.moments(t), 2)
+               for i, ((rect, known), cnt, t) in enumerate(zip(boxes, counts, tickets)) if cnt]
     seeded, splits = [], []
 
     def split(box, at: int = 0):
@@ -724,7 +712,7 @@ def _isolate(boxes, counter: _Counter) -> list:
             if cnt == len(known):
                 found[i] += known
                 report.matched_boxes += 1
-            elif moments is not None and 0 < cnt - len(known) <= most:
+            elif 0 < cnt - len(known) <= most:
                 seeded.append((box, _moment_seeds(rect, moments, known, cnt - len(known))))
             else:
                 split(box)
@@ -748,9 +736,8 @@ def _isolate(boxes, counter: _Counter) -> list:
                                                f"more than the {cnt} of its box {rect}")
                 report.boxes.append((second, rest))
                 report.derived_boxes += 1
-                first_moments = counter.moments(first)
-                second_moments = (None if moments is None else
-                                  _second_moments(rect, moments, first, first_moments, second))
+                first_moments = counter.moments(ticket)
+                second_moments = _second_moments(rect, moments, first, first_moments, second)
                 in_first = [r for r in known if _inside(r.lam, first)]
                 in_second = [r for r in known if not _inside(r.lam, first)]
                 pending += [(i, *half, most) for half in (
@@ -772,15 +759,16 @@ def _isolate(boxes, counter: _Counter) -> list:
                     split((i, rect, cnt, recs, moments, 1))
             seeded = []
     _refuse_coincident([rec for recs in found for rec in recs],
-                       [rec for _, _, known in boxes for rec in known])
-    return found
+                       [rec for _, known in boxes for rec in known])
+    return counts, found
 
 
 def _label_low_frequency(records, preds):
-    """Assign family tags to sweep roots by nearest closed-form prediction;
-    preds holds the predictions of k = 1 .. K_MIN - 1 in (k, family) order."""
+    """Assign family tags to the sweep's roots with Im >= 0 by nearest
+    closed-form prediction; preds holds the predictions of k = 1 .. K_MIN - 1
+    in (k, family) order."""
     for rec in records:
-        if rec.family is None and rec.lam.imag >= 0:
+        if rec.lam.imag >= 0:
             i = int(np.argmin(np.abs(preds - rec.lam)))   # argmin keeps the first of equals
             if abs(preds[i] - rec.lam) < 0.5:
                 rec.family = i % 2 + 1
@@ -795,30 +783,34 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     k_index and family cleared, are the sweep's known roots, and those of
     each k >= K_MIN, inside its box and distinct, its frequency box's.  The
     sweep locates the roots they miss from its contour moments, subdividing
-    only where those fail (see _isolate), and so does every odd frequency
-    box, one whose records are not two distinct roots (see frequency_pairs).
-    The union of all boxes and a margin beside them (see _union_box) is
-    counted too, report.global_count.  The other frequency boxes are not
-    counted: when global_count less the sweep's count equals the records of
-    all frequency boxes, each holds just its two records, as the records are
-    roots and the boxes are disjoint, so each box counts at least its
-    records.  They are logged with winding 2 and no samples
-    (report.band_boxes).  Otherwise, or when the union cannot be counted,
-    they are counted and isolated like the odd ones.  Each root is recorded
-    by the box holding it.  Conjugate closure then mirrors the records
-    above the line Im = -im_lo of the sweep box, whose conjugates no box
-    searched; the sweep holds both members of every pair below it.  Sweep
-    roots get family labels from the nearest prediction of the same batch.
-    All counts share one batch, each on its own rect: no box shifts.  Each
-    record is one simple root.  global_count must equal the number of
-    records inside the union, so a root recorded twice or missed shows as
-    an incomplete union.  A known root that coincides with another record
-    raises BoundaryTooCloseToRoot naming both: it was taken for a root
-    across a box edge from its own, which no count shows.  Im lambda below
-    Newton's resolution is stored as 0.0.  Incomplete boxes, including a
-    union that disagrees or cannot be counted (winding None), are reported,
-    never silently dropped.  A sweep, subdivision or counted frequency box
-    that cannot be counted raises BoundaryTooCloseToRoot naming it.
+    only where those fail, and so does every odd frequency box, one whose
+    records are not two distinct roots: the sweep and the odd boxes are
+    counted and isolated in one call of _isolate.  The union of all boxes
+    and a margin beside them (see _union_box) is counted too,
+    report.global_count.  The other frequency boxes are not counted: when
+    global_count less the sweep's count equals the records of all frequency
+    boxes, each holds just its two records, as the records are roots and
+    the boxes are disjoint, so each box counts at least its records.  They
+    are logged with winding 2 and no samples (report.band_boxes).
+    Otherwise, or when the union cannot be counted, they are counted and
+    isolated like the odd ones, in a second call of _isolate.  Each root is
+    recorded by the box holding it.  The sweep's records, and only they, get
+    family labels from the nearest prediction of the same batch; a
+    frequency box keeps its seeds' labels, or, when its records are not its
+    seeded ones, is labelled by _label_pair.  Conjugate closure then mirrors
+    the records above the line Im = -im_lo of the sweep box, whose
+    conjugates no box searched; the sweep holds both members of every pair
+    below it.  All counts share one batch, each on its own rect: no box
+    shifts.  Each record is one simple root.  global_count must equal the
+    number of records inside the union, so a root recorded twice or missed
+    shows as an incomplete union.  A known root that coincides with another
+    record raises BoundaryTooCloseToRoot naming both: it was taken for a
+    root across a box edge from its own, which no count shows.  Im lambda
+    below Newton's resolution is stored as 0.0.  Incomplete boxes, including
+    a union that disagrees or cannot be counted (winding None), are
+    reported, never silently dropped.  A sweep, subdivision or counted
+    frequency box that cannot be counted raises BoundaryTooCloseToRoot
+    naming it.
     """
     if k_max < 10:
         raise ValueError(f"k_max must be >= 10, got {k_max}")
@@ -832,35 +824,29 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     known = [rec for rec in polished if rec.k_index < K_MIN]
     for rec in known:
         rec.k_index = rec.family = None
-    rects, pairs = _box_records(p, ks, polished)
-    odd = [i for i, pair in enumerate(pairs) if len(pair) != 2]
-    band = [i for i, pair in enumerate(pairs) if len(pair) == 2]
-
-    def count(boxes):
-        """_frequency_pairs on the frequency boxes of these indices, in place."""
-        found = _frequency_pairs(p, [ks[i] for i in boxes], [rects[i] for i in boxes],
-                                 [pairs[i] for i in boxes], counter)
-        for i, pair in zip(boxes, found):
-            pairs[i] = pair
-
-    counter.submit([rects[i] for i in odd])
-    (outer_count,) = _logged(counter.outcomes_of(counter.submit([outer], moments=True)), report)
-    (records,) = _isolate([(outer, outer_count, known)], counter)
-    count(odd)
+    rects, seeded = _box_records(p, ks, polished)
+    odd = [i for i, pair in enumerate(seeded) if len(pair) != 2]
+    band = [i for i, pair in enumerate(seeded) if len(pair) == 2]
+    (outer_count, *_), (records, *found) = _isolate(
+        [(outer, known)] + [(rects[i], seeded[i]) for i in odd], counter)
+    _label_low_frequency(records, preds[:2 * (K_MIN - 1)])
+    isolated = dict(zip(odd, found))
     (union_out,) = counter.outcomes_of([union_ticket])
     report.global_points = int(counter.samples[union_ticket])
     if (not isinstance(union_out, Exception)
-            and union_out[0] - outer_count == sum(len(pair) for pair in pairs)):
+            and union_out[0] - outer_count == 2 * len(band) + sum(map(len, found))):
         report.boxes += [(rects[i], 2) for i in band]
         report.band_boxes = len(band)
     else:
-        count(band)
+        isolated.update(zip(band, _isolate([(rects[i], seeded[i]) for i in band], counter)[1]))
+    for i, recs in isolated.items():
+        if recs != seeded[i]:
+            _label_pair(recs, p, ks[i])
+    pairs = [isolated.get(i, pair) for i, pair in enumerate(seeded)]
     failed_k = [k for k, pair in zip(ks, pairs) if len(pair) < 2]
     records += [rec for pair in pairs for rec in pair]
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
     _refuse_coincident(records, polished)
-
-    _label_low_frequency(records, preds[:2 * (K_MIN - 1)])
 
     # conjugate closure: below Im = -outer[2] the sweep holds both members
     records += [EigenvalueRecord(rec.lam.conjugate(),
