@@ -8,10 +8,10 @@ which keeps the k^2-weighted tail diagnostics free of quadrature error.
 
 The layer works on arrays of modes.  `eigenmode(lams, p)` builds every
 mode of an array of eigenvalues in one pass: one boundary-matrix
-evaluation, one stacked SVD and one normalization; a scalar eigenvalue
-gives a 0-d batch.  The fields of a ModeShape carry the shape of its
-lambdas as leading axes, and indexing a ModeShape indexes those axes, so
-modes[i] is one mode.  `gram_inner_product` broadcasts over them:
+evaluation, one stacked SVD and one Gram, so hnorm is 1.0 by
+construction; a scalar eigenvalue gives a 0-d batch.  The fields of a
+ModeShape carry its lambdas' shape as leading axes; indexing a ModeShape
+indexes them, so modes[i] is one mode.  `gram_inner_product` broadcasts:
 gram_inner_product(psi, phi, p) pairs two batches lane by lane, and
 gram_inner_product(modes[:, None], modes[None, :], p) is the Gram matrix.
 A lane does not depend on the batch size: as in charfn, a complex product
@@ -139,18 +139,18 @@ def eigenmode(lam, p: BeamParams) -> ModeShape:
                      tip_gamma=math.sqrt(p.a / p.b) * lam * np.sum(c * d * exps, axis=-1),
                      matrix_residual=np.linalg.norm(m @ c[..., None], axis=(-2, -1)),
                      conditioning=s3 / s1)
-    return normalize(replace(mode, hnorm=np.sqrt(np.abs(gram_inner_product(mode, mode, p)))), p)
+    return normalize(replace(mode, hnorm=np.sqrt(np.abs(gram_inner_product(mode, mode, p)))))
 
 
 def _exp_integral(s: np.ndarray) -> np.ndarray:
     """Entrywise integral of e^{s x} over [0, 1], stable through s = 0."""
     s = np.asarray(s, dtype=complex)
-    out = np.empty_like(s)
+    with np.errstate(divide="ignore", invalid="ignore"):    # s = 0 is patched below
+        out = np.expm1(s) / s      # exp(s) - 1 would cancel |log10 s| digits
     small = np.abs(s) < 1e-6
-    ss = s[small]
-    out[small] = 1.0 + ss / 2.0 + ss * ss / 6.0
-    sb = s[~small]
-    out[~small] = np.expm1(sb) / sb      # exp(s) - 1 would cancel |log10 s| digits
+    if small.any():
+        ss = s[small]
+        out[small] = 1.0 + ss / 2.0 + ss * ss / 6.0
     return out
 
 
@@ -175,16 +175,15 @@ def gram_inner_product(m1: ModeShape, m2: ModeShape, p: BeamParams):
             + np.multiply(m1.tip_gamma, np.conj(m2.tip_gamma)) / p.k3)
 
 
-def normalize(m: ModeShape, p: BeamParams) -> ModeShape:
-    """Rescale every mode to energy norm one; recomputes hnorm as a check."""
+def normalize(m: ModeShape) -> ModeShape:
+    """Rescale each mode by its hnorm to energy norm one; hnorm is then 1.0 by construction."""
     h = np.asarray(m.hnorm)
     bad = ~(np.isfinite(h) & (h > 0.0))
     if np.any(bad):
         i = _first(bad)
         raise _lane_error(ZeroMode, i, m.lam, f"cannot normalize a mode of norm {h[i]}")
-    scaled = replace(m, coeffs=m.coeffs / h[..., None], tip_eta=m.tip_eta / h,
-                     tip_gamma=m.tip_gamma / h)
-    return replace(scaled, hnorm=np.sqrt(np.abs(gram_inner_product(scaled, scaled, p))))
+    return replace(m, coeffs=m.coeffs / h[..., None], tip_eta=m.tip_eta / h,
+                   tip_gamma=m.tip_gamma / h, hnorm=np.ones_like(h))
 
 
 def mode_residuals(m: ModeShape, p: BeamParams) -> np.ndarray:
@@ -192,14 +191,15 @@ def mode_residuals(m: ModeShape, p: BeamParams) -> np.ndarray:
 
     Shaped batch shape + (6,).  Interior residuals are maxima over 20
     Chebyshev points; all are raw (not normalized by the energy norm).
+    One e^{t_i x} table times six stacked weights gives u, y and their derivatives.
     """
     lam = np.asarray(m.lam)
     lx = lam[..., None]
     # 20 interior points, then the clamped end and the tip
     x = np.append(0.5 * (1.0 + np.cos(np.pi * (np.arange(20) + 0.5) / 20.0)), [0.0, 1.0])
-    c, cd, ts = m.coeffs, m.coeffs * m.couplings, m.ts
-    u, y, ux, yx, uxx, yxx = (m._eval(x, w) for w in
-                              (c, cd, c * ts, cd * ts, c * ts * ts, cd * ts * ts))
+    w, t = np.stack([m.coeffs, m.coeffs * m.couplings], axis=-1), m.ts[..., None]
+    table = np.exp(x[:, None] * m.ts[..., None, :]) @ np.concatenate([w, w * t, w * t * t], -1)
+    u, y, ux, yx, uxx, yxx = np.moveaxis(table, -1, 0)
     r1 = np.max(np.abs(uxx + yx - lx * lx * u)[..., :20], axis=-1)
     r2 = np.max(np.abs(p.a * yxx - p.b * (ux + y) - lx * lx * y)[..., :20], axis=-1)
     u1, y1 = u[..., 21], y[..., 21]

@@ -23,6 +23,7 @@ from tipbeam.errors import (
 from tipbeam.model import validate_params
 from tipbeam.modes import (
     _exp_integral,
+    _family_modes,
     eigenmode,
     gram_condition,
     gram_inner_product,
@@ -152,7 +153,8 @@ def test_large_batch_equals_its_chunks(params_generic):
     # from 256 KiB numpy reuses a temporary right operand of `*` for the
     # result and swaps the operands, and the complex product is not
     # commutative in the last bit: 16,384 lanes reach that size for the
-    # (n, 4) and (n,) products of eigenmode and gram_inner_product
+    # (n, 4) and (n,) products of eigenmode and gram_inner_product, and for
+    # the (n, 22) fields and (n,) tip sums of mode_residuals
     p = params_generic
     lams = np.tile([r.lam for r in family_roots(p, range(8, 12))], 2048)
     whole = eigenmode(lams, p)
@@ -160,6 +162,40 @@ def test_large_batch_equals_its_chunks(params_generic):
     for f in fields(whole):
         assert np.array_equal(getattr(whole, f.name),
                               np.concatenate([getattr(m, f.name) for m in chunks])), f.name
+    assert np.array_equal(mode_residuals(whole, p),
+                          np.concatenate([mode_residuals(m, p) for m in chunks]))
+
+
+def _residuals_by_field(m, p):
+    """mode_residuals from six m._eval calls, one exponential table each, and
+    the size of each lane's largest term, |lambda|^2 max(|u|, |y|)."""
+    x = np.append(0.5 * (1.0 + np.cos(np.pi * (np.arange(20) + 0.5) / 20.0)), [0.0, 1.0])
+    c, cd, t = m.coeffs, m.coeffs * m.couplings, m.ts
+    u, y, ux, yx, uxx, yxx = (m._eval(x, w) for w in
+                              (c, cd, c * t, cd * t, c * t * t, cd * t * t))
+    lam = np.asarray(m.lam)
+    lx = lam[..., None]
+    r1 = np.max(np.abs(uxx + yx - lx * lx * u)[..., :20], axis=-1)
+    r2 = np.max(np.abs(p.a * yxx - p.b * (ux + y) - lx * lx * y)[..., :20], axis=-1)
+    u1, y1 = u[..., 21], y[..., 21]
+    r5 = np.abs(lam * lam * u1 + p.k1 * (ux[..., 21] + y1) + p.k2 * lam * u1)
+    r6 = np.abs(lam * lam * y1 + p.k3 * yx[..., 21] + p.k4 * lam * y1)
+    size = np.abs(lam) ** 2 * np.max(np.abs(np.stack([u, y])), axis=(0, -1))
+    return np.stack([r1, r2, np.abs(u[..., 20]), np.abs(y[..., 20]), r5, r6], axis=-1), size
+
+
+def test_mode_residuals_match_field_by_field(params_generic, mode12):
+    # one table product sums each field in another order than the six
+    # separate evaluations: the residuals agree to rounding of their
+    # largest term (measured: 1.15 eps at k = 8..100)
+    p = params_generic
+    batch = _family_modes(p, range(8, 101))
+    for modes in (mode12, batch):
+        want, size = _residuals_by_field(modes, p)
+        got = mode_residuals(modes, p)
+        assert got.shape == want.shape == np.shape(modes.lam) + (6,)
+        tol = 64 * np.finfo(float).eps * np.maximum(1.0, size)[..., None]
+        assert np.all(np.abs(got - want) <= tol)
 
 
 def test_mode_residuals_small(params_generic, mode12):
@@ -177,10 +213,33 @@ def test_mode_residuals_high_frequency(params_generic):
 
 
 def test_norm_positive_and_normalized(params_generic, mode12):
+    # hnorm is 1.0 by construction; the energy norm is checked by the Gram
     g = gram_inner_product(mode12, mode12, params_generic)
     assert abs(g.imag) <= 1e-12
     assert g.real > 0.0
-    assert abs(mode12.hnorm - 1.0) <= 1e-10
+    assert abs(g - 1.0) <= 1e-10
+    modes = _family_modes(params_generic, range(8, 301))
+    assert modes.lam.shape == (586,)
+    assert np.max(np.abs(gram_inner_product(modes, modes, params_generic) - 1.0)) <= 1e-12
+
+
+def test_one_gram_per_mode_batch(params_generic, monkeypatch):
+    # normalize scales by the norm eigenmode already has: one self-Gram per
+    # eigenmode batch, so riesz_closeness makes two and its cross Gram
+    calls = []
+    real = tipbeam.modes.gram_inner_product
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tipbeam.modes, "gram_inner_product", counted)
+    eigenmode(np.array([r.lam for r in family_roots(params_generic, range(8, 12))]),
+              params_generic)
+    assert len(calls) == 1
+    calls.clear()
+    riesz_closeness(20, params_generic)
+    assert len(calls) == 3
 
 
 def _rescaled(m, factor, p):
@@ -193,12 +252,12 @@ def _rescaled(m, factor, p):
 def test_normalize_idempotent_and_projective(params_generic, root12):
     p = params_generic
     m1 = eigenmode(root12.lam, p)
-    m2 = normalize(m1, p)
+    m2 = normalize(m1)
     assert np.allclose(m1.coeffs, m2.coeffs, rtol=0, atol=1e-13)
     # the nullspace vector at largest entry one, and ten times it
     raw = _rescaled(m1, 1.0 / m1.coeffs[np.argmax(np.abs(m1.coeffs))], p)
-    assert np.allclose(normalize(raw, p).coeffs, m1.coeffs, rtol=0, atol=1e-13)
-    scaled = normalize(_rescaled(raw, 10.0, p), p)
+    assert np.allclose(normalize(raw).coeffs, m1.coeffs, rtol=0, atol=1e-13)
+    scaled = normalize(_rescaled(raw, 10.0, p))
     phase = scaled.coeffs[0] / m1.coeffs[0]
     assert abs(abs(phase) - 1.0) <= 1e-12
     assert np.allclose(scaled.coeffs, phase * m1.coeffs, rtol=0, atol=1e-12)
@@ -206,10 +265,10 @@ def test_normalize_idempotent_and_projective(params_generic, root12):
 
 def test_normalize_zero_mode(params_generic, mode12):
     with pytest.raises(ZeroMode):
-        normalize(replace(mode12, hnorm=0.0), params_generic)
+        normalize(replace(mode12, hnorm=0.0))
     pair = eigenmode(np.array([mode12.lam, np.conj(mode12.lam)]), params_generic)
     with pytest.raises(ZeroMode, match=r"^mode 1, .*of norm nan$"):
-        normalize(replace(pair, hnorm=np.array([1.0, np.nan])), params_generic)
+        normalize(replace(pair, hnorm=np.array([1.0, np.nan])))
 
 
 def test_dissipation_identity_on_eigenvector(params_generic, mode12):
