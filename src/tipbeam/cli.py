@@ -1,11 +1,16 @@
 """Command line front end: artifact files for spectra, predictions and decay runs.
 
 Configuration comes from a flat key=value file named by --params; individual
-flags override file entries.  Every artifact embeds the resolved configuration
-(CSV and the human table as leading comment lines, JSON under a "config" key,
-SVG as leading XML comments) and is formatted deterministically, so identical
-configurations produce byte-identical files.  A JSON artifact is one line of
-sorted-key JSON (`python -m json.tool` indents it).
+flags override file entries.  One table, `_SETTINGS`, names every run
+setting with its cast and default: `build_config` resolves each from its
+flag, else the file, else the default, through the same cast, so a flag
+and a file value are parsed and refused alike, and `RunConfig` and the
+artifact headers list the settings in its order.  Every artifact embeds
+the resolved configuration (CSV and the human table as leading comment
+lines, JSON under a "config" key, SVG as leading XML comments) and is
+formatted deterministically, so identical configurations produce
+byte-identical files.  A JSON artifact is one line of sorted-key JSON
+(`python -m json.tool` indents it).
 
 Only `decay` needs `simulate`, and with it scipy, so the spectral commands
 start without them: `assemble_generator`, `integrate` and `fit_decay` are
@@ -41,35 +46,66 @@ def __getattr__(name: str):
     return getattr(simulate, name)
 
 
-COMMANDS = ("spectrum", "predict", "modes", "riesz", "decay", "table", "plot")
 TABLE_KS = (200, 400, 600, 800, 1000)
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
-_DEFAULTS = {
-    "kmax": 40,
-    "grid_n": 200,
-    "horizon": 60.0,
-    "dt": None,
-    "seed": 0,
-}
-
 _PARAM_KEYS = ("a", "b", "k1", "k2", "k3", "k4")
-_FILE_KEYS = _PARAM_KEYS + ("kmax", "grid_n", "horizon", "dt", "conservative", "seed")
+
+
+def _as_float(raw, key: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
+
+
+def _as_finite(raw, key: str) -> float:
+    value = _as_float(raw, key)
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
+    return value
+
+
+def _as_int(raw, key: str) -> int:
+    try:
+        return int(str(raw))
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
+
+
+def _as_bool(raw, key: str) -> bool:
+    low = str(raw).strip().lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"key {key!r}: not a boolean: {raw!r}")
+
+
+# every run setting, in header order: key -> (cast of a flag or file string, default)
+_SETTINGS = {
+    "kmax": (_as_int, 40),
+    "grid_n": (_as_int, 200),
+    "horizon": (_as_finite, 60.0),
+    "dt": (_as_finite, None),
+    "conservative": (_as_bool, False),
+    "seed": (_as_int, 0),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for one invocation."""
+    """Resolved settings for one invocation; the fields after params are _SETTINGS."""
 
     command: str
     params: BeamParams
-    k_max: int
+    kmax: int
     grid_n: int
     horizon: float
     dt: float | None
-    out_dir: Path
     conservative: bool
     seed: int
+    out_dir: Path
 
     @property
     def effective_params(self) -> BeamParams:
@@ -79,19 +115,17 @@ class RunConfig:
 
     def header_items(self):
         """Ordered (key, value-string) pairs covering the full configuration."""
-        p = self.params
-        return [
-            ("command", self.command),
-            ("a", _g17(p.a)), ("b", _g17(p.b)),
-            ("k1", _g17(p.k1)), ("k2", _g17(p.k2)),
-            ("k3", _g17(p.k3)), ("k4", _g17(p.k4)),
-            ("kmax", str(self.k_max)),
-            ("grid_n", str(self.grid_n)),
-            ("horizon", _g17(self.horizon)),
-            ("dt", "auto" if self.dt is None else _g17(self.dt)),
-            ("conservative", "true" if self.conservative else "false"),
-            ("seed", str(self.seed)),
-        ]
+        return ([("command", self.command)]
+                + [(k, _g17(getattr(self.params, k))) for k in _PARAM_KEYS]
+                + [(k, _setting_str(getattr(self, k))) for k in _SETTINGS])
+
+
+def _setting_str(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else _g17(value)
 
 
 def _g17(x) -> str:
@@ -125,7 +159,7 @@ def load_params_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FILE_KEYS:
+        if key not in _PARAM_KEYS and key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in data:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -133,76 +167,40 @@ def load_params_file(path) -> dict:
     return data
 
 
-def _as_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
-
-
-def _as_int(raw, key: str) -> int:
-    try:
-        return int(str(raw))
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
-
-
-def _as_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"key {key!r}: not a boolean: {raw!r}")
-
-
 def build_config(args) -> RunConfig:
-    """Merge the params file with flag overrides and validate everything."""
+    """Merge the params file with flag overrides and validate everything.
+
+    Each setting is its flag if given, else its file value, else its
+    default; flag strings and file values go through the same cast.
+    """
     file_data = load_params_file(args.params)
     missing = [k for k in _PARAM_KEYS if k not in file_data]
     if missing:
         raise ConfigError(f"params file lacks required keys: {', '.join(missing)}")
-    vals = {k: _as_float(file_data[k], k) for k in _PARAM_KEYS}
-    params = validate_params(vals["a"], vals["b"], vals["k1"],
-                             vals["k2"], vals["k3"], vals["k4"])
-
-    def resolve(key, flag_value, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in file_data:
-            return cast(file_data[key], key)
-        return _DEFAULTS[key]
-
-    k_max = _as_int(resolve("kmax", args.kmax, _as_int), "kmax")
-    grid_n = _as_int(resolve("grid_n", args.grid_n, _as_int), "grid_n")
-    horizon = float(resolve("horizon", args.horizon, _as_float))
-    dt = resolve("dt", args.dt, _as_float)
-    dt = None if dt is None else float(dt)
-    seed = _as_int(resolve("seed", None, _as_int), "seed")
-    conservative = bool(args.conservative)
-    if not conservative and "conservative" in file_data:
-        conservative = _as_bool(file_data["conservative"], "conservative")
+    params = validate_params(*(_as_float(file_data[k], k) for k in _PARAM_KEYS))
+    settings = {}
+    for key, (cast, default) in _SETTINGS.items():
+        # a flag the Namespace lacks, or an unset store_true, is not given
+        flag = getattr(args, key, None)
+        raw = file_data.get(key) if flag is None or flag is False else flag
+        settings[key] = default if raw is None else cast(raw, key)
 
     # flags a command would ignore; file keys stay accepted (one file, all commands)
     if args.conservative and args.command == "riesz":
         raise ConfigError("--conservative does not apply to 'riesz' (it compares both variants)")
 
-    floor = 10 if args.command in ("spectrum", "plot") else K_MIN
-    if k_max < floor:
-        raise ConfigError(f"kmax = {k_max} is below the floor {floor} "
-                          f"for command {args.command!r}")
-    if grid_n < 16:
-        raise ConfigError(f"grid_n = {grid_n} is below the minimum of 16")
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if dt is not None and dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-
-    return RunConfig(
-        command=args.command, params=params, k_max=k_max, grid_n=grid_n,
-        horizon=horizon, dt=dt, out_dir=Path(args.out),
-        conservative=conservative, seed=seed,
-    )
+    cfg = RunConfig(command=args.command, params=params, out_dir=Path(args.out), **settings)
+    floor = 10 if cfg.command in ("spectrum", "plot") else K_MIN
+    if cfg.kmax < floor:
+        raise ConfigError(f"kmax = {cfg.kmax} is below the floor {floor} "
+                          f"for command {cfg.command!r}")
+    if cfg.grid_n < 16:
+        raise ConfigError(f"grid_n = {cfg.grid_n} is below the minimum of 16")
+    if cfg.horizon <= 0.0:
+        raise ConfigError(f"horizon must be positive, got {cfg.horizon}")
+    if cfg.dt is not None and cfg.dt <= 0.0:
+        raise ConfigError(f"dt must be positive, got {cfg.dt}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +230,7 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
 # commands
 
 def _cmd_spectrum(cfg: RunConfig) -> list:
-    records, report = spectrum_in_strip(cfg.effective_params, cfg.k_max)
+    records, report = spectrum_in_strip(cfg.effective_params, cfg.kmax)
     rows = []
     for rec in records:
         rows.append([
@@ -269,7 +267,7 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
 def _cmd_predict(cfg: RunConfig) -> list:
     p = cfg.effective_params
     regime = regime_info(p).regime
-    ks = np.arange(K_MIN, cfg.k_max + 1)
+    ks = np.arange(K_MIN, cfg.kmax + 1)
     lams = predict_eigenvalue(ks[:, None], np.array([1, 2]), p)
     rows = [[str(k), str(j), _g17(lam.real), _g17(lam.imag), regime]
             for k, pair in zip(ks, lams) for j, lam in enumerate(pair, start=1)]
@@ -282,7 +280,7 @@ def _cmd_modes(cfg: RunConfig) -> list:
     p = cfg.effective_params
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
     report = RootSearchReport()
-    recs = family_roots(p, range(K_MIN, cfg.k_max + 1), report=report)
+    recs = family_roots(p, range(K_MIN, cfg.kmax + 1), report=report)
     modes = eigenmode(np.array([rec.lam for rec in recs]), p)
     res = mode_residuals(modes, p)
     identity = np.abs(modes.lam.real
@@ -315,7 +313,7 @@ def _cmd_modes(cfg: RunConfig) -> list:
 
 
 def _cmd_riesz(cfg: RunConfig) -> list:
-    diag = riesz_closeness(cfg.k_max, cfg.params)
+    diag = riesz_closeness(cfg.kmax, cfg.params)
     rows = []
     for row, k in enumerate(diag.k_values):
         for j in (0, 1):
@@ -338,20 +336,11 @@ def _smooth_domain_state(p: BeamParams, N: int, seed: int) -> GridState:
     """Seeded smooth profile pushed into the operator domain via solve_static."""
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, N + 1)
-    state = GridState.zeros(N)
-    fields = {}
-    for name in ("u", "v", "y", "z"):
-        coef = rng.standard_normal(4)
-        field = sum(c * np.sin((m + 1) * np.pi * xs / 2.0)
-                    for m, c in enumerate(coef))
-        fields[name] = field.astype(complex)
-    # the xs factor clamps every component at x = 0
-    for name in ("u", "v", "y", "z"):
-        fields[name] *= xs
-    state.u, state.v, state.y, state.z = (fields[n] for n in ("u", "v", "y", "z"))
-    state.eta = state.v[-1]
-    state.gamma = math.sqrt(p.a / p.b) * state.z[-1]
-    return solve_static(state, p)
+    # u, v, y, z in turn; the xs factor clamps every component at x = 0
+    u, v, y, z = (sum(c * np.sin((m + 1) * np.pi * xs / 2.0)
+                      for m, c in enumerate(rng.standard_normal(4))).astype(complex) * xs
+                  for _ in range(4))
+    return solve_static(GridState(N, u, v, y, z, v[-1], math.sqrt(p.a / p.b) * z[-1]), p)
 
 
 def _cmd_decay(cfg: RunConfig) -> list:
@@ -399,10 +388,10 @@ def _cmd_table(cfg: RunConfig) -> list:
 
 
 def _cmd_plot(cfg: RunConfig) -> list:
-    records, _ = spectrum_in_strip(cfg.effective_params, cfg.k_max)
+    records, _ = spectrum_in_strip(cfg.effective_params, cfg.kmax)
     width, height = float(SVG_WIDTH), float(SVG_HEIGHT)
     margin = 40.0
-    im_hi = (cfg.k_max + 0.5) * math.pi
+    im_hi = (cfg.kmax + 0.5) * math.pi
     span = max(max(-rec.lam.real for rec in records), 1e-3)
     re_lo, re_hi = -1.15 * span, 0.15 * span
 
@@ -423,9 +412,9 @@ def _cmd_plot(cfg: RunConfig) -> list:
     parts.append(f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
                  f'fill="white"/>')
 
-    label_step = max(1, round(cfg.k_max / 8))
+    label_step = max(1, round(cfg.kmax / 8))
     parts.append('<g stroke="#cccccc" stroke-width="0.5">')
-    for k in range(-cfg.k_max, cfg.k_max + 1):
+    for k in range(-cfg.kmax, cfg.kmax + 1):
         y = fmt(to_y(k * math.pi))
         parts.append(f'<line x1="{fmt(margin)}" y1="{y}" '
                      f'x2="{fmt(width - margin)}" y2="{y}"/>')
@@ -437,7 +426,7 @@ def _cmd_plot(cfg: RunConfig) -> list:
     parts.append(f'<line x1="{fmt(margin)}" y1="{y0}" x2="{fmt(width - margin)}" '
                  f'y2="{y0}" stroke="black" stroke-width="1"/>')
     parts.append('<g font-family="monospace" font-size="10" fill="#333333">')
-    for k in range(-cfg.k_max, cfg.k_max + 1, label_step):
+    for k in range(-cfg.kmax, cfg.kmax + 1, label_step):
         y = fmt(to_y(k * math.pi) + 3.0)
         parts.append(f'<text x="{fmt(width - margin + 4.0)}" y="{y}">{k}&#960;i</text>')
     parts.append("</g>")
@@ -453,21 +442,14 @@ def _cmd_plot(cfg: RunConfig) -> list:
     return [path]
 
 
-_DISPATCH = {
-    "spectrum": _cmd_spectrum,
-    "predict": _cmd_predict,
-    "modes": _cmd_modes,
-    "riesz": _cmd_riesz,
-    "decay": _cmd_decay,
-    "table": _cmd_table,
-    "plot": _cmd_plot,
-}
+_COMMANDS = {"spectrum": _cmd_spectrum, "predict": _cmd_predict, "modes": _cmd_modes,
+             "riesz": _cmd_riesz, "decay": _cmd_decay, "table": _cmd_table, "plot": _cmd_plot}
 
 
 def run(cfg: RunConfig) -> list:
     """Execute one command; returns the list of written artifact paths."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[cfg.command](cfg)
+    return _COMMANDS[cfg.command](cfg)
 
 
 def main(argv=None) -> int:
@@ -476,17 +458,13 @@ def main(argv=None) -> int:
         description="Spectral and time-domain studies of a boundary-damped "
                     "shear beam with a tip load.",
     )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--params", required=True,
-                        help="flat key=value parameter file")
-    parser.add_argument("--kmax", type=int, default=None,
-                        help="frequency truncation index")
-    parser.add_argument("--grid-n", dest="grid_n", type=int, default=None,
-                        help="finite difference cells for decay runs")
-    parser.add_argument("--horizon", type=float, default=None,
-                        help="integration horizon T")
-    parser.add_argument("--dt", type=float, default=None,
-                        help="time step (default 0.4 h)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--params", required=True, help="flat key=value parameter file")
+    # values stay strings: build_config casts them as it casts file values
+    parser.add_argument("--kmax", help="frequency truncation index")
+    parser.add_argument("--grid-n", help="finite difference cells for decay runs")
+    parser.add_argument("--horizon", help="integration horizon T")
+    parser.add_argument("--dt", help="time step (default 0.4 h)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--conservative", action="store_true",
                         help="drop the damping gains k2, k4 (not for riesz)")

@@ -68,21 +68,6 @@ class ModeShape:
         """Index the batch axes: modes[i] is one mode, modes[:, None] a broadcast view."""
         return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
-    def _eval(self, x, weights: np.ndarray):
-        """sum_i w_i e^{t_i x}, shaped batch shape + x.shape."""
-        x = np.asarray(x, dtype=float)
-        lift = np.shape(self.lam) + (1,) * x.ndim + (4,)
-        vals = np.sum(np.exp(x[..., None] * self.ts.reshape(lift)) * weights.reshape(lift),
-                      axis=-1)
-        return complex(vals) if vals.ndim == 0 else vals
-
-    def u(self, x):
-        return self._eval(x, self.coeffs)
-
-    def y(self, x):
-        return self._eval(x, self.coeffs * self.couplings)
-
-
 
 def _first(bad: np.ndarray) -> tuple:
     """Index of the first True entry of a batch mask (empty for a 0-d batch)."""

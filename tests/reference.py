@@ -8,6 +8,8 @@ No command runs these, so they live with the tests:
   Gram entries;
 - the truncated eigenfunction expansion of the semigroup solution, with the
   sampling of modes on a grid it needs, the oracle for the integrator;
+- a mode field sum_i w_i e^{t_i x} evaluated on its own, one exponential
+  table per field, the oracle for `modes.mode_residuals`;
 - the branch roots, shear couplings and boundary symbols one exponent at a
   time, the unstabilized forms that `charfn._matrix` is checked against;
 - the eigenvalue prediction as one scalar formula per regime, the oracle
@@ -137,14 +139,23 @@ def apply_operator(state: GridState, p: BeamParams) -> GridState:
 # eigenfunction expansion
 
 
+def mode_field(modes: ModeShape, x, weights: np.ndarray):
+    """sum_i w_i e^{t_i x}, shaped batch shape + x.shape; weights
+    modes.coeffs give u, modes.coeffs * modes.couplings give y."""
+    x = np.asarray(x, dtype=float)
+    lift = np.shape(modes.lam) + (1,) * x.ndim + (4,)
+    return np.sum(np.exp(x[..., None] * modes.ts.reshape(lift)) * weights.reshape(lift),
+                  axis=-1)
+
+
 def to_grid_state(modes: ModeShape, N: int) -> GridState:
     """Sample the eigenvectors (u, lam u, y, lam y, eta, gamma) on a grid.
 
     The node axis comes after the batch axes.
     """
     x = np.linspace(0.0, 1.0, N + 1)
-    u = modes.u(x)
-    y = modes.y(x)
+    u = mode_field(modes, x, modes.coeffs)
+    y = mode_field(modes, x, modes.coeffs * modes.couplings)
     lam = np.asarray(modes.lam)[..., None]
     return GridState(N=N, u=u, v=lam * u, y=y, z=lam * y,
                      eta=modes.tip_eta, gamma=modes.tip_gamma)

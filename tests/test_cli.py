@@ -1,5 +1,6 @@
 """End-to-end checks of the command line artifacts."""
 
+import argparse
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 import tipbeam.cli
 import tipbeam.spectrum
 from tipbeam.asymptotics import asymptotic_coefficients
-from tipbeam.cli import main
+from tipbeam.cli import build_config, main
 from tipbeam.model import validate_params
 from tipbeam.modes import eigenmode, mode_residuals
 from tipbeam.spectrum import K_MIN, family_roots
@@ -436,6 +437,68 @@ def test_error_json_on_bad_config(tmp_path, capsys):
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "ConfigError"
         assert err["message"] == f"{params}:7: unknown key {key!r}"
+
+
+@pytest.mark.parametrize("command, key, value", [("spectrum", "kmax", "x"),
+                                                  ("decay", "dt", "abc")])
+def test_flag_values_are_refused_like_file_values(tmp_path, capsys, command, key, value):
+    # a flag string goes through the cast of the file value: the same
+    # one-line JSON error and exit 1, not argparse's usage and exit 2
+    base = ["a=1", "b=2", "k1=1", "k2=2", "k3=3", "k4=2"]
+    flagged = main([command, "--params", str(write_params(tmp_path, base)),
+                    f"--{key}", value, "--out", str(tmp_path / "run")])
+    from_flag = capsys.readouterr().out
+    filed = main([command, "--params", str(write_params(tmp_path, base + [f"{key}={value}"])),
+                  "--out", str(tmp_path / "run")])
+    from_file = capsys.readouterr().out
+    assert flagged == filed == 1
+    assert from_flag == from_file and len(from_flag.splitlines()) == 1
+    err = json.loads(from_flag)
+    assert err["error"] == "ConfigError" and repr(key) in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["decay", "predict"])
+def test_non_finite_horizon_and_dt_refused(tmp_path, capsys, command):
+    # inf used to overflow the step count in `decay`, and nan reached the
+    # artifact header of `predict`
+    base = ["a=1", "b=2", "k1=1", "k2=2", "k3=3", "k4=2"]
+    for key in ("horizon", "dt"):
+        for value in ("inf", "-inf", "nan"):
+            runs = (([f"--{key}={value}"], base), ([], base + [f"{key}={value}"]))
+            for flags, lines in runs:
+                rc = main([command, "--params", str(write_params(tmp_path, lines)), *flags,
+                           "--out", str(tmp_path / "run")])
+                err = json.loads(capsys.readouterr().out)
+                assert rc == 1 and err["error"] == "ConfigError", (key, value, flags)
+                assert err["message"] == f"key {key!r}: not a finite number: {value!r}"
+    assert not (tmp_path / "run").exists()
+
+
+def test_build_config_on_the_benchmark_probe_namespace(tmp_path):
+    # the fields perfbench/setup_probe.py passes: every flag None, an extra
+    # `tolerance`, no `seed`, and `conservative` a bool that False leaves
+    # to the file
+    def probe(command, params, conservative):
+        return build_config(argparse.Namespace(
+            command=command, params=str(params), kmax=None, grid_n=None, horizon=None,
+            dt=None, tolerance=None, conservative=conservative, out="."))
+
+    base = ["a=1", "b=2", "k1=1", "k2=2", "k3=3", "k4=2"]
+    filed = probe("decay", write_params(tmp_path, base + [
+        "kmax=12", "horizon=7", "conservative=true", "seed=5"]), False)
+    assert list(dict(filed.header_items())) == [
+        "command", "a", "b", "k1", "k2", "k3", "k4",
+        "kmax", "grid_n", "horizon", "dt", "conservative", "seed"]
+    assert dict(filed.header_items()) == {
+        "command": "decay", "a": "1", "b": "2", "k1": "1", "k2": "2", "k3": "3", "k4": "2",
+        "kmax": "12", "grid_n": "200", "horizon": "7", "dt": "auto",
+        "conservative": "true", "seed": "5"}
+    assert filed.effective_params.k2 == filed.effective_params.k4 == 0.0
+    for conservative in (False, True):
+        cfg = probe("spectrum", write_params(tmp_path, base + ["seed=3"]), conservative)
+        assert (cfg.kmax, cfg.grid_n, cfg.horizon, cfg.dt, cfg.seed) == (40, 200, 60.0, None, 3)
+        assert cfg.conservative is conservative and cfg.out_dir == Path(".")
 
 
 def test_error_json_on_module_error(tmp_path, generic_file, capsys):

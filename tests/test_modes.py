@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import grid_inner_product, to_grid_state
+from reference import grid_inner_product, mode_field, to_grid_state
 from test_charfn import _REGIME_SETS
 
 import tipbeam.modes
@@ -167,11 +167,11 @@ def test_large_batch_equals_its_chunks(params_generic):
 
 
 def _residuals_by_field(m, p):
-    """mode_residuals from six m._eval calls, one exponential table each, and
-    the size of each lane's largest term, |lambda|^2 max(|u|, |y|)."""
+    """mode_residuals from six mode_field calls, one exponential table each,
+    and the size of each lane's largest term, |lambda|^2 max(|u|, |y|)."""
     x = np.append(0.5 * (1.0 + np.cos(np.pi * (np.arange(20) + 0.5) / 20.0)), [0.0, 1.0])
     c, cd, t = m.coeffs, m.coeffs * m.couplings, m.ts
-    u, y, ux, yx, uxx, yxx = (m._eval(x, w) for w in
+    u, y, ux, yx, uxx, yxx = (mode_field(m, x, w) for w in
                               (c, cd, c * t, cd * t, c * t * t, cd * t * t))
     lam = np.asarray(m.lam)
     lx = lam[..., None]
