@@ -121,14 +121,6 @@ def paired_exponentials(lam, b: float):
     return ep, 1.0 / ep, dp, 1.0 / dp
 
 
-def boundary_matrix(lam: complex, p: BeamParams) -> np.ndarray:
-    """Assemble the 4x4 system (clamped end; shear row; two tip feedback rows)."""
-    require_unit_speed(p)
-    arr = np.asarray(lam, dtype=complex)
-    _check_nonzero(arr)
-    return _matrix(arr, p)[0]
-
-
 def _cofactor_row(r: np.ndarray, i: int) -> np.ndarray:
     """Row i of the signed cofactors of R: rows i+1 and i+2 of R crossed.
 
@@ -204,25 +196,6 @@ def _row_derivatives(lam: np.ndarray, p: BeamParams, pieces):
     return (d, m2, m3), tp
 
 
-def char_fn(lam, p: BeamParams):
-    """Characteristic function f(lambda) = -det M(lambda) / (16 b).
-
-    det M is the reduced 3x3 expansion of the module docstring, from the
-    same kernel as entire_char_fn_and_derivative, so its f is this value bit
-    for bit.  Vectorized over any leading shape of ``lam``; a 0-d lambda runs
-    as a one-lane batch, since numpy's scalar complex arithmetic can round
-    apart from its array loops, and each lane's arithmetic is independent of
-    the others.  Zeros with Re(lambda) < 0 are exactly the eigenvalues of the
-    damped beam.
-    """
-    require_unit_speed(p)
-    arr = np.asarray(lam, dtype=complex)
-    _check_nonzero(arr)
-    det = _reduced_det(arr.reshape(-1), p)[0]
-    val = (-det / (16.0 * p.b)).reshape(arr.shape)
-    return complex(val) if arr.ndim == 0 else val
-
-
 def _kernel(lanes: np.ndarray, p: BeamParams):
     """(F, F', f) by the reduced expansion at the 1-d array lanes."""
     det, r, c0, pieces = _reduced_det(lanes, p)
@@ -289,8 +262,10 @@ def entire_char_fn_and_derivative(lam, p: BeamParams):
     conservative: inside rho it agrees with a 64-sample ring of radius 0.1
     within 3e-13 of the largest |F| and |F'| on the disc (1.5e-11 at
     sqrt(b) = 200.5 pi, where F varies on the scale 1/sqrt(b)).  Only
-    lambda = 0 is refused (ZeroLambda).  Vectorized like char_fn, with the
-    same lane independence.
+    lambda = 0 is refused (ZeroLambda).  Vectorized over any leading shape
+    of lam; a 0-d lambda runs as a one-lane batch, since numpy's scalar
+    complex arithmetic can round apart from its array loops, and each lane's
+    arithmetic is independent of the others.
     """
     require_unit_speed(p)
     arr = np.asarray(lam, dtype=complex)

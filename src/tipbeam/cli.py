@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -468,6 +469,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--conservative", action="store_true",
                         help="drop the damping gains k2, k4 (not for riesz)")
+    # argparse takes a value that starts with '-' for an option unless it reads
+    # as a plain number (-5, -.5): here anything not a flag above is a value,
+    # so `--horizon -inf` is refused like `--horizon=-inf`
+    parser._negative_number_matcher = re.compile("-")
     args = parser.parse_args(argv)
 
     try:

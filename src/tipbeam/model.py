@@ -125,19 +125,6 @@ class GridState:
     def h(self) -> float:
         return 1.0 / self.N
 
-    @classmethod
-    def zeros(cls, N: int) -> "GridState":
-        shape = (N + 1,)
-        return cls(
-            N,
-            np.zeros(shape, dtype=complex),
-            np.zeros(shape, dtype=complex),
-            np.zeros(shape, dtype=complex),
-            np.zeros(shape, dtype=complex),
-            0.0 + 0.0j,
-            0.0 + 0.0j,
-        )
-
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.N + 1)
 
@@ -186,11 +173,11 @@ def solve_static(f: GridState, p: BeamParams) -> GridState:
     f1, f2, f3, f4 = f.u, f.v, f.y, f.z
     eta1, gamma1 = f.eta, f.gamma
 
-    big_f2 = cumulative_integral(f2, h)                       # F2' = f2
-    g4 = cumulative_integral(cumulative_integral(f4, h), h)   # G4'' = f4
-    g2 = cumulative_integral(cumulative_integral(big_f2, h), h)  # G2'' = F2
+    big_f2 = cumulative_integral(f2, h)   # F2' = f2
     g4p = cumulative_integral(f4, h)
     g2p = cumulative_integral(big_f2, h)
+    g4 = cumulative_integral(g4p, h)      # G4'' = f4
+    g2 = cumulative_integral(g2p, h)      # G2'' = F2
 
     # Tip force balance: -k1*(u_x(1) + y(1)) - k2*eta = eta1 with
     # u_x + y = F2 + a1 and eta = v(1) = f1(1).

@@ -8,8 +8,8 @@ which keeps the k^2-weighted tail diagnostics free of quadrature error.
 
 The layer works on arrays of modes.  `eigenmode(lams, p)` builds every
 mode of an array of eigenvalues in one pass: one boundary-matrix
-evaluation, one stacked SVD and one Gram, so hnorm is 1.0 by
-construction; a scalar eigenvalue gives a 0-d batch.  The fields of a
+evaluation, one stacked SVD and one Gram, whose norms scale every mode
+to energy norm one; a scalar eigenvalue gives a 0-d batch.  The fields of a
 ModeShape carry its lambdas' shape as leading axes; indexing a ModeShape
 indexes them, so modes[i] is one mode.  `gram_inner_product` broadcasts:
 gram_inner_product(psi, phi, p) pairs two batches lane by lane, and
@@ -58,7 +58,6 @@ class ModeShape:
     coeffs: np.ndarray
     ts: np.ndarray
     couplings: np.ndarray
-    hnorm: np.ndarray
     tip_eta: np.ndarray
     tip_gamma: np.ndarray
     matrix_residual: np.ndarray
@@ -91,7 +90,9 @@ def eigenmode(lam, p: BeamParams) -> ModeShape:
     then normalized to energy norm one.  A moderate smallest singular
     value means lam is not actually an eigenvalue (NotAnEigenvalue); two
     tiny ones mean geometric multiplicity two (RankDeficiencyTwo), which
-    this closed form does not span.  Both name the first offending mode.
+    this closed form does not span; an energy norm that is zero or not
+    finite cannot be normalized (ZeroMode).  Each names the first offending
+    mode.
     """
     require_unit_speed(p)
     lam = np.asarray(lam, dtype=complex)
@@ -119,12 +120,18 @@ def eigenmode(lam, p: BeamParams) -> ModeShape:
                           f"sigma4/sigma1 = {s4[i] / s1[i]:.3e}; not in the spectrum")
     c = np.conj(vh[..., 3, :])
     c = c / np.take_along_axis(c, np.argmax(np.abs(c), axis=-1)[..., None], axis=-1)
-    mode = ModeShape(lam=lam, coeffs=c, ts=ts, couplings=d, hnorm=None,
+    mode = ModeShape(lam=lam, coeffs=c, ts=ts, couplings=d,
                      tip_eta=np.multiply(lam, np.sum(c * exps, axis=-1)),
                      tip_gamma=math.sqrt(p.a / p.b) * lam * np.sum(c * d * exps, axis=-1),
                      matrix_residual=np.linalg.norm(m @ c[..., None], axis=(-2, -1)),
                      conditioning=s3 / s1)
-    return normalize(replace(mode, hnorm=np.sqrt(np.abs(gram_inner_product(mode, mode, p)))))
+    h = np.sqrt(np.abs(gram_inner_product(mode, mode, p)))
+    bad = ~(np.isfinite(h) & (h > 0.0))
+    if np.any(bad):
+        i = _first(bad)
+        raise _lane_error(ZeroMode, i, lam, f"cannot normalize a mode of norm {h[i]}")
+    return replace(mode, coeffs=c / h[..., None], tip_eta=mode.tip_eta / h,
+                   tip_gamma=mode.tip_gamma / h)
 
 
 def _exp_integral(s: np.ndarray) -> np.ndarray:
@@ -158,17 +165,6 @@ def gram_inner_product(m1: ModeShape, m2: ModeShape, p: BeamParams):
     return (np.einsum("...ij,...ij->...", pairs, ee)
             + np.multiply(m1.tip_eta, np.conj(m2.tip_eta)) / p.k1
             + np.multiply(m1.tip_gamma, np.conj(m2.tip_gamma)) / p.k3)
-
-
-def normalize(m: ModeShape) -> ModeShape:
-    """Rescale each mode by its hnorm to energy norm one; hnorm is then 1.0 by construction."""
-    h = np.asarray(m.hnorm)
-    bad = ~(np.isfinite(h) & (h > 0.0))
-    if np.any(bad):
-        i = _first(bad)
-        raise _lane_error(ZeroMode, i, m.lam, f"cannot normalize a mode of norm {h[i]}")
-    return replace(m, coeffs=m.coeffs / h[..., None], tip_eta=m.tip_eta / h,
-                   tip_gamma=m.tip_gamma / h, hnorm=np.ones_like(h))
 
 
 def mode_residuals(m: ModeShape, p: BeamParams) -> np.ndarray:

@@ -452,14 +452,6 @@ def _newton(seeds, evaluate: Callable, report: RootSearchReport) -> list:
             for i, rec in enumerate(out)]
 
 
-def refine_root(seed: complex, p: BeamParams) -> EigenvalueRecord:
-    """Polish one root: `polish` on a one-element batch, its failure raised."""
-    (rec,) = polish(np.array([complex(seed)]), p)
-    if isinstance(rec, Exception):
-        raise rec
-    return rec
-
-
 def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
     """Both family roots near i k pi, Newton-polished from their predictions.
 

@@ -22,7 +22,7 @@ from tipbeam.asymptotics import (
     f_expansion_terms,
     predict_eigenvalue,
 )
-from tipbeam.charfn import char_fn
+from tipbeam.charfn import entire_char_fn_and_derivative
 from tipbeam.cli import _smooth_domain_state
 from tipbeam.model import validate_params
 from tipbeam.modes import (
@@ -38,7 +38,7 @@ from tipbeam.simulate import (
     generator_spectrum,
     integrate,
 )
-from tipbeam.spectrum import frequency_pairs, refine_root, spectrum_in_strip
+from tipbeam.spectrum import frequency_pairs, polish, spectrum_in_strip
 
 TABLE_KS = (200, 400, 600, 800, 1000)
 
@@ -125,8 +125,8 @@ def test_c03_generic_regime_convergence(params_generic):
     for j, (alpha, beta) in enumerate(
             [(coef.alpha1, -coef.c2[0].real), (coef.alpha2, -coef.c2[1].real)], start=1):
         assert beta > 0.0
-        lam = refine_root(predict_eigenvalue(k, j, params_generic),
-                          params_generic).lam
+        lam = polish(np.array([predict_eigenvalue(k, j, params_generic)]),
+                     params_generic)[0].lam
         rel_a = abs(k * (lam.imag - k * math.pi) - alpha) / alpha
         rel_b = abs(k * k * lam.real + beta) / beta
         assert rel_a < 1e-2 and rel_b < 5e-2
@@ -168,7 +168,7 @@ def test_c05_expansion_bound(params_generic, params_degenerate):
         ks = np.arange(100, 1001)
         lams = 1j * ks * math.pi - 0.05
         f0, f1, f2, f3 = f_expansion_terms(lams, p)
-        rem = np.abs(char_fn(lams, p)
+        rem = np.abs(entire_char_fn_and_derivative(lams, p)[2]
                      - (f0 + f1 / lams + f2 / lams**2 + f3 / lams**3))
         scaled = ks.astype(float) ** 4 * rem
         assert np.all(np.isfinite(scaled))

@@ -13,7 +13,7 @@ from tipbeam.asymptotics import (
     predict_eigenvalue,
     special_a3,
 )
-from tipbeam.charfn import char_fn, paired_exponentials
+from tipbeam.charfn import entire_char_fn_and_derivative, paired_exponentials
 from tipbeam.errors import RegimeMismatch, ZeroOmega1
 from tipbeam.model import regime_info, validate_params
 from tipbeam.spectrum import frequency_pairs
@@ -131,7 +131,7 @@ def test_omega2_matches_char_fn_limit(params_generic):
     coef = asymptotic_coefficients(p)
     k = 2000
     for aj, (om1, om2, beta) in zip((coef.alpha1, coef.alpha2), _omegas(coef)):
-        measured = k**3 * char_fn(1j * k * np.pi + 1j * aj / k, p)
+        measured = k**3 * entire_char_fn_and_derivative(1j * k * np.pi + 1j * aj / k, p)[2]
         assert abs(measured - om2) < 1e-3 * abs(om2)
 
 
@@ -291,7 +291,8 @@ def test_f_expansion_remainder_bounded(params_generic, params_degenerate):
         ks = np.arange(100, 1001)
         lams = 1j * ks * np.pi - 0.05
         f0, f1, f2, f3 = f_expansion_terms(lams, p)
-        rem = np.abs(char_fn(lams, p) - (f0 + f1 / lams + f2 / lams**2 + f3 / lams**3))
+        f = entire_char_fn_and_derivative(lams, p)[2]
+        rem = np.abs(f - (f0 + f1 / lams + f2 / lams**2 + f3 / lams**3))
         assert np.max(ks**4 * rem) < cap
 
 
@@ -299,5 +300,6 @@ def test_f_expansion_remainder_short_line(params_generic):
     ks = np.arange(50, 501)
     lams = 1j * ks * np.pi - 0.1
     f0, f1, f2, f3 = f_expansion_terms(lams, params_generic)
-    rem = np.abs(char_fn(lams, params_generic) - (f0 + f1 / lams + f2 / lams**2 + f3 / lams**3))
+    f = entire_char_fn_and_derivative(lams, params_generic)[2]
+    rem = np.abs(f - (f0 + f1 / lams + f2 / lams**2 + f3 / lams**3))
     assert np.max(ks**4 * rem) < 0.5

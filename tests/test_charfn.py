@@ -8,16 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tipbeam.asymptotics import predict_eigenvalue
-from tipbeam.charfn import (
-    _columns,
-    boundary_matrix,
-    char_fn,
-    entire_char_fn_and_derivative,
-)
+from tipbeam.charfn import _columns, _matrix, entire_char_fn_and_derivative
 from tipbeam.errors import ZeroLambda
 from tipbeam.model import regime_info, validate_params
 from tipbeam.cli import TABLE_KS
-from tipbeam.spectrum import family_roots, refine_root
+from tipbeam.spectrum import family_roots, polish
 
 from reference import ZeroDenominator, branch_roots, g_functions, mode_couplings
 
@@ -117,7 +112,7 @@ def test_g_functions_conservative(params_conservative):
 def test_boundary_matrix_structure(params_generic):
     p = params_generic
     lam = -0.5 + 7.7j
-    m = boundary_matrix(lam, p)
+    m = _matrix(np.asarray(lam), p)[0]
     assert m.shape == (4, 4)
     assert np.all(m[0] == 1.0)
     r = branch_roots(lam, p.b)
@@ -134,8 +129,7 @@ def test_boundary_matrix_structure(params_generic):
 def test_boundary_matrix_conjugate_column_swap(params_generic):
     p = params_generic
     lam = -0.8 + 13.7j
-    m = boundary_matrix(lam, p)
-    mc = boundary_matrix(np.conj(lam), p)
+    m, mc = _matrix(np.array([lam, np.conj(lam)]), p)[0]
     swapped = mc[:, [2, 3, 0, 1]]
     assert np.max(np.abs(swapped - np.conj(m))) <= 1e-11 * np.max(np.abs(m))
 
@@ -143,16 +137,17 @@ def test_boundary_matrix_conjugate_column_swap(params_generic):
 def test_char_fn_definitional_consistency(params_generic):
     p = params_generic
     lam = -0.6 + 9.1j
-    det = np.linalg.det(boundary_matrix(lam, p))
-    assert char_fn(lam, p) == pytest.approx(-det / (16 * p.b), rel=1e-13)
+    det = np.linalg.det(_matrix(np.asarray(lam), p)[0])
+    f = entire_char_fn_and_derivative(lam, p)[2]
+    assert f == pytest.approx(-det / (16 * p.b), rel=1e-13)
 
 
 def test_char_fn_conjugate_symmetry(params_generic):
     p = params_generic
     rng = np.random.default_rng(23)
     lams = _strip_points(rng, 100)
-    vals = char_fn(lams, p)
-    conj_vals = char_fn(np.conj(lams), p)
+    vals = entire_char_fn_and_derivative(lams, p)[2]
+    conj_vals = entire_char_fn_and_derivative(np.conj(lams), p)[2]
     scale = np.abs(vals)
     assert np.max(np.abs(conj_vals - np.conj(vals)) / scale) < 1e-11
 
@@ -160,9 +155,10 @@ def test_char_fn_conjugate_symmetry(params_generic):
 def test_char_fn_vectorized_matches_scalar(params_generic):
     p = params_generic
     lams = np.array([-0.1 + 3j, -2.0 + 40j, -0.5 + 0.2j])
-    vec = char_fn(lams, p)
+    vec = entire_char_fn_and_derivative(lams, p)[2]
     for i, lam in enumerate(lams):
-        assert vec[i] == pytest.approx(char_fn(complex(lam), p), rel=1e-14)
+        one = entire_char_fn_and_derivative(complex(lam), p)[2]
+        assert vec[i] == pytest.approx(one, rel=1e-14)
 
 
 def test_determinant_matches_extended_precision(params_degenerate):
@@ -173,9 +169,9 @@ def test_determinant_matches_extended_precision(params_degenerate):
     p = params_degenerate
     lam = np.array([rec.lam for rec in family_roots(p, TABLE_KS)])
     assert lam.shape == (2 * len(TABLE_KS),)
-    dets = -16.0 * p.b * char_fn(lam, p)
+    dets = -16.0 * p.b * entire_char_fn_and_derivative(lam, p)[2]
     with mpmath.workdps(60):
-        for m, det in zip(boundary_matrix(lam, p), dets):
+        for m, det in zip(_matrix(lam, p)[0], dets):
             exact = mpmath.det(mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row]
                                               for row in m]))
             assert abs(mpmath.mpc(det.real, det.imag) - exact) <= 2e-18
@@ -190,11 +186,8 @@ def test_lanes_match_single_point_calls(params_generic):
     lams = np.concatenate([_strip_points(rng, 17), _strip_points(rng, 12, 60.0, 1000.0),
                            np.conj(_strip_points(rng, 5)), [0.7 + 3.1j, -1.3 + 0j, 2.0 - 40j]])
     batch = entire_char_fn_and_derivative(lams, p)
-    values = char_fn(lams, p)
-    assert np.array_equal(batch[2], values)
     for i, lam in enumerate(lams):
         assert tuple(v[i] for v in batch) == entire_char_fn_and_derivative(lam, p)
-        assert values[i] == char_fn(lam, p)
 
 
 def test_lanes_do_not_depend_on_the_batch_size(params_generic):
@@ -246,7 +239,8 @@ def test_entire_char_fn_continuous_across_ray(params_generic):
     for x in (-0.5, -2.0):
         above = x + 1j * (sb + 1e-9)
         below = x + 1j * (sb - 1e-9)
-        f_jump = abs(char_fn(above, p) - char_fn(below, p)) / abs(char_fn(above, p))
+        f_above, f_below = (entire_char_fn_and_derivative(z, p)[2] for z in (above, below))
+        f_jump = abs(f_above - f_below) / abs(f_above)
         fe_jump = abs(entire_char_fn(above, p) - entire_char_fn(below, p)) / abs(
             entire_char_fn(above, p)
         )
@@ -320,7 +314,7 @@ def test_derivative_finite_at_roots(params_generic, params_degenerate):
     # degenerate families sit Theta(1/k^2) apart
     for p, k in ((params_generic, 12), (params_degenerate, 200)):
         for j in (1, 2):
-            lam = refine_root(predict_eigenvalue(k, j, p), p).lam
+            lam = polish(np.array([predict_eigenvalue(k, j, p)]), p)[0].lam
             fval, d, _ = entire_char_fn_and_derivative(lam, p)
             assert np.isfinite(d) and abs(d) > 0.0
             assert abs(fval) <= 1e-9 * abs(d)
@@ -343,18 +337,18 @@ def test_zero_free_box_has_zero_winding(params_generic):
 
 
 def test_entire_derivative_matches_char_fn_derivative(params_generic):
-    # product rule on F = f t1 t3: f' by central difference of char_fn, and
+    # product rule on F = f t1 t3: f' by central difference of f, and
     # (t1 t3)' from (t1 t3)^2 = lambda^2 (lambda^2 + b)
     p = params_generic
     lam = -0.4 + 6.6j
     fval, d, f = entire_char_fn_and_derivative(lam, p)
-    assert f == char_fn(lam, p)
     r = branch_roots(lam, p.b)
     assert fval == pytest.approx(f * r.t1 * r.t3, rel=1e-15)
     t1t3 = fval / f
     assert abs(t1t3) > 1.0
     step = 1e-7 * max(1.0, abs(lam))
-    df = (char_fn(lam + step, p) - char_fn(lam - step, p)) / (2 * step)
+    f_plus, f_minus = (entire_char_fn_and_derivative(z, p)[2] for z in (lam + step, lam - step))
+    df = (f_plus - f_minus) / (2 * step)
     dt1t3 = (2 * lam**3 + p.b * lam) / t1t3
     assert d == pytest.approx(df * t1t3 + f * dt1t3, rel=1e-7)
 

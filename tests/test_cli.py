@@ -93,8 +93,8 @@ def test_decay_calls_simulate_through_the_cli_module(tmp_path, generic_file, mon
 
     for name in ("assemble_generator", "integrate", "fit_decay"):
         assert getattr(tipbeam.cli, name) is getattr(tipbeam.simulate, name)
-    with pytest.raises(AttributeError, match="refine_root"):
-        tipbeam.cli.refine_root
+    with pytest.raises(AttributeError, match="polish"):
+        tipbeam.cli.polish
     calls = []
     real = tipbeam.cli.integrate
 
@@ -460,12 +460,14 @@ def test_flag_values_are_refused_like_file_values(tmp_path, capsys, command, key
 
 @pytest.mark.parametrize("command", ["decay", "predict"])
 def test_non_finite_horizon_and_dt_refused(tmp_path, capsys, command):
-    # inf used to overflow the step count in `decay`, and nan reached the
-    # artifact header of `predict`
+    # inf used to overflow the step count in `decay`, nan reached the
+    # artifact header of `predict`, and argparse took the -inf of
+    # `--horizon -inf` for an option
     base = ["a=1", "b=2", "k1=1", "k2=2", "k3=3", "k4=2"]
     for key in ("horizon", "dt"):
-        for value in ("inf", "-inf", "nan"):
-            runs = (([f"--{key}={value}"], base), ([], base + [f"{key}={value}"]))
+        for value in ("inf", "-inf", "nan", "-nan"):
+            runs = (([f"--{key}={value}"], base), ([f"--{key}", value], base),
+                    ([], base + [f"{key}={value}"]))
             for flags, lines in runs:
                 rc = main([command, "--params", str(write_params(tmp_path, lines)), *flags,
                            "--out", str(tmp_path / "run")])

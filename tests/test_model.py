@@ -185,7 +185,8 @@ def test_solve_static_inverts_generator(params_generic):
 
 
 def test_solve_static_zero_maps_to_zero(params_generic):
-    sol = solve_static(GridState.zeros(32), params_generic)
+    zero = np.zeros(33, dtype=complex)
+    sol = solve_static(GridState(32, zero, zero, zero, zero, 0j, 0j), params_generic)
     assert np.all(sol.u == 0) and np.all(sol.y == 0)
     assert sol.eta == 0 and sol.gamma == 0
 

@@ -13,7 +13,7 @@ from test_charfn import _REGIME_SETS
 
 import tipbeam.modes
 from tipbeam.asymptotics import predict_eigenvalue
-from tipbeam.charfn import boundary_matrix
+from tipbeam.charfn import _matrix
 from tipbeam.errors import (
     NotAnEigenvalue,
     RankDeficiencyTwo,
@@ -28,15 +28,14 @@ from tipbeam.modes import (
     gram_condition,
     gram_inner_product,
     mode_residuals,
-    normalize,
     riesz_closeness,
 )
-from tipbeam.spectrum import K_MIN, EigenvalueRecord, family_roots, polish, refine_root
+from tipbeam.spectrum import K_MIN, EigenvalueRecord, family_roots, polish
 
 
 @pytest.fixture(scope="module")
 def root12(params_generic):
-    return refine_root(predict_eigenvalue(12, 1, params_generic), params_generic)
+    return polish(np.array([predict_eigenvalue(12, 1, params_generic)]), params_generic)[0]
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +46,7 @@ def mode12(params_generic, root12):
 def test_nullspace_annihilates_matrix(params_generic, root12, mode12):
     # the nullspace vector at largest entry one, the scale matrix_residual measures
     c = mode12.coeffs / mode12.coeffs[np.argmax(np.abs(mode12.coeffs))]
-    m = boundary_matrix(root12.lam, params_generic)
+    m = _matrix(np.asarray(root12.lam), params_generic)[0]
     assert np.linalg.norm(m @ c) <= 1e-9
     assert mode12.matrix_residual <= 1e-9
     # rows one and two of the matrix are the clamped-end conditions
@@ -80,7 +79,8 @@ def test_nullspace_rejects_non_eigenvalue(params_generic):
 
 def test_batch_error_names_first_offending_mode(params_generic):
     p = params_generic
-    good = [refine_root(predict_eigenvalue(k, j, p), p).lam for k in (10, 14) for j in (1, 2)]
+    seeds = [predict_eigenvalue(k, j, p) for k in (10, 14) for j in (1, 2)]
+    good = [rec.lam for rec in polish(np.array(seeds), p)]
     bad = 12.5j * math.pi - 0.1
     lams = np.array(good[:2] + [bad] + good[2:])
     with pytest.raises(NotAnEigenvalue, match=re.escape(f"mode 2, lambda = {bad}: ")) as info:
@@ -137,7 +137,7 @@ def test_mode_lanes_match_single_builds(name, gains, damping, lanes):
     for lane, i in enumerate(keep):
         one = singles[i]
         assert batch.lam[lane] == one.lam
-        for field in ("coeffs", "ts", "tip_eta", "tip_gamma", "hnorm"):
+        for field in ("coeffs", "ts", "tip_eta", "tip_gamma"):
             got, want = getattr(batch, field)[lane], getattr(one, field)
             assert np.max(np.abs(got - want)) <= eps * max(1.0, np.max(np.abs(want))), field
     g = gram_inner_product(batch[:, None], batch[None, :], p)
@@ -200,20 +200,19 @@ def test_mode_residuals_match_field_by_field(params_generic, mode12):
 
 def test_mode_residuals_small(params_generic, mode12):
     res = mode_residuals(mode12, params_generic)
-    assert res[0] <= 1e-8 * mode12.hnorm
-    assert res[1] <= 1e-8 * mode12.hnorm
+    assert res[0] <= 1e-8 and res[1] <= 1e-8
     assert res[2] <= 1e-9 and res[3] <= 1e-9
     assert res[4] <= 1e-8 and res[5] <= 1e-8
 
 
 def test_mode_residuals_high_frequency(params_generic):
-    rec = refine_root(predict_eigenvalue(100, 2, params_generic), params_generic)
+    (rec,) = polish(np.array([predict_eigenvalue(100, 2, params_generic)]), params_generic)
     res = mode_residuals(eigenmode(rec.lam, params_generic), params_generic)
     assert np.all(res <= 1e-7)
 
 
 def test_norm_positive_and_normalized(params_generic, mode12):
-    # hnorm is 1.0 by construction; the energy norm is checked by the Gram
+    # eigenmode divides by the energy norm of its one self-Gram
     g = gram_inner_product(mode12, mode12, params_generic)
     assert abs(g.imag) <= 1e-12
     assert g.real > 0.0
@@ -224,7 +223,7 @@ def test_norm_positive_and_normalized(params_generic, mode12):
 
 
 def test_one_gram_per_mode_batch(params_generic, monkeypatch):
-    # normalize scales by the norm eigenmode already has: one self-Gram per
+    # eigenmode divides by the norm of its own self-Gram: one self-Gram per
     # eigenmode batch, so riesz_closeness makes two and its cross Gram
     calls = []
     real = tipbeam.modes.gram_inner_product
@@ -242,33 +241,22 @@ def test_one_gram_per_mode_batch(params_generic, monkeypatch):
     assert len(calls) == 3
 
 
-def _rescaled(m, factor, p):
-    """m with its coefficients and traces times factor, hnorm recomputed."""
-    raw = replace(m, coeffs=factor * m.coeffs, tip_eta=factor * m.tip_eta,
-                  tip_gamma=factor * m.tip_gamma)
-    return replace(raw, hnorm=np.sqrt(np.abs(gram_inner_product(raw, raw, p))))
+def test_eigenmode_zero_norm_names_the_lane(params_generic, mode12, monkeypatch):
+    # a lane whose energy norm is zero or not finite cannot be normalized
+    real = tipbeam.modes.gram_inner_product
+    lams = np.array([mode12.lam, np.conj(mode12.lam)])
+    for norm, shown in ((np.nan, "nan"), (0.0, "0.0")):
+        def second_lane(m1, m2, p):
+            g = real(m1, m2, p)
+            g[1] = norm
+            return g
 
-
-def test_normalize_idempotent_and_projective(params_generic, root12):
-    p = params_generic
-    m1 = eigenmode(root12.lam, p)
-    m2 = normalize(m1)
-    assert np.allclose(m1.coeffs, m2.coeffs, rtol=0, atol=1e-13)
-    # the nullspace vector at largest entry one, and ten times it
-    raw = _rescaled(m1, 1.0 / m1.coeffs[np.argmax(np.abs(m1.coeffs))], p)
-    assert np.allclose(normalize(raw).coeffs, m1.coeffs, rtol=0, atol=1e-13)
-    scaled = normalize(_rescaled(raw, 10.0, p))
-    phase = scaled.coeffs[0] / m1.coeffs[0]
-    assert abs(abs(phase) - 1.0) <= 1e-12
-    assert np.allclose(scaled.coeffs, phase * m1.coeffs, rtol=0, atol=1e-12)
-
-
-def test_normalize_zero_mode(params_generic, mode12):
-    with pytest.raises(ZeroMode):
-        normalize(replace(mode12, hnorm=0.0))
-    pair = eigenmode(np.array([mode12.lam, np.conj(mode12.lam)]), params_generic)
-    with pytest.raises(ZeroMode, match=r"^mode 1, .*of norm nan$"):
-        normalize(replace(pair, hnorm=np.array([1.0, np.nan])))
+        monkeypatch.setattr(tipbeam.modes, "gram_inner_product", second_lane)
+        # a missing check then shows as no ZeroMode, not as a warning of the division
+        with (np.errstate(divide="ignore", invalid="ignore"),
+              pytest.raises(ZeroMode, match=rf"^mode 1, .*of norm {shown}$") as info):
+            eigenmode(lams, params_generic)
+        assert info.value.index == (1,)
 
 
 def test_dissipation_identity_on_eigenvector(params_generic, mode12):
@@ -281,8 +269,8 @@ def test_dissipation_identity_on_eigenvector(params_generic, mode12):
 
 def test_conservative_modes_orthonormal(params_conservative):
     p = params_conservative
-    lams = [refine_root(predict_eigenvalue(k, j, p), p).lam for k in (9, 10) for j in (1, 2)]
-    modes = eigenmode(np.array(lams), p)
+    seeds = [predict_eigenvalue(k, j, p) for k in (9, 10) for j in (1, 2)]
+    modes = eigenmode(np.array([rec.lam for rec in polish(np.array(seeds), p)]), p)
     g = gram_inner_product(modes[:, None], modes[None, :], p)
     assert g.shape == (4, 4)
     assert np.max(np.abs(g - np.eye(4))) <= 1e-8
@@ -291,7 +279,8 @@ def test_conservative_modes_orthonormal(params_conservative):
 def test_gram_matches_grid_quadrature(params_generic, mode12):
     # mode12 alone and, sampled as one batch, next to a k = 9 mode
     p = params_generic
-    pair = eigenmode(np.array([mode12.lam, refine_root(predict_eigenvalue(9, 2, p), p).lam]), p)
+    (rec9,) = polish(np.array([predict_eigenvalue(9, 2, p)]), p)
+    pair = eigenmode(np.array([mode12.lam, rec9.lam]), p)
     for modes in (mode12, pair):
         exact = gram_inner_product(modes, modes, p)
         errs = []

@@ -26,7 +26,6 @@ from tipbeam.spectrum import (
     family_roots,
     frequency_pairs,
     polish,
-    refine_root,
     spectrum_in_strip,
 )
 
@@ -409,7 +408,7 @@ def test_counter_refuses_non_finite_samples(rect):
 def test_refine_root_from_prediction(params_generic):
     p = params_generic
     k = 30
-    rec = refine_root(predict_eigenvalue(k, 2, p), p)
+    (rec,) = polish(np.array([predict_eigenvalue(k, 2, p)]), p)
     assert rec.residual <= 1e-10 * max(1.0, abs(rec.lam))
     assert abs(rec.lam.imag - k * math.pi) < 0.1
     assert rec.lam.real < 0
@@ -418,13 +417,13 @@ def test_refine_root_from_prediction(params_generic):
 def test_refine_root_degenerate_table_value(params_degenerate):
     # k = 200, slower family: scaled real part matches the reference table
     p = params_degenerate
-    rec = refine_root(predict_eigenvalue(200, 1, p), p)
+    (rec,) = polish(np.array([predict_eigenvalue(200, 1, p)]), p)
     assert 200**2 * rec.lam.real == pytest.approx(-0.202667, abs=1e-4)
 
 
 def test_refine_root_conservative_on_axis(params_conservative):
     p = params_conservative
-    rec = refine_root(predict_eigenvalue(12, 1, p), p)
+    (rec,) = polish(np.array([predict_eigenvalue(12, 1, p)]), p)
     assert abs(rec.lam.real) < 1e-10
 
 
@@ -432,12 +431,9 @@ def test_adversarial_midpoint_seed(params_generic):
     # seeding between the two family roots must never produce a silent fake
     p = params_generic
     k = 12
-    r1 = refine_root(predict_eigenvalue(k, 1, p), p)
-    r2 = refine_root(predict_eigenvalue(k, 2, p), p)
-    seed = 0.5 * (r1.lam + r2.lam)
-    try:
-        rec = refine_root(seed, p)
-    except (NoConvergence, BasinEscape):
+    r1, r2 = polish(np.array([predict_eigenvalue(k, j, p) for j in (1, 2)]), p)
+    (rec,) = polish(np.array([0.5 * (r1.lam + r2.lam)]), p)
+    if isinstance(rec, (NoConvergence, BasinEscape)):
         return
     assert min(abs(rec.lam - r1.lam), abs(rec.lam - r2.lam)) < 1e-6
 
@@ -457,16 +453,8 @@ def test_family_roots_in_family_order(params_generic):
     recs = family_roots(p, 30)
     assert [(r.k_index, r.family) for r in recs] == [(30, 1), (30, 2)]
     for r in recs:
-        direct = refine_root(predict_eigenvalue(30, r.family, p), p)
+        (direct,) = polish(np.array([predict_eigenvalue(30, r.family, p)]), p)
         assert r.lam == direct.lam and r.iterations == direct.iterations
-
-
-def _alone(seed, p):
-    """refine_root on one seed: its record, or the error it raised."""
-    try:
-        return refine_root(seed, p)
-    except (NoConvergence, BasinEscape) as exc:
-        return exc
 
 
 def _scalar_newton(seed, p):
@@ -508,7 +496,7 @@ def _scalar_newton(seed, p):
                       min_size=1, max_size=8))
 def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
     # seeds from several k, some pushed off their root or out of its basin:
-    # each lane of the batch ends exactly as refine_root does on its seed alone
+    # each lane of the batch ends exactly as a batch of its seed alone does
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
     seeds = [predict_eigenvalue(k, j, p) + shift for k, j, shift in lanes]
@@ -516,7 +504,7 @@ def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
     batch = polish(np.array(seeds), p, report=report)
     assert report.newton_calls == len(seeds) and report.newton_rounds <= 54
     for seed, got in zip(seeds, batch):
-        want = _alone(seed, p)
+        (want,) = polish(np.array([seed]), p)
         assert type(got) is type(want)
         if isinstance(want, EigenvalueRecord):
             assert got.lam == want.lam and got.iterations == want.iterations
@@ -544,10 +532,10 @@ def test_polish_fails_only_the_affected_lanes(params_generic):
     assert "left the basin of seed" in str(out[1])
     assert str(out[2]).startswith("iterate (-0.50612")
     for seed, rec in zip(seeds[::3], out[::3]):
-        assert rec.lam == refine_root(seed, p).lam
+        assert rec.lam == polish(np.array([seed]), p)[0].lam
         assert rec.residual <= 1e-13 * abs(rec.lam)
-    with pytest.raises(BasinEscape, match=re.escape(str(out[2]))):
-        refine_root(seeds[2], p)
+    (alone,) = polish(np.array([seeds[2]]), p)
+    assert isinstance(alone, BasinEscape) and str(alone) == str(out[2])
 
 
 def test_polish_makes_one_evaluation_per_round(params_generic, monkeypatch):
