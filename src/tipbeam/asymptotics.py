@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import paired_exponentials
 from .errors import RegimeMismatch, ZeroOmega1
 from .model import (
     REGIME_CASE1,
@@ -170,38 +169,3 @@ def predict_eigenvalue(k, j, p: BeamParams):
     im = k * math.pi + c1.imag / k + c2.imag / k**2 + c3.imag / k**3
     lam = re + 1j * im
     return complex(lam) if lam.ndim == 0 else lam
-
-
-def f_expansion_terms(lam, p: BeamParams):
-    """Terms f0..f3 of the large-|lambda| expansion of the characteristic function.
-
-    f(lambda) = f0 + f1/lambda + f2/lambda^2 + f3/lambda^3 + O(1/lambda^4)
-    in the strip; each term depends on lambda only through the stabilized
-    paired exponentials of t1 +- t3.  Vectorized over lambda.
-    """
-    require_unit_speed(p)
-    arr = np.asarray(lam, dtype=complex)
-    b, k1, k2, k3, k4 = p.b, p.k1, p.k2, p.k3, p.k4
-    sb = math.sqrt(b)
-    ep, em, dp, dm = paired_exponentials(arr, b)
-    f0 = 0.25 * em * (ep - 1.0) ** 2
-    f1 = -0.25 * (
-        2.0 * (k2 + k4) - ep * (k1 + k2 + k3 + k4) + em * (k1 + k3 - k2 - k4)
-    )
-    f2 = -(1.0 / 16.0) * (
-        -4.0 * (b + 2.0 * k1 * k3 - 2.0 * k2 * k4)
-        + (3.0 * b - 4.0 * k1 * k3 - 4.0 * k2 * k3 - 4.0 * k1 * k4 - 4.0 * k2 * k4) * ep
-        + (3.0 * b - 4.0 * k1 * k3 + 4.0 * k2 * k3 + 4.0 * k1 * k4 - 4.0 * k2 * k4) * em
-        + (-b + 2j * sb * k1 - 2j * sb * k3) * dp
-        + (-b - 2j * sb * k1 + 2j * sb * k3) * dm
-    )
-    f3 = -(1.0 / 16.0) * (
-        -4.0 * b * (k2 + k4)
-        + 0.5 * b * (7.0 * k1 + 6.0 * k2 + 3.0 * k3 + 6.0 * k4) * ep
-        - 0.5 * b * (7.0 * k1 - 6.0 * k2 + 3.0 * k3 - 6.0 * k4) * em
-        + (-b * k2 - 2j * sb * k2 * k3 - b * k4 + 2j * sb * k1 * k4) * dp
-        + (-b * k2 + 2j * sb * k2 * k3 - b * k4 - 2j * sb * k1 * k4) * dm
-    )
-    if arr.ndim == 0:
-        return complex(f0), complex(f1), complex(f2), complex(f3)
-    return f0, f1, f2, f3

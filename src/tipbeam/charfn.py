@@ -107,20 +107,6 @@ def _matrix(lam, p: BeamParams):
     return np.moveaxis(m, (0, 1), (-2, -1)), tuple(np.moveaxis(x, 0, -1) for x in pieces)
 
 
-def paired_exponentials(lam, b: float):
-    """(e^{t1+t3}, e^{-t1-t3}, e^{t1-t3}, e^{t3-t1}) with stable phases.
-
-    Built from e^{2 lambda} and the small shifts t_i - lambda so the phase
-    error stays at a few ulp even when |Im lambda| is large; see _shifted_roots.
-    """
-    arr = np.asarray(lam, dtype=complex)
-    _check_nonzero(arr)
-    _, _, dl1, dl3 = _shifted_roots(arr, b)
-    ep = np.exp(2.0 * arr) * np.exp(dl1 + dl3)
-    dp = np.exp(dl1 - dl3)
-    return ep, 1.0 / ep, dp, 1.0 / dp
-
-
 def _cofactor_row(r: np.ndarray, i: int) -> np.ndarray:
     """Row i of the signed cofactors of R: rows i+1 and i+2 of R crossed.
 

@@ -96,10 +96,6 @@ class UnpairedFamily(TipbeamError, RuntimeError):
 
 # --- simulation ---
 
-class EigensolveFailure(TipbeamError, RuntimeError):
-    """Dense eigensolver did not converge."""
-
-
 class SingularSolve(TipbeamError, RuntimeError):
     """Implicit time step produced a singular linear system."""
 

@@ -248,17 +248,3 @@ def riesz_closeness(K: int, p: BeamParams) -> RieszDiagnostics:
                             tip_gamma=np.abs(psi.tip_gamma).reshape(-1, 2),
                             pairing_gap=own,
                             partial_sums=2.0 * np.cumsum(closeness.sum(axis=1)))
-
-
-def gram_condition(p: BeamParams, K: int) -> float:
-    """2-norm condition number of the Gram matrix of 2K seeded modes.
-
-    Uses the families j = 1, 2 for k = K_MIN .. K_MIN + K - 1,
-    each normalized; a bounded condition number as K grows is the
-    quadratic-closeness route to the Riesz basis property.
-    """
-    require_unit_speed(p)
-    if K < 1:
-        raise ValueError("K must be positive")
-    modes = _family_modes(p, range(K_MIN, K_MIN + K))
-    return float(np.linalg.cond(gram_inner_product(modes[:, None], modes[None, :], p)))

@@ -9,10 +9,10 @@ the block matrix A = [[0, S], [K, D]] and eta, gamma sit at coordinates
 (u_m - u_{m-1})/h + (y_{m-1} + y_m)/2 and the sqrt(a/b)-scaled slopes
 (y_m - y_{m-1})/h; the diagonal velocity masses M_w; and the tip damping
 D, non-zero only in the eta and gamma columns.  Everything else is
-derived: the stiffness W_d = h B^T B, the accelerations M_w K = -S^T W_d,
-and the sparse 4N+2 arrays `matrix` (A) and `weight` (W = diag(W_d, M_w)).
-So A is skew in W up to D by construction, the interior rows reduce to the
-standard second-order central stencils, and the only energy drain of the
+derived: the stiffness W_d = h B^T B and the accelerations
+M_w K = -S^T W_d.  So A is skew in the energy weight W = diag(W_d, M_w)
+up to D by construction, the interior rows reduce to the standard
+second-order central stencils, and the only energy drain of the
 implicit midpoint integrator is the boundary feedback, which is what the
 decay measurements are after.  The energy is read from the fluxes as a sum
 of squares, which does not cancel the way x^T W x does on the O(1/h)
@@ -25,28 +25,20 @@ M_w (I - dt^2/4 KS) = M_w + dt^2/4 S^T W_d S, symmetric positive definite,
 with one banded Cholesky factorization in node order (half-bandwidth
 five) plus a rank-two correction for the tip damping.  A step is one
 sparse matvec, one banded solve, the correction added in place and an
-elementwise displacement update.  Only the eigenvalue check densifies.
+elementwise displacement update.  Nothing is densified, and A and W are
+never assembled as 4N+2 arrays.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .errors import (
-    EigensolveFailure,
-    NonPositiveEnergy,
-    ResolutionTooLow,
-    SingularSolve,
-    WindowTooShort,
-)
+from .errors import NonPositiveEnergy, ResolutionTooLow, SingularSolve, WindowTooShort
 from .model import BeamParams, GridState, _check_same_grid
-
-_KERNEL_TOL = 1e-8      # spurious consistency kernel of the duplicated tip rows
 
 
 @dataclass
@@ -67,18 +59,6 @@ class DiscreteGenerator:
     def W_d(self) -> scipy.sparse.csr_array:
         """Stiffness h B^T B on the displacements."""
         return self.h * (self.B.T @ self.B).tocsr()
-
-    @property
-    def matrix(self) -> scipy.sparse.csr_array:
-        """A = [[0, S], [K, D]] with M_w K = -S^T W_d."""
-        K = scipy.sparse.diags_array(-1.0 / self.M_w) @ (self.S.T @ self.W_d)
-        return scipy.sparse.block_array([[None, self.S], [K, self.D]], format="csr")
-
-    @property
-    def weight(self) -> scipy.sparse.csr_array:
-        """W = diag(W_d, M_w), the energy weight."""
-        return scipy.sparse.block_diag((self.W_d, scipy.sparse.diags_array(self.M_w)),
-                                       format="csr")
 
     def energy(self, vec: np.ndarray) -> float:
         """1/2 h (|shear|^2 + (a/b) |slope|^2) + 1/2 sum M_w |w|^2, from the fluxes B d."""
@@ -146,28 +126,6 @@ def assemble_generator(p: BeamParams, N: int) -> DiscreteGenerator:
              [damp_v, damp_v, (-1.0 / mu_z) * damp_z, (-sab / mu_z) * damp_z],
              (2 * N + 2, 2 * N + 2))
     return DiscreteGenerator(N=N, S=S, B=B, M_w=M_w, D=D)
-
-
-def generator_spectrum(g: DiscreteGenerator, m: int) -> np.ndarray:
-    """The m eigenvalues nearest the real axis with Im >= 0, by |Im|.
-
-    The two zero eigenvalues from the duplicated tip rows (directions with
-    v_N != eta) are filtered out; everything else is a physical mode.  This
-    is the one place the generator is densified.
-    """
-    n = 4 * g.N + 2
-    if m > n:
-        raise ValueError(f"asked for {m} of {n} eigenvalues")
-    try:
-        vals = scipy.linalg.eigvals(g.matrix.toarray())
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    if not np.all(np.isfinite(vals)):
-        raise EigensolveFailure("nonfinite eigenvalues returned")
-    vals = vals[np.abs(vals) > _KERNEL_TOL]
-    vals = vals[vals.imag >= -1e-9]
-    order = np.lexsort((vals.real, np.abs(vals.imag)))
-    return vals[order][:m]
 
 
 @dataclass
@@ -305,7 +263,8 @@ def integrate(g: DiscreteGenerator, U0: GridState, T: float, dt: float) -> Energ
         "solves": nsteps + int(tips.size),
         "kd": kd,
         "solve_n": int(nw),
-        "nnz_A": int(S.nnz + MK.nnz + g.D.nnz),      # the entries of matrix and weight
+        # the nonzeros of A = [[0, S], [K, D]] and W = diag(W_d, M_w)
+        "nnz_A": int(S.nnz + MK.nnz + g.D.nnz),
         "nnz_W": int(W_d.nnz + nw),
     }
     return EnergyTrace(times=np.array(times), energies=np.array(energies),

@@ -364,34 +364,8 @@ def _logged(outcomes, report: RootSearchReport) -> list:
     return [k for k, _, _ in outcomes]
 
 
-def count_roots_in_rect(rect, p: BeamParams, report: RootSearchReport | None = None) -> int:
-    """Number of eigenvalues (with multiplicity) inside an axis-aligned box.
-
-    rect = (re_lo, re_hi, im_lo, im_hi).  This is the one-box use of the
-    batched counter, which refines the intervals of many boxes in shared
-    evaluation calls of at most 1024 samples each.  The boundary starts
-    with each corner and 16 points per edge; an interval whose phase
-    increment exceeds pi/4, or whose length times the larger |F'/F| at its
-    ends exceeds pi/4, is halved at its midpoint, and so on.  The
-    winding is the sum of the increments over 2 pi, an integer up to
-    rounding; a sum off an integer by more than 1e-9, or negative, raises
-    NonConvergentContour.  The count is always of rect itself, which never
-    shifts: if F is 0 at a sample, an interval still too coarse cannot be
-    halved in floating point (a root on or next to the edge), or refinement
-    needs more than 4 * 8192 samples, or 16 per unit of the perimeter if
-    that is more, BoundaryTooCloseToRoot is raised.
-    Both errors name the rectangle and the reason, as does the ValueError
-    for a rect not finite with re_lo < re_hi, im_lo < im_hi.
-    """
-    re_lo, re_hi, im_lo, im_hi = rect
-    if not (np.isfinite(rect).all() and re_lo < re_hi and im_lo < im_hi):
-        raise ValueError(f"rect {tuple(rect)} is not finite with re_lo < re_hi, im_lo < im_hi")
-    counter = _Counter(_beam(p), report or RootSearchReport())
-    return _logged(counter.outcomes_of(counter.submit([rect])), counter.report)[0]
-
-
-def polish(seeds, p: BeamParams, report: RootSearchReport | None = None) -> list:
-    """Newton on the surrogate F from each seed of a 1-d array, all lanes at once.
+def _newton(seeds, evaluate: Callable, report: RootSearchReport) -> list:
+    """Newton on the zeros of evaluate's F from each seed of a 1-d array, all lanes at once.
 
     Each round evaluates (F, F', f) once, on the lanes still running.  A
     lane converges when its last step fell to at most 1e-12 * max(1, |lam|)
@@ -405,11 +379,6 @@ def polish(seeds, p: BeamParams, report: RootSearchReport | None = None) -> list
     an EigenvalueRecord or the NoConvergence or BasinEscape that ended the
     lane.  A lane's arithmetic does not depend on the other lanes.
     """
-    return _newton(seeds, _beam(p), report or RootSearchReport())
-
-
-def _newton(seeds, evaluate: Callable, report: RootSearchReport) -> list:
-    """The kernel of `polish`, on the zeros of evaluate's F."""
     seeds = np.asarray(seeds, dtype=complex)
     n = seeds.size
     out = [None] * n

@@ -13,7 +13,12 @@ No command runs these, so they live with the tests:
 - the branch roots, shear couplings and boundary symbols one exponent at a
   time, the unstabilized forms that `charfn._matrix` is checked against;
 - the eigenvalue prediction as one scalar formula per regime, the oracle
-  for the series that `asymptotics.predict_eigenvalue` evaluates.
+  for the series that `asymptotics.predict_eigenvalue` evaluates;
+- the terms f0..f3 of the paper's large-|lambda| expansion of f, from the
+  stabilized paired exponentials, the oracle that `charfn` is held to;
+- the 4N+2 generator A and energy weight W assembled from the stored
+  blocks of a `simulate.DiscreteGenerator`, and the dense eigensolve of A,
+  the oracles for the integrator and for the finite-difference spectrum.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from tipbeam.asymptotics import discriminant_reduced, gamma_coefficients, special_a3
-from tipbeam.charfn import _check_nonzero, _roots
+from tipbeam.charfn import _check_nonzero, _roots, _shifted_roots
 from tipbeam.errors import GridMismatch, TipbeamError, ZeroOmega1
 from tipbeam.model import (
     REGIME_CASE1,
@@ -37,6 +44,9 @@ from tipbeam.model import (
     require_unit_speed,
 )
 from tipbeam.modes import ModeShape, gram_inner_product
+from tipbeam.simulate import DiscreteGenerator
+
+_KERNEL_TOL = 1e-8      # spurious consistency kernel of the duplicated tip rows
 
 
 class BranchRootNearZero(TipbeamError, ValueError):
@@ -49,6 +59,10 @@ class ZeroDenominator(TipbeamError, ValueError):
 
 class IllConditionedGram(TipbeamError, RuntimeError):
     """Truncated Gram system is too ill-conditioned to invert."""
+
+
+class EigensolveFailure(TipbeamError, RuntimeError):
+    """Dense eigensolver did not converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +299,94 @@ def predict_eigenvalue(k: int, j: int, p: BeamParams) -> complex:
         return base + first + real + third
     # case 3: conservative collision
     return base + first + 1j * a3 / (24.0 * k**3 * math.pi**3)
+
+
+# ---------------------------------------------------------------------------
+# the paper's expansion of f
+
+
+def paired_exponentials(lam, b: float):
+    """(e^{t1+t3}, e^{-t1-t3}, e^{t1-t3}, e^{t3-t1}) with stable phases.
+
+    Built from e^{2 lambda} and the small shifts t_i - lambda so the phase
+    error stays at a few ulp even when |Im lambda| is large; see
+    `charfn._shifted_roots`.
+    """
+    arr = np.asarray(lam, dtype=complex)
+    _check_nonzero(arr)
+    _, _, dl1, dl3 = _shifted_roots(arr, b)
+    ep = np.exp(2.0 * arr) * np.exp(dl1 + dl3)
+    dp = np.exp(dl1 - dl3)
+    return ep, 1.0 / ep, dp, 1.0 / dp
+
+
+def f_expansion_terms(lam, p: BeamParams):
+    """Terms f0..f3 of the large-|lambda| expansion of the characteristic function.
+
+    f(lambda) = f0 + f1/lambda + f2/lambda^2 + f3/lambda^3 + O(1/lambda^4)
+    in the strip; each term depends on lambda only through the stabilized
+    paired exponentials of t1 +- t3.  Vectorized over lambda.
+    """
+    require_unit_speed(p)
+    arr = np.asarray(lam, dtype=complex)
+    b, k1, k2, k3, k4 = p.b, p.k1, p.k2, p.k3, p.k4
+    sb = math.sqrt(b)
+    ep, em, dp, dm = paired_exponentials(arr, b)
+    f0 = 0.25 * em * (ep - 1.0) ** 2
+    f1 = -0.25 * (
+        2.0 * (k2 + k4) - ep * (k1 + k2 + k3 + k4) + em * (k1 + k3 - k2 - k4)
+    )
+    f2 = -(1.0 / 16.0) * (
+        -4.0 * (b + 2.0 * k1 * k3 - 2.0 * k2 * k4)
+        + (3.0 * b - 4.0 * k1 * k3 - 4.0 * k2 * k3 - 4.0 * k1 * k4 - 4.0 * k2 * k4) * ep
+        + (3.0 * b - 4.0 * k1 * k3 + 4.0 * k2 * k3 + 4.0 * k1 * k4 - 4.0 * k2 * k4) * em
+        + (-b + 2j * sb * k1 - 2j * sb * k3) * dp
+        + (-b - 2j * sb * k1 + 2j * sb * k3) * dm
+    )
+    f3 = -(1.0 / 16.0) * (
+        -4.0 * b * (k2 + k4)
+        + 0.5 * b * (7.0 * k1 + 6.0 * k2 + 3.0 * k3 + 6.0 * k4) * ep
+        - 0.5 * b * (7.0 * k1 - 6.0 * k2 + 3.0 * k3 - 6.0 * k4) * em
+        + (-b * k2 - 2j * sb * k2 * k3 - b * k4 + 2j * sb * k1 * k4) * dp
+        + (-b * k2 + 2j * sb * k2 * k3 - b * k4 - 2j * sb * k1 * k4) * dm
+    )
+    if arr.ndim == 0:
+        return complex(f0), complex(f1), complex(f2), complex(f3)
+    return f0, f1, f2, f3
+
+
+# ---------------------------------------------------------------------------
+# the assembled finite-difference generator
+
+
+def generator_matrix(g: DiscreteGenerator) -> scipy.sparse.csr_array:
+    """A = [[0, S], [K, D]] with M_w K = -S^T W_d, on 4N+2 coordinates."""
+    K = scipy.sparse.diags_array(-1.0 / g.M_w) @ (g.S.T @ g.W_d)
+    return scipy.sparse.block_array([[None, g.S], [K, g.D]], format="csr")
+
+
+def generator_weight(g: DiscreteGenerator) -> scipy.sparse.csr_array:
+    """W = diag(W_d, M_w), the energy weight."""
+    return scipy.sparse.block_diag((g.W_d, scipy.sparse.diags_array(g.M_w)), format="csr")
+
+
+def generator_spectrum(g: DiscreteGenerator, m: int) -> np.ndarray:
+    """The m eigenvalues of A nearest the real axis with Im >= 0, by |Im|.
+
+    The two zero eigenvalues from the duplicated tip rows (directions with
+    v_N != eta) are filtered out; everything else is a physical mode.  A is
+    densified for the eigensolve.
+    """
+    n = 4 * g.N + 2
+    if m > n:
+        raise ValueError(f"asked for {m} of {n} eigenvalues")
+    try:
+        vals = scipy.linalg.eigvals(generator_matrix(g).toarray())
+    except scipy.linalg.LinAlgError as exc:
+        raise EigensolveFailure(str(exc)) from exc
+    if not np.all(np.isfinite(vals)):
+        raise EigensolveFailure("nonfinite eigenvalues returned")
+    vals = vals[np.abs(vals) > _KERNEL_TOL]
+    vals = vals[vals.imag >= -1e-9]
+    order = np.lexsort((vals.real, np.abs(vals.imag)))
+    return vals[order][:m]

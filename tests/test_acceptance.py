@@ -14,31 +14,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import f_expansion_terms, generator_spectrum
 from test_spectrum import assert_tiled
 
-from tipbeam.asymptotics import (
-    asymptotic_coefficients,
-    discriminant_reduced,
-    f_expansion_terms,
-    predict_eigenvalue,
-)
+from tipbeam.asymptotics import asymptotic_coefficients, discriminant_reduced
 from tipbeam.charfn import entire_char_fn_and_derivative
 from tipbeam.cli import _smooth_domain_state
 from tipbeam.model import validate_params
-from tipbeam.modes import (
-    eigenmode,
-    gram_condition,
-    mode_residuals,
-    riesz_closeness,
-)
-from tipbeam.simulate import (
-    EnergyTrace,
-    assemble_generator,
-    fit_decay,
-    generator_spectrum,
-    integrate,
-)
-from tipbeam.spectrum import frequency_pairs, polish, spectrum_in_strip
+from tipbeam.modes import eigenmode, gram_inner_product, mode_residuals, riesz_closeness
+from tipbeam.simulate import EnergyTrace, assemble_generator, fit_decay, integrate
+from tipbeam.spectrum import K_MIN, family_roots, frequency_pairs, spectrum_in_strip
 
 TABLE_KS = (200, 400, 600, 800, 1000)
 
@@ -125,8 +110,7 @@ def test_c03_generic_regime_convergence(params_generic):
     for j, (alpha, beta) in enumerate(
             [(coef.alpha1, -coef.c2[0].real), (coef.alpha2, -coef.c2[1].real)], start=1):
         assert beta > 0.0
-        lam = polish(np.array([predict_eigenvalue(k, j, params_generic)]),
-                     params_generic)[0].lam
+        lam = family_roots(params_generic, k)[j - 1].lam
         rel_a = abs(k * (lam.imag - k * math.pi) - alpha) / alpha
         rel_b = abs(k * k * lam.real + beta) / beta
         assert rel_a < 1e-2 and rel_b < 5e-2
@@ -258,7 +242,10 @@ def test_c09_riesz_diagnostics(params_generic):
     tip_g = float((diag.tip_gamma * k).max())
     assert close_sq <= 1.0
     assert tip_e <= 10.0 and tip_g <= 10.0
-    cond = gram_condition(params_generic, 100)
+    # the Gram of 200 family modes, as the README's library example builds it
+    p = params_generic
+    modes = eigenmode(np.array([rec.lam for rec in family_roots(p, range(K_MIN, K_MIN + 100))]), p)
+    cond = float(np.linalg.cond(gram_inner_product(modes[:, None], modes[None, :], p)))
     assert cond < 100.0
     print(f"[PASS] 09 riesz diagnostics: k^2-closeness {close_sq:.1e}, "
           f"k-scaled tips {tip_e:.2f}/{tip_g:.2f}, Gram condition {cond:.3f}")

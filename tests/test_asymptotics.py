@@ -8,12 +8,11 @@ import reference
 from tipbeam.asymptotics import (
     asymptotic_coefficients,
     discriminant_reduced,
-    f_expansion_terms,
     gamma_coefficients,
     predict_eigenvalue,
     special_a3,
 )
-from tipbeam.charfn import entire_char_fn_and_derivative, paired_exponentials
+from tipbeam.charfn import entire_char_fn_and_derivative
 from tipbeam.errors import RegimeMismatch, ZeroOmega1
 from tipbeam.model import regime_info, validate_params
 from tipbeam.spectrum import frequency_pairs
@@ -278,11 +277,11 @@ def test_predict_validation(params_generic):
 def test_f_expansion_f0_identity(params_generic):
     p = params_generic
     lam = -0.3 + 47.1j
-    f0 = f_expansion_terms(lam, p)[0]
-    ep, em, _, _ = paired_exponentials(lam, p.b)
+    f0 = reference.f_expansion_terms(lam, p)[0]
+    ep, em, _, _ = reference.paired_exponentials(lam, p.b)
     assert f0 == pytest.approx(0.25 * (ep - 2.0 + em), rel=1e-12)
     # near i k pi the leading term nearly vanishes (double-root structure)
-    assert abs(f_expansion_terms(1j * 100 * np.pi, p)[0]) < 1e-5
+    assert abs(reference.f_expansion_terms(1j * 100 * np.pi, p)[0]) < 1e-5
 
 
 def test_f_expansion_remainder_bounded(params_generic, params_degenerate):
@@ -290,7 +289,7 @@ def test_f_expansion_remainder_bounded(params_generic, params_degenerate):
     for p, cap in ((params_generic, 0.5), (params_degenerate, 2.0)):
         ks = np.arange(100, 1001)
         lams = 1j * ks * np.pi - 0.05
-        f0, f1, f2, f3 = f_expansion_terms(lams, p)
+        f0, f1, f2, f3 = reference.f_expansion_terms(lams, p)
         f = entire_char_fn_and_derivative(lams, p)[2]
         rem = np.abs(f - (f0 + f1 / lams + f2 / lams**2 + f3 / lams**3))
         assert np.max(ks**4 * rem) < cap
@@ -299,7 +298,7 @@ def test_f_expansion_remainder_bounded(params_generic, params_degenerate):
 def test_f_expansion_remainder_short_line(params_generic):
     ks = np.arange(50, 501)
     lams = 1j * ks * np.pi - 0.1
-    f0, f1, f2, f3 = f_expansion_terms(lams, params_generic)
+    f0, f1, f2, f3 = reference.f_expansion_terms(lams, params_generic)
     f = entire_char_fn_and_derivative(lams, params_generic)[2]
     rem = np.abs(f - (f0 + f1 / lams + f2 / lams**2 + f3 / lams**3))
     assert np.max(ks**4 * rem) < 0.5

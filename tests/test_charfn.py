@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tipbeam.asymptotics import predict_eigenvalue
 from tipbeam.charfn import _columns, _matrix, entire_char_fn_and_derivative
 from tipbeam.errors import ZeroLambda
 from tipbeam.model import regime_info, validate_params
 from tipbeam.cli import TABLE_KS
-from tipbeam.spectrum import family_roots, polish
+from tipbeam.spectrum import family_roots
 
 from reference import ZeroDenominator, branch_roots, g_functions, mode_couplings
 
@@ -178,7 +177,7 @@ def test_determinant_matches_extended_precision(params_degenerate):
 
 
 def test_lanes_match_single_point_calls(params_generic):
-    # spectrum.polish relies on a lane's arithmetic not depending on the
+    # spectrum's Newton kernel relies on a lane's arithmetic not depending on the
     # other lanes; numpy's scalar and array loops can round apart, so every
     # lane of a mixed batch must equal the 0-d call bit for bit
     p = params_generic
@@ -313,8 +312,7 @@ def test_derivative_finite_at_roots(params_generic, params_degenerate):
     # the Jacobi sum stays finite where det M vanishes; at k = 200 the
     # degenerate families sit Theta(1/k^2) apart
     for p, k in ((params_generic, 12), (params_degenerate, 200)):
-        for j in (1, 2):
-            lam = polish(np.array([predict_eigenvalue(k, j, p)]), p)[0].lam
+        for lam in [rec.lam for rec in family_roots(p, k)]:
             fval, d, _ = entire_char_fn_and_derivative(lam, p)
             assert np.isfinite(d) and abs(d) > 0.0
             assert abs(fval) <= 1e-9 * abs(d)

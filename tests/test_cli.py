@@ -88,13 +88,14 @@ def test_cli_import_loads_no_graph_reordering(tmp_path, generic_file):
 
 def test_decay_calls_simulate_through_the_cli_module(tmp_path, generic_file, monkeypatch):
     # a wrapper set on tipbeam.cli's simulate names is the one `decay` runs,
-    # and a name the module lacks stays absent
+    # and another name of simulate is not forwarded
     import tipbeam.simulate
 
     for name in ("assemble_generator", "integrate", "fit_decay"):
         assert getattr(tipbeam.cli, name) is getattr(tipbeam.simulate, name)
-    with pytest.raises(AttributeError, match="polish"):
-        tipbeam.cli.polish
+    assert hasattr(tipbeam.simulate, "DiscreteGenerator")
+    with pytest.raises(AttributeError, match="DiscreteGenerator"):
+        tipbeam.cli.DiscreteGenerator
     calls = []
     real = tipbeam.cli.integrate
 

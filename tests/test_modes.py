@@ -25,17 +25,23 @@ from tipbeam.modes import (
     _exp_integral,
     _family_modes,
     eigenmode,
-    gram_condition,
     gram_inner_product,
     mode_residuals,
     riesz_closeness,
 )
-from tipbeam.spectrum import K_MIN, EigenvalueRecord, family_roots, polish
+from tipbeam.spectrum import (
+    K_MIN,
+    EigenvalueRecord,
+    RootSearchReport,
+    _beam,
+    _newton,
+    family_roots,
+)
 
 
 @pytest.fixture(scope="module")
 def root12(params_generic):
-    return polish(np.array([predict_eigenvalue(12, 1, params_generic)]), params_generic)[0]
+    return family_roots(params_generic, 12)[0]
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +85,7 @@ def test_nullspace_rejects_non_eigenvalue(params_generic):
 
 def test_batch_error_names_first_offending_mode(params_generic):
     p = params_generic
-    seeds = [predict_eigenvalue(k, j, p) for k in (10, 14) for j in (1, 2)]
-    good = [rec.lam for rec in polish(np.array(seeds), p)]
+    good = [rec.lam for rec in family_roots(p, (10, 14))]
     bad = 12.5j * math.pi - 0.1
     lams = np.array(good[:2] + [bad] + good[2:])
     with pytest.raises(NotAnEigenvalue, match=re.escape(f"mode 2, lambda = {bad}: ")) as info:
@@ -116,7 +121,7 @@ def test_mode_lanes_match_single_builds(name, gains, damping, lanes):
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
     seeds = [predict_eigenvalue(k, j, p) for k, j in lanes]
-    lams = np.array([r.lam for r in polish(np.array(seeds), p)
+    lams = np.array([r.lam for r in _newton(seeds, _beam(p), RootSearchReport())
                      if isinstance(r, EigenvalueRecord)])
     singles = []
     for lam in lams:
@@ -206,7 +211,7 @@ def test_mode_residuals_small(params_generic, mode12):
 
 
 def test_mode_residuals_high_frequency(params_generic):
-    (rec,) = polish(np.array([predict_eigenvalue(100, 2, params_generic)]), params_generic)
+    rec = family_roots(params_generic, 100)[1]
     res = mode_residuals(eigenmode(rec.lam, params_generic), params_generic)
     assert np.all(res <= 1e-7)
 
@@ -269,8 +274,7 @@ def test_dissipation_identity_on_eigenvector(params_generic, mode12):
 
 def test_conservative_modes_orthonormal(params_conservative):
     p = params_conservative
-    seeds = [predict_eigenvalue(k, j, p) for k in (9, 10) for j in (1, 2)]
-    modes = eigenmode(np.array([rec.lam for rec in polish(np.array(seeds), p)]), p)
+    modes = eigenmode(np.array([rec.lam for rec in family_roots(p, (9, 10))]), p)
     g = gram_inner_product(modes[:, None], modes[None, :], p)
     assert g.shape == (4, 4)
     assert np.max(np.abs(g - np.eye(4))) <= 1e-8
@@ -279,7 +283,7 @@ def test_conservative_modes_orthonormal(params_conservative):
 def test_gram_matches_grid_quadrature(params_generic, mode12):
     # mode12 alone and, sampled as one batch, next to a k = 9 mode
     p = params_generic
-    (rec9,) = polish(np.array([predict_eigenvalue(9, 2, p)]), p)
+    rec9 = family_roots(p, 9)[1]
     pair = eigenmode(np.array([mode12.lam, rec9.lam]), p)
     for modes in (mode12, pair):
         exact = gram_inner_product(modes, modes, p)
@@ -356,5 +360,8 @@ def test_riesz_refuses_a_conservative_beam(params_conservative):
 
 
 def test_gram_condition_near_orthonormal(params_generic):
-    cond = gram_condition(params_generic, 8)
+    # the Gram of 16 family modes, as the README's library example builds it
+    p = params_generic
+    modes = _family_modes(p, range(K_MIN, K_MIN + 8))
+    cond = np.linalg.cond(gram_inner_product(modes[:, None], modes[None, :], p))
     assert 1.0 <= cond <= 10.0

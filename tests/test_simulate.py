@@ -26,12 +26,19 @@ from tipbeam.simulate import (
     _unpack,
     assemble_generator,
     fit_decay,
-    generator_spectrum,
     integrate,
 )
 from tipbeam.spectrum import spectrum_in_strip
 
-from reference import IllConditionedGram, grid_inner_product, spectral_solution, to_grid_state
+from reference import (
+    IllConditionedGram,
+    generator_matrix,
+    generator_spectrum,
+    generator_weight,
+    grid_inner_product,
+    spectral_solution,
+    to_grid_state,
+)
 
 
 def smooth_state(p, N, seed=None):
@@ -75,13 +82,14 @@ def test_resolution_floor(params_generic):
 
 def test_conservative_generator_skew(params_conservative):
     g = assemble_generator(params_conservative, 32)
-    s = g.weight @ g.matrix
-    scale = scipy.sparse.linalg.norm(g.matrix)
+    A, W = generator_matrix(g), generator_weight(g)
+    s = W @ A
+    scale = scipy.sparse.linalg.norm(A)
     assert abs(s + s.T).max() <= 1e-12 * scale
     rng = np.random.default_rng(3)
     for _ in range(10):
-        x = rng.standard_normal(g.matrix.shape[0])
-        quad = abs(x @ (s @ x)) / (x @ (g.weight @ x))
+        x = rng.standard_normal(A.shape[0])
+        quad = abs(x @ (s @ x)) / (x @ (W @ x))
         assert quad <= 1e-12 * scale
 
 
@@ -90,7 +98,7 @@ def test_dissipation_identity_consistent_state(params_generic):
     g = assemble_generator(p, 64)
     st = smooth_state(p, 64)
     x = _pack(st)
-    drain = x @ ((g.weight @ g.matrix) @ x)
+    drain = x @ ((generator_weight(g) @ generator_matrix(g)) @ x)
     expect = -(p.k2 / p.k1) * st.eta ** 2 - (p.k4 / p.k3) * st.gamma ** 2
     assert abs(drain - expect) <= 1e-12 * max(1.0, abs(expect))
 
@@ -102,8 +110,8 @@ def test_generator_consistent_on_eigenmode(params_generic, fig_low_records):
     for n in (64, 128):
         g = assemble_generator(params_generic, n)
         x = _pack(to_grid_state(mode, n))
-        r = g.matrix @ x - lam * x
-        res.append(math.sqrt(abs(np.conj(r) @ (g.weight @ r))))
+        r = generator_matrix(g) @ x - lam * x
+        res.append(math.sqrt(abs(np.conj(r) @ (generator_weight(g) @ r))))
     assert res[0] / res[1] >= 3.5   # second-order consistency in the energy norm
 
 
@@ -225,7 +233,7 @@ def dense_midpoint(g, state, dt, steps):
     Without it the reference's own round-off (up to 7.9e-13 on the examples
     below) would fill most of the 1e-12 bound; with it, 2.6e-14.
     """
-    A = g.matrix.toarray()
+    A = generator_matrix(g).toarray()
     left = scipy.linalg.lu_factor(np.eye(A.shape[0]) - 0.5 * dt * A)
     half = 0.5 * dt * A.astype(np.longdouble)
     x = _pack(state).real
@@ -297,7 +305,8 @@ def velocity_matrix(g, dt):
 def test_generator_sparse_and_narrow_band(params_generic, N):
     g = assemble_generator(params_generic, N)
     n = 4 * N + 2
-    assert g.matrix.nnz <= 4 * n and g.weight.nnz <= 4 * n
+    A, W = generator_matrix(g), generator_weight(g)
+    assert A.nnz <= 4 * n and W.nnz <= 4 * n
     dt = 0.5 / N
     C = velocity_matrix(g, dt)
     assert abs(C - C.T).max() <= 1e-15 * abs(C).max()
@@ -308,7 +317,7 @@ def test_generator_sparse_and_narrow_band(params_generic, N):
     stats = integrate(g, smooth_state(params_generic, N), dt, dt).stats
     assert kd == 5 == stats["kd"]
     assert stats["solve_n"] == C.shape[0] == 2 * N + 2
-    assert (stats["nnz_A"], stats["nnz_W"]) == (g.matrix.nnz, g.weight.nnz)
+    assert (stats["nnz_A"], stats["nnz_W"]) == (A.nnz, W.nnz)
 
 
 def test_one_factorization_one_solve_per_step(params_generic, params_conservative,
@@ -336,7 +345,7 @@ def test_large_grid_is_feasible(params_generic):
     # dense A and W would take 2 x 12.8 GB at N = 10^4
     N = 10_000
     g = assemble_generator(params_generic, N)
-    for m in (g.matrix, g.weight):
+    for m in (generator_matrix(g), generator_weight(g)):
         assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes < 2 * 2 ** 20
     dt = 0.5 / N
     tr = integrate(g, smooth_state(params_generic, N), 20 * dt, dt)
@@ -377,7 +386,7 @@ def anti_damped(p, N, dt, margin):
     D = g.D.tolil()
     D[2 * N, 2 * N] = 0.0                          # eta's entry of D, at 4N in A
     g.D = D.tocsr()
-    left = np.eye(4 * N + 2) - 0.5 * dt * g.matrix.toarray()
+    left = np.eye(4 * N + 2) - 0.5 * dt * generator_matrix(g).toarray()
     unit = np.zeros(4 * N + 2)
     unit[4 * N] = 1.0
     D[2 * N, 2 * N] = (1.0 - margin) * 2.0 / (dt * np.linalg.solve(left, unit)[4 * N])

@@ -22,10 +22,10 @@ from tipbeam.spectrum import (
     K_MIN,
     EigenvalueRecord,
     RootSearchReport,
-    count_roots_in_rect,
+    _beam,
+    _newton,
     family_roots,
     frequency_pairs,
-    polish,
     spectrum_in_strip,
 )
 
@@ -40,14 +40,20 @@ def cons_spectrum(params_conservative):
     return spectrum_in_strip(params_conservative, 12)
 
 
+def _alone(rect, p):
+    """The counter outcome of rect counted alone on the beam: (count, rect,
+    samples), or the error that refused it."""
+    return _batch([rect], _beam(p))[0][0]
+
+
 def test_count_right_half_plane_empty(params_generic):
-    assert count_roots_in_rect((0.3, 2.3, 1.0, 20.0), params_generic) == 0
+    assert _alone((0.3, 2.3, 1.0, 20.0), params_generic)[0] == 0
 
 
 def test_count_frequency_box_has_two(params_generic):
     k = 12
     rect = (-5.0, 0.2, (k - 0.5) * math.pi, (k + 0.5) * math.pi)
-    assert count_roots_in_rect(rect, params_generic) == 2
+    assert _alone(rect, params_generic)[0] == 2
 
 
 def test_count_on_a_branch_point(params_generic):
@@ -57,9 +63,7 @@ def test_count_on_a_branch_point(params_generic):
     p = params_generic
     for im_lo in (math.sqrt(p.b), math.sqrt(p.b) - 0.01, math.sqrt(p.b) + 0.01):
         rect = (-1.0, 0.0, im_lo, 3.0)
-        report = RootSearchReport()
-        assert count_roots_in_rect(rect, p, report) == 1
-        assert report.boxes == [(rect, 1)]
+        assert _alone(rect, p)[:2] == (1, rect)
 
 
 def test_count_refuses_an_edge_through_a_real_root(params_generic):
@@ -68,11 +72,10 @@ def test_count_refuses_an_edge_through_a_real_root(params_generic):
     # midpoint, and the box is refused by name; on the sample budget alone
     # this took 4,697 evaluation calls
     rect = (-0.5, -0.2, 0.0, 1.0)
-    report = RootSearchReport()
-    with pytest.raises(BoundaryTooCloseToRoot,
-                       match=re.escape(f"boundary of {rect} cannot be refined")):
-        count_roots_in_rect(rect, params_generic, report)
-    assert report.contour_rounds <= 50
+    ((outcome,), rounds) = _batch([rect], _beam(params_generic))
+    assert isinstance(outcome, BoundaryTooCloseToRoot)
+    assert f"boundary of {rect} cannot be refined" in str(outcome)
+    assert rounds <= 50
 
 
 def test_count_splits_consistently(params_generic):
@@ -81,8 +84,8 @@ def test_count_splits_consistently(params_generic):
     p = params_generic
     lo, hi = (k - 0.5) * math.pi, (k + 0.5) * math.pi
     mid = k * math.pi + (0.2763 + 1.156) / (2 * k)   # between the family offsets
-    top = count_roots_in_rect((-5.0, 0.2, mid, hi), p)
-    bottom = count_roots_in_rect((-5.0, 0.2, lo, mid), p)
+    top = _alone((-5.0, 0.2, mid, hi), p)[0]
+    bottom = _alone((-5.0, 0.2, lo, mid), p)[0]
     assert top == 1 and bottom == 1
 
 
@@ -93,8 +96,8 @@ def test_count_does_not_alias_a_root_near_an_edge():
     p = validate_params(1.0, 2.038786616131473, 1.014145822087823, 0.0,
                         2.8841124150393984, 0.0)
     edge = 18.897837103895696
-    assert count_roots_in_rect((-0.5, 0.5, 18.180701554930696, edge), p) == 1
-    assert count_roots_in_rect((-0.5, 0.5, edge, 19.817250046407196), p) == 1
+    assert _alone((-0.5, 0.5, 18.180701554930696, edge), p)[0] == 1
+    assert _alone((-0.5, 0.5, edge, 19.817250046407196), p)[0] == 1
 
 
 def test_count_resolves_close_roots_near_the_boundary(params_generic):
@@ -103,9 +106,8 @@ def test_count_resolves_close_roots_near_the_boundary(params_generic):
     # increments alone, without the F'/F step bound, read 17 or 15 here
     # depending on the initial spacing
     rect = (-5.0, -1e-12, -0.3, 8.5 * math.pi)
-    report = RootSearchReport()
-    assert count_roots_in_rect(rect, params_generic, report) == 19
-    assert report.stats["contour_points"] > 0 and report.boxes == [(rect, 19)]
+    count, box, samples = _alone(rect, params_generic)
+    assert (count, box) == (19, rect) and samples > 0
 
 
 @pytest.mark.parametrize("re_lo", [-15.0, -30.0])
@@ -116,9 +118,7 @@ def test_count_far_left_of_strong_damping(re_lo):
     # its boundary
     p = validate_params(1.0, 2.0, 1.0, 8.0, 3.0, 6.0)
     rect = (re_lo, -1e-12, -0.3, 7.5 * math.pi)
-    report = RootSearchReport()
-    assert count_roots_in_rect(rect, p, report) == 18
-    assert report.boxes[0][0] == rect
+    assert _alone(rect, p)[:2] == (18, rect)
 
 
 def _batch(rects, target):
@@ -157,11 +157,9 @@ def _one_box_counts(p, rects):
     """(count, rect, samples) and evaluation calls of each rect counted alone."""
     alone, alone_rounds = [], []
     for rect in rects:
-        report = RootSearchReport()
-        count = count_roots_in_rect(rect, p, report)
-        assert report.boxes == [(rect, count)]
-        alone.append((count, rect, report.contour_points))
-        alone_rounds.append(report.contour_rounds)
+        ((outcome,), rounds) = _batch([rect], _beam(p))
+        alone.append(outcome)
+        alone_rounds.append(rounds)
     return alone, alone_rounds
 
 
@@ -253,19 +251,6 @@ def test_batch_errors_name_the_rect(params_generic):
     assert str(outcomes[1]).startswith(f"phase increments around {frequency} sum to -2")
     with pytest.raises(NonConvergentContour, match=re.escape(str(frequency))):
         tipbeam.spectrum._logged(outcomes, RootSearchReport())
-
-
-@pytest.mark.parametrize("rect", [
-    (math.nan, 0.2, 1.0, 2.0),
-    (-5.0, math.inf, 1.0, 2.0),
-    (-5.0, 0.2, 12 * math.pi, 12 * math.pi),     # zero height
-    (0.2, 0.2, 1.0, 2.0),                        # zero width
-    (0.2, -5.0, 1.0, 2.0),                       # inverted
-    (-5.0, 0.2, 2.0, 1.0),
-])
-def test_count_refuses_a_degenerate_rect(params_generic, rect):
-    with pytest.raises(ValueError, match=re.escape(f"rect {rect} ")):
-        count_roots_in_rect(rect, params_generic)
 
 
 def _known_zeros(roots, c=0.0):
@@ -408,7 +393,7 @@ def test_counter_refuses_non_finite_samples(rect):
 def test_refine_root_from_prediction(params_generic):
     p = params_generic
     k = 30
-    (rec,) = polish(np.array([predict_eigenvalue(k, 2, p)]), p)
+    rec = family_roots(p, k)[1]
     assert rec.residual <= 1e-10 * max(1.0, abs(rec.lam))
     assert abs(rec.lam.imag - k * math.pi) < 0.1
     assert rec.lam.real < 0
@@ -417,13 +402,13 @@ def test_refine_root_from_prediction(params_generic):
 def test_refine_root_degenerate_table_value(params_degenerate):
     # k = 200, slower family: scaled real part matches the reference table
     p = params_degenerate
-    (rec,) = polish(np.array([predict_eigenvalue(200, 1, p)]), p)
+    rec = family_roots(p, 200)[0]
     assert 200**2 * rec.lam.real == pytest.approx(-0.202667, abs=1e-4)
 
 
 def test_refine_root_conservative_on_axis(params_conservative):
     p = params_conservative
-    (rec,) = polish(np.array([predict_eigenvalue(12, 1, p)]), p)
+    rec = family_roots(p, 12)[0]
     assert abs(rec.lam.real) < 1e-10
 
 
@@ -431,8 +416,8 @@ def test_adversarial_midpoint_seed(params_generic):
     # seeding between the two family roots must never produce a silent fake
     p = params_generic
     k = 12
-    r1, r2 = polish(np.array([predict_eigenvalue(k, j, p) for j in (1, 2)]), p)
-    (rec,) = polish(np.array([0.5 * (r1.lam + r2.lam)]), p)
+    r1, r2 = family_roots(p, k)
+    (rec,) = _newton([0.5 * (r1.lam + r2.lam)], _beam(p), RootSearchReport())
     if isinstance(rec, (NoConvergence, BasinEscape)):
         return
     assert min(abs(rec.lam - r1.lam), abs(rec.lam - r2.lam)) < 1e-6
@@ -453,12 +438,12 @@ def test_family_roots_in_family_order(params_generic):
     recs = family_roots(p, 30)
     assert [(r.k_index, r.family) for r in recs] == [(30, 1), (30, 2)]
     for r in recs:
-        (direct,) = polish(np.array([predict_eigenvalue(30, r.family, p)]), p)
+        (direct,) = _newton([predict_eigenvalue(30, r.family, p)], _beam(p), RootSearchReport())
         assert r.lam == direct.lam and r.iterations == direct.iterations
 
 
 def _scalar_newton(seed, p):
-    """The one-seed Newton loop polish replaced, on 0-d evaluations.
+    """The one-seed Newton loop the batched kernel replaced, on 0-d evaluations.
 
     Returns (lam, iterations) or the error type.  Its arithmetic differs
     from a batch lane's in the last bits (0-d NumPy and Python complex
@@ -501,10 +486,10 @@ def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
     seeds = [predict_eigenvalue(k, j, p) + shift for k, j, shift in lanes]
     report = RootSearchReport()
-    batch = polish(np.array(seeds), p, report=report)
+    batch = _newton(seeds, _beam(p), report)
     assert report.newton_calls == len(seeds) and report.newton_rounds <= 54
     for seed, got in zip(seeds, batch):
-        (want,) = polish(np.array([seed]), p)
+        (want,) = _newton([seed], _beam(p), RootSearchReport())
         assert type(got) is type(want)
         if isinstance(want, EigenvalueRecord):
             assert got.lam == want.lam and got.iterations == want.iterations
@@ -524,7 +509,7 @@ def test_polish_fails_only_the_affected_lanes(params_generic):
     p = params_generic
     seeds = [predict_eigenvalue(12, 1, p), (12 + 0.5) * math.pi * 1j - 0.1,
              1j * math.sqrt(p.b) + 1e-9, predict_eigenvalue(30, 2, p)]
-    out = polish(np.array(seeds), p)
+    out = _newton(seeds, _beam(p), RootSearchReport())
     # the seed 1e-9 from i sqrt(b) is evaluated there, and its first step
     # lands 0.507 away, beside the root near -0.4871 + 1.4759i
     assert [type(o) for o in out] == [EigenvalueRecord, BasinEscape, BasinEscape,
@@ -532,9 +517,9 @@ def test_polish_fails_only_the_affected_lanes(params_generic):
     assert "left the basin of seed" in str(out[1])
     assert str(out[2]).startswith("iterate (-0.50612")
     for seed, rec in zip(seeds[::3], out[::3]):
-        assert rec.lam == polish(np.array([seed]), p)[0].lam
+        assert rec.lam == _newton([seed], _beam(p), RootSearchReport())[0].lam
         assert rec.residual <= 1e-13 * abs(rec.lam)
-    (alone,) = polish(np.array([seeds[2]]), p)
+    (alone,) = _newton([seeds[2]], _beam(p), RootSearchReport())
     assert isinstance(alone, BasinEscape) and str(alone) == str(out[2])
 
 
@@ -552,13 +537,13 @@ def test_polish_makes_one_evaluation_per_round(params_generic, monkeypatch):
     alone = []
     for seed in seeds[:6]:
         sizes.clear()
-        polish(np.array([seed]), p)
+        _newton([seed], _beam(p), RootSearchReport())
         alone.append(len(sizes))
     rounds = []
     for batch in (seeds[:6], seeds):
         sizes.clear()
         report = RootSearchReport()
-        polish(np.array(batch), p, report=report)
+        _newton(batch, _beam(p), report)
         # one call per round on the lanes still running, never one per seed
         assert len(sizes) == report.newton_rounds <= 54
         assert sizes[0] == len(batch) and sizes == sorted(sizes, reverse=True)
@@ -739,7 +724,7 @@ def test_verify_no_imaginary_roots(params_generic, params_conservative,
     crecs, _ = cons_spectrum
     on_axis = sum(0.01 <= r.lam.imag <= 25.0 for r in crecs)
     assert on_axis > 0
-    assert count_roots_in_rect((-0.5, 0.2, 0.01, 25.0), params_conservative) == on_axis
+    assert _alone((-0.5, 0.2, 0.01, 25.0), params_conservative)[0] == on_axis
 
 
 def test_real_roots_sort_by_real_part(fig_spectrum):
@@ -1071,8 +1056,8 @@ def _strip_with_derived_boxes_counted(p, k_max):
     """spectrum_in_strip(p, k_max), asserting that each derived or
     band-certified box, one logged to report.boxes but never submitted to
     the counter, has the winding it has when counted.  Those boxes are
-    counted in one batch, whose counts are the one-box counts of
-    count_roots_in_rect (test_batched_counts_match_one_box_counts)."""
+    counted in one batch, whose counts are the one-box counts
+    (test_batched_counts_match_one_box_counts)."""
     submitted = set()
     real = tipbeam.spectrum._Counter.submit
 
