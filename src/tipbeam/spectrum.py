@@ -2,9 +2,9 @@
 
 The strip is tiled by boxes that share their edges: a low-frequency sweep
 box from Im = -0.3 up to (K_MIN - 1/2) pi, and one frequency box per
-k >= K_MIN from (k - 1/2) pi to (k + 1/2) pi.  One Newton batch polishes
-the two closed-form predictions of every k = 1 .. k_max; the roots it
-reaches are each box's known roots.  Roots are counted by the argument
+k >= K_MIN from (k - 1/2) pi to (k + 1/2) pi.  Newton lanes polish the
+two closed-form predictions of every k = 1 .. k_max; the roots they
+reach are each box's known roots.  Roots are counted by the argument
 principle (Kravanja & Van Barel, Computing the Zeros of Analytic Functions,
 2000: count the roots of a box, then locate them), once over the union of
 all boxes, which certifies the whole strip, so a root found twice or missed
@@ -32,7 +32,7 @@ which has the same zeros as f but no sheet jumps.  It is evaluated through
 its removable points +- i sqrt(b) too, so boxes and Newton iterates avoid
 no point but lambda = 0 itself (ZeroLambda).
 
-The counter and the Newton kernel see only evaluate(z) -> (F, F', f).  Each
+The counter and its Newton lanes see only evaluate(z) -> (F, F', f).  Each
 beam-facing entry point binds it to the beam once, in `_beam`; other
 analytic functions use the same seam.
 
@@ -59,24 +59,29 @@ the first's.  When the first half is refused, its parent splits again at
 another fraction: the split line moves, and the halves still tile the
 parent.
 
-Counting is batched.  A search submits all its boxes to one counter, which
-keeps one table of the intervals still too coarse, over all boxes.  Each
-call of the characteristic function takes at most _CHUNK = 1024 new
-samples, those of the most recently submitted boxes first, which keeps the
-working set small, and every interval the call completes is checked in one
-vectorised pass.  Whether an interval is halved depends on its two ends
-alone, so per counted box the samples, and so the counts, are those of
-counting the box alone, in any batch and at any _CHUNK.  The union of the
-strip counts in the background while the sweep and the odd frequency boxes
-subdivide, and a box's first half starts as soon as its own count is in,
-so the k <= 200 strip takes about twenty-five calls.
+Counting and Newton share one evaluation loop.  A search submits all its
+boxes and its Newton lanes to one counter, which keeps one table of the
+intervals still too coarse, over all boxes.  Each call of the
+characteristic function takes every live lane and new samples up to
+_CHUNK = 1024 points in all, those of the most recently submitted boxes
+first, which keeps the working set small; every lane takes one Newton
+step, and every interval the call completes is checked in one vectorised
+pass.  Whether an interval is halved depends on its two ends alone, so
+per counted box the samples, and so the counts, are those of counting the
+box alone, in any batch and at any _CHUNK; a lane's arithmetic does not
+depend on the other points of its call either.  The union of the strip
+and the sweep count while the lanes of k = 1 .. k_max polish, the union
+goes on while the sweep and the odd frequency boxes subdivide, a box's
+first half starts as soon as its own count is in, and moment seeds polish
+while counts go on.  So the k <= 200 strip takes 30 calls and the
+conservative k <= 50 strip 16.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,8 +98,12 @@ _MAX_TURN = math.pi / 4       # bound on an interval's increment and its F'-boun
 _SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is refused, at least
 _SAMPLES_PER_LENGTH = 16      # or per unit of perimeter, if more; a strip's union takes 3 to 6
 _INTEGER_TOL = 1e-9           # rounding slack of the increment sum
-_CHUNK = 1024                 # points per contour evaluation call; bounds the working set
+_CHUNK = 1024                 # points per evaluation call, Newton lanes included; bounds memory
 _ALONG = np.arange(_EDGE_POINTS) / _EDGE_POINTS   # initial samples' fractions of an edge
+# the fields of a Newton lane still stepping: its index, seed, iterate, best
+# iterate and its |f|, last step, steps, and steps at convergence or -1
+_LANE = np.dtype([("lane", int), ("seed", complex), ("lam", complex), ("best", complex),
+                  ("best_res", float), ("moved", float), ("its", int), ("conv", int)])
 
 
 @dataclass
@@ -124,29 +133,29 @@ class RootSearchReport:
     band_boxes: int = 0          # frequency boxes certified by the strip's count, on no samples
     moment_boxes: int = 0        # boxes closed by the records polished from their moment seeds
     contour_points: int = 0      # F evaluations in counting, refinements included
-    contour_rounds: int = 0      # (F, F') evaluation calls made by counting
+    evaluation_calls: int = 0    # (F, F', f) evaluation calls the search made
+    contour_rounds: int = 0      # of those calls, the ones that carried contour samples
     newton_calls: int = 0        # Newton polishes started, converged or not
-    newton_rounds: int = 0       # batched (F, F', f) evaluations of those polishes
+    newton_rounds: int = 0       # of those calls, the ones that carried Newton lanes
     global_count: int | None = None   # winding over the union of the strip's boxes
     global_points: int = 0       # F evaluations in counting that union
 
     @property
     def stats(self) -> dict:
-        """Deterministic effort counts; newton_iterations sums the converged polishes.
+        """Deterministic effort counts: every count field, the number of
+        boxes, and newton_iterations summed over the converged polishes.
 
         boxes, derived_boxes, band_boxes, resplits and contour_points cover
         the search boxes; the union a strip's global count is taken over is
         not among them: its samples are global_points, and its evaluation
-        calls, shared with the search boxes, are in contour_rounds.
+        calls, shared with the search boxes, are in contour_rounds.  A call
+        that carried contour samples and Newton lanes counts in both
+        contour_rounds and newton_rounds, and once in evaluation_calls.
         """
-        return {"boxes": len(self.boxes), "derived_boxes": self.derived_boxes,
-                "matched_boxes": self.matched_boxes, "moment_boxes": self.moment_boxes,
-                "band_boxes": self.band_boxes, "resplits": self.resplits,
-                "contour_points": self.contour_points, "contour_rounds": self.contour_rounds,
-                "newton_calls": self.newton_calls,
-                "newton_iterations": sum(it for _, it in self.newton_iterations),
-                "newton_rounds": self.newton_rounds, "global_count": self.global_count,
-                "global_points": self.global_points}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("k0_effective", "duplicates_merged", "incomplete_boxes")},
+                "boxes": len(self.boxes),
+                "newton_iterations": sum(it for _, it in self.newton_iterations)}
 
 
 def _beam(p: BeamParams) -> Callable:
@@ -177,22 +186,27 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
 
 
 class _Counter:
-    """Winding counts of many boxes that share their evaluation calls.
+    """Winding counts of many boxes, and Newton lanes, that share their evaluation calls.
 
-    Boxes join with `submit`.  One table holds the coarse intervals of all
-    boxes still counting, with z, F and |F'/F| at both ends; the midpoint of
-    each is a sample still to evaluate.  Each call evaluates at most _CHUNK
-    samples, those of the most recently submitted boxes first, so a
+    Boxes join with `submit`, lanes with `newton`.  One table holds the
+    coarse intervals of all boxes still counting, with z, F and |F'/F| at
+    both ends; the midpoint of each is a sample still to evaluate.  Each
+    call evaluates every live lane and, beside them, samples up to _CHUNK
+    points in all, those of the most recently submitted boxes first, so a
     subdivision goes ahead of boxes still counting in the background: whole
-    initial rings of boxes just submitted, and queued midpoints.  Every
-    interval the call completes is checked at once: a fine one adds its phase
-    increment to its box and is dropped, a coarse one queues its midpoint.
-    Whether an interval is split depends on its two ends alone, so each box
-    gets the samples, and the count, of counting it alone, whatever the batch
-    or _CHUNK.  A box with nothing queued is resolved: counted on the rect it
-    was submitted with, or refused with a BoundaryTooCloseToRoot naming it,
-    without raising for the others.  A box submitted to take moments also
-    sums, over the same fine intervals, its low moments (see `moments`).
+    initial rings of boxes just submitted, and queued midpoints.  Lanes are
+    never split, so a call takes at most max(_CHUNK, live lanes) points; one
+    with no lane takes the newest ring or midpoint even when that alone
+    exceeds _CHUNK, so counting always goes on.  Each lane takes one Newton
+    step (see `newton`).  Every interval the call completes is checked at
+    once: a fine one adds its phase increment to its box and is dropped, a
+    coarse one queues its midpoint.  Whether an interval is split depends on
+    its two ends alone, so each box gets the samples, and the count, of
+    counting it alone, whatever the batch or _CHUNK.  A box with nothing
+    queued is resolved: counted on the rect it was submitted with, or
+    refused with a BoundaryTooCloseToRoot naming it, without raising for the
+    others.  A box submitted to take moments also sums, over the same fine
+    intervals, its low moments (see `moments`).
     """
 
     def __init__(self, evaluate: Callable, report: RootSearchReport):
@@ -208,6 +222,8 @@ class _Counter:
         self.sums = np.zeros((0, 3), dtype=complex)   # per box taking moments, 2 pi i times them
         self.owner = np.zeros(0, dtype=int)     # per queued interval, its ticket
         self.queue = np.zeros((6, 0), dtype=complex)   # columns: z, F, |F'/F| at both ends
+        self.records = []     # per lane, its EigenvalueRecord or the error that ended it, or None
+        self.live = {name: np.zeros(0, _LANE[name]) for name in _LANE.names}   # lanes stepping
 
     def submit(self, rects, moments: bool = False) -> list:
         """Tickets of rects, whose counting starts now; they take moments
@@ -231,6 +247,31 @@ class _Counter:
                 self.sums = _grown(self.sums, self.centre.size)
         return list(range(first, len(self.rects)))
 
+    def newton(self, seeds) -> range:
+        """Lanes of Newton on the zeros of F, one from each seed, which step
+        from the next call on.
+
+        A lane converges when its last step fell to at most 1e-12 * max(1,
+        |lam|) (so already-small seeds are still refined); at most 50
+        iterations, each iterate within 0.5 of its seed.  The step test
+        scales with |lam|, so a root whose derivative is depressed by a
+        neighbor Theta(1/k^2) away can keep one productive step: up to 3
+        more follow while they stay in the basin and strictly lower |f|,
+        landing where rounding in the determinant stops |f| from falling;
+        the residual reported is |f| there.  ``iterations`` counts the steps
+        up to convergence.  A lane ends with an EigenvalueRecord, or with
+        the NoConvergence or BasinEscape that stopped it (see `records_of`).
+        A lane's arithmetic does not depend on the other points of its calls.
+        """
+        lanes = np.zeros(np.size(seeds), _LANE)
+        lanes["lane"] = np.arange(len(self.records), len(self.records) + lanes.size)
+        lanes["seed"] = lanes["lam"] = np.ravel(seeds)
+        lanes["best_res"], lanes["moved"], lanes["conv"] = np.inf, np.inf, -1
+        self.live = {name: np.concatenate([a, lanes[name]]) for name, a in self.live.items()}
+        self.records += [None] * lanes.size
+        self.report.newton_calls += lanes.size
+        return range(len(self.records) - lanes.size, len(self.records))
+
     def moments(self, ticket: int):
         """The power sums s_q = sum (r - c)^q, q = 0, 1, 2, over the roots r of
         a counted box submitted to take moments, c its rect's centre.
@@ -245,32 +286,35 @@ class _Counter:
     def outcomes_of(self, tickets) -> list:
         """The outcomes of the tickets, in order, once all are resolved."""
         while any(t not in self.outcomes for t in tickets):
-            self._call()
+            self.call()
         return [self.outcomes[t] for t in tickets]
 
-    def first_resolved(self, tickets) -> list:
-        """Indices of the resolved tickets, once at least one is."""
-        while not any(t in self.outcomes for t in tickets):
-            self._call()
-        return [i for i, t in enumerate(tickets) if t in self.outcomes]
+    def records_of(self, lanes) -> list:
+        """The ends of the lanes, in order, once all are in."""
+        while any(self.records[i] is None for i in lanes):
+            self.call()
+        return [self.records[i] for i in lanes]
 
-    def _call(self):
-        """One evaluation of at most _CHUNK samples, newest boxes first, and
-        the check of every interval it completes.
+    def call(self):
+        """One evaluation of the live lanes and at most _CHUNK points in all,
+        newest boxes first; one Newton step of each lane, and the check of
+        every interval the call completes.
 
         A box is refused when F is 0 at a sample, else when an interval
         still too coarse has no floating-point midpoint, else when its
         samples and queued midpoints exceed its budget: _SAMPLE_BUDGET, or
         _SAMPLES_PER_LENGTH per unit of its perimeter if that is more.
         """
-        ring, n = 4 * _EDGE_POINTS, len(self.rects)
-        if ring * len(self.fresh) + self.owner.size <= _CHUNK:
+        ring, lam, lanes = 4 * _EDGE_POINTS, self.live["lam"], self.live["lam"].size
+        if ring * len(self.fresh) + self.owner.size <= max(_CHUNK - lanes, 0):
             rings, split, owner = self.fresh, self.queue, self.owner
             self.fresh, self.queue, self.owner = [], self.queue[:, :0], self.owner[:0]
         else:
             fresh = np.array(self.fresh, dtype=int)
             units = np.argsort(-np.concatenate([fresh, self.owner]), kind="stable")
-            units = units[np.cumsum(np.where(units < fresh.size, ring, 1)) <= _CHUNK]
+            taken = np.cumsum(np.where(units < fresh.size, ring, 1)) <= _CHUNK - lanes
+            taken[0] |= not lanes      # without lanes, the newest unit however large
+            units = units[taken]
             rings = fresh[units[units < fresh.size]].tolist()
             mids = units[units >= fresh.size] - fresh.size
             del self.fresh[len(self.fresh) - len(rings):]     # the newest are taken
@@ -278,17 +322,25 @@ class _Counter:
             self.queue = np.delete(self.queue, mids, axis=1)
             self.owner = np.delete(self.owner, mids)
 
-        z = np.concatenate([_rings([self.rects[t] for t in rings]), 0.5 * (split[0] + split[3])])
-        f, d, _ = self.evaluate(z)
+        z = lam if not (rings or owner.size) else np.concatenate(
+            [_rings([self.rects[t] for t in rings]), 0.5 * (split[0] + split[3]), lam])
+        f, d, fval = self.evaluate(z)
+        self.report.evaluation_calls += 1
+        m = z.size - lanes
+        if lanes:
+            self.report.newton_rounds += 1
+            self._step(f[m:], d[m:], fval[m:])
+        if not m:
+            return
         self.report.contour_rounds += 1
+        z, f, d = z[:m], f[:m], d[:m]
+
         on_ring = np.repeat(np.array(rings, dtype=int), ring)
         sampled = np.concatenate([on_ring, owner])
         refused = {}
-        if np.count_nonzero(f) < f.size:
-            for i in np.flatnonzero(f == 0):
-                refused.setdefault(int(sampled[i]),
-                                   f"passes through a zero of F at {complex(z[i])}")
-            f = np.where(f == 0, 1.0, f)      # the box is refused; this spares the division
+        for i in np.flatnonzero(f == 0):
+            refused.setdefault(int(sampled[i]), f"passes through a zero of F at {complex(z[i])}")
+        f = np.where(f == 0, 1.0, f)      # such a box is refused; this spares the division
 
         # the new intervals in boundary order, as rows z, F, |F'/F| at the
         # start, then at the end: each ring sample to the next, and both
@@ -318,17 +370,16 @@ class _Counter:
         self.turns += np.bincount(box, turn, self.turns.size)
         slot = self.slot[box]
         fine = (~is_coarse & (slot >= 0)).nonzero()[0]    # of the boxes taking moments
-        if fine.size:
-            slot = slot[fine]
-            m = 0.5 * (za[fine] + zb[fine]) - self.centre[slot]
-            log = np.log(fb[fine] / fa[fine])
-            np.add.at(self.sums, slot, (log * m ** np.arange(3)[:, None]).T)
+        slot = slot[fine]
+        m = 0.5 * (za[fine] + zb[fine]) - self.centre[slot]
+        log = np.log(fb[fine] / fa[fine])
+        np.add.at(self.sums, slot, (log * m ** np.arange(3)[:, None]).T)
         count = np.bincount(sampled, minlength=self.samples.size)
         self.samples += count
         touched = count.nonzero()[0]
         self.queue = np.concatenate([self.queue, new], axis=1)
         self.owner = np.concatenate([self.owner, box.take(coarse)])
-        queued = np.bincount(self.owner, minlength=n)[touched]
+        queued = np.bincount(self.owner, minlength=len(self.rects))[touched]
         for t in touched[self.samples[touched] + queued > self.budget[touched]]:
             refused.setdefault(int(t), f"needs over {self.budget[t]} samples")
         if refused:
@@ -336,9 +387,40 @@ class _Counter:
             self.queue, self.owner = self.queue[:, live], self.owner[live]
             for t, reason in refused.items():
                 self.outcomes[t] = BoundaryTooCloseToRoot(f"boundary of {self.rects[t]} {reason}")
-        for t in touched[queued == 0].tolist():
-            if t not in refused:
-                self.outcomes[t] = self._count(t)
+        for t in touched[(queued == 0) & ~np.isin(touched, list(refused))].tolist():
+            self.outcomes[t] = self._count(t)
+
+    def _step(self, surrogate, slope, fval):
+        """One Newton step of each live lane from its iterate, where F, F' and
+        f are given; a lane that ends leaves its record or error."""
+        lane, seeds, z, best, best_res, moved, its, conv = self.live.values()
+        residual = np.abs(fval)
+        polishing = conv >= 0        # the extra steps keep strict drops only
+        keep = np.where(polishing, residual < best_res,
+                        moved <= 1e-12 * np.maximum(1.0, np.abs(z)))
+        np.copyto(conv, its, where=keep & ~polishing)
+        np.copyto(best, z, where=keep)
+        np.copyto(best_res, residual, where=keep)
+        found = conv >= 0
+        done = polishing & (~keep | (its == conv + 3))
+        stuck = ~found & (its == 50)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = surrogate / slope
+        new = z - delta
+        go = ~(done | stuck | (slope == 0) | (np.abs(new - seeds) > 0.5))
+        self.live.update(lam=new, moved=np.abs(delta), its=its + 1)
+        if go.all():
+            return
+        # a converged lane that goes flat or leaves its basin keeps its record
+        for j in np.flatnonzero(~go):
+            self.records[lane[j]] = (
+                EigenvalueRecord(complex(best[j]), None, None, float(best_res[j]), int(conv[j]))
+                if found[j] else
+                NoConvergence(f"Newton did not converge from seed {complex(seeds[j])}")
+                if stuck[j] else NoConvergence(f"flat surrogate at {complex(z[j])}")
+                if slope[j] == 0 else BasinEscape(f"iterate {complex(new[j])} left the basin "
+                                                  f"of seed {complex(seeds[j])}"))
+        self.live = {name: a[go] for name, a in self.live.items()}
 
     def _count(self, ticket: int):
         """The outcome of a box with every interval fine: the sum of its
@@ -352,114 +434,54 @@ class _Counter:
         return k, rect, int(self.samples[ticket])
 
 
-def _logged(outcomes, report: RootSearchReport) -> list:
-    """The count of each counter outcome, logged to report; the first error,
-    in the given order, is raised."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    for k, rect, samples in outcomes:
-        report.boxes.append((rect, k))
-        report.contour_points += samples
-    return [k for k, _, _ in outcomes]
-
-
-def _newton(seeds, evaluate: Callable, report: RootSearchReport) -> list:
-    """Newton on the zeros of evaluate's F from each seed of a 1-d array, all lanes at once.
-
-    Each round evaluates (F, F', f) once, on the lanes still running.  A
-    lane converges when its last step fell to at most 1e-12 * max(1, |lam|)
-    (so already-small seeds are still refined); at most 50 iterations, each
-    iterate within 0.5 of its seed.  The step test scales with |lam|, so a
-    root whose derivative is depressed by a neighbor Theta(1/k^2) away can
-    keep one productive step: up to 3 more follow while they stay in the
-    basin and strictly lower |f|, landing where rounding in the determinant
-    stops |f| from falling; the residual reported is |f| there.
-    ``iterations`` counts the steps up to convergence.  Returns, per seed,
-    an EigenvalueRecord or the NoConvergence or BasinEscape that ended the
-    lane.  A lane's arithmetic does not depend on the other lanes.
-    """
-    seeds = np.asarray(seeds, dtype=complex)
-    n = seeds.size
-    out = [None] * n
-    lam, best, best_res, step = seeds.copy(), seeds.copy(), np.full(n, np.inf), np.full(n, np.inf)
-    its, conv = np.zeros(n, dtype=int), np.full(n, -1)   # conv: its at convergence
-    live = np.arange(n)
-    while live.size:
-        z = lam[live]
-        surrogate, slope, fval = evaluate(z)
-        report.newton_rounds += 1
-        residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
-        polishing = conv[live] >= 0        # the extra steps keep strict drops only
-        keep = np.where(polishing, residual < best_res[live], step[live] <= 1e-12 * scale)
-        conv[live[keep & ~polishing]] = its[live[keep & ~polishing]]
-        best[live[keep]], best_res[live[keep]] = z[keep], residual[keep]
-        found = conv[live] >= 0
-        done = polishing & (~keep | (its[live] == conv[live] + 3))
-        stuck = ~found & (its[live] == 50)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = surrogate / slope
-            new = z - delta
-        flat = ~done & ~stuck & (slope == 0)
-        escaped = ~done & ~stuck & ~flat & (np.abs(new - seeds[live]) > 0.5)
-        for i in live[stuck]:
-            out[i] = NoConvergence(f"Newton did not converge from seed {complex(seeds[i])}")
-        for i in live[flat & ~found]:
-            out[i] = NoConvergence(f"flat surrogate at {complex(lam[i])}")
-        for i, it in zip(live[escaped & ~found], new[escaped & ~found]):
-            out[i] = BasinEscape(f"iterate {complex(it)} left the basin of seed "
-                                 f"{complex(seeds[i])}")
-        # a converged lane that goes flat or leaves its basin keeps its record
-        go = ~(done | stuck | flat | escaped)
-        live = live[go]
-        lam[live], step[live] = new[go], np.abs(delta[go])
-        its[live] += 1
-    report.newton_calls += n
-    # every lane that ended without an error had converged
-    return [rec if rec is not None else
-            EigenvalueRecord(complex(best[i]), None, None, float(best_res[i]), int(conv[i]))
-            for i, rec in enumerate(out)]
+def _logged(outcome, report: RootSearchReport) -> int:
+    """The count of a counter outcome, logged to report; an error is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    k, rect, samples = outcome
+    report.boxes.append((rect, k))
+    report.contour_points += samples
+    return k
 
 
 def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
     """Both family roots near i k pi, Newton-polished from their predictions.
 
-    k is one frequency index or a sequence of them; all seeds go through
-    one Newton batch.  Records come in (k, family) order with k_index and
-    family set, and are logged to report when given.  A failed lane is
-    raised again naming k and j, after every lane was tried (the first
-    failure in that order).
+    k is one frequency index or a sequence of them; all seeds are lanes of
+    one counter.  Records come in (k, family) order with k_index and family
+    set, and are logged to report when given.  A failed lane is raised
+    again naming k and j, after every lane was tried (the first failure in
+    that order).
     """
-    recs, failure, _ = _families(p, _beam(p), k, report or RootSearchReport())
+    recs, failure, _ = _families(p, _Counter(_beam(p), report or RootSearchReport()), k)
     if failure is not None:
         raise failure
     return recs
 
 
-def _families(p: BeamParams, evaluate: Callable, k, report: RootSearchReport):
-    """family_roots on evaluate: the records, the first failure or None, and
-    the predictions the lanes were seeded from, in (k, family) order."""
+def _families(p: BeamParams, counter: _Counter, k):
+    """family_roots on counter, whose boxes count while the lanes polish:
+    the records, the first failure or None, and the predictions the lanes
+    were seeded from, in (k, family) order."""
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     seeds = predict_eigenvalue(ks[:, None], np.array([1, 2]), p).ravel()   # (k, family) lanes
     recs, failure = [], None
-    for i, rec in enumerate(_newton(seeds, evaluate, report)):
+    for i, rec in enumerate(counter.records_of(counter.newton(seeds))):
         kk, j = int(ks[i // 2]), i % 2 + 1
         if isinstance(rec, Exception):
             failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
             continue
         rec.k_index, rec.family = kk, j
         recs.append(rec)
-    report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
+    counter.report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
     return recs, failure, seeds
 
 
 def _validation_rect(p: BeamParams, k: int):
-    im_lo, im_hi = (k - 0.5) * math.pi, (k + 0.5) * math.pi
-    if p.is_conservative:
-        return (-0.5, 0.5, im_lo, im_hi)
-    # right edge slightly into the right half plane: no roots there, and it
-    # keeps high-k roots (Re ~ -1/k^2) safely off the contour
-    return (-max(p.k2, p.k4) - 1.0, 0.2, im_lo, im_hi)
+    # damped, the right edge lies slightly into the right half plane: no
+    # roots there, and it keeps high-k roots (Re ~ -1/k^2) off the contour
+    re_lo, re_hi = (-0.5, 0.5) if p.is_conservative else (-max(p.k2, p.k4) - 1.0, 0.2)
+    return (re_lo, re_hi, (k - 0.5) * math.pi, (k + 0.5) * math.pi)
 
 
 def _inside(lam: complex, rect) -> bool:
@@ -502,7 +524,8 @@ def _refuse_coincident(records, known):
 
 def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -> list:
     """The records of each frequency k in ks: both family roots near i k pi
-    from one Newton batch, validated and completed by one call of _isolate.
+    from Newton lanes, validated and completed by one call of _isolate.  The
+    boxes count on the same counter while the lanes polish.
 
     The records of k are those inside its box, (k - 1/2) pi <= Im lambda <=
     (k + 1/2) pi, so adjacent boxes never report one root twice; a box that
@@ -519,8 +542,9 @@ def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     ks = list(ks)
-    rects, pairs = _box_records(p, ks, _families(p, counter.evaluate, ks, counter.report)[0])
-    _, found = _isolate(list(zip(rects, pairs)), counter)
+    tickets = counter.submit([_validation_rect(p, k) for k in ks], moments=True)
+    _, pairs = _box_records(p, ks, _families(p, counter, ks)[0])
+    _, found = _isolate(tickets, pairs, counter)
     for k, pair, recs in zip(ks, pairs, found):
         if recs != pair:
             _label_pair(recs, p, k)
@@ -553,10 +577,8 @@ def _label_pair(recs, p: BeamParams, k: int):
 
 
 def _sweep_box(p: BeamParams):
-    top = (K_MIN - 0.5) * math.pi     # the bottom edge of frequency box K_MIN
-    if p.is_conservative:
-        return (-0.5, 0.5, -0.3, top)
-    return (-max(p.k2, p.k4) - 1.0, -1e-12, -0.3, top)
+    re_lo, re_hi = (-0.5, 0.5) if p.is_conservative else (-max(p.k2, p.k4) - 1.0, -1e-12)
+    return (re_lo, re_hi, -0.3, (K_MIN - 0.5) * math.pi)     # up to frequency box K_MIN
 
 
 def _union_box(p: BeamParams, k_max: int):
@@ -604,25 +626,29 @@ def _second_moments(rect, moments, first, first_moments, second) -> np.ndarray:
     return about(moments, _centre(rect) - c) - about(first_moments, _centre(first) - c)
 
 
-def _isolate(boxes, counter: _Counter):
-    """Each box's count and the records of the roots in it, all boxes counted
-    and subdivided in one pass.
+def _isolate(tickets, given, counter: _Counter):
+    """Each box's count and the records of the roots in it, all boxes
+    subdivided in one pass.
 
-    boxes holds (rect, known): known records are Newton-polished roots, and
-    those outside rect, or coinciding with another to Newton resolution (see
-    _distinct), are dropped.  Every rect is counted on `counter` with its
-    moments, and the counts are logged to report.boxes; the first box the
-    counter refuses, in the given order, is raised.  A box whose count
-    equals the number of known records inside it is closed with them
-    (report.matched_boxes).  A box with one or two roots more than its known
-    records is seeded from its moments (see _moment_seeds; Delves & Lyness,
-    1967: the contour that counts the roots also locates them).  Whenever no
-    count of the subdivision is pending, all seeds are Newton-polished in one
-    batch.  A seeded box whose distinct records, known and polished ones
-    inside it, meet its count is closed with them (report.moment_boxes);
-    else it splits, with those records as its known ones, and below it only
-    a lone unknown root is seeded: a half holding both roots of a failed
-    pair has their moments, and its seeds would fail alike.
+    The boxes are those of `tickets`, submitted to `counter` with moments;
+    given holds, per box, its known records, Newton-polished roots, of which
+    those outside its rect, or coinciding with another to Newton resolution
+    (see _distinct), are dropped.  The boxes are taken up in the given order,
+    each as soon as its count and those of the boxes before it are in: its
+    count is logged to report.boxes, and the first box the counter refuses,
+    in the given order, is raised.  A box whose count equals the number of
+    known records inside it is closed with them (report.matched_boxes).  A
+    box with one or two roots more than its known records is seeded from
+    its moments (see _moment_seeds; Delves & Lyness, 1967: the contour that
+    counts the roots also locates them); the seeds are Newton lanes on the
+    counter at once, so they polish in the calls of the counts still going
+    on.  Whenever no count is pending, the seeded boxes are taken up once
+    their lanes are in: one whose distinct records, known and
+    polished ones inside it, meet its count is closed with them
+    (report.moment_boxes); else it splits, with those records as its known
+    ones, and below it only a lone unknown root is seeded: a half holding
+    both roots of a failed pair has their moments, and its seeds would fail
+    alike.
 
     Any other box splits its longer side at the fraction _SPLITS[0], not at
     the centre: halving the symmetric conservative box would put an edge on
@@ -648,48 +674,50 @@ def _isolate(boxes, counter: _Counter):
     two records that coincide (see _refuse_coincident).
     """
     report = counter.report
-    tickets = counter.submit([rect for rect, _ in boxes], moments=True)
-    counts = _logged(counter.outcomes_of(tickets), report)
-    found = [[] for _ in boxes]
-    visited = [0] * len(boxes)
+    counts, found = [], [[] for _ in tickets]
+    visited = [0] * len(tickets)
     # pending: (box index, rect, count, known, moments, most unknown roots to
-    # seed); seeded: (pending entry, seeds); splits: (pending entry, index in
+    # seed); seeded: (pending entry, lanes); splits: (pending entry, index in
     # _SPLITS, ticket)
-    pending = [(i, rect, cnt, _distinct([r for r in known if _inside(r.lam, rect)]),
-                counter.moments(t), 2)
-               for i, ((rect, known), cnt, t) in enumerate(zip(boxes, counts, tickets)) if cnt]
-    seeded, splits = [], []
+    pending, seeded, splits = [], [], []
 
     def split(box, at: int = 0):
         (ticket,) = counter.submit(_halves(box[1], _SPLITS[at])[:1], moments=True)
         splits.append((box, at, ticket))
 
-    while pending or splits or seeded:
+    while len(counts) < len(tickets) or pending or splits or seeded:
+        while len(counts) < len(tickets) and tickets[len(counts)] in counter.outcomes:
+            i, ticket = len(counts), tickets[len(counts)]
+            rect, cnt = counter.rects[ticket], _logged(counter.outcomes[ticket], report)
+            counts.append(cnt)
+            if cnt:
+                recs = _distinct([r for r in given[i] if _inside(r.lam, rect)])
+                pending.append((i, rect, cnt, recs, counter.moments(ticket), 2))
         for box in pending:
             i, rect, cnt, known, moments, most = box
             visited[i] += 1
             if visited[i] > 10000:
-                raise NoConvergence(f"subdivision of {boxes[i][0]} exploded")
+                raise NoConvergence(f"subdivision of {counter.rects[tickets[i]]} exploded")
             if cnt == len(known):
                 found[i] += known
                 report.matched_boxes += 1
             elif 0 < cnt - len(known) <= most:
-                seeded.append((box, _moment_seeds(rect, moments, known, cnt - len(known))))
+                seeded.append((box, counter.newton(_moment_seeds(rect, moments, known,
+                                                                 cnt - len(known)))))
             else:
                 split(box)
         pending = []
-        if splits:
-            done = counter.first_resolved([ticket for *_, ticket in splits])
-            ready = [splits[j] for j in done]
-            splits = [s for j, s in enumerate(splits) if j not in done]
+        ready = [s for s in splits if s[2] in counter.outcomes]
+        if ready:
+            splits = [s for s in splits if s[2] not in counter.outcomes]
             for box, at, ticket in ready:
                 i, rect, cnt, known, moments, most = box
-                (outcome,) = counter.outcomes_of([ticket])
+                outcome = counter.outcomes[ticket]
                 if at + 1 < len(_SPLITS) and isinstance(outcome, Exception):
                     report.resplits += 1
                     split(box, at + 1)
                     continue
-                (first_cnt,) = _logged([outcome], report)
+                first_cnt = _logged(outcome, report)
                 first, second = _halves(rect, _SPLITS[at])
                 rest = cnt - first_cnt
                 if rest < 0:
@@ -704,12 +732,10 @@ def _isolate(boxes, counter: _Counter):
                 pending += [(i, *half, most) for half in (
                     (first, first_cnt, in_first, first_moments),
                     (second, rest, in_second, second_moments)) if half[1]]
-        elif seeded:
-            polished = iter(_newton([z for _, seeds in seeded for z in seeds],
-                                    counter.evaluate, report))
-            for box, seeds in seeded:
+        elif seeded and not splits and len(counts) == len(tickets):   # only lanes to wait for
+            for box, lanes in seeded:
                 i, rect, cnt, known, moments, most = box
-                landed = [rec for _, rec in zip(seeds, polished)   # seeds first: no lane skipped
+                landed = [rec for rec in counter.records_of(lanes)
                           if isinstance(rec, EigenvalueRecord) and _inside(rec.lam, rect)]
                 report.newton_iterations += [(rec.lam, rec.iterations) for rec in landed]
                 recs = _distinct(known + landed)
@@ -719,16 +745,18 @@ def _isolate(boxes, counter: _Counter):
                 else:
                     split((i, rect, cnt, recs, moments, 1))
             seeded = []
-    _refuse_coincident([rec for recs in found for rec in recs],
-                       [rec for _, known in boxes for rec in known])
+        elif len(counts) < len(tickets) or splits or seeded:
+            counter.call()
+    _refuse_coincident([rec for recs in found for rec in recs], [r for recs in given for r in recs])
     return counts, found
 
 
 def _label_low_frequency(records, preds):
-    """Assign family tags to the sweep's roots with Im >= 0 by nearest
-    closed-form prediction; preds holds the predictions of k = 1 .. K_MIN - 1
-    in (k, family) order."""
+    """Tag the sweep's roots: no k_index, and those with Im >= 0 the family
+    of the nearest closed-form prediction, if within 0.5; preds holds the
+    predictions of k = 1 .. K_MIN - 1 in (k, family) order."""
     for rec in records:
+        rec.k_index = rec.family = None
         if rec.lam.imag >= 0:
             i = int(np.argmin(np.abs(preds - rec.lam)))   # argmin keeps the first of equals
             if abs(preds[i] - rec.lam) < 0.5:
@@ -739,10 +767,11 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     """All eigenvalues with |Im lambda| <= (k_max + 1/2) pi, plus search report.
 
     The sweep box below (K_MIN - 1/2) pi and the frequency boxes K_MIN to
-    k_max tile the strip.  One Newton batch polishes the predictions of
-    k = 1 .. k_max, and its lanes seed the boxes: those of k < K_MIN, with
-    k_index and family cleared, are the sweep's known roots, and those of
-    each k >= K_MIN, inside its box and distinct, its frequency box's.  The
+    k_max tile the strip.  Newton lanes polish the predictions of k = 1 ..
+    k_max while the union and the sweep count (both are submitted to the
+    counter first), and the lanes seed the boxes: those of k < K_MIN are
+    the sweep's known roots, and those of each k >= K_MIN, inside its box
+    and distinct, its frequency box's.  The
     sweep locates the roots they miss from its contour moments, subdividing
     only where those fail, and so does every odd frequency box, one whose
     records are not two distinct roots: the sweep and the odd boxes are
@@ -756,7 +785,7 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     Otherwise, or when the union cannot be counted, they are counted and
     isolated like the odd ones, in a second call of _isolate.  Each root is
     recorded by the box holding it.  The sweep's records, and only they, get
-    family labels from the nearest prediction of the same batch; a
+    family labels from the nearest prediction of the same lanes; a
     frequency box keeps its seeds' labels, or, when its records are not its
     seeded ones, is labelled by _label_pair.  Conjugate closure then mirrors
     the records above the line Im = -im_lo of the sweep box, whose
@@ -780,26 +809,27 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     counter = _Counter(_beam(p), report)
     ks = range(K_MIN, k_max + 1)
     outer, union = _sweep_box(p), _union_box(p, k_max)
-    (union_ticket,) = counter.submit([union])     # counts in the background of the others
-    polished, _, preds = _families(p, counter.evaluate, range(1, k_max + 1), report)
-    known = [rec for rec in polished if rec.k_index < K_MIN]
-    for rec in known:
-        rec.k_index = rec.family = None
+    # the union and the sweep count in the background of the Newton lanes
+    union_ticket, sweep_ticket = counter.submit([union]) + counter.submit([outer], moments=True)
+    polished, _, preds = _families(p, counter, range(1, k_max + 1))
     rects, seeded = _box_records(p, ks, polished)
     odd = [i for i, pair in enumerate(seeded) if len(pair) != 2]
     band = [i for i, pair in enumerate(seeded) if len(pair) == 2]
     (outer_count, *_), (records, *found) = _isolate(
-        [(outer, known)] + [(rects[i], seeded[i]) for i in odd], counter)
+        [sweep_ticket] + counter.submit([rects[i] for i in odd], moments=True),
+        [[rec for rec in polished if rec.k_index < K_MIN]] + [seeded[i] for i in odd], counter)
     _label_low_frequency(records, preds[:2 * (K_MIN - 1)])
     isolated = dict(zip(odd, found))
     (union_out,) = counter.outcomes_of([union_ticket])
     report.global_points = int(counter.samples[union_ticket])
-    if (not isinstance(union_out, Exception)
-            and union_out[0] - outer_count == 2 * len(band) + sum(map(len, found))):
+    report.global_count = None if isinstance(union_out, Exception) else union_out[0]
+    if (report.global_count is not None
+            and report.global_count - outer_count == 2 * len(band) + sum(map(len, found))):
         report.boxes += [(rects[i], 2) for i in band]
         report.band_boxes = len(band)
     else:
-        isolated.update(zip(band, _isolate([(rects[i], seeded[i]) for i in band], counter)[1]))
+        isolated.update(zip(band, _isolate(counter.submit([rects[i] for i in band], moments=True),
+                                           [seeded[i] for i in band], counter)[1]))
     for i, recs in isolated.items():
         if recs != seeded[i]:
             _label_pair(recs, p, ks[i])
@@ -823,12 +853,8 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
 
     if recovered(outer) != outer_count:
         report.incomplete_boxes.append((outer, outer_count, recovered(outer)))
-    if isinstance(union_out, Exception):
-        report.incomplete_boxes.append((union, None, recovered(union)))
-    else:
-        report.global_count = union_out[0]
-        if recovered(union) != report.global_count:
-            report.incomplete_boxes.append((union, report.global_count, recovered(union)))
+    if recovered(union) != report.global_count:     # None when the union was refused
+        report.incomplete_boxes.append((union, report.global_count, recovered(union)))
 
     records.sort(key=_record_order)
     return records, report

@@ -143,14 +143,17 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, generic_file):
     report = read_canonical_json(out1 / "spectrum_report.json")
     stats = report["stats"]
     assert set(stats) == {"boxes", "derived_boxes", "matched_boxes", "moment_boxes",
-                          "band_boxes", "resplits", "contour_points", "contour_rounds",
-                          "newton_calls", "newton_iterations", "newton_rounds", "global_count",
-                          "global_points"}
+                          "band_boxes", "resplits", "contour_points", "evaluation_calls",
+                          "contour_rounds", "newton_calls", "newton_iterations", "newton_rounds",
+                          "global_count", "global_points"}
     assert stats["boxes"] == len(report["boxes"])
     assert stats["newton_iterations"] == sum(n["iterations"] for n in report["newton"])
     assert stats["contour_points"] > 0 and stats["newton_calls"] > 0
     assert stats["newton_rounds"] > 0
     assert 0 < stats["contour_rounds"] < stats["contour_points"]
+    # a call that carries contour samples and Newton lanes counts in both
+    assert (max(stats["contour_rounds"], stats["newton_rounds"]) <= stats["evaluation_calls"]
+            <= stats["contour_rounds"] + stats["newton_rounds"])
     # the union of the strip's boxes starts at Im = -0.3
     _, header, rows = read_csv(out1 / "spectrum.csv")
     im, mult = header.index("im"), header.index("multiplicity")

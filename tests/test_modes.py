@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import grid_inner_product, mode_field, to_grid_state
 from test_charfn import _REGIME_SETS
+from test_spectrum import _polished
 
 import tipbeam.modes
 from tipbeam.asymptotics import predict_eigenvalue
@@ -34,7 +35,6 @@ from tipbeam.spectrum import (
     EigenvalueRecord,
     RootSearchReport,
     _beam,
-    _newton,
     family_roots,
 )
 
@@ -121,7 +121,7 @@ def test_mode_lanes_match_single_builds(name, gains, damping, lanes):
     b, k1, k2, k3, k4 = _REGIME_SETS[name]
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
     seeds = [predict_eigenvalue(k, j, p) for k, j in lanes]
-    lams = np.array([r.lam for r in _newton(seeds, _beam(p), RootSearchReport())
+    lams = np.array([r.lam for r in _polished(seeds, _beam(p))
                      if isinstance(r, EigenvalueRecord)])
     singles = []
     for lam in lams:

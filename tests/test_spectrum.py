@@ -23,7 +23,6 @@ from tipbeam.spectrum import (
     EigenvalueRecord,
     RootSearchReport,
     _beam,
-    _newton,
     family_roots,
     frequency_pairs,
     spectrum_in_strip,
@@ -128,6 +127,12 @@ def _batch(rects, target):
     return counter.outcomes_of(counter.submit(rects)), report.contour_rounds
 
 
+def _polished(seeds, evaluate, report=None):
+    """The ends of Newton lanes from seeds, polished on a counter of their own."""
+    counter = tipbeam.spectrum._Counter(evaluate, report or RootSearchReport())
+    return counter.records_of(counter.newton(seeds))
+
+
 def _moments(rects, target):
     """The moments of rects counted in one batch on target."""
     counter = tipbeam.spectrum._Counter(target, RootSearchReport())
@@ -176,14 +181,16 @@ def test_batched_counts_match_one_box_counts(params_generic):
     assert counts == [[1, 0, 2, 19], [1, 1, 0, 2]]
 
 
-@pytest.mark.parametrize("chunk", [64, 4096])
+@pytest.mark.parametrize("chunk", [16, 64, 4096])
 def test_counts_do_not_depend_on_scheduling(params_generic, chunk, monkeypatch):
     # whether an interval is halved depends on its two ends alone: with at
     # most 64 samples per call, or every pending sample in one call, each box
     # of a batch gets the samples and the count it gets alone at the default
     # chunk.  With e^{115 z} the unit box's last level, 1,024 midpoints whose
     # halves are all fine, spans sixteen calls of 64; the box is submitted
-    # first, so it refines last, and the batch ends as soon as it resolves
+    # first, so it refines last, and the batch ends as soon as it resolves.
+    # A chunk of 16 is below one 64-sample ring: a call with no Newton lane
+    # still takes the newest ring, so counting goes on
     cases = [(tipbeam.spectrum._beam(p), rects) for p, rects in _batched_cases(params_generic)]
     cases.append((_known_zeros([(0.3 + 0.2j, 1), (-0.4 - 0.5j, 2)], 115.0),
                   [_UNIT, (0.2, 0.4, 0.1, 0.3)]))
@@ -193,7 +200,7 @@ def test_counts_do_not_depend_on_scheduling(params_generic, chunk, monkeypatch):
     for (target, rects), expected, moments in zip(cases, alone, alone_moments):
         batch, rounds = _batch(rects, target)
         assert batch == expected
-        if chunk == 64:
+        if chunk < 1024:
             assert rounds >= sum(samples for *_, samples in expected) / 64
         # the same samples, summed in another order
         for got, want in zip(_moments(rects, target), moments):
@@ -237,7 +244,7 @@ def test_batch_errors_name_the_rect(params_generic):
     assert isinstance(outcomes[1], BoundaryTooCloseToRoot)
     assert str(outcomes[1]) == f"boundary of {branch} passes through a zero of F at {corner}"
     with pytest.raises(BoundaryTooCloseToRoot, match=re.escape(f"boundary of {branch}")):
-        tipbeam.spectrum._logged(outcomes, RootSearchReport())
+        tipbeam.spectrum._logged(outcomes[1], RootSearchReport())
 
     # F conjugated on the frequency box only: it winds -2 and is refused by name
     def mirrored(lam):
@@ -250,7 +257,7 @@ def test_batch_errors_name_the_rect(params_generic):
     assert isinstance(outcomes[1], NonConvergentContour)
     assert str(outcomes[1]).startswith(f"phase increments around {frequency} sum to -2")
     with pytest.raises(NonConvergentContour, match=re.escape(str(frequency))):
-        tipbeam.spectrum._logged(outcomes, RootSearchReport())
+        tipbeam.spectrum._logged(outcomes[1], RootSearchReport())
 
 
 def _known_zeros(roots, c=0.0):
@@ -330,7 +337,7 @@ def test_counter_and_newton_on_known_zeros(roots, rects):
         if m == 1 and abs(nearest - r) >= 0.05:
             simple.append(r)
             seeds.append(r + offset * (r - nearest) / abs(r - nearest))
-    polished = tipbeam.spectrum._newton(np.array(seeds), target, RootSearchReport())
+    polished = _polished(np.array(seeds), target)
     for r, rec in zip(simple, polished):
         assert isinstance(rec, EigenvalueRecord)
         assert abs(rec.lam - r) <= 1e-12
@@ -417,7 +424,7 @@ def test_adversarial_midpoint_seed(params_generic):
     p = params_generic
     k = 12
     r1, r2 = family_roots(p, k)
-    (rec,) = _newton([0.5 * (r1.lam + r2.lam)], _beam(p), RootSearchReport())
+    (rec,) = _polished([0.5 * (r1.lam + r2.lam)], _beam(p))
     if isinstance(rec, (NoConvergence, BasinEscape)):
         return
     assert min(abs(rec.lam - r1.lam), abs(rec.lam - r2.lam)) < 1e-6
@@ -438,7 +445,7 @@ def test_family_roots_in_family_order(params_generic):
     recs = family_roots(p, 30)
     assert [(r.k_index, r.family) for r in recs] == [(30, 1), (30, 2)]
     for r in recs:
-        (direct,) = _newton([predict_eigenvalue(30, r.family, p)], _beam(p), RootSearchReport())
+        (direct,) = _polished([predict_eigenvalue(30, r.family, p)], _beam(p))
         assert r.lam == direct.lam and r.iterations == direct.iterations
 
 
@@ -486,10 +493,10 @@ def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
     p = validate_params(1.0, b, gains * k1, damping * k2, gains * k3, damping * k4)
     seeds = [predict_eigenvalue(k, j, p) + shift for k, j, shift in lanes]
     report = RootSearchReport()
-    batch = _newton(seeds, _beam(p), report)
+    batch = _polished(seeds, _beam(p), report)
     assert report.newton_calls == len(seeds) and report.newton_rounds <= 54
     for seed, got in zip(seeds, batch):
-        (want,) = _newton([seed], _beam(p), RootSearchReport())
+        (want,) = _polished([seed], _beam(p))
         assert type(got) is type(want)
         if isinstance(want, EigenvalueRecord):
             assert got.lam == want.lam and got.iterations == want.iterations
@@ -509,7 +516,7 @@ def test_polish_fails_only_the_affected_lanes(params_generic):
     p = params_generic
     seeds = [predict_eigenvalue(12, 1, p), (12 + 0.5) * math.pi * 1j - 0.1,
              1j * math.sqrt(p.b) + 1e-9, predict_eigenvalue(30, 2, p)]
-    out = _newton(seeds, _beam(p), RootSearchReport())
+    out = _polished(seeds, _beam(p))
     # the seed 1e-9 from i sqrt(b) is evaluated there, and its first step
     # lands 0.507 away, beside the root near -0.4871 + 1.4759i
     assert [type(o) for o in out] == [EigenvalueRecord, BasinEscape, BasinEscape,
@@ -517,9 +524,9 @@ def test_polish_fails_only_the_affected_lanes(params_generic):
     assert "left the basin of seed" in str(out[1])
     assert str(out[2]).startswith("iterate (-0.50612")
     for seed, rec in zip(seeds[::3], out[::3]):
-        assert rec.lam == _newton([seed], _beam(p), RootSearchReport())[0].lam
+        assert rec.lam == _polished([seed], _beam(p))[0].lam
         assert rec.residual <= 1e-13 * abs(rec.lam)
-    (alone,) = _newton([seeds[2]], _beam(p), RootSearchReport())
+    (alone,) = _polished([seeds[2]], _beam(p))
     assert isinstance(alone, BasinEscape) and str(alone) == str(out[2])
 
 
@@ -537,19 +544,70 @@ def test_polish_makes_one_evaluation_per_round(params_generic, monkeypatch):
     alone = []
     for seed in seeds[:6]:
         sizes.clear()
-        _newton([seed], _beam(p), RootSearchReport())
+        _polished([seed], _beam(p))
         alone.append(len(sizes))
     rounds = []
     for batch in (seeds[:6], seeds):
         sizes.clear()
         report = RootSearchReport()
-        _newton(batch, _beam(p), report)
+        _polished(batch, _beam(p), report)
         # one call per round on the lanes still running, never one per seed
         assert len(sizes) == report.newton_rounds <= 54
         assert sizes[0] == len(batch) and sizes == sorted(sizes, reverse=True)
         rounds.append(len(sizes))
     assert report.newton_calls == 200
     assert rounds[0] == max(alone)     # a batch takes the rounds of its slowest seed
+
+
+def _evaluation_sizes(monkeypatch) -> list:
+    """The number of points of each characteristic-function call from now on."""
+    real = tipbeam.spectrum.entire_char_fn_and_derivative
+    sizes = []
+
+    def counted(lam, params):
+        sizes.append(np.size(lam))
+        return real(lam, params)
+
+    monkeypatch.setattr(tipbeam.spectrum, "entire_char_fn_and_derivative", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name, k_max, most, points", [
+    ("conservative", 50, 16, (248, 1056)), ("generic", 200, 39, (837, 4146))])
+def test_strip_counts_its_evaluation_calls(name, k_max, most, points, request, monkeypatch):
+    # Newton lanes ride the counter's calls: evaluation_calls is the number
+    # of calls the search made, none over _CHUNK points here, and each box
+    # takes the samples it takes alone.  With Newton in calls of its own, the
+    # strips took 22 and 40 calls for the same samples
+    sizes = _evaluation_sizes(monkeypatch)
+    _, report = spectrum_in_strip(request.getfixturevalue(f"params_{name}"), k_max)
+    stats = report.stats
+    assert stats["evaluation_calls"] == len(sizes) <= most
+    assert max(sizes) <= tipbeam.spectrum._CHUNK
+    assert (stats["contour_points"], stats["global_points"]) == points
+    assert (max(stats["contour_rounds"], stats["newton_rounds"]) <= stats["evaluation_calls"]
+            < stats["contour_rounds"] + stats["newton_rounds"])     # some calls carried both
+
+
+@pytest.mark.parametrize("name", ["generic", "conservative", "degenerate"])
+def test_lanes_beside_ring_samples_match_lanes_alone(name, request, monkeypatch):
+    # a lane's arithmetic does not depend on the other points of its calls:
+    # lanes polished in calls that also carry the rings and midpoints of a
+    # count end bit for bit as each lane polished alone.  The last seed lies
+    # within the switch radius of i sqrt(b), where F and F' come from the
+    # Taylor polynomial on a ring around it
+    p = request.getfixturevalue(f"params_{name}")
+    seeds = [predict_eigenvalue(k, j, p) for k in (K_MIN, 30) for j in (1, 2)]
+    seeds.append(1j * math.sqrt(p.b) + 2e-4 - 3e-4j)
+    sizes = _evaluation_sizes(monkeypatch)
+    counter = tipbeam.spectrum._Counter(_beam(p), RootSearchReport())
+    counter.submit([tipbeam.spectrum._sweep_box(p)])
+    ridden = counter.records_of(counter.newton(seeds))
+    assert sizes[0] == len(seeds) + 4 * tipbeam.spectrum._EDGE_POINTS
+    for seed, got in zip(seeds, ridden):
+        (want,) = _polished([seed], _beam(p))
+        assert type(got) is type(want)
+        assert got == want if isinstance(want, EigenvalueRecord) else str(got) == str(want)
 
 
 @pytest.fixture
@@ -902,13 +960,15 @@ def test_lattice_boxes_are_isolated_in_one_pass():
     # on the p = 2 lattice point every frequency box from K_MIN on is odd;
     # isolated one box after another, k <= 60 took 1,624 contour rounds and
     # 551 Newton rounds.  Counted without moments and split before they were
-    # seeded, its boxes took 514 boxes and 19,558 contour points
+    # seeded, its boxes took 514 boxes and 19,558 contour points.  With
+    # Newton in calls of its own, it took 45 contour and 29 Newton rounds,
+    # 74 calls
     p = validate_params(1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0)
     recs, report = spectrum_in_strip(p, 60)
     assert report.incomplete_boxes == []
     assert report.global_count == 123 == sum(r.lam.imag > -0.3 for r in recs)
     stats = report.stats
-    assert stats["contour_rounds"] <= 60 and stats["newton_rounds"] <= 40
+    assert stats["contour_rounds"] <= 60 and stats["evaluation_calls"] <= 60
     assert stats["boxes"] <= 100 and stats["contour_points"] <= 8000
 
 
@@ -1091,6 +1151,12 @@ def test_derived_boxes_on_the_lattice_set():
     assert derived > 80
 
 
+def _isolated_boxes(boxes, counter):
+    """_isolate on the (rect, known) boxes, submitted to counter with moments."""
+    return tipbeam.spectrum._isolate(counter.submit([rect for rect, _ in boxes], moments=True),
+                                     [known for _, known in boxes], counter)
+
+
 def test_first_half_counting_more_than_its_box_raises(monkeypatch):
     # both roots lie in the first half, but the box's count is forged to one
     outer = (-1.0, 1.0, -1.0, 1.0)
@@ -1105,7 +1171,7 @@ def test_first_half_counting_more_than_its_box_raises(monkeypatch):
     counter = tipbeam.spectrum._Counter(_known_zeros([(-0.5 + 0.2j, 1), (-0.5 - 0.3j, 1)]),
                                         RootSearchReport())
     with pytest.raises(NonConvergentContour) as err:
-        tipbeam.spectrum._isolate([(outer, [])], counter)
+        _isolated_boxes([(outer, [])], counter)
     assert str(err.value) == (f"first half {first} counts 2 roots, "
                               f"more than the 1 of its box {outer}")
 
@@ -1124,7 +1190,7 @@ def test_isolate_closes_a_box_from_its_moments(roots, known):
     report = RootSearchReport()
     counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots] + _OUTSIDE), report)
     known = [EigenvalueRecord(r, None, None, 0.0) for r in known]
-    (count,), (recs,) = tipbeam.spectrum._isolate([(_UNIT, known)], counter)
+    (count,), (recs,) = _isolated_boxes([(_UNIT, known)], counter)
     assert report.derived_boxes == 0 and report.moment_boxes == 1
     assert len(recs) == len(roots) == count
     for r in roots:
@@ -1171,10 +1237,12 @@ def test_second_half_moments_are_its_power_sums(rect):
 
 def _lattice_odd_boxes():
     """The evaluate of the p = 2 lattice set and its frequency boxes up to
-    k = 20, all odd, as (rect, seeded records), seeded from one Newton batch."""
+    k = 20, all odd, as (rect, seeded records), seeded from one counter's
+    lanes."""
     p = validate_params(1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0)
     evaluate, ks = tipbeam.spectrum._beam(p), range(K_MIN, 21)
-    recs = tipbeam.spectrum._families(p, evaluate, ks, RootSearchReport())[0]
+    recs = tipbeam.spectrum._families(p, tipbeam.spectrum._Counter(evaluate, RootSearchReport()),
+                                      ks)[0]
     boxes = [box for box in zip(*tipbeam.spectrum._box_records(p, ks, recs)) if len(box[1]) != 2]
     assert len(boxes) == len(ks)
     return evaluate, boxes
@@ -1200,8 +1268,7 @@ def test_one_isolate_pass_equals_box_by_box(boxes):
     evaluate, boxes = boxes()
 
     def isolate(boxes):
-        return tipbeam.spectrum._isolate(boxes, tipbeam.spectrum._Counter(evaluate,
-                                                                          RootSearchReport()))
+        return _isolated_boxes(boxes, tipbeam.spectrum._Counter(evaluate, RootSearchReport()))
 
     counts, found = isolate(boxes)
     assert sum(counts) > sum(len(known) for _, known in boxes)     # roots left to locate
@@ -1217,7 +1284,7 @@ def _isolated(roots):
     """The records `_isolate` returns for the simple roots in the unit box."""
     counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots]),
                                         RootSearchReport())
-    (count,), (recs,) = tipbeam.spectrum._isolate([(_UNIT, [])], counter)
+    (count,), (recs,) = _isolated_boxes([(_UNIT, [])], counter)
     assert count == len(roots)
     return recs
 
@@ -1264,7 +1331,7 @@ def test_isolate_refuses_a_known_record_across_a_split_line():
     counter = tipbeam.spectrum._Counter(_known_zeros([(a, 1), (b, 1), (c, 1), (d, 1)]),
                                         RootSearchReport())
     with pytest.raises(BoundaryTooCloseToRoot) as err:
-        tipbeam.spectrum._isolate([(_UNIT, [known])], counter)
+        _isolated_boxes([(_UNIT, [known])], counter)
     named = [complex(z) for z in re.findall(r"\(([^()]*j)\)", str(err.value))]
     assert len(named) == 2 and known.lam in named
     assert min(abs(z - a) for z in named) <= 4 * np.finfo(float).eps
@@ -1276,7 +1343,7 @@ def test_isolate_refuses_a_double_root_by_name():
     counter = tipbeam.spectrum._Counter(_known_zeros([(a, 2), (-0.5 - 0.5j, 1)]),
                                         RootSearchReport())
     with pytest.raises(BoundaryTooCloseToRoot) as err:
-        tipbeam.spectrum._isolate([(_UNIT, [])], counter)
+        _isolated_boxes([(_UNIT, [])], counter)
     named = re.match(r"boundary of \(([^)]*)\) ", str(err.value))
     assert named
     re_lo, re_hi, im_lo, im_hi = map(float, named.group(1).split(","))
