@@ -31,7 +31,7 @@ from .model import BeamParams, require_unit_speed
 
 
 def _check_nonzero(lam: np.ndarray) -> None:
-    if np.any(lam == 0):
+    if (lam == 0).any():
         raise ZeroLambda("branch roots are defined for lambda != 0")
 
 
@@ -69,8 +69,9 @@ def _exponents(lam: np.ndarray, b: float):
     return np.array([t1, -t1, t3, -t3]), np.array([e1, 1.0 / e1, e3, 1.0 / e3])
 
 
-def _columns(lam: np.ndarray, p: BeamParams):
-    """Per-column pieces of M, column axis first (shape (4,) + lam.shape).
+def _columns(lam: np.ndarray, lam2: np.ndarray, p: BeamParams):
+    """Per-column pieces of M, column axis first (shape (4,) + lam.shape);
+    lam2 is lambda^2.
 
     The exponents t_i, the stabilized e^{t_i}, the constants
     q_i = (lambda^2 - t_i^2)/lambda = -+ i sqrt(b) (shape (4, 1, ...)), and
@@ -91,7 +92,7 @@ def _columns(lam: np.ndarray, p: BeamParams):
     np.multiply(p.k3, ts, out=g3)       # d (k3 t + lambda (k4 + lambda)) / lambda^2
     g3 += np.multiply(lam, p.k4 + lam)
     np.multiply(d, g3, out=g3)
-    g3 /= lam**2
+    g3 /= lam2
     return ts, exps, q, d, g2, g3
 
 
@@ -101,7 +102,7 @@ def _matrix(lam, p: BeamParams):
     Also returns the per-column pieces of _columns, column axis last (shape
     lam.shape + (4,)), that the rows are built from.
     """
-    pieces = _columns(lam, p)
+    pieces = _columns(lam, lam**2, p)
     ts, exps, _, d, g2, g3 = pieces
     m = np.array([np.ones_like(ts), d, exps * g2, exps * g3])
     return np.moveaxis(m, (0, 1), (-2, -1)), tuple(np.moveaxis(x, 0, -1) for x in pieces)
@@ -119,13 +120,14 @@ def _cofactor_row(r: np.ndarray, i: int) -> np.ndarray:
     return c
 
 
-def _reduced_det(lam: np.ndarray, p: BeamParams):
-    """(det M, padded R, C's row 0, column pieces) at the 1-d array lam.
+def _reduced_det(lam: np.ndarray, lam2: np.ndarray, p: BeamParams):
+    """(det M, padded R, C's row 0, column pieces) at the 1-d array lam;
+    lam2 is lambda^2.
 
     The pieces are those of _columns, with g2 and g3 multiplied by e^{t_i}
     in place into rows 2 and 3 of M.
     """
-    pieces = _columns(lam, p)
+    pieces = _columns(lam, lam2, p)
     _, exps, _, d, m2, m3 = pieces
     np.multiply(exps, m2, out=m2)       # bit for bit M's entries: numpy's complex
     np.multiply(exps, m3, out=m3)       # product is not commutative in the last bit
@@ -134,11 +136,12 @@ def _reduced_det(lam: np.ndarray, p: BeamParams):
         np.subtract(row[1:], row[0], out=r[i, :3])
     r[:, 3:] = r[:, :2]
     c0 = _cofactor_row(r, 0)
-    return np.sum(r[0, :3] * c0, axis=0), r, c0, pieces
+    return np.add.reduce(r[0, :3] * c0), r, c0, pieces
 
 
-def _row_derivatives(lam: np.ndarray, p: BeamParams, pieces):
-    """Rows 1..3 of dM/dlambda, written over the pieces d, m2, m3, and t_i'.
+def _row_derivatives(lam: np.ndarray, lam2: np.ndarray, p: BeamParams, pieces):
+    """Rows 1..3 of dM/dlambda, written over the pieces d, m2, m3, and t_i';
+    lam2 is lambda^2.
 
     t' = (2 lambda - q)/(2 t) and d' = (q - d t')/t; with
     g2 = 1 + k2/lambda + k1/t and g3 = q (k3/lambda + (k4 + lambda)/t),
@@ -162,7 +165,7 @@ def _row_derivatives(lam: np.ndarray, p: BeamParams, pieces):
         np.subtract(qi, row, out=row)
     d *= it
     g = p.k1 * w
-    lane = p.k2 / lam**2
+    lane = p.k2 / lam2
     for row in g:
         row += lane
     g *= exps                           # -e g2'
@@ -172,7 +175,7 @@ def _row_derivatives(lam: np.ndarray, p: BeamParams, pieces):
     for row, wi in zip(g, w):
         np.multiply(lane, wi, out=row)
     np.subtract(it, g, out=g)
-    np.divide(p.k3, lam**2, out=lane)
+    np.divide(p.k3, lam2, out=lane)
     for row, qi in zip(g, qs):
         row -= lane
         row *= qi
@@ -184,11 +187,12 @@ def _row_derivatives(lam: np.ndarray, p: BeamParams, pieces):
 
 def _kernel(lanes: np.ndarray, p: BeamParams):
     """(F, F', f) by the reduced expansion at the 1-d array lanes."""
-    det, r, c0, pieces = _reduced_det(lanes, p)
+    lam2 = lanes**2
+    det, r, c0, pieces = _reduced_det(lanes, lam2, p)
     cof = (c0, _cofactor_row(r, 1), _cofactor_row(r, 2))
     del r
-    rows, tp = _row_derivatives(lanes, p, pieces)
-    ddet = sum(np.sum((row[1:] - row[0]) * c, axis=0) for row, c in zip(rows, cof))
+    rows, tp = _row_derivatives(lanes, lam2, p, pieces)
+    ddet = sum(np.add.reduce((row[1:] - row[0]) * c) for row, c in zip(rows, cof))
     t1, t3 = pieces[0][0], pieces[0][2]
     f = -det / (16.0 * p.b)
     dbig_f = -(ddet * t1 * t3 + np.multiply(det, tp[0] * t3 + t1 * tp[2])) / (16.0 * p.b)

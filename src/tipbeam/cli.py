@@ -212,10 +212,12 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: list, rows: list) -> None:
+def _write_csv(path: Path, cfg: RunConfig, header: list, row: str, rows) -> None:
+    """The header lines, then the line `row % values` for each tuple of
+    Python values in rows; a row formats floats with %.17g, as _g17 does."""
     lines = [f"# {k}={v}" for k, v in cfg.header_items()]
     lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(row % values for values in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -232,16 +234,11 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
 
 def _cmd_spectrum(cfg: RunConfig) -> list:
     records, report = spectrum_in_strip(cfg.effective_params, cfg.kmax)
-    rows = []
-    for rec in records:
-        rows.append([
-            "" if rec.k_index is None else str(rec.k_index),
-            "" if rec.family is None else str(rec.family),
-            _g17(rec.lam.real), _g17(rec.lam.imag),
-            _g17(rec.residual), "1",
-        ])
+    rows = [("" if rec.k_index is None else rec.k_index, "" if rec.family is None else rec.family,
+             rec.lam.real, rec.lam.imag, rec.residual) for rec in records]
     csv_path = cfg.out_dir / "spectrum.csv"
-    _write_csv(csv_path, cfg, ["k", "j", "re", "im", "residual", "multiplicity"], rows)
+    _write_csv(csv_path, cfg, ["k", "j", "re", "im", "residual", "multiplicity"],
+               "%s,%s,%.17g,%.17g,%.17g,1", rows)
 
     report_payload = {
         "k0_effective": report.k0_effective,
@@ -270,10 +267,10 @@ def _cmd_predict(cfg: RunConfig) -> list:
     regime = regime_info(p).regime
     ks = np.arange(K_MIN, cfg.kmax + 1)
     lams = predict_eigenvalue(ks[:, None], np.array([1, 2]), p)
-    rows = [[str(k), str(j), _g17(lam.real), _g17(lam.imag), regime]
-            for k, pair in zip(ks, lams) for j, lam in enumerate(pair, start=1)]
+    rows = zip(np.repeat(ks, 2).tolist(), [1, 2] * ks.size,
+               lams.real.ravel().tolist(), lams.imag.ravel().tolist())
     path = cfg.out_dir / "predictions.csv"
-    _write_csv(path, cfg, ["k", "j", "re", "im", "regime"], rows)
+    _write_csv(path, cfg, ["k", "j", "re", "im", "regime"], f"%d,%d,%.17g,%.17g,{regime}", rows)
     return [path]
 
 
@@ -315,21 +312,14 @@ def _cmd_modes(cfg: RunConfig) -> list:
 
 def _cmd_riesz(cfg: RunConfig) -> list:
     diag = riesz_closeness(cfg.kmax, cfg.params)
-    rows = []
-    for row, k in enumerate(diag.k_values):
-        for j in (0, 1):
-            rows.append([
-                str(int(k)), str(j + 1),
-                _g17(diag.closeness[row, j]),
-                _g17(diag.alignment[row, j]),
-                _g17(diag.tip_eta[row, j]),
-                _g17(diag.tip_gamma[row, j]),
-                _g17(diag.pairing_gap[row, j]),
-                _g17(diag.partial_sums[row]),
-            ])
+    # (k, j) rows in k order: the (k, 2) arrays raveled, the per-k ones repeated
+    rows = zip(np.repeat(diag.k_values, 2).tolist(), [1, 2] * len(diag.k_values),
+               *(a.ravel().tolist() for a in (diag.closeness, diag.alignment, diag.tip_eta,
+                                               diag.tip_gamma, diag.pairing_gap)),
+               np.repeat(diag.partial_sums, 2).tolist())
     path = cfg.out_dir / "riesz.csv"
-    _write_csv(path, cfg, ["k", "j", "closeness", "alignment", "tip_eta",
-                           "tip_gamma", "pairing_gap", "partial_sum"], rows)
+    _write_csv(path, cfg, ["k", "j", "closeness", "alignment", "tip_eta", "tip_gamma",
+                           "pairing_gap", "partial_sum"], "%d,%d" + ",%.17g" * 6, rows)
     return [path]
 
 
@@ -352,9 +342,9 @@ def _cmd_decay(cfg: RunConfig) -> list:
     u0 = _smooth_domain_state(p, cfg.grid_n, cfg.seed)
     trace = this.integrate(g, u0, cfg.horizon, dt)
     fit = this.fit_decay(trace)
-    rows = [[_g17(t), _g17(e)] for t, e in zip(trace.times, trace.energies)]
+    rows = zip(trace.times.tolist(), trace.energies.tolist())
     csv_path = cfg.out_dir / "energy.csv"
-    _write_csv(csv_path, cfg, ["t", "energy"], rows)
+    _write_csv(csv_path, cfg, ["t", "energy"], "%.17g,%.17g", rows)
     payload = {
         "exponent": float(fit.exponent),
         "constant": float(fit.constant),

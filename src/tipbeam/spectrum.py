@@ -73,8 +73,9 @@ depend on the other points of its call either.  The union of the strip
 and the sweep count while the lanes of k = 1 .. k_max polish, the union
 goes on while the sweep and the odd frequency boxes subdivide, a box's
 first half starts as soon as its own count is in, and moment seeds polish
-while counts go on.  So the k <= 200 strip takes 30 calls and the
-conservative k <= 50 strip 16.
+while counts go on; a lane stops polishing once its step is at the
+rounding floor.  So the k <= 200 strip takes 29 calls and the
+conservative k <= 50 strip 14.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ _SAMPLE_BUDGET = 4 * 8192     # samples per boundary before the box is refused, 
 _SAMPLES_PER_LENGTH = 16      # or per unit of perimeter, if more; a strip's union takes 3 to 6
 _INTEGER_TOL = 1e-9           # rounding slack of the increment sum
 _CHUNK = 1024                 # points per evaluation call, Newton lanes included; bounds memory
+_FLOOR = 4 * np.finfo(float).eps   # a Newton step this small, relative, ends its converged lane
 _ALONG = np.arange(_EDGE_POINTS) / _EDGE_POINTS   # initial samples' fractions of an edge
 # the fields of a Newton lane still stepping: its index, seed, iterate, best
 # iterate and its |f|, last step, steps, and steps at convergence or -1
@@ -258,7 +260,12 @@ class _Counter:
         neighbor Theta(1/k^2) away can keep one productive step: up to 3
         more follow while they stay in the basin and strictly lower |f|,
         landing where rounding in the determinant stops |f| from falling;
-        the residual reported is |f| there.  ``iterations`` counts the steps
+        the residual reported is |f| there.  A converged lane whose iterate
+        was reached by a step of at most _FLOOR * max(1, |lam|), 4 ulps, is
+        at the rounding level already: it ends there, with that iterate
+        and its |f|, as further steps would only sample rounding noise
+        (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
+        and Nonlinear Equations, 1983, 7.2).  ``iterations`` counts the steps
         up to convergence.  A lane ends with an EigenvalueRecord, or with
         the NoConvergence or BasinEscape that stopped it (see `records_of`).
         A lane's arithmetic does not depend on the other points of its calls.
@@ -382,27 +389,29 @@ class _Counter:
         queued = np.bincount(self.owner, minlength=len(self.rects))[touched]
         for t in touched[self.samples[touched] + queued > self.budget[touched]]:
             refused.setdefault(int(t), f"needs over {self.budget[t]} samples")
+        resolved = queued == 0
         if refused:
             live = ~np.isin(self.owner, list(refused))
             self.queue, self.owner = self.queue[:, live], self.owner[live]
             for t, reason in refused.items():
                 self.outcomes[t] = BoundaryTooCloseToRoot(f"boundary of {self.rects[t]} {reason}")
-        for t in touched[(queued == 0) & ~np.isin(touched, list(refused))].tolist():
+            resolved &= ~np.isin(touched, list(refused))
+        for t in touched[resolved].tolist():
             self.outcomes[t] = self._count(t)
 
     def _step(self, surrogate, slope, fval):
         """One Newton step of each live lane from its iterate, where F, F' and
         f are given; a lane that ends leaves its record or error."""
         lane, seeds, z, best, best_res, moved, its, conv = self.live.values()
-        residual = np.abs(fval)
+        residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
         polishing = conv >= 0        # the extra steps keep strict drops only
-        keep = np.where(polishing, residual < best_res,
-                        moved <= 1e-12 * np.maximum(1.0, np.abs(z)))
+        keep = np.where(polishing, residual < best_res, moved <= 1e-12 * scale)
         np.copyto(conv, its, where=keep & ~polishing)
         np.copyto(best, z, where=keep)
         np.copyto(best_res, residual, where=keep)
         found = conv >= 0
-        done = polishing & (~keep | (its == conv + 3))
+        # a step at the rounding level of its iterate leaves nothing to polish
+        done = found & (moved <= _FLOOR * scale) | polishing & (~keep | (its == conv + 3))
         stuck = ~found & (its == 50)
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = surrogate / slope
@@ -411,11 +420,14 @@ class _Counter:
         self.live.update(lam=new, moved=np.abs(delta), its=its + 1)
         if go.all():
             return
-        # a converged lane that goes flat or leaves its basin keeps its record
-        for j in np.flatnonzero(~go):
+        # a converged lane that goes flat or leaves its basin keeps its record;
+        # records are built from whole arrays, not one numpy scalar at a time
+        ended = np.flatnonzero(~go & found)
+        for i, lam, res, steps in zip(lane[ended].tolist(), best[ended].tolist(),
+                                      best_res[ended].tolist(), conv[ended].tolist()):
+            self.records[i] = EigenvalueRecord(lam, None, None, res, steps)
+        for j in np.flatnonzero(~go & ~found):
             self.records[lane[j]] = (
-                EigenvalueRecord(complex(best[j]), None, None, float(best_res[j]), int(conv[j]))
-                if found[j] else
                 NoConvergence(f"Newton did not converge from seed {complex(seeds[j])}")
                 if stuck[j] else NoConvergence(f"flat surrogate at {complex(z[j])}")
                 if slope[j] == 0 else BasinEscape(f"iterate {complex(new[j])} left the basin "

@@ -223,8 +223,8 @@ def test_kernel_peak_memory(params_generic):
     p = params_generic
     lams = _strip_points(np.random.default_rng(43), 1024, im_hi=600.0)
     assert _traced_peak(lambda: entire_char_fn_and_derivative(lams, p)) < 8.29e5
-    returned = sum(piece.nbytes for piece in _columns(lams, p))
-    assert _traced_peak(lambda: _columns(lams, p)) < 1.4 * returned
+    returned = sum(piece.nbytes for piece in _columns(lams, lams**2, p))
+    assert _traced_peak(lambda: _columns(lams, lams**2, p)) < 1.4 * returned
 
 
 def entire_char_fn(lam, p):

@@ -452,9 +452,11 @@ def test_family_roots_in_family_order(params_generic):
 def _scalar_newton(seed, p):
     """The one-seed Newton loop the batched kernel replaced, on 0-d evaluations.
 
-    Returns (lam, iterations) or the error type.  Its arithmetic differs
-    from a batch lane's in the last bits (0-d NumPy and Python complex
-    division), so lambdas are compared within a tolerance.
+    Returns (lam, iterations, evaluations) or the error type.  Its
+    arithmetic differs from a batch lane's in the last bits (0-d NumPy and
+    Python complex division), so lambdas are compared within a tolerance.
+    A converged lane stops polishing once the step that reached its iterate
+    is within 4 ulps of it.
     """
     lam = seed = complex(seed)
     step, iterations, best = math.inf, 0, None
@@ -463,19 +465,20 @@ def _scalar_newton(seed, p):
         residual, scale = abs(fval), max(1.0, abs(lam))
         if best is not None:
             if residual >= best[1]:
-                return best[0], best[2]
+                return best[0], best[2], iterations + 1
             best = (lam, residual, best[2])
-            if iterations == best[2] + 3:
-                return best[0], best[2]
         elif step <= 1e-12 * scale:
             best = (lam, residual, iterations)
         elif iterations == 50:
             return NoConvergence
+        if best is not None and (step <= 4 * np.finfo(float).eps * scale
+                                 or iterations == best[2] + 3):
+            return best[0], best[2], iterations + 1
         if slope == 0:
-            return (best[0], best[2]) if best is not None else NoConvergence
+            return (best[0], best[2], iterations + 1) if best is not None else NoConvergence
         delta = surrogate / slope
         if abs(lam - delta - seed) > 0.5:
-            return (best[0], best[2]) if best is not None else BasinEscape
+            return (best[0], best[2], iterations + 1) if best is not None else BasinEscape
         lam, step, iterations = lam - delta, abs(delta), iterations + 1
 
 
@@ -496,17 +499,18 @@ def test_polish_lanes_match_single_seeds(name, gains, damping, lanes):
     batch = _polished(seeds, _beam(p), report)
     assert report.newton_calls == len(seeds) and report.newton_rounds <= 54
     for seed, got in zip(seeds, batch):
-        (want,) = _polished([seed], _beam(p))
+        alone = RootSearchReport()
+        (want,) = _polished([seed], _beam(p), alone)
         assert type(got) is type(want)
         if isinstance(want, EigenvalueRecord):
             assert got.lam == want.lam and got.iterations == want.iterations
             assert got.residual == want.residual
         else:
             assert str(got) == str(want)
-        # the scalar loop: same outcome and step count, lambda to 64 ulp
+        # the scalar loop: same outcome, step count and evaluations, lambda to 64 ulp
         ref = _scalar_newton(seed, p)
         if isinstance(got, EigenvalueRecord):
-            assert got.iterations == ref[1]
+            assert (got.iterations, alone.evaluation_calls) == ref[1:]
             assert abs(got.lam - ref[0]) <= 64 * np.finfo(float).eps * max(1.0, abs(ref[0]))
         else:
             assert type(got) is ref
@@ -573,12 +577,13 @@ def _evaluation_sizes(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, k_max, most, points", [
-    ("conservative", 50, 16, (248, 1056)), ("generic", 200, 39, (837, 4146))])
+    ("conservative", 50, 14, (248, 1056)), ("generic", 200, 29, (837, 4146))])
 def test_strip_counts_its_evaluation_calls(name, k_max, most, points, request, monkeypatch):
     # Newton lanes ride the counter's calls: evaluation_calls is the number
     # of calls the search made, none over _CHUNK points here, and each box
     # takes the samples it takes alone.  With Newton in calls of its own, the
-    # strips took 22 and 40 calls for the same samples
+    # strips took 22 and 40 calls for the same samples; with every converged
+    # lane polishing on past a step at the rounding floor, 16 and 30
     sizes = _evaluation_sizes(monkeypatch)
     _, report = spectrum_in_strip(request.getfixturevalue(f"params_{name}"), k_max)
     stats = report.stats
@@ -587,6 +592,52 @@ def test_strip_counts_its_evaluation_calls(name, k_max, most, points, request, m
     assert (stats["contour_points"], stats["global_points"]) == points
     assert (max(stats["contour_rounds"], stats["newton_rounds"]) <= stats["evaluation_calls"]
             < stats["contour_rounds"] + stats["newton_rounds"])     # some calls carried both
+
+
+def test_family_roots_takes_five_calls(params_generic, monkeypatch):
+    # the 586 lanes of k = 8 .. 300 converge within four steps, and the
+    # slowest end on their convergence step, which was at the rounding
+    # floor: polishing on after it took two calls more
+    sizes = _evaluation_sizes(monkeypatch)
+    report = RootSearchReport()
+    recs = family_roots(params_generic, range(8, 301), report)
+    assert max(rec.iterations for rec in recs) == 4
+    assert report.evaluation_calls == report.newton_rounds == len(sizes) == 5
+    assert sizes[0] == 2 * 293
+
+
+def _scripted(steps, residuals):
+    """evaluate(z) for one lane whose i-th call gives the Newton step
+    steps[i] (F = steps[i], F' = 1) and |f| = residuals[i], then steps of 0
+    at the last residual; and the points it was called at."""
+    calls = []
+
+    def evaluate(z):
+        i = len(calls)
+        calls.append(complex(z[0]))
+        return (np.array([steps[i] if i < len(steps) else 0.0], complex), np.ones(1, complex),
+                np.array([residuals[min(i, len(residuals) - 1)]], complex))
+
+    return evaluate, calls
+
+
+@pytest.mark.parametrize("steps, residuals, evaluations", [
+    # converged on a step of 2 ulps: no polish step
+    ((0.1, 2 * np.finfo(float).eps), (1.0, 1e-10, 1e-15), 3),
+    # converged on a step above the floor: polishing stops after its first
+    # step, which was at the floor
+    ((0.1, 1e-13, 1e-16), (1.0, 1e-10, 1e-15, 5e-16), 4),
+    # every step above the floor: three polish steps that lower |f|
+    ((0.1, 1e-13, 1e-14, 1e-14, 1e-14, 1e-14), (1.0, 1e-10, 1e-15, 8e-16, 6e-16, 4e-16), 6),
+])
+def test_lane_ends_at_the_rounding_floor(steps, residuals, evaluations):
+    # a converged lane whose iterate was reached by a step of at most 4 ulps
+    # of it ends with that iterate, without a further evaluation
+    evaluate, calls = _scripted(steps, residuals)
+    report = RootSearchReport()
+    (rec,) = _polished([1.0], evaluate, report)
+    assert len(calls) == report.evaluation_calls == evaluations
+    assert (rec.lam, rec.residual, rec.iterations) == (calls[-1], residuals[evaluations - 1], 2)
 
 
 @pytest.mark.parametrize("name", ["generic", "conservative", "degenerate"])
