@@ -74,8 +74,11 @@ and the sweep count while the lanes of k = 1 .. k_max polish, the union
 goes on while the sweep and the odd frequency boxes subdivide, a box's
 first half starts as soon as its own count is in, and moment seeds polish
 while counts go on; a lane stops polishing once its step is at the
-rounding floor.  So the k <= 200 strip takes 29 calls and the
-conservative k <= 50 strip 14.
+rounding floor.  The sweep is taken up as soon as its count is in: its
+moment seeds start from the current positions of its known lanes, ended
+or still stepping, and polish beside them, and it closes only on their
+final records.  So the k <= 200 strip takes 29 calls and the
+conservative k <= 50 strip 11.
 """
 
 from __future__ import annotations
@@ -231,9 +234,7 @@ class _Counter:
         """Tickets of rects, whose counting starts now; they take moments
         when asked to."""
         first = len(self.rects)
-        for rect in rects:
-            rect = tuple(float(v) for v in rect)
-            t = len(self.rects)
+        for t, rect in enumerate((tuple(float(v) for v in rect) for rect in rects), start=first):
             self.fresh.append(t)
             self.rects.append(rect)
             if t == self.turns.size:
@@ -249,7 +250,7 @@ class _Counter:
                 self.sums = _grown(self.sums, self.centre.size)
         return list(range(first, len(self.rects)))
 
-    def newton(self, seeds) -> range:
+    def newton(self, seeds) -> np.ndarray:
         """Lanes of Newton on the zeros of F, one from each seed, which step
         from the next call on.
 
@@ -277,7 +278,7 @@ class _Counter:
         self.live = {name: np.concatenate([a, lanes[name]]) for name, a in self.live.items()}
         self.records += [None] * lanes.size
         self.report.newton_calls += lanes.size
-        return range(len(self.records) - lanes.size, len(self.records))
+        return lanes["lane"]
 
     def moments(self, ticket: int):
         """The power sums s_q = sum (r - c)^q, q = 0, 1, 2, over the roots r of
@@ -301,6 +302,13 @@ class _Counter:
         while any(self.records[i] is None for i in lanes):
             self.call()
         return [self.records[i] for i in lanes]
+
+    def where(self, lanes: np.ndarray) -> np.ndarray:
+        """The position of each lane, shaped like lanes: its record's lambda
+        once it ended with one, its iterate while it steps, NaN if it failed."""
+        stepping = dict(zip(self.live["lane"].tolist(), self.live["lam"].tolist()))
+        return np.array([stepping.get(i, getattr(self.records[i], "lam", np.nan))
+                         for i in lanes.ravel().tolist()], dtype=complex).reshape(lanes.shape)
 
     def call(self):
         """One evaluation of the live lanes and at most _CHUNK points in all,
@@ -465,20 +473,25 @@ def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
     again naming k and j, after every lane was tried (the first failure in
     that order).
     """
-    recs, failure, _ = _families(p, _Counter(_beam(p), report or RootSearchReport()), k)
+    counter = _Counter(_beam(p), report or RootSearchReport())
+    ks = np.atleast_1d(np.asarray(k, dtype=int))
+    recs, failure = _families(counter, ks, counter.newton(_predictions(p, ks)))
     if failure is not None:
         raise failure
     return recs
 
 
-def _families(p: BeamParams, counter: _Counter, k):
-    """family_roots on counter, whose boxes count while the lanes polish:
-    the records, the first failure or None, and the predictions the lanes
-    were seeded from, in (k, family) order."""
-    ks = np.atleast_1d(np.asarray(k, dtype=int))
-    seeds = predict_eigenvalue(ks[:, None], np.array([1, 2]), p).ravel()   # (k, family) lanes
+def _predictions(p: BeamParams, ks) -> np.ndarray:
+    """Both family predictions of each k in ks, in (k, family) order."""
+    return predict_eigenvalue(np.asarray(ks)[:, None], np.array([1, 2]), p).ravel()
+
+
+def _families(counter: _Counter, ks, lanes):
+    """The ends of lanes, seeded from _predictions of ks, once in: the
+    records, labelled with their k and family and logged to report, and the
+    first failure or None, in (k, family) order."""
     recs, failure = [], None
-    for i, rec in enumerate(counter.records_of(counter.newton(seeds))):
+    for i, rec in enumerate(counter.records_of(lanes)):
         kk, j = int(ks[i // 2]), i % 2 + 1
         if isinstance(rec, Exception):
             failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
@@ -486,7 +499,7 @@ def _families(p: BeamParams, counter: _Counter, k):
         rec.k_index, rec.family = kk, j
         recs.append(rec)
     counter.report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
-    return recs, failure, seeds
+    return recs, failure
 
 
 def _validation_rect(p: BeamParams, k: int):
@@ -496,42 +509,42 @@ def _validation_rect(p: BeamParams, k: int):
     return (re_lo, re_hi, (k - 0.5) * math.pi, (k + 0.5) * math.pi)
 
 
-def _inside(lam: complex, rect) -> bool:
-    return rect[0] <= lam.real <= rect[1] and rect[2] <= lam.imag <= rect[3]
+def _inside(z, rect):
+    """Whether z, a number or an array, lies in the closed rect."""
+    return (rect[0] <= z.real) & (z.real <= rect[1]) & (rect[2] <= z.imag) & (z.imag <= rect[3])
 
 
-def _coincide(a: complex, b: complex) -> bool:
-    """a and b agree to Newton resolution: two polishes that found one root."""
-    return abs(a - b) <= _COINCIDENCE_RTOL * max(1.0, abs(a))
+def _distinct(at, rects) -> np.ndarray:
+    """The mask of the positions at that lie inside rects and coincide with
+    no other inside it to Newton resolution, |a - b| <= _COINCIDENCE_RTOL *
+    max(1, |a|): two polishes that found one root, or roots closer than
+    Newton resolution, leave them to subdivision.  at lies along one rect,
+    or has a row per rect; a NaN is never distinct."""
+    at = np.where(_inside(at, np.transpose(rects)[..., None]), at, np.nan)
+    near = np.abs(at[..., :, None] - at[..., None, :])
+    return (near <= _COINCIDENCE_RTOL * np.maximum(1.0, np.abs(at))[..., None]).sum(axis=-1) == 1
 
 
-def _distinct(recs) -> list:
-    """The records of recs that coincide with no other: two polishes that
-    found one root, or roots closer than Newton resolution, leave them to
-    subdivision."""
-    return [rec for rec in recs
-            if not any(_coincide(rec.lam, other.lam) for other in recs if other is not rec)]
-
-
-def _refuse_coincident(records, known):
-    """Raise BoundaryTooCloseToRoot naming two records that coincide, one of
-    them from known.  A known record just across a split line or a shared
-    box edge from its root can be taken for a root of the box it lies in:
-    that root is missed and the other recorded twice, and no count shows it.
-    Two records found by subdivision that coincide are a close pair, each
-    inside its own box, as a box's records are distinct."""
-    known = {id(rec) for rec in known}
-    recs = sorted(records, key=lambda rec: rec.lam.imag)
-    lam = np.array([rec.lam for rec in recs], dtype=complex)
-    # only records within the tolerance in Im can coincide
-    ends = np.searchsorted(lam.imag, lam.imag + _COINCIDENCE_RTOL * np.maximum(1.0, np.abs(lam)),
-                           side="right")
-    for i, end in enumerate(ends.tolist()):
-        for other in recs[i + 1:end]:
-            if (id(recs[i]) in known or id(other) in known) and _coincide(recs[i].lam, other.lam):
-                raise BoundaryTooCloseToRoot(
-                    f"records {recs[i].lam} and {other.lam} coincide: a known record "
-                    "across a box edge from its root was taken for a root of that box")
+def _refuse_coincident(lam, known):
+    """Raise BoundaryTooCloseToRoot naming two records, at lam, that
+    coincide, one of them known (a mask over lam).  A known record just
+    across a split line or a shared box edge from its root can be taken for
+    a root of the box it lies in: that root is missed and the other
+    recorded twice, and no count shows it.  Two records found by
+    subdivision that coincide are a close pair, each inside its own box, as
+    a box's records are distinct."""
+    order = np.argsort(lam.imag, kind="stable")
+    lam, known = lam[order], known[order]
+    scale = _COINCIDENCE_RTOL * np.maximum(1.0, np.abs(lam))
+    # only records within the tolerance in Im can coincide: each with the next d
+    reach = np.searchsorted(lam.imag, lam.imag + scale, side="right") - np.arange(lam.size)
+    for d in range(1, reach.max(initial=1)):
+        i = np.flatnonzero((reach[:-d] > d) & (known[:-d] | known[d:])
+                           & (np.abs(lam[:-d] - lam[d:]) <= scale[:-d]))
+        if i.size:
+            raise BoundaryTooCloseToRoot(
+                f"records {complex(lam[i[0]])} and {complex(lam[i[0] + d])} coincide: a known "
+                "record across a box edge from its root was taken for a root of that box")
 
 
 def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -> list:
@@ -554,24 +567,15 @@ def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     ks = list(ks)
-    tickets = counter.submit([_validation_rect(p, k) for k in ks], moments=True)
-    _, pairs = _box_records(p, ks, _families(p, counter, ks)[0])
-    _, found = _isolate(tickets, pairs, counter)
-    for k, pair, recs in zip(ks, pairs, found):
-        if recs != pair:
+    rects = [_validation_rect(p, k) for k in ks]
+    tickets = counter.submit(rects, moments=True)
+    lanes = counter.newton(_predictions(p, ks)).reshape(-1, 2)     # per k, its families'
+    _families(counter, ks, lanes.ravel())
+    found = [counter.records_of(box) for box in _isolate(tickets, list(lanes), counter)[1]]
+    for k, pair, kept, recs in zip(ks, lanes, _distinct(counter.where(lanes), rects), found):
+        if recs != counter.records_of(pair[kept]):
             _label_pair(recs, p, k)
     return found
-
-
-def _box_records(p: BeamParams, ks, recs):
-    """The frequency boxes of ks and, per box, the records of its k in recs
-    that lie inside it, those that coincide left out (see _distinct)."""
-    by_k = {}
-    for rec in recs:
-        by_k.setdefault(rec.k_index, []).append(rec)
-    rects = [_validation_rect(p, k) for k in ks]
-    return rects, [_distinct([r for r in by_k.get(k, []) if _inside(r.lam, rect)])
-                   for k, rect in zip(ks, rects)]
 
 
 def _label_pair(recs, p: BeamParams, k: int):
@@ -616,12 +620,11 @@ def _halves(rect, fraction: float):
 
 def _moment_seeds(rect, moments, known, unknown: int) -> list:
     """Seeds for the `unknown` roots, one or two, of rect that are not among
-    the known records: the roots whose power sums about rect's centre are
-    its moments less the known roots' (see _Counter.moments), the lone sum
-    itself, or a pair by the quadratic formula."""
+    the known roots, an array: the roots whose power sums about rect's
+    centre are its moments less the known roots' (see _Counter.moments), the
+    lone sum itself, or a pair by the quadratic formula."""
     c = _centre(rect)
-    r = np.array([rec.lam for rec in known], dtype=complex) - c
-    p1, p2 = moments[1] - r.sum(), moments[2] - (r * r).sum()
+    p1, p2 = moments[1] - (known - c).sum(), moments[2] - ((known - c) * (known - c)).sum()
     if unknown == 1:
         return [c + p1]
     gap = np.sqrt(2.0 * p2 - p1 * p1)      # x1 - x2, as x1 + x2 = p1, x1^2 + x2^2 = p2
@@ -638,36 +641,43 @@ def _second_moments(rect, moments, first, first_moments, second) -> np.ndarray:
     return about(moments, _centre(rect) - c) - about(first_moments, _centre(first) - c)
 
 
-def _isolate(tickets, given, counter: _Counter):
-    """Each box's count and the records of the roots in it, all boxes
-    subdivided in one pass.
+def _isolate(tickets, given, counter: _Counter, more=None):
+    """Each box's count and the lanes on counter whose records are the roots
+    in it, all boxes subdivided in one pass.
 
     The boxes are those of `tickets`, submitted to `counter` with moments;
-    given holds, per box, its known records, Newton-polished roots, of which
-    those outside its rect, or coinciding with another to Newton resolution
-    (see _distinct), are dropped.  The boxes are taken up in the given order,
-    each as soon as its count and those of the boxes before it are in: its
-    count is logged to report.boxes, and the first box the counter refuses,
-    in the given order, is raised.  A box whose count equals the number of
-    known records inside it is closed with them (report.matched_boxes).  A
-    box with one or two roots more than its known records is seeded from
-    its moments (see _moment_seeds; Delves & Lyness, 1967: the contour that
-    counts the roots also locates them); the seeds are Newton lanes on the
-    counter at once, so they polish in the calls of the counts still going
-    on.  Whenever no count is pending, the seeded boxes are taken up once
-    their lanes are in: one whose distinct records, known and
-    polished ones inside it, meet its count is closed with them
-    (report.moment_boxes); else it splits, with those records as its known
-    ones, and below it only a lone unknown root is seeded: a half holding
-    both roots of a failed pair has their moments, and its seeds would fail
-    alike.
+    given holds, per box, the lanes of its known roots, Newton lanes
+    started on counter before the pass.  A lane's position is its record
+    once it ended with one, else its iterate (see _Counter.where); the
+    known roots of a box are the positions inside its rect that coincide
+    with no other (see _distinct).  `more(tickets, given)`, if given, is
+    called once every lane started before the pass has ended, and returns
+    both with the tickets and lanes of further boxes appended, which join
+    the pass after the others.  The boxes are taken up in their order, each
+    as soon as its count and those of the boxes before it are in: its count
+    is logged to report.boxes, and the first box the counter refuses, in
+    that order, is raised.  A box with one or two roots more than its known
+    ones is seeded from its moments (see _moment_seeds; Delves & Lyness,
+    1967: the contour that counts the roots also locates them), less its
+    known roots' positions even while their lanes step; the seeds are Newton
+    lanes on the counter at once, so they polish in the calls of the counts
+    and lanes still going on.  Whenever no count is pending, the seeded
+    boxes are taken up once their lanes and their known lanes are in: one
+    whose distinct records, known ones and those polished inside it, meet
+    its count is closed with them (report.moment_boxes); else it splits,
+    with those records as its known ones, and below it only a lone unknown
+    root is seeded: a half holding both roots of a failed pair has their
+    moments, and its seeds would fail alike.  So a known lane that fails or
+    ends elsewhere costs a split, never a wrong record.  A box not seeded
+    waits while any of its known lanes still steps; then, when its count
+    equals its known roots, it is closed with them (report.matched_boxes).
 
     Any other box splits its longer side at the fraction _SPLITS[0], not at
     the centre: halving the symmetric conservative box would put an edge on
-    Re lambda = 0, where every conservative root lies.  A known record goes
-    to the first half when it lies inside it, else to the second, and a half
-    that counts 0 drops its records.  Only the first, smaller half of a
-    split is counted, and it takes moments; the halves tile the box, so the
+    Re lambda = 0, where every conservative root lies.  A known root goes to
+    the first half when it lies inside it, else to the second, and a half
+    that counts 0 drops its roots.  Only the first, smaller half of a split
+    is counted, and it takes moments; the halves tile the box, so the
     second half's winding is the box's count less the first's, logged to
     report.boxes with no samples and to report.derived_boxes, and its
     moments are the box's less the first half's (see _second_moments).  The
@@ -685,45 +695,48 @@ def _isolate(tickets, given, counter: _Counter):
     two at rounding level) raises BoundaryTooCloseToRoot naming a box, as do
     two records that coincide (see _refuse_coincident).
     """
-    report = counter.report
-    counts, found = [], [[] for _ in tickets]
-    visited = [0] * len(tickets)
-    # pending: (box index, rect, count, known, moments, most unknown roots to
+    report, before = counter.report, len(counter.records)
+    counts, found, visited = [], [], {}
+    # pending: (box index, rect, count, lanes, moments, most unknown roots to
     # seed); seeded: (pending entry, lanes); splits: (pending entry, index in
     # _SPLITS, ticket)
     pending, seeded, splits = [], [], []
 
     def split(box, at: int = 0):
-        (ticket,) = counter.submit(_halves(box[1], _SPLITS[at])[:1], moments=True)
-        splits.append((box, at, ticket))
+        splits.append((box, at, *counter.submit(_halves(box[1], _SPLITS[at])[:1], moments=True)))
 
-    while len(counts) < len(tickets) or pending or splits or seeded:
+    while len(counts) < len(tickets) or pending or splits or seeded or more:
+        if more and not (counter.live["lane"] < before).any():
+            (tickets, given), more = more(tickets, given), None
         while len(counts) < len(tickets) and tickets[len(counts)] in counter.outcomes:
             i, ticket = len(counts), tickets[len(counts)]
             rect, cnt = counter.rects[ticket], _logged(counter.outcomes[ticket], report)
             counts.append(cnt)
+            found.append([])
             if cnt:
-                recs = _distinct([r for r in given[i] if _inside(r.lam, rect)])
-                pending.append((i, rect, cnt, recs, counter.moments(ticket), 2))
-        for box in pending:
-            i, rect, cnt, known, moments, most = box
-            visited[i] += 1
+                pending.append((i, rect, cnt, given[i], counter.moments(ticket), 2))
+        pending, taken = [], pending
+        for box in taken:
+            i, rect, cnt, lanes, moments, most = box
+            visited[i] = visited.get(i, 0) + 1
             if visited[i] > 10000:
                 raise NoConvergence(f"subdivision of {counter.rects[tickets[i]]} exploded")
-            if cnt == len(known):
-                found[i] += known
+            known = lanes[_distinct(counter.where(lanes), rect)]
+            if 0 < cnt - known.size <= most:
+                seeded.append((box, counter.newton(_moment_seeds(
+                    rect, moments, counter.where(known), cnt - known.size))))
+            elif any(counter.records[j] is None for j in lanes.tolist()):   # wait for them
+                pending.append(box)
+            elif cnt == known.size:
+                found[i] += known.tolist()
                 report.matched_boxes += 1
-            elif 0 < cnt - len(known) <= most:
-                seeded.append((box, counter.newton(_moment_seeds(rect, moments, known,
-                                                                 cnt - len(known)))))
             else:
-                split(box)
-        pending = []
+                split((i, rect, cnt, known, moments, most))
         ready = [s for s in splits if s[2] in counter.outcomes]
         if ready:
             splits = [s for s in splits if s[2] not in counter.outcomes]
             for box, at, ticket in ready:
-                i, rect, cnt, known, moments, most = box
+                i, rect, cnt, lanes, moments, most = box
                 outcome = counter.outcomes[ticket]
                 if at + 1 < len(_SPLITS) and isinstance(outcome, Exception):
                     report.resplits += 1
@@ -739,27 +752,28 @@ def _isolate(tickets, given, counter: _Counter):
                 report.derived_boxes += 1
                 first_moments = counter.moments(ticket)
                 second_moments = _second_moments(rect, moments, first, first_moments, second)
-                in_first = [r for r in known if _inside(r.lam, first)]
-                in_second = [r for r in known if not _inside(r.lam, first)]
+                in_first = _inside(counter.where(lanes), first)
                 pending += [(i, *half, most) for half in (
-                    (first, first_cnt, in_first, first_moments),
-                    (second, rest, in_second, second_moments)) if half[1]]
-        elif seeded and not splits and len(counts) == len(tickets):   # only lanes to wait for
-            for box, lanes in seeded:
-                i, rect, cnt, known, moments, most = box
-                landed = [rec for rec in counter.records_of(lanes)
-                          if isinstance(rec, EigenvalueRecord) and _inside(rec.lam, rect)]
-                report.newton_iterations += [(rec.lam, rec.iterations) for rec in landed]
-                recs = _distinct(known + landed)
-                if len(recs) == cnt:
-                    found[i] += recs
+                    (first, first_cnt, lanes[in_first], first_moments),
+                    (second, rest, lanes[~in_first], second_moments)) if half[1]]
+        elif seeded and not (splits or more) and len(counts) == len(tickets):  # lanes to wait for
+            for (i, rect, cnt, lanes, moments, most), new in seeded:
+                counter.records_of(np.concatenate([lanes, new]))
+                landed = new[_inside(counter.where(new), rect)]
+                report.newton_iterations += [(rec.lam, rec.iterations)
+                                             for rec in counter.records_of(landed)]
+                known = np.concatenate([lanes[_distinct(counter.where(lanes), rect)], landed])
+                known = known[_distinct(counter.where(known), rect)]
+                if known.size == cnt:
+                    found[i] += known.tolist()
                     report.moment_boxes += 1
                 else:
-                    split((i, rect, cnt, recs, moments, 1))
+                    split((i, rect, cnt, known, moments, 1))
             seeded = []
-        elif len(counts) < len(tickets) or splits or seeded:
+        elif len(counts) < len(tickets) or pending or splits or seeded or more:
             counter.call()
-    _refuse_coincident([rec for recs in found for rec in recs], [r for recs in given for r in recs])
+    chosen = np.array([j for box in found for j in box], dtype=int)
+    _refuse_coincident(counter.where(chosen), chosen < before)     # known: a given lane's
     return counts, found
 
 
@@ -767,12 +781,12 @@ def _label_low_frequency(records, preds):
     """Tag the sweep's roots: no k_index, and those with Im >= 0 the family
     of the nearest closed-form prediction, if within 0.5; preds holds the
     predictions of k = 1 .. K_MIN - 1 in (k, family) order."""
-    for rec in records:
-        rec.k_index = rec.family = None
-        if rec.lam.imag >= 0:
-            i = int(np.argmin(np.abs(preds - rec.lam)))   # argmin keeps the first of equals
-            if abs(preds[i] - rec.lam) < 0.5:
-                rec.family = i % 2 + 1
+    lam = np.array([rec.lam for rec in records], dtype=complex)
+    gap = np.abs(preds - lam[:, None])
+    # argmin keeps the first of equals; 0 is no family
+    family = np.where((lam.imag >= 0) & (gap.min(axis=1) < 0.5), gap.argmin(axis=1) % 2 + 1, 0)
+    for rec, j in zip(records, family.tolist()):
+        rec.k_index, rec.family = None, j or None
 
 
 def spectrum_in_strip(p: BeamParams, k_max: int):
@@ -787,7 +801,10 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     sweep locates the roots they miss from its contour moments, subdividing
     only where those fail, and so does every odd frequency box, one whose
     records are not two distinct roots: the sweep and the odd boxes are
-    counted and isolated in one call of _isolate.  The union of all boxes
+    counted and isolated in one call of _isolate.  The sweep is taken up
+    as soon as its count is in, seeded from the lanes' current positions
+    while they still step, and the odd boxes join once every lane has
+    ended.  The union of all boxes
     and a margin beside them (see _union_box) is counted too,
     report.global_count.  The other frequency boxes are not counted: when
     global_count less the sweep's count equals the records of all frequency
@@ -823,63 +840,63 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     outer, union = _sweep_box(p), _union_box(p, k_max)
     # the union and the sweep count in the background of the Newton lanes
     union_ticket, sweep_ticket = counter.submit([union]) + counter.submit([outer], moments=True)
-    polished, _, preds = _families(p, counter, range(1, k_max + 1))
-    rects, seeded = _box_records(p, ks, polished)
-    odd = [i for i, pair in enumerate(seeded) if len(pair) != 2]
-    band = [i for i, pair in enumerate(seeded) if len(pair) == 2]
-    (outer_count, *_), (records, *found) = _isolate(
-        [sweep_ticket] + counter.submit([rects[i] for i in odd], moments=True),
-        [[rec for rec in polished if rec.k_index < K_MIN]] + [seeded[i] for i in odd], counter)
-    _label_low_frequency(records, preds[:2 * (K_MIN - 1)])
-    isolated = dict(zip(odd, found))
+    preds = _predictions(p, range(1, k_max + 1))
+    lanes = counter.newton(preds).reshape(-1, 2)      # per k, its families'
+    pairs, rects, kept = lanes[K_MIN - 1:], np.array([_validation_rect(p, k) for k in ks]), None
+
+    def odd_boxes(tickets, given):   # once the lanes are in: boxes not seeded with two roots
+        nonlocal kept
+        _families(counter, range(1, k_max + 1), lanes.ravel())
+        kept = _distinct(counter.where(pairs), rects)
+        odd = np.flatnonzero(~kept.all(axis=1))
+        return tickets + counter.submit(rects[odd], moments=True), given + list(pairs[odd])
+
+    (outer_count, *_), (chosen, *found) = _isolate(
+        [sweep_ticket], [lanes[:K_MIN - 1].ravel()], counter, odd_boxes)
+    _label_low_frequency(counter.records_of(chosen), preds[:2 * (K_MIN - 1)])
+    band, counted = np.flatnonzero(kept.all(axis=1)), np.flatnonzero(~kept.all(axis=1)).tolist()
     (union_out,) = counter.outcomes_of([union_ticket])
     report.global_points = int(counter.samples[union_ticket])
     report.global_count = None if isinstance(union_out, Exception) else union_out[0]
     if (report.global_count is not None
-            and report.global_count - outer_count == 2 * len(band) + sum(map(len, found))):
-        report.boxes += [(rects[i], 2) for i in band]
-        report.band_boxes = len(band)
+            and report.global_count - outer_count == 2 * band.size + sum(map(len, found))):
+        report.boxes += [(rect, 2) for rect in map(tuple, rects[band].tolist())]
+        report.band_boxes = band.size
+        chosen += pairs[band].ravel().tolist()
     else:
-        isolated.update(zip(band, _isolate(counter.submit([rects[i] for i in band], moments=True),
-                                           [seeded[i] for i in band], counter)[1]))
-    for i, recs in isolated.items():
-        if recs != seeded[i]:
-            _label_pair(recs, p, ks[i])
-    pairs = [isolated.get(i, pair) for i, pair in enumerate(seeded)]
-    failed_k = [k for k, pair in zip(ks, pairs) if len(pair) < 2]
-    records += [rec for pair in pairs for rec in pair]
+        counted += band.tolist()
+        found += _isolate(counter.submit(rects[band], moments=True), list(pairs[band]), counter)[1]
+    for i, box in zip(counted, found):
+        if box != pairs[i][kept[i]].tolist():
+            _label_pair(counter.records_of(box), p, ks[i])
+        chosen += box
+    failed_k = [ks[i] for i, box in zip(counted, found) if len(box) < 2]
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
-    _refuse_coincident(records, polished)
+    _refuse_coincident(counter.where(np.array(chosen)), np.array(chosen) < lanes.size)
+    records = counter.records_of(chosen)
 
     # conjugate closure: below Im = -outer[2] the sweep holds both members
-    records += [EigenvalueRecord(rec.lam.conjugate(),
-                                 -rec.k_index if rec.k_index is not None else None,
-                                 rec.family, rec.residual)
-                for rec in records if rec.lam.imag > -outer[2]]
-    for rec in records:
-        if _on_real_axis(rec.lam):
-            rec.lam = complex(rec.lam.real, 0.0)
-
-    def recovered(rect):
-        return sum(_inside(r.lam, rect) for r in records)
-
-    if recovered(outer) != outer_count:
-        report.incomplete_boxes.append((outer, outer_count, recovered(outer)))
-    if recovered(union) != report.global_count:     # None when the union was refused
-        report.incomplete_boxes.append((union, report.global_count, recovered(union)))
-
-    records.sort(key=_record_order)
-    return records, report
+    records += [EigenvalueRecord(rec.lam.conjugate(), rec.k_index and -rec.k_index, rec.family,
+                                 rec.residual) for rec in records if rec.lam.imag > -outer[2]]
+    lam = np.array([rec.lam for rec in records], dtype=complex)
+    for i in np.flatnonzero(_on_real_axis(lam)).tolist():
+        records[i].lam = lam[i] = complex(lam[i].real, 0.0)
+    for rect, count in ((outer, outer_count), (union, report.global_count)):
+        recovered = int(_inside(lam, rect).sum())
+        if recovered != count:      # the union's is None when it was refused
+            report.incomplete_boxes.append((rect, count, recovered))
+    return _in_order(records), report
 
 
-def _on_real_axis(lam: complex) -> bool:
+def _on_real_axis(lam) -> np.ndarray:
     """Im lambda below Newton's resolution: rounding noise on a real root."""
-    return abs(lam.imag) <= 1e-12 * max(1.0, abs(lam))
+    return np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam))
 
 
-def _record_order(rec: EigenvalueRecord):
-    """Sort key: Im lambda with rounding noise on the real axis read as 0, then
-    Re lambda, then family, so real roots keep their order on ulp-level changes."""
-    lam = rec.lam
-    im = 0.0 if _on_real_axis(lam) else lam.imag
-    return (im, lam.real, rec.family if rec.family is not None else 0)
+def _in_order(records) -> list:
+    """records by Im lambda, with rounding noise on the real axis read as 0,
+    then Re lambda, then family (none first), so real roots keep their order
+    on ulp-level changes."""
+    lam = np.array([rec.lam for rec in records], dtype=complex)
+    im = np.where(_on_real_axis(lam), 0.0, lam.imag)
+    return [records[i] for i in np.lexsort(([rec.family or 0 for rec in records], lam.real, im))]

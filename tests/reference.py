@@ -18,7 +18,11 @@ No command runs these, so they live with the tests:
   stabilized paired exponentials, the oracle that `charfn` is held to;
 - the 4N+2 generator A and energy weight W assembled from the stored
   blocks of a `simulate.DiscreteGenerator`, and the dense eigensolve of A,
-  the oracles for the integrator and for the finite-difference spectrum.
+  the oracles for the integrator and for the finite-difference spectrum;
+- the strip's bookkeeping one record at a time (coincidence, distinct
+  records, records inside a rect, the sort key of the records, the refusal
+  of coinciding records and the sweep's family labels), the oracles for the
+  array forms in `spectrum`.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from tipbeam.model import (
 )
 from tipbeam.modes import ModeShape, gram_inner_product
 from tipbeam.simulate import DiscreteGenerator
+from tipbeam.spectrum import _COINCIDENCE_RTOL, EigenvalueRecord
 
 _KERNEL_TOL = 1e-8      # spurious consistency kernel of the duplicated tip rows
 
@@ -390,3 +395,62 @@ def generator_spectrum(g: DiscreteGenerator, m: int) -> np.ndarray:
     vals = vals[vals.imag >= -1e-9]
     order = np.lexsort((vals.real, np.abs(vals.imag)))
     return vals[order][:m]
+
+
+def inside(lam: complex, rect) -> bool:
+    """lam lies in the closed rect."""
+    return rect[0] <= lam.real <= rect[1] and rect[2] <= lam.imag <= rect[3]
+
+
+def coincide(a: complex, b: complex) -> bool:
+    """a and b agree to Newton resolution: two polishes that found one root."""
+    return abs(a - b) <= _COINCIDENCE_RTOL * max(1.0, abs(a))
+
+
+def distinct(recs) -> list:
+    """The records of recs that coincide with no other."""
+    return [rec for rec in recs
+            if not any(coincide(rec.lam, other.lam) for other in recs if other is not rec)]
+
+
+def recovered(records, rect) -> int:
+    """The number of records inside rect."""
+    return sum(inside(r.lam, rect) for r in records)
+
+
+def on_real_axis(lam: complex) -> bool:
+    """Im lambda below Newton's resolution: rounding noise on a real root."""
+    return abs(lam.imag) <= 1e-12 * max(1.0, abs(lam))
+
+
+def record_order(rec: EigenvalueRecord):
+    """Sort key: Im lambda with rounding noise on the real axis read as 0, then
+    Re lambda, then family, so real roots keep their order on ulp-level changes."""
+    lam = rec.lam
+    im = 0.0 if on_real_axis(lam) else lam.imag
+    return (im, lam.real, rec.family if rec.family is not None else 0)
+
+
+def refuse_coincident(records, known):
+    """The first pair (a, b) of records, by Im lambda, that coincide with one
+    of them in known, or None."""
+    known = {id(rec) for rec in known}
+    recs = sorted(records, key=lambda rec: rec.lam.imag)
+    for i, rec in enumerate(recs):
+        for other in recs[i + 1:]:
+            if other.lam.imag > rec.lam.imag + _COINCIDENCE_RTOL * max(1.0, abs(rec.lam)):
+                break
+            if (id(rec) in known or id(other) in known) and coincide(rec.lam, other.lam):
+                return rec.lam, other.lam
+    return None
+
+
+def label_low_frequency(records, preds):
+    """The sweep's labels: no k_index, and those with Im >= 0 the family of
+    the nearest prediction (the first of equals), if within 0.5."""
+    for rec in records:
+        rec.k_index = rec.family = None
+        if rec.lam.imag >= 0:
+            i = int(np.argmin(np.abs(preds - rec.lam)))
+            if abs(preds[i] - rec.lam) < 0.5:
+                rec.family = i % 2 + 1

@@ -1,4 +1,6 @@
-"""The README's library-use example runs, and its command-line section names every stat."""
+"""The README's library-use example runs, its command-line section names
+every stat, and the strip call counts it and the spectrum module quote are
+the strips' own."""
 
 import contextlib
 import io
@@ -7,7 +9,9 @@ import math
 import re
 from pathlib import Path
 
+import tipbeam.spectrum
 from tipbeam.cli import main
+from tipbeam.spectrum import spectrum_in_strip
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +48,20 @@ def test_readme_names_every_stats_key(tmp_path):
         stats = json.loads((out / artifact).read_text(encoding="utf-8"))["stats"]
         missing = [key for key in stats if f"`{key}`" not in section]
         assert stats and not missing, f"{command}: stats keys not in the README: {missing}"
+
+
+def _quoted_calls(text: str) -> dict:
+    """The evaluation calls quoted for the k <= 200 and the conservative
+    k <= 50 strip in text, whose line breaks are read as spaces."""
+    text = " ".join(text.split())
+    return {"generic": int(re.search(r"k <= 200 strip takes (\d+)", text).group(1)),
+            "conservative": int(re.search(r"conservative k <= 50 strip (\d+)", text).group(1))}
+
+
+def test_quoted_strip_calls_are_the_strips_calls(params_generic, params_conservative):
+    # the README's strip paragraph and the spectrum module docstring quote
+    # the evaluation calls of the two benchmark strips
+    calls = {"generic": spectrum_in_strip(params_generic, 200)[1].evaluation_calls,
+             "conservative": spectrum_in_strip(params_conservative, 50)[1].evaluation_calls}
+    assert _quoted_calls(README.read_text(encoding="utf-8")) == calls
+    assert _quoted_calls(tipbeam.spectrum.__doc__) == calls

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_charfn import _REGIME_SETS, _traced_peak
@@ -577,13 +578,15 @@ def _evaluation_sizes(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, k_max, most, points", [
-    ("conservative", 50, 14, (248, 1056)), ("generic", 200, 29, (837, 4146))])
+    ("conservative", 50, 11, (248, 1056)), ("generic", 200, 29, (837, 4146))])
 def test_strip_counts_its_evaluation_calls(name, k_max, most, points, request, monkeypatch):
     # Newton lanes ride the counter's calls: evaluation_calls is the number
     # of calls the search made, none over _CHUNK points here, and each box
     # takes the samples it takes alone.  With Newton in calls of its own, the
     # strips took 22 and 40 calls for the same samples; with every converged
-    # lane polishing on past a step at the rounding floor, 16 and 30
+    # lane polishing on past a step at the rounding floor, 16 and 30; with
+    # the conservative sweep's moment seeds waiting for its last known
+    # lanes to end, 14 and 29
     sizes = _evaluation_sizes(monkeypatch)
     _, report = spectrum_in_strip(request.getfixturevalue(f"params_{name}"), k_max)
     stats = report.stats
@@ -842,7 +845,7 @@ def test_real_roots_sort_by_real_part(fig_spectrum):
     rec = lambda lam, fam: EigenvalueRecord(lam, None, fam, 0.0)
     recs = [rec(complex(-0.3786, 1e-16), 1), rec(complex(-1.1164, -1e-16), 2),
             rec(complex(-0.5, 3.0), 1), rec(complex(-0.5, -3.0), 1)]
-    recs.sort(key=tipbeam.spectrum._record_order)
+    recs = tipbeam.spectrum._in_order(recs)
     assert [r.lam for r in recs] == [complex(-0.5, -3.0), complex(-1.1164, -1e-16),
                                      complex(-0.3786, 1e-16), complex(-0.5, 3.0)]
     assert recs[1].lam.imag == -1e-16        # stored values are left as they are
@@ -944,7 +947,7 @@ _BAND_SETS = {
 
 
 def _labelled(recs):
-    return [(r.lam, r.k_index, r.family) for r in sorted(recs, key=tipbeam.spectrum._record_order)]
+    return [(r.lam, r.k_index, r.family) for r in tipbeam.spectrum._in_order(list(recs))]
 
 
 @pytest.mark.parametrize("name", sorted(_BAND_SETS))
@@ -1044,25 +1047,28 @@ def test_strip_peak_memory(params_generic):
 def test_global_count_mismatch_is_reported(params_generic, monkeypatch):
     p = params_generic
     union = (-3.0, 2.0, -0.3, 12.5 * math.pi)
+    real_isolate = tipbeam.spectrum._isolate
+
+    def sweep_altered(change):
+        """_isolate with change(sweep's lanes, the lane of its root at 1 < Im < 2)
+        applied to what the strip's first pass returns for the sweep."""
+        def isolate(tickets, given, counter, more=None):
+            counts, found = real_isolate(tickets, given, counter, more)
+            if more is not None:
+                sweep = found[0]
+                change(sweep, next(j for j in sweep if 1.0 < counter.records[j].lam.imag < 2.0))
+            return counts, found
+        return isolate
+
     # a sweep root lost before the conjugate closure: the union counts 27
-    real_label = tipbeam.spectrum._label_low_frequency
-
-    def drop_one(records, params):
-        records.remove(next(r for r in records if 1.0 < r.lam.imag < 2.0))
-        real_label(records, params)
-
-    monkeypatch.setattr(tipbeam.spectrum, "_label_low_frequency", drop_one)
+    monkeypatch.setattr(tipbeam.spectrum, "_isolate", sweep_altered(list.remove))
     _, report = spectrum_in_strip(p, 12)
     assert report.global_count == 27
     assert (union, 27, 26) in report.incomplete_boxes
 
     # the same root recorded twice, as overlapping boxes would: the union
     # recovers 28
-    def record_twice(records, params):
-        records.append(replace(next(r for r in records if 1.0 < r.lam.imag < 2.0)))
-        real_label(records, params)
-
-    monkeypatch.setattr(tipbeam.spectrum, "_label_low_frequency", record_twice)
+    monkeypatch.setattr(tipbeam.spectrum, "_isolate", sweep_altered(list.append))
     _, report = spectrum_in_strip(p, 12)
     assert report.global_count == 27
     assert (union, 27, 28) in report.incomplete_boxes
@@ -1203,9 +1209,16 @@ def test_derived_boxes_on_the_lattice_set():
 
 
 def _isolated_boxes(boxes, counter):
-    """_isolate on the (rect, known) boxes, submitted to counter with moments."""
-    return tipbeam.spectrum._isolate(counter.submit([rect for rect, _ in boxes], moments=True),
-                                     [known for _, known in boxes], counter)
+    """_isolate on the (rect, known records) boxes, submitted to counter with
+    moments, each box's known records given as lanes of counter that ended
+    with them: the counts and, per box, its records."""
+    given = []
+    for _, known in boxes:
+        given.append(np.arange(len(counter.records), len(counter.records) + len(known)))
+        counter.records += known
+    counts, found = tipbeam.spectrum._isolate(
+        counter.submit([rect for rect, _ in boxes], moments=True), given, counter)
+    return counts, [counter.records_of(box) for box in found]
 
 
 def test_first_half_counting_more_than_its_box_raises(monkeypatch):
@@ -1292,9 +1305,13 @@ def _lattice_odd_boxes():
     lanes."""
     p = validate_params(1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0)
     evaluate, ks = tipbeam.spectrum._beam(p), range(K_MIN, 21)
-    recs = tipbeam.spectrum._families(p, tipbeam.spectrum._Counter(evaluate, RootSearchReport()),
-                                      ks)[0]
-    boxes = [box for box in zip(*tipbeam.spectrum._box_records(p, ks, recs)) if len(box[1]) != 2]
+    counter = tipbeam.spectrum._Counter(evaluate, RootSearchReport())
+    lanes = np.reshape(counter.newton(tipbeam.spectrum._predictions(p, ks)), (-1, 2))
+    tipbeam.spectrum._families(counter, ks, lanes.ravel())
+    rects = [tipbeam.spectrum._validation_rect(p, k) for k in ks]
+    kept = tipbeam.spectrum._distinct(counter.where(lanes), rects)
+    boxes = [(rect, counter.records_of(pair[keep]))
+             for rect, pair, keep in zip(rects, lanes, kept) if keep.sum() != 2]
     assert len(boxes) == len(ks)
     return evaluate, boxes
 
@@ -1326,8 +1343,7 @@ def test_one_isolate_pass_equals_box_by_box(boxes):
     for box, count, recs in zip(boxes, counts, found):
         (alone_count,), (alone,) = isolate([box])
         assert count == alone_count == len(recs) == len(alone)
-        for a, b in zip(sorted(recs, key=tipbeam.spectrum._record_order),
-                        sorted(alone, key=tipbeam.spectrum._record_order)):
+        for a, b in zip(tipbeam.spectrum._in_order(recs), tipbeam.spectrum._in_order(alone)):
             assert abs(a.lam - b.lam) <= 1e-15 * max(1.0, abs(b.lam))
 
 
@@ -1450,3 +1466,138 @@ def test_spectrum_properties_across_regimes(name, gains, damping):
     if not p.is_conservative:
         assert report.global_count is not None
         assert all(r.lam.real < 0 for r in recs)
+
+
+_TOL = tipbeam.spectrum._COINCIDENCE_RTOL
+_SWEEP_PREDS = predict_eigenvalue(np.arange(1, K_MIN)[:, None], np.array([1, 2]),
+                                  validate_params(1.0, 2.0, 1.0, 2.0, 3.0, 2.0)).ravel()
+
+
+@st.composite
+def _bookkeeping_records(draw):
+    """Records at the edges of the strip's bookkeeping: pairs at the
+    coincidence tolerance _TOL * max(1, |lambda|) from each other and just
+    inside or outside it, repeated values, Im noise at 1e-12 * max(1,
+    |lambda|) on both sides of that threshold, and roots at 0.5 from a
+    sweep prediction; each with a family or none, and known or not."""
+    lams = []
+    for _ in range(draw(st.integers(1, 10))):
+        a = complex(draw(st.floats(-3.0, 0.5)), draw(st.floats(-40.0, 40.0)))
+        kind = draw(st.sampled_from(["plain", "pair", "same", "axis", "prediction"]))
+        side = draw(st.sampled_from([1.0, 1.0 - 1e-15, 1.0 + 1e-15, 0.5, 2.0]))
+        turn = np.exp(1j * math.pi * draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])))
+        if kind == "pair":
+            lams += [a, a + side * _TOL * max(1.0, abs(a)) * turn]
+        elif kind == "same":
+            lams += [a, a]
+        elif kind == "axis":
+            lams.append(complex(a.real, turn.real * side * 1e-12 * max(1.0, abs(a.real))))
+        elif kind == "prediction":
+            lams.append(complex(draw(st.sampled_from(list(_SWEEP_PREDS))) + 0.5 * side * turn))
+        else:
+            lams.append(a)
+    families = [draw(st.sampled_from([None, 1, 2])) for _ in lams]
+    known = [draw(st.booleans()) for _ in lams]
+    recs = [EigenvalueRecord(lam, None, j, 0.0) for lam, j in zip(lams, families)]
+    # a rect over all of them, or one whose edges pass through some of them
+    edges = draw(st.lists(st.sampled_from(lams), min_size=2, max_size=2))
+    rect = draw(st.sampled_from([
+        (-4.0, 1.0, -50.0, 50.0),
+        (min(z.real for z in edges), max(z.real for z in edges),
+         min(z.imag for z in edges), max(z.imag for z in edges))]))
+    return recs, np.array(known), rect
+
+
+def _ids(recs):
+    return [id(rec) for rec in recs]
+
+
+def _assert_bookkeeping_matches(recs, known, rect):
+    """The array bookkeeping of spectrum gives, on recs, what the per-record
+    forms of tests/reference.py give: the same records, in the same order."""
+    lam = np.array([rec.lam for rec in recs], dtype=complex)
+    inside = [rec for rec in recs if reference.inside(rec.lam, rect)]
+    kept = tipbeam.spectrum._distinct(lam, rect)
+    assert _ids(np.array(recs, dtype=object)[kept]) == _ids(reference.distinct(inside))
+    assert int(tipbeam.spectrum._inside(lam, rect).sum()) == reference.recovered(recs, rect)
+    for order in (recs, recs[::-1]):
+        assert (_ids(tipbeam.spectrum._in_order(order))
+                == _ids(sorted(order, key=reference.record_order)))
+    coinciding = reference.refuse_coincident(recs, [rec for rec, k in zip(recs, known) if k])
+    if coinciding is None:
+        tipbeam.spectrum._refuse_coincident(lam, known)
+    else:
+        with pytest.raises(BoundaryTooCloseToRoot, match="coincide"):
+            tipbeam.spectrum._refuse_coincident(lam, known)
+    labelled = [replace(rec) for rec in recs]
+    tipbeam.spectrum._label_low_frequency(labelled, _SWEEP_PREDS)
+    expected = [replace(rec) for rec in recs]
+    reference.label_low_frequency(expected, _SWEEP_PREDS)
+    assert [(r.k_index, r.family) for r in labelled] == [(r.k_index, r.family) for r in expected]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_bookkeeping_records())
+def test_array_bookkeeping_matches_the_per_record_forms(case):
+    # coincidence, inside masks, the record order, the refusal of coinciding
+    # records and the sweep's labels run on arrays; they pick the records,
+    # and the order, that the per-record loops they replaced pick
+    _assert_bookkeeping_matches(*case)
+
+
+@pytest.mark.parametrize("args, k_max", [
+    ((1.0, 2.0, 1.0, 2.0, 3.0, 2.0), 20), ((1.0, 2.0, 1.0, 0.0, 3.0, 0.0), 20),
+    ((1.0, 4.0 * math.pi**2, 2.0, 1.0, 2.0, 5.0), 20),
+    ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 28)],
+    ids=["generic", "conservative", "degenerate", "lattice"])
+def test_strip_bookkeeping_matches_the_per_record_forms(args, k_max):
+    p = validate_params(*args)
+    recs, report = spectrum_in_strip(p, k_max)
+    assert report.incomplete_boxes == []
+    union = tipbeam.spectrum._union_box(p, k_max)
+    assert reference.recovered(recs, union) == report.global_count
+    known = np.array([rec.k_index is not None for rec in recs])
+    for rect in (tipbeam.spectrum._sweep_box(p), union):
+        _assert_bookkeeping_matches(recs, known, rect)
+
+
+def test_sweep_closes_on_the_final_records_of_its_known_lanes(params_conservative, monkeypatch):
+    # the conservative sweep's count is in while its known lanes still step,
+    # and its moment seeds start from their iterates.  Here the lane of
+    # (k, j) = (1, 2) then goes flat, on the call after the seeds started,
+    # before it converged: it fails, so its root is not a known one after
+    # all.  The sweep must not close on the known roots it was seeded with:
+    # it splits, locates that root, and the strip is still certified
+    p = params_conservative
+    clean, clean_report = spectrum_in_strip(p, 50)
+    assert clean_report.derived_boxes == 0
+    root = family_roots(p, 1)[1].lam
+    seeded_at, calls, hits = [], [], []
+    real_seeds, real_beam = tipbeam.spectrum._moment_seeds, tipbeam.spectrum._beam
+
+    def seeds(*args):
+        seeded_at.append(len(calls))
+        return real_seeds(*args)
+
+    def beam(p):
+        evaluate = real_beam(p)
+
+        def scripted(z):
+            calls.append(z.size)
+            f, d, fval = evaluate(z)
+            if seeded_at and len(calls) == seeded_at[0] + 1:
+                near = np.abs(z - root) < 1e-6
+                hits.append(int(near.sum()))
+                d = np.where(near, 0.0, d)
+            return f, d, fval
+
+        return scripted
+
+    monkeypatch.setattr(tipbeam.spectrum, "_moment_seeds", seeds)
+    monkeypatch.setattr(tipbeam.spectrum, "_beam", beam)
+    recs, report = spectrum_in_strip(p, 50)
+    assert seeded_at[0] == 5 and hits == [1]
+    assert report.incomplete_boxes == [] and report.derived_boxes > 0
+    assert len(recs) == len(clean)
+    for rec in clean:
+        assert min(abs(r.lam - rec.lam) for r in recs) <= 1e-12 * max(1.0, abs(rec.lam))
