@@ -34,7 +34,7 @@ import numpy as np
 from .asymptotics import predict_eigenvalue
 from .errors import ConfigError, IncompleteBox, TipbeamError
 from .model import BeamParams, GridState, regime_info, solve_static, validate_params
-from .modes import eigenmode, mode_residuals, riesz_closeness
+from .modes import _family_modes, mode_residuals, riesz_closeness
 from .spectrum import K_MIN, RootSearchReport, family_roots, frequency_pairs, spectrum_in_strip
 
 _SIMULATE_NAMES = ("assemble_generator", "integrate", "fit_decay")
@@ -279,7 +279,7 @@ def _cmd_modes(cfg: RunConfig) -> list:
     names = ("interior_u", "interior_y", "clamp_u", "clamp_y", "tip_u", "tip_y")
     report = RootSearchReport()
     recs = family_roots(p, range(K_MIN, cfg.kmax + 1), report=report)
-    modes = eigenmode(np.array([rec.lam for rec in recs]), p)
+    modes = _family_modes(recs, p)
     res = mode_residuals(modes, p)
     identity = np.abs(modes.lam.real
                       + (p.k2 / p.k1) * np.abs(modes.tip_eta) ** 2

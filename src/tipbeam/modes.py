@@ -211,14 +211,14 @@ class RieszDiagnostics:
     partial_sums: np.ndarray
 
 
-def _family_modes(p: BeamParams, ks) -> ModeShape:
-    """Both family modes at every k, flat in (k, family) order; errors name k and j."""
-    lams = np.array([rec.lam for rec in family_roots(p, ks)])
+def _family_modes(recs, p: BeamParams) -> ModeShape:
+    """The modes of records from family_roots, in their order; an error names
+    the failing mode's record by its k and j."""
     try:
-        return eigenmode(lams, p)
+        return eigenmode(np.array([rec.lam for rec in recs]), p)
     except (NotAnEigenvalue, RankDeficiencyTwo, ZeroMode) as err:
         (i,) = err.index
-        raise type(err)(f"family {i % 2 + 1} at k = {ks[i // 2]}: {err}") from err
+        raise type(err)(f"family {recs[i].family} at k = {recs[i].k_index}: {err}") from err
 
 
 def riesz_closeness(K: int, p: BeamParams) -> RieszDiagnostics:
@@ -234,8 +234,7 @@ def riesz_closeness(K: int, p: BeamParams) -> RieszDiagnostics:
     if K < K_MIN:
         raise ValueError(f"K = {K} must be at least K_MIN = {K_MIN}")
     ks = np.arange(K_MIN, K + 1)
-    psi = _family_modes(p, ks)
-    phi = _family_modes(replace(p, k2=0.0, k4=0.0), ks)
+    psi, phi = (_family_modes(family_roots(q, ks), q) for q in (p, replace(p, k2=0.0, k4=0.0)))
     damped, cons = psi.lam.reshape(-1, 2), phi.lam.reshape(-1, 2)
     own = np.abs(damped - cons)
     unpaired = own > 2.0 * np.abs(damped - cons[:, ::-1])

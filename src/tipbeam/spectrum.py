@@ -127,7 +127,8 @@ class RootSearchReport:
     """Boxes examined, Newton effort, and completeness diagnostics."""
 
     boxes: list = field(default_factory=list)            # (rect, winding)
-    newton_iterations: list = field(default_factory=list)  # (lam, iterations)
+    # (lam, iterations) of each converged polish, in the order the lanes end
+    newton_iterations: list = field(default_factory=list)
     k0_effective: int | None = None
     duplicates_merged: int = 0   # always 0: the boxes tile; kept for perfbench/layers.py
     # (rect, winding or None when the box could not be counted, recovered)
@@ -267,7 +268,8 @@ class _Counter:
         and its |f|, as further steps would only sample rounding noise
         (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
         and Nonlinear Equations, 1983, 7.2).  ``iterations`` counts the steps
-        up to convergence.  A lane ends with an EigenvalueRecord, or with
+        up to convergence.  A lane ends with an EigenvalueRecord, whose
+        (lam, iterations) is logged to report.newton_iterations then, or with
         the NoConvergence or BasinEscape that stopped it (see `records_of`).
         A lane's arithmetic does not depend on the other points of its calls.
         """
@@ -434,6 +436,7 @@ class _Counter:
         for i, lam, res, steps in zip(lane[ended].tolist(), best[ended].tolist(),
                                       best_res[ended].tolist(), conv[ended].tolist()):
             self.records[i] = EigenvalueRecord(lam, None, None, res, steps)
+            self.report.newton_iterations.append((lam, steps))
         for j in np.flatnonzero(~go & ~found):
             self.records[lane[j]] = (
                 NoConvergence(f"Newton did not converge from seed {complex(seeds[j])}")
@@ -469,9 +472,9 @@ def family_roots(p: BeamParams, k, report: RootSearchReport | None = None):
 
     k is one frequency index or a sequence of them; all seeds are lanes of
     one counter.  Records come in (k, family) order with k_index and family
-    set, and are logged to report when given.  A failed lane is raised
-    again naming k and j, after every lane was tried (the first failure in
-    that order).
+    set; report, when given, logs them as their lanes end.  A failed lane
+    is raised again naming k and j, after every lane was tried (the first
+    failure in that order).
     """
     counter = _Counter(_beam(p), report or RootSearchReport())
     ks = np.atleast_1d(np.asarray(k, dtype=int))
@@ -488,8 +491,9 @@ def _predictions(p: BeamParams, ks) -> np.ndarray:
 
 def _families(counter: _Counter, ks, lanes):
     """The ends of lanes, seeded from _predictions of ks, once in: the
-    records, labelled with their k and family and logged to report, and the
-    first failure or None, in (k, family) order."""
+    records, labelled with their k and family, and the first failure or
+    None, in (k, family) order.  The lanes logged their records to report
+    as they ended (see _Counter.newton)."""
     recs, failure = [], None
     for i, rec in enumerate(counter.records_of(lanes)):
         kk, j = int(ks[i // 2]), i % 2 + 1
@@ -498,7 +502,6 @@ def _families(counter: _Counter, ks, lanes):
             continue
         rec.k_index, rec.family = kk, j
         recs.append(rec)
-    counter.report.newton_iterations.extend((rec.lam, rec.iterations) for rec in recs)
     return recs, failure
 
 
@@ -661,18 +664,17 @@ def _isolate(tickets, given, counter: _Counter, more=None):
     1967: the contour that counts the roots also locates them), less its
     known roots' positions even while their lanes step; the seeds are Newton
     lanes on the counter at once, so they polish in the calls of the counts
-    and lanes still going on.  Whenever no count is pending, the seeded
-    boxes are taken up once their lanes and their known lanes are in: one
-    whose distinct records, known ones and those polished inside it, meet
-    its count is closed with them (report.moment_boxes); else it splits,
-    with those records as its known ones, and below it only a lone unknown
-    root is seeded: a half holding both roots of a failed pair has their
-    moments, and its seeds would fail alike.  So a known lane that fails or
-    ends elsewhere costs a split, never a wrong record.  A box not seeded
-    waits while any of its known lanes still steps; then, when its count
-    equals its known roots, it is closed with them (report.matched_boxes).
+    and lanes still going on.  Every box is closed or split by one rule,
+    once its known lanes and its seed lanes have all ended: when its
+    distinct records inside it, the known ones and the seeds that landed in
+    it, meet its count, it is closed with them (report.moment_boxes if it
+    was seeded, else report.matched_boxes); else it splits, with those
+    records as its known ones.  Below a seeded box that splits, only a lone
+    unknown root is seeded: a half holding both roots of a failed pair has
+    their moments, and its seeds would fail alike.  So a known lane that
+    fails or ends elsewhere costs a split, never a wrong record.
 
-    Any other box splits its longer side at the fraction _SPLITS[0], not at
+    A box splits its longer side at the fraction _SPLITS[0], not at
     the centre: halving the symmetric conservative box would put an edge on
     Re lambda = 0, where every conservative root lies.  A known root goes to
     the first half when it lies inside it, else to the second, and a half
@@ -696,16 +698,15 @@ def _isolate(tickets, given, counter: _Counter, more=None):
     two records that coincide (see _refuse_coincident).
     """
     report, before = counter.report, len(counter.records)
-    counts, found, visited = [], [], {}
+    counts, found, visited, unseeded = [], [], {}, np.zeros(0, dtype=int)
     # pending: (box index, rect, count, lanes, moments, most unknown roots to
-    # seed); seeded: (pending entry, lanes); splits: (pending entry, index in
-    # _SPLITS, ticket)
-    pending, seeded, splits = [], [], []
+    # seed, seed lanes); splits: (pending entry, index in _SPLITS, ticket)
+    pending, splits = [], []
 
     def split(box, at: int = 0):
         splits.append((box, at, *counter.submit(_halves(box[1], _SPLITS[at])[:1], moments=True)))
 
-    while len(counts) < len(tickets) or pending or splits or seeded or more:
+    while len(counts) < len(tickets) or pending or splits or more:
         if more and not (counter.live["lane"] < before).any():
             (tickets, given), more = more(tickets, given), None
         while len(counts) < len(tickets) and tickets[len(counts)] in counter.outcomes:
@@ -714,29 +715,39 @@ def _isolate(tickets, given, counter: _Counter, more=None):
             counts.append(cnt)
             found.append([])
             if cnt:
-                pending.append((i, rect, cnt, given[i], counter.moments(ticket), 2))
+                pending.append((i, rect, cnt, given[i], counter.moments(ticket), 2, unseeded))
         pending, taken = [], pending
         for box in taken:
-            i, rect, cnt, lanes, moments, most = box
+            i, rect, cnt, lanes, moments, most, seeds = box
             visited[i] = visited.get(i, 0) + 1
             if visited[i] > 10000:
                 raise NoConvergence(f"subdivision of {counter.rects[tickets[i]]} exploded")
-            known = lanes[_distinct(counter.where(lanes), rect)]
-            if 0 < cnt - known.size <= most:
-                seeded.append((box, counter.newton(_moment_seeds(
-                    rect, moments, counter.where(known), cnt - known.size))))
-            elif any(counter.records[j] is None for j in lanes.tolist()):   # wait for them
-                pending.append(box)
-            elif cnt == known.size:
+            if not seeds.size:
+                known = lanes[_distinct(counter.where(lanes), rect)]
+                if 0 < cnt - known.size <= most:
+                    seeds = counter.newton(_moment_seeds(
+                        rect, moments, counter.where(known), cnt - known.size))
+                    box = (*box[:-1], seeds)
+            if any(counter.records[j] is None for j in lanes.tolist() + seeds.tolist()):
+                pending.append(box)     # wait for them
+                continue
+            if seeds.size:      # read again: known lanes' final records, seeds that landed
+                known = np.concatenate([lanes[_distinct(counter.where(lanes), rect)],
+                                        seeds[_inside(counter.where(seeds), rect)]])
+                known = known[_distinct(counter.where(known), rect)]
+            if known.size == cnt:
                 found[i] += known.tolist()
-                report.matched_boxes += 1
+                if seeds.size:
+                    report.moment_boxes += 1
+                else:
+                    report.matched_boxes += 1
             else:
-                split((i, rect, cnt, known, moments, most))
+                split((i, rect, cnt, known, moments, 1 if seeds.size else most, unseeded))
         ready = [s for s in splits if s[2] in counter.outcomes]
         if ready:
             splits = [s for s in splits if s[2] not in counter.outcomes]
             for box, at, ticket in ready:
-                i, rect, cnt, lanes, moments, most = box
+                i, rect, cnt, lanes, moments, most, _ = box
                 outcome = counter.outcomes[ticket]
                 if at + 1 < len(_SPLITS) and isinstance(outcome, Exception):
                     report.resplits += 1
@@ -753,24 +764,10 @@ def _isolate(tickets, given, counter: _Counter, more=None):
                 first_moments = counter.moments(ticket)
                 second_moments = _second_moments(rect, moments, first, first_moments, second)
                 in_first = _inside(counter.where(lanes), first)
-                pending += [(i, *half, most) for half in (
+                pending += [(i, *half, most, unseeded) for half in (
                     (first, first_cnt, lanes[in_first], first_moments),
                     (second, rest, lanes[~in_first], second_moments)) if half[1]]
-        elif seeded and not (splits or more) and len(counts) == len(tickets):  # lanes to wait for
-            for (i, rect, cnt, lanes, moments, most), new in seeded:
-                counter.records_of(np.concatenate([lanes, new]))
-                landed = new[_inside(counter.where(new), rect)]
-                report.newton_iterations += [(rec.lam, rec.iterations)
-                                             for rec in counter.records_of(landed)]
-                known = np.concatenate([lanes[_distinct(counter.where(lanes), rect)], landed])
-                known = known[_distinct(counter.where(known), rect)]
-                if known.size == cnt:
-                    found[i] += known.tolist()
-                    report.moment_boxes += 1
-                else:
-                    split((i, rect, cnt, known, moments, 1))
-            seeded = []
-        elif len(counts) < len(tickets) or pending or splits or seeded or more:
+        elif len(counts) < len(tickets) or pending or splits or more:
             counter.call()
     chosen = np.array([j for box in found for j in box], dtype=int)
     _refuse_coincident(counter.where(chosen), chosen < before)     # known: a given lane's

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,22 @@ def test_modes_json_holds_the_library_values(tmp_path, generic_file, params_gene
     assert len(entries) == len(expected) == 10
     for entry, want in zip(entries, expected):
         assert entry == want
+
+
+def test_modes_error_names_k_and_j(tmp_path, generic_file, capsys, monkeypatch):
+    # a k = 9, j = 2 root pushed off the spectrum: the error names its record
+    real = tipbeam.cli.family_roots
+
+    def shifted(p, ks, report=None):
+        recs = real(p, ks, report)
+        recs[3] = replace(recs[3], lam=recs[3].lam + 0.3j)
+        return recs
+
+    monkeypatch.setattr(tipbeam.cli, "family_roots", shifted)
+    rc = main(["modes", "--params", str(generic_file), "--kmax", "10", "--out", str(tmp_path)])
+    err = json.loads(capsys.readouterr().out)
+    assert rc == 1 and err["error"] == "NotAnEigenvalue" and err["command"] == "modes"
+    assert err["message"].startswith("family 2 at k = 9: ")
 
 
 def test_riesz_csv_columns(tmp_path, generic_file):

@@ -194,7 +194,7 @@ def test_mode_residuals_match_field_by_field(params_generic, mode12):
     # separate evaluations: the residuals agree to rounding of their
     # largest term (measured: 1.15 eps at k = 8..100)
     p = params_generic
-    batch = _family_modes(p, range(8, 101))
+    batch = _family_modes(family_roots(p, range(8, 101)), p)
     for modes in (mode12, batch):
         want, size = _residuals_by_field(modes, p)
         got = mode_residuals(modes, p)
@@ -222,7 +222,7 @@ def test_norm_positive_and_normalized(params_generic, mode12):
     assert abs(g.imag) <= 1e-12
     assert g.real > 0.0
     assert abs(g - 1.0) <= 1e-10
-    modes = _family_modes(params_generic, range(8, 301))
+    modes = _family_modes(family_roots(params_generic, range(8, 301)), params_generic)
     assert modes.lam.shape == (586,)
     assert np.max(np.abs(gram_inner_product(modes, modes, params_generic) - 1.0)) <= 1e-12
 
@@ -362,6 +362,6 @@ def test_riesz_refuses_a_conservative_beam(params_conservative):
 def test_gram_condition_near_orthonormal(params_generic):
     # the Gram of 16 family modes, as the README's library example builds it
     p = params_generic
-    modes = _family_modes(p, range(K_MIN, K_MIN + 8))
+    modes = _family_modes(family_roots(p, range(K_MIN, K_MIN + 8)), p)
     cond = np.linalg.cond(gram_inner_product(modes[:, None], modes[None, :], p))
     assert 1.0 <= cond <= 10.0

@@ -1208,6 +1208,31 @@ def test_derived_boxes_on_the_lattice_set():
     assert derived > 80
 
 
+_PINNED_KEYS = ("boxes", "newton_iterations", "resplits", "derived_boxes", "matched_boxes",
+                "band_boxes", "moment_boxes", "contour_points", "evaluation_calls",
+                "contour_rounds", "newton_calls", "newton_rounds", "global_count",
+                "global_points")
+
+
+@pytest.mark.parametrize("args, k_max, values", [
+    ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 60,
+     (74, 2053, 0, 10, 0, 0, 63, 5406, 54, 45, 243, 47, 123, 1151)),
+    ((1.0, (20.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0), 30,
+     (80, 403, 0, 28, 0, 0, 41, 3974, 52, 41, 122, 37, 60, 844)),
+    ((1.0, (20.5 * math.pi) ** 2, 1.0, 2.0, 3.0, 1.0), 30,
+     (72, 392, 0, 24, 0, 0, 40, 4533, 74, 69, 120, 53, 60, 840)),
+    ((1.0, (8.5 * math.pi) ** 2, 1.0, 2.0, 3.0, 1.0), 24,
+     (36, 336, 0, 9, 2, 0, 24, 2676, 54, 43, 88, 41, 51, 596)),
+    ((1.0, (8.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0), 24,
+     (54, 344, 0, 18, 2, 0, 25, 2777, 71, 50, 90, 37, 51, 608))],
+    ids=["lattice", "large-b", "large-b-damped", "sqrt-b-8.5-damped", "sqrt-b-8.5"])
+def test_search_counts_are_pinned(args, k_max, values):
+    # the whole stats dict of five strips that subdivide, pinned exactly, so
+    # that any change in the search's effort shows up as a changed number
+    _, report = spectrum_in_strip(validate_params(*args), k_max)
+    assert report.stats == dict(zip(_PINNED_KEYS, values))
+
+
 def _isolated_boxes(boxes, counter):
     """_isolate on the (rect, known records) boxes, submitted to counter with
     moments, each box's known records given as lanes of counter that ended
@@ -1561,34 +1586,37 @@ def test_strip_bookkeeping_matches_the_per_record_forms(args, k_max):
         _assert_bookkeeping_matches(recs, known, rect)
 
 
-def test_sweep_closes_on_the_final_records_of_its_known_lanes(params_conservative, monkeypatch):
-    # the conservative sweep's count is in while its known lanes still step,
-    # and its moment seeds start from their iterates.  Here the lane of
-    # (k, j) = (1, 2) then goes flat, on the call after the seeds started,
-    # before it converged: it fails, so its root is not a known one after
-    # all.  The sweep must not close on the known roots it was seeded with:
-    # it splits, locates that root, and the strip is still certified
-    p = params_conservative
+def _assert_sweep_waits_for_a_failing_lane(p, monkeypatch, calls: int):
+    """spectrum_in_strip(p, 50) where the lane of (k, j) = (1, 2) fails on the
+    `calls`-th evaluation call after the sweep's moment seeds started, before
+    it converged: on the calls before, F is replaced, at the points within
+    1e-6 of its root, so that its step is 1e-9 to and fro, and on that call
+    F' is 0 there, so it goes flat.  The strip must still be certified, with
+    the records of the strip left alone."""
     clean, clean_report = spectrum_in_strip(p, 50)
     assert clean_report.derived_boxes == 0
     root = family_roots(p, 1)[1].lam
-    seeded_at, calls, hits = [], [], []
+    seeded_at, calls_made, hits = [], [], []
     real_seeds, real_beam = tipbeam.spectrum._moment_seeds, tipbeam.spectrum._beam
 
     def seeds(*args):
-        seeded_at.append(len(calls))
+        seeded_at.append(len(calls_made))
         return real_seeds(*args)
 
     def beam(p):
         evaluate = real_beam(p)
 
         def scripted(z):
-            calls.append(z.size)
+            calls_made.append(z.size)
             f, d, fval = evaluate(z)
-            if seeded_at and len(calls) == seeded_at[0] + 1:
+            after = len(calls_made) - seeded_at[0] if seeded_at else 0
+            if 0 < after <= calls:
                 near = np.abs(z - root) < 1e-6
                 hits.append(int(near.sum()))
-                d = np.where(near, 0.0, d)
+                if after < calls:
+                    f = np.where(near, (-1) ** after * 1e-9 * d, f)
+                else:
+                    d = np.where(near, 0.0, d)
             return f, d, fval
 
         return scripted
@@ -1596,8 +1624,26 @@ def test_sweep_closes_on_the_final_records_of_its_known_lanes(params_conservativ
     monkeypatch.setattr(tipbeam.spectrum, "_moment_seeds", seeds)
     monkeypatch.setattr(tipbeam.spectrum, "_beam", beam)
     recs, report = spectrum_in_strip(p, 50)
-    assert seeded_at[0] == 5 and hits == [1]
+    assert seeded_at[0] == 5 and hits == [1] * calls
     assert report.incomplete_boxes == [] and report.derived_boxes > 0
     assert len(recs) == len(clean)
     for rec in clean:
         assert min(abs(r.lam - rec.lam) for r in recs) <= 1e-12 * max(1.0, abs(rec.lam))
+
+
+def test_sweep_closes_on_the_final_records_of_its_known_lanes(params_conservative, monkeypatch):
+    # the conservative sweep's count is in while its known lanes still step,
+    # and its moment seeds start from their iterates.  Here the lane of
+    # (k, j) = (1, 2) then goes flat, on the call after the seeds started,
+    # before it converged: it fails, so its root is not a known one after
+    # all.  The sweep must not close on the known roots it was seeded with:
+    # it splits, locates that root, and the strip is still certified
+    _assert_sweep_waits_for_a_failing_lane(params_conservative, monkeypatch, 1)
+
+
+def test_sweep_waits_for_a_known_lane_that_outlasts_its_seeds(params_conservative,
+                                                              monkeypatch):
+    # as above, but the lane of (1, 2) steps to and fro for 19 calls and
+    # fails on the 20th, long after the sweep's seeds ended: the sweep must
+    # not close on that lane's iterate, but wait for its end
+    _assert_sweep_waits_for_a_failing_lane(params_conservative, monkeypatch, 20)
