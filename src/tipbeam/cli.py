@@ -137,10 +137,6 @@ def _g6(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _pairs(z: np.ndarray) -> list:
     """Nested [re, im] lists of a complex array, as Python floats."""
     return np.stack([z.real, z.imag], -1).tolist()
@@ -240,12 +236,13 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
     _write_csv(csv_path, cfg, ["k", "j", "re", "im", "residual", "multiplicity"],
                "%s,%s,%.17g,%.17g,%.17g,1", rows)
 
+    # the rects hold Python floats and the lambdas are Python complex numbers:
+    # no numpy scalar is converted per element
     report_payload = {
         "k0_effective": report.k0_effective,
         "eigenvalue_count": len(records),
-        "boxes": [{"rect": [float(v) for v in rect], "winding": int(w)}
-                  for rect, w in report.boxes],
-        "newton": [{"lambda": _pair(lam), "iterations": int(it)}
+        "boxes": [{"rect": list(rect), "winding": int(w)} for rect, w in report.boxes],
+        "newton": [{"lambda": [lam.real, lam.imag], "iterations": int(it)}
                    for lam, it in report.newton_iterations],
         "incomplete_boxes": [
             {"rect": [float(v) for v in rect], "winding": None if w is None else int(w),

@@ -60,25 +60,29 @@ another fraction: the split line moves, and the halves still tile the
 parent.
 
 Counting and Newton share one evaluation loop.  A search submits all its
-boxes and its Newton lanes to one counter, which keeps one table of the
-intervals still too coarse, over all boxes.  Each call of the
-characteristic function takes every live lane and new samples up to
-_CHUNK = 1024 points in all, those of the most recently submitted boxes
-first, which keeps the working set small; every lane takes one Newton
-step, and every interval the call completes is checked in one vectorised
-pass.  Whether an interval is halved depends on its two ends alone, so
-per counted box the samples, and so the counts, are those of counting the
-box alone, in any batch and at any _CHUNK; a lane's arithmetic does not
-depend on the other points of its call either.  The union of the strip
-and the sweep count while the lanes of k = 1 .. k_max polish, the union
-goes on while the sweep and the odd frequency boxes subdivide, a box's
-first half starts as soon as its own count is in, and moment seeds polish
-while counts go on; a lane stops polishing once its step is at the
-rounding floor.  The sweep is taken up as soon as its count is in: its
-moment seeds start from the current positions of its known lanes, ended
-or still stepping, and polish beside them, and it closes only on their
-final records.  So the k <= 200 strip takes 29 calls and the
-conservative k <= 50 strip 11.
+boxes and its Newton lanes to one counter.  The counter keeps the
+intervals still too coarse, over all boxes, in one table written at a
+cursor and compacted in place; the lanes still stepping in another; and
+the position of every lane in one array, its iterate while it steps and
+its record's lambda once it ended, which the search reads to seed and
+close its boxes.
+Each call of the characteristic function takes every live lane and new
+samples up to _CHUNK = 1024 points in all, those of the most recently
+submitted boxes first, which keeps the working set small; every lane
+takes one Newton step, and every interval the call completes is checked
+in one vectorised pass.  Whether an interval is halved depends on its two
+ends alone, so per counted box the samples, and so the counts, are those
+of counting the box alone, in any batch and at any _CHUNK; a lane's
+arithmetic does not depend on the other points of its call either.  The
+union of the strip and the sweep count while the lanes of k = 1 .. k_max
+polish, the union goes on while the sweep and the odd frequency boxes
+subdivide, a box's first half starts as soon as its own count is in, and
+moment seeds polish while counts go on; a lane stops polishing once its
+step is at the rounding floor.  The sweep is taken up as soon as its
+count is in: its moment seeds start from the current positions of its
+known lanes, ended or still stepping, and polish beside them, and it
+closes only on their final records.  So the k <= 200 strip takes 29
+calls and the conservative k <= 50 strip 11.
 """
 
 from __future__ import annotations
@@ -187,32 +191,43 @@ def _centre(rect) -> complex:
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """a with zero rows appended up to size."""
-    return np.concatenate([a, np.zeros((size - len(a),) + a.shape[1:], a.dtype)])
+    """a with zero columns (its last axis) appended up to size."""
+    return np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],), a.dtype)], axis=-1)
 
 
 class _Counter:
     """Winding counts of many boxes, and Newton lanes, that share their evaluation calls.
 
-    Boxes join with `submit`, lanes with `newton`.  One table holds the
-    coarse intervals of all boxes still counting, with z, F and |F'/F| at
-    both ends; the midpoint of each is a sample still to evaluate.  Each
-    call evaluates every live lane and, beside them, samples up to _CHUNK
-    points in all, those of the most recently submitted boxes first, so a
-    subdivision goes ahead of boxes still counting in the background: whole
-    initial rings of boxes just submitted, and queued midpoints.  Lanes are
-    never split, so a call takes at most max(_CHUNK, live lanes) points; one
-    with no lane takes the newest ring or midpoint even when that alone
-    exceeds _CHUNK, so counting always goes on.  Each lane takes one Newton
-    step (see `newton`).  Every interval the call completes is checked at
-    once: a fine one adds its phase increment to its box and is dropped, a
-    coarse one queues its midpoint.  Whether an interval is split depends on
-    its two ends alone, so each box gets the samples, and the count, of
-    counting it alone, whatever the batch or _CHUNK.  A box with nothing
-    queued is resolved: counted on the rect it was submitted with, or
-    refused with a BoundaryTooCloseToRoot naming it, without raising for the
-    others.  A box submitted to take moments also sums, over the same fine
-    intervals, its low moments (see `moments`).
+    Boxes join with `submit`, lanes with `newton`.  The coarse intervals of
+    all boxes still counting, with z, F and |F'/F| at both ends and the
+    ticket that owns each, are the first `queued` columns of one table
+    (`queued` is its write cursor), in the order they were found; the
+    midpoint of each is a sample still to evaluate.  The table is kept from call to call and only
+    grows, to fit.  Each call evaluates every live lane and, beside them,
+    samples up to _CHUNK points in all, those of the most recently
+    submitted boxes first, so a subdivision goes ahead of boxes still
+    counting in the background: whole initial rings of boxes just
+    submitted, and queued midpoints.  A call that takes every queued
+    midpoint moves the cursor back to 0; one that takes some moves those
+    past the cursor, and the rest up to the start of the table, in order.
+    Lanes are never split, so a call takes at most max(_CHUNK, live lanes)
+    points; one with no lane takes the newest ring or midpoint even when
+    that alone exceeds _CHUNK, so counting always goes on.  Each lane takes
+    one Newton step (see `newton`).  Every interval the call completes is
+    checked at once: a fine one adds its phase increment to its box and is
+    dropped, a coarse one is written at the cursor.  Whether an interval is
+    split depends on its two ends alone, so each box gets the samples, and
+    the count, of counting it alone, whatever the batch or _CHUNK.  A box
+    with nothing queued is resolved: counted on the rect it was submitted
+    with, or refused with a BoundaryTooCloseToRoot naming it, without
+    raising for the others; a refused box's intervals leave the table.  A
+    box submitted to take moments also sums, over the same fine intervals,
+    its low moments (see `moments`).
+
+    The lanes still stepping are one table, a column per field of _LANE,
+    in the order they started; a lane that ends leaves it.  Beside it the
+    counter keeps the position of every lane, one array that `newton`
+    starts at the seed and each Newton step updates (see `where`).
     """
 
     def __init__(self, evaluate: Callable, report: RootSearchReport):
@@ -223,12 +238,14 @@ class _Counter:
         self.turns = np.zeros(0)                # per ticket, the increments of its fine intervals
         self.samples = np.zeros(0, dtype=int)   # per ticket, its samples evaluated
         self.budget = np.zeros(0, dtype=int)    # per ticket, the samples it may take
-        self.slot = np.zeros(0, dtype=int)      # per ticket, its row below, or -1 without moments
-        self.centre = np.zeros(0, dtype=complex)      # per box taking moments, its rect's centre
-        self.sums = np.zeros((0, 3), dtype=complex)   # per box taking moments, 2 pi i times them
-        self.owner = np.zeros(0, dtype=int)     # per queued interval, its ticket
-        self.queue = np.zeros((6, 0), dtype=complex)   # columns: z, F, |F'/F| at both ends
+        self.taking = np.zeros(0, dtype=bool)   # per ticket, whether it takes moments
+        self.centre = np.zeros(0, dtype=complex)      # per ticket, its rect's centre
+        self.sums = np.zeros((3, 0), dtype=complex)   # per ticket taking moments, 2 pi i times them
+        self.queue = np.zeros((6, 0), dtype=complex)  # per coarse interval: z, F, |F'/F|, both ends
+        self.owner = np.zeros(0, dtype=int)     # per coarse interval, its ticket
+        self.queued = 0       # the table's columns in use
         self.records = []     # per lane, its EigenvalueRecord or the error that ended it, or None
+        self.at = np.zeros(0, dtype=complex)    # per lane, its position
         self.live = {name: np.zeros(0, _LANE[name]) for name in _LANE.names}   # lanes stepping
 
     def submit(self, rects, moments: bool = False) -> list:
@@ -239,16 +256,13 @@ class _Counter:
             self.fresh.append(t)
             self.rects.append(rect)
             if t == self.turns.size:
-                self.turns, self.samples, self.budget, self.slot = (
-                    _grown(a, 2 * t + len(rects))
-                    for a in (self.turns, self.samples, self.budget, self.slot))
+                self.turns, self.samples, self.budget, self.taking, self.centre, self.sums = (
+                    _grown(a, 2 * t + len(rects)) for a in
+                    (self.turns, self.samples, self.budget, self.taking, self.centre, self.sums))
             perimeter = 2.0 * (rect[1] - rect[0] + rect[3] - rect[2])
             self.budget[t] = (max(_SAMPLE_BUDGET, int(_SAMPLES_PER_LENGTH * perimeter))
                               if math.isfinite(perimeter) else _SAMPLE_BUDGET)
-            self.slot[t] = self.centre.size if moments else -1
-            if moments:
-                self.centre = np.append(self.centre, _centre(rect))
-                self.sums = _grown(self.sums, self.centre.size)
+            self.taking[t], self.centre[t] = moments, _centre(rect)
         return list(range(first, len(self.rects)))
 
     def newton(self, seeds) -> np.ndarray:
@@ -278,6 +292,7 @@ class _Counter:
         lanes["seed"] = lanes["lam"] = np.ravel(seeds)
         lanes["best_res"], lanes["moved"], lanes["conv"] = np.inf, np.inf, -1
         self.live = {name: np.concatenate([a, lanes[name]]) for name, a in self.live.items()}
+        self.at = np.concatenate([self.at, lanes["seed"]])
         self.records += [None] * lanes.size
         self.report.newton_calls += lanes.size
         return lanes["lane"]
@@ -291,7 +306,7 @@ class _Counter:
         analytic function, 1967), on the samples of the count: the sum over
         its fine intervals of (m - c)^q log(F_b / F_a), m the midpoint.
         """
-        return self.sums[self.slot[ticket]] / (2j * math.pi)
+        return self.sums[:, ticket] / (2j * math.pi)
 
     def outcomes_of(self, tickets) -> list:
         """The outcomes of the tickets, in order, once all are resolved."""
@@ -306,11 +321,10 @@ class _Counter:
         return [self.records[i] for i in lanes]
 
     def where(self, lanes: np.ndarray) -> np.ndarray:
-        """The position of each lane, shaped like lanes: its record's lambda
-        once it ended with one, its iterate while it steps, NaN if it failed."""
-        stepping = dict(zip(self.live["lane"].tolist(), self.live["lam"].tolist()))
-        return np.array([stepping.get(i, getattr(self.records[i], "lam", np.nan))
-                         for i in lanes.ravel().tolist()], dtype=complex).reshape(lanes.shape)
+        """The position of each lane of the int array lanes, shaped like it:
+        its record's lambda once it ended with one, its iterate while it
+        steps, NaN if it failed."""
+        return self.at[lanes]
 
     def call(self):
         """One evaluation of the live lanes and at most _CHUNK points in all,
@@ -322,22 +336,21 @@ class _Counter:
         samples and queued midpoints exceed its budget: _SAMPLE_BUDGET, or
         _SAMPLES_PER_LENGTH per unit of its perimeter if that is more.
         """
-        ring, lam, lanes = 4 * _EDGE_POINTS, self.live["lam"], self.live["lam"].size
-        if ring * len(self.fresh) + self.owner.size <= max(_CHUNK - lanes, 0):
-            rings, split, owner = self.fresh, self.queue, self.owner
-            self.fresh, self.queue, self.owner = [], self.queue[:, :0], self.owner[:0]
+        ring, lam, lanes, n = 4 * _EDGE_POINTS, self.live["lam"], self.live["lam"].size, self.queued
+        if ring * len(self.fresh) + n <= max(_CHUNK - lanes, 0):
+            rings, self.fresh, self.queued = self.fresh, [], 0
         else:
             fresh = np.array(self.fresh, dtype=int)
-            units = np.argsort(-np.concatenate([fresh, self.owner]), kind="stable")
+            units = np.argsort(-np.concatenate([fresh, self.owner[:n]]), kind="stable")
             taken = np.cumsum(np.where(units < fresh.size, ring, 1)) <= _CHUNK - lanes
             taken[0] |= not lanes      # without lanes, the newest unit however large
             units = units[taken]
             rings = fresh[units[units < fresh.size]].tolist()
             mids = units[units >= fresh.size] - fresh.size
             del self.fresh[len(self.fresh) - len(rings):]     # the newest are taken
-            split, owner = self.queue[:, mids], self.owner[mids]
-            self.queue = np.delete(self.queue, mids, axis=1)
-            self.owner = np.delete(self.owner, mids)
+            self._keep(np.flatnonzero(np.bincount(mids, minlength=n) == 0), mids)
+        # the midpoints taken, past the cursor: read before the table is written
+        split, owner = self.queue[:, self.queued:n], self.owner[self.queued:n]
 
         z = lam if not (rings or owner.size) else np.concatenate(
             [_rings([self.rects[t] for t in rings]), 0.5 * (split[0] + split[3]), lam])
@@ -352,10 +365,10 @@ class _Counter:
         self.report.contour_rounds += 1
         z, f, d = z[:m], f[:m], d[:m]
 
-        on_ring = np.repeat(np.array(rings, dtype=int), ring)
+        on_ring = np.array(rings, dtype=int).repeat(ring)
         sampled = np.concatenate([on_ring, owner])
         refused = {}
-        for i in np.flatnonzero(f == 0):
+        for i in (f == 0).nonzero()[0]:
             refused.setdefault(int(sampled[i]), f"passes through a zero of F at {complex(z[i])}")
         f = np.where(f == 0, 1.0, f)      # such a box is refused; this spares the division
 
@@ -370,13 +383,17 @@ class _Counter:
             np.concatenate([closed[:, :, :-1], closed[:, :, 1:]]).reshape(6, -1),
             np.concatenate([split[:3], mid, mid, split[3:]]).reshape(2, 6, -1)
             .transpose(1, 2, 0).reshape(6, -1)], axis=1)
-        box = np.concatenate([on_ring, np.repeat(owner, 2)])
+        box = np.concatenate([on_ring, owner.repeat(2)])
         za, fa, sa, zb, fb, sb = ends
         turn = np.angle(fb / fa)
         bound = np.maximum(sa.real, sb.real) * np.abs(zb - za)
         is_coarse = np.fmax(np.abs(turn), bound) > _MAX_TURN     # fmax skips a NaN
         coarse = is_coarse.nonzero()[0]
-        new = ends.take(coarse, axis=1)
+        n, c = self.queued, self.queued + coarse.size       # the columns they go to
+        if c > self.owner.size:       # the table grows to fit
+            self.queue, self.owner = _grown(self.queue[:, :n], c), _grown(self.owner[:n], c)
+        new, self.owner[n:c], self.queued = ends.take(coarse, axis=1), box.take(coarse), c
+        self.queue[:, n:c] = new
         halfway = 0.5 * (new[0] + new[3])
         stuck = ((halfway == new[0]) | (halfway == new[3])).nonzero()[0]
         for i in stuck:
@@ -385,64 +402,73 @@ class _Counter:
 
         turn[coarse] = 0.0      # only fine intervals add their increment
         self.turns += np.bincount(box, turn, self.turns.size)
-        slot = self.slot[box]
-        fine = (~is_coarse & (slot >= 0)).nonzero()[0]    # of the boxes taking moments
-        slot = slot[fine]
-        m = 0.5 * (za[fine] + zb[fine]) - self.centre[slot]
-        log = np.log(fb[fine] / fa[fine])
-        np.add.at(self.sums, slot, (log * m ** np.arange(3)[:, None]).T)
+        fine = (~is_coarse & self.taking[box]).nonzero()[0]    # of the boxes taking moments
+        fine_box, (za, fa, _, zb, fb, _) = box.take(fine), ends.take(fine, axis=1)
+        mid = 0.5 * (za + zb) - self.centre[fine_box]
+        np.add.at(self.sums.T, fine_box, (np.log(fb / fa) * mid ** np.arange(3)[:, None]).T)
         count = np.bincount(sampled, minlength=self.samples.size)
         self.samples += count
+        # the tickets the call sampled, and the midpoints each has in the table
         touched = count.nonzero()[0]
-        self.queue = np.concatenate([self.queue, new], axis=1)
-        self.owner = np.concatenate([self.owner, box.take(coarse)])
-        queued = np.bincount(self.owner, minlength=len(self.rects))[touched]
-        for t in touched[self.samples[touched] + queued > self.budget[touched]]:
-            refused.setdefault(int(t), f"needs over {self.budget[t]} samples")
-        resolved = queued == 0
+        queued = np.bincount(self.owner[:self.queued], minlength=count.size)[touched]
+        for t in touched[self.samples[touched] + queued > self.budget[touched]].tolist():
+            refused.setdefault(t, f"needs over {self.budget[t]} samples")
+        resolved = touched[queued == 0]
         if refused:
-            live = ~np.isin(self.owner, list(refused))
-            self.queue, self.owner = self.queue[:, live], self.owner[live]
+            self._keep(np.flatnonzero(~np.isin(self.owner[:self.queued], list(refused))), [])
             for t, reason in refused.items():
                 self.outcomes[t] = BoundaryTooCloseToRoot(f"boundary of {self.rects[t]} {reason}")
-            resolved &= ~np.isin(touched, list(refused))
-        for t in touched[resolved].tolist():
+            resolved = resolved[~np.isin(resolved, list(refused))]
+        for t in resolved.tolist():
             self.outcomes[t] = self._count(t)
+
+    def _keep(self, kept, taken):
+        """Move the queued intervals at the indices kept to the start of the
+        table, in order, and those at taken after them, past the cursor."""
+        order = np.concatenate([kept, taken]).astype(int)
+        self.queue[:, :order.size] = self.queue.take(order, axis=1)
+        self.owner[:order.size], self.queued = self.owner.take(order), kept.size
 
     def _step(self, surrogate, slope, fval):
         """One Newton step of each live lane from its iterate, where F, F' and
-        f are given; a lane that ends leaves its record or error."""
+        f are given, which moves its position; a lane that ends leaves its
+        record or error, and its position is then the record's lambda or
+        NaN."""
         lane, seeds, z, best, best_res, moved, its, conv = self.live.values()
         residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
         polishing = conv >= 0        # the extra steps keep strict drops only
         keep = np.where(polishing, residual < best_res, moved <= 1e-12 * scale)
-        np.copyto(conv, its, where=keep & ~polishing)
+        np.copyto(conv, its, where=keep > polishing)
         np.copyto(best, z, where=keep)
         np.copyto(best_res, residual, where=keep)
-        found = conv >= 0
-        # a step at the rounding level of its iterate leaves nothing to polish
-        done = found & (moved <= _FLOOR * scale) | polishing & (~keep | (its == conv + 3))
-        stuck = ~found & (its == 50)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = surrogate / slope
+        flat = slope == 0         # such a lane ends; this spares the division
+        delta = surrogate / np.where(flat, 1.0, slope)
         new = z - delta
-        go = ~(done | stuck | (slope == 0) | (np.abs(new - seeds) > 0.5))
+        # a lane ends on a step at the rounding level of its iterate, which
+        # converged (_FLOOR < 1e-12), on a polishing step that does not lower
+        # |f|, 3 steps past convergence or 50 without it, flat, or astray
+        go = ~((moved <= _FLOOR * scale) | (polishing > keep) | flat
+               | (its == np.where(conv >= 0, conv + 3, 50)) | (np.abs(new - seeds) > 0.5))
         self.live.update(lam=new, moved=np.abs(delta), its=its + 1)
+        self.at[lane] = new
         if go.all():
             return
-        # a converged lane that goes flat or leaves its basin keeps its record;
-        # records are built from whole arrays, not one numpy scalar at a time
-        ended = np.flatnonzero(~go & found)
-        for i, lam, res, steps in zip(lane[ended].tolist(), best[ended].tolist(),
-                                      best_res[ended].tolist(), conv[ended].tolist()):
-            self.records[i] = EigenvalueRecord(lam, None, None, res, steps)
-            self.report.newton_iterations.append((lam, steps))
-        for j in np.flatnonzero(~go & ~found):
+        found, stop = conv >= 0, ~go
+        # a converged lane that goes flat or leaves its basin keeps its
+        # record; records are built from whole arrays, not one numpy scalar
+        # at a time
+        self.at[lane[stop]] = np.where(found[stop], best[stop], np.nan)
+        ended = (stop & found).nonzero()[0]
+        lams, steps = best[ended].tolist(), conv[ended].tolist()
+        for i, lam, res, n in zip(lane[ended].tolist(), lams, best_res[ended].tolist(), steps):
+            self.records[i] = EigenvalueRecord(lam, None, None, res, n)
+        self.report.newton_iterations += zip(lams, steps)
+        for j in (stop > found).nonzero()[0]:
             self.records[lane[j]] = (
                 NoConvergence(f"Newton did not converge from seed {complex(seeds[j])}")
-                if stuck[j] else NoConvergence(f"flat surrogate at {complex(z[j])}")
-                if slope[j] == 0 else BasinEscape(f"iterate {complex(new[j])} left the basin "
-                                                  f"of seed {complex(seeds[j])}"))
+                if its[j] == 50 else NoConvergence(f"flat surrogate at {complex(z[j])}")
+                if flat[j] else BasinEscape(f"iterate {complex(new[j])} left the basin "
+                                            f"of seed {complex(seeds[j])}"))
         self.live = {name: a[go] for name, a in self.live.items()}
 
     def _count(self, ticket: int):
@@ -495,8 +521,7 @@ def _families(counter: _Counter, ks, lanes):
     None, in (k, family) order.  The lanes logged their records to report
     as they ended (see _Counter.newton)."""
     recs, failure = [], None
-    for i, rec in enumerate(counter.records_of(lanes)):
-        kk, j = int(ks[i // 2]), i % 2 + 1
+    for rec, kk, j in zip(counter.records_of(lanes), np.repeat(ks, 2).tolist(), [1, 2] * len(ks)):
         if isinstance(rec, Exception):
             failure = failure or type(rec)(f"family {j} at k = {kk}: {rec}")
             continue
@@ -869,7 +894,8 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
         chosen += box
     failed_k = [ks[i] for i, box in zip(counted, found) if len(box) < 2]
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
-    _refuse_coincident(counter.where(np.array(chosen)), np.array(chosen) < lanes.size)
+    chosen = np.array(chosen, dtype=int)
+    _refuse_coincident(counter.where(chosen), chosen < lanes.size)
     records = counter.records_of(chosen)
 
     # conjugate closure: below Im = -outer[2] the sweep holds both members

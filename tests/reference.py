@@ -22,7 +22,8 @@ No command runs these, so they live with the tests:
 - the strip's bookkeeping one record at a time (coincidence, distinct
   records, records inside a rect, the sort key of the records, the refusal
   of coinciding records and the sweep's family labels), the oracles for the
-  array forms in `spectrum`.
+  array forms in `spectrum`, and a lane's position read from the counter's
+  live lanes and records, the oracle for `spectrum._Counter.where`.
 """
 
 from __future__ import annotations
@@ -454,3 +455,12 @@ def label_low_frequency(records, preds):
             i = int(np.argmin(np.abs(preds - rec.lam)))
             if abs(preds[i] - rec.lam) < 0.5:
                 rec.family = i % 2 + 1
+
+
+def lane_positions(counter, lanes: np.ndarray) -> np.ndarray:
+    """The position of each lane of counter, shaped like lanes, from its live
+    lanes and its records: the iterate of a lane still stepping, else its
+    record's lambda, else NaN (it failed)."""
+    stepping = dict(zip(counter.live["lane"].tolist(), counter.live["lam"].tolist()))
+    return np.array([stepping.get(i, getattr(counter.records[i], "lam", np.nan))
+                     for i in lanes.ravel().tolist()], dtype=complex).reshape(lanes.shape)

@@ -1215,6 +1215,10 @@ _PINNED_KEYS = ("boxes", "newton_iterations", "resplits", "derived_boxes", "matc
 
 
 @pytest.mark.parametrize("args, k_max, values", [
+    ((1.0, 2.0, 1.0, 2.0, 3.0, 2.0), 200,
+     (204, 969, 0, 5, 2, 193, 3, 837, 29, 24, 404, 14, 403, 4146)),
+    ((1.0, 2.0, 1.0, 0.0, 3.0, 0.0), 50,
+     (44, 301, 0, 0, 0, 43, 1, 248, 11, 6, 102, 11, 102, 1056)),
     ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 60,
      (74, 2053, 0, 10, 0, 0, 63, 5406, 54, 45, 243, 47, 123, 1151)),
     ((1.0, (20.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0), 30,
@@ -1225,22 +1229,90 @@ _PINNED_KEYS = ("boxes", "newton_iterations", "resplits", "derived_boxes", "matc
      (36, 336, 0, 9, 2, 0, 24, 2676, 54, 43, 88, 41, 51, 596)),
     ((1.0, (8.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0), 24,
      (54, 344, 0, 18, 2, 0, 25, 2777, 71, 50, 90, 37, 51, 608))],
-    ids=["lattice", "large-b", "large-b-damped", "sqrt-b-8.5-damped", "sqrt-b-8.5"])
+    ids=["benchmark-generic", "benchmark-conservative", "lattice", "large-b", "large-b-damped",
+         "sqrt-b-8.5-damped", "sqrt-b-8.5"])
 def test_search_counts_are_pinned(args, k_max, values):
-    # the whole stats dict of five strips that subdivide, pinned exactly, so
-    # that any change in the search's effort shows up as a changed number
+    # the whole stats dict of the benchmark's two strips and of five strips
+    # that subdivide, pinned exactly, so that any change in the search's
+    # effort shows up as a changed number
     _, report = spectrum_in_strip(validate_params(*args), k_max)
     assert report.stats == dict(zip(_PINNED_KEYS, values))
+
+
+def test_family_roots_counts_are_pinned(params_generic):
+    # the lanes of the `riesz` and `modes` commands: 586 lanes in 5 calls
+    report = RootSearchReport()
+    family_roots(params_generic, range(8, 301), report)
+    assert (report.evaluation_calls, report.newton_calls, report.stats["newton_iterations"]) == (
+        5, 586, 1298)
+
+
+def _assert_positions_match_the_records(run, monkeypatch):
+    """run() with every evaluation call of every counter it makes, and the
+    end of every _isolate pass, checking the counter's positions of all its
+    lanes against reference.lane_positions, bit for bit; the number of
+    lanes at each check."""
+    checks = []
+    real_init, real_isolate = tipbeam.spectrum._Counter.__init__, tipbeam.spectrum._isolate
+
+    def check(counter):
+        lanes = np.arange(len(counter.records))
+        assert counter.where(lanes).tobytes() == reference.lane_positions(counter, lanes).tobytes()
+        checks.append(lanes.size)
+
+    def init(counter, evaluate, report):
+        real_init(counter, lambda z: check(counter) or evaluate(z), report)
+
+    def isolate(tickets, given, counter, more=None):
+        found = real_isolate(tickets, given, counter, more)
+        check(counter)
+        return found
+
+    monkeypatch.setattr(tipbeam.spectrum._Counter, "__init__", init)
+    monkeypatch.setattr(tipbeam.spectrum, "_isolate", isolate)
+    run()
+    return checks
+
+
+@pytest.mark.parametrize("args, k_max, calls", [
+    ((1.0, 2.0, 1.0, 0.0, 3.0, 0.0), 50, 11),
+    ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 28, 52)],
+    ids=["conservative", "lattice"])
+def test_lane_positions_match_the_records(args, k_max, calls, monkeypatch):
+    # the counter keeps each lane's position in an array: its iterate while
+    # it steps, its record's lambda once it ended with one, NaN if it failed.
+    # At every evaluation call of the strip, and at its end, it must equal
+    # what the live lanes and the records say
+    checks = _assert_positions_match_the_records(
+        lambda: spectrum_in_strip(validate_params(*args), k_max), monkeypatch)
+    assert len(checks) == calls + 1 and max(checks) > 0
+
+
+def test_lane_positions_of_given_records(monkeypatch):
+    # lanes given as records that never stepped, beside lanes seeded from
+    # the box's moments, as _isolated_boxes builds them
+    roots = [0.3 + 0.2j, -0.4 - 0.5j, -0.6 + 0.55j]
+    known = [EigenvalueRecord(-0.6 + 0.55j, None, None, 0.0)]
+
+    def run():
+        counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots] + _OUTSIDE),
+                                            RootSearchReport())
+        _isolated_boxes([(_UNIT, known)], counter)
+
+    checks = _assert_positions_match_the_records(run, monkeypatch)
+    assert len(checks) > 2 and checks[-1] == 3
 
 
 def _isolated_boxes(boxes, counter):
     """_isolate on the (rect, known records) boxes, submitted to counter with
     moments, each box's known records given as lanes of counter that ended
-    with them: the counts and, per box, its records."""
+    with them, each at its record's lambda: the counts and, per box, its
+    records."""
     given = []
     for _, known in boxes:
         given.append(np.arange(len(counter.records), len(counter.records) + len(known)))
         counter.records += known
+        counter.at = np.append(counter.at, [rec.lam for rec in known]).astype(complex)
     counts, found = tipbeam.spectrum._isolate(
         counter.submit([rect for rect, _ in boxes], moments=True), given, counter)
     return counts, [counter.records_of(box) for box in found]
