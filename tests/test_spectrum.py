@@ -1281,8 +1281,8 @@ def _assert_positions_match_the_records(run, monkeypatch):
 def test_lane_positions_match_the_records(args, k_max, calls, monkeypatch):
     # the counter keeps each lane's position in an array: its iterate while
     # it steps, its record's lambda once it ended with one, NaN if it failed.
-    # At every evaluation call of the strip, and at its end, it must equal
-    # what the live lanes and the records say
+    # At every evaluation call of the strip, and after its _isolate pass, it
+    # must equal what the live lanes and the records say
     checks = _assert_positions_match_the_records(
         lambda: spectrum_in_strip(validate_params(*args), k_max), monkeypatch)
     assert len(checks) == calls + 1 and max(checks) > 0
