@@ -155,17 +155,23 @@ def predict_eigenvalue(k, j, p: BeamParams):
     One `asymptotic_coefficients(p)` serves every (k, j).  A scalar k and j
     give a complex; negative k mirrors by conjugation.  The real and
     imaginary parts are summed apart, so each term is one real division
-    (numpy's complex division multiplies by a reciprocal).
+    (numpy's complex division multiplies by a reciprocal).  k and j are
+    checked, and the series evaluated, without broadcasting them to one
+    shape first, except when that shape is empty.
     """
-    k, j = np.broadcast_arrays(np.asarray(k), np.asarray(j))
-    if not np.all((j == 1) | (j == 2)):
-        raise ValueError(f"family index j must be 1 or 2, got {j}")
-    if np.any(k == 0):
+    k, j = np.asarray(k), np.asarray(j)
+    grid = np.broadcast(k, j)      # raises on shapes that do not broadcast
+    if not grid.size:       # nothing to check, and the broadcast j indexes nothing
+        k, j = np.broadcast_arrays(k, j)
+    elif not ((j == 1) | (j == 2)).all():
+        raise ValueError(f"family index j must be 1 or 2, got {np.broadcast_to(j, grid.shape)}")
+    elif not k.all():
         raise ValueError("prediction needs k != 0")
     coef = asymptotic_coefficients(p)
     c1, c2, c3 = coef.c1[j - 1], coef.c2[j - 1], coef.c3[j - 1]
     k = k.astype(float)
-    re = c1.real / k + c2.real / k**2 + c3.real / k**3
-    im = k * math.pi + c1.imag / k + c2.imag / k**2 + c3.imag / k**3
+    k2, k3 = k**2, k**3
+    re = c1.real / k + c2.real / k2 + c3.real / k3
+    im = k * math.pi + c1.imag / k + c2.imag / k2 + c3.imag / k3
     lam = re + 1j * im
     return complex(lam) if lam.ndim == 0 else lam

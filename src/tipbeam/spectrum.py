@@ -13,9 +13,10 @@ whose known roots are not two distinct roots, all in one pass of _isolate.
 Those boxes locate the roots their known ones miss from the contour that
 counted them (Delves & Lyness, A numerical method for locating the zeros
 of an analytic function, Math. Comp. 21, 1967): the moments
-(1/2 pi i) oint (z - c)^q F'/F dz, q <= 2, are the power sums of the roots
-inside about the box's centre c, so less the known roots' they give one or
-two unknown roots, which Newton polishes.  A box with more unknown roots or
+(1/2 pi i) oint (z - c)^q F'/F dz, q <= 4, are the power sums of the roots
+inside about the box's centre c, so less the known roots' they give up to
+four unknown roots, by Newton's identities and the roots of the polynomial
+they define, which Newton polishes.  A box with more unknown roots or
 seeds that failed is subdivided, all such boxes in one pass, until each
 root is known or located.  So subdivision and the moments locate only the
 roots Newton left unfound.  The other frequency boxes are not counted: the
@@ -45,8 +46,8 @@ F' bound catches a close pair of roots whose 2 pi turn the wrapped
 increment alone would hide.  The sum is then an integer up to rounding.
 The same fine intervals give the moments of the boxes that take them
 (every box a search isolates and every first half of a split, but not the
-union): the sum of (m - c)^q log(F(z_{i+1})/F(z_i)) / (2 pi i), m the
-interval's midpoint.
+union), by a fourth-order rule on the log F increment and F'/F at each
+interval's two ends (see _Counter.moments).
 Every box is counted on the rect it was submitted with, or refused by name
 (BoundaryTooCloseToRoot) when a sample is an exact zero of F, when an
 interval still too coarse has no floating-point midpoint, or when
@@ -81,8 +82,8 @@ moment seeds polish while counts go on; a lane stops polishing once its
 step is at the rounding floor.  The sweep is taken up as soon as its
 count is in: its moment seeds start from the current positions of its
 known lanes, ended or still stepping, and polish beside them, and it
-closes only on their final records.  So the k <= 200 strip takes 29
-calls and the conservative k <= 50 strip 11.
+closes only on their final records.  So the k <= 200 strip takes 18
+calls and the conservative k <= 50 strip 10.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ _INTEGER_TOL = 1e-9           # rounding slack of the increment sum
 _CHUNK = 1024                 # points per evaluation call, Newton lanes included; bounds memory
 _FLOOR = 4 * np.finfo(float).eps   # a Newton step this small, relative, ends its converged lane
 _ALONG = np.arange(_EDGE_POINTS) / _EDGE_POINTS   # initial samples' fractions of an edge
+_ORDER = 4                    # highest contour moment: a box seeds up to this many unknown roots
+_POWERS = np.arange(_ORDER + 1)[:, None]     # q = 0 .. _ORDER, one row each
 # the fields of a Newton lane still stepping: its index, seed, iterate, best
 # iterate and its |f|, last step, steps, and steps at convergence or -1
 _LANE = np.dtype([("lane", int), ("seed", complex), ("lam", complex), ("best", complex),
@@ -199,7 +202,7 @@ class _Counter:
     """Winding counts of many boxes, and Newton lanes, that share their evaluation calls.
 
     Boxes join with `submit`, lanes with `newton`.  The coarse intervals of
-    all boxes still counting, with z, F and |F'/F| at both ends and the
+    all boxes still counting, with z, F and F'/F at both ends and the
     ticket that owns each, are the first `queued` columns of one table
     (`queued` is its write cursor), in the order they were found; the
     midpoint of each is a sample still to evaluate.  The table is kept from call to call and only
@@ -240,8 +243,8 @@ class _Counter:
         self.budget = np.zeros(0, dtype=int)    # per ticket, the samples it may take
         self.taking = np.zeros(0, dtype=bool)   # per ticket, whether it takes moments
         self.centre = np.zeros(0, dtype=complex)      # per ticket, its rect's centre
-        self.sums = np.zeros((3, 0), dtype=complex)   # per ticket taking moments, 2 pi i times them
-        self.queue = np.zeros((6, 0), dtype=complex)  # per coarse interval: z, F, |F'/F|, both ends
+        self.sums = np.zeros((_ORDER + 1, 0), dtype=complex)   # per ticket, 2 pi i its moments
+        self.queue = np.zeros((6, 0), dtype=complex)  # per coarse interval: z, F, F'/F, both ends
         self.owner = np.zeros(0, dtype=int)     # per coarse interval, its ticket
         self.queued = 0       # the table's columns in use
         self.records = []     # per lane, its EigenvalueRecord or the error that ended it, or None
@@ -298,13 +301,18 @@ class _Counter:
         return lanes["lane"]
 
     def moments(self, ticket: int):
-        """The power sums s_q = sum (r - c)^q, q = 0, 1, 2, over the roots r of
-        a counted box submitted to take moments, c its rect's centre.
+        """The power sums s_q = sum (r - c)^q, q = 0 .. _ORDER, over the roots r
+        of a counted box submitted to take moments, c its rect's centre.
 
         They are the contour moments (1/2 pi i) oint (z - c)^q F'/F dz of
         Delves & Lyness (A numerical method for locating the zeros of an
-        analytic function, 1967), on the samples of the count: the sum over
-        its fine intervals of (m - c)^q log(F_b / F_a), m the midpoint.
+        analytic function, 1967), on the samples of the count, by a
+        fourth-order rule that needs nothing the count does not evaluate.
+        On a fine interval [a, b], Delta = b - a, with L = log(F_b / F_a) and
+        g = F'/F at its ends, integration by parts and the corrected
+        trapezoid rule (Euler-Maclaurin) on (z - c)^(q-1) log(F / F_a) give
+        (b - c)^q L - q [Delta/2 (b - c)^(q-1) L + Delta^2/12 ((a - c)^(q-1)
+        g_a - (q - 1) (b - c)^(q-2) L - (b - c)^(q-1) g_b)].
         """
         return self.sums[:, ticket] / (2j * math.pi)
 
@@ -367,15 +375,16 @@ class _Counter:
 
         on_ring = np.array(rings, dtype=int).repeat(ring)
         sampled = np.concatenate([on_ring, owner])
-        refused = {}
-        for i in (f == 0).nonzero()[0]:
+        refused, zeros = {}, (f == 0).nonzero()[0]
+        for i in zeros:
             refused.setdefault(int(sampled[i]), f"passes through a zero of F at {complex(z[i])}")
-        f = np.where(f == 0, 1.0, f)      # such a box is refused; this spares the division
+        if zeros.size:
+            f = np.where(f == 0, 1.0, f)      # such a box is refused; this spares the division
 
-        # the new intervals in boundary order, as rows z, F, |F'/F| at the
+        # the new intervals in boundary order, as rows z, F, F'/F at the
         # start, then at the end: each ring sample to the next, and both
         # halves of each split interval
-        zfs = np.array([z, f, np.abs(d / f)])
+        zfs = np.array([z, f, d / f])
         closed = zfs[:, :on_ring.size].reshape(3, len(rings), ring)
         closed = np.concatenate([closed, closed[:, :, :1]], axis=2)
         mid = zfs[:, on_ring.size:]
@@ -384,9 +393,9 @@ class _Counter:
             np.concatenate([split[:3], mid, mid, split[3:]]).reshape(2, 6, -1)
             .transpose(1, 2, 0).reshape(6, -1)], axis=1)
         box = np.concatenate([on_ring, owner.repeat(2)])
-        za, fa, sa, zb, fb, sb = ends
-        turn = np.angle(fb / fa)
-        bound = np.maximum(sa.real, sb.real) * np.abs(zb - za)
+        ratio = ends[4] / ends[1]
+        turn = np.angle(ratio)
+        bound = np.abs(ends[2::3]).max(axis=0) * np.abs(ends[3] - ends[0])
         is_coarse = np.fmax(np.abs(turn), bound) > _MAX_TURN     # fmax skips a NaN
         coarse = is_coarse.nonzero()[0]
         n, c = self.queued, self.queued + coarse.size       # the columns they go to
@@ -403,9 +412,8 @@ class _Counter:
         turn[coarse] = 0.0      # only fine intervals add their increment
         self.turns += np.bincount(box, turn, self.turns.size)
         fine = (~is_coarse & self.taking[box]).nonzero()[0]    # of the boxes taking moments
-        fine_box, (za, fa, _, zb, fb, _) = box.take(fine), ends.take(fine, axis=1)
-        mid = 0.5 * (za + zb) - self.centre[fine_box]
-        np.add.at(self.sums.T, fine_box, (np.log(fb / fa) * mid ** np.arange(3)[:, None]).T)
+        if fine.size:
+            self._sum_moments(box.take(fine), ends.take(fine, axis=1), np.log(ratio.take(fine)))
         count = np.bincount(sampled, minlength=self.samples.size)
         self.samples += count
         # the tickets the call sampled, and the midpoints each has in the table
@@ -421,6 +429,25 @@ class _Counter:
             resolved = resolved[~np.isin(resolved, list(refused))]
         for t in resolved.tolist():
             self.outcomes[t] = self._count(t)
+
+    def _sum_moments(self, box, ends, log):
+        """Add to the moment sums of each interval's box the integrals of
+        (z - c)^q F'/F over the fine intervals [a, b] given by ends (rows z,
+        F, F'/F at a, then at b), log = log(F_b / F_a) on each, c its box's
+        centre, by the rule of `moments`."""
+        uv = ends[3::-3] - self.centre[box]       # rows b - c, a - c
+        step = uv[0] - uv[1]
+        w = step * step / 12.0
+        powers = np.empty((_ORDER + 1,) + uv.shape, complex)    # (b - c)^q, (a - c)^q
+        powers[0], powers[1] = 1.0, uv
+        for q in range(2, _ORDER + 1):
+            np.multiply(powers[q - 1], uv, out=powers[q])
+        up = powers[:, 0]
+        terms = log * up
+        terms[1:] += _POWERS[1:] * ((w * ends[5] - 0.5 * step * log) * up[:-1]
+                                    - (w * ends[2]) * powers[:-1, 1])
+        terms[2:] += _POWERS[2:] * _POWERS[1:-1] * ((w * log) * up[:-2])
+        np.add.at(self.sums.T, box, terms.T)
 
     def _keep(self, kept, taken):
         """Move the queued intervals at the indices kept to the start of the
@@ -647,26 +674,64 @@ def _halves(rect, fraction: float):
 
 
 def _moment_seeds(rect, moments, known, unknown: int) -> list:
-    """Seeds for the `unknown` roots, one or two, of rect that are not among
-    the known roots, an array: the roots whose power sums about rect's
-    centre are its moments less the known roots' (see _Counter.moments), the
-    lone sum itself, or a pair by the quadratic formula."""
+    """Seeds for the `unknown` roots, one to _ORDER, of rect that are not
+    among the known roots, an array: the roots whose power sums about
+    rect's centre are its moments less the known roots' (see
+    _Counter.moments).  Newton's identities turn those power sums into the
+    coefficients of the monic polynomial in z - c with those roots, and the
+    Aberth-Ehrlich iteration (O. Aberth, Iteration methods for finding all
+    zeros of a polynomial simultaneously, Math. Comp. 27, 1973) finds its
+    roots."""
     c = _centre(rect)
-    p1, p2 = moments[1] - (known - c).sum(), moments[2] - ((known - c) * (known - c)).sum()
-    if unknown == 1:
-        return [c + p1]
-    gap = np.sqrt(2.0 * p2 - p1 * p1)      # x1 - x2, as x1 + x2 = p1, x1^2 + x2^2 = p2
-    return [c + 0.5 * (p1 + gap), c + 0.5 * (p1 - gap)]
+    sums = (moments[:unknown + 1]
+            - (np.subtract.outer(known, c) ** _POWERS[:unknown + 1]).sum(axis=1)).tolist()
+    e = [1.0]       # the elementary symmetric functions, by Newton's identities
+    for k in range(1, unknown + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1)) / k)
+    return [c + y for y in _aberth([(-1) ** k * e[k] for k in range(1, unknown + 1)])]
+
+
+def _aberth(coefficients) -> list:
+    """The roots of the monic polynomial y^u + a_1 y^(u-1) + .. + a_u with
+    coefficients a_1 .. a_u: the Aberth-Ehrlich iteration, in place, from u
+    points on a circle about the roots' mean -a_1/u, of half the Fujiwara
+    bound 2 max |a_k|^(1/k) on the roots, until every step falls below
+    1e-14 of that bound, at most 100 sweeps.  A point whose step would
+    divide by 0 stays where it is."""
+    u = len(coefficients)
+    radius = 2.0 * max(abs(a) ** (1.0 / k) for k, a in enumerate(coefficients, start=1))
+    ys = [0.5 * radius * complex(math.cos(t), math.sin(t)) - coefficients[0] / u
+          for t in (2.0 * math.pi * i / u + 0.4 for i in range(u))]
+    for _ in range(100 if radius else 0):
+        largest = 0.0
+        for i, y in enumerate(ys):
+            value, slope = 1.0, 0.0       # Horner's rule for the polynomial and its derivative
+            for a in coefficients:
+                value, slope = value * y + a, slope * y + value
+            repel = sum(1.0 / (y - other) for j, other in enumerate(ys) if j != i and y != other)
+            denominator = slope - value * repel
+            if value and denominator:
+                step = value / denominator
+                ys[i] = y - step
+                largest = max(largest, abs(step))
+        if largest <= 1e-14 * radius:
+            break
+    return ys
+
+
+def _recentred(sums, d) -> list:
+    """The power sums sum (r - c + d)^q of the roots whose sum (r - c)^q,
+    q = 0, 1, .., are sums: the binomial expansion of (r - c + d)^q."""
+    return [sum(math.comb(q, j) * d ** (q - j) * sums[j] for j in range(q + 1))
+            for q in range(len(sums))]
 
 
 def _second_moments(rect, moments, first, first_moments, second) -> np.ndarray:
     """The moments of `second`, the half of rect beside `first`: rect's less
-    first's, each re-centred to second's centre by expanding (r - c + d)^q."""
-    def about(s, d):
-        return np.array([s[0], s[1] + d * s[0], s[2] + 2.0 * d * s[1] + d * d * s[0]])
-
+    first's, each re-centred to second's centre (see _recentred)."""
     c = _centre(second)
-    return about(moments, _centre(rect) - c) - about(first_moments, _centre(first) - c)
+    return np.subtract(_recentred(moments, _centre(rect) - c),
+                       _recentred(first_moments, _centre(first) - c))
 
 
 def _isolate(tickets, given, counter: _Counter, more=None):
@@ -684,8 +749,8 @@ def _isolate(tickets, given, counter: _Counter, more=None):
     the pass after the others.  The boxes are taken up in their order, each
     as soon as its count and those of the boxes before it are in: its count
     is logged to report.boxes, and the first box the counter refuses, in
-    that order, is raised.  A box with one or two roots more than its known
-    ones is seeded from its moments (see _moment_seeds; Delves & Lyness,
+    that order, is raised.  A box with one to _ORDER = 4 roots more than its
+    known ones is seeded from its moments (see _moment_seeds; Delves & Lyness,
     1967: the contour that counts the roots also locates them), less its
     known roots' positions even while their lanes step; the seeds are Newton
     lanes on the counter at once, so they polish in the calls of the counts
@@ -695,7 +760,7 @@ def _isolate(tickets, given, counter: _Counter, more=None):
     it, meet its count, it is closed with them (report.moment_boxes if it
     was seeded, else report.matched_boxes); else it splits, with those
     records as its known ones.  Below a seeded box that splits, only a lone
-    unknown root is seeded: a half holding both roots of a failed pair has
+    unknown root is seeded: a half holding the roots of failed seeds has
     their moments, and its seeds would fail alike.  So a known lane that
     fails or ends elsewhere costs a split, never a wrong record.
 
@@ -740,7 +805,8 @@ def _isolate(tickets, given, counter: _Counter, more=None):
             counts.append(cnt)
             found.append([])
             if cnt:
-                pending.append((i, rect, cnt, given[i], counter.moments(ticket), 2, unseeded))
+                pending.append((i, rect, cnt, given[i], counter.moments(ticket), _ORDER,
+                                unseeded))
         pending, taken = [], pending
         for box in taken:
             i, rect, cnt, lanes, moments, most, seeds = box

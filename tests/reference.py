@@ -13,7 +13,8 @@ No command runs these, so they live with the tests:
 - the branch roots, shear couplings and boundary symbols one exponent at a
   time, the unstabilized forms that `charfn._matrix` is checked against;
 - the eigenvalue prediction as one scalar formula per regime, the oracle
-  for the series that `asymptotics.predict_eigenvalue` evaluates;
+  for the series that `asymptotics.predict_eigenvalue` evaluates, and that
+  series as it read with k and j broadcast first, its bit-for-bit oracle;
 - the terms f0..f3 of the paper's large-|lambda| expansion of f, from the
   stabilized paired exponentials, the oracle that `charfn` is held to;
 - the 4N+2 generator A and energy weight W assembled from the stored
@@ -35,7 +36,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from tipbeam.asymptotics import discriminant_reduced, gamma_coefficients, special_a3
+from tipbeam.asymptotics import (
+    asymptotic_coefficients,
+    discriminant_reduced,
+    gamma_coefficients,
+    special_a3,
+)
 from tipbeam.charfn import _check_nonzero, _roots, _shifted_roots
 from tipbeam.errors import GridMismatch, TipbeamError, ZeroOmega1
 from tipbeam.model import (
@@ -305,6 +311,24 @@ def predict_eigenvalue(k: int, j: int, p: BeamParams) -> complex:
         return base + first + real + third
     # case 3: conservative collision
     return base + first + 1j * a3 / (24.0 * k**3 * math.pi**3)
+
+
+def predict_eigenvalue_broadcast(k, j, p: BeamParams):
+    """The series of `asymptotics.predict_eigenvalue` as it read before it
+    stopped broadcasting k and j: both broadcast to one shape, then checked
+    and evaluated, k^2 and k^3 computed in each of the two sums."""
+    k, j = np.broadcast_arrays(np.asarray(k), np.asarray(j))
+    if not np.all((j == 1) | (j == 2)):
+        raise ValueError(f"family index j must be 1 or 2, got {j}")
+    if np.any(k == 0):
+        raise ValueError("prediction needs k != 0")
+    coef = asymptotic_coefficients(p)
+    c1, c2, c3 = coef.c1[j - 1], coef.c2[j - 1], coef.c3[j - 1]
+    k = k.astype(float)
+    re = c1.real / k + c2.real / k**2 + c3.real / k**3
+    im = k * math.pi + c1.imag / k + c2.imag / k**2 + c3.imag / k**3
+    lam = re + 1j * im
+    return complex(lam) if lam.ndim == 0 else lam
 
 
 # ---------------------------------------------------------------------------

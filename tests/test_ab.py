@@ -1,10 +1,13 @@
-"""tools/ab.py checks that two checkouts give the same records and stats
-before it times them; its timing is not tested."""
+"""tools/ab.py compares two checkouts' records and stats before it times
+them, and labels each item identical, differs or refused; its timing is not
+tested."""
 
 import importlib.util
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,16 +29,41 @@ def test_a_checkout_is_identical_to_itself(monkeypatch, tmp_path):
     ab = _ab(monkeypatch)
     try:
         sides = [ab.menu(ab.load(name, ROOT), tmp_path) for name in ("tb_test_a", "tb_test_b")]
-        assert len(sides[0]) == 4
-        assert ab.identical(*sides) is None
+        assert len(sides[0]) == 5 and "spectrum --kmax 200" in sides[0]
+        for name, run in sides[0].items():
+            assert ab.verdict(run(), sides[1][name]()) == ("identical", "")
     finally:
         for name in [name for name in sys.modules if name.startswith("tb_test_")]:
             del sys.modules[name]
 
 
+def _outcome(ab, lams, labels=None, counts=(7, 8, []), stats=None, rest=None):
+    return ab.outcome(lams, labels or [(8, 1)] * len(lams), rest or [0.0] * len(lams), counts,
+                      stats or {"calls": 3, "boxes": 2})
+
+
 def test_the_first_item_that_differs_is_named(monkeypatch):
-    # a sign of zero is a difference
+    # a sign of zero is a difference: the item differs, and its line names
+    # the stats keys that moved
     ab = _ab(monkeypatch)
-    first = {"a": lambda: ([1.0], {"calls": 3}), "b": lambda: [0.0], "c": lambda: [2.0]}
-    second = {"a": lambda: ([1.0], {"calls": 3}), "b": lambda: [-0.0], "c": lambda: [3.0]}
-    assert ab.identical(first, second) == "b"
+    lam = 1.0 + 2.0j
+    assert ab.verdict(_outcome(ab, [lam]), _outcome(ab, [lam])) == ("identical", "")
+    label, detail = ab.verdict(_outcome(ab, [lam], rest=[0.0]), _outcome(
+        ab, [lam], rest=[-0.0], stats={"calls": 2, "boxes": 2}))
+    assert label == "differs" and detail.endswith("stats moved: calls")
+
+
+def test_records_within_eight_ulps_differ_and_further_are_refused(monkeypatch):
+    ab = _ab(monkeypatch)
+    lam = complex(-0.4, 600.0)
+    ulp = np.spacing(abs(lam))
+    near, far = lam + 8.0j * ulp, lam + 9.0j * ulp     # exact: Im lambda is 600
+    label, detail = ab.verdict(_outcome(ab, [lam]), _outcome(ab, [near]))
+    assert label == "differs"
+    assert detail == (f"largest relative |d lambda| {8.0 * ulp / abs(lam):.2e}, "
+                      "stats moved: none")
+    assert ab.verdict(_outcome(ab, [lam]), _outcome(ab, [far]))[0] == "refused"
+    # the number of records, a label and a certified count are never moved
+    for changed in (_outcome(ab, [lam, lam]), _outcome(ab, [lam], labels=[(8, 2)]),
+                    _outcome(ab, [lam], counts=(7, 9, []))):
+        assert ab.verdict(_outcome(ab, [lam]), changed)[0] == "refused"

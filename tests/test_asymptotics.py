@@ -267,6 +267,30 @@ def test_series_matches_the_scalar_oracle(name, request):
         assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
 
+@pytest.mark.parametrize("name", ["params_generic", "params_conservative", "params_degenerate",
+                                  "params_case2", "params_case3"])
+def test_series_is_the_broadcast_form_bit_for_bit(name, request):
+    # predict_eigenvalue no longer broadcasts k and j before it checks and
+    # evaluates them: its values, their sign of zero and their shape, and
+    # its errors, are those of the form that did
+    p = request.getfixturevalue(name)
+    cases = [(20, 1), (-7, 2), (np.int64(3), np.array(2)), (2.5, 1),
+             (np.arange(1, 51)[:, None], np.array([1, 2])), (-np.arange(1, 6), 1),
+             (np.arange(-4, 5).reshape(3, 3)[:, :, None] + 0.5, np.array([2, 1])),
+             (np.zeros((0, 1)), np.array([1, 3]))]
+    for k, j in cases:
+        got, want = predict_eigenvalue(k, j, p), reference.predict_eigenvalue_broadcast(k, j, p)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for k, j in [(0, 1), (100, 3), (np.arange(1, 3)[:, None], np.array([1, 3])),
+                 (np.arange(0, 3), np.array(2)), (np.arange(3), np.arange(2)), (2, 1.5)]:
+        with pytest.raises(Exception) as got:
+            predict_eigenvalue(k, j, p)
+        with pytest.raises(Exception) as want:
+            reference.predict_eigenvalue_broadcast(k, j, p)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
 def test_predict_validation(params_generic):
     with pytest.raises(ValueError, match="k != 0"):
         predict_eigenvalue(0, 1, params_generic)

@@ -578,7 +578,7 @@ def _evaluation_sizes(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, k_max, most, points", [
-    ("conservative", 50, 11, (248, 1056)), ("generic", 200, 29, (837, 4146))])
+    ("conservative", 50, 10, (248, 1056)), ("generic", 200, 18, (389, 4146))])
 def test_strip_counts_its_evaluation_calls(name, k_max, most, points, request, monkeypatch):
     # Newton lanes ride the counter's calls: evaluation_calls is the number
     # of calls the search made, none over _CHUNK points here, and each box
@@ -586,7 +586,9 @@ def test_strip_counts_its_evaluation_calls(name, k_max, most, points, request, m
     # strips took 22 and 40 calls for the same samples; with every converged
     # lane polishing on past a step at the rounding floor, 16 and 30; with
     # the conservative sweep's moment seeds waiting for its last known
-    # lanes to end, 14 and 29
+    # lanes to end, 14 and 29; with midpoint moments, which seed at most two
+    # unknown roots, so that the generic sweep's four split it, 11 and 29,
+    # and the generic strip took 837 contour points
     sizes = _evaluation_sizes(monkeypatch)
     _, report = spectrum_in_strip(request.getfixturevalue(f"params_{name}"), k_max)
     stats = report.stats
@@ -889,22 +891,34 @@ def test_conservative_boxes_avoid_root_locus(cons_spectrum):
 
 def test_generic_strip_batches_its_evaluations(params_generic):
     # k <= 200: the strip's counted boxes and its union share their
-    # evaluation calls, and the sweep's leaves share their polishes.  The
-    # sweep keeps the roots that the seeds of k = 1 .. 7 reach; when it
-    # split down to one leaf per root it took 117 derived boxes and 22,528
-    # contour points.  The frequency boxes are certified by the union's
-    # count: when each was counted the search took 15,108 contour points,
-    # and the union, with its right edge at Re = 0.2, 6,084
+    # evaluation calls.  The sweep keeps the roots that the seeds of
+    # k = 1 .. 7 reach, and its four others are seeded from its moments, so
+    # it closes unsplit.  When it split down to one leaf per root it took
+    # 117 derived boxes and 22,528 contour points; seeded from moments up to
+    # q = 2, it split into 5 derived boxes, two of them matched, and took
+    # 837.  The frequency boxes are certified by the union's count: when
+    # each was counted the search took 15,108 contour points, and the union,
+    # with its right edge at Re = 0.2, 6,084
     recs, report = spectrum_in_strip(params_generic, 200)
     stats = report.stats
     assert report.incomplete_boxes == []
     assert_tiled(recs, report)
     assert stats["contour_rounds"] <= 30
     assert stats["newton_rounds"] <= 20
-    assert stats["derived_boxes"] <= 40 and stats["contour_points"] < 1000
+    assert stats["derived_boxes"] == 0 and stats["contour_points"] < 1000
+    assert stats["moment_boxes"] == 1
     assert stats["band_boxes"] == 193 and stats["global_points"] < 4500
-    assert stats["matched_boxes"] > 0
     assert stats["global_count"] == 403 == sum(r.lam.imag > -0.3 for r in recs)
+    # the strongly damped sweep holds more unknown roots than its moments
+    # seed, so it splits: its halves share the calls of the union and of
+    # each other, and those whose known records meet their count close on
+    # them
+    recs, report = spectrum_in_strip(validate_params(1.0, 2.0, 1.0, 8.0, 3.0, 6.0), 60)
+    stats = report.stats
+    assert report.incomplete_boxes == []
+    assert_tiled(recs, report)
+    assert stats["contour_rounds"] <= 30 and stats["newton_rounds"] <= 20
+    assert stats["derived_boxes"] > 0 and stats["matched_boxes"] > 0
 
 
 def test_generic_strip_certifies_past_a_thousand(params_generic):
@@ -1195,11 +1209,13 @@ def _strip_with_derived_boxes_counted(p, k_max):
 def test_derived_boxes_on_the_lattice_set():
     # every frequency box of the p = 2 lattice point, and those below
     # sqrt(b)/pi + 1 of the large-b sets, are odd, so they split where their
-    # moments fail: the five strips derive 89 boxes together
+    # moments fail: the thirteen strips derive 101 boxes together.  With
+    # moments up to q = 2 the first five derived 89, and 27 with q <= 4
     derived = 0
     for args, k_max in [((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 28),
                         *[((1.0, (q * math.pi) ** 2, 1.0, k2, 3.0, k4), k_max)
-                          for q, k_max in ((20.5, 30), (8.5, 24))
+                          for q, k_max in ((20.5, 30), (8.5, 24), (12.5, 20), (16.5, 24),
+                                           (30.5, 38), (40.5, 48))
                           for k2, k4 in ((0.0, 0.0), (2.0, 1.0))]]:
         recs, report = _strip_with_derived_boxes_counted(validate_params(*args), k_max)
         assert report.incomplete_boxes == []
@@ -1216,19 +1232,19 @@ _PINNED_KEYS = ("boxes", "newton_iterations", "resplits", "derived_boxes", "matc
 
 @pytest.mark.parametrize("args, k_max, values", [
     ((1.0, 2.0, 1.0, 2.0, 3.0, 2.0), 200,
-     (204, 969, 0, 5, 2, 193, 3, 837, 29, 24, 404, 14, 403, 4146)),
+     (194, 977, 0, 0, 0, 193, 1, 389, 18, 11, 404, 15, 403, 4146)),
     ((1.0, 2.0, 1.0, 0.0, 3.0, 0.0), 50,
-     (44, 301, 0, 0, 0, 43, 1, 248, 11, 6, 102, 11, 102, 1056)),
+     (44, 299, 0, 0, 0, 43, 1, 248, 10, 6, 102, 10, 102, 1056)),
     ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 60,
-     (74, 2053, 0, 10, 0, 0, 63, 5406, 54, 45, 243, 47, 123, 1151)),
+     (64, 1263, 0, 5, 0, 0, 59, 4982, 46, 38, 243, 34, 123, 1151)),
     ((1.0, (20.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0), 30,
-     (80, 403, 0, 28, 0, 0, 41, 3974, 52, 41, 122, 37, 60, 844)),
+     (36, 314, 0, 6, 0, 0, 30, 2526, 26, 21, 120, 24, 60, 844)),
     ((1.0, (20.5 * math.pi) ** 2, 1.0, 2.0, 3.0, 1.0), 30,
-     (72, 392, 0, 24, 0, 0, 40, 4533, 74, 69, 120, 53, 60, 840)),
+     (40, 335, 0, 8, 0, 0, 31, 3406, 64, 59, 120, 39, 60, 840)),
     ((1.0, (8.5 * math.pi) ** 2, 1.0, 2.0, 3.0, 1.0), 24,
-     (36, 336, 0, 9, 2, 0, 24, 2676, 54, 43, 88, 41, 51, 596)),
+     (26, 293, 0, 4, 2, 0, 20, 2295, 51, 42, 88, 31, 51, 596)),
     ((1.0, (8.5 * math.pi) ** 2, 1.0, 0.0, 3.0, 0.0), 24,
-     (54, 344, 0, 18, 2, 0, 25, 2777, 71, 50, 90, 37, 51, 608))],
+     (26, 286, 0, 4, 2, 0, 20, 1796, 29, 19, 88, 21, 51, 608))],
     ids=["benchmark-generic", "benchmark-conservative", "lattice", "large-b", "large-b-damped",
          "sqrt-b-8.5-damped", "sqrt-b-8.5"])
 def test_search_counts_are_pinned(args, k_max, values):
@@ -1275,8 +1291,8 @@ def _assert_positions_match_the_records(run, monkeypatch):
 
 
 @pytest.mark.parametrize("args, k_max, calls", [
-    ((1.0, 2.0, 1.0, 0.0, 3.0, 0.0), 50, 11),
-    ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 28, 52)],
+    ((1.0, 2.0, 1.0, 0.0, 3.0, 0.0), 50, 10),
+    ((1.0, 16.0 * math.pi**2, 1.0, 1.0, 1.0, 2.0), 28, 44)],
     ids=["conservative", "lattice"])
 def test_lane_positions_match_the_records(args, k_max, calls, monkeypatch):
     # the counter keeps each lane's position in an array: its iterate while
@@ -1340,14 +1356,20 @@ def test_first_half_counting_more_than_its_box_raises(monkeypatch):
 _OUTSIDE = [(1.5 + 0.5j, 1), (-0.2 - 1.7j, 1)]     # roots beside the unit box
 
 
+_FIVE = [0.3 + 0.2j, -0.4 - 0.5j, -0.6 + 0.55j, 0.7 - 0.6j, 0.1 + 0.8j]    # in the unit box
+
+
 @pytest.mark.parametrize("roots, known", [
     ([0.3 + 0.2j], []),
     ([0.3 + 0.2j, -0.4 - 0.5j], []),
     ([0.3 + 0.2j, -0.4 - 0.5j, -0.6 + 0.55j], [-0.6 + 0.55j]),
+    (_FIVE[:3], []),
+    (_FIVE[:4], []),
+    (_FIVE, [-0.6 + 0.55j]),
 ])
 def test_isolate_closes_a_box_from_its_moments(roots, known):
-    # the count's moments, less the known roots', seed Newton on the one or
-    # two roots left: the box closes from one Newton batch, unsplit
+    # the count's moments, less the known roots', seed Newton on the one to
+    # four roots left: the box closes from one Newton batch, unsplit
     report = RootSearchReport()
     counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots] + _OUTSIDE), report)
     known = [EigenvalueRecord(r, None, None, 0.0) for r in known]
@@ -1356,6 +1378,16 @@ def test_isolate_closes_a_box_from_its_moments(roots, known):
     assert len(recs) == len(roots) == count
     for r in roots:
         assert sum(abs(rec.lam - r) <= 1e-12 for rec in recs) == 1
+
+
+def test_isolate_splits_a_box_with_five_unknown_roots():
+    # the moments go up to q = 4, so five unknown roots are too many to seed:
+    # the box splits, and its halves are seeded from theirs
+    report = RootSearchReport()
+    counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in _FIVE] + _OUTSIDE), report)
+    (count,), (recs,) = _isolated_boxes([(_UNIT, [])], counter)
+    assert count == 5 and report.derived_boxes > 0 and report.moment_boxes >= 2
+    _assert_one_record_per_root(recs, _FIVE)
 
 
 def test_a_pair_closer_than_newton_resolution_is_seeded_once(params_case2):
@@ -1370,8 +1402,8 @@ def test_a_pair_closer_than_newton_resolution_is_seeded_once(params_case2):
 
 @pytest.mark.parametrize("rect", [_UNIT, (-0.7, 0.9, 8.0, 11.0)])
 def test_second_half_moments_are_its_power_sums(rect):
-    # a split's second half takes the box's moments less its first half's,
-    # each re-centred to its own centre
+    # a split's second half takes the box's moments, q <= 4, less its first
+    # half's, each re-centred to its own centre
     roots = [complex(x, y) for x, y in np.random.default_rng(1).uniform(-1.0, 1.0, (12, 2))]
     roots = [0.5 * (rect[0] + rect[1]) + 0.5 * (rect[1] - rect[0]) * r.real
              + 1j * (0.5 * (rect[2] + rect[3]) + 0.5 * (rect[3] - rect[2]) * r.imag)
@@ -1380,20 +1412,21 @@ def test_second_half_moments_are_its_power_sums(rect):
 
     def power_sums(box):
         z = np.array([r for r in roots if tipbeam.spectrum._inside(r, box)])
-        z = z - tipbeam.spectrum._centre(box)
-        return np.array([z.size, z.sum(), (z * z).sum()], dtype=complex)
+        return ((z - tipbeam.spectrum._centre(box)) ** np.arange(5)[:, None]).sum(axis=1)
 
     derived = tipbeam.spectrum._second_moments(rect, power_sums(rect), first,
                                                power_sums(first), second)
     exact = power_sums(second)
     assert np.all(np.abs(derived - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
     # the counter's moments are those power sums to within the error of its
-    # quadrature, 1e-4 here, so a derived half agrees with its count to that
+    # fourth-order rule, so a derived half agrees with its count to that:
+    # here to 1.4e-5 at q = 4 and 1.2e-6 at q <= 2, where the midpoint rule
+    # read 9.5e-5
     target = _known_zeros([(r, 1) for r in roots])
     whole, one, two = _moments([rect, first, second], target)
     derived = tipbeam.spectrum._second_moments(rect, whole, first, one, second)
     assert abs(two[0] - exact[0]) <= 1e-12 * abs(exact[0])
-    assert np.all(np.abs(derived - two) <= 1e-3 * np.maximum(1.0, np.abs(exact)))
+    assert np.all(np.abs(derived - two) <= 2e-5 * np.maximum(1.0, np.abs(exact)))
 
 
 def _lattice_odd_boxes():
@@ -1486,13 +1519,15 @@ def test_isolate_returns_each_of_a_close_pair_property(x, y, log_gap, angle, thi
 def test_isolate_refuses_a_known_record_across_a_split_line():
     # a known record 1e-13 across the first split line from its root a: the
     # second half, which holds one root b, would take it for b, so b would be
-    # missed and a recorded twice, with every count met.  The box holds three
+    # missed and a recorded twice, with every count met.  The box holds five
     # roots besides its known one, too many to seed from its moments, so it
-    # splits
+    # splits; with three, its moment seeds found them, and it closed with the
+    # known record as a's
     line = -1.0 + 2.0 * tipbeam.spectrum._SPLITS[0]
-    a, b, c, d = complex(line - 2e-14, 0.3), 0.5 - 0.4j, -0.6 + 0.5j, -0.5 - 0.5j
+    a, b = complex(line - 2e-14, 0.3), 0.5 - 0.4j
     known = EigenvalueRecord(a + 1e-13, None, None, 0.0)
-    counter = tipbeam.spectrum._Counter(_known_zeros([(a, 1), (b, 1), (c, 1), (d, 1)]),
+    roots = [a, b, -0.6 + 0.5j, -0.5 - 0.5j, -0.7 - 0.1j, -0.3 + 0.8j]    # the last four left of a
+    counter = tipbeam.spectrum._Counter(_known_zeros([(r, 1) for r in roots]),
                                         RootSearchReport())
     with pytest.raises(BoundaryTooCloseToRoot) as err:
         _isolated_boxes([(_UNIT, [known])], counter)
@@ -1514,8 +1549,11 @@ def test_isolate_refuses_a_double_root_by_name():
     assert re_lo <= a.real <= re_hi and im_lo <= a.imag <= im_hi
 
 
-def test_spectrum_stats_count_the_search(fig_spectrum):
-    _, report = fig_spectrum
+def test_spectrum_stats_count_the_search():
+    # a strip with boxes of each kind: the strongly damped sweep holds more
+    # unknown roots than its moments seed, so it splits and derives its
+    # second halves, and the frequency boxes are certified by the union
+    _, report = spectrum_in_strip(validate_params(1.0, 2.0, 1.0, 8.0, 3.0, 6.0), 20)
     stats = report.stats
     assert stats["boxes"] == len(report.boxes)
     assert stats["newton_iterations"] == sum(it for _, it in report.newton_iterations)
