@@ -673,50 +673,20 @@ def _halves(rect, fraction: float):
     return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
 
 
-def _moment_seeds(rect, moments, known, unknown: int) -> list:
+def _moment_seeds(rect, moments, known, unknown: int) -> np.ndarray:
     """Seeds for the `unknown` roots, one to _ORDER, of rect that are not
     among the known roots, an array: the roots whose power sums about
     rect's centre are its moments less the known roots' (see
     _Counter.moments).  Newton's identities turn those power sums into the
-    coefficients of the monic polynomial in z - c with those roots, and the
-    Aberth-Ehrlich iteration (O. Aberth, Iteration methods for finding all
-    zeros of a polynomial simultaneously, Math. Comp. 27, 1973) finds its
-    roots."""
+    coefficients of the monic polynomial in z - c with those roots, and
+    `np.roots`, the eigenvalues of its companion matrix, finds its roots."""
     c = _centre(rect)
     sums = (moments[:unknown + 1]
             - (np.subtract.outer(known, c) ** _POWERS[:unknown + 1]).sum(axis=1)).tolist()
     e = [1.0]       # the elementary symmetric functions, by Newton's identities
     for k in range(1, unknown + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1)) / k)
-    return [c + y for y in _aberth([(-1) ** k * e[k] for k in range(1, unknown + 1)])]
-
-
-def _aberth(coefficients) -> list:
-    """The roots of the monic polynomial y^u + a_1 y^(u-1) + .. + a_u with
-    coefficients a_1 .. a_u: the Aberth-Ehrlich iteration, in place, from u
-    points on a circle about the roots' mean -a_1/u, of half the Fujiwara
-    bound 2 max |a_k|^(1/k) on the roots, until every step falls below
-    1e-14 of that bound, at most 100 sweeps.  A point whose step would
-    divide by 0 stays where it is."""
-    u = len(coefficients)
-    radius = 2.0 * max(abs(a) ** (1.0 / k) for k, a in enumerate(coefficients, start=1))
-    ys = [0.5 * radius * complex(math.cos(t), math.sin(t)) - coefficients[0] / u
-          for t in (2.0 * math.pi * i / u + 0.4 for i in range(u))]
-    for _ in range(100 if radius else 0):
-        largest = 0.0
-        for i, y in enumerate(ys):
-            value, slope = 1.0, 0.0       # Horner's rule for the polynomial and its derivative
-            for a in coefficients:
-                value, slope = value * y + a, slope * y + value
-            repel = sum(1.0 / (y - other) for j, other in enumerate(ys) if j != i and y != other)
-            denominator = slope - value * repel
-            if value and denominator:
-                step = value / denominator
-                ys[i] = y - step
-                largest = max(largest, abs(step))
-        if largest <= 1e-14 * radius:
-            break
-    return ys
+    return c + np.roots([(-1) ** k * e[k] for k in range(unknown + 1)])
 
 
 def _recentred(sums, d) -> list:

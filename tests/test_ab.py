@@ -63,6 +63,10 @@ def test_records_within_eight_ulps_differ_and_further_are_refused(monkeypatch):
     assert detail == (f"largest relative |d lambda| {8.0 * ulp / abs(lam):.2e}, "
                       "stats moved: none")
     assert ab.verdict(_outcome(ab, [lam]), _outcome(ab, [far]))[0] == "refused"
+    # below |lambda| = 1 the ulps are those of 1, Newton's floor there
+    root, eps = complex(-0.375, 0.0), np.spacing(1.0)
+    assert ab.verdict(_outcome(ab, [root]), _outcome(ab, [root + 8.0 * eps]))[0] == "differs"
+    assert ab.verdict(_outcome(ab, [root]), _outcome(ab, [root + 9.0 * eps]))[0] == "refused"
     # the number of records, a label and a certified count are never moved
     for changed in (_outcome(ab, [lam, lam]), _outcome(ab, [lam], labels=[(8, 2)]),
                     _outcome(ab, [lam], counts=(7, 9, []))):

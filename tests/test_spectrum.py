@@ -1390,6 +1390,29 @@ def test_isolate_splits_a_box_with_five_unknown_roots():
     _assert_one_record_per_root(recs, _FIVE)
 
 
+_SEED_RECT = (-1.0, 0.5, -0.5, 1.0)     # centre c = -0.25 + 0.25j; dyadic, so sums are exact
+_SEED_KNOWN = [0.5 - 0.25j, -0.125 + 0.75j]     # offsets from c
+
+
+@pytest.mark.parametrize("offsets, tol", [
+    ([0.25 + 0.125j, -0.375 - 0.5j, -0.5 + 0.5j, 0.625 - 0.625j], 1e-12),
+    ([0.0, 0.25 + 0.125j, -0.375 - 0.5j], 1e-12),   # the polynomial's constant term is 0
+    ([0.25 + 0.125j, 0.25 + 0.125j + 1e-6, -0.375 - 0.5j], 1e-8),
+    ([-0.375 - 0.5j], 1e-12),
+], ids=["four", "at-centre", "pair", "one"])
+@pytest.mark.parametrize("n_known", [0, 1, 2])
+def test_moment_seeds_are_the_unknown_roots(offsets, tol, n_known):
+    # the exact power sums about the rect's centre of the unknown roots and
+    # n_known known ones, less the known ones', give one seed per unknown root
+    c = tipbeam.spectrum._centre(_SEED_RECT)
+    roots, known = c + np.array(offsets), c + np.array(_SEED_KNOWN[:n_known], dtype=complex)
+    moments = (np.concatenate([roots, known]) - c) ** np.arange(5)[:, None]
+    seeds = tipbeam.spectrum._moment_seeds(_SEED_RECT, moments.sum(axis=1), known, len(roots))
+    assert len(seeds) == len(roots)
+    for r in roots:
+        assert np.sum(np.abs(seeds - r) <= tol) == 1
+
+
 def test_a_pair_closer_than_newton_resolution_is_seeded_once(params_case2):
     # the families of case 2 lie 3.2e-8 apart at k = 400, closer than Newton
     # resolves: seeded as a pair they polish onto one root.  Seeding every

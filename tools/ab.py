@@ -14,16 +14,16 @@ records (lambda, (k, family) labels, residual, Newton iterations), the
 counts the search certified (the union's count, k0_effective and the
 incomplete boxes), `stats` and, for a command, the bytes of its artifacts.
 An item is `identical` when all of these are, bit for bit.  It `differs`
-when only the lambdas moved, each by at most 8 ulps of |lambda|, and
-residuals, iterations, `stats` or bytes changed: its check line gives the
-largest relative |d lambda| and the `stats` keys that moved.  Any other
-difference (the number of records, a label, a certified count, a lambda
-moved further) is refused: it names the first such item and stops.  It
-then times PAIRS interleaved pairs of each item, the order of the two sides
-flipped each pair, with one BLAS thread.  Per item it prints its label, the
-median ratio CHANGE / PARENT, its quartiles, and the pairs CHANGE was
-faster in; the A/A line is the same for tb_aa against tb_a.  It only
-reports: it applies no bound.
+when only the lambdas moved, each by at most 8 ulps of max(1, |lambda|)
+(Newton ends a lane within 4 of them), and residuals, iterations, `stats`
+or bytes changed: its check line gives the largest relative |d lambda|
+and the `stats` keys that moved.  Any other difference (the number of
+records, a label, a certified count, a lambda moved further) is refused:
+it names the first such item and stops.  It then times PAIRS interleaved
+pairs of each item, the order of the two sides flipped each pair, with one
+BLAS thread.  Per item it prints its label, the median ratio CHANGE /
+PARENT, its quartiles, and the pairs CHANGE was faster in; the A/A line is
+the same for tb_aa against tb_a.  It only reports: it applies no bound.
 """
 
 import os
@@ -131,7 +131,7 @@ def verdict(first: dict, second: dict) -> tuple[str, str]:
     if repr(first["counts"]) != repr(second["counts"]):
         return "refused", f"certified counts {first['counts']!r} against {second['counts']!r}"
     moved = np.abs(b - a)
-    ulps = np.max(moved / np.spacing(np.abs(a)), initial=0.0)
+    ulps = np.max(moved / np.spacing(np.maximum(1.0, np.abs(a))), initial=0.0)
     if ulps > 8.0:
         return "refused", f"a lambda moved by {ulps:.1f} ulps"
     keys = sorted(key for key in first["stats"].keys() | second["stats"].keys()
