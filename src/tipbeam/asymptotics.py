@@ -18,13 +18,13 @@ g_1 = k2 and g_2 = k4 are the damping gains, and a3_1 <= a3_2 come from
 `special_a3`.  The degenerate set {k1 = k3 and sqrt(b) = 2 p pi} is where
 the families collide at order 1/k; cases 1 to 3 order it by whether the
 two gains differ, agree, or vanish.  `asymptotic_coefficients(p)` computes
-the series once; `predict_eigenvalue` evaluates it over arrays of k and j.
+the series once, as the arrays (c1, c2, c3); `predict_eigenvalue` evaluates
+it over arrays of k and j.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,26 +36,6 @@ from .model import (
     regime_info,
     require_unit_speed,
 )
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """The expansion of one parameter set.
-
-    c1, c2 and c3 hold the series coefficients of families 1 and 2 (index
-    j - 1), valid in every regime; alpha1 <= alpha2 are the roots of
-    z^2 - gamma1 z + gamma2.
-    """
-
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    alpha1: float
-    alpha2: float
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    regime: str
 
 
 def gamma_coefficients(p: BeamParams) -> tuple[float, float, float]:
@@ -110,10 +90,12 @@ def special_a3(p: BeamParams) -> tuple[float, float]:
     return base - spread, base + spread
 
 
-def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
-    """The series of p, each coefficient computed once in dependency order:
-    gamma, the discriminant, alpha, then beta (generic) or the degenerate
-    first- and third-order terms.
+def asymptotic_coefficients(p: BeamParams) -> tuple[np.ndarray, ...]:
+    """The series of p, (c1, c2, c3), each a complex array of the
+    coefficients of families 1 and 2 (index j - 1), valid in every regime.
+    Each is computed once in dependency order: gamma, the discriminant,
+    alpha, then beta (generic) or the degenerate first- and third-order
+    terms.
 
     The discriminant gamma1^2 - 4 gamma2 is `discriminant_reduced`, which
     does not cancel near the degenerate set, so alpha_j = (gamma1 -+
@@ -145,8 +127,7 @@ def asymptotic_coefficients(p: BeamParams) -> AsymptoticCoefficients:
         if info.regime != REGIME_CASE1:
             c3 = [1j * (a3 - 24.0 * k1 * g**2) / (24.0 * math.pi**3)
                   for a3, g in zip(special_a3(p), gains)]
-    c1, c2, c3 = (np.array(c, dtype=complex) for c in (c1, c2, c3))
-    return AsymptoticCoefficients(g1, g2, g3, *alphas, c1, c2, c3, info.regime)
+    return tuple(np.array(c, dtype=complex) for c in (c1, c2, c3))
 
 
 def predict_eigenvalue(k, j, p: BeamParams):
@@ -167,8 +148,7 @@ def predict_eigenvalue(k, j, p: BeamParams):
         raise ValueError(f"family index j must be 1 or 2, got {np.broadcast_to(j, grid.shape)}")
     elif not k.all():
         raise ValueError("prediction needs k != 0")
-    coef = asymptotic_coefficients(p)
-    c1, c2, c3 = coef.c1[j - 1], coef.c2[j - 1], coef.c3[j - 1]
+    c1, c2, c3 = (c[j - 1] for c in asymptotic_coefficients(p))
     k = k.astype(float)
     k2, k3 = k**2, k**3
     re = c1.real / k + c2.real / k2 + c3.real / k3

@@ -40,6 +40,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .errors import NonPositiveEnergy, ResolutionTooLow, SingularSolve, WindowTooShort
 from .model import BeamParams, GridState, _check_same_grid
 
+FIT_WINDOW = (0.25, 1.0)      # the decay fit's share of [0, T], as fractions of T
+
 
 @dataclass
 class DiscreteGenerator:
@@ -281,21 +283,21 @@ class DecayFit:
     window: tuple
 
 
-def fit_decay(trace: EnergyTrace, window: tuple = (0.25, 1.0)) -> DecayFit:
-    """Least-squares slope of log E against log t over a window of [0, T].
+def fit_decay(trace: EnergyTrace) -> DecayFit:
+    """Least-squares slope of log E against log t over FIT_WINDOW of [0, T].
 
     Also reports sup t*E(t) there, the quantity that stays bounded for
     smooth initial data when the energy decays like 1/t.  An energy <= 0 in
     the window has no logarithm and raises NonPositiveEnergy at its time.
     """
     t_end = trace.times[-1]
-    lo, hi = window
+    lo, hi = FIT_WINDOW
     mask = (trace.times >= lo * t_end) & (trace.times <= hi * t_end)
     t = trace.times[mask]
     e = trace.energies[mask]
     if len(t) < 8 or t[0] <= 0.0 or t[-1] < 2.0 * t[0]:
         raise WindowTooShort(
-            f"window {window} of [0, {t_end}] leaves {len(t)} usable samples")
+            f"window {FIT_WINDOW} of [0, {t_end}] leaves {len(t)} usable samples")
     bad = np.flatnonzero(e <= 0.0)
     if bad.size:
         raise NonPositiveEnergy(

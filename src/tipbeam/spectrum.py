@@ -112,21 +112,22 @@ _FLOOR = 4 * np.finfo(float).eps   # a Newton step this small, relative, ends it
 _ALONG = np.arange(_EDGE_POINTS) / _EDGE_POINTS   # initial samples' fractions of an edge
 _ORDER = 4                    # highest contour moment: a box seeds up to this many unknown roots
 _POWERS = np.arange(_ORDER + 1)[:, None]     # q = 0 .. _ORDER, one row each
-# the fields of a Newton lane still stepping: its index, seed, iterate, best
-# iterate and its |f|, last step, steps, and steps at convergence or -1
-_LANE = np.dtype([("lane", int), ("seed", complex), ("lam", complex), ("best", complex),
-                  ("best_res", float), ("moved", float), ("its", int), ("conv", int)])
+# the fields of a Newton lane still stepping: its index, seed, best iterate
+# and its |f|, last step, steps, and steps at convergence or -1; its iterate
+# is its position (see _Counter)
+_LANE = np.dtype([("lane", int), ("seed", complex), ("best", complex), ("best_res", float),
+                  ("moved", float), ("its", int), ("conv", int)])
 
 
 @dataclass
 class EigenvalueRecord:
-    """One located eigenvalue with its search provenance."""
+    """One located eigenvalue with its search provenance; the Newton steps
+    that reached it are in its search's report.newton_iterations."""
 
     lam: complex
     k_index: int | None
     family: int | None
     residual: float
-    iterations: int = 0          # Newton steps to convergence
 
 
 @dataclass
@@ -229,8 +230,10 @@ class _Counter:
 
     The lanes still stepping are one table, a column per field of _LANE,
     in the order they started; a lane that ends leaves it.  Beside it the
-    counter keeps the position of every lane, one array that `newton`
-    starts at the seed and each Newton step updates (see `where`).
+    counter keeps the position of every lane in one array, `at`: the
+    iterate of a lane that steps, which `newton` starts at the seed and
+    each Newton step updates, its record's lambda once it ended with one,
+    and NaN if it failed.
     """
 
     def __init__(self, evaluate: Callable, report: RootSearchReport):
@@ -284,15 +287,15 @@ class _Counter:
         at the rounding level already: it ends there, with that iterate
         and its |f|, as further steps would only sample rounding noise
         (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
-        and Nonlinear Equations, 1983, 7.2).  ``iterations`` counts the steps
-        up to convergence.  A lane ends with an EigenvalueRecord, whose
-        (lam, iterations) is logged to report.newton_iterations then, or with
-        the NoConvergence or BasinEscape that stopped it (see `records_of`).
+        and Nonlinear Equations, 1983, 7.2).  A lane ends with an
+        EigenvalueRecord, whose lambda is logged to report.newton_iterations
+        then with the steps up to convergence, or with the NoConvergence or
+        BasinEscape that stopped it (see `records_of`).
         A lane's arithmetic does not depend on the other points of its calls.
         """
         lanes = np.zeros(np.size(seeds), _LANE)
         lanes["lane"] = np.arange(len(self.records), len(self.records) + lanes.size)
-        lanes["seed"] = lanes["lam"] = np.ravel(seeds)
+        lanes["seed"] = np.ravel(seeds)
         lanes["best_res"], lanes["moved"], lanes["conv"] = np.inf, np.inf, -1
         self.live = {name: np.concatenate([a, lanes[name]]) for name, a in self.live.items()}
         self.at = np.concatenate([self.at, lanes["seed"]])
@@ -328,12 +331,6 @@ class _Counter:
             self.call()
         return [self.records[i] for i in lanes]
 
-    def where(self, lanes: np.ndarray) -> np.ndarray:
-        """The position of each lane of the int array lanes, shaped like it:
-        its record's lambda once it ended with one, its iterate while it
-        steps, NaN if it failed."""
-        return self.at[lanes]
-
     def call(self):
         """One evaluation of the live lanes and at most _CHUNK points in all,
         newest boxes first; one Newton step of each lane, and the check of
@@ -344,7 +341,8 @@ class _Counter:
         samples and queued midpoints exceed its budget: _SAMPLE_BUDGET, or
         _SAMPLES_PER_LENGTH per unit of its perimeter if that is more.
         """
-        ring, lam, lanes, n = 4 * _EDGE_POINTS, self.live["lam"], self.live["lam"].size, self.queued
+        lam = self.at[self.live["lane"]]      # the lanes' iterates
+        ring, lanes, n = 4 * _EDGE_POINTS, lam.size, self.queued
         if ring * len(self.fresh) + n <= max(_CHUNK - lanes, 0):
             rings, self.fresh, self.queued = self.fresh, [], 0
         else:
@@ -367,7 +365,7 @@ class _Counter:
         m = z.size - lanes
         if lanes:
             self.report.newton_rounds += 1
-            self._step(f[m:], d[m:], fval[m:])
+            self._step(lam, f[m:], d[m:], fval[m:])
         if not m:
             return
         self.report.contour_rounds += 1
@@ -456,12 +454,12 @@ class _Counter:
         self.queue[:, :order.size] = self.queue.take(order, axis=1)
         self.owner[:order.size], self.queued = self.owner.take(order), kept.size
 
-    def _step(self, surrogate, slope, fval):
-        """One Newton step of each live lane from its iterate, where F, F' and
-        f are given, which moves its position; a lane that ends leaves its
-        record or error, and its position is then the record's lambda or
+    def _step(self, z, surrogate, slope, fval):
+        """One Newton step of each live lane from its iterate z, where F, F'
+        and f are given, which moves its position; a lane that ends leaves
+        its record or error, and its position is then the record's lambda or
         NaN."""
-        lane, seeds, z, best, best_res, moved, its, conv = self.live.values()
+        lane, seeds, best, best_res, moved, its, conv = self.live.values()
         residual, scale = np.abs(fval), np.maximum(1.0, np.abs(z))
         polishing = conv >= 0        # the extra steps keep strict drops only
         keep = np.where(polishing, residual < best_res, moved <= 1e-12 * scale)
@@ -476,7 +474,7 @@ class _Counter:
         # |f|, 3 steps past convergence or 50 without it, flat, or astray
         go = ~((moved <= _FLOOR * scale) | (polishing > keep) | flat
                | (its == np.where(conv >= 0, conv + 3, 50)) | (np.abs(new - seeds) > 0.5))
-        self.live.update(lam=new, moved=np.abs(delta), its=its + 1)
+        self.live.update(moved=np.abs(delta), its=its + 1)
         self.at[lane] = new
         if go.all():
             return
@@ -487,8 +485,8 @@ class _Counter:
         self.at[lane[stop]] = np.where(found[stop], best[stop], np.nan)
         ended = (stop & found).nonzero()[0]
         lams, steps = best[ended].tolist(), conv[ended].tolist()
-        for i, lam, res, n in zip(lane[ended].tolist(), lams, best_res[ended].tolist(), steps):
-            self.records[i] = EigenvalueRecord(lam, None, None, res, n)
+        for i, lam, res in zip(lane[ended].tolist(), lams, best_res[ended].tolist()):
+            self.records[i] = EigenvalueRecord(lam, None, None, res)
         self.report.newton_iterations += zip(lams, steps)
         for j in (stop > found).nonzero()[0]:
             self.records[lane[j]] = (
@@ -627,7 +625,7 @@ def frequency_pairs(p: BeamParams, ks, report: RootSearchReport | None = None) -
     lanes = counter.newton(_predictions(p, ks)).reshape(-1, 2)     # per k, its families'
     _families(counter, ks, lanes.ravel())
     found = [counter.records_of(box) for box in _isolate(tickets, list(lanes), counter)[1]]
-    for k, pair, kept, recs in zip(ks, lanes, _distinct(counter.where(lanes), rects), found):
+    for k, pair, kept, recs in zip(ks, lanes, _distinct(counter.at[lanes], rects), found):
         if recs != counter.records_of(pair[kept]):
             _label_pair(recs, p, k)
     return found
@@ -711,7 +709,7 @@ def _isolate(tickets, given, counter: _Counter, more=None):
     The boxes are those of `tickets`, submitted to `counter` with moments;
     given holds, per box, the lanes of its known roots, Newton lanes
     started on counter before the pass.  A lane's position is its record
-    once it ended with one, else its iterate (see _Counter.where); the
+    once it ended with one, else its iterate (see _Counter); the
     known roots of a box are the positions inside its rect that coincide
     with no other (see _distinct).  `more(tickets, given)`, if given, is
     called once every lane started before the pass has ended, and returns
@@ -784,18 +782,18 @@ def _isolate(tickets, given, counter: _Counter, more=None):
             if visited[i] > 10000:
                 raise NoConvergence(f"subdivision of {counter.rects[tickets[i]]} exploded")
             if not seeds.size:
-                known = lanes[_distinct(counter.where(lanes), rect)]
+                known = lanes[_distinct(counter.at[lanes], rect)]
                 if 0 < cnt - known.size <= most:
                     seeds = counter.newton(_moment_seeds(
-                        rect, moments, counter.where(known), cnt - known.size))
+                        rect, moments, counter.at[known], cnt - known.size))
                     box = (*box[:-1], seeds)
             if any(counter.records[j] is None for j in lanes.tolist() + seeds.tolist()):
                 pending.append(box)     # wait for them
                 continue
             if seeds.size:      # read again: known lanes' final records, seeds that landed
-                known = np.concatenate([lanes[_distinct(counter.where(lanes), rect)],
-                                        seeds[_inside(counter.where(seeds), rect)]])
-                known = known[_distinct(counter.where(known), rect)]
+                known = np.concatenate([lanes[_distinct(counter.at[lanes], rect)],
+                                        seeds[_inside(counter.at[seeds], rect)]])
+                known = known[_distinct(counter.at[known], rect)]
             if known.size == cnt:
                 found[i] += known.tolist()
                 if seeds.size:
@@ -824,14 +822,14 @@ def _isolate(tickets, given, counter: _Counter, more=None):
                 report.derived_boxes += 1
                 first_moments = counter.moments(ticket)
                 second_moments = _second_moments(rect, moments, first, first_moments, second)
-                in_first = _inside(counter.where(lanes), first)
+                in_first = _inside(counter.at[lanes], first)
                 pending += [(i, *half, most, unseeded) for half in (
                     (first, first_cnt, lanes[in_first], first_moments),
                     (second, rest, lanes[~in_first], second_moments)) if half[1]]
         elif len(counts) < len(tickets) or pending or splits or more:
             counter.call()
     chosen = np.array([j for box in found for j in box], dtype=int)
-    _refuse_coincident(counter.where(chosen), chosen < before)     # known: a given lane's
+    _refuse_coincident(counter.at[chosen], chosen < before)     # known: a given lane's
     return counts, found
 
 
@@ -905,7 +903,7 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     def odd_boxes(tickets, given):   # once the lanes are in: boxes not seeded with two roots
         nonlocal kept
         _families(counter, range(1, k_max + 1), lanes.ravel())
-        kept = _distinct(counter.where(pairs), rects)
+        kept = _distinct(counter.at[pairs], rects)
         odd = np.flatnonzero(~kept.all(axis=1))
         return tickets + counter.submit(rects[odd], moments=True), given + list(pairs[odd])
 
@@ -931,14 +929,15 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     failed_k = [ks[i] for i, box in zip(counted, found) if len(box) < 2]
     report.k0_effective = max(failed_k) + 1 if failed_k else K_MIN
     chosen = np.array(chosen, dtype=int)
-    _refuse_coincident(counter.where(chosen), chosen < lanes.size)
+    _refuse_coincident(counter.at[chosen], chosen < lanes.size)
     records = counter.records_of(chosen)
 
     # conjugate closure: below Im = -outer[2] the sweep holds both members
     records += [EigenvalueRecord(rec.lam.conjugate(), rec.k_index and -rec.k_index, rec.family,
                                  rec.residual) for rec in records if rec.lam.imag > -outer[2]]
     lam = np.array([rec.lam for rec in records], dtype=complex)
-    for i in np.flatnonzero(_on_real_axis(lam)).tolist():
+    # Im below Newton's resolution is rounding noise on a real root
+    for i in np.flatnonzero(np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam))).tolist():
         records[i].lam = lam[i] = complex(lam[i].real, 0.0)
     for rect, count in ((outer, outer_count), (union, report.global_count)):
         recovered = int(_inside(lam, rect).sum())
@@ -947,15 +946,10 @@ def spectrum_in_strip(p: BeamParams, k_max: int):
     return _in_order(records), report
 
 
-def _on_real_axis(lam) -> np.ndarray:
-    """Im lambda below Newton's resolution: rounding noise on a real root."""
-    return np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam))
-
-
 def _in_order(records) -> list:
-    """records by Im lambda, with rounding noise on the real axis read as 0,
-    then Re lambda, then family (none first), so real roots keep their order
-    on ulp-level changes."""
+    """records by Im lambda, then Re lambda, then family (none first); as
+    spectrum_in_strip stores rounding noise on the real axis as Im = 0, real
+    roots keep their order on ulp-level changes."""
     lam = np.array([rec.lam for rec in records], dtype=complex)
-    im = np.where(_on_real_axis(lam), 0.0, lam.imag)
-    return [records[i] for i in np.lexsort(([rec.family or 0 for rec in records], lam.real, im))]
+    return [records[i] for i in np.lexsort(([rec.family or 0 for rec in records], lam.real,
+                                            lam.imag))]

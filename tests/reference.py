@@ -322,8 +322,7 @@ def predict_eigenvalue_broadcast(k, j, p: BeamParams):
         raise ValueError(f"family index j must be 1 or 2, got {j}")
     if np.any(k == 0):
         raise ValueError("prediction needs k != 0")
-    coef = asymptotic_coefficients(p)
-    c1, c2, c3 = coef.c1[j - 1], coef.c2[j - 1], coef.c3[j - 1]
+    c1, c2, c3 = (c[j - 1] for c in asymptotic_coefficients(p))
     k = k.astype(float)
     re = c1.real / k + c2.real / k**2 + c3.real / k**3
     im = k * math.pi + c1.imag / k + c2.imag / k**2 + c3.imag / k**3
@@ -482,9 +481,7 @@ def label_low_frequency(records, preds):
 
 
 def lane_positions(counter, lanes: np.ndarray) -> np.ndarray:
-    """The position of each lane of counter, shaped like lanes, from its live
-    lanes and its records: the iterate of a lane still stepping, else its
-    record's lambda, else NaN (it failed)."""
-    stepping = dict(zip(counter.live["lane"].tolist(), counter.live["lam"].tolist()))
-    return np.array([stepping.get(i, getattr(counter.records[i], "lam", np.nan))
-                     for i in lanes.ravel().tolist()], dtype=complex).reshape(lanes.shape)
+    """The position of each ended lane of counter, shaped like lanes, from
+    its record: the record's lambda, or NaN when the lane failed."""
+    return np.array([getattr(counter.records[i], "lam", np.nan) for i in lanes.ravel().tolist()],
+                    dtype=complex).reshape(lanes.shape)

@@ -34,12 +34,13 @@ FROZEN = dict(
 )
 
 
-def _omegas(coef):
-    """(omega1_j, omega2_j, beta_j) per family from the series: omega1_j = -+ i
-    sqrt(gamma1^2 - 4 gamma2) (alpha_2 - alpha_1 = sqrt of it) and beta_j =
-    -c2_j = omega2_j / omega1_j."""
-    root = coef.alpha2 - coef.alpha1
-    return [(om1, -c2.real * om1, -c2.real) for om1, c2 in zip((-1j * root, 1j * root), coef.c2)]
+def _omegas(p):
+    """(omega1_j, omega2_j, beta_j) per family from the generic series of p:
+    omega1_j = -+ i sqrt(gamma1^2 - 4 gamma2) (alpha_2 - alpha_1 = sqrt of
+    it, alpha_j = Im c1_j) and beta_j = -c2_j = omega2_j / omega1_j."""
+    c1, c2, _ = asymptotic_coefficients(p)
+    root = c1[1].imag - c1[0].imag
+    return [(om1, -c.real * om1, -c.real) for om1, c in zip((-1j * root, 1j * root), c2)]
 
 
 def _random_params(rng, conservative=False):
@@ -87,33 +88,34 @@ def test_alpha_vieta_and_ordering(params_generic):
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = _random_params(rng)
-        coef = asymptotic_coefficients(p)
-        g1, g2, a1, a2 = coef.gamma1, coef.gamma2, coef.alpha1, coef.alpha2
+        (g1, g2, _), (a1, a2) = gamma_coefficients(p), asymptotic_coefficients(p)[0].imag
         assert a1 + a2 == pytest.approx(g1, rel=1e-13)
         assert a1 * a2 == pytest.approx(g2, rel=1e-13)
         assert a1 <= a2
-    coef = asymptotic_coefficients(params_generic)
-    a1, a2 = coef.alpha1, coef.alpha2
+    a1, a2 = asymptotic_coefficients(params_generic)[0].imag
     assert a1 == pytest.approx(FROZEN["alpha1"], rel=1e-13)
     assert a2 == pytest.approx(FROZEN["alpha2"], rel=1e-13)
     assert a1 < a2
 
 
 def test_alpha_collision_on_degenerate_set(params_degenerate):
+    # alpha_j = (gamma1 -+ sqrt(gamma1^2 - 4 gamma2)) / 2 meet where the
+    # discriminant vanishes
     p = params_degenerate
-    coef = asymptotic_coefficients(p)
-    a1, a2 = coef.alpha1, coef.alpha2
+    g1, _, _ = gamma_coefficients(p)
+    root = math.sqrt(discriminant_reduced(p))
+    a1, a2 = 0.5 * (g1 - root), 0.5 * (g1 + root)
     collide = (2.0 * p.k1 + math.pi**2) / (2.0 * math.pi)
     assert a1 == pytest.approx(collide, rel=1e-12)
     assert a2 == pytest.approx(collide, rel=1e-12)
 
 
 def test_omega_beta_frozen(params_generic):
-    coef = asymptotic_coefficients(params_generic)
-    g1, g2 = coef.gamma1, coef.gamma2
-    (om11, om21, b1), (om12, om22, b2) = _omegas(coef)
-    assert np.all(coef.c1 == 1j * np.array([coef.alpha1, coef.alpha2]))
-    assert np.all(coef.c3 == 0.0)
+    g1, g2, _ = gamma_coefficients(params_generic)
+    c1, _, c3 = asymptotic_coefficients(params_generic)
+    (om11, om21, b1), (om12, om22, b2) = _omegas(params_generic)
+    assert np.all(c1.real == 0.0)
+    assert np.all(c3 == 0.0)
     root = FROZEN["omega1_mag"]
     assert om11 == pytest.approx(-1j * root, rel=1e-12)
     assert om12 == pytest.approx(1j * root, rel=1e-12)
@@ -127,9 +129,8 @@ def test_omega_beta_frozen(params_generic):
 def test_omega2_matches_char_fn_limit(params_generic):
     # independent oracle: k^3 f(i k pi + i alpha_j / k) -> omega2_j
     p = params_generic
-    coef = asymptotic_coefficients(p)
     k = 2000
-    for aj, (om1, om2, beta) in zip((coef.alpha1, coef.alpha2), _omegas(coef)):
+    for aj, (om1, om2, beta) in zip(asymptotic_coefficients(p)[0].imag, _omegas(p)):
         measured = k**3 * entire_char_fn_and_derivative(1j * k * np.pi + 1j * aj / k, p)[2]
         assert abs(measured - om2) < 1e-3 * abs(om2)
 
@@ -138,7 +139,7 @@ def test_beta_positive_under_damping():
     rng = np.random.default_rng(99)
     for _ in range(100):
         p = _random_params(rng)
-        for _, _, beta in _omegas(asymptotic_coefficients(p)):
+        for _, _, beta in _omegas(p):
             assert beta > 0.0
 
 
@@ -146,9 +147,8 @@ def test_beta_zero_conservative():
     rng = np.random.default_rng(17)
     for _ in range(20):
         p = _random_params(rng, conservative=True)
-        coef = asymptotic_coefficients(p)
-        assert coef.gamma3 == 0.0
-        for _, om2, beta in _omegas(coef):
+        assert gamma_coefficients(p)[2] == 0.0
+        for _, om2, beta in _omegas(p):
             assert om2 == 0.0 and beta == 0.0
 
 
@@ -166,14 +166,15 @@ def test_colliding_families_off_the_lattice_raise():
 
 
 def test_asymptotic_coefficients_dispatch(params_generic, params_degenerate):
-    ac = asymptotic_coefficients(params_generic)
-    assert ac.regime == "generic" and np.all(ac.c2.real < 0) and np.all(ac.c3 == 0)
-    acd = asymptotic_coefficients(params_degenerate)
+    _, c2, c3 = asymptotic_coefficients(params_generic)
+    assert regime_info(params_generic).regime == "generic"
+    assert np.all(c2.real < 0) and np.all(c3 == 0)
     p = params_degenerate
-    assert acd.regime == "case1"
-    assert np.all(acd.c1 == 1j * (2.0 * p.k1 + math.pi**2) / (2.0 * math.pi))
-    assert np.all(acd.c2 == [-p.k1 * p.k2 / math.pi**2, -p.k1 * p.k4 / math.pi**2])
-    assert np.all(acd.c3 == 0)
+    c1, c2, c3 = asymptotic_coefficients(p)
+    assert regime_info(p).regime == "case1"
+    assert np.all(c1 == 1j * (2.0 * p.k1 + math.pi**2) / (2.0 * math.pi))
+    assert np.all(c2 == [-p.k1 * p.k2 / math.pi**2, -p.k1 * p.k4 / math.pi**2])
+    assert np.all(c3 == 0)
 
 
 def test_special_a3():

@@ -392,7 +392,7 @@ def test_table_separates_colliding_families(tmp_path, name):
             if ln and not ln.startswith("#")][1:]
     assert [int(row[0]) for row in rows] == [200, 400, 600, 800, 1000]
     p = validate_params(1.0, *_COLLIDING_SETS[name])
-    c2 = asymptotic_coefficients(p).c2.real
+    c2 = asymptotic_coefficients(p)[1].real
     for row in rows:
         k = int(row[0])
         for value, c in zip(map(float, row[1:]), c2):
@@ -569,3 +569,37 @@ def test_bad_numeric_parameter_rejected(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "NonPositiveParameter"
+
+
+def test_non_boolean_conservative_refused(tmp_path, capsys):
+    params = write_params(tmp_path, ["a=1", "b=2", "k1=1", "k2=2", "k3=3", "k4=2",
+                                     "conservative=maybe"])
+    rc = main(["spectrum", "--params", str(params), "--out", str(tmp_path / "run")])
+    err = json.loads(capsys.readouterr().out)
+    assert rc == 1 and err["error"] == "ConfigError"
+    assert err["message"] == "key 'conservative': not a boolean: 'maybe'"
+    assert not (tmp_path / "run").exists()
+
+
+def test_decay_refuses_a_vanishing_tip_stiffness(tmp_path, capsys):
+    # k1 ~ 0 leaves the tip equations of solve_static without their scaling
+    params = write_params(tmp_path, ["a=1", "b=2", "k1=1e-13", "k2=2", "k3=3", "k4=2"])
+    rc = main(["decay", "--params", str(params), "--grid-n", "32", "--horizon", "1",
+               "--out", str(tmp_path / "run")])
+    err = json.loads(capsys.readouterr().out)
+    assert rc == 1 and err["error"] == "DegenerateBoundarySystem" and err["command"] == "decay"
+
+
+def test_table_refuses_a_box_without_both_families(tmp_path, generic_file, capsys, monkeypatch):
+    # frequency_pairs labels a box holding one root, or more than two,
+    # without a family 2: the table names the k it cannot certify
+    real_pairs = tipbeam.cli.frequency_pairs
+
+    def one_root_at_600(p, ks):
+        return [recs[:1] if k == 600 else recs for k, recs in zip(ks, real_pairs(p, ks))]
+
+    monkeypatch.setattr(tipbeam.cli, "frequency_pairs", one_root_at_600)
+    rc = main(["table", "--params", str(generic_file), "--out", str(tmp_path / "run")])
+    err = json.loads(capsys.readouterr().out)
+    assert rc == 1 and err["error"] == "IncompleteBox" and err["command"] == "table"
+    assert err["message"] == "could not certify both families at k = 600"

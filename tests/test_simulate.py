@@ -459,8 +459,10 @@ def test_fit_decay_rejects_nonpositive_energy():
     tr = EnergyTrace(times=times, energies=energies)
     with pytest.raises(NonPositiveEnergy, match=r"t = 7\.5 "):
         fit_decay(tr)
-    # outside the window a bad sample is never read
-    assert fit_decay(tr, window=(0.25, 0.7)).exponent < 0.0
+    # before the window, which starts at 0.25 T = 2.5, a bad sample is never read
+    energies = 1.0 / (1.0 + times)
+    energies[[5, 8]] = [0.0, -1e-3]
+    assert fit_decay(EnergyTrace(times=times, energies=energies)).exponent < 0.0
 
 
 def test_pack_unpack_roundtrip(params_generic):

@@ -10,8 +10,9 @@ the benchmark's two strips (generic k <= 200, conservative k <= 50),
 `spectrum` commands (generic k <= 200, conservative k <= 50), in-process.
 
 It first compares CHANGE's outcome of every item with PARENT's: its
-records (lambda, (k, family) labels, residual, Newton iterations), the
-counts the search certified (the union's count, k0_effective and the
+records (lambda, (k, family) labels, residual), its report's
+newton_iterations (the lambda and steps of every converged Newton polish),
+the counts the search certified (the union's count, k0_effective and the
 incomplete boxes), `stats` and, for a command, the bytes of its artifacts.
 An item is `identical` when all of these are, bit for bit.  It `differs`
 when only the lambdas moved, each by at most 8 ulps of max(1, |lambda|)
@@ -61,9 +62,10 @@ def load(name: str, root) -> dict:
 
 
 def outcome(lams, labels, rest, counts, stats, artifacts=()) -> dict:
-    """What the check compares of one item's run: its records' lambdas,
-    (k, family) labels and other fields (rest), the counts the search
-    certified, its stats and the bytes of its artifacts."""
+    """What the check compares of one item's run: its records' lambdas and
+    (k, family) labels, the rest of its records and report (residuals and
+    Newton iterations), the counts the search certified, its stats and the
+    bytes of its artifacts."""
     return {"lams": list(lams), "labels": list(labels), "rest": list(rest), "counts": counts,
             "stats": stats, "artifacts": list(artifacts)}
 
@@ -80,7 +82,7 @@ def menu(side: dict, scratch: Path) -> dict:
 
     def records(recs, report):
         return outcome([r.lam for r in recs], [(r.k_index, r.family) for r in recs],
-                       [(r.residual, r.iterations) for r in recs],
+                       ([r.residual for r in recs], report.newton_iterations),
                        (report.global_count, report.k0_effective, report.incomplete_boxes),
                        report.stats)
 
@@ -101,7 +103,8 @@ def menu(side: dict, scratch: Path) -> dict:
                     if not line.startswith("#")][1:]
             report = json.loads(paths[1].read_text(encoding="utf-8"))
             return outcome([complex(float(re), float(im)) for _, _, re, im, *_ in rows],
-                           [(k, j) for k, j, *_ in rows], [row[4:] for row in rows],
+                           [(k, j) for k, j, *_ in rows],
+                           ([row[4:] for row in rows], report["newton"]),
                            (report["stats"]["global_count"], report["k0_effective"],
                             report["incomplete_boxes"]), report["stats"],
                            [(path.name, path.read_bytes()) for path in paths])
