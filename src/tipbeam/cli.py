@@ -133,10 +133,6 @@ def _g17(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _g6(x) -> str:
-    return f"{float(x):.6g}"
-
-
 def _pairs(z: np.ndarray) -> list:
     """Nested [re, im] lists of a complex array, as Python floats."""
     return np.stack([z.real, z.imag], -1).tolist()
@@ -208,11 +204,12 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: list, row: str, rows) -> None:
-    """The header lines, then the line `row % values` for each tuple of
-    Python values in rows; a row formats floats with %.17g, as _g17 does."""
+def _write_rows(path: Path, cfg: RunConfig, header: str, row: str, rows) -> None:
+    """The `# key=value` lines, the header, then the line `row % values`
+    for each tuple of Python values in rows; a CSV row formats floats with
+    %.17g, as _g17 does."""
     lines = [f"# {k}={v}" for k, v in cfg.header_items()]
-    lines.append(",".join(header))
+    lines.append(header)
     lines.extend(row % values for values in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -233,8 +230,8 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
     rows = [("" if rec.k_index is None else rec.k_index, "" if rec.family is None else rec.family,
              rec.lam.real, rec.lam.imag, rec.residual) for rec in records]
     csv_path = cfg.out_dir / "spectrum.csv"
-    _write_csv(csv_path, cfg, ["k", "j", "re", "im", "residual", "multiplicity"],
-               "%s,%s,%.17g,%.17g,%.17g,1", rows)
+    _write_rows(csv_path, cfg, "k,j,re,im,residual,multiplicity", "%s,%s,%.17g,%.17g,%.17g,1",
+                rows)
 
     # the rects hold Python floats and the lambdas are Python complex numbers:
     # no numpy scalar is converted per element
@@ -253,9 +250,9 @@ def _cmd_spectrum(cfg: RunConfig) -> list:
     }
     json_path = cfg.out_dir / "spectrum_report.json"
     _write_json(json_path, cfg, report_payload)
-    for rect, w, r in report.incomplete_boxes:
-        print(f"tipbeam spectrum: incomplete box {[float(v) for v in rect]}: winding "
-              f"{'null' if w is None else int(w)}, {int(r)} roots recovered", file=sys.stderr)
+    for box in report_payload["incomplete_boxes"]:
+        print(f"tipbeam spectrum: incomplete box {box['rect']}: winding "
+              f"{json.dumps(box['winding'])}, {box['recovered']} roots recovered", file=sys.stderr)
     return [csv_path, json_path]
 
 
@@ -267,7 +264,7 @@ def _cmd_predict(cfg: RunConfig) -> list:
     rows = zip(np.repeat(ks, 2).tolist(), [1, 2] * ks.size,
                lams.real.ravel().tolist(), lams.imag.ravel().tolist())
     path = cfg.out_dir / "predictions.csv"
-    _write_csv(path, cfg, ["k", "j", "re", "im", "regime"], f"%d,%d,%.17g,%.17g,{regime}", rows)
+    _write_rows(path, cfg, "k,j,re,im,regime", f"%d,%d,%.17g,%.17g,{regime}", rows)
     return [path]
 
 
@@ -277,29 +274,23 @@ def _cmd_modes(cfg: RunConfig) -> list:
     report = RootSearchReport()
     recs = family_roots(p, range(K_MIN, cfg.kmax + 1), report=report)
     modes = _family_modes(recs, p)
-    res = mode_residuals(modes, p)
-    identity = np.abs(modes.lam.real
-                      + (p.k2 / p.k1) * np.abs(modes.tip_eta) ** 2
-                      + (p.k4 / p.k3) * np.abs(modes.tip_gamma) ** 2)
-    # whole arrays to Python lists, so no numpy scalar is indexed per element
-    columns = zip(recs, _pairs(modes.lam), _pairs(modes.coeffs), _pairs(modes.ts),
-                  _pairs(modes.tip_eta), _pairs(modes.tip_gamma),
-                  modes.matrix_residual.tolist(), modes.conditioning.tolist(),
-                  res.tolist(), identity.tolist())
-    entries = [{
-        "k": rec.k_index,
-        "j": rec.family,
-        "lambda": lam,
-        "coefficients": coeffs,
-        "branch_roots": ts,
-        "tip_eta": eta,
-        "tip_gamma": gamma,
-        "matrix_residual": matrix_residual,
-        "conditioning": conditioning,
-        "residuals": dict(zip(names, r)),
-        "dissipation_identity": ident,
-    } for rec, lam, coeffs, ts, eta, gamma, matrix_residual, conditioning, r, ident
-        in columns]
+    # each field's whole column as a Python list, so no numpy scalar is indexed per element
+    columns = {
+        "k": [rec.k_index for rec in recs],
+        "j": [rec.family for rec in recs],
+        "lambda": _pairs(modes.lam),
+        "coefficients": _pairs(modes.coeffs),
+        "branch_roots": _pairs(modes.ts),
+        "tip_eta": _pairs(modes.tip_eta),
+        "tip_gamma": _pairs(modes.tip_gamma),
+        "matrix_residual": modes.matrix_residual.tolist(),
+        "conditioning": modes.conditioning.tolist(),
+        "residuals": [dict(zip(names, r)) for r in mode_residuals(modes, p).tolist()],
+        "dissipation_identity": np.abs(modes.lam.real
+                                       + (p.k2 / p.k1) * np.abs(modes.tip_eta) ** 2
+                                       + (p.k4 / p.k3) * np.abs(modes.tip_gamma) ** 2).tolist(),
+    }
+    entries = [dict(zip(columns, row)) for row in zip(*columns.values())]
     stats = {key: report.stats[key]
              for key in ("newton_calls", "newton_iterations", "newton_rounds")}
     path = cfg.out_dir / "modes.json"
@@ -315,8 +306,8 @@ def _cmd_riesz(cfg: RunConfig) -> list:
                                                diag.tip_gamma, diag.pairing_gap)),
                np.repeat(diag.partial_sums, 2).tolist())
     path = cfg.out_dir / "riesz.csv"
-    _write_csv(path, cfg, ["k", "j", "closeness", "alignment", "tip_eta", "tip_gamma",
-                           "pairing_gap", "partial_sum"], "%d,%d" + ",%.17g" * 6, rows)
+    _write_rows(path, cfg, "k,j,closeness,alignment,tip_eta,tip_gamma,pairing_gap,partial_sum",
+                "%d,%d" + ",%.17g" * 6, rows)
     return [path]
 
 
@@ -341,7 +332,7 @@ def _cmd_decay(cfg: RunConfig) -> list:
     fit = this.fit_decay(trace)
     rows = zip(trace.times.tolist(), trace.energies.tolist())
     csv_path = cfg.out_dir / "energy.csv"
-    _write_csv(csv_path, cfg, ["t", "energy"], "%.17g,%.17g", rows)
+    _write_rows(csv_path, cfg, "t,energy", "%.17g,%.17g", rows)
     payload = {
         "exponent": float(fit.exponent),
         "constant": float(fit.constant),
@@ -359,19 +350,15 @@ def _cmd_decay(cfg: RunConfig) -> list:
 
 
 def _cmd_table(cfg: RunConfig) -> list:
-    p = cfg.effective_params
-    lines = [f"# {k}={v}" for k, v in cfg.header_items()]
-    lines.append(f"{'k':>6}  {'k^2 Re lambda_1':>16}  {'k^2 Re lambda_2':>16}")
-    pairs = frequency_pairs(p, TABLE_KS)
-    for k, recs in zip(TABLE_KS, pairs):
+    rows = []
+    for k, recs in zip(TABLE_KS, frequency_pairs(cfg.effective_params, TABLE_KS)):
         by_family = {rec.family: rec for rec in recs}
         if 1 not in by_family or 2 not in by_family:
             raise IncompleteBox(f"could not certify both families at k = {k}")
-        val1 = k * k * by_family[1].lam.real
-        val2 = k * k * by_family[2].lam.real
-        lines.append(f"{k:>6}  {_g6(val1):>16}  {_g6(val2):>16}")
+        rows.append((k, k * k * by_family[1].lam.real, k * k * by_family[2].lam.real))
     path = cfg.out_dir / "table.txt"
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, cfg, "%6s  %16s  %16s" % ("k", "k^2 Re lambda_1", "k^2 Re lambda_2"),
+                "%6d  %16.6g  %16.6g", rows)
     return [path]
 
 

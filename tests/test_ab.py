@@ -29,7 +29,7 @@ def test_a_checkout_is_identical_to_itself(monkeypatch, tmp_path):
     ab = _ab(monkeypatch)
     try:
         sides = [ab.menu(ab.load(name, ROOT), tmp_path) for name in ("tb_test_a", "tb_test_b")]
-        assert len(sides[0]) == 5 and "spectrum --kmax 200" in sides[0]
+        assert len(sides[0]) == 6 and list(sides[0])[3:] == list(ab.load_workloads().WORKLOADS)
         for name, run in sides[0].items():
             assert ab.verdict(run(), sides[1][name]()) == ("identical", "")
     finally:
@@ -71,3 +71,17 @@ def test_records_within_eight_ulps_differ_and_further_are_refused(monkeypatch):
     for changed in (_outcome(ab, [lam, lam]), _outcome(ab, [lam], labels=[(8, 2)]),
                     _outcome(ab, [lam], counts=(7, 9, []))):
         assert ab.verdict(_outcome(ab, [lam]), changed)[0] == "refused"
+
+
+def test_workload_outcomes_compare_digests_and_refuse_failed_checks(monkeypatch):
+    # a changed artifact differs by name; a failed check refuses the item,
+    # even when both sides failed it alike
+    ab = _ab(monkeypatch)
+    ran = {"digests": {"damped/modes.json": "a1", "damped/riesz.csv": "b2"}, "failed": []}
+    changed = dict(ran, digests=dict(ran["digests"], **{"damped/riesz.csv": "c3"}))
+    failed = dict(ran, failed=["damped/modes.json:residuals"])
+    assert ab.verdict(ran, dict(ran)) == ("identical", "")
+    assert ab.verdict(ran, changed) == ("differs", "artifacts changed: damped/riesz.csv")
+    assert ab.verdict(ran, failed) == (
+        "refused", "failed checks: CHANGE damped/modes.json:residuals")
+    assert ab.verdict(failed, failed)[0] == "refused"

@@ -603,3 +603,45 @@ def test_table_refuses_a_box_without_both_families(tmp_path, generic_file, capsy
     err = json.loads(capsys.readouterr().out)
     assert rc == 1 and err["error"] == "IncompleteBox" and err["command"] == "table"
     assert err["message"] == "could not certify both families at k = 600"
+
+
+def test_params_file_comments_and_blank_lines_are_skipped(tmp_path):
+    # a comment line, a blank line and a trailing note after a value
+    params = write_params(tmp_path, ["# generic set", "a=1", "b=2", "", "k1=1", "k2=2",
+                                     "k3=3", "k4=2  # note"])
+    out = tmp_path / "run"
+    assert main(["predict", "--params", str(params), "--kmax", "8", "--out", str(out)]) == 0
+    config, _, rows = read_csv(out / "predictions.csv")
+    assert config["k4"] == "2" and len(rows) == 2
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["a=1", "b 2"], "{path}:2: expected key=value, got 'b 2'"),
+    (["a=1", "b=2", "k1=1", "k2=2", "k3=3", "k2=4"], "{path}:6: duplicate key 'k2'"),
+    (["a=1", "b=2", "k1=1", "k2=2"], "params file lacks required keys: k3, k4"),
+])
+def test_malformed_params_file_refused(tmp_path, capsys, lines, message):
+    params = write_params(tmp_path, lines)
+    rc = main(["spectrum", "--params", str(params), "--out", str(tmp_path / "run")])
+    out = capsys.readouterr().out
+    assert rc == 1 and len(out.splitlines()) == 1
+    err = json.loads(out)
+    assert err["error"] == "ConfigError" and err["message"] == message.format(path=params)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("spectrum", ["--kmax", "9"], "kmax = 9 is below the floor 10 for command 'spectrum'"),
+    ("modes", ["--kmax", "7"], "kmax = 7 is below the floor 8 for command 'modes'"),
+    ("decay", ["--grid-n", "15"], "grid_n = 15 is below the minimum of 16"),
+    ("decay", ["--horizon", "0"], "horizon must be positive, got 0.0"),
+    ("decay", ["--dt", "-0.001"], "dt must be positive, got -0.001"),
+])
+def test_out_of_range_settings_refused(tmp_path, generic_file, capsys, command, flags,
+                                       message):
+    rc = main([command, "--params", str(generic_file), *flags, "--out", str(tmp_path / "run")])
+    out = capsys.readouterr().out
+    assert rc == 1 and len(out.splitlines()) == 1
+    err = json.loads(out)
+    assert err == {"error": "ConfigError", "message": message, "command": command}
+    assert not (tmp_path / "run").exists()

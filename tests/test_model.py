@@ -105,6 +105,12 @@ def test_cumulative_integral_exact_on_cubic():
     assert np.max(np.abs(out - (x**4 / 4 - x**2))) < 1e-14
 
 
+def test_cumulative_integral_refuses_three_nodes():
+    # the cubic through four nodes needs four of them
+    with pytest.raises(GridMismatch, match="need at least 4 nodes"):
+        cumulative_integral(np.ones(3), 0.5)
+
+
 def test_cumulative_integral_fourth_order():
     errs = []
     for N in (40, 80):

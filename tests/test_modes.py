@@ -19,6 +19,7 @@ from tipbeam.errors import (
     NotAnEigenvalue,
     RankDeficiencyTwo,
     RegimeMismatch,
+    UnpairedFamily,
     ZeroMode,
 )
 from tipbeam.model import validate_params
@@ -107,6 +108,20 @@ def test_riesz_error_names_k_and_j(params_generic, monkeypatch):
 
     monkeypatch.setattr(tipbeam.modes, "family_roots", shifted)
     with pytest.raises(NotAnEigenvalue, match=r"^family 2 at k = 9: mode 3, lambda = "):
+        riesz_closeness(10, params_generic)
+
+
+def test_riesz_refuses_crossed_families(params_generic, monkeypatch):
+    # the conservative twin's two families swapped at every k: each damped
+    # root then sits closer to the other conservative family
+    real = tipbeam.modes.family_roots
+
+    def swapped(p, ks):
+        recs = real(p, ks)
+        return [recs[i ^ 1] for i in range(len(recs))] if p.is_conservative else recs
+
+    monkeypatch.setattr(tipbeam.modes, "family_roots", swapped)
+    with pytest.raises(UnpairedFamily, match=r"^family 1 at k = 8: damped root "):
         riesz_closeness(10, params_generic)
 
 

@@ -166,6 +166,15 @@ def test_integrate_refuses_state_on_another_grid(params_generic):
         integrate(g, smooth_state(params_generic, 32), 1.0, 0.5 / 16)
 
 
+def test_integrate_refuses_complex_initial_data(params_generic):
+    # the integrator steps real states only
+    g = assemble_generator(params_generic, 16)
+    st = smooth_state(params_generic, 16)
+    st.u = st.u * (1.0 + 1.0j)
+    with pytest.raises(ValueError, match="^time integration expects real initial data$"):
+        integrate(g, st, 1.0, 0.5 / 16)
+
+
 def test_integrate_refuses_horizon_below_half_step(params_generic):
     g = assemble_generator(params_generic, 16)
     st = smooth_state(params_generic, 16)

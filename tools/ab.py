@@ -4,27 +4,36 @@
 
 PARENT and CHANGE are the roots of two checkouts.  Both load side by side in
 one process, as packages tb_a and tb_b, and PARENT once more as tb_aa, so
-that the control times two copies of one code.  Each side runs a fixed menu:
-the benchmark's two strips (generic k <= 200, conservative k <= 50),
-`family_roots` at k = 8..300 on the generic set, and the benchmark's two
-`spectrum` commands (generic k <= 200, conservative k <= 50), in-process.
+that the control times two copies of one code.  Each side runs a fixed menu
+on the benchmark's fixture (perfbench/workloads.py, seed 0): its two strips
+(generic k <= 200, conservative k <= 50), `family_roots` at k = 8..300 on
+the generic set, and each workload of perfbench/workloads.py, its CLI
+commands run in-process as perfbench/run.py runs them.
 
-It first compares CHANGE's outcome of every item with PARENT's: its
-records (lambda, (k, family) labels, residual), its report's
-newton_iterations (the lambda and steps of every converged Newton polish),
-the counts the search certified (the union's count, k0_effective and the
-incomplete boxes), `stats` and, for a command, the bytes of its artifacts.
-An item is `identical` when all of these are, bit for bit.  It `differs`
-when only the lambdas moved, each by at most 8 ulps of max(1, |lambda|)
-(Newton ends a lane within 4 of them), and residuals, iterations, `stats`
-or bytes changed: its check line gives the largest relative |d lambda|
-and the `stats` keys that moved.  Any other difference (the number of
-records, a label, a certified count, a lambda moved further) is refused:
-it names the first such item and stops.  It then times PAIRS interleaved
-pairs of each item, the order of the two sides flipped each pair, with one
-BLAS thread.  Per item it prints its label, the median ratio CHANGE /
-PARENT, its quartiles, and the pairs CHANGE was faster in; the A/A line is
-the same for tb_aa against tb_a.  It only reports: it applies no bound.
+It first compares CHANGE's outcome of every item with PARENT's.  For a
+strip or `family_roots` that is its records (lambda, (k, family) labels,
+residual), its report's newton_iterations (the lambda and steps of every
+converged Newton polish), the counts the search certified (the union's
+count, k0_effective and the incomplete boxes) and `stats`.  The item is
+`identical` when all of these are, bit for bit.  It `differs` when only
+the lambdas moved, each by at most 8 ulps of max(1, |lambda|) (Newton ends
+a lane within 4 of them), and residuals, iterations or `stats` changed:
+its check line gives the largest relative |d lambda| and the `stats` keys
+that moved.  Any other difference (the number of records, a label, a
+certified count, a lambda moved further) is refused.  A workload's outcome
+is the sha256 of each artifact, and perfbench's `check_step` runs on every
+step's artifacts: the item is `identical` when every digest is, `differs`
+when some changed and every check passed (its line names the changed
+artifacts), and is refused when a check failed on either side, by the
+check's name.  A refusal names the first such item and stops.
+
+It then times PAIRS interleaved pairs of each item, the order of the two
+sides flipped each pair, with one BLAS thread; of a workload only its
+commands are timed, as in perfbench's wall_s.  Per item it prints its
+label, the median ratio CHANGE / PARENT, its quartiles, and the pairs
+CHANGE was faster in; the A/A line is the same for tb_aa against tb_a.  It
+only reports: it applies no bound.  Each item runs 4 * PAIRS times; at
+`decay`'s 0.64 s a run, its 800 take about 8.5 minutes.
 """
 
 import os
@@ -37,17 +46,27 @@ import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
-import json  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import unittest.mock  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 PAIRS = 200
-GENERIC = (1.0, 2.0, 1.0, 2.0, 3.0, 2.0)      # perfbench's fixture, seed 0
-CONSERVATIVE = (1.0, 2.0, 1.0, 0.0, 3.0, 0.0)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_workloads():
+    """perfbench/workloads.py of this checkout, read without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("ab_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    with unittest.mock.patch.object(sys, "dont_write_bytecode", True):
+        spec.loader.exec_module(module)
+    return module
 
 
 def load(name: str, root) -> dict:
@@ -61,24 +80,26 @@ def load(name: str, root) -> dict:
     return {sub: importlib.import_module(f"{name}.{sub}") for sub in ("model", "spectrum", "cli")}
 
 
-def outcome(lams, labels, rest, counts, stats, artifacts=()) -> dict:
-    """What the check compares of one item's run: its records' lambdas and
-    (k, family) labels, the rest of its records and report (residuals and
-    Newton iterations), the counts the search certified, its stats and the
-    bytes of its artifacts."""
+def outcome(lams, labels, rest, counts, stats) -> dict:
+    """What the check compares of a strip's or `family_roots`' run: its
+    records' lambdas and (k, family) labels, the rest of its records and
+    report (residuals and Newton iterations), the counts the search
+    certified and its stats."""
     return {"lams": list(lams), "labels": list(labels), "rest": list(rest), "counts": counts,
-            "stats": stats, "artifacts": list(artifacts)}
+            "stats": stats}
 
 
 def menu(side: dict, scratch: Path) -> dict:
     """Item name -> a function of no arguments that runs the item on side and
-    returns its outcome."""
-    spectrum, params = side["spectrum"], side["model"].validate_params
-    generic, conservative = params(*GENERIC), params(*CONSERVATIVE)
+    returns its outcome; a workload's function keeps the seconds its
+    commands took as its `seconds`."""
+    workloads = load_workloads()
+    spectrum, fixture = side["spectrum"], workloads.make_params(0)
+    generic = side["model"].validate_params(**fixture)
+    conservative = side["model"].validate_params(**dict(fixture, k2=0.0, k4=0.0))
     out = scratch / side["spectrum"].__name__.split(".")[0]
     out.mkdir()
-    (out / "params.txt").write_text("".join(f"{key}={value!r}\n" for key, value in zip(
-        ("a", "b", "k1", "k2", "k3", "k4"), GENERIC)), encoding="utf-8")
+    workloads.write_params(out / "params.txt", fixture, 0)
 
     def records(recs, report):
         return outcome([r.lam for r in recs], [(r.k_index, r.family) for r in recs],
@@ -90,24 +111,21 @@ def menu(side: dict, scratch: Path) -> dict:
         report = spectrum.RootSearchReport()
         return records(spectrum.family_roots(generic, range(8, 301), report), report)
 
-    def command(*flags):
-        argv = ["spectrum", "--params", str(out / "params.txt"), *flags,
-                "--out", str(out / "-".join(flags))]
+    def workload(name, steps):
+        artifacts = out / name
 
         def run():
+            shutil.rmtree(artifacts, ignore_errors=True)
+            start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
-                if side["cli"].main(argv) != 0:
-                    raise RuntimeError(f"{side['cli'].__name__}: {' '.join(argv)} failed")
-            paths = sorted(Path(argv[-1]).glob("spectrum*"))
-            rows = [line.split(",") for line in paths[0].read_text(encoding="utf-8").splitlines()
-                    if not line.startswith("#")][1:]
-            report = json.loads(paths[1].read_text(encoding="utf-8"))
-            return outcome([complex(float(re), float(im)) for _, _, re, im, *_ in rows],
-                           [(k, j) for k, j, *_ in rows],
-                           ([row[4:] for row in rows], report["newton"]),
-                           (report["stats"]["global_count"], report["k0_effective"],
-                            report["incomplete_boxes"]), report["stats"],
-                           [(path.name, path.read_bytes()) for path in paths])
+                for step in steps:
+                    side["cli"].main([step.command, "--params", str(out / "params.txt"),
+                                      "--out", str(artifacts / step.out), *step.flags])
+            run.seconds = time.perf_counter() - start
+            # a command that failed left its artifacts missing, which its checks name
+            return {"digests": workloads.digests(artifacts),
+                    "failed": [check for step in steps
+                               for check, ok, _ in workloads.check_step(step, artifacts) if not ok]}
 
         return run
 
@@ -115,17 +133,28 @@ def menu(side: dict, scratch: Path) -> dict:
             "strip conservative k<=50": lambda: records(
                 *spectrum.spectrum_in_strip(conservative, 50)),
             "family_roots k=8..300": family,
-            "spectrum --kmax 200": command("--kmax", "200"),
-            "spectrum --kmax 50 --conservative": command("--kmax", "50", "--conservative")}
+            **{name: workload(name, steps) for name, steps in workloads.WORKLOADS.items()}}
+
+
+def moved(first: dict, second: dict) -> str:
+    """The keys whose values differ between two dicts, sorted and joined, or 'none'."""
+    return ", ".join(sorted(key for key in first.keys() | second.keys()
+                            if first.get(key) != second.get(key))) or "none"
 
 
 def verdict(first: dict, second: dict) -> tuple[str, str]:
     """(label, detail) of second's outcome against first's: identical,
-    differs (the largest relative |d lambda| and the stats keys that moved)
-    or refused (why).  repr keeps every bit of a float, and tells -0.0 from
-    0.0."""
+    differs (the largest relative |d lambda| and the stats keys that moved,
+    or the artifacts whose digest changed) or refused (why).  repr keeps
+    every bit of a float, and tells -0.0 from 0.0."""
+    failed = [f"{who} {check}" for who, side in (("PARENT", first), ("CHANGE", second))
+              for check in side.get("failed", ())]
+    if failed:
+        return "refused", f"failed checks: {', '.join(failed)}"
     if repr(first) == repr(second):
         return "identical", ""
+    if "digests" in first:
+        return "differs", "artifacts changed: " + moved(first["digests"], second["digests"])
     a, b = (np.array(side["lams"], dtype=complex) for side in (first, second))
     if a.size != b.size:
         return "refused", f"{a.size} records against {b.size}"
@@ -133,26 +162,25 @@ def verdict(first: dict, second: dict) -> tuple[str, str]:
         return "refused", "the (k, family) labels differ"
     if repr(first["counts"]) != repr(second["counts"]):
         return "refused", f"certified counts {first['counts']!r} against {second['counts']!r}"
-    moved = np.abs(b - a)
-    ulps = np.max(moved / np.spacing(np.maximum(1.0, np.abs(a))), initial=0.0)
+    shift = np.abs(b - a)
+    ulps = np.max(shift / np.spacing(np.maximum(1.0, np.abs(a))), initial=0.0)
     if ulps > 8.0:
         return "refused", f"a lambda moved by {ulps:.1f} ulps"
-    keys = sorted(key for key in first["stats"].keys() | second["stats"].keys()
-                  if first["stats"].get(key) != second["stats"].get(key))
-    return "differs", (f"largest relative |d lambda| {np.max(moved / np.abs(a), initial=0.0):.2e},"
-                       f" stats moved: {', '.join(keys) or 'none'}")
+    return "differs", (f"largest relative |d lambda| {np.max(shift / np.abs(a), initial=0.0):.2e},"
+                       f" stats moved: {moved(first['stats'], second['stats'])}")
 
 
 def pairs(first, second, count: int) -> np.ndarray:
-    """count (first, second) wall times of interleaved runs, in seconds; the
-    side that runs first alternates."""
+    """count (first, second) wall times of interleaved runs, in seconds: a
+    run's `seconds` if it keeps them, else the whole call; the side that
+    runs first alternates."""
     times = np.zeros((count, 2))
     for i in range(count):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             run = (first, second)[side]
             start = time.perf_counter()
             run()
-            times[i, side] = time.perf_counter() - start
+            times[i, side] = getattr(run, "seconds", time.perf_counter() - start)
     return times
 
 
